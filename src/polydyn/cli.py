@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--suite", help="law suite name (check only)")
+        if name == "check":
+            p.add_argument("--suite", help="law suite name")
     return parser
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -400,15 +400,6 @@ def _as_dist(v) -> Dist:
     if isinstance(v, (Dirac, Categorical, Gaussian)):
         return v
     raise DistError(f"kernel returned a non-distribution: {v!r}")
-
-
-def kleisli_extend(k) -> Callable[[Dist], Dist]:
-    """Lift a kernel X -> Dist Y to distributions: Dist X -> Dist Y."""
-
-    def extended(d: Dist) -> Dist:
-        return bind(d, k)
-
-    return extended
 
 
 def dst(d1: Dist, d2: Dist) -> Dist:

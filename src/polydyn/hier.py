@@ -22,8 +22,10 @@ unit unless the left factor supplies a richer ``forward_lift``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .dist import (
     Dirac,
@@ -62,7 +64,6 @@ from .spaces import (
     dist_space,
     expand_point,
     is_finite,
-    normalize_point,
     points,
     prod,
     unit,
@@ -85,6 +86,9 @@ class HierSystem:
     effect: str = DETERMINISTIC
     forward_lift: Optional[Callable] = None  # (t, x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
+    # (kind, left, right) for compose_hier/tensor_hier composites, whose
+    # tables are built from their factors' tables
+    factors: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def mk_hier(
@@ -180,26 +184,6 @@ def id_hier(p: Polynomial) -> HierSystem:
     return HierSystem(p, p, ustates, time_nat(), emit, absorb, DETERMINISTIC, None, silent)
 
 
-def _memo_pair(fn: Callable) -> Callable:
-    """Cache a binary distribution combinator by operand identity.  Absorb
-    maps routinely return long-lived shared Dist objects; caching keeps the
-    per-atom cost of composite updates constant instead of quadratic."""
-    store: dict = {}
-
-    def combined(a, b):
-        key = (id(a), id(b))
-        hit = store.get(key)
-        if hit is not None and hit[0] is a and hit[1] is b:
-            return hit[2]
-        out = fn(a, b)
-        if len(store) > 4096:
-            store.clear()
-        store[key] = (a, b, out)
-        return out
-
-    return combined
-
-
 def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -> HierSystem:
     """Sequential composition: run gamma's emitted lens after beta's.
 
@@ -216,17 +200,13 @@ def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -
     if beta.time != gamma.time:
         raise HierError("composed systems must share the time monoid")
     states = prod(beta.states, gamma.states)
-    pair = _memo_pair(dst)
 
-    def emitted(t, xy):
+    def emit(t, xy):
         x, z = xy
         left = beta.emit(t, x)
         if middle is not None:
             left = compose_map(middle(t, x), left)
         return compose_map(gamma.emit(t, z), left)
-
-    def emit(t, xy):
-        return emitted(t, xy)
 
     def absorb(t, xy, i, d_out):
         x, z = xy
@@ -237,7 +217,7 @@ def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -
         mid_dirs = gamma.emit(t, z).backward(j, d_out)
         left_new = bind(mid_dirs, lambda d_mid: beta.absorb(t, x, i, d_mid))
         right_new = gamma.absorb(t, z, j, d_out)
-        return pair(left_new, right_new)
+        return dst(left_new, right_new)
 
     effect = (
         DETERMINISTIC
@@ -250,8 +230,12 @@ def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -
             return gamma.forward_lift(t, xy[1], b)
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
+    # a state-dependent middle lens has no finite table, so only plain
+    # composites are tabulated from their factors
+    factors = ("compose", beta, gamma) if middle is None else None
     return HierSystem(
-        beta.source, gamma.target, states, beta.time, emit, absorb, effect, lift, init
+        beta.source, gamma.target, states, beta.time, emit, absorb, effect, lift, init,
+        factors,
     )
 
 
@@ -262,7 +246,6 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
     source = tensor(beta.source, gamma.source)
     target = tensor(beta.target, gamma.target)
     states = prod(beta.states, gamma.states)
-    pair = _memo_pair(dst)
 
     def emit(t, xz):
         x, z = xz
@@ -272,7 +255,7 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         x, z = xz
         i, j = ij
         d1, d2 = dd
-        return pair(beta.absorb(t, x, i, d1), gamma.absorb(t, z, j, d2))
+        return dst(beta.absorb(t, x, i, d1), gamma.absorb(t, z, j, d2))
 
     effect = (
         DETERMINISTIC
@@ -280,7 +263,10 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         else STOCHASTIC
     )
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
-    return HierSystem(source, target, states, beta.time, emit, absorb, effect, None, init)
+    return HierSystem(
+        source, target, states, beta.time, emit, absorb, effect, None, init,
+        ("tensor", beta, gamma),
+    )
 
 
 def _stateless(source: Polynomial, target: Polynomial, lens: PolyMap) -> HierSystem:
@@ -340,6 +326,418 @@ def function_system(f: Callable, A: Space, B: Space) -> HierSystem:
     return _stateless(source, target, lens)
 
 
+
+# ---------------------------------------------------------------------------
+# tables: finite hierarchical systems as index arrays and sparse rows
+
+
+class HierTable:
+    """A hierarchical system with finite states, positions and fibres,
+    tabulated over ticks 0..horizon.
+
+    State ids follow ``points(states)``.  ``key_of[t]`` maps each state id to
+    the id of the lens the state emits at tick t; ``keys[k]`` is that lens's
+    normalized ``polymap_key`` and ``options[k]`` its normalized (position,
+    direction) responses, in the order ``hom_sections`` offers them.
+    ``step(t, s, o)`` is the next-state law of state s after response o at
+    tick t, as a sparse row (state ids, weights).  Rows are built on first
+    use and interned, so states that move alike share one row id."""
+
+    def __init__(self, hs: HierSystem):
+        self.system = hs
+        self.size = 0
+        self.key_of: list = []
+        self.keys: list = []
+        self.options: list = []
+        self._lenses: list = []  # key id -> one emitted lens with that key
+        self._key_ids: dict = {}
+        self._rows: list = []  # row id -> (state ids, weights), None until built
+        self._row_ids: dict = {}
+
+    def _key_id(self, key, lens) -> int:
+        k = self._key_ids.get(key)
+        if k is None:
+            k = self._key_ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.options.append(tuple((row[0], d) for row in key for d, _ in row[2]))
+            self._lenses.append(lens)
+        return k
+
+    def first_seen(self) -> list:
+        """Key ids in order of first emission over (tick, state id)."""
+        seen: dict = {}
+        for ids in self.key_of:
+            uniq, first = np.unique(ids, return_index=True)
+            for k in uniq[np.argsort(first)].tolist():
+                seen.setdefault(k, None)
+        return list(seen)
+
+    def step(self, t: int, s: int, o: int) -> tuple:
+        return self.row(int(self.rows(t, np.array([s]), np.array([o]))[0]))
+
+    def row(self, r: int) -> tuple:
+        got = self._rows[r]
+        if got is None:
+            got = self._rows[r] = self._build(r)
+        return got
+
+    def _new_row(self, ident, built) -> int:
+        r = self._row_ids[ident] = len(self._rows)
+        self._rows.append(built)
+        return r
+
+    def _dense_row(self, ident, pairs) -> int:
+        r = self._row_ids.get(ident)
+        if r is None:
+            ids = np.array([a for a, _ in pairs], dtype=np.intp)
+            ws = np.array([w for _, w in pairs], dtype=float)
+            r = self._new_row(ident, (ids, ws))
+        return r
+
+    def _mix(self, rids: list, weights: list) -> int:
+        """The row of a mixture of rows, summed in order as ``bind`` does."""
+        if all(r == rids[0] for r in rids):
+            return rids[0]
+        ident = ("mix", tuple(rids), tuple(weights))
+        r = self._row_ids.get(ident)
+        if r is None:
+            mixed: dict = {}
+            for rid, w in zip(rids, weights):
+                ids, ws = self.row(rid)
+                for a, w2 in zip(ids.tolist(), ws.tolist()):
+                    mixed[a] = mixed.get(a, 0.0) + w * w2
+            r = self._dense_row(ident, [(a, w) for a, w in mixed.items() if w != 0.0])
+        return r
+
+    def law(self, d: Dist) -> np.ndarray:
+        """A finite law over the states as a vector over state ids."""
+        vec = np.zeros(self.size)
+        for x, w in finite_items(d):
+            vec[self.state_id(x)] = w
+        return vec
+
+
+class _LeafTable(HierTable):
+    """Tabulated by walking emit once per (tick, state) and absorb once per
+    (tick, state, response) actually reached."""
+
+    def __init__(self, hs: HierSystem, horizon: int):
+        super().__init__(hs)
+        if not (is_finite(hs.states) and is_finite(hs.source.positions)):
+            raise HierError("tabulating needs finite states and source positions")
+        self._states = list(points(hs.states))
+        self._ids = {x: s for s, x in enumerate(self._states)}
+        self.size = len(self._states)
+        for t in range(horizon + 1):
+            ids = np.empty(self.size, dtype=np.intp)
+            for s, x in enumerate(self._states):
+                lens = hs.emit(t, x)
+                ids[s] = self._key_id(polymap_key(lens), lens)
+            self.key_of.append(ids)
+        self._width = 1 + max(len(o) for o in self.options)
+        self._responses: dict = {}  # key id -> [(position, direction), ...]
+        self._absorbed: dict = {}  # (t, s, o) -> row id
+
+    def state_id(self, x) -> int:
+        try:
+            return self._ids[x]
+        except (KeyError, TypeError):
+            raise HierError(f"{x!r} is not a state of the system") from None
+
+    def rows(self, t: int, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
+        width = self._width
+        uniq, inv = np.unique(sid * width + opt, return_inverse=True)
+        out = np.empty(len(uniq), dtype=np.intp)
+        for n, code in enumerate(uniq.tolist()):
+            s, o = divmod(code, width)
+            r = self._absorbed.get((t, s, o))
+            if r is None:
+                r = self._absorbed[(t, s, o)] = self._absorb(t, s, o)
+            out[n] = r
+        return out[inv]
+
+    def _absorb(self, t: int, s: int, o: int) -> int:
+        k = int(self.key_of[t][s])
+        resp = self._responses.get(k)
+        if resp is None:
+            lens = self._lenses[k]
+            resp = self._responses[k] = [
+                (i, d)
+                for i in points(lens.source.positions)
+                for d in points(lens.target.dirs_at(lens.forward(i)))
+            ]
+        i, d = resp[o]
+        law = self.system.absorb(t, self._states[s], i, d)
+        pairs = tuple((self.state_id(a), w) for a, w in finite_items(law))
+        return self._dense_row(pairs, pairs)
+
+
+class _PairTable(HierTable):
+    """A ``compose_hier``/``tensor_hier`` composite, tabulated from its
+    factors' tables.  State (x, z) has id ``id(x) * |Z| + id(z)``; its key is
+    computed once per distinct pair of factor keys, and its rows are pairs of
+    factor rows, expanded into their outer product only when used."""
+
+    def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable,
+                 horizon: int):
+        super().__init__(hs)
+        self._kind, self._left, self._right = kind, left, right
+        self.size = left.size * right.size
+        self._pair_ids: dict = {}  # left key * |right keys| + right key -> pair id
+        self._pair_key: list = []  # pair id -> key id
+        self._offset: list = []  # pair id -> index of its first route
+        routes: list = []  # (right option, ((left option, weight), ...))
+        self._pair_of: list = []  # per tick: state id -> pair id
+        self._row_pairs: dict = {}  # row id -> left row * 2**31 + right row
+        n_right = len(right.keys)
+        for t in range(horizon + 1):
+            code = (left.key_of[t][:, None] * n_right + right.key_of[t][None, :]).ravel()
+            uniq, inv = np.unique(code, return_inverse=True)
+            pair = np.array([self._pair(c, n_right, routes) for c in uniq.tolist()],
+                            dtype=np.intp)[inv]
+            self._pair_of.append(pair)
+            self.key_of.append(np.asarray(self._pair_key, dtype=np.intp)[pair])
+        self._offset = np.asarray(self._offset, dtype=np.intp)
+        self._route_right = np.array([r for r, _ in routes], dtype=np.intp)
+        # a routed left response with one component is a plain option
+        self._route_left = np.array(
+            [comps[0][0] if len(comps) == 1 else -1 for _, comps in routes], dtype=np.intp
+        )
+        self._mixtures = {n: comps for n, (_, comps) in enumerate(routes) if len(comps) > 1}
+
+    def _pair(self, code: int, n_right: int, routes: list) -> int:
+        p = self._pair_ids.get(code)
+        if p is None:
+            f = self._left._lenses[code // n_right]
+            g = self._right._lenses[code % n_right]
+            if self._kind == "compose":
+                lens, routed = compose_map(g, f), _compose_routes(f, g)
+            else:
+                lens, routed = tensor_map(f, g), _tensor_routes(f, g)
+            p = self._pair_ids[code] = len(self._pair_key)
+            self._pair_key.append(self._key_id(polymap_key(lens), lens))
+            self._offset.append(len(routes))
+            routes.extend(routed)
+        return p
+
+    def state_id(self, x) -> int:
+        if not (isinstance(x, tuple) and len(x) == 2):
+            raise HierError(f"{x!r} is not a state of the composite")
+        return self._left.state_id(x[0]) * self._right.size + self._right.state_id(x[1])
+
+    def rows(self, t: int, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
+        xs, zs = np.divmod(sid, self._right.size)
+        route = self._offset[self._pair_of[t][sid]] + opt
+        right = self._right.rows(t, zs, self._route_right[route])
+        chosen = self._route_left[route]
+        plain = chosen >= 0
+        if plain.all():
+            left = self._left.rows(t, xs, chosen)
+        else:
+            left = np.empty(len(sid), dtype=np.intp)
+            left[plain] = self._left.rows(t, xs[plain], chosen[plain])
+            mixed = np.flatnonzero(~plain)
+            width = self._left.size
+            uniq, inv = np.unique(route[mixed] * width + xs[mixed], return_inverse=True)
+            rows = []
+            for code in uniq.tolist():
+                comps = self._mixtures[code // width]
+                x = np.full(len(comps), code % width)
+                parts = self._left.rows(t, x, np.array([o for o, _ in comps]))
+                rows.append(self._left._mix(parts.tolist(), [w for _, w in comps]))
+            left[mixed] = np.asarray(rows, dtype=np.intp)[inv]
+        code = left.astype(np.int64) * (1 << 31) + right
+        uniq, inv = np.unique(code, return_inverse=True)
+        ids = np.empty(len(uniq), dtype=np.intp)
+        for n, c in enumerate(uniq.tolist()):
+            r = self._row_ids.get(c)
+            if r is None:
+                r = self._new_row(c, None)
+                self._row_pairs[r] = c
+            ids[n] = r
+        return ids[inv]
+
+    def _build(self, r: int) -> tuple:
+        code = self._row_pairs[r]
+        li, lw = self._left.row(code >> 31)
+        ri, rw = self._right.row(code & ((1 << 31) - 1))
+        ids = (li[:, None] * self._right.size + ri[None, :]).ravel()
+        ws = np.multiply.outer(lw, rw).ravel()
+        keep = ws != 0.0
+        return ids[keep], ws[keep]
+
+
+def _compose_routes(f: PolyMap, g: PolyMap) -> list:
+    """Responses of g after f, in option order, routed to g's option and to
+    the mixture of f's options that g's backward law induces."""
+    g_opts: dict = {}
+    offset = 0
+    for j in points(g.source.positions):
+        dirs = list(points(g.target.dirs_at(g.forward(j))))
+        g_opts[j] = (offset, dirs)
+        offset += len(dirs)
+    routes = []
+    offset = 0
+    for i in points(f.source.positions):
+        j = f.forward(i)
+        f_dirs = {d: e for e, d in enumerate(points(f.target.dirs_at(j)))}
+        g_offset, g_dirs = g_opts[j]
+        for e, d in enumerate(g_dirs):
+            mid = finite_items(g.backward(j, d))
+            routes.append((g_offset + e, tuple((offset + f_dirs[dm], w) for dm, w in mid)))
+        offset += len(f_dirs)
+    return routes
+
+
+def _tensor_routes(f: PolyMap, g: PolyMap) -> list:
+    """Responses of f (x) g, in option order, split into one option each."""
+
+    def grid(lens):
+        out, offset = [], 0
+        for i in points(lens.source.positions):
+            n = sum(1 for _ in points(lens.target.dirs_at(lens.forward(i))))
+            out.append((offset, n))
+            offset += n
+        return out
+
+    return [
+        (g_off + e2, ((f_off + e1, 1.0),))
+        for f_off, f_n in grid(f)
+        for g_off, g_n in grid(g)
+        for e1 in range(f_n)
+        for e2 in range(g_n)
+    ]
+
+
+def tabulate(hs: HierSystem, horizon: int) -> HierTable:
+    """Tabulate a hierarchical system with finite states, positions and
+    fibres over ticks 0..horizon (see ``HierTable``).  Composites of
+    ``compose_hier``/``tensor_hier`` are built from their factors' tables, so
+    no composite emit or absorb is walked; every other system is tabulated
+    by walking its own emit and absorb."""
+    return _tabulate(hs, horizon, {})
+
+
+def _tabulate(hs: HierSystem, horizon: int, done: dict) -> HierTable:
+    hit = done.get(id(hs))
+    if hit is not None and hit[0] is hs:
+        return hit[1]
+    if hs.factors is None:
+        table = _LeafTable(hs, horizon)
+    else:
+        kind, left, right = hs.factors
+        table = _PairTable(
+            hs, kind, _tabulate(left, horizon, done), _tabulate(right, horizon, done), horizon
+        )
+    done[id(hs)] = (hs, table)
+    return table
+
+
+def _by_group(mass: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
+    """Sum the columns of a C x A matrix into n groups: a C x n matrix."""
+    c = mass.shape[0]
+    flat = (np.arange(c)[:, None] * n + groups[None, :]).ravel()
+    return np.bincount(flat, weights=mass.ravel(), minlength=c * n).reshape(c, n)
+
+
+def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray:
+    """One tick for every candidate: mix the rows of the occupied states."""
+    uniq, inv = np.unique(rids, return_inverse=True)
+    agg = _by_group(mass, inv, len(uniq))
+    # as in bind, a law that meets a single row moves to that row unscaled
+    hit = agg != 0.0
+    single = hit.sum(axis=1) == 1
+    agg[single] = hit[single]
+    rows = [table.row(r) for r in uniq.tolist()]
+    ids = np.concatenate([r[0] for r in rows])
+    ws = np.concatenate([r[1] for r in rows])
+    which = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
+    # candidates per block, so a block's candidates x row-entries array stays small
+    block = max(1, (1 << 20) // max(1, len(ids)))
+    return np.concatenate([
+        _by_group(agg[lo:lo + block, which] * ws, ids, table.size)
+        for lo in range(0, agg.shape[0], block)
+    ])
+
+
+def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choice: np.ndarray,
+              law: np.ndarray, horizon: int) -> list:
+    """Per tick, the C x n_keys laws of the emitted lens for C initial laws
+    (the rows of ``law``) under one section (an option per union key id)."""
+    sigma = choice[to_union]
+    out = []
+    for t in range(horizon + 1):
+        active = np.flatnonzero(law.any(axis=0))
+        mass = law[:, active]
+        keys = table.key_of[t][active]
+        out.append(_point_masses(_by_group(mass, to_union[keys], n_keys)))
+        if t < horizon:
+            opt = sigma[keys]
+            if (opt < 0).any():
+                raise HierError("section has no entry for an emitted lens")
+            law = _advance(table, mass, table.rows(t, active, opt))
+    return out
+
+
+def _point_masses(laws: np.ndarray) -> np.ndarray:
+    """Round a law on one key whose weight is within 1e-12 of 1 to the point
+    mass, as ``_key_dist`` does."""
+    nonzero = laws != 0.0
+    rows = np.flatnonzero(nonzero.sum(axis=1) == 1)
+    cols = nonzero[rows].argmax(axis=1)
+    near = np.abs(laws[rows, cols] - 1.0) <= 1e-12
+    laws[rows[near], cols[near]] = 1.0
+    return laws
+
+
+def _union(tables: list) -> tuple:
+    """The keys of several tables in order of first emission, their options,
+    and each table's map from its key ids to the union's."""
+    index: dict = {}
+    keys: list = []
+    options: list = []
+    maps = []
+    for table in tables:
+        to_union = np.empty(len(table.keys), dtype=np.intp)
+        for k in table.first_seen():
+            u = index.get(table.keys[k])
+            if u is None:
+                u = index[table.keys[k]] = len(keys)
+                keys.append(table.keys[k])
+                options.append(table.options[k])
+            to_union[k] = u
+        maps.append(to_union)
+    return keys, options, maps
+
+
+def _section_choices(options: list, max_sections: int, seed: int) -> list:
+    """Option indices of every section over the given keys, or of a seeded
+    sample of ``max_sections`` when the exhaustive product is larger."""
+    counts = [len(o) for o in options]
+    total = 1
+    for c in counts:
+        total *= c
+    if total <= max_sections:
+        return list(itertools.product(*(range(c) for c in counts)))
+    gen = Rng(seed).generator()
+    return [tuple(int(gen.integers(c)) for c in counts) for _ in range(max_sections)]
+
+
+def _choice(sigma: "HomSection", keys: list, options: list) -> np.ndarray:
+    """A section as an option index per key id; -1 where it has no entry."""
+    entries: dict = {}
+    for key, value in sigma.table:
+        entries.setdefault(key, value)
+    out = np.full(len(keys), -1, dtype=np.intp)
+    for k, key in enumerate(keys):
+        if key in entries:
+            try:
+                out[k] = options[k].index(entries[key])
+            except ValueError:
+                raise HierError("section offers a response the emitted lens lacks") from None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # traces and quasi-bisimilarity
 
@@ -365,66 +763,17 @@ class HomSection:
         raise HierError("section has no entry for an emitted lens")
 
 
-def _emitted_keys(hs: HierSystem, horizon: int) -> list:
-    if not is_finite(hs.states):
-        raise HierError("enumerating emitted lenses needs a finite state space")
-    seen: dict = {}
-    for t in range(horizon + 1):
-        for x in points(hs.states):
-            key = polymap_key(hs.emit(t, x))
-            seen.setdefault(key, None)
-    return list(seen)
-
-
-def _key_choices(hs: HierSystem, horizon: int) -> dict:
-    """Normalized (position, direction) response options per emitted-lens key."""
-    choices: dict = {}
-    for t in range(horizon + 1):
-        for x in points(hs.states):
-            phi = hs.emit(t, x)
-            key = polymap_key(phi)
-            if key in choices:
-                continue
-            opts = []
-            for i in points(hs.source.positions):
-                fibre = hs.target.dirs_at(phi.forward(i))
-                i_n = _normal(hs.source.positions, i)
-                for d in points(fibre):
-                    opts.append((i_n, _normal(fibre, d)))
-            choices[key] = opts
-    return choices
-
-
-def _normal(space: Space, v):
-    return normalize_point(space, v)
-
-
 def hom_sections(
     systems, horizon: int, max_sections: int = 512, seed: int = 0
 ) -> list:
     """All environment strategies over the lenses the given systems can emit,
     capped by seeded sampling when the exhaustive product is too large."""
-    choices: dict = {}
-    for hs in systems:
-        for key, opts in _key_choices(hs, horizon).items():
-            prior = choices.setdefault(key, opts)
-            if [o for o in prior] != [o for o in opts]:
-                merged = list(dict.fromkeys(tuple(prior) + tuple(opts)))
-                choices[key] = merged
-    keys = list(choices)
-    counts = [len(choices[k]) for k in keys]
-    total = 1
-    for c in counts:
-        total *= c
-    if total <= max_sections:
-        assignments = itertools.product(*(choices[k] for k in keys))
-        return [HomSection(tuple(zip(keys, combo))) for combo in assignments]
-    gen = Rng(seed).generator()
-    out = []
-    for _ in range(max_sections):
-        combo = tuple(choices[k][int(gen.integers(len(choices[k])))] for k in keys)
-        out.append(HomSection(tuple(zip(keys, combo))))
-    return out
+    done: dict = {}
+    keys, options, _ = _union([_tabulate(hs, horizon, done) for hs in systems])
+    return [
+        HomSection(tuple(zip(keys, (opts[o] for opts, o in zip(options, combo)))))
+        for combo in _section_choices(options, max_sections, seed)
+    ]
 
 
 def _apply_hom_section(hs: HierSystem, sigma: HomSection, t: int, x):
@@ -445,24 +794,42 @@ def _key_dist(pairs) -> Dist:
     return categorical(space, merged)
 
 
+def _closure_trace(hs: HierSystem, sigma: HomSection, init: Dist, horizon: int) -> Trace:
+    """The trace of a hierarchical system by walking its emit and absorb
+    closures: the specification the tables are checked against, and the
+    route for systems whose states are not finite."""
+    values = []
+    law = init
+    for t in range(horizon + 1):
+        pairs = [(polymap_key(hs.emit(t, x)), w) for x, w in finite_items(law)]
+        values.append(_key_dist(pairs))
+        if t < horizon:
+            law = bind(law, lambda x, _t=t: _apply_hom_section(hs, sigma, _t, x))
+    return Trace(tuple(range(horizon + 1)), tuple(values))
+
+
 def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     """Time-indexed distribution of what the system shows the world.
 
     For an ordinary open system this is the law of the output position under
     the section-closed state evolution; for a hierarchical system it is the
-    law of the emitted lens (by normalized key) under an environment strategy.
-    Exact by enumeration on finite supports."""
+    law of the emitted lens (by normalized key) under an environment strategy,
+    computed on the system's tables when its states are finite.  Exact by
+    enumeration on finite supports."""
     if isinstance(sys_, HierSystem):
-        values = []
-        law = init
-        for t in range(horizon + 1):
-            pairs = [
-                (polymap_key(sys_.emit(t, x)), w) for x, w in finite_items(law)
-            ]
-            values.append(_key_dist(pairs))
-            if t < horizon:
-                law = bind(law, lambda x, _t=t: _apply_hom_section(sys_, sigma, _t, x))
-        return Trace(tuple(range(horizon + 1)), tuple(values))
+        if not is_finite(sys_.states):
+            return _closure_trace(sys_, sigma, init, horizon)
+        table = tabulate(sys_, horizon)
+        n = len(table.keys)
+        laws = _key_laws(
+            table, np.arange(n), n, _choice(sigma, table.keys, table.options),
+            table.law(init)[None, :], horizon,
+        )
+        values = tuple(
+            _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
+            for kl in laws
+        )
+        return Trace(tuple(range(horizon + 1)), values)
 
     if not isinstance(sys_, System):
         raise HierError(f"cannot trace {sys_!r}")
@@ -504,6 +871,72 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
     return seen
 
 
+def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections, seed):
+    """First mismatch of every candidate pair, from the two systems' tables.
+
+    Each side's candidates move together as the rows of one matrix; the
+    emitted-lens laws of the two sides are compared per tick as vectors over
+    the union of their keys.  Returns the section count and the lookup."""
+    done: dict = {}
+    tables = [_tabulate(theta, horizon, done), _tabulate(psi, horizon, done)]
+    keys, options, maps = _union(tables)
+    if sections is None:
+        choices = [np.asarray(c, dtype=np.intp)
+                   for c in _section_choices(options, max_sections, seed)]
+    else:
+        choices = [_choice(sigma, keys, options) for sigma in sections]
+    laws = [np.stack([tb.law(d) for d in cands]) for tb, cands in zip(tables, (cand_a, cand_b))]
+    shape = (len(cand_a), len(cand_b))
+    at_section = np.full(shape, -1, dtype=np.intp)
+    at_t = np.zeros(shape, dtype=np.intp)
+    deviation = np.zeros(shape)
+    open_ = np.ones(shape, dtype=bool)
+    # rows of side a per block, so a block's C_a x C_b x keys array stays small
+    block = max(1, (1 << 20) // max(1, shape[1] * len(keys)))
+    for si, choice in enumerate(choices):
+        ka, kb = (
+            _key_laws(tb, m, len(keys), choice, law, horizon)
+            for tb, m, law in zip(tables, maps, laws)
+        )
+        for t in range(horizon + 1):
+            for lo in range(0, shape[0], block):
+                dev = np.abs(ka[t][lo:lo + block, None, :] - kb[t][None, :, :]).max(axis=2)
+                new = open_[lo:lo + block] & (dev > tol)
+                at_section[lo:lo + block][new] = si
+                at_t[lo:lo + block][new] = t
+                deviation[lo:lo + block][new] = dev[new]
+                open_[lo:lo + block] &= ~new
+        if not open_.any():
+            break
+
+    def mismatch(a, b):
+        if at_section[a, b] < 0:
+            return None
+        return {"section": int(at_section[a, b]), "t": int(at_t[a, b]),
+                "deviation": float(deviation[a, b])}
+
+    return len(choices), mismatch
+
+
+def _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol):
+    """First mismatch of every candidate pair, from one closure trace per
+    (candidate, section): for flat systems, and for hierarchical ones whose
+    states are not finite."""
+    found: dict = {}
+    for si, sigma in enumerate(sections):
+        va = [trace(theta, sigma, c, horizon).values for c in cand_a]
+        vb = [trace(psi, sigma, c, horizon).values for c in cand_b]
+        for a, b in itertools.product(range(len(cand_a)), range(len(cand_b))):
+            if (a, b) in found:
+                continue
+            for t in range(horizon + 1):
+                dev = dist_distance(va[a][t], vb[b][t])
+                if dev > tol:
+                    found[(a, b)] = {"section": si, "t": t, "deviation": dev}
+                    break
+    return lambda a, b: found.get((a, b))
+
+
 def quasi_bisim(
     theta,
     psi,
@@ -523,48 +956,37 @@ def quasi_bisim(
     candidate set for a witness, ``forall`` demands every candidate work.
     Candidates are the provided lists plus each system's canonical initial
     law, every point mass, and the uniform law (finite state spaces).
+    Finite hierarchical systems are compared on their tables.
     The verdict records the witnessing pair or the first mismatch."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
     hier_mode = isinstance(theta, HierSystem)
     if hier_mode != isinstance(psi, HierSystem):
         raise HierError("cannot compare a hierarchical with a flat system")
-    if sections is None:
-        if hier_mode:
+    if sections is not None:
+        sections = list(sections)
+    cand_a = _candidates(theta, alphas, alpha_mode)
+    cand_b = _candidates(psi, betas, beta_mode)
+    if hier_mode and is_finite(theta.states) and is_finite(psi.states):
+        n_sections, match = _hier_mismatches(
+            theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections, seed
+        )
+    else:
+        if sections is None and hier_mode:
             sections = hom_sections([theta, psi], horizon, max_sections, seed)
-        else:
+        elif sections is None:
             if theta.interface != psi.interface:
                 raise HierError("flat systems must share their interface")
             from .poly import all_sections
 
             sections = all_sections(theta.interface)
-    sections = list(sections)
-    cand_a = _candidates(theta, alphas, alpha_mode)
-    cand_b = _candidates(psi, betas, beta_mode)
-
-    memo_a: dict = {}
-    memo_b: dict = {}
-
-    def tr(side, sys_2, cands, memo, ci, si):
-        key = (ci, si)
-        if key not in memo:
-            memo[key] = trace(sys_2, sections[si], cands[ci], horizon).values
-        return memo[key]
-
-    def match(ci_a, ci_b):
-        for si in range(len(sections)):
-            va = tr("a", theta, cand_a, memo_a, ci_a, si)
-            vb = tr("b", psi, cand_b, memo_b, ci_b, si)
-            for t in range(horizon + 1):
-                dev = dist_distance(va[t], vb[t])
-                if dev > tol:
-                    return {"section": si, "t": t, "deviation": dev}
-        return None
+        n_sections = len(sections)
+        match = _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol)
 
     def note(ci_a, ci_b, mismatch):
         return {"alpha": ci_a, "beta": ci_b, **(mismatch or {})}
 
-    pass_fail: dict = {"mode": (alpha_mode, beta_mode), "sections": len(sections)}
+    pass_fail: dict = {"mode": (alpha_mode, beta_mode), "sections": n_sections}
 
     def beta_side(ci_a):
         first = None

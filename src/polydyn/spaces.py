@@ -258,18 +258,6 @@ def _expand(space: Space, slots: tuple, k: int):
     return slots[k], k + 1
 
 
-def point_distance(space: Space, a: Any, b: Any) -> float:
-    """Sup-norm distance between two points.  Mismatched labels give +inf."""
-    if isinstance(space, EuclidSpace):
-        return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
-    if isinstance(space, ProdSpace):
-        return max(
-            (point_distance(f, x, y) for f, x, y in zip(space.factors, a, b)),
-            default=0.0,
-        )
-    return 0.0 if a == b else float("inf")
-
-
 def euclid_dims(space: Space) -> int:
     """Total real dimension of a space built from Euclid/Prod/Unit parts."""
     if isinstance(space, EuclidSpace):

@@ -11,8 +11,9 @@ discrete-map systems the stored output/update maps are the one-tick
 components; the t-tick kernel is the t-fold Kleisli iterate, which makes the
 flow law hold by construction, so ``check_flow`` also probes that the stored
 maps really are tick-stationary.  Continuous-time systems integrate a vector
-field with a fixed-step classic Runge-Kutta scheme under zero-order hold of
-the input.
+field with a fixed-step classic Runge-Kutta scheme: an open system holds its
+input for the whole call (zero-order hold), while its closure feeds the
+section's direction back at every stage of every step.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ class DiscreteMap:
 @dataclass(frozen=True)
 class VectorField:
     """Continuous-time flavor: ``field(x, d)`` is the tangent vector at state
-    x under held input d; ``h`` is the integrator step (one tick); ``scheme``
-    names the integrator (only the classic fixed-step rk4 is provided)."""
+    x under input d, a direction of the system's own interface; ``h`` is the
+    integrator step (one tick); ``scheme`` names the integrator (only the
+    classic fixed-step rk4 is provided)."""
 
     field: Callable
     h: float
@@ -149,17 +151,22 @@ def _validate_finite(sys_: System) -> None:
 
 def closure(sys_: System, sigma: Section) -> ClosedSystem:
     """Close an open system with a section: at each state, feed the direction
-    the section assigns to the current output position."""
+    the section assigns to the current output position.  A continuous-time
+    system is closed by integrating the autonomous field x |-> f(x, sigma(g(x)))."""
     if sigma.of != sys_.interface:
         raise OpenSystemError("section does not match the system interface")
 
     if isinstance(sys_.flavor, VectorField):
+        f = sys_.flavor.field
+
+        def closed(x):
+            return f(x, sigma.assign(sys_.output(1, x)))
 
         def step(t: int, s):
             t = sys_.time.check(t)
             if t == 0:
                 return dirac(sys_.states, s)
-            return sys_.update(t, s, sigma.assign(sys_.output(t, s)))
+            return _rk4_flow(closed, sys_.states, s, t, sys_.flavor.h)
 
         return ClosedSystem(sys_.states, sys_.time, step)
 
@@ -343,8 +350,18 @@ def reindex(phi: PolyMap, sys_: System) -> System:
         translated = phi.backward(sys_.output(t, s), d_new)
         return bind(translated, lambda d: sys_.update(t, s, d))
 
+    flavor = sys_.flavor
+    if isinstance(flavor, VectorField):
+        from .poly import dirac_point
+
+        inner = flavor.field
+
+        def field(x, d_new):
+            return inner(x, dirac_point(phi.backward(sys_.output(1, x), d_new)))
+
+        flavor = VectorField(field, flavor.h, flavor.scheme)
     return System(
-        phi.target, sys_.states, sys_.time, output, update, sys_.effect, sys_.flavor
+        phi.target, sys_.states, sys_.time, output, update, sys_.effect, flavor
     )
 
 
@@ -374,6 +391,19 @@ def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_flow(field: Callable, states: Space, x, ticks: int, h: float) -> Dist:
+    """Point mass at x after ``ticks`` classic RK4 steps of h along
+    ``field``, which maps a point of ``states`` to its tangent."""
+    vec = np.asarray(flatten_floats(states, x), dtype=float)
+
+    def tangent(v):
+        return np.asarray(field(unflatten_floats(states, v.tolist())), dtype=float)
+
+    for _ in range(ticks):
+        vec = rk4_step(tangent, vec, h)
+    return dirac(states, unflatten_floats(states, vec.tolist()))
+
+
 def from_vector_field(
     f: Callable,
     g: Callable,
@@ -398,16 +428,7 @@ def from_vector_field(
         return g(x)
 
     def update(t, x, d):
-        t = clock.check(t)
-        vec = np.asarray(flatten_floats(states, x), dtype=float)
-
-        def field(v):
-            pt = unflatten_floats(states, v.tolist())
-            return np.asarray(f(pt, d), dtype=float)
-
-        for _ in range(t):
-            vec = rk4_step(field, vec, h)
-        return dirac(states, unflatten_floats(states, vec.tolist()))
+        return _rk4_flow(lambda pt: f(pt, d), states, x, clock.check(t), h)
 
     return System(
         p, states, clock, output, update, DETERMINISTIC, VectorField(f, h, scheme)

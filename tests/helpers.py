@@ -76,6 +76,18 @@ def random_channel_prior(rng: Rng):
     return X, Y, pi, rows
 
 
+def dyadic_channel_prior(rng: Rng, nx: int = 2, ny: int = 2):
+    """A seeded finite channel X -> Dist Y, a candidate inversion Y -> Dist X
+    and a prior on X, all with weights k/8."""
+    gen = rng.generator()
+    X = finite(*[f"x{i}" for i in range(nx)])
+    Y = finite(*[f"y{j}" for j in range(ny)])
+    pi = dyadic_dist(gen, X)
+    rows = {x: dyadic_dist(gen, Y) for x in points(X)}
+    back = {yv: dyadic_dist(gen, X) for yv in points(Y)}
+    return X, Y, pi, rows, back
+
+
 def enumerate_deterministic_systems(iface, states):
     """Every deterministic discrete system on a finite shape, as a list."""
     pos = list(points(iface.positions))

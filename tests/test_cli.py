@@ -107,6 +107,15 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unread_flags_are_usage_errors(capsys):
+    """``--tol`` is not an option, and ``--suite`` belongs to ``check`` only."""
+    counter = str(SPECS / "counter.json")
+    assert main(["run", "--spec", counter, "--tol", "1e-3"]) == 2
+    assert main(["check", "--suite", "comonoid", "--tol", "1e-3"]) == 2
+    assert main(["run", "--spec", counter, "--suite", "flow"]) == 2
+    capsys.readouterr()
+
+
 def test_laplace_csv_descends_to_the_posterior(tmp_path):
     argv = ["laplace", "--spec", str(SPECS / "laplace1d.json")]
     code, data = run_to_file(tmp_path, "l.csv", argv)

@@ -14,6 +14,7 @@ from polydyn import (
     dirac,
     discard_system,
     dist_space,
+    euclid,
     finite,
     function_system,
     hibi_compose,
@@ -298,3 +299,44 @@ def test_mk_hier_validates_emitted_shape():
     with pytest.raises(HierError):
         mk_hier(linear(A), linear(A), finite(0), emit,
                 lambda t, x, i, d: dirac(finite(0), 0))
+
+
+def test_quasi_bisim_on_infinite_states_walks_the_closures():
+    """A system over a Euclidean state space has no table; with explicit
+    sections and initial laws it is still compared, trace by trace."""
+    states = euclid(1)
+    B = finite("even", "odd")
+
+    def machine(shift):
+        def emit(t, x):
+            lab = "even" if int(x[0] + shift) % 2 == 0 else "odd"
+            return det_polymap(y(), linear(B), lambda i: lab, lambda i, d: ())
+
+        return mk_hier(y(), linear(B), states, emit,
+                       lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
+
+    sections = hom_sections([blinker(2)], horizon=4)
+    start = [dirac(states, (0.0,))]
+    same = quasi_bisim(machine(0), machine(2), sections=sections, horizon=4,
+                       tol=0.0, alphas=start, betas=start)
+    assert same["related"]
+    other = quasi_bisim(machine(0), machine(1), "forall", "forall",
+                        sections=sections, horizon=4, tol=0.0, alphas=start, betas=start)
+    assert not other["related"]
+    assert other["witness"]["t"] == 0
+
+
+def test_quasi_bisim_on_flat_systems():
+    """Flat systems compare by their output traces under every section."""
+    out = finite(0, 1, 2)
+
+    def cycle(n, step=1):
+        states = finite(*range(n))
+        return mk_system(linear(out), states, lambda t, s: s % 3,
+                         lambda t, s, d: dirac(states, (s + step) % n), time_nat())
+
+    same = quasi_bisim(cycle(3), cycle(6), "forall", "exists", horizon=7, tol=0.0)
+    assert same["related"], same["witness"]
+    other = quasi_bisim(cycle(3), cycle(3, step=2), "forall", "exists", horizon=7, tol=0.0)
+    assert not other["related"]
+    assert other["witness"] == {"alpha": 0, "beta": 0, "section": 0, "t": 1, "deviation": 1.0}

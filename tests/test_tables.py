@@ -1,0 +1,277 @@
+"""The tables of finite hierarchical systems against the closures they
+replace.
+
+``trace`` and ``quasi_bisim`` run on ``tabulate``'s index arrays and sparse
+rows; ``hier._closure_trace`` walks the emit and absorb closures, which are
+the specification.  On seeded corpora with weights k/8 -- and state spaces
+whose sizes are powers of two, so the uniform law is dyadic too -- every sum
+either side performs is exact, so the two must agree at tolerance zero for
+every candidate initial law and every section.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from polydyn import (
+    DETERMINISTIC,
+    STOCHASTIC,
+    PolyMap,
+    Rng,
+    compose_hier,
+    copy_system,
+    det_polymap,
+    dirac,
+    discard_system,
+    dist_distance,
+    finite,
+    finite_items,
+    hier_from_tables,
+    hom_sections,
+    id_hier,
+    linear,
+    mk_hier,
+    monomial,
+    points,
+    polymap_key,
+    prior_system,
+    quasi_bisim,
+    stochastic_channel_system,
+    swap_system,
+    tabulate,
+    tensor_hier,
+    trace,
+    unit,
+    y,
+)
+from polydyn import hier
+
+from helpers import dyadic_channel_prior, dyadic_dist
+
+HORIZON = 3
+MODES = list(itertools.product(("exists", "forall"), repeat=2))
+
+
+def bayes_joints(rng):
+    """The two joint processes of the dynamical Bayes check, 2x2, with a
+    dyadic (so generally inexact) candidate inversion."""
+    X, Y, pi, rows, back = dyadic_channel_prior(rng)
+    c = stochastic_channel_system(rows.__getitem__, X, Y)
+    p = prior_system(pi)
+    cdag = stochastic_channel_system(back.__getitem__, Y, X)
+    lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
+    rhs = compose_hier(
+        compose_hier(compose_hier(p, c), copy_system(Y)),
+        tensor_hier(cdag, id_hier(linear(Y))),
+    )
+    return lhs, rhs
+
+
+def comonoid_sides():
+    A = finite(0, 1, 2)
+    cp = copy_system(A)
+    idA = id_hier(linear(A))
+    return [
+        (compose_hier(cp, tensor_hier(discard_system(A), idA)), idA),
+        (compose_hier(cp, tensor_hier(cp, idA)), compose_hier(cp, tensor_hier(idA, cp))),
+        (compose_hier(cp, swap_system(A, A)), cp),
+    ]
+
+
+def ticking(rng, n: int = 4):
+    """n states on a clock whose emitted label depends on the tick."""
+    gen = rng.generator()
+    states = finite(*range(n))
+    B = finite("a", "b")
+    moves = {x: dyadic_dist(gen, states) for x in points(states)}
+
+    def emit(t, x):
+        label = "a" if (x + t) % 3 == 0 else "b"
+        return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
+
+    return mk_hier(y(), linear(B), states, emit, lambda t, x, i, d: moves[x],
+                   effect=STOCHASTIC, init=dyadic_dist(gen, states))
+
+
+def routed(rng, spread: bool = True):
+    """beta ; gamma where gamma's backward map is stochastic, so beta absorbs
+    a mixture over the middle directions it cannot see.  With ``spread``
+    the lenses depend on the states; without it each side emits one lens."""
+    gen = rng.generator()
+    B, S = finite(0, 1), finite("s0", "s1")
+    C, T = finite("c0", "c1"), finite("u0", "u1")
+    xs, zs = finite(0, 1, 2, 3), finite(0, 1)
+    b_moves = {(x, s): dyadic_dist(gen, xs) for x in points(xs) for s in points(S)}
+    backs = {(z, b, u): dyadic_dist(gen, S) for z in points(zs) for b in points(B) for u in points(T)}
+    g_moves = {(z, b, u): dyadic_dist(gen, zs) for z in points(zs) for b in points(B) for u in points(T)}
+
+    def b_emit(t, x):
+        return PolyMap(y(), monomial(B, S), lambda i: x % 2 if spread else 0,
+                       lambda i, s: dirac(unit(), ()), DETERMINISTIC)
+
+    def g_emit(t, z):
+        w = z if spread else 0
+        return PolyMap(monomial(B, S), monomial(C, T), lambda b: f"c{(b + w) % 2}",
+                       lambda b, u: backs[(w, b, u)], STOCHASTIC)
+
+    beta = mk_hier(y(), monomial(B, S), xs, b_emit,
+                   lambda t, x, i, s: b_moves[(x, s)], effect=STOCHASTIC)
+    gamma = mk_hier(monomial(B, S), monomial(C, T), zs, g_emit,
+                    lambda t, z, b, u: g_moves[(z, b, u)], effect=STOCHASTIC,
+                    init=dyadic_dist(gen, zs))
+    return compose_hier(beta, gamma)
+
+
+def from_tables(rng, n: int = 2, spread: bool = True):
+    """A monomial system on n states given by its three component tables;
+    without ``spread`` every state emits the same lens."""
+    gen = rng.generator()
+    A, S, B, T = finite(0, 1), finite("s0", "s1"), finite("go", "stay"), finite("t0", "t1")
+    states = finite(*range(n))
+    moves = {(x, a, tp): dyadic_dist(gen, states)
+             for x in points(states) for a in points(A) for tp in points(T)}
+    return hier_from_tables(
+        A, S, B, T, states,
+        o1=lambda t, x, a: "go" if (spread * x + a) % 2 else "stay",
+        o2=lambda t, x, a, tp: "s0" if (spread * x + (tp == "t1")) % 2 else "s1",
+        u=lambda t, x, a, tp: moves[(x, a, tp)],
+        effect=STOCHASTIC,
+    )
+
+
+def corpus():
+    """(name, theta, psi, provided initial laws of theta) over the seeds."""
+    cases = []
+    for k in range(2):
+        lhs, rhs = bayes_joints(Rng(77).child(k))
+        cases.append((f"bayes-{k}", lhs, rhs, None))
+    for k, (lhs, rhs) in enumerate(comonoid_sides()):
+        cases.append((f"comonoid-{k}", lhs, rhs, None))
+    for k in range(2):
+        rng = Rng(78).child(k)
+        tick = ticking(rng.child(0))
+        b = finite("a", "b")
+        cases.append((f"ticking-{k}", compose_hier(tick, copy_system(b)),
+                      compose_hier(ticking(rng.child(1)), copy_system(b)), None))
+        mixed = routed(rng.child(2))
+        provided = [dyadic_dist(rng.child(3).generator(), mixed.states)]
+        cases.append((f"routed-{k}", mixed, routed(rng.child(4)), provided))
+        cases.append((f"from-tables-{k}", from_tables(rng.child(5)),
+                      from_tables(rng.child(6)), None))
+    # both factors have several states and offer several responses
+    both = tensor_hier(routed(Rng(79), spread=False), from_tables(Rng(80), spread=False))
+    cases.append(("tensor", both, both, None))
+    return cases
+
+
+CASES = corpus()
+
+
+@pytest.mark.parametrize("name,theta,psi,provided", CASES, ids=[c[0] for c in CASES])
+def test_table_traces_equal_closure_traces(name, theta, psi, provided):
+    sections = hom_sections([theta, psi], HORIZON)
+    sides = [(theta, provided)] + ([(psi, None)] if psi is not theta else [])
+    for sys_, given in sides:
+        for init in hier._candidates(sys_, given, "forall"):
+            for k, sigma in enumerate(sections):
+                got = trace(sys_, sigma, init, HORIZON).values
+                want = hier._closure_trace(sys_, sigma, init, HORIZON).values
+                for t, (g, w) in enumerate(zip(got, want)):
+                    assert dist_distance(g, w) == 0.0, (name, init, k, t, g, w)
+
+
+@pytest.mark.parametrize("name,theta,psi,provided", CASES, ids=[c[0] for c in CASES])
+def test_table_keys_and_rows_equal_the_closures(name, theta, psi, provided):
+    """Every composite key is the key of the lens the closure emits, and
+    every reached row is the law the closure absorbs into."""
+    for sys_ in (theta, psi):
+        table = tabulate(sys_, HORIZON)
+        states = list(points(sys_.states))
+        for t in range(HORIZON + 1):
+            for s, x in enumerate(states):
+                k = table.key_of[t][s]
+                assert table.keys[k] == polymap_key(sys_.emit(t, x))
+        for s, x in enumerate(states[:8]):
+            k = table.key_of[1][s]
+            lens = sys_.emit(1, x)
+            resp = [(i, d) for i in points(lens.source.positions)
+                    for d in points(lens.target.dirs_at(lens.forward(i)))]
+            for o, (i, d) in enumerate(resp):
+                ids, ws = table.step(1, s, o)
+                want = np.zeros(table.size)
+                for z, w in finite_items(sys_.absorb(1, x, i, d)):
+                    want[states.index(z)] = w
+                got = np.zeros(table.size)
+                got[ids] = ws
+                assert np.array_equal(got, want), (name, t, x, o)
+            assert len(resp) == len(table.options[k])
+
+
+def test_hom_sections_offer_the_closure_keys_in_first_seen_order():
+    for name, theta, psi, _ in CASES:
+        seen = {}
+        for sys_ in (theta, psi):
+            for t in range(HORIZON + 1):
+                for x in points(sys_.states):
+                    seen.setdefault(polymap_key(sys_.emit(t, x)), None)
+        sections = hom_sections([theta, psi], HORIZON)
+        assert [key for key, _ in sections[0].table] == list(seen), name
+
+
+def closure_verdict(theta, psi, alpha_mode, beta_mode, horizon, tol, alphas, traces):
+    """quasi_bisim's verdict, with every trace walked on the closures;
+    ``traces`` keeps the walks for the next call on the same systems."""
+    sections = hom_sections([theta, psi], horizon)
+    cand_a = hier._candidates(theta, alphas, alpha_mode)
+    cand_b = hier._candidates(psi, None, beta_mode)
+
+    def values(side, sys_, cands, c, si):
+        key = (side, c, si)
+        if key not in traces:
+            traces[key] = hier._closure_trace(sys_, sections[si], cands[c], horizon).values
+        return traces[key]
+
+    def match(a, b):
+        for si in range(len(sections)):
+            va, vb = values("a", theta, cand_a, a, si), values("b", psi, cand_b, b, si)
+            for t in range(horizon + 1):
+                dev = dist_distance(va[t], vb[t])
+                if dev > tol:
+                    return {"section": si, "t": t, "deviation": dev}
+        return None
+
+    def beta_side(a):
+        first = None
+        for b in range(len(cand_b)):
+            mis = match(a, b)
+            if beta_mode == "exists" and mis is None:
+                return True, {"alpha": a, "beta": b}
+            if beta_mode == "forall" and mis is not None:
+                return False, {"alpha": a, "beta": b, **mis}
+            if first is None and mis is not None:
+                first = {"alpha": a, "beta": b, **mis}
+        return (False, first) if beta_mode == "exists" else (True, None)
+
+    first_fail = first_ok = None
+    for a in range(len(cand_a)):
+        ok, info = beta_side(a)
+        if alpha_mode == "exists" and ok or alpha_mode == "forall" and not ok:
+            return ok, info
+        if not ok and first_fail is None:
+            first_fail = info
+        if ok and first_ok is None:
+            first_ok = info
+    return (False, first_fail) if alpha_mode == "exists" else (True, first_ok)
+
+
+@pytest.mark.parametrize("name,theta,psi,provided", CASES, ids=[c[0] for c in CASES])
+def test_quasi_bisim_verdicts_equal_closure_verdicts(name, theta, psi, provided):
+    traces: dict = {}  # candidate lists do not depend on the mode
+    for modes in MODES:
+        for tol in (0.0, 0.1):
+            got = quasi_bisim(theta, psi, *modes, horizon=HORIZON, tol=tol, alphas=provided)
+            related, witness = closure_verdict(
+                theta, psi, *modes, HORIZON, tol, provided, traces
+            )
+            assert (got["related"], got["witness"]) == (related, witness), (name, modes, tol)

@@ -8,12 +8,15 @@ from polydyn import (
     check_flow,
     closure,
     constant_section,
+    det_polymap,
     dirac_point,
     euclid,
     finite,
     from_vector_field,
     monomial,
+    reindex,
     rk4_step,
+    section,
     trivial_section,
     unit,
 )
@@ -125,3 +128,47 @@ def test_from_vector_field_validation():
         from_vector_field(
             lambda x, d: (-x[0],), lambda x: x, monomial(euclid(1), unit()), 0.1
         )
+
+
+def feedback_system(h: float):
+    """x' = d on euclid(1), exposing the state; closed by d = -position it
+    is the decay x' = -x."""
+    states = euclid(1)
+    p = monomial(euclid(1), euclid(1))
+    sys_ = from_vector_field(lambda x, d: (d[0],), lambda x: x, p, h, states=states)
+    return sys_, section(p, lambda pos: (-pos[0],))
+
+
+def test_closure_feeds_the_section_back_at_every_stage():
+    """A state-dependent section is read along the flow, not held at the
+    start: one step of 100 ticks, two of 50, and the flow law all agree."""
+    sys_, sigma = feedback_system(0.01)
+    cs = closure(sys_, sigma)
+    assert abs(_flow(cs, 100) - math.exp(-1.0)) <= 1e-8
+    assert _flow(cs, 50, (_flow(cs, 50),)) == _flow(cs, 100)
+    report = check_flow(sys_, sections=[sigma], states=[(1.0,)], tol=1e-12)
+    assert report["pass"], report["violations"][:2]
+
+
+def test_reindexed_vector_field_closes_through_the_lens():
+    """Reindexing along a lens that negates directions, then closing with
+    d = +position, is the original system closed with d = -position."""
+    sys_, sigma = feedback_system(0.01)
+    p = sys_.interface
+    flip = det_polymap(p, p, lambda i: i, lambda i, d: (-d[0],))
+    moved = reindex(flip, sys_)
+    same = closure(moved, section(p, lambda pos: (pos[0],)))
+    assert _flow(same, 100) == _flow(closure(sys_, sigma), 100)
+
+
+def test_constant_section_closure_equals_the_held_update():
+    """Under a constant section feedback changes nothing: the closure is the
+    open system's zero-order-hold update, bit for bit."""
+    states = euclid(1)
+    p = monomial(euclid(1), finite(0.0, 1.0))
+    sys_ = from_vector_field(
+        lambda x, d: (d - x[0],), lambda x: x, p, 0.01, states=states
+    )
+    cs = closure(sys_, constant_section(p, 1.0))
+    for t in (1, 7, 100):
+        assert cs.step(t, (0.25,)) == sys_.update(t, (0.25,), 1.0)
