@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from polydyn import LaplaceConfig, linear_channel, mk_state, run_stack
+from polydyn import run_stack
+from polydyn.specio import laplace_from_json
 
 HERE = Path(__file__).resolve().parent
 
@@ -70,20 +71,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads(Path(args.spec).read_text())
-    levels = [
-        linear_channel(
-            l["mean"]["linear"]["A"], l["mean"]["linear"].get("b"), l.get("cov")
-        )
-        for l in spec["levels"]
-    ]
-    cfg = LaplaceConfig(
-        rate=float(spec.get("rate", 0.05)),
-        iterations=int(spec.get("iterations", 10000)),
-        tolerance=float(spec.get("tolerance", 1e-8)),
-    )
-    pi0 = mk_state(spec["prior"]["mean"], spec["prior"]["cov"])
+    levels, pi0, datum, cfg = laplace_from_json(spec)
     steps = args.steps if args.steps is not None else int(spec.get("steps", 200))
-    rows = run_stack(levels, cfg, pi0, spec["data"], steps)
+    rows = run_stack(levels, cfg, pi0, datum, steps)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -37,7 +37,7 @@ from .hier import (
     tensor_hier,
     trace,
 )
-from .laplace import LaplaceConfig, linear_channel, mk_state, run_stack
+from .laplace import run_stack
 from .poly import linear
 from .random_bundle import (
     check_bundle,
@@ -51,6 +51,7 @@ from .specio import (
     biased_swap_example,
     bundle_example,
     dist_of,
+    laplace_from_json,
     load_json,
     rotation_example,
     section_from_json,
@@ -269,24 +270,7 @@ def _json_default(obj):
 
 def cmd_laplace(args) -> int:
     spec = load_json(args.spec)
-    levels = []
-    for lvl in spec["levels"]:
-        mean = lvl["mean"]
-        if "linear" not in mean:
-            raise SpecError(f"unknown mean description {mean!r}")
-        levels.append(
-            linear_channel(
-                mean["linear"]["A"], mean["linear"].get("b"), lvl.get("cov")
-            )
-        )
-    prior = spec["prior"]
-    pi0 = mk_state(prior["mean"], prior["cov"])
-    datum = spec["data"]
-    cfg = LaplaceConfig(
-        rate=float(spec.get("rate", 0.05)),
-        iterations=int(spec.get("iterations", 10000)),
-        tolerance=float(spec.get("tolerance", 1e-8)),
-    )
+    levels, pi0, datum, cfg = laplace_from_json(spec)
     steps = args.horizon if args.horizon is not None else int(spec.get("steps", 200))
     rows_out = [
         tuple(

@@ -5,7 +5,8 @@
 * ``Dirac``       -- a point mass on any space (the monad unit).
 * ``Categorical`` -- finite support with explicit weights; exact arithmetic.
 * ``Gaussian``    -- a normal law over a Euclidean-shaped space (``euclid`` or a
-  product of them); exact under affine maps and affine-Gaussian kernels.
+  product of them); exact under affine-Gaussian kernels, of which a
+  deterministic affine map is the zero-covariance case.
 
 Everything outside those regimes (a nonlinear map of a Gaussian, a continuous
 mixture) is rejected with an error pointing at ``sample``, the Monte-Carlo
@@ -36,6 +37,7 @@ from .spaces import (
 )
 
 WEIGHT_TOL = 1e-12
+SYM_TOL = 1e-9
 PSD_TOL = 1e-10
 
 
@@ -102,6 +104,13 @@ class Gaussian:
     def __repr__(self) -> str:
         return f"gaussian(mean={list(self.mean)}, cov={[list(r) for r in self.cov]})"
 
+    def mean_array(self) -> np.ndarray:
+        return np.asarray(self.mean, dtype=float)
+
+    def cov_array(self) -> np.ndarray:
+        n = len(self.mean)
+        return np.asarray(self.cov, dtype=float).reshape(n, n)
+
 
 Dist = Union[Dirac, Categorical, Gaussian]
 
@@ -140,11 +149,16 @@ def uniform(space: Space) -> Dist:
 
 
 def gaussian(space: Space, mean, cov) -> Gaussian:
+    """Normal law over a Euclidean-shaped space.  The mean and covariance must
+    be finite, and the covariance symmetric within 1e-9 and positive
+    semi-definite within 1e-10; it is stored symmetrized."""
     n = euclid_dims(space)
     mu = np.asarray(mean, dtype=float).reshape(n)
     sig = np.asarray(cov, dtype=float).reshape(n, n)
+    if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
+        raise DistError("mean and covariance must be finite")
     if n > 0:
-        if not np.allclose(sig, sig.T, atol=1e-9, rtol=0.0):
+        if not np.max(np.abs(sig - sig.T)) <= SYM_TOL:
             raise DistError("covariance is not symmetric")
         sig = 0.5 * (sig + sig.T)
         if np.linalg.eigvalsh(sig).min() < -PSD_TOL:
@@ -155,15 +169,6 @@ def gaussian(space: Space, mean, cov) -> Gaussian:
 def gaussian1(mean: float, var: float) -> Gaussian:
     """Scalar normal over euclid(1); a convenience for tests and demos."""
     return gaussian(euclid(1), [mean], [[var]])
-
-
-def mean_array(d: Gaussian) -> np.ndarray:
-    return np.asarray(d.mean, dtype=float)
-
-
-def cov_array(d: Gaussian) -> np.ndarray:
-    n = len(d.mean)
-    return np.asarray(d.cov, dtype=float).reshape(n, n)
 
 
 def finite_items(d: Dist) -> tuple:
@@ -183,53 +188,14 @@ def prob(d: Dist, atom: Any) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Affine machinery for the Gaussian regime
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x |-> Ax + b on flat float vectors; the deterministic affine functions
-    under which Gaussian pushforwards stay exact."""
-
-    matrix: tuple  # rows, shape (out_dim, in_dim)
-    offset: tuple  # length out_dim
-
-    @staticmethod
-    def of(matrix, offset=None) -> "AffineMap":
-        a = np.atleast_2d(np.asarray(matrix, dtype=float))
-        b = np.zeros(a.shape[0]) if offset is None else np.asarray(offset, dtype=float)
-        return AffineMap(tuple(map(tuple, a.tolist())), tuple(b.tolist()))
-
-    @staticmethod
-    def identity(dim: int) -> "AffineMap":
-        return AffineMap.of(np.eye(dim))
-
-    @property
-    def in_dim(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-    @property
-    def out_dim(self) -> int:
-        return len(self.offset)
-
-    def arrays(self):
-        a = np.asarray(self.matrix, dtype=float).reshape(self.out_dim, self.in_dim)
-        return a, np.asarray(self.offset, dtype=float)
-
-    def __call__(self, x) -> tuple:
-        a, b = self.arrays()
-        return tuple((a @ np.asarray(x, dtype=float) + b).tolist())
-
-    def then(self, other: "AffineMap") -> "AffineMap":
-        a1, b1 = self.arrays()
-        a2, b2 = other.arrays()
-        return AffineMap.of(a2 @ a1, a2 @ b1 + b2)
+# Affine-Gaussian kernels
 
 
 @dataclass(frozen=True)
 class GaussianKernel:
     """Stochastic affine kernel x |-> N(Ax + b, Sigma); closed under Kleisli
-    composition, which is what keeps Gaussian chains exact."""
+    composition, which is what keeps Gaussian chains exact.  With the default
+    zero covariance it is the deterministic affine map x |-> Ax + b."""
 
     matrix: tuple
     offset: tuple
@@ -286,11 +252,11 @@ class GaussianKernel:
 
 
 def pushforward(f, d: Dist, target: Space = None) -> Dist:
-    """Image distribution of ``d`` under ``f``.
+    """Image distribution of a finite-support ``d`` under the function ``f``.
 
-    ``f`` is a plain function for finite-support inputs, or an ``AffineMap``
-    for Gaussians (mean -> A mu + b, cov -> A Sigma A^T).  A nonlinear function
-    of a Gaussian has no exact image here; use ``sample`` instead.
+    A Gaussian has no exact image under an opaque function: for an affine map
+    bind it with a ``GaussianKernel`` (zero covariance for a deterministic
+    map); for a nonlinear one draw with ``sample`` and transform the draws.
     """
     if isinstance(d, (Dirac, Categorical)):
         pairs = [(f(a), w) for a, w in finite_items(d)]
@@ -299,16 +265,11 @@ def pushforward(f, d: Dist, target: Space = None) -> Dist:
             return dirac(space, pairs[0][0])
         return categorical(space, pairs)
     if isinstance(d, Gaussian):
-        if not isinstance(f, AffineMap):
-            raise DistError(
-                "pushforward of a Gaussian needs an AffineMap; for nonlinear "
-                "maps draw with sample() and transform the draws"
-            )
-        a, b = f.arrays()
-        mu = a @ mean_array(d) + b
-        sig = a @ cov_array(d) @ a.T
-        space = target if target is not None else euclid(f.out_dim)
-        return gaussian(space, mu, sig)
+        raise DistError(
+            "pushforward of a Gaussian has no exact image; bind it with a "
+            "GaussianKernel (zero covariance for an affine map), or draw with "
+            "sample() and transform the draws"
+        )
     raise DistError(f"not a distribution: {d!r}")
 
 
@@ -349,14 +310,12 @@ def bind(d: Dist, k) -> Dist:
     if isinstance(d, Gaussian):
         if isinstance(k, GaussianKernel):
             a, b, s = k.arrays()
-            mu = a @ mean_array(d) + b
-            sig = a @ cov_array(d) @ a.T + s
+            mu = a @ d.mean_array() + b
+            sig = a @ d.cov_array() @ a.T + s
             return gaussian(k.target_space(), mu, sig)
-        if isinstance(k, AffineMap):
-            return pushforward(k, d)
         raise DistError(
             "binding a Gaussian needs an affine-Gaussian kernel "
-            "(GaussianKernel/AffineMap); otherwise use sample()"
+            "(GaussianKernel); otherwise use sample()"
         )
     raise DistError(f"not a distribution: {d!r}")
 
@@ -368,19 +327,15 @@ def kleisli_compose(k2, k1):
     ``GaussianKernel`` (Chapman-Kolmogorov in closed form); otherwise it is a
     closure that mixes finite supports exactly.
     """
-    if isinstance(k1, (GaussianKernel, AffineMap)) and isinstance(
-        k2, (GaussianKernel, AffineMap)
-    ):
-        g1 = _as_kernel(k1)
-        g2 = _as_kernel(k2)
-        a1, b1, s1 = g1.arrays()
-        a2, b2, s2 = g2.arrays()
+    if isinstance(k1, GaussianKernel) and isinstance(k2, GaussianKernel):
+        a1, b1, s1 = k1.arrays()
+        a2, b2, s2 = k2.arrays()
         return GaussianKernel.of(
             a2 @ a1,
             a2 @ b1 + b2,
             a2 @ s1 @ a2.T + s2,
-            target=g2.target,
-            source=g1.source,
+            target=k2.target,
+            source=k1.source,
         )
 
     def composite(x):
@@ -388,12 +343,6 @@ def kleisli_compose(k2, k1):
         return bind(mid, k2)
 
     return composite
-
-
-def _as_kernel(k) -> GaussianKernel:
-    if isinstance(k, GaussianKernel):
-        return k
-    return GaussianKernel.of(k.matrix, k.offset, None)
 
 
 def _as_dist(v) -> Dist:
@@ -429,10 +378,10 @@ def dst(d1: Dist, d2: Dist) -> Dist:
             "exact regimes; use sample() on each factor"
         )
     n1, n2 = len(g1.mean), len(g2.mean)
-    mu = np.concatenate([mean_array(g1), mean_array(g2)])
+    mu = np.concatenate([g1.mean_array(), g2.mean_array()])
     sig = np.zeros((n1 + n2, n1 + n2))
-    sig[:n1, :n1] = cov_array(g1)
-    sig[n1:, n1:] = cov_array(g2)
+    sig[:n1, :n1] = g1.cov_array()
+    sig[n1:, n1:] = g2.cov_array()
     return gaussian(space, mu, sig)
 
 
@@ -468,9 +417,9 @@ def sample(d: Dist, rng: Rng) -> Any:
         n = len(d.mean)
         if n == 0:
             return unflatten_floats(d.space, [])
-        vals, vecs = np.linalg.eigh(cov_array(d))
+        vals, vecs = np.linalg.eigh(d.cov_array())
         root = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-        draw = mean_array(d) + root @ gen.standard_normal(n)
+        draw = d.mean_array() + root @ gen.standard_normal(n)
         return unflatten_floats(d.space, draw.tolist())
     raise DistError(f"not a distribution: {d!r}")
 
@@ -498,8 +447,8 @@ def dist_distance(d1: Dist, d2: Dist) -> float:
     g1 = _as_gaussian(d1)
     g2 = _as_gaussian(d2)
     if g1 is not None and g2 is not None and len(g1.mean) == len(g2.mean):
-        dm = float(np.max(np.abs(mean_array(g1) - mean_array(g2)), initial=0.0))
-        dc = float(np.max(np.abs(cov_array(g1) - cov_array(g2)), initial=0.0))
+        dm = float(np.max(np.abs(g1.mean_array() - g2.mean_array()), initial=0.0))
+        dc = float(np.max(np.abs(g1.cov_array() - g2.cov_array()), initial=0.0))
         return max(dm, dc)
     return float("inf")
 

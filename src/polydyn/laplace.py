@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dist import Dirac, Dist, Gaussian, dirac, dst, gaussian
+from .dist import Dist, Gaussian, _as_gaussian, dirac, dst, gaussian
 from .hier import HierSystem, hibi_compose
 from .poly import DETERMINISTIC, STOCHASTIC, PolyMap, monomial, time_nat
 from .spaces import (
@@ -92,51 +92,20 @@ def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
     )
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """A Gaussian belief, stored as plain tuples so states stay hashable."""
-
-    mean: tuple
-    cov: tuple  # tuple of row tuples
-
-    def mean_array(self) -> np.ndarray:
-        return np.asarray(self.mean, dtype=float)
-
-    def cov_array(self) -> np.ndarray:
-        return np.asarray(self.cov, dtype=float)
-
-
-def mk_state(mean, cov) -> GaussianState:
+def mk_state(mean, cov) -> Gaussian:
+    """A Gaussian belief over ``euclid(len(mean))``; ``dist.gaussian`` checks
+    the covariance."""
     m = np.asarray(mean, dtype=float).reshape(-1)
     c = np.atleast_2d(np.asarray(cov, dtype=float))
     if c.shape != (m.size, m.size):
         raise LaplaceError(f"covariance shape {c.shape} does not fit mean of size {m.size}")
-    if np.max(np.abs(c - c.T), initial=0.0) > 1e-9:
-        raise LaplaceError("covariance is not symmetric")
-    if m.size and float(np.min(np.linalg.eigvalsh((c + c.T) / 2.0))) < -1e-10:
-        raise LaplaceError("covariance is not PSD")
-    return GaussianState(tuple(float(v) for v in m), tuple(tuple(float(v) for v in r) for r in c))
+    return gaussian(euclid(m.size), m, c)
 
 
-def state_dist(state: GaussianState) -> Gaussian:
-    return gaussian(euclid(len(state.mean)), state.mean_array(), state.cov_array())
-
-
-def as_state(d: Dist) -> GaussianState:
-    """Read a distribution arriving on a forward wire as a Gaussian belief.
-    Point masses become zero-covariance beliefs (and will be rejected later
-    if a positive-definite prior is actually required)."""
-    if isinstance(d, Gaussian):
-        return GaussianState(d.mean, d.cov)
-    if isinstance(d, Dirac):
-        flat = np.asarray(
-            flatten_floats(d.space, d.point) if not isinstance(d.point, float) else (d.point,),
-            dtype=float,
-        )
-        return mk_state(flat, np.zeros((flat.size, flat.size)))
-    if isinstance(d, GaussianState):
-        return d
-    raise LaplaceError(f"expected a Gaussian belief on the forward wire, got {d!r}")
+def state_dist(state: Gaussian) -> Gaussian:
+    """Identity: beliefs are already ``Gaussian`` laws.  Kept because the
+    benchmark workloads (``perfbench/workloads.py``) call it."""
+    return state
 
 
 @dataclass(frozen=True)
@@ -160,7 +129,7 @@ class LaplaceConfig:
             raise LaplaceError("learning rate must be non-negative")
 
 
-def _check_dims(pi: GaussianState, gamma: GaussianChannel, x, y):
+def _check_dims(pi: Gaussian, gamma: GaussianChannel, x, y):
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != gamma.in_dim or yv.size != gamma.out_dim:
@@ -173,7 +142,7 @@ def _check_dims(pi: GaussianState, gamma: GaussianChannel, x, y):
     return xv, yv
 
 
-def energy_terms(pi: GaussianState, gamma: GaussianChannel, x, y) -> EnergyTerms:
+def energy_terms(pi: Gaussian, gamma: GaussianChannel, x, y) -> EnergyTerms:
     xv, yv = _check_dims(pi, gamma, x, y)
     eps_g = yv - gamma.mean(xv)
     eps_p = xv - pi.mean_array()
@@ -182,7 +151,7 @@ def energy_terms(pi: GaussianState, gamma: GaussianChannel, x, y) -> EnergyTerms
     return EnergyTerms(tuple(eps_g), tuple(eps_p), tuple(eta_g), tuple(eta_p))
 
 
-def energy(pi: GaussianState, gamma: GaussianChannel, x, y) -> float:
+def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
     """Joint surprisal -log p(y|x) - log p(x) for Gaussian channel and prior."""
     xv, yv = _check_dims(pi, gamma, x, y)
     terms = energy_terms(pi, gamma, xv, yv)
@@ -199,7 +168,7 @@ def energy(pi: GaussianState, gamma: GaussianChannel, x, y) -> float:
     return quad + norm
 
 
-def grad_energy(pi: GaussianState, gamma: GaussianChannel, x, y) -> np.ndarray:
+def grad_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Energy gradient in the latent, with the channel covariance treated as
     locally constant: -J(x)^T eta_gamma + eta_pi."""
     xv, yv = _check_dims(pi, gamma, x, y)
@@ -220,7 +189,7 @@ def _fd_jacobian(f: Callable, x: np.ndarray, out_dim: int, h: float = 1e-6) -> n
     return jac
 
 
-def hessian_energy(pi: GaussianState, gamma: GaussianChannel, x, y) -> np.ndarray:
+def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Gauss-Newton curvature J^T Sigma_gamma^{-1} J + Sigma_pi^{-1}; falls
     back to central differences of the gradient when no Jacobian is given."""
     xv, yv = _check_dims(pi, gamma, x, y)
@@ -239,7 +208,7 @@ def hessian_energy(pi: GaussianState, gamma: GaussianChannel, x, y) -> np.ndarra
     return (hess + hess.T) / 2.0
 
 
-def sigma_star(pi: GaussianState, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
+def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
     """Optimal belief covariance: the inverse energy curvature at the mean."""
     hess = hessian_energy(pi, gamma, mu_rho, y)
     cond = np.linalg.cond(hess)
@@ -250,7 +219,7 @@ def sigma_star(pi: GaussianState, gamma: GaussianChannel, mu_rho, y) -> np.ndarr
     return np.linalg.inv(hess)
 
 
-def gaussian_entropy(state: GaussianState) -> float:
+def gaussian_entropy(state: Gaussian) -> float:
     n = len(state.mean)
     return 0.5 * (
         n * math.log(2.0 * math.pi * math.e) + _logdet_psd("belief", state.cov_array())
@@ -258,7 +227,7 @@ def gaussian_entropy(state: GaussianState) -> float:
 
 
 def free_energy_laplace(
-    pi: GaussianState, gamma: GaussianChannel, rho_state: GaussianState, y
+    pi: Gaussian, gamma: GaussianChannel, rho_state: Gaussian, y
 ) -> float:
     """Free energy of a Gaussian belief, Laplace form: energy at the belief
     mean minus the belief entropy."""
@@ -266,7 +235,7 @@ def free_energy_laplace(
 
 
 def free_energy_second_order(
-    pi: GaussianState, gamma: GaussianChannel, rho_state: GaussianState, y
+    pi: Gaussian, gamma: GaussianChannel, rho_state: Gaussian, y
 ) -> float:
     """Free energy with the second-order expected-energy correction
     (1/2) tr(H Sigma_rho); exact for linear channels, where the energy is
@@ -278,8 +247,8 @@ def free_energy_second_order(
 
 
 def rho_update(
-    x, pi: GaussianState, y, gamma: GaussianChannel, cfg: LaplaceConfig
-) -> GaussianState:
+    x, pi: Gaussian, y, gamma: GaussianChannel, cfg: LaplaceConfig
+) -> Gaussian:
     """One belief update: step the mean down the energy gradient, then set the
     covariance to the optimal one at the new mean."""
     xv, yv = _check_dims(pi, gamma, x, y)
@@ -288,8 +257,8 @@ def rho_update(
 
 
 def descend(
-    x0, pi: GaussianState, y, gamma: GaussianChannel, cfg: LaplaceConfig
-) -> GaussianState:
+    x0, pi: Gaussian, y, gamma: GaussianChannel, cfg: LaplaceConfig
+) -> Gaussian:
     """Iterate rho_update until the mean moves less than the tolerance."""
     state = mk_state(np.asarray(x0, dtype=float), pi.cov_array())
     for _ in range(cfg.iterations):
@@ -327,7 +296,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
 
         return PolyMap(source, target, lambda pi_in: ypred, backward, DETERMINISTIC)
 
-    def predict(rho: GaussianState) -> Gaussian:
+    def predict(rho: Gaussian) -> Gaussian:
         mu = rho.mean_array()
         if gamma.jacobian is not None:
             jac = np.atleast_2d(gamma.jacobian(mu))
@@ -338,8 +307,15 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
 
     def absorb(t, xy, pi_in, datum):
         x, _ = xy
-        rho = rho_update(np.asarray(x, dtype=float), as_state(pi_in), datum, gamma, cfg)
-        return dst(state_dist(rho), predict(rho))
+        # a point mass is a zero-covariance belief, which the energy rejects
+        # as numerically singular
+        pi = _as_gaussian(pi_in)
+        if pi is None:
+            raise LaplaceError(
+                f"expected a Gaussian belief on the forward wire, got {pi_in!r}"
+            )
+        rho = rho_update(np.asarray(x, dtype=float), pi, datum, gamma, cfg)
+        return dst(rho, predict(rho))
 
     def forward_lift(t, xy, b):
         x = np.asarray(xy[0], dtype=float)
@@ -384,7 +360,7 @@ def mean_path(hs: HierSystem, pi0: Dist, datum, steps: int):
     return path
 
 
-def run_stack(levels, cfg: LaplaceConfig, pi0: GaussianState, datum, steps: int):
+def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     """Reference runner for a predictive hierarchy, level by level.
 
     Keeps one latent estimate per level; at each step every level updates

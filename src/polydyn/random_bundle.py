@@ -24,7 +24,6 @@ from .dist import (
     Rng,
     bind,
     dist_distance,
-    gaussian1,
     pushforward,
 )
 from .poly import DETERMINISTIC, Polynomial, all_sections, time_real
@@ -368,12 +367,8 @@ def ou_exact_closed(theta_rate: float, sigma: float, h: float) -> ClosedSystem:
     (up to float rounding), which no SDE discretization achieves.  Verify it
     against ``ou_transition_kernel`` composition rather than
     ``check_closed_flow``: the latter needs finite-support laws to average."""
-    states = euclid(1)
 
     def kernel(t: int, x):
-        dt = t * h
-        decay = math.exp(-theta_rate * dt)
-        var = sigma**2 * (1.0 - math.exp(-2.0 * theta_rate * dt)) / (2.0 * theta_rate)
-        return gaussian1(decay * x[0], var)
+        return ou_transition_kernel(theta_rate, sigma, h, t)(x)
 
-    return closed_from_kernel(states, time_real(h), kernel)
+    return closed_from_kernel(euclid(1), time_real(h), kernel)

@@ -34,6 +34,7 @@ from .spaces import (
     space_from_json,
     unit,
 )
+from .laplace import LaplaceConfig, linear_channel, mk_state
 from .systems import System, mk_system
 from .random_bundle import (
     MeasurePreservingSystem,
@@ -181,6 +182,31 @@ def _named_system(obj: dict) -> System:
             effect=STOCHASTIC,
         )
     raise SpecError(f"unknown named system {name!r}")
+
+
+def laplace_from_json(spec: dict) -> tuple:
+    """Linear predictive hierarchy from a spec: ``(levels, prior, datum,
+    config)``.  The run lasts exactly ``steps`` steps, so the convergence keys
+    ``iterations`` and ``tolerance`` would go unread and are rejected."""
+    unread = [key for key in ("iterations", "tolerance") if key in spec]
+    if unread:
+        raise SpecError(
+            f"laplace specs take no {' or '.join(unread)}: the run lasts "
+            "exactly 'steps' steps"
+        )
+    levels = []
+    for lvl in spec["levels"]:
+        mean = lvl["mean"]
+        if "linear" not in mean:
+            raise SpecError(f"unknown mean description {mean!r}")
+        levels.append(
+            linear_channel(
+                mean["linear"]["A"], mean["linear"].get("b"), lvl.get("cov")
+            )
+        )
+    prior = spec["prior"]
+    pi0 = mk_state(prior["mean"], prior["cov"])
+    return levels, pi0, spec["data"], LaplaceConfig(rate=float(spec.get("rate", 0.05)))
 
 
 def rotation_example(n: int = 6) -> MeasurePreservingSystem:

@@ -231,6 +231,19 @@ def check_closed_flow(
     }
 
 
+def _memoized(cs: ClosedSystem) -> ClosedSystem:
+    """The same closed system, computing each step(t, x) once."""
+    memo: dict = {}
+
+    def step(t: int, s):
+        key = (t, s)
+        if key not in memo:
+            memo[key] = cs.step(t, s)
+        return memo[key]
+
+    return ClosedSystem(cs.states, cs.time, step)
+
+
 def check_flow(
     sys_: System,
     sections=None,
@@ -285,33 +298,11 @@ def check_flow(
                         )
 
     for k, sigma in enumerate(sections):
-        cs = closure(sys_, sigma)
-        cache: dict = {}
-
-        def step(t, x, _cs=cs, _cache=cache):
-            key = (t, x)
-            if key not in _cache:
-                _cache[key] = _cs.step(t, x)
-            return _cache[key]
-
-        for x in states:
-            dev = dist_distance(step(0, x), dirac(sys_.states, x))
-            max_dev = max(max_dev, dev)
-            if dev > tol:
-                violations.append(
-                    {"kind": "zero", "section": k, "state": x, "deviation": dev}
-                )
-        for s, t in times:
-            for x in states:
-                lhs = step(s + t, x)
-                rhs = bind(step(t, x), lambda z: step(s, z))
-                dev = dist_distance(lhs, rhs)
-                max_dev = max(max_dev, dev)
-                if dev > tol:
-                    violations.append(
-                        {"kind": "compose", "section": k, "s": s, "t": t,
-                         "state": x, "deviation": dev}
-                    )
+        report = check_closed_flow(_memoized(closure(sys_, sigma)), times, states, tol)
+        max_dev = max(max_dev, report["max_deviation"])
+        violations += [
+            {"kind": v.pop("kind"), "section": k, **v} for v in report["violations"]
+        ]
 
     return {
         "law": "flow",

@@ -116,6 +116,19 @@ def test_unread_flags_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key, value", [("iterations", 50), ("tolerance", 1e-6)])
+def test_unread_laplace_spec_keys_are_usage_errors(tmp_path, capsys, key, value):
+    """``laplace`` runs exactly ``steps`` steps, so a convergence key it would
+    not read is a spec error."""
+    spec = json.loads((SPECS / "laplace1d.json").read_text())
+    spec[key] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["laplace", "--spec", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err.startswith("SpecError") and key in err
+
+
 def test_laplace_csv_descends_to_the_posterior(tmp_path):
     argv = ["laplace", "--spec", str(SPECS / "laplace1d.json")]
     code, data = run_to_file(tmp_path, "l.csv", argv)

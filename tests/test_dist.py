@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydyn import (
-    AffineMap,
     Categorical,
     Dirac,
     DistError,
@@ -28,6 +27,7 @@ from polydyn import (
     gaussian,
     gaussian1,
     kleisli_compose,
+    mk_state,
     prob,
     prod,
     pushforward,
@@ -94,6 +94,65 @@ def test_bind_associativity_exact(d, k, l):
     assert dist_distance(lhs, rhs) == 0.0
 
 
+def _from_counts(counts):
+    total = sum(counts)
+    return categorical(SPACE, [(a, c / total) for a, c in enumerate(counts) if c])
+
+
+# weights are count/total with totals like 3, 7 or 11, so sums and products
+# round; the laws then hold to a few ulps, checked against LAW_TOL
+LAW_TOL = 1e-14
+rounded_dists = (
+    st.lists(st.integers(0, 9), min_size=4, max_size=4)
+    .filter(lambda counts: sum(counts) > 0)
+    .map(_from_counts)
+)
+rounded_kernels = st.tuples(*([rounded_dists] * 4)).map(lambda ds: lambda x: ds[x])
+
+
+def _unit(x):
+    return dirac(SPACE, x)
+
+
+@given(x=st.integers(0, 3), d=rounded_dists, k=rounded_kernels)
+def test_bind_unit_laws_with_rounded_weights(x, d, k):
+    assert dist_distance(bind(_unit(x), k), k(x)) <= LAW_TOL
+    assert dist_distance(bind(d, _unit), d) <= LAW_TOL
+
+
+@settings(max_examples=60)
+@given(d=rounded_dists, k=rounded_kernels, l=rounded_kernels)
+def test_bind_associativity_with_rounded_weights(d, k, l):
+    lhs = bind(bind(d, k), l)
+    rhs = bind(d, lambda x: bind(k(x), l))
+    assert dist_distance(lhs, rhs) <= LAW_TOL
+
+
+@settings(max_examples=60)
+@given(d=rounded_dists, k=rounded_kernels, l=rounded_kernels, m=rounded_kernels)
+def test_kleisli_laws_with_rounded_weights(d, k, l, m):
+    assert dist_distance(bind(d, kleisli_compose(l, k)), bind(bind(d, k), l)) <= LAW_TOL
+    left = kleisli_compose(m, kleisli_compose(l, k))
+    right = kleisli_compose(kleisli_compose(m, l), k)
+    for x in range(4):
+        assert dist_distance(kleisli_compose(k, _unit)(x), k(x)) <= LAW_TOL
+        assert dist_distance(kleisli_compose(_unit, k)(x), k(x)) <= LAW_TOL
+        assert dist_distance(left(x), right(x)) <= LAW_TOL
+
+
+def test_long_bind_chain_stays_within_the_weight_check():
+    counts = [[1, 2, 3, 4], [3, 1, 1, 2], [1, 1, 1, 0], [2, 5, 0, 4]]
+    rows = [_from_counts(c) for c in counts]
+    matrix = np.array([[c / sum(row) for c in row] for row in counts])
+    law = _unit(0)
+    for _ in range(1000):
+        # every bind re-validates its result against categorical's 1e-12 sum check
+        law = bind(law, rows.__getitem__)
+    assert abs(math.fsum(w for _, w in finite_items(law)) - 1.0) <= 1e-12
+    want = np.linalg.matrix_power(matrix, 1000)[0]
+    assert max(abs(prob(law, a) - want[a]) for a in range(4)) <= 1e-12
+
+
 def test_bind_constant_kernel_returns_the_common_law():
     law = categorical(SPACE, [(0, 0.5), (1, 0.5)])
     out = bind(uniform(SPACE), lambda _x: law)
@@ -141,9 +200,9 @@ def test_pushforward_gaussian_affine_oracle():
     mu = np.array([1.0, -2.0])
     sig = np.array([[2.0, 0.3], [0.3, 1.0]])
     g = gaussian(euclid(2), mu, sig)
-    f = AffineMap.of([[1.0, 2.0], [0.0, 1.0]], [5.0, 0.0])
-    out = pushforward(f, g)
-    a, b = f.arrays()
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    b = np.array([5.0, 0.0])
+    out = bind(g, GaussianKernel.of(a, b))
     assert np.allclose(np.asarray(out.mean), a @ mu + b, atol=1e-15)
     assert np.allclose(np.asarray(out.cov), a @ sig @ a.T, atol=1e-15)
     with pytest.raises(DistError):
@@ -206,6 +265,20 @@ def test_dist_distance_cases():
 def test_gaussian_psd_validation():
     with pytest.raises(DistError):
         gaussian(euclid(2), [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda mean, cov: gaussian(euclid(1), mean, cov), mk_state],
+    ids=["gaussian", "mk_state"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["mean", "cov"])
+def test_non_finite_gaussians_are_rejected(build, bad, where):
+    mean = [bad] if where == "mean" else [0.0]
+    cov = [[bad]] if where == "cov" else [[1.0]]
+    with pytest.raises(DistError, match="finite"):
+        build(mean, cov)
 
 
 def test_dist_json_roundtrip():

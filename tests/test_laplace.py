@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 
 from polydyn import (
+    Gaussian,
     GaussianChannel,
     LaplaceConfig,
     LaplaceError,
     build_laplace,
+    categorical,
     descend,
+    dirac,
+    euclid,
+    finite,
     energy,
     free_energy_laplace,
     free_energy_second_order,
@@ -138,6 +143,25 @@ def test_dimension_mismatch_is_rejected():
         energy(PI, GAMMA, [0.0, 0.0], Y)
     with pytest.raises(LaplaceError):
         energy(mk_state([0.0, 0.0], np.eye(2)), GAMMA, [0.0], Y)
+
+
+def test_mk_state_is_a_gaussian_law_over_euclid():
+    state = mk_state([0.5, -1.0], [[2.0, 0.5], [0.5, 1.0]])
+    assert isinstance(state, Gaussian)
+    assert state.space == euclid(2)
+    assert state.mean == (0.5, -1.0)
+    assert state.cov == ((2.0, 0.5), (0.5, 1.0))
+    with pytest.raises(LaplaceError, match="does not fit"):
+        mk_state([0.0, 0.0], [[1.0]])
+
+
+def test_forward_prior_must_be_a_proper_gaussian_belief():
+    hs = stack([GAMMA], LaplaceConfig(rate=0.05))
+    # a point mass reads as a zero-covariance belief, whose precision is undefined
+    with pytest.raises(LaplaceError, match="numerically singular"):
+        mean_path(hs, dirac(euclid(1), (0.0,)), Y, 1)
+    with pytest.raises(LaplaceError, match="expected a Gaussian belief"):
+        mean_path(hs, categorical(finite(0, 1), {0: 0.5, 1: 0.5}), Y, 1)
 
 
 def test_uninformative_channel_keeps_the_prior_covariance():

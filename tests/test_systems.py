@@ -113,6 +113,34 @@ def test_random_systems_satisfy_flow_exactly():
         assert report["max_deviation"] == 0.0
 
 
+def test_check_flow_reports_each_section_through_the_closed_flow_check():
+    states = finite(0, 1)
+    sys_ = mk_system(
+        monomial(states, finite("stay", "flip")),
+        states,
+        lambda t, s: s,
+        lambda t, s, d: dirac(states, (s + (d == "flip")) % 2),
+        time_nat(),
+    )
+    times = [(1, 1), (2, 3)]
+    # a negative tolerance records every check as a violation
+    report = check_flow(sys_, times=times, tol=-1.0)
+    assert report["sections"] == 4
+    flow = [v for v in report["violations"] if v["kind"] in ("zero", "compose")]
+    expected = []
+    for k in range(4):
+        expected += [("zero", k, None, x) for x in (0, 1)]
+        expected += [("compose", k, (s, t), x) for s, t in times for x in (0, 1)]
+    assert [
+        (v["kind"], v["section"], (v["s"], v["t"]) if "s" in v else None, v["state"])
+        for v in flow
+    ] == expected
+    for v in flow:
+        keys = ["kind", "section", "s", "t", "state", "deviation"]
+        assert list(v) == (keys if v["kind"] == "compose" else keys[:2] + keys[4:])
+        assert v["deviation"] == 0.0
+
+
 def test_time_dependent_update_fails_check_flow():
     states = finite(0, 1)
     sys_ = mk_system(
