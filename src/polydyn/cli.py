@@ -17,11 +17,9 @@ from .dist import (
     Dirac,
     Rng,
     categorical,
-    dirac,
     dist_to_json,
     finite_items,
     sample,
-    uniform,
 )
 from .hier import (
     bayes_check,
@@ -40,6 +38,7 @@ from .hier import (
 from .laplace import run_stack
 from .poly import linear
 from .random_bundle import (
+    MeasurePreservingSystem,
     check_bundle,
     check_measure_preserving,
     check_random_system,
@@ -137,8 +136,6 @@ def _suite_measure(spec) -> dict:
         {"name": "rotation", **check_measure_preserving(good, (1, 2, 3))}
     )
     base, flow = biased_swap_example()
-    from .random_bundle import MeasurePreservingSystem
-
     bad = MeasurePreservingSystem(base, flow)
     bad_report = check_measure_preserving(bad, (1, 2, 3))
     checks.append(
@@ -322,8 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--spec", help="path to a JSON spec file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--horizon", type=int, default=None)
+        if name in ("run", "demo"):
+            p.add_argument("--seed", type=int, default=0)
+        if name != "check":
+            p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--out", help="write output to this path instead of stdout")
         if name == "check":
             p.add_argument("--suite", help="law suite name")

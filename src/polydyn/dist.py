@@ -31,6 +31,7 @@ from .spaces import (
     euclid_dims,
     flatten_floats,
     is_finite,
+    point_from_json,
     points,
     prod,
     unflatten_floats,
@@ -499,8 +500,6 @@ def _atom_to_json(atom):
 
 
 def _atom_from_json(space: Space, obj):
-    from .spaces import point_from_json
-
     return point_from_json(space, obj) if isinstance(obj, list) else obj
 
 

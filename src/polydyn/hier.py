@@ -47,7 +47,9 @@ from .poly import (
     PolyMap,
     Polynomial,
     TimeMonoid,
+    all_sections,
     compose_map,
+    dirac_point,
     id_map,
     linear,
     monomial,
@@ -150,8 +152,6 @@ def hier_from_tables(
 def hier_to_tables(hs: HierSystem):
     """Recover the (forward output, backward output, update) component maps of
     a monomial-shaped hierarchical system.  Inverse to ``hier_from_tables``."""
-    from .poly import dirac_point
-
     def o1(t, x, a):
         return hs.emit(t, x).forward(a)
 
@@ -977,8 +977,6 @@ def quasi_bisim(
         elif sections is None:
             if theta.interface != psi.interface:
                 raise HierError("flat systems must share their interface")
-            from .poly import all_sections
-
             sections = all_sections(theta.interface)
         n_sections = len(sections)
         match = _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol)

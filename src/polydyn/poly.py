@@ -25,7 +25,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .dist import Categorical, Dirac, Dist, DistError, bind, dirac, dst
+from .dist import (
+    Categorical,
+    Dirac,
+    Dist,
+    DistError,
+    bind,
+    dirac,
+    dist_distance,
+    dst,
+    finite_items,
+)
 from .spaces import (
     Space,
     check_point,
@@ -275,8 +285,6 @@ def maps_agree(f: PolyMap, g: PolyMap, tol: float = 0.0) -> bool:
     """Extensional equality of two lenses with the same finite shape."""
     if f.source != g.source or f.target != g.target:
         return False
-    from .dist import dist_distance
-
     for i in points(f.source.positions):
         if f.forward(i) != g.forward(i):
             return False
@@ -318,7 +326,7 @@ def polymap_key(f: PolyMap, normalized: bool = True):
                     sorted(
                         (
                             (normalize_point(fibre_in, a), w)
-                            for a, w in _items_of(res)
+                            for a, w in finite_items(res)
                         ),
                         key=lambda it: repr(it[0]),
                     )
@@ -330,12 +338,6 @@ def polymap_key(f: PolyMap, normalized: bool = True):
         i_key = normalize_point(f.source.positions, i) if normalized else i
         rows.append((i_key, fwd_key, tuple(back)))
     return tuple(rows)
-
-
-def _items_of(d: Dist):
-    from .dist import finite_items
-
-    return finite_items(d)
 
 
 # ---------------------------------------------------------------------------

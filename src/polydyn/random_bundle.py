@@ -31,10 +31,13 @@ from .spaces import Space, euclid, is_finite, points
 from .systems import (
     ClosedSystem,
     System,
+    _report,
+    _square_cases,
     closed_from_kernel,
     closure,
     is_system_morphism,
     mk_system,
+    reindex,
 )
 
 
@@ -64,20 +67,13 @@ class MeasurePreservingSystem:
 
 def check_measure_preserving(mp: MeasurePreservingSystem, generators) -> dict:
     """Exact pushforward-invariance of the measure at each generator time."""
-    violations = []
-    max_dev = 0.0
-    for t in generators:
-        pushed = bind(mp.base.measure, lambda w: mp.flow.step(t, w))
-        dev = dist_distance(pushed, mp.base.measure)
-        max_dev = max(max_dev, dev)
-        if dev > 0.0:
-            violations.append({"kind": "measure", "t": t, "deviation": dev})
-    return {
-        "law": "measure-preserving",
-        "pass": not violations,
-        "max_deviation": max_dev,
-        "violations": violations,
-    }
+
+    def cases():
+        for t in generators:
+            pushed = bind(mp.base.measure, lambda w: mp.flow.step(t, w))
+            yield {"kind": "measure", "t": t}, dist_distance(pushed, mp.base.measure)
+
+    return _report("measure-preserving", cases(), 0.0)
 
 
 def mk_measure_preserving(
@@ -101,23 +97,17 @@ class MPMorphism:
 
 
 def check_mp_morphism(psi: MPMorphism, generators=(1, 2, 3)) -> dict:
-    violations = []
-    pushed = pushforward(psi.map, psi.source.base.measure, target=psi.target.base.space)
-    dev = dist_distance(pushed, psi.target.base.measure)
-    if dev > 0.0:
-        violations.append({"kind": "measure", "deviation": dev})
-    for t in generators:
-        for w in points(psi.source.base.space):
-            lhs = pushforward(
-                psi.map, psi.source.flow.step(t, w), target=psi.target.base.space
-            )
-            rhs = psi.target.flow.step(t, psi.map(w))
-            dev = dist_distance(lhs, rhs)
-            if dev > 0.0:
-                violations.append(
-                    {"kind": "flow", "t": t, "state": w, "deviation": dev}
-                )
-    return {"law": "mp-morphism", "pass": not violations, "violations": violations}
+    source, target = psi.source, psi.target
+
+    def cases():
+        pushed = pushforward(psi.map, source.base.measure, target=target.base.space)
+        yield {"kind": "measure"}, dist_distance(pushed, target.base.measure)
+        yield from _square_cases(
+            source.flow, target.flow, psi.map, generators, list(points(source.base.space)),
+            kind="flow",
+        )
+
+    return _report("mp-morphism", cases(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,20 +143,15 @@ def check_random_system(rds: RandomSystem, sections=None, times=(1, 2, 3)) -> di
     if sections is None:
         sections = all_sections(rds.interface)
     sys_ = as_system(rds)
-    violations = []
-    for k, sigma in enumerate(sections):
-        cs = closure(sys_, sigma)
-        for t in times:
-            for s in points(rds.total_states):
-                lhs = pushforward(rds.proj, cs.step(t, s), target=rds.base.base.space)
-                rhs = rds.base.flow.step(t, rds.proj(s))
-                dev = dist_distance(lhs, rhs)
-                if dev > 0.0:
-                    violations.append(
-                        {"kind": "square", "section": k, "t": t, "state": s,
-                         "deviation": dev}
-                    )
-    return {"law": "random-system", "pass": not violations, "violations": violations}
+    states = list(points(rds.total_states))
+
+    def cases():
+        for k, sigma in enumerate(sections):
+            yield from _square_cases(
+                closure(sys_, sigma), rds.base.flow, rds.proj, times, states, section=k
+            )
+
+    return _report("random-system", cases(), 0.0)
 
 
 def mk_random_system(
@@ -189,8 +174,6 @@ def mk_random_system(
 def reindex_rds(phi, rds: RandomSystem, sections=None, times=(1, 2, 3)) -> RandomSystem:
     """Transport the total system along a lens; the base is untouched and the
     square is re-verified on the new interface."""
-    from .systems import reindex
-
     moved = reindex(phi, as_system(rds))
     return mk_random_system(
         rds.base,
@@ -251,24 +234,18 @@ def check_bundle(
         sections_p = all_sections(bs.total_sys.interface)
     if sections_b is None:
         sections_b = all_sections(bs.base_sys.interface)
-    violations = []
-    for kp, sigma in enumerate(sections_p):
-        ct = closure(bs.total_sys, sigma)
-        for kb, varsigma in enumerate(sections_b):
-            cb = closure(bs.base_sys, varsigma)
-            for t in times:
-                for s in points(bs.total_sys.states):
-                    lhs = pushforward(
-                        bs.proj, ct.step(t, s), target=bs.base_sys.states
-                    )
-                    rhs = cb.step(t, bs.proj(s))
-                    dev = dist_distance(lhs, rhs)
-                    if dev > 0.0:
-                        violations.append(
-                            {"kind": "square", "section_p": kp, "section_b": kb,
-                             "t": t, "state": s, "deviation": dev}
-                        )
-    return {"law": "bundle", "pass": not violations, "violations": violations}
+    states = list(points(bs.total_sys.states))
+
+    def cases():
+        for kp, sigma in enumerate(sections_p):
+            ct = closure(bs.total_sys, sigma)
+            for kb, varsigma in enumerate(sections_b):
+                cb = closure(bs.base_sys, varsigma)
+                yield from _square_cases(
+                    ct, cb, bs.proj, times, states, section_p=kp, section_b=kb
+                )
+
+    return _report("bundle", cases(), 0.0)
 
 
 def mk_bundle(
@@ -290,8 +267,6 @@ def reindex_bundle(
     phi, bs: BundleSystem, sections_p=None, sections_b=None, times=(1, 2, 3)
 ) -> BundleSystem:
     """Move the total interface along a lens, keeping base and projection."""
-    from .systems import reindex
-
     return mk_bundle(
         bs.base_sys, reindex(phi, bs.total_sys), bs.proj, sections_p, sections_b, times
     )

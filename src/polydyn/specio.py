@@ -21,10 +21,10 @@ from .poly import (
     monomial,
     section,
     tabulated,
+    time_nat,
     trivial_section,
 )
 from .spaces import (
-    FiniteSpace,
     Space,
     cardinality,
     finite,
@@ -35,11 +35,11 @@ from .spaces import (
     unit,
 )
 from .laplace import LaplaceConfig, linear_channel, mk_state
-from .systems import System, mk_system
+from .systems import System, closed_from_kernel, mk_system
 from .random_bundle import (
     MeasurePreservingSystem,
-    ProbabilitySpace,
     RandomSystem,
+    mk_bundle,
     mk_measure_preserving,
     mk_probability_space,
     mk_random_system,
@@ -213,9 +213,6 @@ def rotation_example(n: int = 6) -> MeasurePreservingSystem:
     """Uniform measure on an n-cycle, preserved by the shift."""
     space = finite(*range(n))
     base = mk_probability_space(space, uniform(space))
-    from .systems import closed_from_kernel
-    from .poly import time_nat
-
     flow = closed_from_kernel(
         space, time_nat(), lambda t, w: dirac(space, (w + t) % n)
     )
@@ -227,9 +224,6 @@ def biased_swap_example() -> tuple:
     Returns (base, flow) unchecked so callers can watch the check fail."""
     space = finite(0, 1)
     base = mk_probability_space(space, categorical(space, {0: 0.3, 1: 0.7}))
-    from .systems import closed_from_kernel
-    from .poly import time_nat
-
     flow = closed_from_kernel(
         space, time_nat(), lambda t, w: dirac(space, w if t % 2 == 0 else 1 - w)
     )
@@ -262,8 +256,6 @@ def skew_random_example(n: int = 4, m: int = 2) -> RandomSystem:
 def bundle_example(n: int = 3, m: int = 2):
     """A bundle whose base ignores its inputs, so the projection square
     commutes for every pair of section choices."""
-    from .random_bundle import BundleSystem, mk_bundle
-
     base_space = finite(*range(n))
     base_sys = mk_system(
         monomial(base_space, finite("go", "wait")),

@@ -31,6 +31,8 @@ from .poly import (
     Polynomial,
     Section,
     TimeMonoid,
+    all_sections,
+    dirac_point,
     time_nat,
     time_real,
 )
@@ -202,33 +204,48 @@ def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> Clo
     return ClosedSystem(states, time, step)
 
 
+def _report(law: str, cases, tol: float, **extra) -> dict:
+    """The verdict of one law over its (case, deviation) pairs: a case past
+    ``tol`` is a violation, and ``max_deviation`` is the worst deviation over
+    every case checked."""
+    violations = []
+    max_dev = 0.0
+    for case, dev in cases:
+        max_dev = max(max_dev, dev)
+        if dev > tol:
+            violations.append({**case, "deviation": dev})
+    verdict = {"law": law, "pass": not violations, **extra}
+    return {**verdict, "max_deviation": max_dev, "violations": violations}
+
+
+def _flow_cases(cs: ClosedSystem, times, states, **labels):
+    """step(0) against the point mass, and step(s+t) against step(s) after
+    step(t), at every state of the sample."""
+    for x in states:
+        dev = dist_distance(cs.step(0, x), dirac(cs.states, x))
+        yield {"kind": "zero", **labels, "state": x}, dev
+    for s, t in times:
+        for x in states:
+            rhs = bind(cs.step(t, x), lambda z: cs.step(s, z))
+            dev = dist_distance(cs.step(s + t, x), rhs)
+            yield {"kind": "compose", **labels, "s": s, "t": t, "state": x}, dev
+
+
+def _square_cases(left, right, f, times, states, kind="square", **labels):
+    """The square ``pushforward(f, left.step(t, x)) = right.step(t, f(x))`` at
+    every time and state."""
+    for t in times:
+        for x in states:
+            lhs = pushforward(f, left.step(t, x), target=right.states)
+            rhs = right.step(t, f(x))
+            yield {"kind": kind, **labels, "t": t, "state": x}, dist_distance(lhs, rhs)
+
+
 def check_closed_flow(
     cs: ClosedSystem, times, states_sample, tol: float = 0.0
 ) -> dict:
     """Verify step(0) = point mass and step(s+t) = step(s) after step(t)."""
-    violations = []
-    max_dev = 0.0
-    for x in states_sample:
-        dev = dist_distance(cs.step(0, x), dirac(cs.states, x))
-        max_dev = max(max_dev, dev)
-        if dev > tol:
-            violations.append({"kind": "zero", "state": x, "deviation": dev})
-    for s, t in times:
-        for x in states_sample:
-            lhs = cs.step(s + t, x)
-            rhs = bind(cs.step(t, x), lambda z: cs.step(s, z))
-            dev = dist_distance(lhs, rhs)
-            max_dev = max(max_dev, dev)
-            if dev > tol:
-                violations.append(
-                    {"kind": "compose", "s": s, "t": t, "state": x, "deviation": dev}
-                )
-    return {
-        "law": "flow",
-        "pass": not violations,
-        "max_deviation": max_dev,
-        "violations": violations,
-    }
+    return _report("flow", _flow_cases(cs, times, list(states_sample)), tol)
 
 
 def _memoized(cs: ClosedSystem) -> ClosedSystem:
@@ -260,8 +277,6 @@ def check_flow(
     a t-dependent stored map is a law violation even though the derived
     kernels compose by construction.
     """
-    from .poly import all_sections
-
     if sections is None:
         sections = all_sections(sys_.interface)
     sections = list(sections)
@@ -272,45 +287,32 @@ def check_flow(
             raise OpenSystemError("check_flow needs an explicit state sample here")
         states = list(points(sys_.states))
 
-    violations = []
-    max_dev = 0.0
+    def cases():
+        if isinstance(sys_.flavor, DiscreteMap):
+            yield from _stationary_cases(sys_, times, states)
+        for k, sigma in enumerate(sections):
+            cs = _memoized(closure(sys_, sigma))
+            yield from _flow_cases(cs, times, states, section=k)
 
-    if isinstance(sys_.flavor, DiscreteMap):
-        probe_ts = sorted({v for pair in times for v in pair if v >= 1} | {1})
-        for t in probe_ts:
-            for x in states:
-                if sys_.output(t, x) != sys_.output(1, x):
-                    violations.append(
-                        {"kind": "stationary-output", "t": t, "state": x,
-                         "deviation": float("inf")}
-                    )
-                    continue
-                fibre = sys_.interface.dirs_at(sys_.output(1, x))
-                if not is_finite(fibre):
-                    continue
-                for d in points(fibre):
-                    dev = dist_distance(sys_.update(t, x, d), sys_.update(1, x, d))
-                    if dev > tol:
-                        max_dev = max(max_dev, dev)
-                        violations.append(
-                            {"kind": "stationary-update", "t": t, "state": x,
-                             "direction": d, "deviation": dev}
-                        )
+    return _report("flow", cases(), tol, sections=len(sections))
 
-    for k, sigma in enumerate(sections):
-        report = check_closed_flow(_memoized(closure(sys_, sigma)), times, states, tol)
-        max_dev = max(max_dev, report["max_deviation"])
-        violations += [
-            {"kind": v.pop("kind"), "section": k, **v} for v in report["violations"]
-        ]
 
-    return {
-        "law": "flow",
-        "pass": not violations,
-        "sections": len(sections),
-        "max_deviation": max_dev,
-        "violations": violations,
-    }
+def _stationary_cases(sys_: System, times, states):
+    """The stored one-tick maps of a discrete-map system at every tick that
+    ``times`` mentions, against those at tick 1."""
+    probe_ts = sorted({v for pair in times for v in pair if v >= 1} | {1})
+    for t in probe_ts:
+        for x in states:
+            if sys_.output(t, x) != sys_.output(1, x):
+                yield {"kind": "stationary-output", "t": t, "state": x}, float("inf")
+                continue
+            fibre = sys_.interface.dirs_at(sys_.output(1, x))
+            if not is_finite(fibre):
+                continue
+            for d in points(fibre):
+                dev = dist_distance(sys_.update(t, x, d), sys_.update(1, x, d))
+                case = {"kind": "stationary-update", "t": t, "state": x, "direction": d}
+                yield case, dev
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +345,6 @@ def reindex(phi: PolyMap, sys_: System) -> System:
 
     flavor = sys_.flavor
     if isinstance(flavor, VectorField):
-        from .poly import dirac_point
-
         inner = flavor.field
 
         def field(x, d_new):
@@ -468,8 +468,6 @@ def to_ncoalg(sys_: System) -> NCoalg:
         if not is_finite(fibre):
             raise OpenSystemError("tabular form needs finite direction fibres")
         for d in points(fibre):
-            from .poly import dirac_point
-
             trans_rows.append(((s, d), dirac_point(sys_.update(1, s, d))))
     return NCoalg(sys_.interface, sys_.states, tuple(out_rows), tuple(trans_rows))
 
@@ -502,30 +500,15 @@ def is_system_morphism(
     at the image state."""
     if a.interface != b.interface or a.time != b.time:
         raise OpenSystemError("systems must share interface and time monoid")
-    if states is None:
-        states = list(points(a.states))
-    violations = []
-    max_dev = 0.0
-    for x in states:
-        if b.output(1, f(x)) != a.output(1, x):
-            violations.append({"kind": "output", "state": x, "deviation": float("inf")})
-    for k, sigma in enumerate(sections):
-        ca = closure(a, sigma)
-        cb = closure(b, sigma)
-        for t in times:
-            for x in states:
-                lhs = pushforward(f, ca.step(t, x), target=b.states)
-                rhs = cb.step(t, f(x))
-                dev = dist_distance(lhs, rhs)
-                max_dev = max(max_dev, dev)
-                if dev > tol:
-                    violations.append(
-                        {"kind": "square", "section": k, "t": t, "state": x,
-                         "deviation": dev}
-                    )
-    return {
-        "law": "system-morphism",
-        "pass": not violations,
-        "max_deviation": max_dev,
-        "violations": violations,
-    }
+    states = list(points(a.states) if states is None else states)
+
+    def cases():
+        for x in states:
+            if b.output(1, f(x)) != a.output(1, x):
+                yield {"kind": "output", "state": x}, float("inf")
+        for k, sigma in enumerate(sections):
+            yield from _square_cases(
+                closure(a, sigma), closure(b, sigma), f, times, states, section=k
+            )
+
+    return _report("system-morphism", cases(), tol)

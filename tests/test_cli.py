@@ -108,11 +108,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 
 
 def test_unread_flags_are_usage_errors(capsys):
-    """``--tol`` is not an option, and ``--suite`` belongs to ``check`` only."""
+    """``--tol`` is not an option, ``--suite`` belongs to ``check`` only,
+    ``--seed`` to ``run`` and ``demo``, and ``--horizon`` to every command but
+    ``check``."""
     counter = str(SPECS / "counter.json")
     assert main(["run", "--spec", counter, "--tol", "1e-3"]) == 2
     assert main(["check", "--suite", "comonoid", "--tol", "1e-3"]) == 2
     assert main(["run", "--spec", counter, "--suite", "flow"]) == 2
+    assert main(["check", "--suite", "comonoid", "--seed", "3"]) == 2
+    assert main(["check", "--suite", "flow", "--horizon", "5"]) == 2
+    laplace = str(SPECS / "laplace1d.json")
+    assert main(["laplace", "--spec", laplace, "--seed", "1"]) == 2
     capsys.readouterr()
 
 
