@@ -22,7 +22,7 @@ unit unless the left factor supplies a richer ``forward_lift``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -184,15 +184,13 @@ def id_hier(p: Polynomial) -> HierSystem:
     return HierSystem(p, p, ustates, time_nat(), emit, absorb, DETERMINISTIC, None, silent)
 
 
-def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -> HierSystem:
+def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
     """Sequential composition: run gamma's emitted lens after beta's.
 
     Backward traffic at a source position i first crosses gamma's backward
     family (producing middle directions), which then feed beta's absorb; both
-    states update, independently given the routed directions.  ``middle``
-    optionally inserts a state-dependent adapter lens between the two emitted
-    lenses (used by the bidirectional refinement below)."""
-    if middle is None and beta.target != gamma.source:
+    states update, independently given the routed directions."""
+    if beta.target != gamma.source:
         raise HierError(
             f"cannot compose: left system targets {beta.target!r}, "
             f"right system expects {gamma.source!r}"
@@ -203,17 +201,11 @@ def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -
 
     def emit(t, xy):
         x, z = xy
-        left = beta.emit(t, x)
-        if middle is not None:
-            left = compose_map(middle(t, x), left)
-        return compose_map(gamma.emit(t, z), left)
+        return compose_map(gamma.emit(t, z), beta.emit(t, x))
 
     def absorb(t, xy, i, d_out):
         x, z = xy
-        phi = beta.emit(t, x)
-        j = phi.forward(i)
-        if middle is not None:
-            j = middle(t, x).forward(j)
+        j = beta.emit(t, x).forward(i)
         mid_dirs = gamma.emit(t, z).backward(j, d_out)
         left_new = bind(mid_dirs, lambda d_mid: beta.absorb(t, x, i, d_mid))
         right_new = gamma.absorb(t, z, j, d_out)
@@ -230,12 +222,9 @@ def compose_hier(beta: HierSystem, gamma: HierSystem, middle: Callable = None) -
             return gamma.forward_lift(t, xy[1], b)
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
-    # a state-dependent middle lens has no finite table, so only plain
-    # composites are tabulated from their factors
-    factors = ("compose", beta, gamma) if middle is None else None
     return HierSystem(
         beta.source, gamma.target, states, beta.time, emit, absorb, effect, lift, init,
-        factors,
+        ("compose", beta, gamma),
     )
 
 
@@ -1171,11 +1160,12 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
     """Compose bidirectional systems (A,S)->(B,T) and (B,T)->(C,U).
 
     The middle wire carries points of B but g expects distributions over B,
-    so the composite inserts a lift: the monad unit by default (a point mass
-    at f's forward output), or f's ``forward_lift`` when it carries one --
-    which is how predictive hierarchies pass calibrated uncertainty instead
-    of false certainty.  There is no identity for this composition; the API
-    is composition-only."""
+    so f's emitted lens is first followed by a lift: the monad unit by default
+    (a point mass at f's forward output), or f's ``forward_lift`` when it
+    carries one -- which is how predictive hierarchies pass calibrated
+    uncertainty instead of false certainty.  The lifted f is then composed
+    with g by ``compose_hier``.  There is no identity for this composition;
+    the API is composition-only."""
     if not isinstance(g.source.positions, DistSpace):
         raise HierError("right factor does not take distribution-valued inputs")
     B = g.source.positions.base
@@ -1200,4 +1190,12 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
 
         return PolyMap(f.target, g.source, fwd, backward, DETERMINISTIC)
 
-    return compose_hier(f, g, middle=lift_lens)
+    def emit(t, x):
+        return compose_map(lift_lens(t, x), f.emit(t, x))
+
+    lifted = HierSystem(
+        f.source, g.source, f.states, f.time, emit, f.absorb, f.effect, None, f.init
+    )
+    # g's positions are distributions, so g has no table; the composite is
+    # tabulated by walking its own emit and absorb, not from its factors
+    return replace(compose_hier(lifted, g), factors=None)

@@ -15,7 +15,8 @@ point prediction of the observation, the backward input the observed datum,
 and the backward output the current latent estimate (which the level below
 treats as *its* datum).  ``stack`` chains levels with ``hibi_compose``; each
 level hands the next one a calibrated predictive prior instead of a point
-mass, via ``forward_lift``.
+mass, via ``forward_lift``: the channel's own law at the latent estimate, since
+a ``GaussianChannel`` is callable as its kernel.
 """
 
 from __future__ import annotations
@@ -46,13 +47,14 @@ class LaplaceError(ValueError):
 _COND_LIMIT = 1e12
 
 
-def _solve_psd(name: str, sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _guarded(what: str, sigma) -> np.ndarray:
+    """``sigma`` as a matrix, once its condition number shows that it can be
+    solved against or inverted."""
+    sigma = np.atleast_2d(sigma)
     cond = np.linalg.cond(sigma)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise LaplaceError(
-            f"{name} covariance is numerically singular (condition number {cond:.3e})"
-        )
-    return np.linalg.solve(sigma, rhs)
+        raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
+    return sigma
 
 
 def _logdet_psd(name: str, sigma: np.ndarray) -> float:
@@ -73,6 +75,11 @@ class GaussianChannel:
     mean: Callable  # ndarray (in_dim,) -> ndarray (out_dim,)
     jacobian: Optional[Callable]  # ndarray (in_dim,) -> ndarray (out_dim, in_dim)
     cov: Callable  # ndarray (in_dim,) -> ndarray (out_dim, out_dim)
+
+    def __call__(self, x) -> Gaussian:
+        """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
+        x = np.asarray(x, dtype=float)
+        return gaussian(euclid(self.out_dim), self.mean(x), np.atleast_2d(self.cov(x)))
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
@@ -109,14 +116,6 @@ def state_dist(state: Gaussian) -> Gaussian:
 
 
 @dataclass(frozen=True)
-class EnergyTerms:
-    eps_gamma: tuple  # observation residual y - mean(x)
-    eps_pi: tuple  # prior residual x - prior mean
-    eta_gamma: tuple  # precision-weighted observation residual
-    eta_pi: tuple  # precision-weighted prior residual
-
-
-@dataclass(frozen=True)
 class LaplaceConfig:
     """Gradient-descent schedule: step size, iteration budget, stop tol."""
 
@@ -142,23 +141,22 @@ def _check_dims(pi: Gaussian, gamma: GaussianChannel, x, y):
     return xv, yv
 
 
-def energy_terms(pi: Gaussian, gamma: GaussianChannel, x, y) -> EnergyTerms:
-    xv, yv = _check_dims(pi, gamma, x, y)
+def _residuals(pi: Gaussian, gamma: GaussianChannel, xv, yv, sig_g):
+    """Observation and prior residuals, each with its precision-weighted
+    form, against the channel covariance ``sig_g`` at ``xv``."""
     eps_g = yv - gamma.mean(xv)
     eps_p = xv - pi.mean_array()
-    eta_g = _solve_psd("channel", np.atleast_2d(gamma.cov(xv)), eps_g)
-    eta_p = _solve_psd("prior", pi.cov_array(), eps_p)
-    return EnergyTerms(tuple(eps_g), tuple(eps_p), tuple(eta_g), tuple(eta_p))
+    eta_g = np.linalg.solve(_guarded("channel covariance", sig_g), eps_g)
+    eta_p = np.linalg.solve(_guarded("prior covariance", pi.cov_array()), eps_p)
+    return eps_g, eps_p, eta_g, eta_p
 
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
     """Joint surprisal -log p(y|x) - log p(x) for Gaussian channel and prior."""
     xv, yv = _check_dims(pi, gamma, x, y)
-    terms = energy_terms(pi, gamma, xv, yv)
     sig_g = np.atleast_2d(gamma.cov(xv))
-    quad = 0.5 * float(np.dot(terms.eps_gamma, terms.eta_gamma)) + 0.5 * float(
-        np.dot(terms.eps_pi, terms.eta_pi)
-    )
+    eps_g, eps_p, eta_g, eta_p = _residuals(pi, gamma, xv, yv, sig_g)
+    quad = 0.5 * float(np.dot(eps_g, eta_g)) + 0.5 * float(np.dot(eps_p, eta_p))
     norm = 0.5 * (
         gamma.out_dim * math.log(2.0 * math.pi)
         + _logdet_psd("channel", sig_g)
@@ -172,20 +170,20 @@ def grad_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Energy gradient in the latent, with the channel covariance treated as
     locally constant: -J(x)^T eta_gamma + eta_pi."""
     xv, yv = _check_dims(pi, gamma, x, y)
-    terms = energy_terms(pi, gamma, xv, yv)
+    _, _, eta_g, eta_p = _residuals(pi, gamma, xv, yv, gamma.cov(xv))
+    return -_jacobian(gamma, xv).T @ eta_g + eta_p
+
+
+def _jacobian(gamma: GaussianChannel, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Jacobian of the mean map at x: the channel's own, or central
+    differences when it has none."""
     if gamma.jacobian is not None:
-        jac = np.atleast_2d(gamma.jacobian(xv))
-    else:
-        jac = _fd_jacobian(gamma.mean, xv, gamma.out_dim)
-    return -jac.T @ np.asarray(terms.eta_gamma) + np.asarray(terms.eta_pi)
-
-
-def _fd_jacobian(f: Callable, x: np.ndarray, out_dim: int, h: float = 1e-6) -> np.ndarray:
-    jac = np.zeros((out_dim, x.size))
+        return np.atleast_2d(gamma.jacobian(x))
+    jac = np.zeros((gamma.out_dim, x.size))
     for k in range(x.size):
         dx = np.zeros_like(x)
         dx[k] = h
-        jac[:, k] = (np.asarray(f(x + dx)) - np.asarray(f(x - dx))) / (2.0 * h)
+        jac[:, k] = (np.asarray(gamma.mean(x + dx)) - np.asarray(gamma.mean(x - dx))) / (2.0 * h)
     return jac
 
 
@@ -194,9 +192,15 @@ def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     back to central differences of the gradient when no Jacobian is given."""
     xv, yv = _check_dims(pi, gamma, x, y)
     if gamma.jacobian is not None:
-        jac = np.atleast_2d(gamma.jacobian(xv))
-        sig_g = np.atleast_2d(gamma.cov(xv))
-        return jac.T @ _solve_psd("channel", sig_g, jac) + np.linalg.inv(pi.cov_array())
+        jac = _jacobian(gamma, xv)
+        sig_g = _guarded("channel covariance", gamma.cov(xv))
+        # caught rather than checked: a condition number here would cost one
+        # more SVD on every level-step
+        try:
+            prior_precision = np.linalg.inv(pi.cov_array())
+        except np.linalg.LinAlgError as err:
+            raise LaplaceError(f"prior covariance is numerically singular ({err})") from None
+        return jac.T @ np.linalg.solve(sig_g, jac) + prior_precision
     h = 1e-5
     hess = np.zeros((xv.size, xv.size))
     for k in range(xv.size):
@@ -210,13 +214,7 @@ def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
 
 def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
     """Optimal belief covariance: the inverse energy curvature at the mean."""
-    hess = hessian_energy(pi, gamma, mu_rho, y)
-    cond = np.linalg.cond(hess)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise LaplaceError(
-            f"energy Hessian is numerically singular (condition number {cond:.3e})"
-        )
-    return np.linalg.inv(hess)
+    return np.linalg.inv(_guarded("energy Hessian", hessian_energy(pi, gamma, mu_rho, y)))
 
 
 def gaussian_entropy(state: Gaussian) -> float:
@@ -298,10 +296,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
 
     def predict(rho: Gaussian) -> Gaussian:
         mu = rho.mean_array()
-        if gamma.jacobian is not None:
-            jac = np.atleast_2d(gamma.jacobian(mu))
-        else:
-            jac = _fd_jacobian(gamma.mean, mu, gamma.out_dim)
+        jac = _jacobian(gamma, mu)
         cov = jac @ rho.cov_array() @ jac.T + np.atleast_2d(gamma.cov(mu))
         return gaussian(Y, gamma.mean(mu), cov)
 
@@ -318,8 +313,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
         return dst(rho, predict(rho))
 
     def forward_lift(t, xy, b):
-        x = np.asarray(xy[0], dtype=float)
-        return gaussian(Y, gamma.mean(x), np.atleast_2d(gamma.cov(x)))
+        return gamma(xy[0])
 
     return HierSystem(
         source, target, states, time_nat(), emit, absorb, STOCHASTIC, forward_lift, None
@@ -377,12 +371,8 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     means = [np.zeros(ch.in_dim) for ch in levels]
     rows = []
     for step in range(1, steps + 1):
-        priors = [pi0]
-        for ch, mu in zip(levels[:-1], means[:-1]):
-            priors.append(mk_state(ch.mean(mu), np.atleast_2d(ch.cov(mu))))
-        data_down = [
-            np.asarray(mu, dtype=float) for mu in means[1:]
-        ] + [datum_v]
+        priors = [pi0] + [ch(mu) for ch, mu in zip(levels[:-1], means[:-1])]
+        data_down = means[1:] + [datum_v]
         new_means = []
         for k, ch in enumerate(levels):
             rho = rho_update(means[k], priors[k], data_down[k], ch, cfg)

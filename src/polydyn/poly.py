@@ -295,19 +295,11 @@ def maps_agree(f: PolyMap, g: PolyMap, tol: float = 0.0) -> bool:
     return True
 
 
-def dist_key(d: Dist):
-    if isinstance(d, Dirac):
-        return ("dirac", d.point)
-    if isinstance(d, Categorical):
-        return ("cat", tuple(sorted(d.items, key=lambda it: repr(it[0]))))
-    return ("gauss", d.mean, d.cov)
-
-
-def polymap_key(f: PolyMap, normalized: bool = True):
+def polymap_key(f: PolyMap):
     """Canonical hashable encoding of a finite lens: its full forward and
-    backward tables.  With ``normalized`` the position and direction values
-    are normalized first, so lenses that differ only by unit factors or by
-    product re-association get the same key."""
+    backward tables.  The position and direction values are normalized first,
+    so lenses that differ only by unit factors or by product re-association
+    get the same key."""
     if not is_finite(f.source.positions):
         raise PolyError("polymap_key needs a finite position space")
     rows = []
@@ -320,22 +312,16 @@ def polymap_key(f: PolyMap, normalized: bool = True):
         back = []
         for d in points(fibre_out):
             res = f.backward(i, d)
-            if normalized:
-                key_d = normalize_point(fibre_out, d)
-                res_items = tuple(
-                    sorted(
-                        (
-                            (normalize_point(fibre_in, a), w)
-                            for a, w in finite_items(res)
-                        ),
-                        key=lambda it: repr(it[0]),
-                    )
+            key_d = normalize_point(fibre_out, d)
+            res_items = tuple(
+                sorted(
+                    ((normalize_point(fibre_in, a), w) for a, w in finite_items(res)),
+                    key=lambda it: repr(it[0]),
                 )
-                back.append((key_d, res_items))
-            else:
-                back.append((d, dist_key(res)))
-        fwd_key = normalize_point(f.target.positions, fwd) if normalized else fwd
-        i_key = normalize_point(f.source.positions, i) if normalized else i
+            )
+            back.append((key_d, res_items))
+        fwd_key = normalize_point(f.target.positions, fwd)
+        i_key = normalize_point(f.source.positions, i)
         rows.append((i_key, fwd_key, tuple(back)))
     return tuple(rows)
 

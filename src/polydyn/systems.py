@@ -59,12 +59,10 @@ class DiscreteMap:
 class VectorField:
     """Continuous-time flavor: ``field(x, d)`` is the tangent vector at state
     x under input d, a direction of the system's own interface; ``h`` is the
-    integrator step (one tick); ``scheme`` names the integrator (only the
-    classic fixed-step rk4 is provided)."""
+    integrator step (one tick) of the classic fixed-step rk4 scheme."""
 
     field: Callable
     h: float
-    scheme: str = "rk4"
 
 
 Flavor = Union[DiscreteMap, VectorField]
@@ -298,10 +296,10 @@ def check_flow(
 
 
 def _stationary_cases(sys_: System, times, states):
-    """The stored one-tick maps of a discrete-map system at every tick that
-    ``times`` mentions, against those at tick 1."""
-    probe_ts = sorted({v for pair in times for v in pair if v >= 1} | {1})
-    for t in probe_ts:
+    """The stored one-tick maps of a discrete-map system at every tick from 1
+    to the latest that ``times`` reaches, against those at tick 1: a split
+    s + t runs the maps at every tick up to s + t, not only at s and t."""
+    for t in range(1, max((s + t for s, t in times), default=1) + 1):
         for x in states:
             if sys_.output(t, x) != sys_.output(1, x):
                 yield {"kind": "stationary-output", "t": t, "state": x}, float("inf")
@@ -350,7 +348,7 @@ def reindex(phi: PolyMap, sys_: System) -> System:
         def field(x, d_new):
             return inner(x, dirac_point(phi.backward(sys_.output(1, x), d_new)))
 
-        flavor = VectorField(field, flavor.h, flavor.scheme)
+        flavor = VectorField(field, flavor.h)
     return System(
         phi.target, sys_.states, sys_.time, output, update, sys_.effect, flavor
     )
@@ -400,7 +398,6 @@ def from_vector_field(
     g: Callable,
     p: Polynomial,
     h: float,
-    scheme: str = "rk4",
     states: Space = None,
 ) -> System:
     """Open continuous-time system from a vector field.
@@ -409,8 +406,6 @@ def from_vector_field(
     ``g(x)`` is the exposed position.  One tick integrates h time units with
     the classic fixed-step scheme, holding the direction fixed for the whole
     call (zero-order hold)."""
-    if scheme != "rk4":
-        raise OpenSystemError(f"unknown integration scheme {scheme!r}")
     if states is None:
         raise OpenSystemError("from_vector_field needs the Euclid state space")
     clock = time_real(h)
@@ -422,7 +417,7 @@ def from_vector_field(
         return _rk4_flow(lambda pt: f(pt, d), states, x, clock.check(t), h)
 
     return System(
-        p, states, clock, output, update, DETERMINISTIC, VectorField(f, h, scheme)
+        p, states, clock, output, update, DETERMINISTIC, VectorField(f, h)
     )
 
 

@@ -292,6 +292,31 @@ def test_hibi_compose_lifts_points_to_diracs():
     assert prob(law, (1, 0)) == 1.0
 
 
+def test_hibi_composite_is_tabulated_by_walking_it():
+    """The right factor of a hibi composite takes distributions, so it has no
+    table; the composite is compared on its own table when its source
+    positions are finite, and cannot be tabulated when they are
+    distributions."""
+    src, tgt = hibi_pair_hom(A, unit(), A, unit())
+    states = finite(0, 1)
+
+    def level(source):
+        def emit(t, x):
+            return det_polymap(source, tgt, lambda i: x, lambda i, d: ())
+
+        def absorb(t, x, i, d):
+            return dirac(states, 1 - x)
+
+        return mk_hier(source, tgt, states, emit, absorb, init=dirac(states, 0))
+
+    both = hibi_compose(level(src), level(src))
+    assert both.absorb(0, (0, 1), uniform(A), ()) == dirac(prod(states, states), (1, 0))
+    with pytest.raises(HierError, match="tabulating needs finite states and source positions"):
+        quasi_bisim(both, both, horizon=2)
+    pointed = hibi_compose(level(tgt), level(src))
+    assert quasi_bisim(pointed, pointed, horizon=2)["related"]
+
+
 def test_mk_hier_validates_emitted_shape():
     def emit(t, x):
         return det_polymap(y(), linear(A), lambda i: 0, lambda i, d: ())

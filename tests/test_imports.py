@@ -7,11 +7,14 @@ the same sibling at the top).
 """
 
 import ast
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polydyn"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "polydyn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +70,20 @@ def test_the_scan_sees_both_faults():
     )
     assert unread_imports(tree) == [(1, "spare"), (2, "os")]
     assert local_relative_imports(tree) == [(4, ".b")]
+
+
+def test_benchmark_tracer_names_resolve():
+    """The benchmark's traced run wraps each ``<module>.<attr>`` in its
+    ``TRACED`` list and reads two search caps by keyword; a rename breaks it."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name in tracer.TRACED:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"polydyn.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []
+    hier = importlib.import_module("polydyn.hier")
+    assert "cap" in inspect.signature(hier._candidates).parameters
+    assert "max_sections" in inspect.signature(hier.quasi_bisim).parameters

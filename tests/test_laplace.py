@@ -164,6 +164,28 @@ def test_forward_prior_must_be_a_proper_gaussian_belief():
         mean_path(hs, categorical(finite(0, 1), {0: 0.5, 1: 0.5}), Y, 1)
 
 
+def test_a_channel_is_its_own_kernel():
+    """``ch(x)`` is the law N(mean(x), cov(x)), and it is what a level lifts
+    its point prediction to on the forward wire."""
+    tanh = GaussianChannel(
+        2, 1, lambda x: np.tanh(x[:1] - x[1:]), None, lambda x: [[0.5 + x[0] ** 2]]
+    )
+    tilted = linear_channel([[1.0, -0.5]], offset=[0.2], cov=[[0.3]])
+    cfg = LaplaceConfig(rate=0.05)
+    for ch in (tilted, tanh):
+        x = (0.4, -1.1)
+        assert ch(x) == mk_state(ch.mean(np.asarray(x)), ch.cov(np.asarray(x)))
+        assert build_laplace(ch, cfg).forward_lift(0, (x, (0.0,)), (0.0,)) == ch(x)
+
+
+def test_singular_prior_raises_laplace_error():
+    singular = mk_state([0.0], [[0.0]])
+    with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
+        hessian_energy(singular, GAMMA, [0.4], Y)
+    with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
+        sigma_star(singular, GAMMA, [0.4], Y)
+
+
 def test_uninformative_channel_keeps_the_prior_covariance():
     flat = linear_channel([[0.0]], cov=[[1.0]])
     sig = sigma_star(PI, flat, [0.0], Y)

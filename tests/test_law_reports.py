@@ -199,3 +199,22 @@ def test_stationary_update_deviation_within_tolerance_is_still_reported():
     assert report["pass"]
     assert report["violations"] == []
     assert report["max_deviation"] == pytest.approx(eps, rel=1e-6)
+
+
+def test_stationarity_probe_reaches_every_tick_of_a_split():
+    """A split (1, 1) runs the stored maps at ticks 1 and 2, so a map that
+    changes only at t = 2 is a violation of it."""
+    states = finite("a", "b")
+
+    def update(t, s, d):
+        flipped = {"a": "b", "b": "a"}[s] if t == 2 else s
+        return dirac(states, flipped)
+
+    sys_ = mk_system(
+        monomial(finite("p"), unit()), states, lambda t, s: "p", update, time_nat(), STOCHASTIC
+    )
+    for times in ([(1, 1)], [(1, 2)]):
+        report = check_flow(sys_, times=times, tol=0.0)
+        assert not report["pass"]
+        assert report["max_deviation"] == 1.0
+        assert {v["t"] for v in report["violations"]} == {2}

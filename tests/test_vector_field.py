@@ -121,11 +121,6 @@ def test_driven_decay_approaches_the_drive():
 def test_from_vector_field_validation():
     with pytest.raises(OpenSystemError):
         from_vector_field(
-            lambda x, d: (-x[0],), lambda x: x,
-            monomial(euclid(1), unit()), 0.1, scheme="euler", states=euclid(1),
-        )
-    with pytest.raises(OpenSystemError):
-        from_vector_field(
             lambda x, d: (-x[0],), lambda x: x, monomial(euclid(1), unit()), 0.1
         )
 
