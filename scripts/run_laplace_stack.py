@@ -6,7 +6,7 @@ For all-linear specs the joint energy is quadratic, so the true posterior
 mean solves one block-tridiagonal linear system; the script assembles it from
 the spec and prints the gap between the gradient-descent endpoint and that
 solve.  The per-step CSV goes to --out (default: stdout is suppressed, only
-the summary prints).
+the summary prints).  Exits 1 when the worst gap exceeds ``GAP_LIMIT``.
 """
 
 import argparse
@@ -20,6 +20,7 @@ from polydyn import run_stack
 from polydyn.specio import laplace_from_json
 
 HERE = Path(__file__).resolve().parent
+GAP_LIMIT = 1e-12  # the settled means must match the exact posterior this closely
 
 
 def exact_posterior(spec) -> np.ndarray:
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
         )
         offset += d
     print(f"worst gap to the exact posterior: {worst:.3e}")
-    return 0
+    return 0 if worst <= GAP_LIMIT else 1
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ Equality of hierarchical systems is extensional: two systems are compared by
 the distributions of their emitted lenses over time (``trace``) under every
 environment choice (``HomSection``), via ``quasi_bisim``.  Emitted lenses are
 encoded by normalized forward/backward tables, so systems whose interfaces
-differ only by unit factors or product re-association compare equal.
+differ only by unit factors or product re-association compare equal.  An
+open system on p is traced and compared as the hierarchical system y -> p.
 
 The bidirectional refinement (``hibi_compose``) composes systems whose source
 positions are distribution-valued: the middle wire is lifted with the monad
@@ -47,8 +48,8 @@ from .poly import (
     PolyMap,
     Polynomial,
     TimeMonoid,
-    all_sections,
     compose_map,
+    det_polymap,
     dirac_point,
     id_map,
     linear,
@@ -66,6 +67,7 @@ from .spaces import (
     dist_space,
     expand_point,
     is_finite,
+    normalize_point,
     points,
     prod,
     unit,
@@ -118,6 +120,22 @@ def mk_hier(
     return hs
 
 
+def as_hier(sys_: System) -> HierSystem:
+    """An open system on p as the hierarchical system y -> p, whose lenses are
+    the positions of p: it emits the constant lens at its output and absorbs
+    a direction as one tick of its update, as ``closure`` steps it."""
+    source, p = y(), sys_.interface
+
+    def emit(t, x):
+        a = sys_.output(t, x)
+        return det_polymap(source, p, lambda i: a, lambda i, d: ())
+
+    def absorb(t, x, i, d):
+        return sys_.update(1, x, d)
+
+    return HierSystem(source, p, sys_.states, sys_.time, emit, absorb, sys_.effect)
+
+
 # ---------------------------------------------------------------------------
 # tabular presentation for monomial interfaces
 
@@ -138,15 +156,9 @@ def hier_from_tables(
     target = monomial(B, T)
 
     def emit(t, x):
-        def backward(a, t_prime):
-            return dirac(S, o2(t, x, a, t_prime))
+        return det_polymap(source, target, lambda a: o1(t, x, a), lambda a, tp: o2(t, x, a, tp))
 
-        return PolyMap(source, target, lambda a: o1(t, x, a), backward, DETERMINISTIC)
-
-    def absorb(t, x, a, t_prime):
-        return u(t, x, a, t_prime)
-
-    return mk_hier(source, target, states, emit, absorb, time, effect, init=init)
+    return mk_hier(source, target, states, emit, u, time, effect, init=init)
 
 
 def hier_to_tables(hs: HierSystem):
@@ -158,10 +170,7 @@ def hier_to_tables(hs: HierSystem):
     def o2(t, x, a, t_prime):
         return dirac_point(hs.emit(t, x).backward(a, t_prime))
 
-    def u(t, x, a, t_prime):
-        return hs.absorb(t, x, a, t_prime)
-
-    return o1, o2, u
+    return o1, o2, hs.absorb
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +180,7 @@ def hier_to_tables(hs: HierSystem):
 def id_hier(p: Polynomial) -> HierSystem:
     """The identity process on p: trivial state, constantly emits the identity
     lens, absorbs everything silently."""
-    ident = id_map(p)
-    ustates = unit()
-    silent = dirac(ustates, ())
-
-    def emit(t, x):
-        return ident
-
-    def absorb(t, x, i, d):
-        return silent
-
-    return HierSystem(p, p, ustates, time_nat(), emit, absorb, DETERMINISTIC, None, silent)
+    return _stateless(p, p, id_map(p))
 
 
 def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
@@ -277,13 +276,7 @@ def copy_system(A: Space) -> HierSystem:
     """Duplicate an A-valued output: Ay -> Ay (x) Ay, emitting a |-> (a, a)."""
     source = linear(A)
     target = tensor(source, source)
-    lens = PolyMap(
-        source,
-        target,
-        lambda a: (a, a),
-        lambda a, d: dirac(unit(), ()),
-        DETERMINISTIC,
-    )
+    lens = det_polymap(source, target, lambda a: (a, a), lambda a, d: ())
     return _stateless(source, target, lens)
 
 
@@ -291,7 +284,7 @@ def discard_system(A: Space) -> HierSystem:
     """Forget an A-valued output: Ay -> y."""
     source = linear(A)
     target = y()
-    lens = PolyMap(source, target, lambda a: (), lambda a, d: dirac(unit(), ()), DETERMINISTIC)
+    lens = det_polymap(source, target, lambda a: (), lambda a, d: ())
     return _stateless(source, target, lens)
 
 
@@ -299,11 +292,7 @@ def swap_system(A: Space, B: Space) -> HierSystem:
     """Exchange the two halves of a pair output: Ay (x) By -> By (x) Ay."""
     source = tensor(linear(A), linear(B))
     target = tensor(linear(B), linear(A))
-
-    def backward(ab, d):
-        return dirac(source.dirs_at(ab), ((), ()))
-
-    lens = PolyMap(source, target, lambda ab: (ab[1], ab[0]), backward, DETERMINISTIC)
+    lens = det_polymap(source, target, lambda ab: (ab[1], ab[0]), lambda ab, d: ((), ()))
     return _stateless(source, target, lens)
 
 
@@ -311,7 +300,7 @@ def function_system(f: Callable, A: Space, B: Space) -> HierSystem:
     """Stateless process emitting the fixed function a |-> f(a): Ay -> By."""
     source = linear(A)
     target = linear(B)
-    lens = PolyMap(source, target, f, lambda a, d: dirac(unit(), ()), DETERMINISTIC)
+    lens = det_polymap(source, target, f, lambda a, d: ())
     return _stateless(source, target, lens)
 
 
@@ -712,16 +701,36 @@ def _section_choices(options: list, max_sections: int, seed: int) -> list:
     return [tuple(int(gen.integers(c)) for c in counts) for _ in range(max_sections)]
 
 
-def _choice(sigma: "HomSection", keys: list, options: list) -> np.ndarray:
+def _strategy(sigma, systems) -> Callable:
+    """A section of the given systems as lens key -> normalized (position,
+    direction) response, None where it has no entry.  A flat ``Section`` of p
+    is a strategy for systems y -> p: it answers the constant lens at a with
+    the lens's one position and the direction it assigns at a."""
+    if isinstance(sigma, HomSection):
+        entries: dict = {}
+        for key, value in sigma.table:
+            entries.setdefault(key, value)
+        return entries.get
+    p = sigma.of
+    if any((hs.source, hs.target) != (y(), p) for hs in systems):
+        raise HierError("section does not match the system interface")
+
+    def respond(key):
+        a = expand_point(p.positions, key[0][1])
+        return key[0][0], normalize_point(p.dirs_at(a), sigma.assign(a))
+
+    return respond
+
+
+def _choice(sigma, systems, keys: list, options: list) -> np.ndarray:
     """A section as an option index per key id; -1 where it has no entry."""
-    entries: dict = {}
-    for key, value in sigma.table:
-        entries.setdefault(key, value)
+    respond = _strategy(sigma, systems)
     out = np.full(len(keys), -1, dtype=np.intp)
     for k, key in enumerate(keys):
-        if key in entries:
+        response = respond(key)
+        if response is not None:
             try:
-                out[k] = options[k].index(entries[key])
+                out[k] = options[k].index(response)
             except ValueError:
                 raise HierError("section offers a response the emitted lens lacks") from None
     return out
@@ -745,12 +754,6 @@ class HomSection:
 
     table: tuple  # ((lens key, (position, direction)), ...)
 
-    def choose(self, key):
-        for k, v in self.table:
-            if k == key:
-                return v
-        raise HierError("section has no entry for an emitted lens")
-
 
 def hom_sections(
     systems, horizon: int, max_sections: int = 512, seed: int = 0
@@ -765,9 +768,12 @@ def hom_sections(
     ]
 
 
-def _apply_hom_section(hs: HierSystem, sigma: HomSection, t: int, x):
+def _apply_hom_section(hs: HierSystem, respond: Callable, t: int, x):
     phi = hs.emit(t, x)
-    i_n, d_n = sigma.choose(polymap_key(phi))
+    response = respond(polymap_key(phi))
+    if response is None:
+        raise HierError("section has no entry for an emitted lens")
+    i_n, d_n = response
     i = expand_point(hs.source.positions, i_n)
     fibre = hs.target.dirs_at(phi.forward(i))
     return hs.absorb(t, x, i, expand_point(fibre, d_n))
@@ -783,65 +789,55 @@ def _key_dist(pairs) -> Dist:
     return categorical(space, merged)
 
 
-def _closure_trace(hs: HierSystem, sigma: HomSection, init: Dist, horizon: int) -> Trace:
+def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
     """The trace of a hierarchical system by walking its emit and absorb
     closures: the specification the tables are checked against, and the
     route for systems whose states are not finite."""
+    respond = _strategy(sigma, (hs,))
     values = []
     law = init
     for t in range(horizon + 1):
         pairs = [(polymap_key(hs.emit(t, x)), w) for x, w in finite_items(law)]
         values.append(_key_dist(pairs))
         if t < horizon:
-            law = bind(law, lambda x, _t=t: _apply_hom_section(hs, sigma, _t, x))
+            law = bind(law, lambda x, _t=t: _apply_hom_section(hs, respond, _t, x))
     return Trace(tuple(range(horizon + 1)), tuple(values))
 
 
 def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     """Time-indexed distribution of what the system shows the world.
 
-    For an ordinary open system this is the law of the output position under
-    the section-closed state evolution; for a hierarchical system it is the
-    law of the emitted lens (by normalized key) under an environment strategy,
-    computed on the system's tables when its states are finite.  Exact by
-    enumeration on finite supports."""
-    if isinstance(sys_, HierSystem):
-        if not is_finite(sys_.states):
-            return _closure_trace(sys_, sigma, init, horizon)
-        table = tabulate(sys_, horizon)
-        n = len(table.keys)
-        laws = _key_laws(
-            table, np.arange(n), n, _choice(sigma, table.keys, table.options),
-            table.law(init)[None, :], horizon,
-        )
-        values = tuple(
-            _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
-            for kl in laws
-        )
-        return Trace(tuple(range(horizon + 1)), values)
-
-    if not isinstance(sys_, System):
-        raise HierError(f"cannot trace {sys_!r}")
-    values = []
-    law = init
-    for t in range(horizon + 1):
-        values.append(
-            pushforward(
-                lambda s, _t=t: sys_.output(_t, s), law, target=sys_.interface.positions
-            )
-        )
-        if t < horizon:
-
-            def one(s):
-                return sys_.update(1, s, sigma.assign(sys_.output(1, s)))
-
-            law = bind(law, one)
-    return Trace(tuple(range(horizon + 1)), tuple(values))
+    For a hierarchical system this is the law of the emitted lens (by
+    normalized key) under an environment strategy, computed on the system's
+    tables when its states are finite.  An open system on p is traced as the
+    hierarchical system y -> p (``as_hier``) under a ``Section`` or a
+    ``HomSection``, and each law is read back over the positions of p.
+    Exact by enumeration on finite supports."""
+    if isinstance(sys_, System):
+        p = sys_.interface.positions
+        tr = trace(as_hier(sys_), sigma, init, horizon)
+        return replace(tr, values=tuple(
+            pushforward(lambda key: expand_point(p, key[0][1]), v, target=p)
+            for v in tr.values
+        ))
+    if not is_finite(sys_.states):
+        return _closure_trace(sys_, sigma, init, horizon)
+    table = tabulate(sys_, horizon)
+    n = len(table.keys)
+    laws = _key_laws(
+        table, np.arange(n), n, _choice(sigma, (sys_,), table.keys, table.options),
+        table.law(init)[None, :], horizon,
+    )
+    values = tuple(
+        _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
+        for kl in laws
+    )
+    return Trace(tuple(range(horizon + 1)), values)
 
 
 def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
     out = list(provided or [])
-    if isinstance(sys_, HierSystem) and sys_.init is not None:
+    if sys_.init is not None:
         out.append(sys_.init)
     states = sys_.states
     if is_finite(states):
@@ -873,7 +869,7 @@ def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sec
         choices = [np.asarray(c, dtype=np.intp)
                    for c in _section_choices(options, max_sections, seed)]
     else:
-        choices = [_choice(sigma, keys, options) for sigma in sections]
+        choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     laws = [np.stack([tb.law(d) for d in cands]) for tb, cands in zip(tables, (cand_a, cand_b))]
     shape = (len(cand_a), len(cand_b))
     at_section = np.full(shape, -1, dtype=np.intp)
@@ -908,9 +904,8 @@ def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sec
 
 
 def _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol):
-    """First mismatch of every candidate pair, from one closure trace per
-    (candidate, section): for flat systems, and for hierarchical ones whose
-    states are not finite."""
+    """First mismatch of every candidate pair, from one trace per (candidate,
+    section): for systems whose states are not finite."""
     found: dict = {}
     for si, sigma in enumerate(sections):
         va = [trace(theta, sigma, c, horizon).values for c in cand_a]
@@ -945,28 +940,23 @@ def quasi_bisim(
     candidate set for a witness, ``forall`` demands every candidate work.
     Candidates are the provided lists plus each system's canonical initial
     law, every point mass, and the uniform law (finite state spaces).
-    Finite hierarchical systems are compared on their tables.
+    An open system on p is compared as the hierarchical system y -> p
+    (``as_hier``).  Systems with finite states are compared on their tables.
     The verdict records the witnessing pair or the first mismatch."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
-    hier_mode = isinstance(theta, HierSystem)
-    if hier_mode != isinstance(psi, HierSystem):
-        raise HierError("cannot compare a hierarchical with a flat system")
+    theta, psi = (as_hier(s) if isinstance(s, System) else s for s in (theta, psi))
     if sections is not None:
         sections = list(sections)
     cand_a = _candidates(theta, alphas, alpha_mode)
     cand_b = _candidates(psi, betas, beta_mode)
-    if hier_mode and is_finite(theta.states) and is_finite(psi.states):
+    if is_finite(theta.states) and is_finite(psi.states):
         n_sections, match = _hier_mismatches(
             theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections, seed
         )
     else:
-        if sections is None and hier_mode:
+        if sections is None:
             sections = hom_sections([theta, psi], horizon, max_sections, seed)
-        elif sections is None:
-            if theta.interface != psi.interface:
-                raise HierError("flat systems must share their interface")
-            sections = all_sections(theta.interface)
         n_sections = len(sections)
         match = _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol)
 
@@ -1056,19 +1046,11 @@ def exact_bayes(c: Callable, pi: Dist, target: Space = None) -> BayesInverse:
 
 
 def prior_system(pi: Dist) -> HierSystem:
-    """A state on X as a process y -> Xy: holds a sample, shows it, redraws."""
+    """A state on X as a process y -> Xy: holds a sample, shows it, redraws.
+    It is the open system on Xy that shows its state and redraws from pi."""
     X = pi.space
-    source = y()
-
-    def emit(t, x):
-        return PolyMap(source, linear(X), lambda _: x, lambda _, d: dirac(unit(), ()), DETERMINISTIC)
-
-    def absorb(t, x, i, d):
-        return pi
-
-    return HierSystem(
-        source, linear(X), X, time_nat(), emit, absorb, STOCHASTIC, None, pi
-    )
+    shows = System(linear(X), X, time_nat(), lambda t, x: x, lambda t, x, d: pi, STOCHASTIC)
+    return replace(as_hier(shows), init=pi)
 
 
 def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
@@ -1094,13 +1076,7 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     index = {xv: k for k, xv in enumerate(xs)}
 
     def emit(t, table):
-        return PolyMap(
-            linear(X),
-            linear(Y),
-            lambda a: table[index[a]],
-            lambda a, d: dirac(unit(), ()),
-            DETERMINISTIC,
-        )
+        return det_polymap(linear(X), linear(Y), lambda a: table[index[a]], lambda a, d: ())
 
     def absorb(t, table, i, d):
         return law

@@ -79,7 +79,14 @@ class GaussianChannel:
     def __call__(self, x) -> Gaussian:
         """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
         x = np.asarray(x, dtype=float)
-        return gaussian(euclid(self.out_dim), self.mean(x), np.atleast_2d(self.cov(x)))
+        n = self.out_dim
+        mean, cov = np.asarray(self.mean(x), dtype=float), np.atleast_2d(self.cov(x))
+        if mean.size != n or cov.shape != (n, n):
+            raise LaplaceError(
+                f"channel with out_dim {n} gave a mean of size {mean.size} "
+                f"and a covariance of shape {cov.shape}"
+            )
+        return gaussian(euclid(n), mean, cov)
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:

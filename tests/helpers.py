@@ -32,27 +32,31 @@ def dyadic_dist(gen, space):
     return categorical(space, items)
 
 
-def random_finite_system(rng: Rng, stochastic: bool = True):
+def random_finite_system(rng: Rng, stochastic: bool = True, n_states: int = None,
+                         interface=None):
     """A seeded discrete open system with at most 6 states, 3 positions and
-    3 directions per position."""
+    3 directions per position; ``n_states`` and ``interface`` fix those
+    instead of drawing them."""
     gen = rng.generator()
-    n_states = int(gen.integers(2, 7))
-    n_pos = int(gen.integers(1, 4))
+    if n_states is None:
+        n_states = int(gen.integers(2, 7))
+    if interface is None:
+        n_pos = int(gen.integers(1, 4))
+        labels = [f"p{i}" for i in range(n_pos)]
+        fibres = {p: finite(*range(int(gen.integers(1, 4)))) for p in labels}
+        interface = tabulated(finite(*labels), fibres)
     states = finite(*range(n_states))
-    pos_labels = [f"p{i}" for i in range(n_pos)]
-    positions = finite(*pos_labels)
-    fibres = {p: finite(*range(int(gen.integers(1, 4)))) for p in pos_labels}
-    iface = tabulated(positions, fibres)
-    out_table = {s: pos_labels[int(gen.integers(0, n_pos))] for s in range(n_states)}
+    pos_labels = list(points(interface.positions))
+    out_table = {s: pos_labels[int(gen.integers(0, len(pos_labels)))] for s in range(n_states)}
     upd_table = {}
     for s in range(n_states):
-        for d in points(fibres[out_table[s]]):
+        for d in points(interface.dirs_at(out_table[s])):
             if stochastic:
                 upd_table[(s, d)] = dyadic_dist(gen, states)
             else:
                 upd_table[(s, d)] = dirac(states, int(gen.integers(0, n_states)))
     return mk_system(
-        iface,
+        interface,
         states,
         lambda t, s: out_table[s],
         lambda t, s, d: upd_table[(s, d)],

@@ -40,8 +40,16 @@ def test_markov_exact_rows_match_matrix_powers(tmp_path):
         want = np.linalg.matrix_power(k, t)[0]
         assert abs(float(cells[1]) - want[0]) <= 1e-12
         assert abs(float(cells[2]) - want[1]) <= 1e-12
-    # the two-step row, digit for digit
-    assert lines[3] == "2,0.8300000000000001,0.17000000000000004"
+    # every row, digit for digit: run prints the repr of each weight
+    assert lines == [
+        "t,p_up,p_down",
+        "0,1.0,0.0",
+        "1,0.9,0.1",
+        "2,0.8300000000000001,0.17000000000000004",
+        "3,0.7810000000000001,0.21900000000000006",
+        "4,0.7467000000000003,0.2533000000000001",
+        "5,0.7226900000000003,0.2773100000000001",
+    ]
 
 
 def test_exact_runs_are_byte_identical(tmp_path):

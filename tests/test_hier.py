@@ -365,3 +365,21 @@ def test_quasi_bisim_on_flat_systems():
     other = quasi_bisim(cycle(3), cycle(3, step=2), "forall", "exists", horizon=7, tol=0.0)
     assert not other["related"]
     assert other["witness"] == {"alpha": 0, "beta": 0, "section": 0, "t": 1, "deviation": 1.0}
+
+
+def test_a_flat_system_is_related_to_the_hierarchical_system_from_y():
+    """A flat system on By is the hierarchical system y -> By that emits the
+    constant lens at its output, so it compares with a hand-built one; a
+    section of another interface is refused."""
+    B = finite("even", "odd")
+    states = finite(0, 1)
+    flat = mk_system(linear(B), states, lambda t, x: "even" if x % 2 == 0 else "odd",
+                     lambda t, x, d: dirac(states, (x + 1) % 2), time_nat())
+    for theta, psi in ((flat, blinker(4)), (blinker(4), flat)):
+        verdict = quasi_bisim(theta, psi, "forall", "exists", horizon=8, tol=0.0)
+        assert verdict["related"], verdict
+    other = trivial_section(linear(A))
+    with pytest.raises(HierError, match="section does not match the system interface"):
+        trace(flat, other, dirac(states, 0), 2)
+    with pytest.raises(HierError, match="section does not match the system interface"):
+        quasi_bisim(flat, blinker(2), sections=[other], horizon=2)

@@ -178,6 +178,23 @@ def test_a_channel_is_its_own_kernel():
         assert build_laplace(ch, cfg).forward_lift(0, (x, (0.0,)), (0.0,)) == ch(x)
 
 
+def test_a_channel_rejects_a_law_of_the_wrong_size():
+    """A 1 -> 2 channel whose mean has 3 entries, or whose covariance is not
+    2 x 2, fails naming its out_dim: as a kernel, as a level's forward lift
+    and as the lower level of ``run_stack``."""
+    wide = GaussianChannel(1, 2, lambda x: np.zeros(3), None, lambda x: np.eye(2))
+    square = GaussianChannel(1, 2, lambda x: np.zeros(2), None, lambda x: np.eye(3))
+    cfg = LaplaceConfig(rate=0.05)
+    for bad, got in ((wide, "mean of size 3"), (square, r"covariance of shape \(3, 3\)")):
+        match = f"out_dim 2 gave .*{got}"
+        with pytest.raises(LaplaceError, match=match):
+            bad([0.5])
+        with pytest.raises(LaplaceError, match=match):
+            build_laplace(bad, cfg).forward_lift(0, ((0.5,), (0.0, 0.0)), (0.0, 0.0))
+        with pytest.raises(LaplaceError, match=match):
+            run_stack([bad, linear_channel([[1.0, 0.0]])], cfg, PI, [1.0], 2)
+
+
 def test_singular_prior_raises_laplace_error():
     singular = mk_state([0.0], [[0.0]])
     with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):

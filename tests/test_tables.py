@@ -7,6 +7,10 @@ the specification.  On seeded corpora with weights k/8 -- and state spaces
 whose sizes are powers of two, so the uniform law is dyadic too -- every sum
 either side performs is exact, so the two must agree at tolerance zero for
 every candidate initial law and every section.
+
+Flat systems are traced and compared as hierarchical systems y -> p
+(``as_hier``).  Their reference is the bind walk of the section-closed
+system, ``flat_reference_trace``, which is checked the same way.
 """
 
 import itertools
@@ -19,6 +23,9 @@ from polydyn import (
     STOCHASTIC,
     PolyMap,
     Rng,
+    all_sections,
+    as_hier,
+    bind,
     compose_hier,
     copy_system,
     det_polymap,
@@ -36,6 +43,7 @@ from polydyn import (
     points,
     polymap_key,
     prior_system,
+    pushforward,
     quasi_bisim,
     stochastic_channel_system,
     swap_system,
@@ -47,7 +55,7 @@ from polydyn import (
 )
 from polydyn import hier
 
-from helpers import dyadic_channel_prior, dyadic_dist
+from helpers import dyadic_channel_prior, dyadic_dist, random_finite_system
 
 HORIZON = 3
 MODES = list(itertools.product(("exists", "forall"), repeat=2))
@@ -162,6 +170,13 @@ def corpus():
     # both factors have several states and offer several responses
     both = tensor_hier(routed(Rng(79), spread=False), from_tables(Rng(80), spread=False))
     cases.append(("tensor", both, both, None))
+    for k, stochastic in enumerate((True, False)):
+        rng = Rng(94).child(k)
+        flat = random_finite_system(rng.child(0), stochastic, n_states=4)
+        other = random_finite_system(rng.child(1), stochastic, n_states=2,
+                                     interface=flat.interface)
+        cases.append((f"flat-{k}", as_hier(flat), as_hier(other), None))
+        cases.append((f"flat-self-{k}", as_hier(flat), as_hier(flat), None))
     return cases
 
 
@@ -275,3 +290,29 @@ def test_quasi_bisim_verdicts_equal_closure_verdicts(name, theta, psi, provided)
                 theta, psi, *modes, HORIZON, tol, provided, traces
             )
             assert (got["related"], got["witness"]) == (related, witness), (name, modes, tol)
+
+
+def flat_reference_trace(sys_, sigma, init, horizon: int) -> list:
+    """The law of a flat system's output under the section-closed evolution,
+    by one ``bind`` per tick: what ``trace`` of a flat system must equal."""
+    values, law = [], init
+    for t in range(horizon + 1):
+        values.append(pushforward(lambda s, _t=t: sys_.output(_t, s), law,
+                                  target=sys_.interface.positions))
+        if t < horizon:
+            law = bind(law, lambda s: sys_.update(1, s, sigma.assign(sys_.output(1, s))))
+    return values
+
+
+@pytest.mark.parametrize("n_states", (2, 4, 8))
+@pytest.mark.parametrize("stochastic", (True, False))
+def test_flat_traces_equal_the_bind_walk(n_states, stochastic):
+    for k in (0, 2, 5):
+        sys_ = random_finite_system(Rng(82).child(k), stochastic, n_states=n_states)
+        for init in hier._candidates(as_hier(sys_), None, "forall"):
+            for sigma in all_sections(sys_.interface):
+                got = trace(sys_, sigma, init, HORIZON).values
+                want = flat_reference_trace(sys_, sigma, init, HORIZON)
+                for t, (g, w) in enumerate(zip(got, want)):
+                    assert g.space == w.space, (n_states, k, t)
+                    assert dist_distance(g, w) == 0.0, (n_states, k, init, t, g, w)
