@@ -47,21 +47,60 @@ class LaplaceError(ValueError):
 _COND_LIMIT = 1e12
 
 
-def _guarded(what: str, sigma) -> np.ndarray:
-    """``sigma`` as a matrix, once its condition number shows that it can be
-    solved against or inverted."""
-    sigma = np.atleast_2d(sigma)
-    cond = np.linalg.cond(sigma)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
-    return sigma
-
-
-def _logdet_psd(name: str, sigma: np.ndarray) -> float:
+def _logdet_psd(what: str, sigma: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0 or not np.isfinite(logdet):
-        raise LaplaceError(f"{name} covariance has non-positive determinant")
+        raise LaplaceError(f"{what} has non-positive determinant")
     return float(logdet)
+
+
+class _Guarded:
+    """A matrix whose condition number shows that it can be solved against or
+    inverted.  The check runs once, when it is built; the log-determinant and
+    the inverse are computed on first use and kept.  A constant channel
+    covariance is one of these, callable as the channel's ``cov`` map."""
+
+    __slots__ = ("what", "matrix", "_logdet", "_inverse")
+
+    def __init__(self, what: str, sigma):
+        sigma = np.atleast_2d(sigma)
+        cond = np.linalg.cond(sigma)
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
+        self.what, self.matrix = what, sigma
+        self._logdet = self._inverse = None
+
+    def __call__(self, x) -> np.ndarray:
+        """A constant covariance: the same matrix at every x."""
+        return self.matrix
+
+    def solve(self, r) -> np.ndarray:
+        return np.linalg.solve(self.matrix, r)
+
+    def logdet(self) -> float:
+        if self._logdet is None:
+            self._logdet = _logdet_psd(self.what, self.matrix)
+        return self._logdet
+
+    def inverse(self) -> np.ndarray:
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self.matrix)
+        return self._inverse
+
+
+def _channel_cov(gamma: GaussianChannel, x: np.ndarray) -> _Guarded:
+    """The channel covariance at x: a constant one was checked when the
+    channel was built, a state-dependent one is checked here."""
+    cov = gamma.cov
+    return cov if isinstance(cov, _Guarded) else _Guarded("channel covariance", cov(x))
+
+
+def _prior_cov(pi: Gaussian) -> _Guarded:
+    """The prior's covariance, checked on the first use of this law and kept
+    on it.  A failed check raises and keeps nothing."""
+    if pi.checked_cov is None:
+        object.__setattr__(pi, "checked_cov", _Guarded("prior covariance", pi.cov_array()))
+    return pi.checked_cov
 
 
 @dataclass(frozen=True)
@@ -86,23 +125,33 @@ class GaussianChannel:
                 f"channel with out_dim {n} gave a mean of size {mean.size} "
                 f"and a covariance of shape {cov.shape}"
             )
-        return gaussian(euclid(n), mean, cov)
+        law = gaussian(euclid(n), mean, cov)
+        # a constant covariance was checked once, and the law carries that
+        # check when it stores the very same matrix: ``gaussian`` stores a
+        # symmetrized copy, which is bit-equal exactly when cov is symmetric
+        if isinstance(self.cov, _Guarded) and np.array_equal(law.cov_array(), cov):
+            object.__setattr__(law, "checked_cov", self.cov)
+        return law
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
-    """Channel with affine mean Ax + b and constant covariance."""
+    """Channel with affine mean Ax + b and constant covariance, which is
+    checked here, once."""
     a = np.atleast_2d(np.asarray(matrix, dtype=float))
     out_dim, in_dim = a.shape
     b = np.zeros(out_dim) if offset is None else np.asarray(offset, dtype=float).reshape(-1)
-    s = np.eye(out_dim) if cov is None else np.atleast_2d(np.asarray(cov, dtype=float))
+    s = np.eye(out_dim) if cov is None else np.atleast_2d(np.array(cov, dtype=float))
     if b.shape != (out_dim,) or s.shape != (out_dim, out_dim):
         raise LaplaceError("offset/cov dimensions do not match the matrix")
+    # the channel's own copy, read-only: its kept inverse and log-determinant
+    # must not drift from it
+    s.flags.writeable = False
     return GaussianChannel(
         in_dim,
         out_dim,
         mean=lambda x: a @ np.asarray(x, dtype=float) + b,
         jacobian=lambda x: a,
-        cov=lambda x: s,
+        cov=_Guarded("channel covariance", s),
     )
 
 
@@ -148,27 +197,25 @@ def _check_dims(pi: Gaussian, gamma: GaussianChannel, x, y):
     return xv, yv
 
 
-def _residuals(pi: Gaussian, gamma: GaussianChannel, xv, yv, sig_g):
+def _residuals(pi: Gaussian, gamma: GaussianChannel, xv, yv, sig_g: _Guarded):
     """Observation and prior residuals, each with its precision-weighted
     form, against the channel covariance ``sig_g`` at ``xv``."""
     eps_g = yv - gamma.mean(xv)
     eps_p = xv - pi.mean_array()
-    eta_g = np.linalg.solve(_guarded("channel covariance", sig_g), eps_g)
-    eta_p = np.linalg.solve(_guarded("prior covariance", pi.cov_array()), eps_p)
-    return eps_g, eps_p, eta_g, eta_p
+    return eps_g, eps_p, sig_g.solve(eps_g), _prior_cov(pi).solve(eps_p)
 
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
     """Joint surprisal -log p(y|x) - log p(x) for Gaussian channel and prior."""
     xv, yv = _check_dims(pi, gamma, x, y)
-    sig_g = np.atleast_2d(gamma.cov(xv))
+    sig_g = _channel_cov(gamma, xv)
     eps_g, eps_p, eta_g, eta_p = _residuals(pi, gamma, xv, yv, sig_g)
     quad = 0.5 * float(np.dot(eps_g, eta_g)) + 0.5 * float(np.dot(eps_p, eta_p))
     norm = 0.5 * (
         gamma.out_dim * math.log(2.0 * math.pi)
-        + _logdet_psd("channel", sig_g)
+        + sig_g.logdet()
         + gamma.in_dim * math.log(2.0 * math.pi)
-        + _logdet_psd("prior", pi.cov_array())
+        + _prior_cov(pi).logdet()
     )
     return quad + norm
 
@@ -177,7 +224,7 @@ def grad_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Energy gradient in the latent, with the channel covariance treated as
     locally constant: -J(x)^T eta_gamma + eta_pi."""
     xv, yv = _check_dims(pi, gamma, x, y)
-    _, _, eta_g, eta_p = _residuals(pi, gamma, xv, yv, gamma.cov(xv))
+    _, _, eta_g, eta_p = _residuals(pi, gamma, xv, yv, _channel_cov(gamma, xv))
     return -_jacobian(gamma, xv).T @ eta_g + eta_p
 
 
@@ -200,14 +247,7 @@ def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     xv, yv = _check_dims(pi, gamma, x, y)
     if gamma.jacobian is not None:
         jac = _jacobian(gamma, xv)
-        sig_g = _guarded("channel covariance", gamma.cov(xv))
-        # caught rather than checked: a condition number here would cost one
-        # more SVD on every level-step
-        try:
-            prior_precision = np.linalg.inv(pi.cov_array())
-        except np.linalg.LinAlgError as err:
-            raise LaplaceError(f"prior covariance is numerically singular ({err})") from None
-        return jac.T @ np.linalg.solve(sig_g, jac) + prior_precision
+        return jac.T @ _channel_cov(gamma, xv).solve(jac) + _prior_cov(pi).inverse()
     h = 1e-5
     hess = np.zeros((xv.size, xv.size))
     for k in range(xv.size):
@@ -221,13 +261,14 @@ def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
 
 def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
     """Optimal belief covariance: the inverse energy curvature at the mean."""
-    return np.linalg.inv(_guarded("energy Hessian", hessian_energy(pi, gamma, mu_rho, y)))
+    return _Guarded("energy Hessian", hessian_energy(pi, gamma, mu_rho, y)).inverse()
 
 
 def gaussian_entropy(state: Gaussian) -> float:
     n = len(state.mean)
     return 0.5 * (
-        n * math.log(2.0 * math.pi * math.e) + _logdet_psd("belief", state.cov_array())
+        n * math.log(2.0 * math.pi * math.e)
+        + _logdet_psd("belief covariance", state.cov_array())
     )
 
 

@@ -152,8 +152,22 @@ def test_laplace_csv_descends_to_the_posterior(tmp_path):
     assert abs(float(lines[-1].split(",")[2]) - 0.4) <= 1e-6
     fes = [float(l.split(",")[-1]) for l in lines[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(fes, fes[1:]))
-    _, again = run_to_file(tmp_path, "l2.csv", argv)
+    # a run in between leaves nothing behind that the next run reads
+    assert main(["laplace", "--spec", str(SPECS / "laplace2level.json"), "--out",
+                 str(tmp_path / "between.csv")]) == 0
+    _, again = run_to_file(tmp_path, "again.csv", argv)
     assert again == data
+
+
+def test_a_singular_level_covariance_is_a_usage_error(tmp_path, capsys):
+    spec = json.loads((SPECS / "laplace1d.json").read_text())
+    spec["levels"][0]["cov"] = [[0.0]]
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(spec))
+    assert main(["laplace", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "channel covariance is numerically singular" in json.loads(captured.err)["error"]
 
 
 def test_two_level_laplace_csv(tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -171,11 +172,21 @@ def test_a_channel_is_its_own_kernel():
         2, 1, lambda x: np.tanh(x[:1] - x[1:]), None, lambda x: [[0.5 + x[0] ** 2]]
     )
     tilted = linear_channel([[1.0, -0.5]], offset=[0.2], cov=[[0.3]])
+    # symmetric only within 1e-12, so its law stores a symmetrized covariance
+    skewed = linear_channel(np.eye(2), cov=[[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     cfg = LaplaceConfig(rate=0.05)
-    for ch in (tilted, tanh):
+    for ch in (tilted, tanh, skewed):
         x = (0.4, -1.1)
-        assert ch(x) == mk_state(ch.mean(np.asarray(x)), ch.cov(np.asarray(x)))
-        assert build_laplace(ch, cfg).forward_lift(0, (x, (0.0,)), (0.0,)) == ch(x)
+        law = ch(x)
+        same = mk_state(ch.mean(np.asarray(x)), ch.cov(np.asarray(x)))
+        # as a prior, a law solves against the covariance it stores, and the
+        # check it keeps from that use is not part of the law
+        probe, origin = linear_channel(np.ones((1, ch.out_dim))), np.zeros(ch.out_dim)
+        for use in (energy, grad_energy):
+            assert np.array_equal(use(law, probe, origin, [1.0]), use(same, probe, origin, [1.0]))
+        assert law == same and hash(law) == hash(same) and repr(law) == repr(same)
+        lifted = build_laplace(ch, cfg).forward_lift(0, (x, origin), origin)
+        assert lifted == law
 
 
 def test_a_channel_rejects_a_law_of_the_wrong_size():
@@ -196,11 +207,41 @@ def test_a_channel_rejects_a_law_of_the_wrong_size():
 
 
 def test_singular_prior_raises_laplace_error():
+    """Every use of a singular prior raises, also after a first use of the
+    same law has raised: a failed check is not kept."""
     singular = mk_state([0.0], [[0.0]])
-    with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
-        hessian_energy(singular, GAMMA, [0.4], Y)
-    with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
-        sigma_star(singular, GAMMA, [0.4], Y)
+    for _ in range(2):
+        for use in (energy, grad_energy, hessian_energy, sigma_star):
+            with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
+                use(singular, GAMMA, [0.4], Y)
+
+
+@pytest.mark.parametrize("cov", [[[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1e-13]]])
+def test_a_singular_constant_covariance_is_refused_when_the_channel_is_built(cov):
+    n = len(cov)
+    with pytest.raises(LaplaceError, match="channel covariance is numerically singular"):
+        linear_channel(np.eye(n), cov=cov)
+
+
+def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
+    """On a two-level linear hierarchy the condition check runs once for each
+    constant covariance (two channels and the prior) and once per level-step,
+    for the energy Hessian; the log-determinant runs once for each constant
+    covariance and once per level-step, for the belief entropy."""
+    calls = collections.Counter()
+    for name in ("cond", "slogdet"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    levels = [linear_channel([[2.0]], cov=[[1.0]]), linear_channel([[0.5]], cov=[[0.5]])]
+    prior = mk_state([0.0], [[1.0]])
+    steps = 50
+    run_stack(levels, LaplaceConfig(rate=0.05), prior, [1.0], steps)
+    level_steps = len(levels) * steps
+    constant = len(levels) + 1
+    assert calls == {"cond": level_steps + constant, "slogdet": level_steps + constant}
 
 
 def test_uninformative_channel_keeps_the_prior_covariance():
