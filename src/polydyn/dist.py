@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Union
 
 import numpy as np
@@ -101,10 +101,6 @@ class Gaussian:
     space: Space  # Euclidean-shaped: euclid(n) or a product of such
     mean: tuple  # flat, length = euclid_dims(space)
     cov: tuple  # flat row-major tuple of tuples, same order as mean
-    # the covariance as checked by a consumer that solves against it
-    # (``laplace``), kept so that each law is checked once; not part of the
-    # law, so it takes no part in equality, hashing or repr
-    checked_cov: Any = field(default=None, compare=False, repr=False)
 
     def __repr__(self) -> str:
         return f"gaussian(mean={list(self.mean)}, cov={[list(r) for r in self.cov]})"

@@ -21,6 +21,7 @@ a ``GaussianChannel`` is callable as its kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -95,12 +96,16 @@ def _channel_cov(gamma: GaussianChannel, x: np.ndarray) -> _Guarded:
     return cov if isinstance(cov, _Guarded) else _Guarded("channel covariance", cov(x))
 
 
-def _prior_cov(pi: Gaussian) -> _Guarded:
-    """The prior's covariance, checked on the first use of this law and kept
-    on it.  A failed check raises and keeps nothing."""
-    if pi.checked_cov is None:
-        object.__setattr__(pi, "checked_cov", _Guarded("prior covariance", pi.cov_array()))
-    return pi.checked_cov
+@functools.lru_cache(maxsize=64)
+def _prior_cov(cov: tuple) -> _Guarded:
+    """A prior's covariance (``Gaussian.cov``, a tuple), checked once per
+    value: every law with this covariance, such as each ``ch(x)`` of a linear
+    channel, shares one guard.  A failed check raises, and nothing is kept."""
+    sigma = np.asarray(cov, dtype=float)
+    # shared by every law with this covariance: its kept inverse and
+    # log-determinant must not drift from it
+    sigma.flags.writeable = False
+    return _Guarded("prior covariance", sigma)
 
 
 @dataclass(frozen=True)
@@ -125,13 +130,7 @@ class GaussianChannel:
                 f"channel with out_dim {n} gave a mean of size {mean.size} "
                 f"and a covariance of shape {cov.shape}"
             )
-        law = gaussian(euclid(n), mean, cov)
-        # a constant covariance was checked once, and the law carries that
-        # check when it stores the very same matrix: ``gaussian`` stores a
-        # symmetrized copy, which is bit-equal exactly when cov is symmetric
-        if isinstance(self.cov, _Guarded) and np.array_equal(law.cov_array(), cov):
-            object.__setattr__(law, "checked_cov", self.cov)
-        return law
+        return gaussian(euclid(n), mean, cov)
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
@@ -202,7 +201,7 @@ def _residuals(pi: Gaussian, gamma: GaussianChannel, xv, yv, sig_g: _Guarded):
     form, against the channel covariance ``sig_g`` at ``xv``."""
     eps_g = yv - gamma.mean(xv)
     eps_p = xv - pi.mean_array()
-    return eps_g, eps_p, sig_g.solve(eps_g), _prior_cov(pi).solve(eps_p)
+    return eps_g, eps_p, sig_g.solve(eps_g), _prior_cov(pi.cov).solve(eps_p)
 
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
@@ -215,7 +214,7 @@ def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
         gamma.out_dim * math.log(2.0 * math.pi)
         + sig_g.logdet()
         + gamma.in_dim * math.log(2.0 * math.pi)
-        + _prior_cov(pi).logdet()
+        + _prior_cov(pi.cov).logdet()
     )
     return quad + norm
 
@@ -247,7 +246,7 @@ def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     xv, yv = _check_dims(pi, gamma, x, y)
     if gamma.jacobian is not None:
         jac = _jacobian(gamma, xv)
-        return jac.T @ _channel_cov(gamma, xv).solve(jac) + _prior_cov(pi).inverse()
+        return jac.T @ _channel_cov(gamma, xv).solve(jac) + _prior_cov(pi.cov).inverse()
     h = 1e-5
     hess = np.zeros((xv.size, xv.size))
     for k in range(xv.size):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from polydyn import (
     stack,
     state_dist,
 )
+from polydyn.laplace import _prior_cov
 
 # 1-D testbed: observation y = 2x + noise(var 1), prior x ~ N(0, 1), datum 1.
 # Posterior: precision 2*2/1 + 1 = 5, mean (2*1/1)/5 = 0.4, variance 0.2.
@@ -180,7 +182,7 @@ def test_a_channel_is_its_own_kernel():
         law = ch(x)
         same = mk_state(ch.mean(np.asarray(x)), ch.cov(np.asarray(x)))
         # as a prior, a law solves against the covariance it stores, and the
-        # check it keeps from that use is not part of the law
+        # check kept for that covariance is not part of the law
         probe, origin = linear_channel(np.ones((1, ch.out_dim))), np.zeros(ch.out_dim)
         for use in (energy, grad_energy):
             assert np.array_equal(use(law, probe, origin, [1.0]), use(same, probe, origin, [1.0]))
@@ -208,12 +210,16 @@ def test_a_channel_rejects_a_law_of_the_wrong_size():
 
 def test_singular_prior_raises_laplace_error():
     """Every use of a singular prior raises, also after a first use of the
-    same law has raised: a failed check is not kept."""
+    same law has raised: a failed check is not kept.  A law copied from a
+    checked one with a new covariance is checked for that covariance."""
     singular = mk_state([0.0], [[0.0]])
+    energy(PI, GAMMA, [0.4], Y)
+    copied = dataclasses.replace(PI, cov=singular.cov)
     for _ in range(2):
-        for use in (energy, grad_energy, hessian_energy, sigma_star):
-            with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
-                use(singular, GAMMA, [0.4], Y)
+        for law in (singular, copied):
+            for use in (energy, grad_energy, hessian_energy, sigma_star):
+                with pytest.raises(LaplaceError, match="prior covariance is numerically singular"):
+                    use(law, GAMMA, [0.4], Y)
 
 
 @pytest.mark.parametrize("cov", [[[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1e-13]]])
@@ -225,9 +231,11 @@ def test_a_singular_constant_covariance_is_refused_when_the_channel_is_built(cov
 
 def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     """On a two-level linear hierarchy the condition check runs once for each
-    constant covariance (two channels and the prior) and once per level-step,
-    for the energy Hessian; the log-determinant runs once for each constant
+    constant covariance (two channels, the raw prior, and the law the lower
+    channel pushes up as the upper prior) and once per level-step, for the
+    energy Hessian; the log-determinant runs once for each constant
     covariance and once per level-step, for the belief entropy."""
+    _prior_cov.cache_clear()
     calls = collections.Counter()
     for name in ("cond", "slogdet"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -236,11 +244,11 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     levels = [linear_channel([[2.0]], cov=[[1.0]]), linear_channel([[0.5]], cov=[[0.5]])]
-    prior = mk_state([0.0], [[1.0]])
+    prior = mk_state([0.0], [[2.0]])
     steps = 50
     run_stack(levels, LaplaceConfig(rate=0.05), prior, [1.0], steps)
     level_steps = len(levels) * steps
-    constant = len(levels) + 1
+    constant = len(levels) + 2
     assert calls == {"cond": level_steps + constant, "slogdet": level_steps + constant}
 
 
