@@ -59,8 +59,6 @@ from .specio import (
 )
 from .systems import check_flow, closure
 
-_SUITES = ("flow", "measure", "rds", "bundle", "comonoid", "bayes")
-
 
 def _emit(text: str, out_path):
     if out_path:
@@ -234,19 +232,22 @@ def _suite_bayes(spec) -> dict:
     return {"suite": "bayes", "checks": [verdict], "pass": verdict["related"]}
 
 
+_SUITES = {
+    "flow": _suite_flow,
+    "measure": _suite_measure,
+    "rds": _suite_rds,
+    "bundle": _suite_bundle,
+    "comonoid": _suite_comonoid,
+    "bayes": _suite_bayes,
+}
+
+
 def cmd_check(args) -> int:
     spec = load_json(args.spec) if args.spec else None
     suite = args.suite
     if suite not in _SUITES:
         raise SpecError(f"unknown suite {suite!r}; choose from {', '.join(_SUITES)}")
-    report = {
-        "flow": _suite_flow,
-        "measure": _suite_measure,
-        "rds": _suite_rds,
-        "bundle": _suite_bundle,
-        "comonoid": _suite_comonoid,
-        "bayes": _suite_bayes,
-    }[suite](spec)
+    report = _SUITES[suite](spec)
     text = json.dumps(report, indent=2, default=_json_default) + "\n"
     _emit(text, args.out)
     return 0 if report["pass"] else 1

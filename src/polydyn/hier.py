@@ -23,7 +23,7 @@ unit unless the left factor supplies a richer ``forward_lift``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,7 +87,7 @@ class HierSystem:
     time: TimeMonoid
     emit: Callable  # (t, x) -> PolyMap source -> target
     absorb: Callable  # (t, x, i, d') -> Dist over states
-    effect: str = DETERMINISTIC
+    _: KW_ONLY
     forward_lift: Optional[Callable] = None  # (t, x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
     # (kind, left, right) for compose_hier/tensor_hier composites, whose
@@ -101,14 +101,9 @@ def mk_hier(
     states: Space,
     emit: Callable,
     absorb: Callable,
-    time: TimeMonoid = None,
-    effect: str = DETERMINISTIC,
-    forward_lift: Callable = None,
     init: Dist = None,
 ) -> HierSystem:
-    if time is None:
-        time = time_nat()
-    hs = HierSystem(source, target, states, time, emit, absorb, effect, forward_lift, init)
+    hs = HierSystem(source, target, states, time_nat(), emit, absorb, init=init)
     if is_finite(states):
         for x in points(states):
             phi = emit(1, x)
@@ -133,7 +128,7 @@ def as_hier(sys_: System) -> HierSystem:
     def absorb(t, x, i, d):
         return sys_.update(1, x, d)
 
-    return HierSystem(source, p, sys_.states, sys_.time, emit, absorb, sys_.effect)
+    return HierSystem(source, p, sys_.states, sys_.time, emit, absorb)
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +141,6 @@ def hier_from_tables(
     o1: Callable,  # (t, x, a) -> b
     o2: Callable,  # (t, x, a, t') -> s
     u: Callable,  # (t, x, a, t') -> Dist over states
-    time: TimeMonoid = None,
-    effect: str = DETERMINISTIC,
-    init: Dist = None,
 ) -> HierSystem:
     """Hierarchical system between monomial interfaces Ay^S -> By^T from its
     three component maps: forward output, backward output, update."""
@@ -158,7 +150,7 @@ def hier_from_tables(
     def emit(t, x):
         return det_polymap(source, target, lambda a: o1(t, x, a), lambda a, tp: o2(t, x, a, tp))
 
-    return mk_hier(source, target, states, emit, u, time, effect, init=init)
+    return mk_hier(source, target, states, emit, u)
 
 
 def hier_to_tables(hs: HierSystem):
@@ -210,11 +202,6 @@ def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         right_new = gamma.absorb(t, z, j, d_out)
         return dst(left_new, right_new)
 
-    effect = (
-        DETERMINISTIC
-        if (beta.effect, gamma.effect) == (DETERMINISTIC,) * 2
-        else STOCHASTIC
-    )
     lift = None
     if gamma.forward_lift is not None:
         def lift(t, xy, b):  # noqa: E731 - closure over gamma
@@ -222,8 +209,8 @@ def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
     return HierSystem(
-        beta.source, gamma.target, states, beta.time, emit, absorb, effect, lift, init,
-        ("compose", beta, gamma),
+        beta.source, gamma.target, states, beta.time, emit, absorb,
+        forward_lift=lift, init=init, factors=("compose", beta, gamma),
     )
 
 
@@ -245,15 +232,10 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         d1, d2 = dd
         return dst(beta.absorb(t, x, i, d1), gamma.absorb(t, z, j, d2))
 
-    effect = (
-        DETERMINISTIC
-        if (beta.effect, gamma.effect) == (DETERMINISTIC,) * 2
-        else STOCHASTIC
-    )
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
     return HierSystem(
-        source, target, states, beta.time, emit, absorb, effect, None, init,
-        ("tensor", beta, gamma),
+        source, target, states, beta.time, emit, absorb,
+        init=init, factors=("tensor", beta, gamma),
     )
 
 
@@ -267,9 +249,7 @@ def _stateless(source: Polynomial, target: Polynomial, lens: PolyMap) -> HierSys
     def absorb(t, x, i, d):
         return silent
 
-    return HierSystem(
-        source, target, ustates, time_nat(), emit, absorb, DETERMINISTIC, None, silent
-    )
+    return HierSystem(source, target, ustates, time_nat(), emit, absorb, init=silent)
 
 
 def copy_system(A: Space) -> HierSystem:
@@ -688,7 +668,7 @@ def _union(tables: list) -> tuple:
     return keys, options, maps
 
 
-def _section_choices(options: list, max_sections: int, seed: int) -> list:
+def _section_choices(options: list, max_sections: int) -> list:
     """Option indices of every section over the given keys, or of a seeded
     sample of ``max_sections`` when the exhaustive product is larger."""
     counts = [len(o) for o in options]
@@ -697,7 +677,7 @@ def _section_choices(options: list, max_sections: int, seed: int) -> list:
         total *= c
     if total <= max_sections:
         return list(itertools.product(*(range(c) for c in counts)))
-    gen = Rng(seed).generator()
+    gen = Rng(0).generator()
     return [tuple(int(gen.integers(c)) for c in counts) for _ in range(max_sections)]
 
 
@@ -755,16 +735,14 @@ class HomSection:
     table: tuple  # ((lens key, (position, direction)), ...)
 
 
-def hom_sections(
-    systems, horizon: int, max_sections: int = 512, seed: int = 0
-) -> list:
+def hom_sections(systems, horizon: int, max_sections: int = 512) -> list:
     """All environment strategies over the lenses the given systems can emit,
     capped by seeded sampling when the exhaustive product is too large."""
     done: dict = {}
     keys, options, _ = _union([_tabulate(hs, horizon, done) for hs in systems])
     return [
         HomSection(tuple(zip(keys, (opts[o] for opts, o in zip(options, combo)))))
-        for combo in _section_choices(options, max_sections, seed)
+        for combo in _section_choices(options, max_sections)
     ]
 
 
@@ -856,7 +834,7 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
     return seen
 
 
-def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections, seed):
+def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections):
     """First mismatch of every candidate pair, from the two systems' tables.
 
     Each side's candidates move together as the rows of one matrix; the
@@ -867,7 +845,7 @@ def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sec
     keys, options, maps = _union(tables)
     if sections is None:
         choices = [np.asarray(c, dtype=np.intp)
-                   for c in _section_choices(options, max_sections, seed)]
+                   for c in _section_choices(options, max_sections)]
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     laws = [np.stack([tb.law(d) for d in cands]) for tb, cands in zip(tables, (cand_a, cand_b))]
@@ -932,14 +910,18 @@ def quasi_bisim(
     alphas=None,
     betas=None,
     max_sections: int = 512,
-    seed: int = 0,
 ) -> dict:
     """Compare two systems by their traces under shared environments.
 
     The quantifier modes pick initial state laws: ``exists`` searches the
     candidate set for a witness, ``forall`` demands every candidate work.
     Candidates are the provided lists plus each system's canonical initial
-    law, every point mass, and the uniform law (finite state spaces).
+    law, every point mass, and the uniform law (finite state spaces).  Both
+    searches are capped, and the verdict does not say when a cap applied:
+    the point masses and the uniform law are dropped above ``_candidates``'
+    ``cap`` (256) states, and without explicit ``sections`` the sections
+    become a seeded sample of ``max_sections`` (512) when their exhaustive
+    product is larger.
     An open system on p is compared as the hierarchical system y -> p
     (``as_hier``).  Systems with finite states are compared on their tables.
     The verdict records the witnessing pair or the first mismatch."""
@@ -952,11 +934,11 @@ def quasi_bisim(
     cand_b = _candidates(psi, betas, beta_mode)
     if is_finite(theta.states) and is_finite(psi.states):
         n_sections, match = _hier_mismatches(
-            theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections, seed
+            theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections
         )
     else:
         if sections is None:
-            sections = hom_sections([theta, psi], horizon, max_sections, seed)
+            sections = hom_sections([theta, psi], horizon, max_sections)
         n_sections = len(sections)
         match = _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol)
 
@@ -1081,17 +1063,13 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     def absorb(t, table, i, d):
         return law
 
-    return HierSystem(
-        linear(X), linear(Y), table_space, time_nat(), emit, absorb, STOCHASTIC,
-        None, law,
-    )
+    return HierSystem(linear(X), linear(Y), table_space, time_nat(), emit, absorb, init=law)
 
 
 def bayes_check(
     c: HierSystem,
     pi: HierSystem,
     cdag: HierSystem,
-    sections=None,
     horizon: int = 4,
     tol: float = 1e-9,
 ) -> dict:
@@ -1115,9 +1093,7 @@ def bayes_check(
         compose_hier(compose_hier(pi, c), copy_system(Y)),
         tensor_hier(cdag, id_hier(linear(Y))),
     )
-    verdict = quasi_bisim(
-        lhs, rhs, "exists", "exists", sections=sections, horizon=horizon, tol=tol
-    )
+    verdict = quasi_bisim(lhs, rhs, "exists", "exists", horizon=horizon, tol=tol)
     return {"law": "dynamical-bayes", **verdict}
 
 
@@ -1169,9 +1145,7 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
     def emit(t, x):
         return compose_map(lift_lens(t, x), f.emit(t, x))
 
-    lifted = HierSystem(
-        f.source, g.source, f.states, f.time, emit, f.absorb, f.effect, None, f.init
-    )
+    lifted = HierSystem(f.source, g.source, f.states, f.time, emit, f.absorb, init=f.init)
     # g's positions are distributions, so g has no table; the composite is
     # tabulated by walking its own emit and absorb, not from its factors
     return replace(compose_hier(lifted, g), factors=None)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dist import Dist, Gaussian, _as_gaussian, dirac, dst, gaussian
 from .hier import HierSystem, hibi_compose
-from .poly import DETERMINISTIC, STOCHASTIC, PolyMap, monomial, time_nat
+from .poly import DETERMINISTIC, PolyMap, monomial, time_nat
 from .spaces import (
     dist_space,
     euclid,
@@ -111,8 +111,8 @@ def _prior_cov(cov: tuple) -> _Guarded:
 @dataclass(frozen=True)
 class GaussianChannel:
     """A channel x |-> N(mean(x), cov(x)) with an analytic Jacobian of the
-    mean map.  ``jacobian=None`` switches the Hessian machinery to finite
-    differences."""
+    mean map.  With ``jacobian=None`` the gradient and the Gauss-Newton
+    curvature use central differences of the mean map instead."""
 
     in_dim: int
     out_dim: int
@@ -241,21 +241,11 @@ def _jacobian(gamma: GaussianChannel, x: np.ndarray, h: float = 1e-6) -> np.ndar
 
 
 def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
-    """Gauss-Newton curvature J^T Sigma_gamma^{-1} J + Sigma_pi^{-1}; falls
-    back to central differences of the gradient when no Jacobian is given."""
-    xv, yv = _check_dims(pi, gamma, x, y)
-    if gamma.jacobian is not None:
-        jac = _jacobian(gamma, xv)
-        return jac.T @ _channel_cov(gamma, xv).solve(jac) + _prior_cov(pi.cov).inverse()
-    h = 1e-5
-    hess = np.zeros((xv.size, xv.size))
-    for k in range(xv.size):
-        dx = np.zeros_like(xv)
-        dx[k] = h
-        hess[:, k] = (
-            grad_energy(pi, gamma, xv + dx, yv) - grad_energy(pi, gamma, xv - dx, yv)
-        ) / (2.0 * h)
-    return (hess + hess.T) / 2.0
+    """Gauss-Newton curvature J^T Sigma_gamma^{-1} J + Sigma_pi^{-1}, with the
+    channel's Jacobian or its central-difference estimate (``_jacobian``)."""
+    xv, _ = _check_dims(pi, gamma, x, y)
+    jac = _jacobian(gamma, xv)
+    return jac.T @ _channel_cov(gamma, xv).solve(jac) + _prior_cov(pi.cov).inverse()
 
 
 def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
@@ -363,7 +353,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
         return gamma(xy[0])
 
     return HierSystem(
-        source, target, states, time_nat(), emit, absorb, STOCHASTIC, forward_lift, None
+        source, target, states, time_nat(), emit, absorb, forward_lift=forward_lift
     )
 
 

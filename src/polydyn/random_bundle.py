@@ -45,6 +45,10 @@ class RandomSystemError(ValueError):
     """A defining square failed to commute, or shapes don't line up."""
 
 
+# every law below quantifies over these times and over all sections
+_TIMES = (1, 2, 3)
+
+
 @dataclass(frozen=True)
 class ProbabilitySpace:
     space: Space  # finite
@@ -76,11 +80,9 @@ def check_measure_preserving(mp: MeasurePreservingSystem, generators) -> dict:
     return _report("measure-preserving", cases(), 0.0)
 
 
-def mk_measure_preserving(
-    base: ProbabilitySpace, flow: ClosedSystem, generators=(1, 2, 3)
-) -> MeasurePreservingSystem:
+def mk_measure_preserving(base: ProbabilitySpace, flow: ClosedSystem) -> MeasurePreservingSystem:
     mp = MeasurePreservingSystem(base, flow)
-    report = check_measure_preserving(mp, generators)
+    report = check_measure_preserving(mp, _TIMES)
     if not report["pass"]:
         raise RandomSystemError(f"flow does not preserve the measure: {report}")
     return mp
@@ -96,14 +98,14 @@ class MPMorphism:
     map: Callable
 
 
-def check_mp_morphism(psi: MPMorphism, generators=(1, 2, 3)) -> dict:
+def check_mp_morphism(psi: MPMorphism) -> dict:
     source, target = psi.source, psi.target
 
     def cases():
         pushed = pushforward(psi.map, source.base.measure, target=target.base.space)
         yield {"kind": "measure"}, dist_distance(pushed, target.base.measure)
         yield from _square_cases(
-            source.flow, target.flow, psi.map, generators, list(points(source.base.space)),
+            source.flow, target.flow, psi.map, _TIMES, list(points(source.base.space)),
             kind="flow",
         )
 
@@ -138,17 +140,15 @@ def as_system(rds: RandomSystem) -> System:
     )
 
 
-def check_random_system(rds: RandomSystem, sections=None, times=(1, 2, 3)) -> dict:
+def check_random_system(rds: RandomSystem) -> dict:
     """Exact commutation of projection with every sectioned closure."""
-    if sections is None:
-        sections = all_sections(rds.interface)
     sys_ = as_system(rds)
     states = list(points(rds.total_states))
 
     def cases():
-        for k, sigma in enumerate(sections):
+        for k, sigma in enumerate(all_sections(rds.interface)):
             yield from _square_cases(
-                closure(sys_, sigma), rds.base.flow, rds.proj, times, states, section=k
+                closure(sys_, sigma), rds.base.flow, rds.proj, _TIMES, states, section=k
             )
 
     return _report("random-system", cases(), 0.0)
@@ -161,17 +161,15 @@ def mk_random_system(
     interface: Polynomial,
     output: Callable,
     update: Callable,
-    sections=None,
-    times=(1, 2, 3),
 ) -> RandomSystem:
     rds = RandomSystem(base, total_states, proj, interface, output, update)
-    report = check_random_system(rds, sections, times)
+    report = check_random_system(rds)
     if not report["pass"]:
         raise RandomSystemError(f"projection square does not commute: {report}")
     return rds
 
 
-def reindex_rds(phi, rds: RandomSystem, sections=None, times=(1, 2, 3)) -> RandomSystem:
+def reindex_rds(phi, rds: RandomSystem) -> RandomSystem:
     """Transport the total system along a lens; the base is untouched and the
     square is re-verified on the new interface."""
     moved = reindex(phi, as_system(rds))
@@ -182,19 +180,15 @@ def reindex_rds(phi, rds: RandomSystem, sections=None, times=(1, 2, 3)) -> Rando
         moved.interface,
         moved.output,
         moved.update,
-        sections,
-        times,
     )
 
 
-def rebase_rds(
-    psi: MPMorphism, rds: RandomSystem, sections=None, times=(1, 2, 3)
-) -> RandomSystem:
+def rebase_rds(psi: MPMorphism, rds: RandomSystem) -> RandomSystem:
     """Change the base by post-composing the projection with a verified map of
     measure-preserving systems."""
     if psi.source != rds.base:
         raise RandomSystemError("morphism does not start at the system's base")
-    verdict = check_mp_morphism(psi, times)
+    verdict = check_mp_morphism(psi)
     if not verdict["pass"]:
         raise RandomSystemError(f"base morphism fails its laws: {verdict}")
 
@@ -208,8 +202,6 @@ def rebase_rds(
         rds.interface,
         rds.output,
         rds.update,
-        sections,
-        times,
     )
 
 
@@ -227,71 +219,48 @@ class BundleSystem:
     proj: Callable  # total state -> base state
 
 
-def check_bundle(
-    bs: BundleSystem, sections_p=None, sections_b=None, times=(1, 2, 3)
-) -> dict:
-    if sections_p is None:
-        sections_p = all_sections(bs.total_sys.interface)
-    if sections_b is None:
-        sections_b = all_sections(bs.base_sys.interface)
+def check_bundle(bs: BundleSystem) -> dict:
+    sections_b = all_sections(bs.base_sys.interface)
     states = list(points(bs.total_sys.states))
 
     def cases():
-        for kp, sigma in enumerate(sections_p):
+        for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):
             ct = closure(bs.total_sys, sigma)
             for kb, varsigma in enumerate(sections_b):
                 cb = closure(bs.base_sys, varsigma)
                 yield from _square_cases(
-                    ct, cb, bs.proj, times, states, section_p=kp, section_b=kb
+                    ct, cb, bs.proj, _TIMES, states, section_p=kp, section_b=kb
                 )
 
     return _report("bundle", cases(), 0.0)
 
 
-def mk_bundle(
-    base_sys: System,
-    total_sys: System,
-    proj: Callable,
-    sections_p=None,
-    sections_b=None,
-    times=(1, 2, 3),
-) -> BundleSystem:
+def mk_bundle(base_sys: System, total_sys: System, proj: Callable) -> BundleSystem:
     bs = BundleSystem(base_sys, total_sys, proj)
-    report = check_bundle(bs, sections_p, sections_b, times)
+    report = check_bundle(bs)
     if not report["pass"]:
         raise RandomSystemError(f"bundle square does not commute: {report}")
     return bs
 
 
-def reindex_bundle(
-    phi, bs: BundleSystem, sections_p=None, sections_b=None, times=(1, 2, 3)
-) -> BundleSystem:
+def reindex_bundle(phi, bs: BundleSystem) -> BundleSystem:
     """Move the total interface along a lens, keeping base and projection."""
-    return mk_bundle(
-        bs.base_sys, reindex(phi, bs.total_sys), bs.proj, sections_p, sections_b, times
-    )
+    return mk_bundle(bs.base_sys, reindex(phi, bs.total_sys), bs.proj)
 
 
-def rebase_bundle(
-    f: Callable,
-    new_base: System,
-    bs: BundleSystem,
-    sections_b=None,
-    times=(1, 2, 3),
-    sections_p=None,
-) -> BundleSystem:
+def rebase_bundle(f: Callable, new_base: System, bs: BundleSystem) -> BundleSystem:
     """Change the base system by post-composition with a verified morphism of
     open systems on the base interface."""
-    if sections_b is None:
-        sections_b = all_sections(bs.base_sys.interface)
-    verdict = is_system_morphism(f, bs.base_sys, new_base, sections_b, list(times))
+    verdict = is_system_morphism(
+        f, bs.base_sys, new_base, all_sections(bs.base_sys.interface), _TIMES
+    )
     if not verdict["pass"]:
         raise RandomSystemError(f"base-system morphism fails its squares: {verdict}")
 
     def proj(s):
         return f(bs.proj(s))
 
-    return mk_bundle(new_base, bs.total_sys, proj, sections_p, sections_b, times)
+    return mk_bundle(new_base, bs.total_sys, proj)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,6 @@ def mk_system(
     update: Callable,
     time: TimeMonoid = None,
     effect: str = DETERMINISTIC,
-    flavor: Flavor = None,
 ) -> System:
     """Assemble and shape-check a System.
 
@@ -105,12 +104,10 @@ def mk_system(
     """
     if time is None:
         time = time_nat()
-    if flavor is None:
-        flavor = DiscreteMap()
     if effect not in (DETERMINISTIC, STOCHASTIC):
         raise OpenSystemError(f"unknown effect {effect!r}")
-    sys_ = System(interface, states, time, output, update, effect, flavor)
-    if is_finite(states) and isinstance(flavor, DiscreteMap):
+    sys_ = System(interface, states, time, output, update, effect)
+    if is_finite(states):
         _validate_finite(sys_)
     return sys_
 

@@ -236,7 +236,7 @@ def test_stochastic_hier_absorb_law():
     def absorb(t, x, i, d):
         return uniform(states)
 
-    hs = mk_hier(y(), linear(states), states, emit, absorb, effect=STOCHASTIC)
+    hs = mk_hier(y(), linear(states), states, emit, absorb)
     sections = hom_sections([hs], horizon=2)
     tr = trace(hs, sections[0], dirac(states, 0), 2)
     assert prob_of_key(tr.values[1]) == 0.5
@@ -279,8 +279,7 @@ def test_hibi_compose_lifts_points_to_diracs():
             mode = max(points(A), key=lambda a: prob(pi_in, a))
             return dirac(states, (mode + offset) % 3)
 
-        return mk_hier(src, tgt, states, emit, absorb, effect=STOCHASTIC,
-                       init=dirac(states, 0))
+        return mk_hier(src, tgt, states, emit, absorb, init=dirac(states, 0))
 
     lower, upper = mk_level(1), mk_level(0)
     both = hibi_compose(lower, upper)
@@ -324,6 +323,21 @@ def test_mk_hier_validates_emitted_shape():
     with pytest.raises(HierError):
         mk_hier(linear(A), linear(A), finite(0), emit,
                 lambda t, x, i, d: dirac(finite(0), 0))
+
+
+def test_hier_system_optional_fields_are_keyword_only():
+    """A seventh positional argument, where an effect label used to go, is
+    refused instead of being read as the forward lift."""
+    states = finite(0)
+
+    def emit(t, x):
+        return det_polymap(y(), linear(A), lambda i: 0, lambda i, d: ())
+
+    args = (y(), linear(A), states, time_nat(), emit, lambda t, x, i, d: dirac(states, 0))
+    with pytest.raises(TypeError):
+        HierSystem(*args, STOCHASTIC)
+    hs = HierSystem(*args, init=dirac(states, 0))
+    assert hs.forward_lift is None and hs.init == dirac(states, 0)
 
 
 def test_quasi_bisim_on_infinite_states_walks_the_closures():

@@ -271,6 +271,18 @@ def test_nonlinear_channel_uses_finite_difference_jacobian():
         g1 = grad_energy(PI, with_jac, [x], [0.7])[0]
         g2 = grad_energy(PI, without, [x], [0.7])[0]
         assert abs(g1 - g2) / max(abs(g1), 1e-12) <= 1e-5
+    # both channels get the Gauss-Newton curvature, which stays positive where
+    # the energy's own second derivative does not (at x = -1.2 it is negative)
+    frozen = LaplaceConfig(rate=0.0)
+    for x in (-1.2, 0.3, 2.0):
+        s1 = sigma_star(PI, with_jac, [x], [0.7])
+        s2 = sigma_star(PI, without, [x], [0.7])
+        assert np.max(np.abs(s1 - s2)) <= 1e-9
+        r1 = rho_update([x], PI, [0.7], with_jac, frozen)
+        r2 = rho_update([x], PI, [0.7], without, frozen)
+        assert r1.mean == r2.mean
+        assert np.max(np.abs(r1.cov_array() - r2.cov_array())) <= 1e-9
+    assert abs(rho_update([-1.2], PI, [0.7], without, frozen).cov_array()[0, 0] - 0.8431) <= 1e-4
 
 
 def test_diagonal_problem_decouples():

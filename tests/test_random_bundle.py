@@ -52,7 +52,7 @@ def test_biased_swap_is_rejected():
     report = check_measure_preserving(MeasurePreservingSystem(base, flow), (1,))
     assert not report["pass"]
     with pytest.raises(RandomSystemError):
-        mk_measure_preserving(base, flow, (1,))
+        mk_measure_preserving(base, flow)
 
 
 def test_skew_product_square_commutes_exactly():

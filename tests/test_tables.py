@@ -99,7 +99,7 @@ def ticking(rng, n: int = 4):
         return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
 
     return mk_hier(y(), linear(B), states, emit, lambda t, x, i, d: moves[x],
-                   effect=STOCHASTIC, init=dyadic_dist(gen, states))
+                   init=dyadic_dist(gen, states))
 
 
 def routed(rng, spread: bool = True):
@@ -123,11 +123,9 @@ def routed(rng, spread: bool = True):
         return PolyMap(monomial(B, S), monomial(C, T), lambda b: f"c{(b + w) % 2}",
                        lambda b, u: backs[(w, b, u)], STOCHASTIC)
 
-    beta = mk_hier(y(), monomial(B, S), xs, b_emit,
-                   lambda t, x, i, s: b_moves[(x, s)], effect=STOCHASTIC)
+    beta = mk_hier(y(), monomial(B, S), xs, b_emit, lambda t, x, i, s: b_moves[(x, s)])
     gamma = mk_hier(monomial(B, S), monomial(C, T), zs, g_emit,
-                    lambda t, z, b, u: g_moves[(z, b, u)], effect=STOCHASTIC,
-                    init=dyadic_dist(gen, zs))
+                    lambda t, z, b, u: g_moves[(z, b, u)], init=dyadic_dist(gen, zs))
     return compose_hier(beta, gamma)
 
 
@@ -144,7 +142,6 @@ def from_tables(rng, n: int = 2, spread: bool = True):
         o1=lambda t, x, a: "go" if (spread * x + a) % 2 else "stay",
         o2=lambda t, x, a, tp: "s0" if (spread * x + (tp == "t1")) % 2 else "s1",
         u=lambda t, x, a, tp: moves[(x, a, tp)],
-        effect=STOCHASTIC,
     )
 
 
