@@ -167,6 +167,17 @@ def gaussian(space: Space, mean, cov) -> Gaussian:
     return Gaussian(space, tuple(mu.tolist()), tuple(map(tuple, sig.tolist())))
 
 
+def _gaussian_from_checked(space: Space, mean, cov: tuple) -> Gaussian:
+    """The law ``gaussian(space, mean, cov)`` for a ``cov`` that is already a
+    stored covariance: symmetric bit for bit and positive semi-definite, as
+    ``gaussian`` leaves it.  Symmetrising it again changes no bit, so only the
+    mean is checked."""
+    mu = np.asarray(mean, dtype=float).reshape(len(cov))
+    if not np.isfinite(mu).all():
+        raise DistError("mean and covariance must be finite")
+    return Gaussian(space, tuple(mu.tolist()), cov)
+
+
 def gaussian1(mean: float, var: float) -> Gaussian:
     """Scalar normal over euclid(1); a convenience for tests and demos."""
     return gaussian(euclid(1), [mean], [[var]])
@@ -357,7 +368,9 @@ def dst(d1: Dist, d2: Dist) -> Dist:
 
     Finite x finite multiplies weights; Gaussian x Gaussian stacks means with
     block-diagonal covariance.  A Dirac over a Euclidean-shaped space pairs
-    with a Gaussian as a zero-covariance block.
+    with a Gaussian as a zero-covariance block.  Each block was checked when
+    its factor was built, so of a Gaussian product only the means are checked
+    here; the covariance is not checked again.
     """
     space = prod(d1.space, d2.space)
     if isinstance(d1, Dirac) and isinstance(d2, Dirac):
@@ -378,12 +391,9 @@ def dst(d1: Dist, d2: Dist) -> Dist:
             "dst of a finite-support and a continuous factor is outside the "
             "exact regimes; use sample() on each factor"
         )
-    n1, n2 = len(g1.mean), len(g2.mean)
-    mu = np.concatenate([g1.mean_array(), g2.mean_array()])
-    sig = np.zeros((n1 + n2, n1 + n2))
-    sig[:n1, :n1] = g1.cov_array()
-    sig[n1:, n1:] = g2.cov_array()
-    return gaussian(space, mu, sig)
+    pad1, pad2 = (0.0,) * len(g1.mean), (0.0,) * len(g2.mean)
+    cov = tuple(row + pad2 for row in g1.cov) + tuple(pad1 + row for row in g2.cov)
+    return _gaussian_from_checked(space, g1.mean + g2.mean, cov)
 
 
 def _as_gaussian(d: Dist):

@@ -17,6 +17,15 @@ treats as *its* datum).  ``stack`` chains levels with ``hibi_compose``; each
 level hands the next one a calibrated predictive prior instead of a point
 mass, via ``forward_lift``: the channel's own law at the latent estimate, since
 a ``GaussianChannel`` is callable as its kernel.
+
+What never changes is checked once.  A constant covariance has its
+conditioning checked when it is built (``_Guarded``); a linear channel's is
+then also checked symmetric and PSD, so its laws ``ch(x)`` check only their
+mean.  A prior's covariance is checked once per value (``_prior_cov``).  A
+linear level (constant Jacobian and covariance) has the same curvature at every
+mean, so its belief covariance is solved, checked and inverted once per prior
+covariance (``_linear_belief_cov``).  Only nonlinear levels and
+state-dependent covariances are checked at every step.
 """
 
 from __future__ import annotations
@@ -28,7 +37,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dist import Dist, Gaussian, _as_gaussian, dirac, dst, gaussian
+from .dist import (
+    Dist,
+    DistError,
+    Gaussian,
+    _as_gaussian,
+    _gaussian_from_checked,
+    dirac,
+    dst,
+    gaussian,
+)
 from .hier import HierSystem, hibi_compose
 from .poly import DETERMINISTIC, PolyMap, monomial, time_nat
 from .spaces import (
@@ -57,11 +75,12 @@ def _logdet_psd(what: str, sigma: np.ndarray) -> float:
 
 class _Guarded:
     """A matrix whose condition number shows that it can be solved against or
-    inverted.  The check runs once, when it is built; the log-determinant and
-    the inverse are computed on first use and kept.  A constant channel
-    covariance is one of these, callable as the channel's ``cov`` map."""
+    inverted.  The check runs once, when it is built; the log-determinant, the
+    inverse and the law covariance (``law_cov``) are computed on first use and
+    kept.  A constant channel covariance is one of these, callable as the
+    channel's ``cov`` map."""
 
-    __slots__ = ("what", "matrix", "_logdet", "_inverse")
+    __slots__ = ("what", "matrix", "_logdet", "_inverse", "_law_cov")
 
     def __init__(self, what: str, sigma):
         sigma = np.atleast_2d(sigma)
@@ -69,7 +88,7 @@ class _Guarded:
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
         self.what, self.matrix = what, sigma
-        self._logdet = self._inverse = None
+        self._logdet = self._inverse = self._law_cov = None
 
     def __call__(self, x) -> np.ndarray:
         """A constant covariance: the same matrix at every x."""
@@ -87,6 +106,27 @@ class _Guarded:
         if self._inverse is None:
             self._inverse = np.linalg.inv(self.matrix)
         return self._inverse
+
+    def law_cov(self) -> tuple:
+        """The matrix as a law's covariance (``Gaussian.cov``): checked
+        symmetric and PSD by ``dist.gaussian``, and symmetrised."""
+        if self._law_cov is None:
+            n = len(self.matrix)
+            self._law_cov = gaussian(euclid(n), np.zeros(n), self.matrix).cov
+        return self._law_cov
+
+
+class _ConstantJacobian:
+    """The Jacobian of an affine mean map: the same matrix at every x.  It marks
+    a linear level, whose belief covariance ``rho_update`` computes once."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def __call__(self, x) -> np.ndarray:
+        return self.matrix
 
 
 def _channel_cov(gamma: GaussianChannel, x: np.ndarray) -> _Guarded:
@@ -130,33 +170,43 @@ class GaussianChannel:
                 f"channel with out_dim {n} gave a mean of size {mean.size} "
                 f"and a covariance of shape {cov.shape}"
             )
+        if isinstance(self.cov, _Guarded):
+            # checked and symmetrised once, when the channel was built
+            return _gaussian_from_checked(euclid(n), mean, self.cov.law_cov())
         return gaussian(euclid(n), mean, cov)
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
     """Channel with affine mean Ax + b and constant covariance, which is
-    checked here, once."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    checked here, once: well conditioned, symmetric and PSD."""
+    a = np.atleast_2d(np.array(matrix, dtype=float))
     out_dim, in_dim = a.shape
     b = np.zeros(out_dim) if offset is None else np.asarray(offset, dtype=float).reshape(-1)
     s = np.eye(out_dim) if cov is None else np.atleast_2d(np.array(cov, dtype=float))
     if b.shape != (out_dim,) or s.shape != (out_dim, out_dim):
         raise LaplaceError("offset/cov dimensions do not match the matrix")
-    # the channel's own copy, read-only: its kept inverse and log-determinant
-    # must not drift from it
-    s.flags.writeable = False
+    # the channel's own copies, read-only: what is kept from them (the
+    # covariance's inverse and log-determinant, the belief covariance) must
+    # not drift from them
+    a.flags.writeable = s.flags.writeable = False
+    sig = _Guarded("channel covariance", s)
+    try:
+        sig.law_cov()
+    except DistError as exc:
+        raise LaplaceError(f"channel {exc}") from None
     return GaussianChannel(
         in_dim,
         out_dim,
         mean=lambda x: a @ np.asarray(x, dtype=float) + b,
-        jacobian=lambda x: a,
-        cov=_Guarded("channel covariance", s),
+        jacobian=_ConstantJacobian(a),
+        cov=sig,
     )
 
 
 def mk_state(mean, cov) -> Gaussian:
     """A Gaussian belief over ``euclid(len(mean))``; ``dist.gaussian`` checks
-    the covariance."""
+    the mean and the covariance, on every call.  ``rho_update`` calls it once
+    per linear level and prior covariance, and then checks only the mean."""
     m = np.asarray(mean, dtype=float).reshape(-1)
     c = np.atleast_2d(np.asarray(cov, dtype=float))
     if c.shape != (m.size, m.size):
@@ -281,6 +331,18 @@ def free_energy_second_order(
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _linear_belief_cov(gamma: GaussianChannel, prior_cov: tuple) -> tuple:
+    """The belief covariance (``Gaussian.cov``) of a linear level against a
+    prior with covariance ``prior_cov``.  With a constant Jacobian and channel
+    covariance the curvature is the same at every mean, so it is solved,
+    checked and inverted once per pair.  A failed check raises, and nothing
+    is kept."""
+    origin = np.zeros(gamma.in_dim)
+    pi = Gaussian(euclid(gamma.in_dim), tuple(origin.tolist()), prior_cov)
+    return mk_state(origin, sigma_star(pi, gamma, origin, np.zeros(gamma.out_dim))).cov
+
+
 def rho_update(
     x, pi: Gaussian, y, gamma: GaussianChannel, cfg: LaplaceConfig
 ) -> Gaussian:
@@ -288,6 +350,9 @@ def rho_update(
     covariance to the optimal one at the new mean."""
     xv, yv = _check_dims(pi, gamma, x, y)
     new_mean = xv - cfg.rate * grad_energy(pi, gamma, xv, yv)
+    if isinstance(gamma.jacobian, _ConstantJacobian) and isinstance(gamma.cov, _Guarded):
+        cov = _linear_belief_cov(gamma, pi.cov)
+        return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, cov)
     return mk_state(new_mean, sigma_star(pi, gamma, new_mean, yv))
 
 

@@ -115,3 +115,13 @@ def enumerate_deterministic_systems(iface, states):
                 )
             )
     return systems
+
+
+def gaussian_bits(law):
+    """A Gaussian law's space and the bit patterns of its numbers; unlike
+    ``==`` it tells -0.0 from 0.0."""
+    return (
+        law.space,
+        [m.hex() for m in law.mean],
+        [[c.hex() for c in row] for row in law.cov],
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import shutil
@@ -168,6 +169,20 @@ def test_a_singular_level_covariance_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "channel covariance is numerically singular" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        ("laplace1d", "a711eade43bae33d613cb87a8bca40e1927b7ec5b9da79e73a7c417ea6068ea1"),
+        ("laplace2level", "36e938cf334c631bd8dbe4ba2876031cad5bd04232e14bf6965f508d709d1275"),
+    ],
+)
+def test_laplace_stdout_is_pinned(capsys, spec, digest):
+    """``polydyn laplace`` prints every mean and free energy with ``repr``, so
+    a change in the last bit of any step changes this digest."""
+    assert main(["laplace", "--spec", str(SPECS / f"{spec}.json")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_two_level_laplace_csv(tmp_path):

@@ -35,6 +35,9 @@ from polydyn import (
     sample_many,
     uniform,
 )
+from polydyn.dist import _as_gaussian
+
+from helpers import gaussian_bits
 
 SPACE = finite(0, 1, 2, 3)
 
@@ -187,6 +190,42 @@ def test_dst_dirac_euclid_coerces_to_zero_cov_block():
     assert tuple(j.mean) == (4.0, 0.0)
     c = np.asarray(j.cov)
     assert c[0, 0] == 0.0 and c[1, 1] == 1.0
+
+
+def _block_law(d1, d2):
+    """``dst`` of two Euclidean factors as ``gaussian`` builds it: stacked
+    means and a block-diagonal covariance, checked and symmetrised."""
+    g1, g2 = _as_gaussian(d1), _as_gaussian(d2)
+    n1, n2 = len(g1.mean), len(g2.mean)
+    cov = np.zeros((n1 + n2, n1 + n2))
+    cov[:n1, :n1], cov[n1:, n1:] = g1.cov_array(), g2.cov_array()
+    mean = np.concatenate([g1.mean_array(), g2.mean_array()])
+    return gaussian(prod(d1.space, d2.space), mean, cov)
+
+
+def test_dst_of_gaussians_matches_the_generic_constructor_bit_for_bit():
+    """A product of Gaussian factors (a Dirac over a Euclidean space being a
+    zero-covariance one) is built from its checked blocks without a second
+    check, and is the law ``gaussian`` builds, -0.0 entries included.  A
+    non-finite mean is still refused."""
+    gen = np.random.default_rng(21)
+    laws = [
+        gaussian(euclid(2), [-0.0, 1.5], [[2.0, -0.0], [-0.0, 0.5]]),
+        dirac(euclid(2), (0.5, -0.0)),
+    ]
+    for n in (1, 2, 3):
+        root = gen.standard_normal((n, n))
+        skew = 1e-12 * np.triu(np.ones((n, n)), 1)
+        laws.append(gaussian(euclid(n), gen.standard_normal(n), root @ root.T + skew))
+    for d1 in laws:
+        for d2 in laws:
+            if isinstance(d1, Gaussian) or isinstance(d2, Gaussian):
+                assert gaussian_bits(dst(d1, d2)) == gaussian_bits(_block_law(d1, d2))
+    for bad in (math.nan, math.inf):
+        point = dirac(euclid(1), (bad,))
+        for pair in ((point, laws[0]), (laws[0], point)):
+            with pytest.raises(DistError, match="finite"):
+                dst(*pair)
 
 
 def test_pushforward_finite():

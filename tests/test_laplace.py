@@ -32,7 +32,10 @@ from polydyn import (
     stack,
     state_dist,
 )
-from polydyn.laplace import _prior_cov
+from polydyn.dist import DistError, gaussian
+from polydyn.laplace import _linear_belief_cov, _prior_cov
+
+from helpers import gaussian_bits
 
 # 1-D testbed: observation y = 2x + noise(var 1), prior x ~ N(0, 1), datum 1.
 # Posterior: precision 2*2/1 + 1 = 5, mean (2*1/1)/5 = 0.4, variance 0.2.
@@ -229,15 +232,90 @@ def test_a_singular_constant_covariance_is_refused_when_the_channel_is_built(cov
         linear_channel(np.eye(n), cov=cov)
 
 
+@pytest.mark.parametrize(
+    "cov, what",
+    [
+        ([[-1.0]], "not positive semi-definite"),
+        (-np.eye(2), "not positive semi-definite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive semi-definite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "not symmetric"),
+    ],
+)
+def test_an_indefinite_or_skewed_constant_covariance_is_refused_when_the_channel_is_built(
+    cov, what
+):
+    """Well conditioned is not enough: the covariance must also be a law's
+    covariance, symmetric within 1e-9 and PSD within 1e-10, as
+    ``dist.gaussian`` requires."""
+    with pytest.raises(LaplaceError, match=f"channel covariance is {what}"):
+        linear_channel(np.eye(len(cov)), cov=cov)
+
+
+def _seeded_cov(gen, n):
+    """A positive definite n x n covariance whose first row and column are
+    -0.0 off the diagonal: a principal block of a positive definite matrix
+    beside a positive variance."""
+    root = gen.standard_normal((n, n))
+    cov = root @ root.T + np.eye(n)
+    cov[0, 1:] = cov[1:, 0] = -0.0
+    return cov
+
+
+def _seeded_linear_channels():
+    """Linear channels of every shape with dims 1-3.  A covariance of more
+    than one dimension has -0.0 entries, and one of three dimensions is
+    symmetric only within 1e-12."""
+    gen = np.random.default_rng(20)
+    for n_in in (1, 2, 3):
+        for n_out in (1, 2, 3):
+            cov = _seeded_cov(gen, n_out)
+            if n_out == 3:
+                cov[1, 2] += 1e-12
+            yield linear_channel(
+                gen.standard_normal((n_out, n_in)), gen.standard_normal(n_out), cov
+            ), gen
+
+
+def test_linear_fast_paths_match_the_generic_constructor_bit_for_bit():
+    """A linear level's belief is the law ``mk_state`` builds from the
+    optimal covariance, on the first update and on later ones, against each
+    of two priors in turn, and a linear channel's law at x is the law
+    ``gaussian`` builds from its mean and covariance there."""
+    _linear_belief_cov.cache_clear()
+    cfg = LaplaceConfig(rate=0.05)
+    for ch, gen in _seeded_linear_channels():
+        n, m = ch.in_dim, ch.out_dim
+        priors = [mk_state(gen.standard_normal(n), _seeded_cov(gen, n)) for _ in range(2)]
+        y = gen.standard_normal(m)
+        for x, pi in zip((np.full(n, -0.0), *gen.standard_normal((3, n))), priors * 2):
+            new_mean = x - cfg.rate * grad_energy(pi, ch, x, y)
+            want = mk_state(new_mean, sigma_star(pi, ch, new_mean, y))
+            assert gaussian_bits(rho_update(x, pi, y, ch, cfg)) == gaussian_bits(want)
+            law = gaussian_bits(ch(x))
+            assert law == gaussian_bits(gaussian(euclid(m), ch.mean(x), ch.cov(x)))
+            assert gaussian_bits(build_laplace(ch, cfg).forward_lift(0, (x, y), y)) == law
+        for bad in (np.nan, np.inf):
+            x = np.full(n, bad)
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(DistError, match="must be finite"):
+                    rho_update(x, pi, y, ch, cfg)
+                with pytest.raises(DistError, match="must be finite"):
+                    ch(x)
+
+
 def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     """On a two-level linear hierarchy the condition check runs once for each
     constant covariance (two channels, the raw prior, and the law the lower
-    channel pushes up as the upper prior) and once per level-step, for the
-    energy Hessian; the log-determinant runs once for each constant
+    channel pushes up as the upper prior) and once for each level's energy
+    Hessian, whose prior covariance never changes: 6 in all.  The PSD check
+    runs once for each channel covariance, the raw prior and each level's
+    belief covariance; the inverse once for each prior covariance and each
+    energy Hessian.  The log-determinant runs once for each constant
     covariance and once per level-step, for the belief entropy."""
     _prior_cov.cache_clear()
+    _linear_belief_cov.cache_clear()
     calls = collections.Counter()
-    for name in ("cond", "slogdet"):
+    for name in ("cond", "slogdet", "eigvalsh", "inv"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -249,7 +327,12 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     run_stack(levels, LaplaceConfig(rate=0.05), prior, [1.0], steps)
     level_steps = len(levels) * steps
     constant = len(levels) + 2
-    assert calls == {"cond": level_steps + constant, "slogdet": level_steps + constant}
+    assert calls == {
+        "cond": constant + len(levels),
+        "eigvalsh": len(levels) + 1 + len(levels),
+        "inv": 2 + len(levels),
+        "slogdet": level_steps + constant,
+    }
 
 
 def test_uninformative_channel_keeps_the_prior_covariance():
