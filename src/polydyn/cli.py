@@ -78,6 +78,15 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+def _horizon(args, spec: dict, key: str, default: int) -> int:
+    """The run length: ``--horizon`` when given, else the spec's ``key``."""
+    value = args.horizon if args.horizon is not None else int(spec.get(key, default))
+    if value < 0:
+        source = "--horizon" if args.horizon is not None else f"spec key {key!r}"
+        raise SpecError(f"{source} must be non-negative, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -87,7 +96,7 @@ def cmd_run(args) -> int:
     sys_ = system_from_json(spec["system"])
     sigma = section_from_json(sys_.interface, spec.get("section"))
     init = dist_of(sys_.states, spec.get("init", "uniform"))
-    horizon = args.horizon if args.horizon is not None else int(spec.get("horizon", 8))
+    horizon = _horizon(args, spec, "horizon", 8)
     mode = spec.get("mode", "exact")
     if mode == "exact":
         tr = trace(sys_, sigma, init, horizon)
@@ -269,7 +278,7 @@ def _json_default(obj):
 def cmd_laplace(args) -> int:
     spec = load_json(args.spec)
     levels, pi0, datum, cfg = laplace_from_json(spec)
-    steps = args.horizon if args.horizon is not None else int(spec.get("steps", 200))
+    steps = _horizon(args, spec, "steps", 200)
     rows_out = [
         tuple(
             ["step", "level"]
@@ -295,7 +304,7 @@ def cmd_demo(args) -> int:
         theta_rate=float(spec.get("theta", 1.0)),
         sigma=float(spec.get("sigma", 0.5)),
         h=float(spec.get("h", 0.02)),
-        horizon=args.horizon if args.horizon is not None else int(spec.get("horizon", 1000)),
+        horizon=_horizon(args, spec, "horizon", 1000),
         seed=args.seed,
         x0=float(spec.get("x0", 0.0)),
     )

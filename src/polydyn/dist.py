@@ -65,9 +65,6 @@ class Rng:
     def child(self, i: int) -> "Rng":
         return Rng(self.seed, self.path + (int(i),))
 
-    def split(self, n: int) -> tuple:
-        return tuple(self.child(i) for i in range(n))
-
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
@@ -178,11 +175,6 @@ def _gaussian_from_checked(space: Space, mean, cov: tuple) -> Gaussian:
     return Gaussian(space, tuple(mu.tolist()), cov)
 
 
-def gaussian1(mean: float, var: float) -> Gaussian:
-    """Scalar normal over euclid(1); a convenience for tests and demos."""
-    return gaussian(euclid(1), [mean], [[var]])
-
-
 def finite_items(d: Dist) -> tuple:
     """Support/weight pairs of a finite-support distribution."""
     if isinstance(d, Dirac):
@@ -212,13 +204,9 @@ class GaussianKernel:
     matrix: tuple
     offset: tuple
     cov: tuple
-    target: Space = None  # defaults to euclid(out_dim)
-    source: Space = None  # set when inputs are structured points, not vectors
 
     @staticmethod
-    def of(
-        matrix, offset=None, cov=None, target: Space = None, source: Space = None
-    ) -> "GaussianKernel":
+    def of(matrix, offset=None, cov=None) -> "GaussianKernel":
         a = np.atleast_2d(np.asarray(matrix, dtype=float))
         m = a.shape[0]
         b = np.zeros(m) if offset is None else np.asarray(offset, dtype=float)
@@ -227,8 +215,6 @@ class GaussianKernel:
             tuple(map(tuple, a.tolist())),
             tuple(b.tolist()),
             tuple(map(tuple, s.tolist())),
-            target,
-            source,
         )
 
     @property
@@ -247,24 +233,19 @@ class GaussianKernel:
             np.asarray(self.cov, dtype=float).reshape(m, m),
         )
 
-    def target_space(self) -> Space:
-        return self.target if self.target is not None else euclid(self.out_dim)
-
     def __call__(self, x) -> Dist:
         a, b, s = self.arrays()
-        if self.source is not None:
-            flat = np.asarray(flatten_floats(self.source, x), dtype=float)
-        else:
-            flat = np.asarray(x, dtype=float).reshape(-1)
-        return gaussian(self.target_space(), a @ flat + b, s)
+        flat = np.asarray(x, dtype=float).reshape(-1)
+        return gaussian(euclid(self.out_dim), a @ flat + b, s)
 
 
 # ---------------------------------------------------------------------------
 # Monad operations
 
 
-def pushforward(f, d: Dist, target: Space = None) -> Dist:
-    """Image distribution of a finite-support ``d`` under the function ``f``.
+def pushforward(f, d: Dist, target: Space) -> Dist:
+    """Image distribution over ``target`` of a finite-support ``d`` under the
+    function ``f``.
 
     A Gaussian has no exact image under an opaque function: for an affine map
     bind it with a ``GaussianKernel`` (zero covariance for a deterministic
@@ -272,10 +253,9 @@ def pushforward(f, d: Dist, target: Space = None) -> Dist:
     """
     if isinstance(d, (Dirac, Categorical)):
         pairs = [(f(a), w) for a, w in finite_items(d)]
-        space = target if target is not None else _infer_space(d.space, pairs)
         if len(pairs) == 1:
-            return dirac(space, pairs[0][0])
-        return categorical(space, pairs)
+            return dirac(target, pairs[0][0])
+        return categorical(target, pairs)
     if isinstance(d, Gaussian):
         raise DistError(
             "pushforward of a Gaussian has no exact image; bind it with a "
@@ -283,14 +263,6 @@ def pushforward(f, d: Dist, target: Space = None) -> Dist:
             "sample() and transform the draws"
         )
     raise DistError(f"not a distribution: {d!r}")
-
-
-def _infer_space(source: Space, pairs) -> Space:
-    if all(contains(source, a) for a, _ in pairs):
-        return source
-    raise DistError(
-        "cannot infer the target space of this pushforward; pass target="
-    )
 
 
 def bind(d: Dist, k) -> Dist:
@@ -324,7 +296,7 @@ def bind(d: Dist, k) -> Dist:
             a, b, s = k.arrays()
             mu = a @ d.mean_array() + b
             sig = a @ d.cov_array() @ a.T + s
-            return gaussian(k.target_space(), mu, sig)
+            return gaussian(euclid(k.out_dim), mu, sig)
         raise DistError(
             "binding a Gaussian needs an affine-Gaussian kernel "
             "(GaussianKernel); otherwise use sample()"
@@ -346,8 +318,6 @@ def kleisli_compose(k2, k1):
             a2 @ a1,
             a2 @ b1 + b2,
             a2 @ s1 @ a2.T + s2,
-            target=k2.target,
-            source=k1.source,
         )
 
     def composite(x):
@@ -435,10 +405,6 @@ def sample(d: Dist, rng: Rng) -> Any:
     raise DistError(f"not a distribution: {d!r}")
 
 
-def sample_many(d: Dist, rng: Rng, n: int) -> list:
-    return [sample(d, rng.child(i)) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -462,10 +428,6 @@ def dist_distance(d1: Dist, d2: Dist) -> float:
         dc = float(np.max(np.abs(g1.cov_array() - g2.cov_array()), initial=0.0))
         return max(dm, dc)
     return float("inf")
-
-
-def dist_equal(d1: Dist, d2: Dist, tol: float = 1e-9) -> bool:
-    return dist_distance(d1, d2) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .poly import (
     TimeMonoid,
     compose_map,
     det_polymap,
-    dirac_point,
     id_map,
     linear,
     monomial,
@@ -64,7 +63,6 @@ from .spaces import (
     DistSpace,
     FiniteSpace,
     Space,
-    dist_space,
     expand_point,
     is_finite,
     normalize_point,
@@ -151,18 +149,6 @@ def hier_from_tables(
         return det_polymap(source, target, lambda a: o1(t, x, a), lambda a, tp: o2(t, x, a, tp))
 
     return mk_hier(source, target, states, emit, u)
-
-
-def hier_to_tables(hs: HierSystem):
-    """Recover the (forward output, backward output, update) component maps of
-    a monomial-shaped hierarchical system.  Inverse to ``hier_from_tables``."""
-    def o1(t, x, a):
-        return hs.emit(t, x).forward(a)
-
-    def o2(t, x, a, t_prime):
-        return dirac_point(hs.emit(t, x).backward(a, t_prime))
-
-    return o1, o2, hs.absorb
 
 
 # ---------------------------------------------------------------------------
@@ -1099,13 +1085,6 @@ def bayes_check(
 
 # ---------------------------------------------------------------------------
 # bidirectional (distribution-fed) composition
-
-
-def hibi_pair_hom(A: Space, S: Space, B: Space, T: Space) -> tuple:
-    """Source/target interfaces of a bidirectional hom (A,S) -> (B,T): the
-    forward input is a distribution over A, the forward output a point of B,
-    with S and T the respective backward directions."""
-    return monomial(dist_space(A), S), monomial(B, T)
 
 
 def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:

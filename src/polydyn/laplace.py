@@ -84,6 +84,9 @@ class _Guarded:
 
     def __init__(self, what: str, sigma):
         sigma = np.atleast_2d(sigma)
+        # checked first: numpy's condition number fails on a NaN entry
+        if not np.isfinite(sigma).all():
+            raise LaplaceError(f"{what} is not finite")
         cond = np.linalg.cond(sigma)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
@@ -222,11 +225,11 @@ def state_dist(state: Gaussian) -> Gaussian:
 
 @dataclass(frozen=True)
 class LaplaceConfig:
-    """Gradient-descent schedule: step size, iteration budget, stop tol."""
+    """The gradient-descent step size (the learning rate lambda) of every
+    belief update; 0 freezes the mean.  A run lasts as many steps as its
+    caller asks for (``run_stack``, ``mean_path``)."""
 
-    rate: float = 0.05  # the learning rate (lambda); 0 freezes the mean
-    iterations: int = 10000
-    tolerance: float = 1e-8
+    rate: float = 0.05
 
     def __post_init__(self):
         if not self.rate >= 0:
@@ -354,19 +357,6 @@ def rho_update(
         cov = _linear_belief_cov(gamma, pi.cov)
         return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, cov)
     return mk_state(new_mean, sigma_star(pi, gamma, new_mean, yv))
-
-
-def descend(
-    x0, pi: Gaussian, y, gamma: GaussianChannel, cfg: LaplaceConfig
-) -> Gaussian:
-    """Iterate rho_update until the mean moves less than the tolerance."""
-    state = mk_state(np.asarray(x0, dtype=float), pi.cov_array())
-    for _ in range(cfg.iterations):
-        new = rho_update(state.mean_array(), pi, y, gamma, cfg)
-        if float(np.max(np.abs(new.mean_array() - state.mean_array()), initial=0.0)) <= cfg.tolerance:
-            return new
-        state = new
-    return state
 
 
 # ---------------------------------------------------------------------------

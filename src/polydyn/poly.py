@@ -16,7 +16,7 @@ there to a distribution over source directions.  Deterministic maps are those
 whose backward family is Dirac-valued.
 
 Tensor products keep their structural ``Prod`` shape; nothing is flattened
-unless you ask (see ``spaces.normalize_space``).
+unless you ask (see ``spaces.normalize_point``).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .dist import (
 )
 from .spaces import (
     Space,
+    SpaceError,
     check_point,
     is_finite,
     normalize_point,
@@ -146,10 +147,6 @@ class PolyMap:
             raise PolyError(f"unknown effect {self.effect!r}")
 
 
-def mk_polymap(source, target, forward, backward, effect=DETERMINISTIC) -> PolyMap:
-    return PolyMap(source, target, forward, backward, effect)
-
-
 def det_polymap(source, target, forward, backward_point) -> PolyMap:
     """Deterministic lens from a point-valued backward function."""
 
@@ -211,10 +208,6 @@ class Section:
     assign: Callable  # position -> direction at that position
 
 
-def section(p: Polynomial, assign: Callable) -> Section:
-    return Section(p, assign)
-
-
 def constant_section(p: Polynomial, d) -> Section:
     return Section(p, lambda i: d)
 
@@ -246,11 +239,17 @@ def all_sections(p: Polynomial) -> list:
 
 
 def check_section(p: Polynomial, sigma: Section) -> None:
-    """Typecheck a section at every position (finite positions only)."""
+    """Typecheck a section at every position (finite positions only); a
+    position that gets no direction, or one outside its fibre, is named."""
     if sigma.of != p:
         raise PolyError("section belongs to a different interface")
     for i in points(p.positions):
-        check_point(p.dirs_at(i), sigma.assign(i))
+        try:
+            check_point(p.dirs_at(i), sigma.assign(i))
+        except KeyError:
+            raise PolyError(f"section gives no direction at position {i!r}") from None
+        except SpaceError as exc:
+            raise PolyError(f"section at position {i!r}: {exc}") from None
 
 
 def dirac_point(d: Dist):
@@ -281,8 +280,8 @@ def pull_section(phi: PolyMap, tau: Section) -> Section:
 # comparison and canonical encodings (finite interfaces)
 
 
-def maps_agree(f: PolyMap, g: PolyMap, tol: float = 0.0) -> bool:
-    """Extensional equality of two lenses with the same finite shape."""
+def maps_agree(f: PolyMap, g: PolyMap) -> bool:
+    """Exact extensional equality of two lenses with the same finite shape."""
     if f.source != g.source or f.target != g.target:
         return False
     for i in points(f.source.positions):
@@ -290,7 +289,7 @@ def maps_agree(f: PolyMap, g: PolyMap, tol: float = 0.0) -> bool:
             return False
         fibre = f.target.dirs_at(f.forward(i))
         for d in points(fibre):
-            if dist_distance(f.backward(i, d), g.backward(i, d)) > tol:
+            if dist_distance(f.backward(i, d), g.backward(i, d)) > 0.0:
                 return False
     return True
 
@@ -344,9 +343,6 @@ class TimeMonoid:
             raise PolyError(f"unknown time kind {self.kind!r}")
         if self.kind == "real" and not self.h > 0:
             raise PolyError("real time needs a positive step")
-
-    def duration(self, t: int) -> float:
-        return t * self.h if self.kind == "real" else float(t)
 
     def check(self, t) -> int:
         if not isinstance(t, int) or t < 0:

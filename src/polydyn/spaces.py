@@ -10,9 +10,9 @@ A space is one of:
   hierarchical interfaces whose inputs are themselves distributions). In-memory
   only; it has no JSON form and no enumeration.
 
-Products are never flattened silently.  ``normalize_space`` / ``normalize_point``
-are the explicit normalization points: they splice nested products, drop unit
-factors, and collapse empty products to the unit space.
+Products are never flattened silently.  ``normalize_point`` is the explicit
+normalization point: it splices nested products, drops unit factors, and
+collapses empty products to the unit point ``()``; ``expand_point`` inverts it.
 """
 
 from __future__ import annotations
@@ -184,16 +184,6 @@ def points(space: Space) -> Iterator:
 # ---------------------------------------------------------------------------
 # normalization
 
-def normalize_space(space: Space) -> Space:
-    """Flatten nested products, drop unit factors, unwrap singleton products."""
-    parts = _norm_factors(space)
-    if not parts:
-        return _UNIT
-    if len(parts) == 1:
-        return parts[0]
-    return ProdSpace(tuple(parts))
-
-
 def _norm_factors(space: Space) -> list:
     if isinstance(space, UnitSpace):
         return []
@@ -211,7 +201,8 @@ def _norm_arity(space: Space) -> int:
 
 
 def normalize_point(space: Space, value: Any) -> Any:
-    """Rewrite a point of ``space`` as a point of ``normalize_space(space)``."""
+    """Rewrite a point of ``space`` in normal form: nested products flattened,
+    unit factors dropped, a singleton unwrapped."""
     parts = _norm_parts(space, value)
     if not parts:
         return ()

@@ -15,11 +15,12 @@ from .dist import Dist, categorical, dirac, dist_from_json, uniform
 from .poly import (
     DETERMINISTIC,
     STOCHASTIC,
+    PolyError,
     Polynomial,
     Section,
+    check_section,
     constant_section,
     monomial,
-    section,
     tabulated,
     time_nat,
     trivial_section,
@@ -78,7 +79,7 @@ def interface_from_json(obj: dict) -> Polynomial:
         table = [
             (point_from_json(positions, p), _space_of(s)) for p, s in dirs["fibres"]
         ]
-        return tabulated(positions, table)
+        return tabulated(positions, dict(table))
     raise SpecError(f"unknown direction description: {dirs!r}")
 
 
@@ -98,16 +99,22 @@ def section_from_json(p: Polynomial, obj: Any) -> Section:
     if "constant" in obj:
         value = obj["constant"]
         sample = next(iter(points(p.positions)))
-        return constant_section(p, point_from_json(p.dirs_at(sample), value))
-    if "table" in obj:
+        sigma = constant_section(p, point_from_json(p.dirs_at(sample), value))
+    elif "table" in obj:
         table = {
             point_from_json(p.positions, pos): point_from_json(
                 p.dirs_at(point_from_json(p.positions, pos)), d
             )
             for pos, d in obj["table"]
         }
-        return section(p, lambda i: table[i])
-    raise SpecError(f"unknown section description: {obj!r}")
+        sigma = Section(p, table.__getitem__)
+    else:
+        raise SpecError(f"unknown section description: {obj!r}")
+    try:
+        check_section(p, sigma)
+    except PolyError as exc:
+        raise SpecError(str(exc)) from None
+    return sigma
 
 
 def system_from_json(obj: dict) -> System:

@@ -351,8 +351,9 @@ def reindex(phi: PolyMap, sys_: System) -> System:
     )
 
 
-def systems_agree(a: System, b: System, tol: float = 0.0) -> bool:
-    """Extensional one-tick equality of two finite systems on shared shape."""
+def systems_agree(a: System, b: System) -> bool:
+    """Exact extensional one-tick equality of two finite systems on shared
+    shape."""
     if (a.interface, a.states, a.time) != (b.interface, b.states, b.time):
         return False
     for s in points(a.states):
@@ -360,7 +361,7 @@ def systems_agree(a: System, b: System, tol: float = 0.0) -> bool:
             return False
         fibre = a.interface.dirs_at(a.output(1, s))
         for d in points(fibre):
-            if dist_distance(a.update(1, s, d), b.update(1, s, d)) > tol:
+            if dist_distance(a.update(1, s, d), b.update(1, s, d)) > 0.0:
                 return False
     return True
 
@@ -464,14 +465,6 @@ def to_ncoalg(sys_: System) -> NCoalg:
     return NCoalg(sys_.interface, sys_.states, tuple(out_rows), tuple(trans_rows))
 
 
-def roundtrip_ncoalg(sys_: System):
-    """Convert to the tabular coalgebra presentation and back; the round-trip
-    reproduces the original tables exactly."""
-    nc = to_ncoalg(sys_)
-    back = nc.to_system()
-    return nc, back
-
-
 # ---------------------------------------------------------------------------
 # system morphisms
 
@@ -482,17 +475,16 @@ def is_system_morphism(
     b: System,
     sections,
     times,
-    tol: float = 0.0,
-    states=None,
 ) -> dict:
-    """Check the naturality squares that make ``f`` a map of systems.
+    """Check the naturality squares that make ``f`` a map of systems, exactly
+    (tolerance 0), at every state of ``a``.
 
     Outputs must agree through f, and for every section and time the closed
     step of ``a`` pushed forward along f must equal the closed step of ``b``
     at the image state."""
     if a.interface != b.interface or a.time != b.time:
         raise OpenSystemError("systems must share interface and time monoid")
-    states = list(points(a.states) if states is None else states)
+    states = list(points(a.states))
 
     def cases():
         for x in states:
@@ -503,4 +495,4 @@ def is_system_morphism(
                 closure(a, sigma), closure(b, sigma), f, times, states, section=k
             )
 
-    return _report("system-morphism", cases(), tol)
+    return _report("system-morphism", cases(), 0.0)

@@ -131,6 +131,82 @@ def test_unread_flags_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+# positions a and b with their own fibres: a takes x or y, b takes only z
+FIBRES_SPEC = {
+    "system": {
+        "interface": {
+            "positions": ["a", "b"],
+            "directions": {"fibres": [["a", ["x", "y"]], ["b", ["z"]]]},
+        },
+        "states": [0, 1],
+        "output": [[0, "a"], [1, "b"]],
+        "update": [[0, "x", {"dirac": 1}], [0, "y", {"dirac": 0}], [1, "z", {"dirac": 0}]],
+    },
+    "section": {"table": [["a", "x"], ["b", "z"]]},
+    "init": {"dirac": 0},
+    "horizon": 4,
+}
+
+
+def _write_spec(tmp_path, spec) -> str:
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_a_spec_with_per_position_fibres_runs(tmp_path):
+    argv = ["run", "--spec", _write_spec(tmp_path, FIBRES_SPEC)]
+    code, data = run_to_file(tmp_path, "f.csv", argv)
+    assert code == 0
+    assert data.decode() == "t,output\n0,a\n1,b\n2,a\n3,b\n4,a\n"
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"constant": "x"}, "section at position 'b': 'x' is not a point of"),
+        ({"table": [["a", "x"]]}, "section gives no direction at position 'b'"),
+    ],
+)
+def test_a_section_is_checked_at_every_position(tmp_path, capsys, section, message):
+    spec = dict(FIBRES_SPEC, section=section)
+    assert main(["run", "--spec", _write_spec(tmp_path, spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err.startswith("SpecError") and message in err
+
+
+@pytest.mark.parametrize(
+    "command, spec, key",
+    [
+        ("run", "counter.json", "horizon"),
+        ("laplace", "laplace1d.json", "steps"),
+        ("demo", "ou.json", "horizon"),
+    ],
+)
+def test_a_negative_horizon_is_a_usage_error(tmp_path, capsys, command, spec, key):
+    """From the flag or from the spec key, a negative run length exits 2
+    naming where it came from; zero runs no step."""
+    base = json.loads((SPECS / spec).read_text())
+    argv = [command, "--spec", str(SPECS / spec)]
+    assert main(argv + ["--horizon", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--horizon must be non-negative, got -3" in json.loads(captured.err)["error"]
+    negative = _write_spec(tmp_path, dict(base, **{key: -3}))
+    assert main([command, "--spec", negative]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"spec key '{key}' must be non-negative" in json.loads(captured.err)["error"]
+    zero = _write_spec(tmp_path, dict(base, **{key: 0}))
+    for argv_zero in (argv + ["--horizon", "0"], [command, "--spec", zero]):
+        assert main(argv_zero) == 0
+        rows = capsys.readouterr().out.splitlines()
+        # laplace prints its header only; run and demo also print tick 0
+        assert len(rows) == (1 if command == "laplace" else 2)
+
+
 @pytest.mark.parametrize("key, value", [("iterations", 50), ("tolerance", 1e-6)])
 def test_unread_laplace_spec_keys_are_usage_errors(tmp_path, capsys, key, value):
     """``laplace`` runs exactly ``steps`` steps, so a convergence key it would

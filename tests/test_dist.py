@@ -17,7 +17,6 @@ from polydyn import (
     categorical,
     dirac,
     dist_distance,
-    dist_equal,
     dist_from_json,
     dist_to_json,
     dst,
@@ -25,14 +24,12 @@ from polydyn import (
     finite,
     finite_items,
     gaussian,
-    gaussian1,
     kleisli_compose,
     mk_state,
     prob,
     prod,
     pushforward,
     sample,
-    sample_many,
     uniform,
 )
 from polydyn.dist import _as_gaussian
@@ -173,7 +170,7 @@ def test_dst_finite_products():
 
 
 def test_dst_gaussian_blocks():
-    g1 = gaussian1(1.0, 2.0)
+    g1 = gaussian(euclid(1), [1.0], [[2.0]])
     g2 = gaussian(euclid(2), [0.0, 3.0], [[1.0, 0.5], [0.5, 1.0]])
     j = dst(g1, g2)
     assert isinstance(j, Gaussian)
@@ -183,7 +180,7 @@ def test_dst_gaussian_blocks():
 
 
 def test_dst_dirac_euclid_coerces_to_zero_cov_block():
-    g = gaussian1(0.0, 1.0)
+    g = gaussian(euclid(1), [0.0], [[1.0]])
     d = dirac(euclid(1), (4.0,))
     j = dst(d, g)
     assert isinstance(j, Gaussian)
@@ -245,11 +242,11 @@ def test_pushforward_gaussian_affine_oracle():
     assert np.allclose(np.asarray(out.mean), a @ mu + b, atol=1e-15)
     assert np.allclose(np.asarray(out.cov), a @ sig @ a.T, atol=1e-15)
     with pytest.raises(DistError):
-        pushforward(lambda x: x, g)
+        pushforward(lambda x: x, g, euclid(2))
 
 
 def test_gaussian_kernel_bind_and_compose():
-    g = gaussian1(0.5, 0.25)
+    g = gaussian(euclid(1), [0.5], [[0.25]])
     k1 = GaussianKernel.of([[2.0]], [1.0], [[0.1]])
     out = bind(g, k1)
     assert abs(out.mean[0] - 2.0) <= 1e-15
@@ -275,17 +272,18 @@ def test_sampling_is_reproducible():
     rng = Rng(7)
     d = categorical(SPACE, [(0, 0.3), (2, 0.3), (3, 0.4)])
     assert sample(d, rng) == sample(d, Rng(7))
-    assert sample_many(d, rng, 5) == sample_many(d, Rng(7), 5)
-    g = gaussian1(0.0, 1.0)
+    draws = [sample(d, rng.child(i)) for i in range(5)]
+    assert draws == [sample(d, Rng(7).child(i)) for i in range(5)]
+    g = gaussian(euclid(1), [0.0], [[1.0]])
     assert sample(g, rng.child(1)) == sample(g, Rng(7).child(1))
 
 
 def test_sampling_hits_the_law():
     d = categorical(SPACE, [(0, 0.25), (1, 0.75)])
-    draws = sample_many(d, Rng(123), 4000)
+    draws = [sample(d, Rng(123).child(i)) for i in range(4000)]
     freq = draws.count(1) / 4000
     assert abs(freq - 0.75) < 0.05
-    g = gaussian1(2.0, 4.0)
+    g = gaussian(euclid(1), [2.0], [[4.0]])
     xs = [sample(g, Rng(5).child(i))[0] for i in range(4000)]
     assert abs(np.mean(xs) - 2.0) < 0.2
     assert abs(np.var(xs) - 4.0) < 0.5
@@ -296,8 +294,9 @@ def test_dist_distance_cases():
     d2 = categorical(SPACE, [(0, 0.5), (2, 0.5)])
     assert dist_distance(d1, d1) == 0.0
     assert dist_distance(d1, d2) == 0.5
-    assert dist_distance(d1, gaussian1(0.0, 1.0)) == float("inf")
-    assert dist_equal(gaussian1(0.0, 1.0), gaussian1(0.0, 1.0 + 1e-12))
+    assert dist_distance(d1, gaussian(euclid(1), [0.0], [[1.0]])) == float("inf")
+    near = gaussian(euclid(1), [0.0], [[1.0 + 1e-12]])
+    assert dist_distance(gaussian(euclid(1), [0.0], [[1.0]]), near) <= 1e-9
     assert dist_distance(dirac(SPACE, 1), categorical(SPACE, [(1, 1.0)])) == 0.0
 
 

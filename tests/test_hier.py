@@ -12,15 +12,14 @@ from polydyn import (
     compose_hier,
     copy_system,
     dirac,
+    dirac_point,
     discard_system,
     dist_space,
     euclid,
     finite,
     function_system,
     hibi_compose,
-    hibi_pair_hom,
     hier_from_tables,
-    hier_to_tables,
     hom_sections,
     id_hier,
     linear,
@@ -147,12 +146,12 @@ def test_hier_tables_roundtrip():
     )
     assert hs.source == monomial(finite(0, 1), S)
     assert hs.target == monomial(finite("go", "stay"), T)
-    ro1, ro2, ru = hier_to_tables(hs)
     for x in (0, 1):
+        lens = hs.emit(1, x)
         for a in (0, 1):
-            assert ro1(1, x, a) == o1(x, a)
-            assert ro2(1, x, a, "t0") == o2(x, a, "t0")
-            assert prob(ru(1, x, a, "t0"), (x + a) % 2) == 1.0
+            assert lens.forward(a) == o1(x, a)
+            assert dirac_point(lens.backward(a, "t0")) == o2(x, a, "t0")
+            assert prob(hs.absorb(1, x, a, "t0"), (x + a) % 2) == 1.0
 
 
 # -- traces and quasi-bisimilarity --------------------------------------------
@@ -250,12 +249,6 @@ def prob_of_key(v):
 # -- bidirectional composition -------------------------------------------------
 
 
-def test_hibi_pair_hom_shapes():
-    src, tgt = hibi_pair_hom(A, finite("s",), finite(0, 1), finite("t",))
-    assert src == monomial(dist_space(A), finite("s",))
-    assert tgt == monomial(finite(0, 1), finite("t",))
-
-
 def test_hibi_compose_requires_distribution_inputs():
     f = function_system(lambda a: a, A, A)
     with pytest.raises(HierError):
@@ -296,7 +289,7 @@ def test_hibi_composite_is_tabulated_by_walking_it():
     table; the composite is compared on its own table when its source
     positions are finite, and cannot be tabulated when they are
     distributions."""
-    src, tgt = hibi_pair_hom(A, unit(), A, unit())
+    src, tgt = monomial(dist_space(A), unit()), monomial(A, unit())
     states = finite(0, 1)
 
     def level(source):

@@ -1,14 +1,19 @@
-"""Static hygiene of the package's imports.
+"""Static hygiene of the package's imports and exports.
 
 Every module imports what it needs once, at the top: a name that is imported
 but never read is dead weight, and a relative import inside a function hides a
 dependency that no import cycle requires (each module already imports from
 the same sibling at the top).
+
+Every name the package exports is used by the library, its scripts or its
+benchmark, or is named in README; and every polydyn name that the scripts
+and the benchmark load exists, so a deletion that breaks them fails here.
 """
 
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "polydyn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+CLIENTS = sorted([*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
 def _parse(path: Path) -> ast.Module:
@@ -70,6 +76,102 @@ def test_the_scan_sees_both_faults():
     )
     assert unread_imports(tree) == [(1, "spare"), (2, "os")]
     assert local_relative_imports(tree) == [(4, ".b")]
+
+
+def polydyn_refs(tree: ast.Module) -> set:
+    """``(module, name)`` for every polydyn name a client module loads: each
+    ``from polydyn... import X``, and each ``m.X`` where ``m`` is bound to a
+    polydyn module (``import polydyn``, ``import polydyn.hier as h``,
+    ``from polydyn import hier``, or ``h = hier`` after one of these)."""
+    modules, refs, nodes = {}, set(), list(ast.walk(tree))
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "polydyn":
+                    modules[alias.asname or "polydyn"] = alias.name if alias.asname else "polydyn"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "polydyn":
+            for alias in node.names:
+                refs.add((node.module, alias.name))
+                if _is_submodule(node.module, alias.name):
+                    modules[alias.asname or alias.name] = f"polydyn.{alias.name}"
+    for node in nodes:
+        if isinstance(node, ast.Assign) and getattr(node.value, "id", None) in modules:
+            modules.update((t.id, modules[node.value.id]) for t in node.targets if isinstance(t, ast.Name))
+    return refs | {
+        (modules[node.value.id], node.attr)
+        for node in nodes
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+    }
+
+
+def _is_submodule(module: str, name: str) -> bool:
+    return module == "polydyn" and (PACKAGE / f"{name}.py").is_file()
+
+
+def unresolved(refs) -> list:
+    return sorted(
+        (module, name)
+        for module, name in refs
+        if not (_is_submodule(module, name) or hasattr(importlib.import_module(module), name))
+    )
+
+
+def unused_exports(init: ast.Module, sources, clients, readme: str) -> list:
+    """Names ``__init__.py`` imports that no library module reads, no client
+    loads from polydyn, and no inline code span of README (outside fenced
+    blocks) names."""
+    used = {
+        node.id
+        for tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    used |= {name for tree in clients for _, name in polydyn_refs(tree)}
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)
+    used |= {word for span in re.findall(r"`([^`\n]+)`", prose) for word in re.findall(r"\w+", span)}
+    return [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    ]
+
+
+@pytest.mark.parametrize("path", CLIENTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_polydyn_name_a_client_loads_resolves(path):
+    assert unresolved(polydyn_refs(_parse(path))) == []
+
+
+def test_every_export_is_used_or_documented():
+    sources = [_parse(p) for p in MODULES]
+    clients = [_parse(p) for p in CLIENTS]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unused_exports(_parse(PACKAGE / "__init__.py"), sources, clients, readme) == []
+
+
+def test_the_export_scans_see_their_faults():
+    client = ast.parse(
+        "import polydyn\n"
+        "from polydyn import laplace as lp, no_such_name\n"
+        "from polydyn.dist import gaussian, no_such_law\n"
+        "def f():\n"
+        "    from polydyn import hier\n"
+        "    h = hier\n"
+        "    return polydyn.mk_state, polydyn.no_such_state, lp.rho_update, lp.nope, h.trace, h.gone\n"
+    )
+    assert unresolved(polydyn_refs(client)) == [
+        ("polydyn", "no_such_name"),
+        ("polydyn", "no_such_state"),
+        ("polydyn.dist", "no_such_law"),
+        ("polydyn.hier", "gone"),
+        ("polydyn.laplace", "nope"),
+    ]
+    init = ast.parse("from .a import used, spare, loaded, named, coded\n")
+    sources = [ast.parse("used(1)\nspare = 2\n")]
+    clients = [ast.parse("from polydyn import hier\nhier.loaded()\n")]
+    readme = "Use `named(x)`.\n```python\ncoded()\n```\n"
+    assert unused_exports(init, sources, clients, readme) == ["spare", "coded"]
 
 
 def test_benchmark_tracer_names_resolve():

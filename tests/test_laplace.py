@@ -12,7 +12,6 @@ from polydyn import (
     LaplaceError,
     build_laplace,
     categorical,
-    descend,
     dirac,
     euclid,
     finite,
@@ -69,7 +68,7 @@ def test_optimal_covariance_is_inverse_curvature():
 
 
 def test_descent_reaches_the_posterior_mean():
-    cfg = LaplaceConfig(rate=0.05, iterations=10000, tolerance=0.0)
+    cfg = LaplaceConfig(rate=0.05)
     state = mk_state([0.0], PI.cov_array())
     prev_f = math.inf
     steps = None
@@ -83,12 +82,6 @@ def test_descent_reaches_the_posterior_mean():
             break
     assert steps is not None and steps <= 10000
     assert abs(state.cov[0][0] - 0.2) <= 1e-12
-
-
-def test_descend_helper_agrees():
-    cfg = LaplaceConfig(rate=0.05, iterations=10000, tolerance=1e-10)
-    state = descend([0.0], PI, Y, GAMMA, cfg)
-    assert abs(state.mean[0] - 0.4) <= 1e-6
 
 
 def test_gradient_against_central_differences():
@@ -225,11 +218,34 @@ def test_singular_prior_raises_laplace_error():
                     use(law, GAMMA, [0.4], Y)
 
 
-@pytest.mark.parametrize("cov", [[[0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1e-13]]])
+@pytest.mark.parametrize(
+    "cov",
+    [
+        [[0.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 0.0], [0.0, 1e-13]],
+        [[math.nan]],
+        [[1.0, 0.0], [0.0, math.inf]],
+    ],
+)
 def test_a_singular_constant_covariance_is_refused_when_the_channel_is_built(cov):
-    n = len(cov)
-    with pytest.raises(LaplaceError, match="channel covariance is numerically singular"):
-        linear_channel(np.eye(n), cov=cov)
+    """A non-finite entry is named before the condition number is taken,
+    which numpy cannot compute for a NaN entry."""
+    what = "numerically singular" if np.isfinite(cov).all() else "not finite"
+    with pytest.raises(LaplaceError, match=f"channel covariance is {what}"):
+        linear_channel(np.eye(len(cov)), cov=cov)
+
+
+def test_a_state_dependent_covariance_that_turns_nan_is_refused_at_that_step():
+    """The covariance is finite at the means of the first two steps (0.1 and
+    0.175) and NaN at the third (0.231), on the way to the posterior mean 0.4."""
+    ch = GaussianChannel(
+        1, 1, lambda x: 2.0 * x, None, lambda x: [[1.0 if x[0] < 0.2 else math.nan]]
+    )
+    cfg = LaplaceConfig(rate=0.05)
+    assert run_stack([ch], cfg, PI, Y, 2)[-1][2][0] < 0.2
+    with pytest.raises(LaplaceError, match="channel covariance is not finite"):
+        run_stack([ch], cfg, PI, Y, 3)
 
 
 @pytest.mark.parametrize(
@@ -371,8 +387,10 @@ def test_nonlinear_channel_uses_finite_difference_jacobian():
 def test_diagonal_problem_decouples():
     gamma = linear_channel([[2.0, 0.0], [0.0, 3.0]], cov=[[1.0, 0.0], [0.0, 0.5]])
     pi = mk_state([0.0, 0.0], np.eye(2))
-    cfg = LaplaceConfig(rate=0.05, iterations=10000, tolerance=1e-12)
-    state = descend([0.0, 0.0], pi, [1.0, 1.0], gamma, cfg)
+    cfg = LaplaceConfig(rate=0.05)
+    state = pi
+    for _ in range(200):
+        state = rho_update(state.mean_array(), pi, [1.0, 1.0], gamma, cfg)
     # per coordinate: precision 5 and 19, means 2/5 and 6/19
     assert abs(state.mean[0] - 0.4) <= 1e-6
     assert abs(state.mean[1] - 6.0 / 19.0) <= 1e-6

@@ -5,6 +5,7 @@ from polydyn import (
     DETERMINISTIC,
     STOCHASTIC,
     OpenSystemError,
+    PolyMap,
     Rng,
     all_sections,
     categorical,
@@ -26,7 +27,6 @@ from polydyn import (
     prob,
     pull_section,
     reindex,
-    roundtrip_ncoalg,
     systems_agree,
     tabulated,
     time_nat,
@@ -236,10 +236,8 @@ def test_reindex_shape_mismatch_raises():
 
 
 def test_reindex_stochastic_lens_needs_stochastic_system():
-    from polydyn import mk_polymap
-
     sys_ = _shape_family()[0]
-    noisy = mk_polymap(P, Q, {"i": "u", "j": "v"}.__getitem__,
+    noisy = PolyMap(P, Q, {"i": "u", "j": "v"}.__getitem__,
                        lambda i, d: uniform(P.dirs_at(i)), STOCHASTIC)
     with pytest.raises(OpenSystemError):
         reindex(noisy, sys_)
@@ -251,7 +249,8 @@ def test_reindex_stochastic_lens_needs_stochastic_system():
 def test_ncoalg_roundtrip_is_identity():
     for seed in range(4):
         sys_ = random_finite_system(Rng(41).child(seed), stochastic=False)
-        nc, back = roundtrip_ncoalg(sys_)
+        nc = to_ncoalg(sys_)
+        back = nc.to_system()
         assert systems_agree(sys_, back)
         assert to_ncoalg(back) == nc
 

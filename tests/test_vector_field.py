@@ -5,6 +5,7 @@ import pytest
 
 from polydyn import (
     OpenSystemError,
+    Section,
     check_flow,
     closure,
     constant_section,
@@ -16,7 +17,6 @@ from polydyn import (
     monomial,
     reindex,
     rk4_step,
-    section,
     trivial_section,
     unit,
 )
@@ -131,7 +131,7 @@ def feedback_system(h: float):
     states = euclid(1)
     p = monomial(euclid(1), euclid(1))
     sys_ = from_vector_field(lambda x, d: (d[0],), lambda x: x, p, h, states=states)
-    return sys_, section(p, lambda pos: (-pos[0],))
+    return sys_, Section(p, lambda pos: (-pos[0],))
 
 
 def test_closure_feeds_the_section_back_at_every_stage():
@@ -152,7 +152,7 @@ def test_reindexed_vector_field_closes_through_the_lens():
     p = sys_.interface
     flip = det_polymap(p, p, lambda i: i, lambda i, d: (-d[0],))
     moved = reindex(flip, sys_)
-    same = closure(moved, section(p, lambda pos: (pos[0],)))
+    same = closure(moved, Section(p, lambda pos: (pos[0],)))
     assert _flow(same, 100) == _flow(closure(sys_, sigma), 100)
 
 
