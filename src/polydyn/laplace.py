@@ -24,8 +24,8 @@ then also checked symmetric and PSD, so its laws ``ch(x)`` check only their
 mean.  A prior's covariance is checked once per value (``_prior_cov``).  A
 linear level (constant Jacobian and covariance) has the same curvature at every
 mean, so its belief covariance is solved, checked and inverted once per prior
-covariance (``_linear_belief_cov``).  Only nonlinear levels and
-state-dependent covariances are checked at every step.
+covariance, and carries its entropy (``_linear_belief_cov``).  Only nonlinear
+levels and state-dependent covariances are checked at every step.
 """
 
 from __future__ import annotations
@@ -307,6 +307,8 @@ def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
 
 
 def gaussian_entropy(state: Gaussian) -> float:
+    if isinstance(state.cov, _BeliefCov):
+        return state.cov.entropy
     n = len(state.mean)
     return 0.5 * (
         n * math.log(2.0 * math.pi * math.e)
@@ -334,16 +336,26 @@ def free_energy_second_order(
     )
 
 
+class _BeliefCov(tuple):
+    """A linear level's belief covariance (``Gaussian.cov``), carrying the
+    belief entropy, which depends on the covariance alone."""
+
+    entropy: float
+
+
 @functools.lru_cache(maxsize=64)
-def _linear_belief_cov(gamma: GaussianChannel, prior_cov: tuple) -> tuple:
-    """The belief covariance (``Gaussian.cov``) of a linear level against a
-    prior with covariance ``prior_cov``.  With a constant Jacobian and channel
-    covariance the curvature is the same at every mean, so it is solved,
-    checked and inverted once per pair.  A failed check raises, and nothing
-    is kept."""
+def _linear_belief_cov(gamma: GaussianChannel, prior_cov: tuple) -> _BeliefCov:
+    """The belief covariance of a linear level against a prior with
+    covariance ``prior_cov``.  With a constant Jacobian and channel covariance
+    the curvature is the same at every mean, so it is solved, checked and
+    inverted once per pair, and its entropy is computed then too.  A failed
+    check raises, and nothing is kept."""
     origin = np.zeros(gamma.in_dim)
     pi = Gaussian(euclid(gamma.in_dim), tuple(origin.tolist()), prior_cov)
-    return mk_state(origin, sigma_star(pi, gamma, origin, np.zeros(gamma.out_dim))).cov
+    belief = mk_state(origin, sigma_star(pi, gamma, origin, np.zeros(gamma.out_dim)))
+    cov = _BeliefCov(belief.cov)
+    cov.entropy = gaussian_entropy(belief)
+    return cov
 
 
 def rho_update(

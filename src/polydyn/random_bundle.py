@@ -221,13 +221,13 @@ class BundleSystem:
 
 def check_bundle(bs: BundleSystem) -> dict:
     sections_b = all_sections(bs.base_sys.interface)
+    bases = [closure(bs.base_sys, varsigma) for varsigma in sections_b]
     states = list(points(bs.total_sys.states))
 
     def cases():
         for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):
             ct = closure(bs.total_sys, sigma)
-            for kb, varsigma in enumerate(sections_b):
-                cb = closure(bs.base_sys, varsigma)
+            for kb, cb in enumerate(bases):
                 yield from _square_cases(
                     ct, cb, bs.proj, _TIMES, states, section_p=kp, section_b=kb
                 )

@@ -8,12 +8,16 @@ family of Markov kernels on the states.
 
 Time is a monoid of integer ticks (optionally scaled by a real step h).  For
 discrete-map systems the stored output/update maps are the one-tick
-components; the t-tick kernel is the t-fold Kleisli iterate, which makes the
-flow law hold by construction, so ``check_flow`` also probes that the stored
-maps really are tick-stationary.  Continuous-time systems integrate a vector
-field with a fixed-step classic Runge-Kutta scheme: an open system holds its
-input for the whole call (zero-order hold), while its closure feeds the
-section's direction back at every stage of every step.
+components; the t-tick kernel is the t-fold Kleisli iterate.  On finite
+states that iterate is the t-th power of one row-stochastic matrix P, the
+one-tick kernel under the section, so a closure on up to 512 states reads its
+t-tick laws from the rows of P^t.  Its flow law then holds by construction: ``check_flow``'s compose
+cases compare P^(s+t) with P^t P^s and only measure rounding.  The law content
+is the zero case and the probe that the stored maps really are
+tick-stationary.  Continuous-time systems integrate a vector field with a
+fixed-step classic Runge-Kutta scheme: an open system holds its input for the
+whole call (zero-order hold), while its closure feeds the section's direction
+back at every stage of every step.
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .dist import Dirac, Dist, bind, dirac, dist_distance, pushforward
+from .dist import (
+    Dirac,
+    Dist,
+    bind,
+    categorical,
+    dirac,
+    dist_distance,
+    finite_items,
+    pushforward,
+)
 from .poly import (
     DETERMINISTIC,
     STOCHASTIC,
@@ -38,6 +51,8 @@ from .poly import (
 )
 from .spaces import (
     Space,
+    cardinality,
+    check_point,
     contains,
     flatten_floats,
     is_finite,
@@ -84,6 +99,56 @@ class ClosedSystem:
     states: Space
     time: TimeMonoid
     step: Callable  # (t, state) -> Dist over states
+
+
+# A discrete closure on at most this many states is tabulated: each power of
+# its tick matrix that is kept holds N*N floats, 2 MiB at this size.  A larger
+# one steps by nested binds, whose memory does not grow with N*N.
+_TABLE_MAX_STATES = 512
+
+
+class _TickPowers:
+    """The one-tick kernel of a closure on finite states as a row-stochastic
+    matrix P over ``points(states)``, and its powers: row x of P^t is the
+    t-tick law from x.  P is built on the first call of ``power``.  Each
+    power asked for is kept; P^t is the nearest kept lower power times P,
+    once per missing tick, so its bits do not depend on which were asked."""
+
+    def __init__(self, states: Space, one_tick: Callable):
+        self.states, self.one_tick = states, one_tick
+        self.atoms = list(points(states))
+        self.index = {a: i for i, a in enumerate(self.atoms)}
+        self._powers: dict = {}
+
+    def power(self, t: int) -> np.ndarray:
+        if not self._powers:
+            p = np.zeros((len(self.atoms), len(self.atoms)))
+            for i, x in enumerate(self.atoms):
+                for z, w in finite_items(self.one_tick(x)):
+                    p[i, self.index[z]] += w
+            self._powers = {0: np.eye(len(self.atoms)), 1: p}
+        if t not in self._powers:
+            k = max(k for k in self._powers if k < t)
+            m = self._powers[k]
+            for _ in range(t - k):
+                m = m @ self._powers[1]
+            self._powers[t] = m
+        return self._powers[t]
+
+    def law(self, t: int, x) -> Dist:
+        """Row x of P^t as a law; a row with one atom is a point mass."""
+        row = self.power(t)[self.index[x]].tolist()
+        pairs = [(a, w) for a, w in zip(self.atoms, row) if w != 0.0]
+        if len(pairs) == 1:
+            return dirac(self.states, pairs[0][0])
+        return categorical(self.states, pairs)
+
+
+@dataclass(frozen=True)
+class _TabulatedClosure(ClosedSystem):
+    """A discrete closure on finite states, with its tick matrix's powers."""
+
+    table: _TickPowers
 
 
 def mk_system(
@@ -149,7 +214,10 @@ def _validate_finite(sys_: System) -> None:
 def closure(sys_: System, sigma: Section) -> ClosedSystem:
     """Close an open system with a section: at each state, feed the direction
     the section assigns to the current output position.  A continuous-time
-    system is closed by integrating the autonomous field x |-> f(x, sigma(g(x)))."""
+    system is closed by integrating the autonomous field x |-> f(x, sigma(g(x))).
+    A discrete one reads step(t) off the t-th power of its tick matrix when it
+    has at most ``_TABLE_MAX_STATES`` states, and binds t one-tick laws
+    otherwise."""
     if sigma.of != sys_.interface:
         raise OpenSystemError("section does not match the system interface")
 
@@ -169,6 +237,18 @@ def closure(sys_: System, sigma: Section) -> ClosedSystem:
 
     def one_tick(s):
         return sys_.update(1, s, sigma.assign(sys_.output(1, s)))
+
+    if is_finite(sys_.states) and cardinality(sys_.states) <= _TABLE_MAX_STATES:
+        table = _TickPowers(sys_.states, one_tick)
+
+        def step(t: int, s):
+            t = sys_.time.check(t)
+            if t == 0:
+                return dirac(sys_.states, s)
+            s = check_point(sys_.states, s)
+            return one_tick(s) if t == 1 else table.law(t, s)
+
+        return _TabulatedClosure(sys_.states, sys_.time, step, table)
 
     def step(t: int, s):
         t = sys_.time.check(t)
@@ -220,10 +300,21 @@ def _flow_cases(cs: ClosedSystem, times, states, **labels):
         dev = dist_distance(cs.step(0, x), dirac(cs.states, x))
         yield {"kind": "zero", **labels, "state": x}, dev
     for s, t in times:
-        for x in states:
-            rhs = bind(cs.step(t, x), lambda z: cs.step(s, z))
-            dev = dist_distance(cs.step(s + t, x), rhs)
+        for x, dev in zip(states, _compose_gaps(cs, s, t, states)):
             yield {"kind": "compose", **labels, "s": s, "t": t, "state": x}, dev
+
+
+def _compose_gaps(cs: ClosedSystem, s: int, t: int, states) -> list:
+    """The sup-distance of step(s+t) from step(s) after step(t) at each state.
+    A tabulated closure compares row x of P^(s+t) with row x of P^t P^s."""
+    if isinstance(cs, _TabulatedClosure):
+        power = cs.table.power
+        gaps = np.max(np.abs(power(s + t) - power(t) @ power(s)), axis=1, initial=0.0)
+        return [float(gaps[cs.table.index[check_point(cs.states, x)]]) for x in states]
+    return [
+        dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
+        for x in states
+    ]
 
 
 def _square_cases(left, right, f, times, states, kind="square", **labels):
@@ -244,7 +335,9 @@ def check_closed_flow(
 
 
 def _memoized(cs: ClosedSystem) -> ClosedSystem:
-    """The same closed system, computing each step(t, x) once."""
+    """The same closed system, computing each step(t, x) once: for the
+    closures that no tick matrix represents, whose flow cases would step the
+    same state again and again."""
     memo: dict = {}
 
     def step(t: int, s):
@@ -270,7 +363,9 @@ def check_flow(
     systems additionally get a tick-stationarity probe of the stored maps,
     since their general-t kernel is derived from the one-tick components --
     a t-dependent stored map is a law violation even though the derived
-    kernels compose by construction.
+    kernels compose by construction.  On up to 512 states the compose cases
+    compare powers of the closure's tick matrix, so they measure only
+    rounding.
     """
     if sections is None:
         sections = all_sections(sys_.interface)
@@ -286,7 +381,9 @@ def check_flow(
         if isinstance(sys_.flavor, DiscreteMap):
             yield from _stationary_cases(sys_, times, states)
         for k, sigma in enumerate(sections):
-            cs = _memoized(closure(sys_, sigma))
+            cs = closure(sys_, sigma)
+            if not isinstance(cs, _TabulatedClosure):
+                cs = _memoized(cs)
             yield from _flow_cases(cs, times, states, section=k)
 
     return _report("flow", cases(), tol, sections=len(sections))

@@ -261,6 +261,36 @@ def test_laplace_stdout_is_pinned(capsys, spec, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("flow", "e7487d3431161d0c0861262b0fac0a270305d584fd5cf5908bb6f7d45324200c"),
+        ("measure", "ee5ca6fe298a6878cb518f8e91fa330fa8145dd3d779cd2df3fe0dca98ecfd08"),
+        ("rds", "ed5eabc38edeff81d92835fd0f7a2fa029b5fbdc94ce37f6b3f0ddd974de620c"),
+        ("bundle", "34943cc921893713f6310b8ea02715d916efa363a13ea4d3f6a738da87467033"),
+        ("comonoid", "969597ec6d0503f686737a479dc8b1a66373bceafe9ea84bae517ceccf6022a1"),
+        ("bayes", "7b4a7ec0714b5275dcce06925ddac0ccdb2a0843aed2ff3bcf7d063d919e58f6"),
+    ],
+)
+def test_check_suite_stdout_is_pinned(capsys, suite, digest):
+    """Each built-in ``check --suite`` report, byte for byte: every verdict,
+    deviation and violation it lists."""
+    assert main(["check", "--suite", suite]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_sampled_markov_run_is_pinned(tmp_path, capsys):
+    """A sampled run draws each tick from the closure's one-tick law, so a
+    change in that law's atoms, weights or their order changes this digest."""
+    spec = json.loads((SPECS / "markov.json").read_text())
+    spec["mode"] = "sample"
+    path = tmp_path / "markov-sample.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(path), "--seed", "7", "--horizon", "30"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "18fc4616167576be3bc11576f805ff0b5802b9083147326574e3b60c8a0364ce"
+
+
 def test_two_level_laplace_csv(tmp_path):
     code, data = run_to_file(
         tmp_path, "l2.csv", ["laplace", "--spec", str(SPECS / "laplace2level.json")]

@@ -327,7 +327,8 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     runs once for each channel covariance, the raw prior and each level's
     belief covariance; the inverse once for each prior covariance and each
     energy Hessian.  The log-determinant runs once for each constant
-    covariance and once per level-step, for the belief entropy."""
+    covariance and once for each level's belief entropy, which its belief
+    covariance carries: not once per level-step."""
     _prior_cov.cache_clear()
     _linear_belief_cov.cache_clear()
     calls = collections.Counter()
@@ -341,13 +342,12 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     prior = mk_state([0.0], [[2.0]])
     steps = 50
     run_stack(levels, LaplaceConfig(rate=0.05), prior, [1.0], steps)
-    level_steps = len(levels) * steps
     constant = len(levels) + 2
     assert calls == {
         "cond": constant + len(levels),
         "eigvalsh": len(levels) + 1 + len(levels),
         "inv": 2 + len(levels),
-        "slogdet": level_steps + constant,
+        "slogdet": constant + len(levels),
     }
 
 

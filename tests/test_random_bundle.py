@@ -31,7 +31,7 @@ from polydyn import (
     uniform,
     unit,
 )
-from polydyn import MeasurePreservingSystem, rebase_bundle
+from polydyn import MeasurePreservingSystem, all_sections, random_bundle, rebase_bundle
 from polydyn.specio import (
     biased_swap_example,
     bundle_example,
@@ -99,11 +99,20 @@ def test_broken_mp_morphism_is_reported():
     assert "measure" in kinds
 
 
-def test_bundle_double_section_square():
+def test_bundle_double_section_square(monkeypatch):
+    """Every pair of sections is checked, and each base section is closed
+    once, not once per total section."""
     bs = bundle_example(3, 2)
+    real = random_bundle.closure
+    closed = []
+    monkeypatch.setattr(
+        random_bundle, "closure", lambda s, sigma: closed.append(s) or real(s, sigma)
+    )
     report = check_bundle(bs)
     assert report["pass"]
     assert report["violations"] == []
+    assert sum(s is bs.base_sys for s in closed) == len(all_sections(bs.base_sys.interface))
+    assert sum(s is bs.total_sys for s in closed) == len(all_sections(bs.total_sys.interface))
 
 
 def test_bundle_reindex_keeps_all_squares():

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from polydyn import (
     DETERMINISTIC,
     STOCHASTIC,
+    Categorical,
     OpenSystemError,
     PolyMap,
     Rng,
     all_sections,
+    bind,
     categorical,
     check_closed_flow,
     check_flow,
@@ -99,6 +103,92 @@ def test_markov_flow_law():
     assert report["pass"], report["violations"][:3]
 
 
+def _bind_walk(sys_, sigma, t, x):
+    """The t-tick law from x as t nested binds of the one-tick kernel."""
+    law = dirac(sys_.states, x)
+    for _ in range(t):
+        law = bind(law, lambda z: sys_.update(1, z, sigma.assign(sys_.output(1, z))))
+    return law
+
+
+def _dirichlet_system(rng):
+    """A seeded stochastic system on at most 7 states whose updates have
+    Dirichlet weights, which binary floating point does not hold exactly."""
+    gen = rng.generator()
+    states = finite(*range(int(gen.integers(2, 8))))
+    iface = tabulated(finite("p0", "p1"), {"p0": finite(0), "p1": finite(0, 1)})
+    n = len(states.labels)
+    table = {
+        (s, d): categorical(states, list(zip(points(states), gen.dirichlet([0.8] * n))))
+        for s in points(states)
+        for d in points(iface.dirs_at(f"p{s % 2}"))
+    }
+    return mk_system(
+        iface, states, lambda t, s: f"p{s % 2}", lambda t, s, d: table[(s, d)],
+        time_nat(), STOCHASTIC,
+    )
+
+
+@pytest.mark.parametrize("weights", ["dyadic", "deterministic", "dirichlet"])
+def test_closure_steps_agree_with_nested_binds(weights):
+    """A closure on finite states reads step(t) off the powers of its tick
+    matrix: equal to the bind walk where the weights are exact in binary,
+    within 1e-15 elsewhere.  step(1) is the one-tick law itself."""
+    for seed in range(10):
+        rng = Rng(600).child(seed)
+        if weights == "dirichlet":
+            sys_ = _dirichlet_system(rng)
+        else:
+            sys_ = random_finite_system(rng, stochastic=weights == "dyadic")
+        for sigma in all_sections(sys_.interface):
+            cs = closure(sys_, sigma)
+            for x in points(sys_.states):
+                assert cs.step(1, x) is sys_.update(1, x, sigma.assign(sys_.output(1, x)))
+                for t in range(9):
+                    law, walk = cs.step(t, x), _bind_walk(sys_, sigma, t, x)
+                    if weights == "dirichlet":
+                        assert dist_distance(law, walk) <= 1e-15, (seed, t, x)
+                    else:
+                        assert dist_distance(law, walk) == 0.0, (seed, t, x)
+                        assert type(law) is type(walk), (seed, t, x)
+            # the order in which powers are first asked for moves no bit
+            late = closure(sys_, sigma)
+            assert [late.step(t, x) for t in (8, 3)] == [cs.step(t, x) for t in (8, 3)]
+
+
+def test_a_tabulated_row_with_one_atom_is_a_point_mass():
+    """Mass that reaches one state by several paths sums to 1 only up to
+    rounding (0.7 + 0.2 + 0.1 here); the row is still a point mass."""
+    states = finite("a", "b", "c", "d")
+    table = {
+        "a": categorical(states, {"b": 0.7, "c": 0.2, "d": 0.1}),
+        "b": dirac(states, "a"),
+        "c": dirac(states, "a"),
+        "d": dirac(states, "a"),
+    }
+    sys_ = mk_system(y(), states, lambda t, s: (), lambda t, s, d: table[s],
+                     time_nat(), STOCHASTIC)
+    cs = closure(sys_, trivial_section(y()))
+    assert isinstance(_bind_walk(sys_, trivial_section(y()), 2, "a"), Categorical)
+    assert cs.step(2, "a") == dirac(states, "a")
+    assert isinstance(cs.step(3, "a"), Categorical)
+
+
+def test_a_closure_on_many_states_steps_without_a_tick_matrix():
+    """Past 512 states a closure steps by nested binds: step(2) of a
+    2,000-state counter builds no 2,000 x 2,000 matrix (32 MB)."""
+    sys_ = counter_system(2000)
+    cs = closure(sys_, trivial_section(sys_.interface))
+    tracemalloc.start()
+    try:
+        law = cs.step(2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law == dirac(sys_.states, 2)
+    assert peak < 4_000_000
+
+
 def test_check_closed_flow_zero_law():
     cs = closure(counter_system(3), trivial_section(linear(finite(0, 1, 2))))
     report = check_closed_flow(cs, [(1, 1), (2, 3)], [0, 1, 2])
@@ -142,6 +232,8 @@ def test_check_flow_reports_each_section_through_the_closed_flow_check():
 
 
 def test_time_dependent_update_fails_check_flow():
+    """The closure steps the tick-1 maps only, so its compose cases hold by
+    construction; the stationarity probe is what catches the later ticks."""
     states = finite(0, 1)
     sys_ = mk_system(
         linear(states),
@@ -152,8 +244,28 @@ def test_time_dependent_update_fails_check_flow():
     )
     report = check_flow(sys_)
     assert not report["pass"]
-    kinds = {v["kind"] for v in report["violations"]}
-    assert "stationary-update" in kinds or "compose" in kinds
+    assert {v["kind"] for v in report["violations"]} == {"stationary-update"}
+
+
+def test_an_update_frozen_after_one_tick_fails_check_flow():
+    """The benchmark's must-fail flow control: a full-support dyadic update
+    at tick 1 that stays put at every later tick."""
+    gen = Rng(11).generator()
+    states = finite(0, 1, 2, 3)
+    iface = tabulated(finite("p0", "p1"), {"p0": finite(0, 1), "p1": finite(0, 1, 2)})
+    table = {}
+    for s in points(states):
+        for d in points(iface.dirs_at(f"p{s % 2}")):
+            counts = 1 + gen.multinomial(4, [0.25] * 4)
+            table[(s, d)] = categorical(states, list(zip(points(states), counts / 8.0)))
+
+    def update(t, s, d):
+        return table[(s, d)] if t == 1 else dirac(states, s)
+
+    sys_ = mk_system(iface, states, lambda t, s: f"p{s % 2}", update, time_nat(), STOCHASTIC)
+    report = check_flow(sys_)
+    assert not report["pass"]
+    assert {v["kind"] for v in report["violations"]} == {"stationary-update"}
 
 
 def test_time_dependent_output_fails_check_flow():
