@@ -26,6 +26,10 @@ linear level (constant Jacobian and covariance) has the same curvature at every
 mean, so its belief covariance is solved, checked and inverted once per prior
 covariance, and carries its entropy (``_linear_belief_cov``).  Only nonlinear
 levels and state-dependent covariances are checked at every step.
+
+A level evaluates its channel once per point (``_Evaluation``): the mean, the
+covariance, its guard and the Jacobian at a latent estimate serve the energy,
+its gradient and curvature, the channel's law and the level's prediction there.
 """
 
 from __future__ import annotations
@@ -73,14 +77,27 @@ def _logdet_psd(what: str, sigma: np.ndarray) -> float:
     return float(logdet)
 
 
-class _Guarded:
+class _Constant:
+    """A map with the same matrix at every x: an affine mean map's Jacobian,
+    which marks a linear level, or a constant covariance (``_Guarded``)."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+
+    def __call__(self, x) -> np.ndarray:
+        return self.matrix
+
+
+class _Guarded(_Constant):
     """A matrix whose condition number shows that it can be solved against or
     inverted.  The check runs once, when it is built; the log-determinant, the
     inverse and the law covariance (``law_cov``) are computed on first use and
     kept.  A constant channel covariance is one of these, callable as the
     channel's ``cov`` map."""
 
-    __slots__ = ("what", "matrix", "_logdet", "_inverse", "_law_cov")
+    __slots__ = ("what", "_logdet", "_inverse", "_law_cov")
 
     def __init__(self, what: str, sigma):
         sigma = np.atleast_2d(sigma)
@@ -92,10 +109,6 @@ class _Guarded:
             raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
         self.what, self.matrix = what, sigma
         self._logdet = self._inverse = self._law_cov = None
-
-    def __call__(self, x) -> np.ndarray:
-        """A constant covariance: the same matrix at every x."""
-        return self.matrix
 
     def solve(self, r) -> np.ndarray:
         return np.linalg.solve(self.matrix, r)
@@ -117,26 +130,6 @@ class _Guarded:
             n = len(self.matrix)
             self._law_cov = gaussian(euclid(n), np.zeros(n), self.matrix).cov
         return self._law_cov
-
-
-class _ConstantJacobian:
-    """The Jacobian of an affine mean map: the same matrix at every x.  It marks
-    a linear level, whose belief covariance ``rho_update`` computes once."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def __call__(self, x) -> np.ndarray:
-        return self.matrix
-
-
-def _channel_cov(gamma: GaussianChannel, x: np.ndarray) -> _Guarded:
-    """The channel covariance at x: a constant one was checked when the
-    channel was built, a state-dependent one is checked here."""
-    cov = gamma.cov
-    return cov if isinstance(cov, _Guarded) else _Guarded("channel covariance", cov(x))
 
 
 @functools.lru_cache(maxsize=64)
@@ -165,18 +158,7 @@ class GaussianChannel:
 
     def __call__(self, x) -> Gaussian:
         """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
-        x = np.asarray(x, dtype=float)
-        n = self.out_dim
-        mean, cov = np.asarray(self.mean(x), dtype=float), np.atleast_2d(self.cov(x))
-        if mean.size != n or cov.shape != (n, n):
-            raise LaplaceError(
-                f"channel with out_dim {n} gave a mean of size {mean.size} "
-                f"and a covariance of shape {cov.shape}"
-            )
-        if isinstance(self.cov, _Guarded):
-            # checked and symmetrised once, when the channel was built
-            return _gaussian_from_checked(euclid(n), mean, self.cov.law_cov())
-        return gaussian(euclid(n), mean, cov)
+        return _Evaluation(self, np.asarray(x, dtype=float)).law()
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
@@ -201,14 +183,14 @@ def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
         in_dim,
         out_dim,
         mean=lambda x: a @ np.asarray(x, dtype=float) + b,
-        jacobian=_ConstantJacobian(a),
+        jacobian=_Constant(a),
         cov=sig,
     )
 
 
 def mk_state(mean, cov) -> Gaussian:
     """A Gaussian belief over ``euclid(len(mean))``; ``dist.gaussian`` checks
-    the mean and the covariance, on every call.  ``rho_update`` calls it once
+    the mean and the covariance, on every call.  A belief update calls it once
     per linear level and prior covariance, and then checks only the mean."""
     m = np.asarray(mean, dtype=float).reshape(-1)
     c = np.atleast_2d(np.asarray(cov, dtype=float))
@@ -236,7 +218,96 @@ class LaplaceConfig:
             raise LaplaceError("learning rate must be non-negative")
 
 
-def _check_dims(pi: Gaussian, gamma: GaussianChannel, x, y):
+class _Evaluation:
+    """A channel evaluated at one point x: the mean and the covariance there,
+    with the covariance's guard and the mean map's Jacobian computed on first
+    use.  Every function of the channel at x reads this one value, and
+    ``run_stack`` carries it from the step that reaches x to the next one."""
+
+    __slots__ = ("gamma", "x", "mean", "cov", "_guard", "_jacobian")
+
+    def __init__(self, gamma: GaussianChannel, x: np.ndarray):
+        n = gamma.out_dim
+        mean, cov = np.asarray(gamma.mean(x), dtype=float), np.atleast_2d(gamma.cov(x))
+        if mean.size != n or cov.shape != (n, n):
+            raise LaplaceError(
+                f"channel with out_dim {n} gave a mean of size {mean.size} "
+                f"and a covariance of shape {cov.shape}"
+            )
+        self.gamma, self.x, self.mean, self.cov = gamma, x, mean, cov
+        self._guard = self._jacobian = None
+
+    def guard(self) -> _Guarded:
+        """The covariance, checked here unless it is a constant one, which was
+        checked when the channel was built."""
+        if self._guard is None:
+            constant = isinstance(self.gamma.cov, _Guarded)
+            self._guard = self.gamma.cov if constant else _Guarded("channel covariance", self.cov)
+        return self._guard
+
+    def jacobian(self) -> np.ndarray:
+        """Jacobian of the mean map at x: the channel's own, or central
+        differences when it has none."""
+        if self._jacobian is None:
+            gamma, x, h = self.gamma, self.x, 1e-6
+            if gamma.jacobian is not None:
+                self._jacobian = np.atleast_2d(gamma.jacobian(x))
+            else:
+                jac = np.zeros((gamma.out_dim, x.size))
+                for k, dx in enumerate(h * np.eye(x.size)):
+                    up, down = gamma.mean(x + dx), gamma.mean(x - dx)
+                    jac[:, k] = (np.asarray(up) - np.asarray(down)) / (2.0 * h)
+                self._jacobian = jac
+        return self._jacobian
+
+    def law(self) -> Gaussian:
+        """The channel's law at x, N(mean(x), cov(x))."""
+        space = euclid(self.gamma.out_dim)
+        if isinstance(self.gamma.cov, _Guarded):
+            # checked and symmetrised once, when the channel was built
+            return _gaussian_from_checked(space, self.mean, self.gamma.cov.law_cov())
+        return gaussian(space, self.mean, self.cov)
+
+    def errors(self, pi: Gaussian, y: np.ndarray) -> tuple:
+        """Prediction errors of the observation and of the prior at x, and
+        their precision-weighted forms."""
+        eps_g, eps_p = y - self.mean, self.x - pi.mean_array()
+        return eps_g, eps_p, self.guard().solve(eps_g), _prior_cov(pi.cov).solve(eps_p)
+
+    def energy(self, pi: Gaussian, y: np.ndarray) -> float:
+        eps_g, eps_p, eta_g, eta_p = self.errors(pi, y)
+        quad = 0.5 * float(np.dot(eps_g, eta_g)) + 0.5 * float(np.dot(eps_p, eta_p))
+        norm = 0.5 * (
+            self.gamma.out_dim * math.log(2.0 * math.pi)
+            + self.guard().logdet()
+            + self.gamma.in_dim * math.log(2.0 * math.pi)
+            + _prior_cov(pi.cov).logdet()
+        )
+        return quad + norm
+
+    def gradient(self, pi: Gaussian, y: np.ndarray) -> np.ndarray:
+        _, _, eta_g, eta_p = self.errors(pi, y)
+        return -self.jacobian().T @ eta_g + eta_p
+
+    def curvature(self, pi: Gaussian) -> np.ndarray:
+        jac = self.jacobian()
+        return jac.T @ self.guard().solve(jac) + _prior_cov(pi.cov).inverse()
+
+    def update(self, pi: Gaussian, y: np.ndarray, cfg: LaplaceConfig) -> tuple:
+        """``rho_update`` from mean x, and the channel evaluated at the new mean."""
+        gamma = self.gamma
+        new_mean = self.x - cfg.rate * self.gradient(pi, y)
+        at_new = _Evaluation(gamma, new_mean)
+        if isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded):
+            cov = _linear_belief_cov(gamma, pi.cov)
+            return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, cov), at_new
+        hess = _Guarded("energy Hessian", at_new.curvature(pi))
+        return mk_state(new_mean, hess.inverse()), at_new
+
+
+def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y) -> tuple:
+    """The channel evaluated at x, and y as a vector, once x, y and the prior
+    are checked to fit the channel."""
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != gamma.in_dim or yv.size != gamma.out_dim:
@@ -246,59 +317,26 @@ def _check_dims(pi: Gaussian, gamma: GaussianChannel, x, y):
         )
     if len(pi.mean) != gamma.in_dim:
         raise LaplaceError("prior dimension does not match the channel input")
-    return xv, yv
-
-
-def _residuals(pi: Gaussian, gamma: GaussianChannel, xv, yv, sig_g: _Guarded):
-    """Observation and prior residuals, each with its precision-weighted
-    form, against the channel covariance ``sig_g`` at ``xv``."""
-    eps_g = yv - gamma.mean(xv)
-    eps_p = xv - pi.mean_array()
-    return eps_g, eps_p, sig_g.solve(eps_g), _prior_cov(pi.cov).solve(eps_p)
+    return _Evaluation(gamma, xv), yv
 
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
     """Joint surprisal -log p(y|x) - log p(x) for Gaussian channel and prior."""
-    xv, yv = _check_dims(pi, gamma, x, y)
-    sig_g = _channel_cov(gamma, xv)
-    eps_g, eps_p, eta_g, eta_p = _residuals(pi, gamma, xv, yv, sig_g)
-    quad = 0.5 * float(np.dot(eps_g, eta_g)) + 0.5 * float(np.dot(eps_p, eta_p))
-    norm = 0.5 * (
-        gamma.out_dim * math.log(2.0 * math.pi)
-        + sig_g.logdet()
-        + gamma.in_dim * math.log(2.0 * math.pi)
-        + _prior_cov(pi.cov).logdet()
-    )
-    return quad + norm
+    at, yv = _evaluate(pi, gamma, x, y)
+    return at.energy(pi, yv)
 
 
 def grad_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Energy gradient in the latent, with the channel covariance treated as
     locally constant: -J(x)^T eta_gamma + eta_pi."""
-    xv, yv = _check_dims(pi, gamma, x, y)
-    _, _, eta_g, eta_p = _residuals(pi, gamma, xv, yv, _channel_cov(gamma, xv))
-    return -_jacobian(gamma, xv).T @ eta_g + eta_p
-
-
-def _jacobian(gamma: GaussianChannel, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Jacobian of the mean map at x: the channel's own, or central
-    differences when it has none."""
-    if gamma.jacobian is not None:
-        return np.atleast_2d(gamma.jacobian(x))
-    jac = np.zeros((gamma.out_dim, x.size))
-    for k in range(x.size):
-        dx = np.zeros_like(x)
-        dx[k] = h
-        jac[:, k] = (np.asarray(gamma.mean(x + dx)) - np.asarray(gamma.mean(x - dx))) / (2.0 * h)
-    return jac
+    at, yv = _evaluate(pi, gamma, x, y)
+    return at.gradient(pi, yv)
 
 
 def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Gauss-Newton curvature J^T Sigma_gamma^{-1} J + Sigma_pi^{-1}, with the
-    channel's Jacobian or its central-difference estimate (``_jacobian``)."""
-    xv, _ = _check_dims(pi, gamma, x, y)
-    jac = _jacobian(gamma, xv)
-    return jac.T @ _channel_cov(gamma, xv).solve(jac) + _prior_cov(pi.cov).inverse()
+    channel's Jacobian or its central-difference estimate."""
+    return _evaluate(pi, gamma, x, y)[0].curvature(pi)
 
 
 def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
@@ -321,7 +359,8 @@ def free_energy_laplace(
 ) -> float:
     """Free energy of a Gaussian belief, Laplace form: energy at the belief
     mean minus the belief entropy."""
-    return energy(pi, gamma, rho_state.mean_array(), y) - gaussian_entropy(rho_state)
+    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y)
+    return at.energy(pi, yv) - gaussian_entropy(rho_state)
 
 
 def free_energy_second_order(
@@ -330,9 +369,9 @@ def free_energy_second_order(
     """Free energy with the second-order expected-energy correction
     (1/2) tr(H Sigma_rho); exact for linear channels, where the energy is
     quadratic in the latent."""
-    hess = hessian_energy(pi, gamma, rho_state.mean_array(), y)
-    return free_energy_laplace(pi, gamma, rho_state, y) + 0.5 * float(
-        np.trace(hess @ rho_state.cov_array())
+    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y)
+    return at.energy(pi, yv) - gaussian_entropy(rho_state) + 0.5 * float(
+        np.trace(at.curvature(pi) @ rho_state.cov_array())
     )
 
 
@@ -363,12 +402,8 @@ def rho_update(
 ) -> Gaussian:
     """One belief update: step the mean down the energy gradient, then set the
     covariance to the optimal one at the new mean."""
-    xv, yv = _check_dims(pi, gamma, x, y)
-    new_mean = xv - cfg.rate * grad_energy(pi, gamma, xv, yv)
-    if isinstance(gamma.jacobian, _ConstantJacobian) and isinstance(gamma.cov, _Guarded):
-        cov = _linear_belief_cov(gamma, pi.cov)
-        return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, cov)
-    return mk_state(new_mean, sigma_star(pi, gamma, new_mean, yv))
+    at, yv = _evaluate(pi, gamma, x, y)
+    return at.update(pi, yv, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +433,6 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
 
         return PolyMap(source, target, lambda pi_in: ypred, backward, DETERMINISTIC)
 
-    def predict(rho: Gaussian) -> Gaussian:
-        mu = rho.mean_array()
-        jac = _jacobian(gamma, mu)
-        cov = jac @ rho.cov_array() @ jac.T + np.atleast_2d(gamma.cov(mu))
-        return gaussian(Y, gamma.mean(mu), cov)
-
     def absorb(t, xy, pi_in, datum):
         x, _ = xy
         # a point mass is a zero-covariance belief, which the energy rejects
@@ -413,8 +442,10 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
             raise LaplaceError(
                 f"expected a Gaussian belief on the forward wire, got {pi_in!r}"
             )
-        rho = rho_update(np.asarray(x, dtype=float), pi, datum, gamma, cfg)
-        return dst(rho, predict(rho))
+        at, yv = _evaluate(pi, gamma, x, datum)
+        rho, at_new = at.update(pi, yv, cfg)
+        jac = at_new.jacobian()
+        return dst(rho, gaussian(Y, at_new.mean, jac @ rho.cov_array() @ jac.T + at_new.cov))
 
     def forward_lift(t, xy, b):
         return gamma(xy[0])
@@ -424,9 +455,8 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
     )
 
 
-def stack(levels, cfg: LaplaceConfig) -> HierSystem:
-    """Chain predictive levels bottom-to-top; each level's channel pushes a
-    calibrated prior up to the next."""
+def _check_levels(levels) -> None:
+    """A stack has a level, and each level observes the latent above it."""
     if not levels:
         raise LaplaceError("a stack needs at least one level")
     for low, high in zip(levels, levels[1:]):
@@ -434,6 +464,20 @@ def stack(levels, cfg: LaplaceConfig) -> HierSystem:
             raise LaplaceError(
                 f"adjacent levels disagree: {low.out_dim} -> {high.in_dim}"
             )
+
+
+def _finite_datum(datum) -> np.ndarray:
+    """The clamped datum as a vector, refused when it is not finite."""
+    datum_v = np.asarray(datum, dtype=float).reshape(-1)
+    if not np.isfinite(datum_v).all():
+        raise LaplaceError(f"datum {datum_v.tolist()} is not finite")
+    return datum_v
+
+
+def stack(levels, cfg: LaplaceConfig) -> HierSystem:
+    """Chain predictive levels bottom-to-top; each level's channel pushes a
+    calibrated prior up to the next."""
+    _check_levels(levels)
     systems = [build_laplace(ch, cfg) for ch in levels]
     out = systems[0]
     for hs in systems[1:]:
@@ -446,7 +490,7 @@ def mean_path(hs: HierSystem, pi0: Dist, datum, steps: int):
     update from the zero state, replacing each stochastic state draw by its
     mean.  Exact for the mean dynamics of linear channels.  Returns the list
     of flattened state vectors, one per step, starting with the initial."""
-    datum = tuple(np.asarray(datum, dtype=float).reshape(-1))
+    datum = tuple(_finite_datum(datum))
     point = unflatten_floats(hs.states, (0.0,) * euclid_dims(hs.states))
     path = [tuple(flatten_floats(hs.states, point))]
     for t in range(steps):
@@ -466,22 +510,23 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     the bottom level) and the datum passed down from above (the clamped datum
     for the top level).  Produces one record per (step, level) with the new
     mean and the level's free energy.  Agrees with the mean dynamics of
-    ``stack`` under ``mean_path``."""
-    datum_v = np.asarray(datum, dtype=float).reshape(-1)
+    ``stack`` under ``mean_path``.  A level's channel, evaluated once at each
+    new mean, gives its free energy, the prior it pushes up and its next step."""
+    _check_levels(levels)
+    datum_v = _finite_datum(datum)
     if datum_v.size != levels[-1].out_dim:
         raise LaplaceError("datum dimension does not match the top level")
     if len(pi0.mean) != levels[0].in_dim:
         raise LaplaceError("prior dimension does not match the bottom level")
-    means = [np.zeros(ch.in_dim) for ch in levels]
+    points = [_Evaluation(ch, np.zeros(ch.in_dim)) for ch in levels]
     rows = []
     for step in range(1, steps + 1):
-        priors = [pi0] + [ch(mu) for ch, mu in zip(levels[:-1], means[:-1])]
-        data_down = means[1:] + [datum_v]
-        new_means = []
-        for k, ch in enumerate(levels):
-            rho = rho_update(means[k], priors[k], data_down[k], ch, cfg)
-            fl = free_energy_laplace(priors[k], ch, rho, data_down[k])
-            rows.append((step, k, rho.mean, fl))
-            new_means.append(rho.mean_array())
-        means = new_means
+        priors = [pi0] + [at.law() for at in points[:-1]]
+        data_down = [at.x for at in points[1:]] + [datum_v]
+        new_points = []
+        for k, (at, pi, y) in enumerate(zip(points, priors, data_down)):
+            rho, at_new = at.update(pi, y, cfg)
+            rows.append((step, k, rho.mean, at_new.energy(pi, y) - gaussian_entropy(rho)))
+            new_points.append(at_new)
+        points = new_points
     return rows

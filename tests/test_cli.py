@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -245,6 +246,20 @@ def test_a_singular_level_covariance_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "channel covariance is numerically singular" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_datum_is_a_usage_error(tmp_path, capsys, bad):
+    """JSON reads NaN and Infinity; ``laplace`` refuses them as the datum, by
+    name, before it prints a row."""
+    spec = json.loads((SPECS / "laplace1d.json").read_text())
+    spec["data"] = [bad]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["laplace", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"LaplaceError: datum [{bad}] is not finite"
 
 
 @pytest.mark.parametrize(

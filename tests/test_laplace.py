@@ -351,6 +351,41 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     }
 
 
+def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
+    """N steps of a level with no analytic Jacobian and a state-dependent
+    covariance reach N + 1 means, counting the first, and evaluate the channel
+    once at each: one mean call there and two per input for central
+    differences, one covariance call and one condition check, plus one
+    condition check per step for the energy Hessian.  The channel's law at a
+    point reads the mean and the covariance alone: no Jacobian, no condition
+    check."""
+    n, steps = 2, 100
+    w = np.array([[1.0, 0.3], [-0.2, 0.9]])
+    calls = collections.Counter()
+
+    def mean(x):
+        calls["mean"] += 1
+        return np.tanh(w @ x)
+
+    def cov(x):
+        calls["cov"] += 1
+        return np.diag(0.5 + 0.2 * np.tanh(x) ** 2)
+
+    def cond(*args, _real=np.linalg.cond, **kwargs):
+        calls["cond"] += 1
+        return _real(*args, **kwargs)
+
+    ch = GaussianChannel(n, n, mean, None, cov)
+    prior = mk_state([0.1, -0.2], np.eye(n))
+    _prior_cov(prior.cov)  # the prior's one check, outside the count
+    monkeypatch.setattr(np.linalg, "cond", cond)
+    run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.3, -0.4], steps)
+    assert calls == {"mean": (1 + 2 * n) * (steps + 1), "cov": steps + 1, "cond": 2 * steps + 1}
+    calls.clear()
+    ch([0.2, 0.1])
+    assert calls == {"mean": 1, "cov": 1}
+
+
 def test_uninformative_channel_keeps_the_prior_covariance():
     flat = linear_channel([[0.0]], cov=[[1.0]])
     sig = sigma_star(PI, flat, [0.0], Y)
@@ -455,7 +490,26 @@ def test_three_level_composition_is_associative_on_the_skeleton():
 
 
 def test_stack_rejects_mismatched_levels():
-    with pytest.raises(LaplaceError):
-        stack([linear_channel([[2.0]]), linear_channel([[1.0, 1.0]])], LaplaceConfig())
-    with pytest.raises(LaplaceError):
-        stack([], LaplaceConfig())
+    """``stack`` and ``run_stack`` share one level check; ``run_stack`` makes
+    it before the first step, so also when it runs none."""
+    cfg = LaplaceConfig()
+    mismatched = [linear_channel([[2.0]]), linear_channel([[1.0, 1.0]])]
+    with pytest.raises(LaplaceError, match="adjacent levels disagree: 1 -> 2"):
+        stack(mismatched, cfg)
+    with pytest.raises(LaplaceError, match="a stack needs at least one level"):
+        stack([], cfg)
+    for steps in (0, 1):
+        with pytest.raises(LaplaceError, match="adjacent levels disagree: 1 -> 2"):
+            run_stack(mismatched, cfg, PI, [1.0], steps)
+        with pytest.raises(LaplaceError, match="a stack needs at least one level"):
+            run_stack([], cfg, PI, [1.0], steps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_the_runners_refuse_a_non_finite_datum(bad):
+    cfg = LaplaceConfig()
+    match = rf"datum \[{bad}\] is not finite"
+    with pytest.raises(LaplaceError, match=match):
+        run_stack(TWO_LEVELS, cfg, PI, [bad], 1)
+    with pytest.raises(LaplaceError, match=match):
+        mean_path(stack(TWO_LEVELS, cfg), PI, [bad], 1)
