@@ -132,13 +132,39 @@ def categorical(space: Space, weights) -> Dist:
             raise DistError(f"negative weight {w} on atom {atom!r}")
         check_point(space, atom)
         merged[atom] = merged.get(atom, 0.0) + w
-    total = math.fsum(merged.values())
+    _check_total(merged.values())
+    return _finite_law(space, tuple((a, w) for a, w in merged.items() if w != 0.0))
+
+
+def _check_total(weights) -> None:
+    total = math.fsum(weights)
     if abs(total - 1.0) > WEIGHT_TOL:
         raise DistError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
-    items = tuple((a, w) for a, w in merged.items() if w != 0.0)
+
+
+def _finite_law(space: Space, items: tuple) -> Dist:
+    """The law of pruned, distinct items: a point mass for one atom of weight
+    exactly 1."""
     if len(items) == 1 and items[0][1] == 1.0:
         return Dirac(space, items[0][0])
     return Categorical(space, items)
+
+
+def product_items(items1, items2) -> tuple:
+    """The (atom, weight) items of the product of two finite laws from theirs:
+    the pairs of atoms in order, each weighted by the product of its weights,
+    zero products pruned.  Distinct atoms on each side give distinct pairs,
+    so nothing is merged; the weights are checked as ``categorical`` checks
+    them."""
+    pairs = []
+    for a1, w1 in items1:
+        for a2, w2 in items2:
+            w = w1 * w2
+            if w < -WEIGHT_TOL:
+                raise DistError(f"negative weight {w} on atom {(a1, a2)!r}")
+            pairs.append(((a1, a2), w))
+    _check_total(w for _, w in pairs)
+    return tuple(p for p in pairs if p[1] != 0.0)
 
 
 def uniform(space: Space) -> Dist:
@@ -338,9 +364,12 @@ def dst(d1: Dist, d2: Dist) -> Dist:
 
     Finite x finite multiplies weights; Gaussian x Gaussian stacks means with
     block-diagonal covariance.  A Dirac over a Euclidean-shaped space pairs
-    with a Gaussian as a zero-covariance block.  Each block was checked when
-    its factor was built, so of a Gaussian product only the means are checked
-    here; the covariance is not checked again.
+    with a Gaussian as a zero-covariance block.  Factors are trusted as
+    checked when they were built, finite ones like Gaussian blocks: each pair
+    of atoms is a point of the product, so no atom is checked again, and the
+    result equals ``categorical`` of the weighted pairs.  Only the product
+    weights' sum (and sign) is checked, and of a Gaussian product only the
+    means; the covariance is not checked again.
     """
     space = prod(d1.space, d2.space)
     if isinstance(d1, Dirac) and isinstance(d2, Dirac):
@@ -348,12 +377,7 @@ def dst(d1: Dist, d2: Dist) -> Dist:
     finite1 = isinstance(d1, (Dirac, Categorical))
     finite2 = isinstance(d2, (Dirac, Categorical))
     if finite1 and finite2:
-        pairs = [
-            ((a1, a2), w1 * w2)
-            for a1, w1 in finite_items(d1)
-            for a2, w2 in finite_items(d2)
-        ]
-        return categorical(space, pairs)
+        return _finite_law(space, product_items(finite_items(d1), finite_items(d2)))
     g1 = _as_gaussian(d1)
     g2 = _as_gaussian(d2)
     if g1 is None or g2 is None:

@@ -48,6 +48,7 @@ from .poly import (
     PolyMap,
     Polynomial,
     TimeMonoid,
+    compose_key,
     compose_map,
     det_polymap,
     id_map,
@@ -55,6 +56,7 @@ from .poly import (
     monomial,
     polymap_key,
     tensor,
+    tensor_key,
     tensor_map,
     time_nat,
     y,
@@ -282,7 +284,9 @@ class HierTable:
     State ids follow ``points(states)``.  ``key_of[t]`` maps each state id to
     the id of the lens the state emits at tick t; ``keys[k]`` is that lens's
     normalized ``polymap_key`` and ``options[k]`` its normalized (position,
-    direction) responses, in the order ``hom_sections`` offers them.
+    direction) responses, in the order ``hom_sections`` offers them.  A leaf
+    table walks each lens for its key; a composite table assembles it from
+    its factors' keys (see ``_PairTable``).
     ``step(t, s, o)`` is the next-state law of state s after response o at
     tick t, as a sparse row (state ids, weights).  Rows are built on first
     use and interned, so states that move alike share one row id."""
@@ -419,8 +423,14 @@ class _LeafTable(HierTable):
 class _PairTable(HierTable):
     """A ``compose_hier``/``tensor_hier`` composite, tabulated from its
     factors' tables.  State (x, z) has id ``id(x) * |Z| + id(z)``; its key is
-    computed once per distinct pair of factor keys, and its rows are pairs of
-    factor rows, expanded into their outer product only when used."""
+    formed once per distinct pair of factor keys, and its rows are pairs of
+    factor rows, expanded into their outer product only when used.
+
+    A composite key is assembled from the factors' keys and routes
+    (``compose_key``, ``tensor_key``) and equals ``polymap_key`` of the
+    composed lens.  The lens is walked with ``polymap_key`` only where the
+    assembly cannot reproduce the walk: a composite route that mixes several
+    middle directions, or tensor items whose ``repr`` ties."""
 
     def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable,
                  horizon: int):
@@ -452,14 +462,19 @@ class _PairTable(HierTable):
     def _pair(self, code: int, n_right: int, routes: list) -> int:
         p = self._pair_ids.get(code)
         if p is None:
-            f = self._left._lenses[code // n_right]
-            g = self._right._lenses[code % n_right]
+            kf, kg = divmod(code, n_right)
+            f, g = self._left._lenses[kf], self._right._lenses[kg]
+            f_key, g_key = self._left.keys[kf], self._right.keys[kg]
             if self._kind == "compose":
                 lens, routed = compose_map(g, f), _compose_routes(f, g)
+                key = compose_key(g_key, f_key)
             else:
-                lens, routed = tensor_map(f, g), _tensor_routes(f, g)
+                lens, routed = tensor_map(f, g), _tensor_routes(f_key, g_key)
+                key = tensor_key(f, g, f_key, g_key)
+            if key is None:
+                key = polymap_key(lens)
             p = self._pair_ids[code] = len(self._pair_key)
-            self._pair_key.append(self._key_id(polymap_key(lens), lens))
+            self._pair_key.append(self._key_id(key, lens))
             self._offset.append(len(routes))
             routes.extend(routed)
         return p
@@ -527,27 +542,35 @@ def _compose_routes(f: PolyMap, g: PolyMap) -> list:
         f_dirs = {d: e for e, d in enumerate(points(f.target.dirs_at(j)))}
         g_offset, g_dirs = g_opts[j]
         for e, d in enumerate(g_dirs):
-            mid = finite_items(g.backward(j, d))
-            routes.append((g_offset + e, tuple((offset + f_dirs[dm], w) for dm, w in mid)))
+            comps = []
+            for dm, w in finite_items(g.backward(j, d)):
+                if dm not in f_dirs:
+                    raise HierError(
+                        f"at source position {i!r}, the backward law answers direction "
+                        f"{d!r} with {dm!r}, which is not a direction of the middle "
+                        f"interface at {j!r}"
+                    )
+                comps.append((offset + f_dirs[dm], w))
+            routes.append((g_offset + e, tuple(comps)))
         offset += len(f_dirs)
     return routes
 
 
-def _tensor_routes(f: PolyMap, g: PolyMap) -> list:
-    """Responses of f (x) g, in option order, split into one option each."""
+def _tensor_routes(f_key: tuple, g_key: tuple) -> list:
+    """Responses of f (x) g, in option order, split into one option each;
+    from the factors' keys, whose rows list each position's directions."""
 
-    def grid(lens):
+    def grid(key):
         out, offset = [], 0
-        for i in points(lens.source.positions):
-            n = sum(1 for _ in points(lens.target.dirs_at(lens.forward(i))))
-            out.append((offset, n))
-            offset += n
+        for row in key:
+            out.append((offset, len(row[2])))
+            offset += len(row[2])
         return out
 
     return [
         (g_off + e2, ((f_off + e1, 1.0),))
-        for f_off, f_n in grid(f)
-        for g_off, g_n in grid(g)
+        for f_off, f_n in grid(f_key)
+        for g_off, g_n in grid(g_key)
         for e1 in range(f_n)
         for e2 in range(g_n)
     ]

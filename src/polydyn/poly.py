@@ -35,12 +35,15 @@ from .dist import (
     dist_distance,
     dst,
     finite_items,
+    product_items,
 )
 from .spaces import (
     Space,
     SpaceError,
     check_point,
     is_finite,
+    join_normal,
+    norm_arity,
     normalize_point,
     points,
     prod,
@@ -298,7 +301,9 @@ def polymap_key(f: PolyMap):
     """Canonical hashable encoding of a finite lens: its full forward and
     backward tables.  The position and direction values are normalized first,
     so lenses that differ only by unit factors or by product re-association
-    get the same key."""
+    get the same key.  A row per source position i (in enumeration order)
+    holds i, its forward position, and per direction d of the target there
+    the backward law's items, sorted by ``repr`` of their normalized atoms."""
     if not is_finite(f.source.positions):
         raise PolyError("polymap_key needs a finite position space")
     rows = []
@@ -312,17 +317,93 @@ def polymap_key(f: PolyMap):
         for d in points(fibre_out):
             res = f.backward(i, d)
             key_d = normalize_point(fibre_out, d)
-            res_items = tuple(
-                sorted(
-                    ((normalize_point(fibre_in, a), w) for a, w in finite_items(res)),
-                    key=lambda it: repr(it[0]),
-                )
+            res_items, _ = _sorted_items(
+                (normalize_point(fibre_in, a), w) for a, w in finite_items(res)
             )
             back.append((key_d, res_items))
         fwd_key = normalize_point(f.target.positions, fwd)
         i_key = normalize_point(f.source.positions, i)
         rows.append((i_key, fwd_key, tuple(back)))
     return tuple(rows)
+
+
+def _sorted_items(items) -> tuple:
+    """Normalized (atom, weight) items sorted by the ``repr`` of their atoms,
+    as a lens key holds them, and whether two of those reprs tie (the sort is
+    stable, so tied items keep the order they came in)."""
+    items = list(items)
+    if len(items) < 2:
+        return tuple(items), False
+    decorated = sorted(((repr(a), a, w) for a, w in items), key=lambda it: it[0])
+    tied = any(decorated[k][0] == decorated[k + 1][0] for k in range(len(decorated) - 1))
+    return tuple((a, w) for _, a, w in decorated), tied
+
+
+def compose_key(g_key: tuple, f_key: tuple):
+    """``polymap_key(compose_map(g, f))`` from the keys of f and g, or None
+    when some backward law of g has other than one atom.
+
+    With one atom d (a point-mass middle), ``bind`` returns f's backward law
+    at d itself, so the composite's entry is f's key entry for d; forward
+    positions and direction keys come from g's row for f's forward position.
+    A law with several atoms is mixed by ``bind`` in its own summation order,
+    so that lens must be walked."""
+    g_rows = {row[0]: row for row in g_key}
+    rows = []
+    for i_key, j_key, f_back in f_key:
+        _, fwd_key, g_back = g_rows[j_key]
+        f_laws = dict(f_back)
+        back = []
+        for d_key, mid in g_back:
+            if len(mid) != 1:
+                return None
+            back.append((d_key, f_laws[mid[0][0]]))
+        rows.append((i_key, fwd_key, tuple(back)))
+    return tuple(rows)
+
+
+def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple):
+    """``polymap_key(tensor_map(f, g))`` from the keys of f and g, or None
+    when two items of a backward law tie in ``repr``.
+
+    Positions and directions are the factors' normal forms joined, by the
+    normalized arity of each factor's space (of each fibre, per position),
+    and a backward law's items are the products of the factors' items, as
+    ``dst`` forms them, re-sorted.  Tied items would keep the order of
+    ``dst``'s product, which the factors' sorted items no longer hold, so
+    that lens must be walked."""
+    pos_f, tgt_f, fibres_f = _arities(f)
+    pos_g, tgt_g, fibres_g = _arities(g)
+    rows = []
+    for (i_key, fwd1, back1), (in1, out1) in zip(f_key, fibres_f):
+        for (j_key, fwd2, back2), (in2, out2) in zip(g_key, fibres_g):
+            back = []
+            for d1, items1 in back1:
+                for d2, items2 in back2:
+                    res_items, tied = _sorted_items(
+                        (join_normal(in1, a1, in2, a2), w)
+                        for (a1, a2), w in product_items(items1, items2)
+                    )
+                    if tied:
+                        return None
+                    back.append((join_normal(out1, d1, out2, d2), res_items))
+            rows.append((
+                join_normal(pos_f, i_key, pos_g, j_key),
+                join_normal(tgt_f, fwd1, tgt_g, fwd2),
+                tuple(back),
+            ))
+    return tuple(rows)
+
+
+def _arities(f: PolyMap) -> tuple:
+    """Normalized arities of a finite lens's source and target positions,
+    and per source position of its own fibre and of the target's fibre
+    there."""
+    fibres = [
+        (norm_arity(f.source.dirs_at(i)), norm_arity(f.target.dirs_at(f.forward(i))))
+        for i in points(f.source.positions)
+    ]
+    return norm_arity(f.source.positions), norm_arity(f.target.positions), fibres
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ def _norm_factors(space: Space) -> list:
     return [space]
 
 
-def _norm_arity(space: Space) -> int:
+def norm_arity(space: Space) -> int:
     """How many slots the space contributes to its normalized form."""
     return len(_norm_factors(space))
 
@@ -203,12 +203,30 @@ def _norm_arity(space: Space) -> int:
 def normalize_point(space: Space, value: Any) -> Any:
     """Rewrite a point of ``space`` in normal form: nested products flattened,
     unit factors dropped, a singleton unwrapped."""
-    parts = _norm_parts(space, value)
+    return _pack(_norm_parts(space, value))
+
+
+def join_normal(arity1: int, norm1: Any, arity2: int, norm2: Any) -> Any:
+    """The normal form of a pair point of ``prod(X, Y)`` from the normal forms
+    of its two components, given the normalized arities of X and Y."""
+    return _pack(_slots(arity1, norm1) + _slots(arity2, norm2))
+
+
+def _pack(parts) -> Any:
     if not parts:
         return ()
     if len(parts) == 1:
         return parts[0]
     return tuple(parts)
+
+
+def _slots(arity: int, norm_value: Any) -> tuple:
+    """The slots of a normalized value of the given arity."""
+    if arity == 0:
+        return ()
+    if arity == 1:
+        return (norm_value,)
+    return tuple(norm_value)
 
 
 def _norm_parts(space: Space, value: Any) -> list:
@@ -224,13 +242,7 @@ def _norm_parts(space: Space, value: Any) -> list:
 
 def expand_point(space: Space, norm_value: Any) -> Any:
     """Inverse of normalize_point: rebuild the structured point of ``space``."""
-    n = _norm_arity(space)
-    if n == 0:
-        slots: tuple = ()
-    elif n == 1:
-        slots = (norm_value,)
-    else:
-        slots = tuple(norm_value)
+    slots = _slots(norm_arity(space), norm_value)
     built, used = _expand(space, slots, 0)
     if used != len(slots):
         raise SpaceError(f"normalized value has wrong arity for {space!r}")

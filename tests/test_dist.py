@@ -26,13 +26,16 @@ from polydyn import (
     gaussian,
     kleisli_compose,
     mk_state,
+    points,
     prob,
     prod,
     pushforward,
     sample,
     uniform,
 )
+from polydyn import dist
 from polydyn.dist import _as_gaussian
+from polydyn.spaces import check_point
 
 from helpers import gaussian_bits
 
@@ -187,6 +190,73 @@ def test_dst_dirac_euclid_coerces_to_zero_cov_block():
     assert tuple(j.mean) == (4.0, 0.0)
     c = np.asarray(j.cov)
     assert c[0, 0] == 0.0 and c[1, 1] == 1.0
+
+
+UNDERFLOWING = categorical(SPACE, [(0, 1e-200), (1, 1.0)])
+
+
+def _finite_laws(gen):
+    """Seeded point masses and categorical laws on small finite spaces, some
+    with weights that are not dyadic, and one whose products underflow."""
+    spaces = [finite("a"), finite("a", "b"), SPACE, prod(finite("a", "b"), SPACE)]
+    laws = [UNDERFLOWING]
+    for space in spaces:
+        atoms = list(points(space))
+        laws.append(dirac(space, atoms[int(gen.integers(len(atoms)))]))
+        if len(atoms) > 1:
+            ws = gen.dirichlet([1.0] * len(atoms))
+            laws.append(categorical(space, list(zip(atoms, ws.tolist()))))
+            laws.append(categorical(space, [(atoms[0], 0.25), (atoms[-1], 0.75)]))
+    return laws
+
+
+def _bits(d):
+    items = [(a, w.hex()) for a, w in finite_items(d)]
+    return type(d), d.space, items
+
+
+def test_finite_dst_equals_categorical_of_the_pairs():
+    """The product of two checked finite laws is the law ``categorical``
+    builds from the weighted pairs: its items, their order and its type
+    (a point mass for one atom of weight 1)."""
+    laws = _finite_laws(np.random.default_rng(14))
+    for d1 in laws:
+        for d2 in laws:
+            pairs = [((a1, a2), w1 * w2)
+                     for a1, w1 in finite_items(d1) for a2, w2 in finite_items(d2)]
+            assert _bits(dst(d1, d2)) == _bits(categorical(prod(d1.space, d2.space), pairs))
+
+
+def test_finite_dst_prunes_underflowing_products():
+    """1e-200 * 1e-200 underflows to 0, and that pair is pruned."""
+    j = dst(UNDERFLOWING, UNDERFLOWING)
+    assert [a for a, _ in j.items] == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_finite_dst_still_checks_the_product_weights():
+    """Laws built directly, each summing to 1 + 8e-13, pass alone but their
+    product misses 1 by more than 1e-12."""
+    d1 = Categorical(SPACE, ((0, 0.5), (1, 0.5 + 8e-13)))
+    d2 = Categorical(finite("a", "b"), (("a", 0.25), ("b", 0.75 + 8e-13)))
+    with pytest.raises(DistError, match="sum"):
+        dst(d1, d2)
+
+
+def test_finite_dst_checks_no_atom(monkeypatch):
+    """Each pair of checked atoms is a point of the product, so building it
+    checks none of them again."""
+    laws = _finite_laws(np.random.default_rng(15))
+    calls = []
+
+    def counted(space, value):
+        calls.append(value)
+        return check_point(space, value)
+
+    monkeypatch.setattr(dist, "check_point", counted)
+    for d1 in laws:
+        for d2 in laws:
+            dst(d1, d2)
+    assert calls == []
 
 
 def _block_law(d1, d2):

@@ -8,6 +8,7 @@ from polydyn import (
     prod,
     HierError,
     HierSystem,
+    PolyMap,
     categorical,
     compose_hier,
     copy_system,
@@ -30,6 +31,7 @@ from polydyn import (
     prob,
     quasi_bisim,
     swap_system,
+    tabulate,
     tensor,
     tensor_hier,
     time_nat,
@@ -307,6 +309,24 @@ def test_hibi_composite_is_tabulated_by_walking_it():
         quasi_bisim(both, both, horizon=2)
     pointed = hibi_compose(level(tgt), level(src))
     assert quasi_bisim(pointed, pointed, horizon=2)["related"]
+
+
+def test_a_backward_law_outside_the_middle_fibre_is_named():
+    """gamma answers with a direction that is not in beta's target fibre, so
+    the composite's backward traffic has nowhere to go."""
+    S = finite("s0", "s1")
+    beta = mk_hier(y(), monomial(A, S), finite(0, 1),
+                   lambda t, x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
+                   lambda t, x, i, s: dirac(finite(0, 1), 1 - x))
+    stray = PolyMap(monomial(A, S), linear(A), lambda a: a,
+                    lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
+    gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: stray,
+                    lambda t, z, a, d: dirac(unit(), ()))
+    both = compose_hier(beta, gamma)
+    for run in (lambda: tabulate(both, 2),
+                lambda: quasi_bisim(both, both, horizon=2)):
+        with pytest.raises(HierError, match=r"source position \(\).*'zzz'"):
+            run()
 
 
 def test_mk_hier_validates_emitted_shape():

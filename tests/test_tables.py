@@ -26,6 +26,8 @@ from polydyn import (
     all_sections,
     as_hier,
     bind,
+    cardinality,
+    categorical,
     compose_hier,
     copy_system,
     det_polymap,
@@ -43,11 +45,13 @@ from polydyn import (
     points,
     polymap_key,
     prior_system,
+    prod,
     pushforward,
     quasi_bisim,
     stochastic_channel_system,
     swap_system,
     tabulate,
+    tabulated,
     tensor_hier,
     trace,
     unit,
@@ -313,3 +317,140 @@ def test_flat_traces_equal_the_bind_walk(n_states, stochastic):
                 for t, (g, w) in enumerate(zip(got, want)):
                     assert g.space == w.space, (n_states, k, t)
                     assert dist_distance(g, w) == 0.0, (n_states, k, init, t, g, w)
+
+
+# ---------------------------------------------------------------------------
+# composite keys assembled from their factors' keys
+
+
+def leaves(hs, found=None) -> list:
+    """The distinct (by identity) leaf systems of a composite's factor tree."""
+    found = {} if found is None else found
+    if hs.factors is None:
+        found.setdefault(id(hs), hs)
+    else:
+        for part in hs.factors[1:]:
+            leaves(part, found)
+    return list(found.values())
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_composite_keys_walk_only_the_leaf_lenses(monkeypatch, n):
+    """Tabulating the two joints of the dynamical Bayes check walks each leaf
+    lens once per (tick, state) for its key, and no composite lens: every
+    composite key is assembled from its factors' keys."""
+    horizon = 4
+    X, Y, pi, rows, back = dyadic_channel_prior(Rng(83).child(n), n, n)
+    c = stochastic_channel_system(rows.__getitem__, X, Y)
+    p = prior_system(pi)
+    cdag = stochastic_channel_system(back.__getitem__, Y, X)
+    lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
+    rhs = compose_hier(
+        compose_hier(compose_hier(p, c), copy_system(Y)),
+        tensor_hier(cdag, id_hier(linear(Y))),
+    )
+    walked = []
+
+    def counted(lens):
+        walked.append(lens)
+        return polymap_key(lens)
+
+    monkeypatch.setattr(hier, "polymap_key", counted)
+    for joint in (lhs, rhs):
+        walked.clear()
+        tabulate(joint, horizon)
+        expected = sum((horizon + 1) * cardinality(leaf.states) for leaf in leaves(joint))
+        assert len(walked) == expected, (n, len(walked), expected)
+
+
+def tabulated_system(rng, positions, fibres, out_positions, out_fibres, states):
+    """A stochastic system between tabulated interfaces whose backward laws
+    are categorical and whose lens depends on the tick and the state."""
+    gen = rng.generator()
+    source = tabulated(positions, dict(zip(points(positions), fibres)))
+    target = tabulated(out_positions, dict(zip(points(out_positions), out_fibres)))
+    outs = list(points(out_positions))
+    index = {i: k for k, i in enumerate(points(positions))}
+    laws = {
+        (x, i, k, d): dyadic_dist(gen, source.dirs_at(i))
+        for x in points(states) for i in points(positions)
+        for k, o in enumerate(outs) for d in points(target.dirs_at(o))
+    }
+    moves = {x: dyadic_dist(gen, states) for x in points(states)}
+
+    def emit(t, x):
+        def forward(i):
+            return outs[(index[i] + x + t) % len(outs)]
+
+        def backward(i, d):
+            return laws[(x, i, outs.index(forward(i)), d)]
+
+        return PolyMap(source, target, forward, backward, STOCHASTIC)
+
+    return mk_hier(source, target, states, emit, lambda t, x, i, d: moves[x],
+                   init=dyadic_dist(gen, states))
+
+
+def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
+    """Per-position fibres of different normalized arities, unit factors in
+    positions and fibres, and categorical backward laws on both sides."""
+    S, T = finite("s0", "s1"), finite("t0", "t1", "t2")
+    left = tabulated_system(
+        Rng(84), prod(finite("p", "q"), unit()),
+        [prod(unit(), S), prod(S, T)],
+        finite(0, 1), [prod(T, unit(), S), unit()],
+        finite(0, 1, 2),
+    )
+    right = tabulated_system(
+        Rng(85), finite("r"), [prod(T, prod(unit(), S))],
+        prod(unit(), finite("a", "b")), [S, prod(unit(), unit())],
+        finite(0, 1),
+    )
+    for both in (tensor_hier(left, right), tensor_hier(right, left)):
+        table = tabulate(both, HORIZON)
+        states = list(points(both.states))
+        for t in range(HORIZON + 1):
+            for s, x in enumerate(states):
+                assert table.keys[table.key_of[t][s]] == polymap_key(both.emit(t, x)), (t, x)
+
+
+class Label:
+    """A label shown by the given text and told apart only by identity."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+def test_tensor_keys_walk_the_lens_on_a_repr_tie(monkeypatch):
+    """Atoms "p, q" and "p" on the left and "r" and "q, r" on the right make
+    two product atoms that both read "(p, q, r)".  The walk keeps them in the
+    order ``dst`` forms them, left atom "p, q" first; the left key sorts "p"
+    first, so an assembled key would swap them.  The lens is walked."""
+    A = finite("a")
+    pq, p_, r_, qr = Label("p, q"), Label("p"), Label("r"), Label("q, r")
+
+    def leaf(fibre, law):
+        lens = PolyMap(monomial(A, fibre), linear(A), lambda i: i, lambda i, d: law, STOCHASTIC)
+        return mk_hier(monomial(A, fibre), linear(A), finite(0), lambda t, x: lens,
+                       lambda t, x, i, d: dirac(finite(0), 0))
+
+    left_fibre, right_fibre = finite(pq, p_), finite(r_, qr)
+    left = leaf(left_fibre, categorical(left_fibre, [(pq, 0.75), (p_, 0.25)]))
+    right = leaf(right_fibre, categorical(right_fibre, [(r_, 0.5), (qr, 0.5)]))
+    both = tensor_hier(left, right)
+    walked = []
+
+    def counted(lens):
+        walked.append(lens)
+        return polymap_key(lens)
+
+    monkeypatch.setattr(hier, "polymap_key", counted)
+    table = tabulate(both, HORIZON)
+    key = polymap_key(both.emit(0, (0, 0)))
+    tied = [a for a, _ in key[0][2][0][1] if repr(a) == "(p, q, r)"]
+    assert tied == [(pq, r_), (p_, qr)]
+    assert table.keys[table.key_of[0][0]] == key
+    assert len(walked) == 2 * (HORIZON + 1) + 1
