@@ -843,12 +843,13 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
     return seen
 
 
-def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections):
-    """First mismatch of every candidate pair, from the two systems' tables.
+def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
+    """Per section, the C_a x C_b deviation of every candidate pair at each
+    tick, from the two systems' tables.
 
     Each side's candidates move together as the rows of one matrix; the
     emitted-lens laws of the two sides are compared per tick as vectors over
-    the union of their keys.  Returns the section count and the lookup."""
+    the union of their keys.  A section's ticks are computed when first read."""
     done: dict = {}
     tables = [_tabulate(theta, horizon, done), _tabulate(psi, horizon, done)]
     keys, options, maps = _union(tables)
@@ -858,54 +859,35 @@ def _hier_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol, max_sec
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     laws = [np.stack([tb.law(d) for d in cands]) for tb, cands in zip(tables, (cand_a, cand_b))]
-    shape = (len(cand_a), len(cand_b))
-    at_section = np.full(shape, -1, dtype=np.intp)
-    at_t = np.zeros(shape, dtype=np.intp)
-    deviation = np.zeros(shape)
-    open_ = np.ones(shape, dtype=bool)
     # rows of side a per block, so a block's C_a x C_b x keys array stays small
-    block = max(1, (1 << 20) // max(1, shape[1] * len(keys)))
-    for si, choice in enumerate(choices):
+    block = max(1, (1 << 20) // max(1, len(cand_b) * len(keys)))
+
+    def deviations(choice):
         ka, kb = (
             _key_laws(tb, m, len(keys), choice, law, horizon)
             for tb, m, law in zip(tables, maps, laws)
         )
         for t in range(horizon + 1):
-            for lo in range(0, shape[0], block):
-                dev = np.abs(ka[t][lo:lo + block, None, :] - kb[t][None, :, :]).max(axis=2)
-                new = open_[lo:lo + block] & (dev > tol)
-                at_section[lo:lo + block][new] = si
-                at_t[lo:lo + block][new] = t
-                deviation[lo:lo + block][new] = dev[new]
-                open_[lo:lo + block] &= ~new
-        if not open_.any():
-            break
+            yield np.concatenate([
+                np.abs(ka[t][lo:lo + block, None, :] - kb[t][None, :, :]).max(axis=2)
+                for lo in range(0, len(cand_a), block)
+            ])
 
-    def mismatch(a, b):
-        if at_section[a, b] < 0:
-            return None
-        return {"section": int(at_section[a, b]), "t": int(at_t[a, b]),
-                "deviation": float(deviation[a, b])}
-
-    return len(choices), mismatch
+    return [deviations(choice) for choice in choices]
 
 
-def _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol):
-    """First mismatch of every candidate pair, from one trace per (candidate,
-    section): for systems whose states are not finite."""
-    found: dict = {}
-    for si, sigma in enumerate(sections):
+def _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon):
+    """Per section, the C_a x C_b deviation of every candidate pair at each
+    tick, from one trace per (candidate, section): for systems whose states
+    are not finite."""
+
+    def deviations(sigma):
         va = [trace(theta, sigma, c, horizon).values for c in cand_a]
         vb = [trace(psi, sigma, c, horizon).values for c in cand_b]
-        for a, b in itertools.product(range(len(cand_a)), range(len(cand_b))):
-            if (a, b) in found:
-                continue
-            for t in range(horizon + 1):
-                dev = dist_distance(va[a][t], vb[b][t])
-                if dev > tol:
-                    found[(a, b)] = {"section": si, "t": t, "deviation": dev}
-                    break
-    return lambda a, b: found.get((a, b))
+        for t in range(horizon + 1):
+            yield np.array([[dist_distance(a[t], b[t]) for b in vb] for a in va])
+
+    return [deviations(sigma) for sigma in sections]
 
 
 def quasi_bisim(
@@ -927,13 +909,25 @@ def quasi_bisim(
     Candidates are the provided lists plus each system's canonical initial
     law, every point mass, and the uniform law (finite state spaces).  Both
     searches are capped, and the verdict does not say when a cap applied:
-    the point masses and the uniform law are dropped above ``_candidates``'
-    ``cap`` (256) states, and without explicit ``sections`` the sections
-    become a seeded sample of ``max_sections`` (512) when their exhaustive
-    product is larger.
+    the point masses and the uniform law are dropped above 256 states (the
+    ``cap`` of ``_candidates``), and without explicit ``sections`` the
+    sections become a seeded sample of ``max_sections`` (512) when their
+    exhaustive product is larger.
     An open system on p is compared as the hierarchical system y -> p
-    (``as_hier``).  Systems with finite states are compared on their tables.
-    The verdict records the witnessing pair or the first mismatch."""
+    (``as_hier``).  Systems with finite states are compared on their tables;
+    any other system only under explicit ``sections``.  A comparison under
+    no section at all is refused, not passed.
+
+    A candidate pair matches when its traces agree within ``tol`` at every
+    tick under every section.  A side-a candidate holds when some
+    (``exists``) or every (``forall``) side-b candidate matches it, and the
+    systems are related when some (``exists``) or every (``forall``) side-a
+    candidate holds.  The witness names ``alpha``, the first side-a
+    candidate that decides the question (0 when none does), and ``beta``,
+    the first side-b candidate that matches it (``exists``; 0 when none
+    does) or fails it (``forall``), with the pair's first mismatch
+    (``section``, ``t``, ``deviation``) when it does not match.  A
+    ``forall`` side b that holds has no such beta: the witness is None."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
     theta, psi = (as_hier(s) if isinstance(s, System) else s for s in (theta, psi))
@@ -942,49 +936,40 @@ def quasi_bisim(
     cand_a = _candidates(theta, alphas, alpha_mode)
     cand_b = _candidates(psi, betas, beta_mode)
     if is_finite(theta.states) and is_finite(psi.states):
-        n_sections, match = _hier_mismatches(
-            theta, psi, sections, cand_a, cand_b, horizon, tol, max_sections
-        )
+        source = _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections)
+    elif sections is None:
+        raise HierError("systems whose states are not finite need explicit sections")
     else:
-        if sections is None:
-            sections = hom_sections([theta, psi], horizon, max_sections)
-        n_sections = len(sections)
-        match = _traced_mismatches(theta, psi, sections, cand_a, cand_b, horizon, tol)
+        source = _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
+    if not source:
+        raise HierError("no section to compare the systems under")
 
-    def note(ci_a, ci_b, mismatch):
-        return {"alpha": ci_a, "beta": ci_b, **(mismatch or {})}
+    # first mismatch of every candidate pair: section (-1 where none), tick, deviation
+    shape = (len(cand_a), len(cand_b))
+    at_section = np.full(shape, -1, dtype=np.intp)
+    at_t = np.zeros(shape, dtype=np.intp)
+    deviation = np.zeros(shape)
+    for si, ticks in enumerate(source):
+        for t, dev in enumerate(ticks):
+            new = (at_section < 0) & (dev > tol)
+            at_section[new], at_t[new], deviation[new] = si, t, dev[new]
+        if (at_section >= 0).all():
+            break
 
-    pass_fail: dict = {"mode": (alpha_mode, beta_mode), "sections": n_sections}
-
-    def beta_side(ci_a):
-        first = None
-        for ci_b in range(len(cand_b)):
-            mis = match(ci_a, ci_b)
-            if beta_mode == "exists" and mis is None:
-                return True, note(ci_a, ci_b, None)
-            if beta_mode == "forall" and mis is not None:
-                return False, note(ci_a, ci_b, mis)
-            if first is None and mis is not None:
-                first = note(ci_a, ci_b, mis)
-        if beta_mode == "exists":
-            return False, first
-        return True, None
-
-    first_fail = None
-    first_ok = None
-    for ci_a in range(len(cand_a)):
-        ok, info = beta_side(ci_a)
-        if alpha_mode == "exists" and ok:
-            return {**pass_fail, "related": True, "witness": info}
-        if alpha_mode == "forall" and not ok:
-            return {**pass_fail, "related": False, "witness": info}
-        if not ok and first_fail is None:
-            first_fail = info
-        if ok and first_ok is None:
-            first_ok = info
-    if alpha_mode == "exists":
-        return {**pass_fail, "related": False, "witness": first_fail}
-    return {**pass_fail, "related": True, "witness": first_ok}
+    ok = at_section < 0
+    holds = ok.any(axis=1) if beta_mode == "exists" else ok.all(axis=1)
+    decides = holds if alpha_mode == "exists" else ~holds
+    a = int(decides.argmax())
+    named = ok[a] if beta_mode == "exists" else ~ok[a]
+    b = int(named.argmax())
+    witness = None
+    if beta_mode == "exists" or named[b]:
+        witness = {"alpha": a, "beta": b}
+        if not ok[a, b]:
+            witness.update(section=int(at_section[a, b]), t=int(at_t[a, b]),
+                           deviation=float(deviation[a, b]))
+    return {"mode": (alpha_mode, beta_mode), "sections": len(source),
+            "related": bool(decides.any()) == (alpha_mode == "exists"), "witness": witness}
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,39 @@ def test_quasi_bisim_on_infinite_states_walks_the_closures():
     assert other["witness"]["t"] == 0
 
 
+def test_quasi_bisim_refuses_to_compare_under_no_section():
+    """A verdict over no environment would hold vacuously, so no section --
+    none given, or none enumerated because a lens offers no response -- is
+    refused.  Under the enumerated sections the same pair is refuted."""
+    B = finite("even", "odd")
+    constant = mk_hier(y(), linear(B), finite(0),
+                       lambda t, x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                       lambda t, x, i, d: dirac(finite(0), 0))
+    refuted = quasi_bisim(blinker(2), constant, "forall", "forall", horizon=3)
+    assert not refuted["related"]
+    assert (refuted["witness"]["t"], refuted["witness"]["deviation"]) == (1, 1.0)
+    with pytest.raises(HierError, match="no section"):
+        quasi_bisim(blinker(2), constant, "forall", "forall", sections=[], horizon=3)
+    mute_target = monomial(B, finite())
+    mute = mk_hier(y(), mute_target, finite(0),
+                   lambda t, x: det_polymap(y(), mute_target, lambda i: "even", lambda i, d: ()),
+                   lambda t, x, i, d: dirac(finite(0), 0))
+    assert hom_sections([mute], horizon=3) == []
+    with pytest.raises(HierError, match="no section"):
+        quasi_bisim(mute, mute, "forall", "forall", horizon=3)
+
+
+def test_quasi_bisim_on_infinite_states_needs_explicit_sections():
+    states = euclid(1)
+    B = finite("even", "odd")
+    drift = mk_hier(y(), linear(B), states,
+                    lambda t, x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                    lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
+    start = [dirac(states, (0.0,))]
+    with pytest.raises(HierError, match="explicit sections"):
+        quasi_bisim(drift, drift, horizon=2, alphas=start, betas=start)
+
+
 def test_quasi_bisim_on_flat_systems():
     """Flat systems compare by their output traces under every section."""
     out = finite(0, 1, 2)

@@ -34,6 +34,7 @@ from polydyn import (
     dirac,
     discard_system,
     dist_distance,
+    euclid,
     finite,
     finite_items,
     hier_from_tables,
@@ -235,12 +236,15 @@ def test_hom_sections_offer_the_closure_keys_in_first_seen_order():
         assert [key for key, _ in sections[0].table] == list(seen), name
 
 
-def closure_verdict(theta, psi, alpha_mode, beta_mode, horizon, tol, alphas, traces):
-    """quasi_bisim's verdict, with every trace walked on the closures;
-    ``traces`` keeps the walks for the next call on the same systems."""
-    sections = hom_sections([theta, psi], horizon)
+def closure_verdict(theta, psi, alpha_mode, beta_mode, horizon, tol, alphas, traces,
+                    betas=None, sections=None):
+    """quasi_bisim's verdict, with every trace walked on the closures, under
+    the given sections or else every section; ``traces`` keeps the walks for
+    the next call on the same systems and candidates."""
+    if sections is None:
+        sections = hom_sections([theta, psi], horizon)
     cand_a = hier._candidates(theta, alphas, alpha_mode)
-    cand_b = hier._candidates(psi, None, beta_mode)
+    cand_b = hier._candidates(psi, betas, beta_mode)
 
     def values(side, sys_, cands, c, si):
         key = (side, c, si)
@@ -291,6 +295,59 @@ def test_quasi_bisim_verdicts_equal_closure_verdicts(name, theta, psi, provided)
                 theta, psi, *modes, HORIZON, tol, provided, traces
             )
             assert (got["related"], got["witness"]) == (related, witness), (name, modes, tol)
+
+
+def drifting(shift, steps_on=("go",)):
+    """A machine on the real line that shows the parity of its position
+    (shifted) and steps forward on the directions ``steps_on``: it has no
+    table."""
+    states = euclid(1)
+    B, T = finite("even", "odd"), finite("stay", "go")
+    target = monomial(B, T)
+
+    def emit(t, x):
+        label = "even" if int(x[0] + shift) % 2 == 0 else "odd"
+        return det_polymap(y(), target, lambda i: label, lambda i, d: ())
+
+    return mk_hier(y(), target, states, emit,
+                   lambda t, x, i, d: dirac(states, (x[0] + (d in steps_on),)))
+
+
+def test_traced_verdicts_equal_closure_verdicts():
+    """Systems whose states are not finite are compared trace by trace
+    under explicit sections; the verdict is the closure reference's in every
+    mode, for provided initial laws (one a mixture) on both sides."""
+    states = euclid(1)
+    at = [dirac(states, (v,)) for v in (0.0, 1.0)]
+    alphas = [at[1], categorical(states, {(0.0,): 0.25, (1.0,): 0.75}), at[0]]
+    betas = [at[1], categorical(states, {(0.0,): 0.5, (1.0,): 0.5}), at[0]]
+    # the sections of a finite machine that emits the same two lenses
+    shows = finite(0, 1)
+    target = drifting(0).target
+    parity = mk_hier(y(), target, shows,
+                     lambda t, x: det_polymap(y(), target, lambda i: ("even", "odd")[x],
+                                              lambda i, d: ()),
+                     lambda t, x, i, d: dirac(shows, x))
+    sections = hom_sections([parity], HORIZON)
+    assert len(sections) == 4
+    named = set()
+    pairs = [(drifting(0), drifting(2)), (drifting(0), drifting(1)),
+             (drifting(0), drifting(0, steps_on=()))]
+    for theta, psi in pairs:
+        traces: dict = {}
+        for modes in MODES:
+            for tol in (0.0, 0.5):
+                got = quasi_bisim(theta, psi, *modes, sections=sections, horizon=HORIZON,
+                                  tol=tol, alphas=alphas, betas=betas)
+                related, witness = closure_verdict(
+                    theta, psi, *modes, HORIZON, tol, alphas, traces,
+                    betas=betas, sections=sections,
+                )
+                assert (got["related"], got["witness"]) == (related, witness), (modes, tol)
+                assert got["sections"] == len(sections)
+                if witness is not None:
+                    named.update(k for k, v in witness.items() if k != "deviation" and v > 0)
+    assert named == {"alpha", "beta", "section", "t"}
 
 
 def flat_reference_trace(sys_, sigma, init, horizon: int) -> list:
