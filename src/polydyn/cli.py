@@ -278,16 +278,11 @@ def _json_default(obj):
 def cmd_laplace(args) -> int:
     spec = load_json(args.spec)
     levels, pi0, datum, cfg = laplace_from_json(spec)
-    steps = _horizon(args, spec, "steps", 200)
-    rows_out = [
-        tuple(
-            ["step", "level"]
-            + [f"mean_{k}" for k in range(max(ch.in_dim for ch in levels))]
-            + ["free_energy"]
-        )
-    ]
+    # run first: it refuses a stack with no level, which has no width
+    rows = run_stack(levels, cfg, pi0, datum, _horizon(args, spec, "steps", 200))
     width = max(ch.in_dim for ch in levels)
-    for step, level, mean, fl in run_stack(levels, cfg, pi0, datum, steps):
+    rows_out = [("step", "level", *(f"mean_{k}" for k in range(width)), "free_energy")]
+    for step, level, mean, fl in rows:
         cells = [repr(float(m)) for m in mean] + [""] * (width - len(mean))
         rows_out.append(tuple([step, level] + cells + [repr(fl)]))
     _emit(_csv(rows_out), args.out)

@@ -576,12 +576,19 @@ def _tensor_routes(f_key: tuple, g_key: tuple) -> list:
     ]
 
 
+def _check_horizon(horizon: int) -> None:
+    """Ticks run 0..horizon, so a negative horizon leaves none."""
+    if horizon < 0:
+        raise HierError(f"horizon must be non-negative, got {horizon}")
+
+
 def tabulate(hs: HierSystem, horizon: int) -> HierTable:
     """Tabulate a hierarchical system with finite states, positions and
     fibres over ticks 0..horizon (see ``HierTable``).  Composites of
     ``compose_hier``/``tensor_hier`` are built from their factors' tables, so
     no composite emit or absorb is walked; every other system is tabulated
     by walking its own emit and absorb."""
+    _check_horizon(horizon)
     return _tabulate(hs, horizon, {})
 
 
@@ -747,6 +754,7 @@ class HomSection:
 def hom_sections(systems, horizon: int, max_sections: int = 512) -> list:
     """All environment strategies over the lenses the given systems can emit,
     capped by seeded sampling when the exhaustive product is too large."""
+    _check_horizon(horizon)
     done: dict = {}
     keys, options, _ = _union([_tabulate(hs, horizon, done) for hs in systems])
     return [
@@ -800,6 +808,7 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     hierarchical system y -> p (``as_hier``) under a ``Section`` or a
     ``HomSection``, and each law is read back over the positions of p.
     Exact by enumeration on finite supports."""
+    _check_horizon(horizon)
     if isinstance(sys_, System):
         p = sys_.interface.positions
         tr = trace(as_hier(sys_), sigma, init, horizon)
@@ -930,6 +939,7 @@ def quasi_bisim(
     ``forall`` side b that holds has no such beta: the witness is None."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
+    _check_horizon(horizon)
     theta, psi = (as_hier(s) if isinstance(s, System) else s for s in (theta, psi))
     if sections is not None:
         sections = list(sections)

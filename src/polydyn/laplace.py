@@ -21,11 +21,12 @@ a ``GaussianChannel`` is callable as its kernel.
 What never changes is checked once.  A constant covariance has its
 conditioning checked when it is built (``_Guarded``); a linear channel's is
 then also checked symmetric and PSD, so its laws ``ch(x)`` check only their
-mean.  A prior's covariance is checked once per value (``_prior_cov``).  A
-linear level (constant Jacobian and covariance) has the same curvature at every
-mean, so its belief covariance is solved, checked and inverted once per prior
-covariance, and carries its entropy (``_linear_belief_cov``).  Only nonlinear
-levels and state-dependent covariances are checked at every step.
+mean.  A level keeps the prior it receives with it (``_Prior``): the prior's
+covariance is checked when it changes, not at every step.  A linear level
+(constant Jacobian and covariance) has the same curvature at every mean, so
+its belief covariance and the belief entropy are computed once per prior
+covariance and kept there too.  Only nonlinear levels and state-dependent
+covariances are checked at every step.
 
 A level evaluates its channel once per point (``_Evaluation``): the mean, the
 covariance, its guard and the Jacobian at a latent estimate serve the energy,
@@ -34,7 +35,6 @@ its gradient and curvature, the channel's law and the level's prediction there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -132,16 +132,29 @@ class _Guarded(_Constant):
         return self._law_cov
 
 
-@functools.lru_cache(maxsize=64)
-def _prior_cov(cov: tuple) -> _Guarded:
-    """A prior's covariance (``Gaussian.cov``, a tuple), checked once per
-    value: every law with this covariance, such as each ``ch(x)`` of a linear
-    channel, shares one guard.  A failed check raises, and nothing is kept."""
-    sigma = np.asarray(cov, dtype=float)
-    # shared by every law with this covariance: its kept inverse and
-    # log-determinant must not drift from it
-    sigma.flags.writeable = False
-    return _Guarded("prior covariance", sigma)
+class _Prior:
+    """A level's prior: the last covariance it received (``Gaussian.cov``)
+    with its guard, and on a linear level the belief covariance and entropy
+    that covariance gives.  A covariance is checked when it differs from the
+    kept one, by identity and then by value; a failed check keeps nothing."""
+
+    __slots__ = ("cov", "guard", "belief_cov", "belief_entropy")
+
+    def __init__(self):
+        self.cov = self.guard = self.belief_cov = self.belief_entropy = None
+
+    def checked(self, cov: tuple) -> _Guarded:
+        if cov is not self.cov and cov != self.cov:
+            sigma = np.asarray(cov, dtype=float)
+            # its kept inverse and log-determinant must not drift from it
+            sigma.flags.writeable = False
+            self.guard = _Guarded("prior covariance", sigma)
+            self.cov, self.belief_cov = cov, None
+        return self.guard
+
+    def entropy(self, rho: Gaussian) -> float:
+        """A belief's entropy, kept for a linear level's belief covariance."""
+        return self.belief_entropy if rho.cov is self.belief_cov else gaussian_entropy(rho)
 
 
 @dataclass(frozen=True)
@@ -158,7 +171,7 @@ class GaussianChannel:
 
     def __call__(self, x) -> Gaussian:
         """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
-        return _Evaluation(self, np.asarray(x, dtype=float)).law()
+        return _Evaluation(self, np.asarray(x, dtype=float), _Prior()).law()
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
@@ -219,14 +232,15 @@ class LaplaceConfig:
 
 
 class _Evaluation:
-    """A channel evaluated at one point x: the mean and the covariance there,
-    with the covariance's guard and the mean map's Jacobian computed on first
-    use.  Every function of the channel at x reads this one value, and
-    ``run_stack`` carries it from the step that reaches x to the next one."""
+    """A channel evaluated at one point x for a level with ``prior``: the
+    mean and the covariance there, with the covariance's guard and the mean
+    map's Jacobian computed on first use.  Every function of the channel at x
+    reads this one value, and ``run_stack`` carries it from the step that
+    reaches x to the next one."""
 
-    __slots__ = ("gamma", "x", "mean", "cov", "_guard", "_jacobian")
+    __slots__ = ("gamma", "x", "prior", "mean", "cov", "_guard", "_jacobian")
 
-    def __init__(self, gamma: GaussianChannel, x: np.ndarray):
+    def __init__(self, gamma: GaussianChannel, x: np.ndarray, prior: _Prior):
         n = gamma.out_dim
         mean, cov = np.asarray(gamma.mean(x), dtype=float), np.atleast_2d(gamma.cov(x))
         if mean.size != n or cov.shape != (n, n):
@@ -234,7 +248,7 @@ class _Evaluation:
                 f"channel with out_dim {n} gave a mean of size {mean.size} "
                 f"and a covariance of shape {cov.shape}"
             )
-        self.gamma, self.x, self.mean, self.cov = gamma, x, mean, cov
+        self.gamma, self.x, self.prior, self.mean, self.cov = gamma, x, prior, mean, cov
         self._guard = self._jacobian = None
 
     def guard(self) -> _Guarded:
@@ -272,7 +286,7 @@ class _Evaluation:
         """Prediction errors of the observation and of the prior at x, and
         their precision-weighted forms."""
         eps_g, eps_p = y - self.mean, self.x - pi.mean_array()
-        return eps_g, eps_p, self.guard().solve(eps_g), _prior_cov(pi.cov).solve(eps_p)
+        return eps_g, eps_p, self.guard().solve(eps_g), self.prior.checked(pi.cov).solve(eps_p)
 
     def energy(self, pi: Gaussian, y: np.ndarray) -> float:
         eps_g, eps_p, eta_g, eta_p = self.errors(pi, y)
@@ -281,7 +295,7 @@ class _Evaluation:
             self.gamma.out_dim * math.log(2.0 * math.pi)
             + self.guard().logdet()
             + self.gamma.in_dim * math.log(2.0 * math.pi)
-            + _prior_cov(pi.cov).logdet()
+            + self.prior.checked(pi.cov).logdet()
         )
         return quad + norm
 
@@ -291,23 +305,27 @@ class _Evaluation:
 
     def curvature(self, pi: Gaussian) -> np.ndarray:
         jac = self.jacobian()
-        return jac.T @ self.guard().solve(jac) + _prior_cov(pi.cov).inverse()
+        return jac.T @ self.guard().solve(jac) + self.prior.checked(pi.cov).inverse()
 
     def update(self, pi: Gaussian, y: np.ndarray, cfg: LaplaceConfig) -> tuple:
         """``rho_update`` from mean x, and the channel evaluated at the new mean."""
-        gamma = self.gamma
+        gamma, prior = self.gamma, self.prior
         new_mean = self.x - cfg.rate * self.gradient(pi, y)
-        at_new = _Evaluation(gamma, new_mean)
-        if isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded):
-            cov = _linear_belief_cov(gamma, pi.cov)
-            return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, cov), at_new
-        hess = _Guarded("energy Hessian", at_new.curvature(pi))
-        return mk_state(new_mean, hess.inverse()), at_new
+        at_new = _Evaluation(gamma, new_mean, prior)
+        linear = isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded)
+        # the gradient has checked pi's covariance into the prior
+        if linear and prior.belief_cov is not None:
+            return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, prior.belief_cov), at_new
+        rho = mk_state(new_mean, _Guarded("energy Hessian", at_new.curvature(pi)).inverse())
+        if linear:
+            # the same curvature at every mean: kept for this prior covariance
+            prior.belief_cov, prior.belief_entropy = rho.cov, gaussian_entropy(rho)
+        return rho, at_new
 
 
-def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y) -> tuple:
-    """The channel evaluated at x, and y as a vector, once x, y and the prior
-    are checked to fit the channel."""
+def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y, prior: _Prior) -> tuple:
+    """The channel evaluated at x for a level that keeps ``prior``, and y as a
+    vector, once x, y and the prior are checked to fit the channel."""
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != gamma.in_dim or yv.size != gamma.out_dim:
@@ -317,26 +335,26 @@ def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y) -> tuple:
         )
     if len(pi.mean) != gamma.in_dim:
         raise LaplaceError("prior dimension does not match the channel input")
-    return _Evaluation(gamma, xv), yv
+    return _Evaluation(gamma, xv, prior), yv
 
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
     """Joint surprisal -log p(y|x) - log p(x) for Gaussian channel and prior."""
-    at, yv = _evaluate(pi, gamma, x, y)
+    at, yv = _evaluate(pi, gamma, x, y, _Prior())
     return at.energy(pi, yv)
 
 
 def grad_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Energy gradient in the latent, with the channel covariance treated as
     locally constant: -J(x)^T eta_gamma + eta_pi."""
-    at, yv = _evaluate(pi, gamma, x, y)
+    at, yv = _evaluate(pi, gamma, x, y, _Prior())
     return at.gradient(pi, yv)
 
 
 def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Gauss-Newton curvature J^T Sigma_gamma^{-1} J + Sigma_pi^{-1}, with the
     channel's Jacobian or its central-difference estimate."""
-    return _evaluate(pi, gamma, x, y)[0].curvature(pi)
+    return _evaluate(pi, gamma, x, y, _Prior())[0].curvature(pi)
 
 
 def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
@@ -345,8 +363,6 @@ def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
 
 
 def gaussian_entropy(state: Gaussian) -> float:
-    if isinstance(state.cov, _BeliefCov):
-        return state.cov.entropy
     n = len(state.mean)
     return 0.5 * (
         n * math.log(2.0 * math.pi * math.e)
@@ -359,7 +375,7 @@ def free_energy_laplace(
 ) -> float:
     """Free energy of a Gaussian belief, Laplace form: energy at the belief
     mean minus the belief entropy."""
-    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y)
+    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y, _Prior())
     return at.energy(pi, yv) - gaussian_entropy(rho_state)
 
 
@@ -369,32 +385,10 @@ def free_energy_second_order(
     """Free energy with the second-order expected-energy correction
     (1/2) tr(H Sigma_rho); exact for linear channels, where the energy is
     quadratic in the latent."""
-    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y)
+    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y, _Prior())
     return at.energy(pi, yv) - gaussian_entropy(rho_state) + 0.5 * float(
         np.trace(at.curvature(pi) @ rho_state.cov_array())
     )
-
-
-class _BeliefCov(tuple):
-    """A linear level's belief covariance (``Gaussian.cov``), carrying the
-    belief entropy, which depends on the covariance alone."""
-
-    entropy: float
-
-
-@functools.lru_cache(maxsize=64)
-def _linear_belief_cov(gamma: GaussianChannel, prior_cov: tuple) -> _BeliefCov:
-    """The belief covariance of a linear level against a prior with
-    covariance ``prior_cov``.  With a constant Jacobian and channel covariance
-    the curvature is the same at every mean, so it is solved, checked and
-    inverted once per pair, and its entropy is computed then too.  A failed
-    check raises, and nothing is kept."""
-    origin = np.zeros(gamma.in_dim)
-    pi = Gaussian(euclid(gamma.in_dim), tuple(origin.tolist()), prior_cov)
-    belief = mk_state(origin, sigma_star(pi, gamma, origin, np.zeros(gamma.out_dim)))
-    cov = _BeliefCov(belief.cov)
-    cov.entropy = gaussian_entropy(belief)
-    return cov
 
 
 def rho_update(
@@ -402,7 +396,7 @@ def rho_update(
 ) -> Gaussian:
     """One belief update: step the mean down the energy gradient, then set the
     covariance to the optimal one at the new mean."""
-    at, yv = _evaluate(pi, gamma, x, y)
+    at, yv = _evaluate(pi, gamma, x, y, _Prior())
     return at.update(pi, yv, cfg)[0]
 
 
@@ -424,6 +418,8 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
     source = monomial(dist_space(X), X)
     target = monomial(Y, Y)
     states = prod(X, Y)
+    # safe to share between composites: every read checks the covariance
+    prior = _Prior()
 
     def emit(t, xy):
         x, ypred = xy
@@ -442,7 +438,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
             raise LaplaceError(
                 f"expected a Gaussian belief on the forward wire, got {pi_in!r}"
             )
-        at, yv = _evaluate(pi, gamma, x, datum)
+        at, yv = _evaluate(pi, gamma, x, datum, prior)
         rho, at_new = at.update(pi, yv, cfg)
         jac = at_new.jacobian()
         return dst(rho, gaussian(Y, at_new.mean, jac @ rho.cov_array() @ jac.T + at_new.cov))
@@ -518,7 +514,7 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
         raise LaplaceError("datum dimension does not match the top level")
     if len(pi0.mean) != levels[0].in_dim:
         raise LaplaceError("prior dimension does not match the bottom level")
-    points = [_Evaluation(ch, np.zeros(ch.in_dim)) for ch in levels]
+    points = [_Evaluation(ch, np.zeros(ch.in_dim), _Prior()) for ch in levels]
     rows = []
     for step in range(1, steps + 1):
         priors = [pi0] + [at.law() for at in points[:-1]]
@@ -526,7 +522,7 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
         new_points = []
         for k, (at, pi, y) in enumerate(zip(points, priors, data_down)):
             rho, at_new = at.update(pi, y, cfg)
-            rows.append((step, k, rho.mean, at_new.energy(pi, y) - gaussian_entropy(rho)))
+            rows.append((step, k, rho.mean, at_new.energy(pi, y) - at.prior.entropy(rho)))
             new_points.append(at_new)
         points = new_points
     return rows

@@ -38,7 +38,15 @@ class FiniteSpace:
     labels: tuple
 
     def __post_init__(self):
-        as_set = frozenset(self.labels)
+        try:
+            as_set = frozenset(self.labels)
+        except TypeError:
+            for label in self.labels:
+                try:
+                    hash(label)
+                except TypeError:
+                    raise SpaceError(f"finite space label {label!r} is not hashable") from None
+            raise
         if len(as_set) != len(self.labels):
             raise SpaceError(f"finite space labels must be distinct: {self.labels!r}")
         # cached for O(1) membership; not a field, so eq/hash see labels only

@@ -54,11 +54,14 @@ class SpecError(ValueError):
 def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"spec file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"spec file {path} is not valid JSON: {exc}")
+    if not isinstance(spec, dict):
+        raise SpecError(f"spec file {path} holds {type(spec).__name__}, not a JSON object")
+    return spec
 
 
 def _space_of(obj: Any) -> Space:

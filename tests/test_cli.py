@@ -114,7 +114,13 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["check"]) == 2
     assert main(["laplace"]) == 2
     assert main(["run", "--spec", str(tmp_path / "missing.json")]) == 2
-    capsys.readouterr()
+    # a spec is a JSON object; exit 1 would read as a failed law suite
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["laplace", "--spec", str(listed)]) == 2
+    assert main(["check", "--suite", "comonoid", "--spec", str(listed)]) == 2
+    last = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert last["error"].endswith("holds list, not a JSON object")
 
 
 def test_unread_flags_are_usage_errors(capsys):
@@ -176,6 +182,27 @@ def test_a_section_is_checked_at_every_position(tmp_path, capsys, section, messa
     assert captured.out == ""
     err = json.loads(captured.err)["error"]
     assert err.startswith("SpecError") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, spec, error",
+    [
+        (["check", "--suite", "comonoid"], {"horizon": -1},
+         "HierError: horizon must be non-negative, got -1"),
+        (["check", "--suite", "comonoid"], {"space": [[0], [1]]},
+         "SpaceError: finite space label [0] is not hashable"),
+        (["run"], dict(FIBRES_SPEC, system=dict(FIBRES_SPEC["system"], states=[[0, 1], [1, 0]])),
+         "SpaceError: finite space label [0, 1] is not hashable"),
+        (["laplace"], dict(json.loads((SPECS / "laplace1d.json").read_text()), levels=[]),
+         "LaplaceError: a stack needs at least one level"),
+    ],
+    ids=["comonoid-horizon", "comonoid-space", "run-states", "laplace-levels"],
+)
+def test_a_spec_the_library_refuses_is_a_usage_error(tmp_path, capsys, argv, spec, error):
+    assert main(argv + ["--spec", _write_spec(tmp_path, spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
 
 
 @pytest.mark.parametrize(

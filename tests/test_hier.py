@@ -411,6 +411,29 @@ def test_quasi_bisim_on_infinite_states_needs_explicit_sections():
         quasi_bisim(drift, drift, horizon=2, alphas=start, betas=start)
 
 
+def test_a_negative_horizon_is_refused():
+    """Ticks run 0..horizon, so horizon -1 leaves none: every tabulating or
+    tracing entry point refuses it by name, for finite and infinite states."""
+    hs = blinker(2)
+    sigma = hom_sections([hs], horizon=0)[0]
+    states = euclid(1)
+    B = finite("even", "odd")
+    drift = mk_hier(y(), linear(B), states,
+                    lambda t, x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                    lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
+    start = [dirac(states, (0.0,))]
+    for refused in (
+        lambda: tabulate(hs, -1),
+        lambda: hom_sections([hs], horizon=-1),
+        lambda: trace(hs, sigma, dirac(hs.states, 0), -1),
+        lambda: quasi_bisim(hs, blinker(4), horizon=-1),
+        lambda: trace(drift, sigma, start[0], -1),
+        lambda: quasi_bisim(drift, drift, sections=[sigma], horizon=-1, alphas=start, betas=start),
+    ):
+        with pytest.raises(HierError, match="horizon must be non-negative, got -1"):
+            refused()
+
+
 def test_quasi_bisim_on_flat_systems():
     """Flat systems compare by their output traces under every section."""
     out = finite(0, 1, 2)

@@ -32,7 +32,6 @@ from polydyn import (
     state_dist,
 )
 from polydyn.dist import DistError, gaussian
-from polydyn.laplace import _linear_belief_cov, _prior_cov
 
 from helpers import gaussian_bits
 
@@ -297,7 +296,6 @@ def test_linear_fast_paths_match_the_generic_constructor_bit_for_bit():
     optimal covariance, on the first update and on later ones, against each
     of two priors in turn, and a linear channel's law at x is the law
     ``gaussian`` builds from its mean and covariance there."""
-    _linear_belief_cov.cache_clear()
     cfg = LaplaceConfig(rate=0.05)
     for ch, gen in _seeded_linear_channels():
         n, m = ch.in_dim, ch.out_dim
@@ -329,8 +327,6 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     energy Hessian.  The log-determinant runs once for each constant
     covariance and once for each level's belief entropy, which its belief
     covariance carries: not once per level-step."""
-    _prior_cov.cache_clear()
-    _linear_belief_cov.cache_clear()
     calls = collections.Counter()
     for name in ("cond", "slogdet", "eigvalsh", "inv"):
         def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
@@ -351,14 +347,75 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     }
 
 
+def test_a_second_run_repeats_every_prior_and_belief_check(monkeypatch):
+    """A level keeps its prior for one run, not for the process: running the
+    same two-level linear stack again checks each prior covariance (condition
+    number, inverse, log-determinant) and each energy Hessian (condition
+    number, inverse) again, and builds each belief covariance (PSD check) and
+    its entropy (log-determinant) again.  Only the two channel covariances'
+    log-determinants are not repeated: each channel keeps its own."""
+    levels = [linear_channel([[2.0]], cov=[[1.0]]), linear_channel([[0.5]], cov=[[0.5]])]
+    prior = mk_state([0.0], [[2.0]])
+    calls = collections.Counter()
+    for name in ("cond", "slogdet", "eigvalsh", "inv"):
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    runs = []
+    for _ in range(2):
+        calls.clear()
+        rows = run_stack(levels, LaplaceConfig(rate=0.05), prior, [1.0], 50)
+        runs.append((rows, dict(calls)))
+    assert runs[0][0] == runs[1][0]
+    assert [counts for _, counts in runs] == [
+        {"cond": 4, "inv": 4, "eigvalsh": 2, "slogdet": 6},
+        {"cond": 4, "inv": 4, "eigvalsh": 2, "slogdet": 4},
+    ]
+
+
+def test_a_level_whose_prior_changes_at_every_step_rechecks_it():
+    """Below a linear level, a level with a state-dependent covariance pushes
+    up a prior whose covariance changes at every step, so the upper level's
+    belief covariance does too.  (The lower level rests at 0 for its first
+    step, so the first two priors are one value in two tuples, which the
+    upper level compares by value.)  ``run_stack`` gives, bit for bit, the means
+    of ``mean_path`` on ``stack`` and the rows of a runner that calls
+    ``rho_update`` and ``free_energy_laplace`` per level and step, each of
+    which checks its prior afresh."""
+    lower = GaussianChannel(1, 1, lambda x: 2.0 * x, None, lambda x: [[0.5 + np.tanh(x[0]) ** 2]])
+    levels = [lower, linear_channel([[0.5]], cov=[[0.5]])]
+    cfg, datum, steps = LaplaceConfig(rate=0.05), np.array([1.0]), 60
+    rows = run_stack(levels, cfg, PI, datum, steps)
+
+    def bits(step, k, mean, free):
+        return step, k, tuple(map(float.hex, mean)), float.hex(free)
+
+    want, upper_covs, xs = [], set(), [np.zeros(1), np.zeros(1)]
+    for step in range(1, steps + 1):
+        priors, data = [PI, lower(xs[0])], [xs[1], datum]
+        beliefs = [rho_update(x, pi, y, ch, cfg) for x, pi, y, ch in zip(xs, priors, data, levels)]
+        for k, (rho, pi, y, ch) in enumerate(zip(beliefs, priors, data, levels)):
+            want.append(bits(step, k, rho.mean, free_energy_laplace(pi, ch, rho, y)))
+        upper_covs.add(beliefs[1].cov)
+        xs = [rho.mean_array() for rho in beliefs]
+    assert len(upper_covs) == steps - 1
+    assert [bits(*row) for row in rows] == want
+    path = mean_path(stack(levels, cfg), PI, datum, steps)
+    assert [(row[0], row[1], row[2][0]) for row in rows] == [
+        (step, k, path[step][2 * k]) for step in range(1, steps + 1) for k in (0, 1)
+    ]
+
+
 def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
     """N steps of a level with no analytic Jacobian and a state-dependent
     covariance reach N + 1 means, counting the first, and evaluate the channel
     once at each: one mean call there and two per input for central
     differences, one covariance call and one condition check, plus one
-    condition check per step for the energy Hessian.  The channel's law at a
-    point reads the mean and the covariance alone: no Jacobian, no condition
-    check."""
+    condition check per step for the energy Hessian and one for the prior,
+    whose covariance never changes.  The channel's law at a point reads the
+    mean and the covariance alone: no Jacobian, no condition check."""
     n, steps = 2, 100
     w = np.array([[1.0, 0.3], [-0.2, 0.9]])
     calls = collections.Counter()
@@ -377,10 +434,9 @@ def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
 
     ch = GaussianChannel(n, n, mean, None, cov)
     prior = mk_state([0.1, -0.2], np.eye(n))
-    _prior_cov(prior.cov)  # the prior's one check, outside the count
     monkeypatch.setattr(np.linalg, "cond", cond)
     run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.3, -0.4], steps)
-    assert calls == {"mean": (1 + 2 * n) * (steps + 1), "cov": steps + 1, "cond": 2 * steps + 1}
+    assert calls == {"mean": (1 + 2 * n) * (steps + 1), "cov": steps + 1, "cond": 2 * steps + 2}
     calls.clear()
     ch([0.2, 0.1])
     assert calls == {"mean": 1, "cov": 1}

@@ -112,6 +112,13 @@ def test_finite_labels_must_be_distinct():
         finite("a", "a")
 
 
+def test_finite_labels_must_be_hashable():
+    """A JSON list is not a label: it is refused by name, not with a bare
+    ``TypeError``."""
+    with pytest.raises(SpaceError, match=r"finite space label \[1, 0\] is not hashable"):
+        finite((0, 1), [1, 0])
+
+
 def test_point_json_roundtrip():
     sp = prod(finite("a", "b"), euclid(2))
     x = ("b", (0.5, -0.25))
