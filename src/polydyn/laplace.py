@@ -25,12 +25,20 @@ mean.  A level keeps the prior it receives with it (``_Prior``): the prior's
 covariance is checked when it changes, not at every step.  A linear level
 (constant Jacobian and covariance) has the same curvature at every mean, so
 its belief covariance and the belief entropy are computed once per prior
-covariance and kept there too.  Only nonlinear levels and state-dependent
-covariances are checked at every step.
+covariance and kept there too, with the predicted observation's covariance
+J Sigma_rho J^T + Sigma_gamma that belief gives.  Only nonlinear levels and
+state-dependent covariances are checked at every step.
 
 A level evaluates its channel once per point (``_Evaluation``): the mean, the
 covariance, its guard and the Jacobian at a latent estimate serve the energy,
 its gradient and curvature, the channel's law and the level's prediction there.
+The evaluation also keeps the precision-weighted errors it has solved, each
+with the datum or the prior it was solved against, so the free energy at a new
+mean and the next gradient step there solve only the side that changed.
+
+A solve is one LAPACK ``gesv`` call through the gufunc that ``np.linalg.solve``
+wraps (``_Guarded.solve``): on 1 x 1 to 3 x 3 systems the wrapper costs several
+times the solve.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dist import (
     Dist,
@@ -95,12 +104,13 @@ class _Guarded(_Constant):
     inverted.  The check runs once, when it is built; the log-determinant, the
     inverse and the law covariance (``law_cov``) are computed on first use and
     kept.  A constant channel covariance is one of these, callable as the
-    channel's ``cov`` map."""
+    channel's ``cov`` map.  The matrix is held as float64, as every solve and
+    inverse computes it."""
 
     __slots__ = ("what", "_logdet", "_inverse", "_law_cov")
 
     def __init__(self, what: str, sigma):
-        sigma = np.atleast_2d(sigma)
+        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         # checked first: numpy's condition number fails on a NaN entry
         if not np.isfinite(sigma).all():
             raise LaplaceError(f"{what} is not finite")
@@ -110,8 +120,16 @@ class _Guarded(_Constant):
         self.what, self.matrix = what, sigma
         self._logdet = self._inverse = self._law_cov = None
 
-    def solve(self, r) -> np.ndarray:
-        return np.linalg.solve(self.matrix, r)
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """``np.linalg.solve(self.matrix, r)`` bit for bit: the same gufunc,
+        ``solve1`` for a vector and ``solve`` for a matrix, without the
+        wrapper.  The wrapper's other job, raising ``LinAlgError`` when LAPACK
+        meets an exactly zero pivot, cannot arise here: the factors with that
+        pivot would be those of a singular matrix within LU's backward error,
+        a few ulps times a growth factor of at most 2**(n - 1), but the guard
+        keeps every matrix at least 1 / cond >= 1e-12 away from singular."""
+        gufunc = _umath_linalg.solve1 if r.ndim == 1 else _umath_linalg.solve
+        return gufunc(self.matrix, r, signature="dd->d")
 
     def logdet(self) -> float:
         if self._logdet is None:
@@ -135,13 +153,15 @@ class _Guarded(_Constant):
 class _Prior:
     """A level's prior: the last covariance it received (``Gaussian.cov``)
     with its guard, and on a linear level the belief covariance and entropy
-    that covariance gives.  A covariance is checked when it differs from the
-    kept one, by identity and then by value; a failed check keeps nothing."""
+    that covariance gives, and the covariance of the observation predicted
+    under that belief (``_Evaluation.prediction``).  A covariance is checked
+    when it differs from the kept one, by identity and then by value; a failed
+    check keeps nothing."""
 
-    __slots__ = ("cov", "guard", "belief_cov", "belief_entropy")
+    __slots__ = ("cov", "guard", "belief_cov", "belief_entropy", "predicted_cov")
 
     def __init__(self):
-        self.cov = self.guard = self.belief_cov = self.belief_entropy = None
+        self.cov = self.guard = self.belief_cov = self.belief_entropy = self.predicted_cov = None
 
     def checked(self, cov: tuple) -> _Guarded:
         if cov is not self.cov and cov != self.cov:
@@ -149,7 +169,7 @@ class _Prior:
             # its kept inverse and log-determinant must not drift from it
             sigma.flags.writeable = False
             self.guard = _Guarded("prior covariance", sigma)
-            self.cov, self.belief_cov = cov, None
+            self.cov, self.belief_cov, self.predicted_cov = cov, None, None
         return self.guard
 
     def entropy(self, rho: Gaussian) -> float:
@@ -171,7 +191,12 @@ class GaussianChannel:
 
     def __call__(self, x) -> Gaussian:
         """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
-        return _Evaluation(self, np.asarray(x, dtype=float), _Prior()).law()
+        xv = np.asarray(x, dtype=float).reshape(-1)
+        if xv.size != self.in_dim:
+            raise LaplaceError(
+                f"channel with in_dim {self.in_dim} called at a point of size {xv.size}"
+            )
+        return _Evaluation(self, xv, _Prior()).law()
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
@@ -221,14 +246,14 @@ def state_dist(state: Gaussian) -> Gaussian:
 @dataclass(frozen=True)
 class LaplaceConfig:
     """The gradient-descent step size (the learning rate lambda) of every
-    belief update; 0 freezes the mean.  A run lasts as many steps as its
-    caller asks for (``run_stack``, ``mean_path``)."""
+    belief update: finite, and 0 freezes the mean.  A run lasts as many steps
+    as its caller asks for (``run_stack``, ``mean_path``)."""
 
     rate: float = 0.05
 
     def __post_init__(self):
-        if not self.rate >= 0:
-            raise LaplaceError("learning rate must be non-negative")
+        if not (self.rate >= 0 and math.isfinite(self.rate)):
+            raise LaplaceError(f"learning rate must be finite and non-negative, got {self.rate}")
 
 
 class _Evaluation:
@@ -236,9 +261,14 @@ class _Evaluation:
     mean and the covariance there, with the covariance's guard and the mean
     map's Jacobian computed on first use.  Every function of the channel at x
     reads this one value, and ``run_stack`` carries it from the step that
-    reaches x to the next one."""
+    reaches x to the next one.  It keeps the last errors it solved on each
+    side (``errors``): against the datum, with that datum, and against the
+    prior, with that prior."""
 
-    __slots__ = ("gamma", "x", "prior", "mean", "cov", "_guard", "_jacobian")
+    __slots__ = (
+        "gamma", "x", "prior", "mean", "cov", "_guard", "_jacobian",
+        "_datum", "_datum_errors", "_pi", "_prior_errors",
+    )
 
     def __init__(self, gamma: GaussianChannel, x: np.ndarray, prior: _Prior):
         n = gamma.out_dim
@@ -249,7 +279,7 @@ class _Evaluation:
                 f"and a covariance of shape {cov.shape}"
             )
         self.gamma, self.x, self.prior, self.mean, self.cov = gamma, x, prior, mean, cov
-        self._guard = self._jacobian = None
+        self._guard = self._jacobian = self._datum = self._pi = None
 
     def guard(self) -> _Guarded:
         """The covariance, checked here unless it is a constant one, which was
@@ -284,9 +314,17 @@ class _Evaluation:
 
     def errors(self, pi: Gaussian, y: np.ndarray) -> tuple:
         """Prediction errors of the observation and of the prior at x, and
-        their precision-weighted forms."""
-        eps_g, eps_p = y - self.mean, self.x - pi.mean_array()
-        return eps_g, eps_p, self.guard().solve(eps_g), self.prior.checked(pi.cov).solve(eps_p)
+        their precision-weighted forms.  A side is solved again only for a
+        datum or a prior other than (by identity) the one it was last solved
+        against: both are read, never written, while a level runs."""
+        if y is not self._datum:
+            eps_g = y - self.mean
+            self._datum_errors, self._datum = (eps_g, self.guard().solve(eps_g)), y
+        if pi is not self._pi:
+            eps_p = self.x - pi.mean_array()
+            self._prior_errors, self._pi = (eps_p, self.prior.checked(pi.cov).solve(eps_p)), pi
+        (eps_g, eta_g), (eps_p, eta_p) = self._datum_errors, self._prior_errors
+        return eps_g, eps_p, eta_g, eta_p
 
     def energy(self, pi: Gaussian, y: np.ndarray) -> float:
         eps_g, eps_p, eta_g, eta_p = self.errors(pi, y)
@@ -313,7 +351,8 @@ class _Evaluation:
         new_mean = self.x - cfg.rate * self.gradient(pi, y)
         at_new = _Evaluation(gamma, new_mean, prior)
         linear = isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded)
-        # the gradient has checked pi's covariance into the prior
+        # the kept belief covariance is the one pi's covariance gives
+        prior.checked(pi.cov)
         if linear and prior.belief_cov is not None:
             return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, prior.belief_cov), at_new
         rho = mk_state(new_mean, _Guarded("energy Hessian", at_new.curvature(pi)).inverse())
@@ -321,6 +360,20 @@ class _Evaluation:
             # the same curvature at every mean: kept for this prior covariance
             prior.belief_cov, prior.belief_entropy = rho.cov, gaussian_entropy(rho)
         return rho, at_new
+
+    def prediction(self, rho: Gaussian) -> Gaussian:
+        """The law of the observation under belief rho about x, linearised at
+        x: N(mean(x), J Sigma_rho J^T + cov(x)).  On a linear level its
+        covariance is checked once per belief covariance, and kept."""
+        prior, space = self.prior, euclid(self.gamma.out_dim)
+        kept = rho.cov is prior.belief_cov
+        if kept and prior.predicted_cov is not None:
+            return _gaussian_from_checked(space, self.mean, prior.predicted_cov)
+        jac = self.jacobian()
+        law = gaussian(space, self.mean, jac @ rho.cov_array() @ jac.T + self.cov)
+        if kept:
+            prior.predicted_cov = law.cov
+        return law
 
 
 def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y, prior: _Prior) -> tuple:
@@ -440,8 +493,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
             )
         at, yv = _evaluate(pi, gamma, x, datum, prior)
         rho, at_new = at.update(pi, yv, cfg)
-        jac = at_new.jacobian()
-        return dst(rho, gaussian(Y, at_new.mean, jac @ rho.cov_array() @ jac.T + at_new.cov))
+        return dst(rho, at_new.prediction(rho))
 
     def forward_lift(t, xy, b):
         return gamma(xy[0])
@@ -470,6 +522,12 @@ def _finite_datum(datum) -> np.ndarray:
     return datum_v
 
 
+def _check_steps(steps: int) -> None:
+    """A run lasts 0 or more steps."""
+    if steps < 0:
+        raise LaplaceError(f"steps must be non-negative, got {steps}")
+
+
 def stack(levels, cfg: LaplaceConfig) -> HierSystem:
     """Chain predictive levels bottom-to-top; each level's channel pushes a
     calibrated prior up to the next."""
@@ -486,6 +544,7 @@ def mean_path(hs: HierSystem, pi0: Dist, datum, steps: int):
     update from the zero state, replacing each stochastic state draw by its
     mean.  Exact for the mean dynamics of linear channels.  Returns the list
     of flattened state vectors, one per step, starting with the initial."""
+    _check_steps(steps)
     datum = tuple(_finite_datum(datum))
     point = unflatten_floats(hs.states, (0.0,) * euclid_dims(hs.states))
     path = [tuple(flatten_floats(hs.states, point))]
@@ -509,6 +568,7 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     ``stack`` under ``mean_path``.  A level's channel, evaluated once at each
     new mean, gives its free energy, the prior it pushes up and its next step."""
     _check_levels(levels)
+    _check_steps(steps)
     datum_v = _finite_datum(datum)
     if datum_v.size != levels[-1].out_dim:
         raise LaplaceError("datum dimension does not match the top level")

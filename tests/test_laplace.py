@@ -31,7 +31,8 @@ from polydyn import (
     stack,
     state_dist,
 )
-from polydyn.dist import DistError, gaussian
+from polydyn import laplace
+from polydyn.dist import DistError, dst, gaussian
 
 from helpers import gaussian_bits
 
@@ -136,6 +137,13 @@ def test_negative_rate_is_rejected():
         LaplaceConfig(rate=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_non_finite_rate_is_rejected(bad):
+    """An infinite step would send every mean to inf or NaN."""
+    with pytest.raises(LaplaceError, match=f"must be finite and non-negative, got {bad}"):
+        LaplaceConfig(rate=bad)
+
+
 def test_dimension_mismatch_is_rejected():
     with pytest.raises(LaplaceError):
         energy(PI, GAMMA, [0.0, 0.0], Y)
@@ -201,6 +209,19 @@ def test_a_channel_rejects_a_law_of_the_wrong_size():
             build_laplace(bad, cfg).forward_lift(0, ((0.5,), (0.0, 0.0)), (0.0, 0.0))
         with pytest.raises(LaplaceError, match=match):
             run_stack([bad, linear_channel([[1.0, 0.0]])], cfg, PI, [1.0], 2)
+
+
+def test_a_channel_refuses_a_point_of_the_wrong_size():
+    """Called at a point whose size is not its in_dim, a channel names both,
+    linear or not, and also as a level's forward lift."""
+    tanh = GaussianChannel(1, 1, np.tanh, None, lambda x: [[0.5]])
+    for ch in (linear_channel([[2.0]]), tanh):
+        with pytest.raises(LaplaceError, match="in_dim 1 called at a point of size 2"):
+            ch([1.0, 2.0])
+        lift = build_laplace(ch, LaplaceConfig()).forward_lift
+        with pytest.raises(LaplaceError, match="in_dim 1 called at a point of size 0"):
+            lift(0, ((), (0.0,)), (0.0,))
+        assert ch(1.0) == ch([1.0])
 
 
 def test_singular_prior_raises_laplace_error():
@@ -569,3 +590,120 @@ def test_the_runners_refuse_a_non_finite_datum(bad):
         run_stack(TWO_LEVELS, cfg, PI, [bad], 1)
     with pytest.raises(LaplaceError, match=match):
         mean_path(stack(TWO_LEVELS, cfg), PI, [bad], 1)
+
+
+def test_the_runners_refuse_a_negative_step_count():
+    """A run lasts 0 or more steps: 0 gives no rows and the initial path."""
+    cfg = LaplaceConfig()
+    with pytest.raises(LaplaceError, match="steps must be non-negative, got -1"):
+        run_stack(TWO_LEVELS, cfg, PI, [1.0], -1)
+    with pytest.raises(LaplaceError, match="steps must be non-negative, got -1"):
+        mean_path(stack(TWO_LEVELS, cfg), PI, [1.0], -1)
+    assert run_stack(TWO_LEVELS, cfg, PI, [1.0], 0) == []
+    assert mean_path(stack(TWO_LEVELS, cfg), PI, [1.0], 0) == [(0.0,) * 4]
+
+
+def test_a_guarded_solve_is_numpys_solve_bit_for_bit():
+    """``_Guarded.solve`` calls the gufunc that ``np.linalg.solve`` wraps, so
+    it gives the same bits: on 2,400 seeded systems of sizes 1-4, half of
+    them covariances and half general matrices, against vector and matrix
+    right-hand sides, read-only or not; and against the guard of an
+    integer-valued covariance that a user's ``cov`` map returns."""
+    gen = np.random.default_rng(17)
+    for k in range(2400):
+        n = 1 + k % 4
+        root = gen.standard_normal((n, n))
+        a = root @ root.T + 0.1 * np.eye(n) if k % 2 else root + n * np.eye(n)
+        r = gen.standard_normal(n if k % 3 == 0 else (n, 1 + k % 3))
+        if k % 5 == 0:
+            a.flags.writeable = r.flags.writeable = False
+        got, want = laplace._Guarded("a matrix", a).solve(r), np.linalg.solve(a, r)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    counts = GaussianChannel(2, 2, lambda x: x, None, lambda x: np.array([[2, 1], [1, 3]]))
+    guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior()).guard()
+    for r in (np.array([1.0, -2.0]), np.array([[1.0, 0.5], [0.0, -3.0]]), np.array([3, 1])):
+        assert guard.solve(r).tobytes() == np.linalg.solve(counts.cov(None), r).tobytes()
+
+
+def test_run_stack_solves_each_error_once(monkeypatch):
+    """A level's free energy at its new mean solves both errors there, and
+    its next gradient step, from that mean, solves again only the error whose
+    datum or prior changed.  Of N steps, the first also solves both errors at
+    the start (the zero mean) and, on a linear level, its curvature, which the
+    level keeps for later steps.
+    - One linear level: its datum and prior never change, so 2 solves per
+      step, 2N + 3 in all (4N + 1 when each step solved both errors twice).
+    - Two linear levels: the lower one's datum and the upper one's prior
+      change at every step, so 3 solves per level-step, 6N + 4 in all.
+    - One nonlinear level: its curvature changes with the mean, so 3 solves
+      per step, 3N + 2 in all."""
+    calls = collections.Counter()
+
+    def counted(self, r, _real=laplace._Guarded.solve):
+        calls["solve"] += 1
+        return _real(self, r)
+
+    monkeypatch.setattr(laplace._Guarded, "solve", counted)
+    tanh = GaussianChannel(1, 1, np.tanh, None, lambda x: [[0.5 + 0.1 * np.tanh(x[0]) ** 2]])
+    cfg, steps = LaplaceConfig(rate=0.05), 40
+    runs = (([GAMMA], 2 * steps + 3), (TWO_LEVELS, 6 * steps + 4), ([tanh], 3 * steps + 2))
+    for levels, want in runs:
+        calls.clear()
+        run_stack(levels, cfg, PI, Y, steps)
+        assert calls["solve"] == want, len(levels)
+
+
+def _three_linear_levels():
+    gen = np.random.default_rng(3)
+    levels = [
+        linear_channel(np.eye(2) + 0.3 * gen.standard_normal((2, 2)), 0.2 * gen.standard_normal(2),
+                       _seeded_cov(gen, 2))
+        for _ in range(3)
+    ]
+    return levels, mk_state(gen.standard_normal(2), _seeded_cov(gen, 2)), gen.standard_normal(2)
+
+
+def test_a_linear_mean_path_checks_each_predicted_law_once_per_prior(monkeypatch):
+    """Each level of a linear depth-3 stack receives one prior covariance, so
+    ``mean_path`` checks symmetry and PSD (``eigvalsh``) twice per level,
+    however many steps it runs: once for the belief covariance and once for
+    the covariance of the observation it predicts under that belief."""
+    levels, pi0, datum = _three_linear_levels()
+    cfg = LaplaceConfig(rate=0.05)
+    calls = collections.Counter()
+
+    def eigvalsh(*args, _real=np.linalg.eigvalsh, **kwargs):
+        calls["eigvalsh"] += 1
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for steps in (20, 60):
+        calls.clear()
+        mean_path(stack(levels, cfg), pi0, datum, steps)
+        assert calls == {"eigvalsh": 2 * len(levels)}, steps
+
+
+def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():
+    """A linear level's update is its belief and the law of its prediction,
+    N(A mu + b, A Sigma A^T + Sigma_gamma), which it checks once per belief
+    covariance and keeps: bit for bit the law ``gaussian`` checks afresh, under
+    a prior kept for some steps and under one whose covariance changes at
+    every step, and back again."""
+    levels = _three_linear_levels()[0]
+    gen, cfg = np.random.default_rng(8), LaplaceConfig(rate=0.05)
+    for ch in levels + [lv for lv, _ in _seeded_linear_channels()]:
+        n, m = ch.in_dim, ch.out_dim
+        hs = build_laplace(ch, cfg)
+        y = gen.standard_normal(m)
+        kept = mk_state(gen.standard_normal(n), _seeded_cov(gen, n))
+        changing = [mk_state(gen.standard_normal(n), _seeded_cov(gen, n)) for _ in range(4)]
+        x, ypred = np.zeros(n), np.zeros(m)
+        for t, pi in enumerate([kept] * 3 + changing + [kept] * 2):
+            rho = rho_update(x, pi, y, ch, cfg)
+            a = ch.jacobian(x)
+            cov = a @ rho.cov_array() @ a.T + ch.cov(x)
+            pred = gaussian(euclid(m), ch.mean(rho.mean_array()), cov)
+            got = hs.absorb(t, (tuple(x), tuple(ypred)), pi, tuple(y))
+            assert gaussian_bits(got) == gaussian_bits(dst(rho, pred)), t
+            x, ypred = np.asarray(got.mean[:n]), np.asarray(got.mean[n:])
