@@ -607,50 +607,103 @@ def _tabulate(hs: HierSystem, horizon: int, done: dict) -> HierTable:
     return table
 
 
+# elements a law-matrix temporary may hold: rows are split into blocks, and
+# sections into chunks, to stay within it
+_BUDGET = 1 << 20
+
+
 def _by_group(mass: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
-    """Sum the columns of a C x A matrix into n groups: a C x n matrix."""
-    c = mass.shape[0]
-    flat = (np.arange(c)[:, None] * n + groups[None, :]).ravel()
-    return np.bincount(flat, weights=mass.ravel(), minlength=c * n).reshape(c, n)
+    """Sum the columns of an R x A matrix into n groups: an R x n matrix.
+    ``groups`` gives each column's group, for every row (shape A) or for each
+    of G equal blocks of consecutive rows (shape G x A).  Each row's bins are
+    summed in column order, whatever rows sit beside it."""
+    r = mass.shape[0]
+    if groups.ndim == 1:
+        groups = groups[None]
+    rows = np.arange(r).reshape(len(groups), -1, 1)
+    flat = (rows * n + groups[:, None, :]).ravel()
+    return np.bincount(flat, weights=mass.ravel(), minlength=r * n).reshape(r, n)
 
 
 def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray:
-    """One tick for every candidate: mix the rows of the occupied states."""
+    """One tick for every row of ``mass``: mix the rows of its occupied states.
+    ``rids`` (G x A) is the next-state row id of each state for each of G
+    equal blocks of consecutive rows, -1 where the block has no mass.
+
+    A law that meets several rows sums them in order of the first state of
+    its block that leads to each, so its sums, bit for bit, depend neither
+    on the other blocks nor on the order in which row ids were handed out."""
+    n_blocks, width = rids.shape
     uniq, inv = np.unique(rids, return_inverse=True)
+    inv = inv.reshape(rids.shape)
     agg = _by_group(mass, inv, len(uniq))
+    skip = int(uniq[0] < 0)  # states a block does not reach hold none of its mass
+    uniq, agg = uniq[skip:], agg[:, skip:]
     # as in bind, a law that meets a single row moves to that row unscaled
     hit = agg != 0.0
-    single = hit.sum(axis=1) == 1
+    n_hit = hit.sum(axis=1)
+    single = n_hit == 1
     agg[single] = hit[single]
     rows = [table.row(r) for r in uniq.tolist()]
     ids = np.concatenate([r[0] for r in rows])
     ws = np.concatenate([r[1] for r in rows])
     which = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
-    # candidates per block, so a block's candidates x row-entries array stays small
-    block = max(1, (1 << 20) // max(1, len(ids)))
-    return np.concatenate([
-        _by_group(agg[lo:lo + block, which] * ws, ids, table.size)
-        for lo in range(0, agg.shape[0], block)
-    ])
+    seen = None
+    if n_hit.max() > 1:  # else every bin of a law has one nonzero term
+        # codes block * n_cols + column, each with the flat index of its first state
+        n_cols = len(uniq) + skip
+        seen, at = np.unique((np.arange(n_blocks)[:, None] * n_cols + inv).ravel(),
+                             return_index=True)
+    per = agg.shape[0] // n_blocks
+    # rows per block, so a block's rows x row-entries array stays small
+    block = max(1, _BUDGET // max(1, len(ids)))
+    parts = []
+    for lo in range(0, agg.shape[0], block):
+        w, cols = agg[lo:lo + block, which] * ws, ids
+        if seen is not None:
+            g = np.arange(lo, lo + len(w)) // per
+            # per block of these rows and per entry, the block's first state
+            # that leads to the entry's row (width where none does)
+            first = np.full((g[-1] - g[0] + 1, n_cols), width)
+            span = slice(*np.searchsorted(seen, [g[0] * n_cols, (g[-1] + 1) * n_cols]))
+            first.flat[seen[span] - g[0] * n_cols] = at[span] % width
+            order = np.argsort(first[:, skip:][:, which], axis=1, kind="stable")[g - g[0]]
+            w, cols = np.take_along_axis(w, order, axis=1), ids[order]
+        parts.append(_by_group(w, cols, table.size))
+    return np.concatenate(parts)
 
 
-def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choice: np.ndarray,
-              law: np.ndarray, horizon: int) -> list:
-    """Per tick, the C x n_keys laws of the emitted lens for C initial laws
-    (the rows of ``law``) under one section (an option per union key id)."""
-    sigma = choice[to_union]
-    out = []
+def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.ndarray,
+              law: np.ndarray, horizon: int):
+    """Yield, tick by tick, the S*C x n_keys laws of the emitted lens for C
+    initial laws (the rows of ``law``) under S sections (the rows of
+    ``choices``, an option per union key id), with a flag per section that
+    is set once the section has stopped: row s*C + c is section s from law
+    c.  All S*C rows move as one law matrix, one tick each time the next
+    tick is asked for.  A section is asked for an option only where its own
+    rows hold mass; where it has no entry, it stops, and from the next tick
+    on its rows hold no mass."""
+    n_sec, n_cand = len(choices), len(law)
+    sigma = choices[:, to_union]
+    law = np.tile(law, (n_sec, 1))
+    stopped = np.zeros(n_sec, dtype=bool)
     for t in range(horizon + 1):
         active = np.flatnonzero(law.any(axis=0))
         mass = law[:, active]
         keys = table.key_of[t][active]
-        out.append(_point_masses(_by_group(mass, to_union[keys], n_keys)))
+        yield _point_masses(_by_group(mass, to_union[keys], n_keys)), stopped
         if t < horizon:
-            opt = sigma[keys]
-            if (opt < 0).any():
-                raise HierError("section has no entry for an emitted lens")
-            law = _advance(table, mass, table.rows(t, active, opt))
-    return out
+            sec, col = np.nonzero(mass.reshape(n_sec, n_cand, len(active)).any(axis=1))
+            opt = sigma[sec, keys[col]]
+            lacking = opt < 0
+            if lacking.any():
+                stopped = stopped.copy()
+                stopped[sec[lacking]] = True
+                keep = ~stopped[sec]
+                sec, col, opt = sec[keep], col[keep], opt[keep]
+            rids = np.full((n_sec, len(active)), -1, dtype=np.intp)
+            rids[sec, col] = table.rows(t, active[col], opt)
+            law = _advance(table, mass, rids) if len(sec) else np.zeros_like(law)
 
 
 def _point_masses(laws: np.ndarray) -> np.ndarray:
@@ -686,7 +739,8 @@ def _union(tables: list) -> tuple:
 
 def _section_choices(options: list, max_sections: int) -> list:
     """Option indices of every section over the given keys, or of a seeded
-    sample of ``max_sections`` when the exhaustive product is larger."""
+    sample of ``max_sections`` distinct sections when the exhaustive product
+    is larger."""
     counts = [len(o) for o in options]
     total = 1
     for c in counts:
@@ -694,7 +748,10 @@ def _section_choices(options: list, max_sections: int) -> list:
     if total <= max_sections:
         return list(itertools.product(*(range(c) for c in counts)))
     gen = Rng(0).generator()
-    return [tuple(int(gen.integers(c)) for c in counts) for _ in range(max_sections)]
+    drawn: dict = {}  # distinct draws, first occurrences in order
+    while len(drawn) < max_sections:
+        drawn.setdefault(tuple(int(gen.integers(c)) for c in counts), None)
+    return list(drawn)
 
 
 def _strategy(sigma, systems) -> Callable:
@@ -821,14 +878,17 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     table = tabulate(sys_, horizon)
     n = len(table.keys)
     laws = _key_laws(
-        table, np.arange(n), n, _choice(sigma, (sys_,), table.keys, table.options),
+        table, np.arange(n), n, _choice(sigma, (sys_,), table.keys, table.options)[None, :],
         table.law(init)[None, :], horizon,
     )
-    values = tuple(
-        _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
-        for kl in laws
-    )
-    return Trace(tuple(range(horizon + 1)), values)
+    values = []
+    for t, (kl, stopped) in enumerate(laws):
+        if stopped[0]:
+            raise HierError(f"section has no entry for an emitted lens at tick {t - 1}")
+        values.append(
+            _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
+        )
+    return Trace(tuple(range(horizon + 1)), tuple(values))
 
 
 def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
@@ -856,33 +916,63 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     """Per section, the C_a x C_b deviation of every candidate pair at each
     tick, from the two systems' tables.
 
-    Each side's candidates move together as the rows of one matrix; the
-    emitted-lens laws of the two sides are compared per tick as vectors over
-    the union of their keys.  A section's ticks are computed when first read."""
+    Sections move in chunks: the (section, candidate) pairs of a chunk are
+    the rows of one law matrix per side (``_key_laws``), and the emitted-lens
+    laws of the two sides are compared per section and tick as vectors over
+    the union of their keys.  A chunk holds as many sections as fit the
+    budget, chunk * C * (states + keys * ticks) <= ``_BUDGET`` elements per
+    side, and at least one.  It advances one tick only when one of its
+    sections reads a tick not yet reached.  A section that has no entry for
+    a lens it reaches at tick t raises ``HierError`` when its tick t + 1 is
+    read."""
     done: dict = {}
     tables = [_tabulate(theta, horizon, done), _tabulate(psi, horizon, done)]
     keys, options, maps = _union(tables)
     if sections is None:
-        choices = [np.asarray(c, dtype=np.intp)
-                   for c in _section_choices(options, max_sections)]
+        choices = _section_choices(options, max_sections)
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
-    laws = [np.stack([tb.law(d) for d in cands]) for tb, cands in zip(tables, (cand_a, cand_b))]
+    choices = np.array(choices, dtype=np.intp).reshape(len(choices), len(keys))
+    cands = (cand_a, cand_b)
+    laws = [np.stack([tb.law(d) for d in cs]) for tb, cs in zip(tables, cands)]
+    per_section = max(len(cs) * (tb.size + len(keys) * (horizon + 1))
+                      for tb, cs in zip(tables, cands))
+    most = max(1, _BUDGET // per_section)
     # rows of side a per block, so a block's C_a x C_b x keys array stays small
-    block = max(1, (1 << 20) // max(1, len(cand_b) * len(keys)))
+    block = max(1, _BUDGET // max(1, len(cand_b) * len(keys)))
 
-    def deviations(choice):
-        ka, kb = (
-            _key_laws(tb, m, len(keys), choice, law, horizon)
-            for tb, m, law in zip(tables, maps, laws)
-        )
+    def chunk(lo, hi):
+        """Sections lo..hi-1: both sides' key laws and stopped sections at a
+        tick, propagated to that tick when it is first asked for."""
+        sides = [_key_laws(tb, m, len(keys), choices[lo:hi], law, horizon)
+                 for tb, m, law in zip(tables, maps, laws)]
+        ticks: list = []
+
+        def at(t):
+            while len(ticks) <= t:
+                ticks.append([next(side) for side in sides])
+            return ticks[t]
+
+        return at
+
+    def deviations(at, lo, k):
         for t in range(horizon + 1):
+            (la, sa), (lb, sb) = at(t)
+            if sa[k] or sb[k]:
+                raise HierError(
+                    f"section {lo + k} has no entry for an emitted lens at tick {t - 1}"
+                )
+            ka, kb = (kl[k * len(cs):(k + 1) * len(cs)] for kl, cs in zip((la, lb), cands))
             yield np.concatenate([
-                np.abs(ka[t][lo:lo + block, None, :] - kb[t][None, :, :]).max(axis=2)
-                for lo in range(0, len(cand_a), block)
+                np.abs(ka[a:a + block, None, :] - kb[None, :, :]).max(axis=2)
+                for a in range(0, len(cand_a), block)
             ])
 
-    return [deviations(choice) for choice in choices]
+    out = []
+    for lo in range(0, len(choices), most):
+        at = chunk(lo, min(len(choices), lo + most))
+        out.extend(deviations(at, lo, k) for k in range(min(most, len(choices) - lo)))
+    return out
 
 
 def _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon):
@@ -920,8 +1010,8 @@ def quasi_bisim(
     searches are capped, and the verdict does not say when a cap applied:
     the point masses and the uniform law are dropped above 256 states (the
     ``cap`` of ``_candidates``), and without explicit ``sections`` the
-    sections become a seeded sample of ``max_sections`` (512) when their
-    exhaustive product is larger.
+    sections become a seeded sample of ``max_sections`` (512) distinct
+    sections when their exhaustive product is larger.
     An open system on p is compared as the hierarchical system y -> p
     (``as_hier``).  Systems with finite states are compared on their tables;
     any other system only under explicit ``sections``.  A comparison under
@@ -936,7 +1026,9 @@ def quasi_bisim(
     the first side-b candidate that matches it (``exists``; 0 when none
     does) or fails it (``forall``), with the pair's first mismatch
     (``section``, ``t``, ``deviation``) when it does not match.  A
-    ``forall`` side b that holds has no such beta: the witness is None."""
+    ``forall`` side b that holds has no such beta: the witness is None.
+    ``sections`` in the verdict counts the sections offered; reading stops
+    at the first tick after which every pair has a mismatch."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
     _check_horizon(horizon)
@@ -959,11 +1051,11 @@ def quasi_bisim(
     at_section = np.full(shape, -1, dtype=np.intp)
     at_t = np.zeros(shape, dtype=np.intp)
     deviation = np.zeros(shape)
-    for si, ticks in enumerate(source):
-        for t, dev in enumerate(ticks):
-            new = (at_section < 0) & (dev > tol)
-            at_section[new], at_t[new], deviation[new] = si, t, dev[new]
-        if (at_section >= 0).all():
+    readings = ((si, t, dev) for si, ticks in enumerate(source) for t, dev in enumerate(ticks))
+    for si, t, dev in readings:
+        new = (at_section < 0) & (dev > tol)
+        at_section[new], at_t[new], deviation[new] = si, t, dev[new]
+        if (at_section >= 0).all():  # later readings cannot change the table
             break
 
     ok = at_section < 0

@@ -8,6 +8,7 @@ from polydyn import (
     prod,
     HierError,
     HierSystem,
+    HomSection,
     PolyMap,
     categorical,
     compose_hier,
@@ -398,6 +399,71 @@ def test_quasi_bisim_refuses_to_compare_under_no_section():
     assert hom_sections([mute], horizon=3) == []
     with pytest.raises(HierError, match="no section"):
         quasi_bisim(mute, mute, "forall", "forall", horizon=3)
+
+
+def forking(swap=False):
+    """Three states.  At tick 0 every state shows "l0", whose response "a"
+    moves to state 1 and "b" to state 2 (the other way round with ``swap``);
+    later state x shows "l{x}" and stays.  Its three lens keys, in
+    first-seen order: l0, l1, l2."""
+    states = finite(0, 1, 2)
+    target = monomial(finite("l0", "l1", "l2"), finite("a", "b"))
+
+    def emit(t, x):
+        label = "l0" if t == 0 else f"l{x}"
+        return det_polymap(y(), target, lambda i: label, lambda i, d: ())
+
+    def absorb(t, x, i, d):
+        return dirac(states, x if t else (1 if (d == "a") != swap else 2))
+
+    return mk_hier(y(), target, states, emit, absorb)
+
+
+def test_a_partial_section_answers_only_the_lenses_it_reaches():
+    """Section A answers "a" at l0 and has no entry for l2; section B answers
+    "b" at l0 and has no entry for l1.  Neither ever meets the lens it lacks,
+    so the verdict holds, also with A and B moved together."""
+    hs = forking()
+    full = hom_sections([hs], horizon=2)  # options in product order: a, b
+    go_a = HomSection(full[0].table[:2])
+    go_b = HomSection((full[4].table[0], full[4].table[2]))
+    for part, whole in ((go_a, full[0]), (go_b, full[4])):
+        start = dirac(hs.states, 0)
+        assert trace(hs, part, start, 2) == trace(hs, whole, start, 2)
+    verdict = quasi_bisim(hs, hs, "forall", "exists", sections=[go_a, go_b] * 4, horizon=2)
+    assert verdict["related"] and verdict["sections"] == 8
+
+
+def test_a_section_missing_a_reached_lens_is_named_with_its_tick():
+    hs = forking()
+    full = hom_sections([hs], horizon=2)
+    go_a = HomSection(full[0].table[:2])
+    go_b = HomSection((full[4].table[0], full[4].table[2]))
+    lacks_l1 = HomSection((full[0].table[0], full[0].table[2]))
+    with pytest.raises(HierError, match="section 40 has no entry for an emitted lens at tick 1"):
+        quasi_bisim(hs, hs, "forall", "forall", sections=[go_a, go_b] * 20 + [lacks_l1],
+                    horizon=2)
+
+
+def test_a_refutation_stands_without_reading_a_later_partial_section():
+    """Under the full section "a" the two machines part at tick 1 (l1
+    against l2), so every pair has mismatched within section 0.  Section 1
+    has no entry for l0, which every state shows at tick 0.  It is never
+    read, so the refutation is returned; where section 1 is read, it is
+    named."""
+    hs = forking()
+    full = hom_sections([hs], horizon=2)
+    no_l0 = HomSection(full[0].table[1:])
+    verdict = quasi_bisim(hs, forking(swap=True), "forall", "forall",
+                          sections=[full[0], no_l0], horizon=2)
+    assert not verdict["related"] and verdict["sections"] == 2
+    assert verdict["witness"] == {"alpha": 0, "beta": 0, "section": 0, "t": 1, "deviation": 1.0}
+    with pytest.raises(HierError, match="section 1 has no entry for an emitted lens at tick 0"):
+        quasi_bisim(hs, hs, "forall", "forall", sections=[full[0], no_l0], horizon=2)
+    with pytest.raises(HierError, match="section 0 has no entry for an emitted lens at tick 0"):
+        quasi_bisim(hs, hs, "forall", "forall", sections=[no_l0], horizon=2)
+    with pytest.raises(HierError, match="section has no entry for an emitted lens at tick 0"):
+        trace(hs, no_l0, dirac(hs.states, 0), 2)
 
 
 def test_quasi_bisim_on_infinite_states_needs_explicit_sections():

@@ -511,3 +511,140 @@ def test_tensor_keys_walk_the_lens_on_a_repr_tie(monkeypatch):
     assert tied == [(pq, r_), (p_, qr)]
     assert table.keys[table.key_of[0][0]] == key
     assert len(walked) == 2 * (HORIZON + 1) + 1
+
+
+# ---------------------------------------------------------------------------
+# sections moved in chunks against sections moved one at a time
+
+
+def sevenths_dist(gen, space):
+    """A random distribution over a finite space with weights k/7, which
+    floating point holds inexactly, so sums of them depend on their order."""
+    pts = list(points(space))
+    counts = gen.multinomial(7, [1.0 / len(pts)] * len(pts))
+    return categorical(space, [(a, c / 7.0) for a, c in zip(pts, counts.tolist()) if c])
+
+
+def labelled(rng, odd=None):
+    """Four states showing one of six labels, by state and tick, with three
+    responses each: 6 lens keys and 3**6 = 729 sections, so ``quasi_bisim``
+    samples 512 of them.  Its moves have weights k/7.  ``odd`` = (t, x, d)
+    redirects that one absorb."""
+    gen = rng.generator()
+    states = finite(0, 1, 2, 3)
+    B, T = finite(*[f"b{k}" for k in range(6)]), finite("u", "v", "w")
+    target = monomial(B, T)
+    moves = {(x, d): sevenths_dist(gen, states) for x in points(states) for d in points(T)}
+
+    def emit(t, x):
+        label = f"b{(x + t) % 6}"
+        return det_polymap(y(), target, lambda i: label, lambda i, d: ())
+
+    def absorb(t, x, i, d):
+        return dirac(states, (x + 1) % 4) if (t, x, d) == odd else moves[(x, d)]
+
+    return mk_hier(y(), target, states, emit, absorb, init=sevenths_dist(gen, states))
+
+
+def one_section_at_a_time(read: dict):
+    """``hier._table_deviations`` with every section propagated on its own:
+    the reference for sections moved in chunks.  ``read`` keeps each pair of
+    systems' deviations for the next call."""
+
+    def table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
+        key = (id(theta), id(psi), len(cand_a), len(cand_b), horizon)
+        if key not in read:
+            done: dict = {}
+            tables = [hier._tabulate(theta, horizon, done), hier._tabulate(psi, horizon, done)]
+            keys, options, maps = hier._union(tables)
+            assert sections is None  # the sampled family
+            choices = hier._section_choices(options, max_sections)
+            laws = [np.stack([tb.law(d) for d in cands])
+                    for tb, cands in zip(tables, (cand_a, cand_b))]
+            read[key] = []
+            for choice in choices:
+                ka, kb = (
+                    hier._key_laws(tb, m, len(keys), np.asarray(choice)[None, :], law, horizon)
+                    for tb, m, law in zip(tables, maps, laws)
+                )
+                read[key].append([np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+                                  for (a, _), (b, _) in zip(ka, kb)])
+        return [iter(ticks) for ticks in read[key]]
+
+    return table_deviations
+
+
+def test_chunked_verdicts_equal_the_section_by_section_verdicts(monkeypatch):
+    """Over 512 sampled sections, moved in one chunk (or in chunks of 3
+    under a small budget), every deviation matrix equals the one from its
+    section propagated alone, bit for bit, and so does every verdict,
+    witness and all.  Two refutations' first mismatches lie at sections 7
+    and 11, inside later chunks under the small budget."""
+    read: dict = {}
+    reference = one_section_at_a_time(read)
+    theta = labelled(Rng(95))
+    pairs = [(theta, labelled(Rng(95), odd=odd)) for odd in ((2, 3, "w"), (1, 0, "v"))]
+    pairs.append((theta, theta))
+    firsts = set()
+    for lhs, rhs in pairs:
+        args = (None, hier._candidates(lhs, None, "forall"), hier._candidates(rhs, None, "forall"),
+                HORIZON, 512)
+        for budget in (hier._BUDGET, 512):  # 512: chunks of at most 3 sections
+            with monkeypatch.context() as m:
+                m.setattr(hier, "_BUDGET", budget)
+                chunked = hier._table_deviations(lhs, rhs, *args)
+                alone = reference(lhs, rhs, *args)
+                assert len(chunked) == len(alone) == 512
+                for got, want in zip(chunked, alone):
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+        for modes in MODES:
+            for tol in (0.0, 0.1):
+                got = quasi_bisim(lhs, rhs, *modes, horizon=HORIZON, tol=tol)
+                with monkeypatch.context() as m:
+                    m.setattr(hier, "_table_deviations", reference)
+                    want = quasi_bisim(lhs, rhs, *modes, horizon=HORIZON, tol=tol)
+                assert got == want, (modes, tol)
+                if got["witness"] is not None and "section" in got["witness"]:
+                    firsts.add(got["witness"]["section"])
+    assert {7, 11} <= firsts
+
+
+def test_a_tick_does_not_depend_on_row_ids_or_blocks(monkeypatch):
+    """``_advance`` on five sections gives, bit for bit, what each section
+    gives alone, what a table whose rows were interned in another order
+    gives, and what every split into blocks under a small budget gives."""
+    theta = labelled(Rng(95))
+    tables = [hier.tabulate(theta, HORIZON) for _ in range(2)]
+    states = np.arange(tables[0].size)
+    for s in states[::-1]:  # the second table hands out row ids in reverse
+        tables[1].rows(0, np.full(3, s), np.arange(3))
+    cands = hier._candidates(theta, None, "forall")
+    mass = np.tile(np.stack([tables[0].law(d) for d in cands]), (5, 1))
+    opts = Rng(3).generator().integers(3, size=(5, len(states)))
+    rids = [np.stack([tb.rows(0, states, o) for o in opts]) for tb in tables]
+    assert not np.array_equal(*rids)
+    whole = hier._advance(tables[0], mass, rids[0])
+    assert np.array_equal(hier._advance(tables[1], mass, rids[1]), whole)
+    c = len(cands)
+    for k in range(5):
+        alone = hier._advance(tables[0], mass[k * c:(k + 1) * c], rids[0][k:k + 1])
+        assert np.array_equal(alone, whole[k * c:(k + 1) * c])
+    for budget in (1, 8, 40):
+        monkeypatch.setattr(hier, "_BUDGET", budget)
+        assert np.array_equal(hier._advance(tables[0], mass, rids[0]), whole)
+
+
+def test_a_sampled_family_draws_distinct_sections():
+    """Above ``max_sections`` the family is seeded draws with repeats
+    skipped, in order of first draw: 512 distinct sections of 729, where the
+    first 512 draws hold only 367.  A family that fits is the product."""
+    options = [range(3)] * 6
+    choices = hier._section_choices(options, 512)
+    assert len(set(choices)) == len(choices) == 512
+    gen = Rng(0).generator()
+    draws = [tuple(int(gen.integers(3)) for _ in options) for _ in range(512)]
+    assert len(set(draws)) == 367
+    assert choices[:367] == list(dict.fromkeys(draws))
+    assert hier._section_choices(options[:5], 512) == list(itertools.product(range(3), repeat=5))
+    sections = hom_sections([labelled(Rng(95))], HORIZON)
+    assert len({sigma.table for sigma in sections}) == 512
