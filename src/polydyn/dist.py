@@ -300,8 +300,9 @@ def bind(d: Dist, k) -> Dist:
         return out
     if isinstance(d, Categorical):
         outs = [k(atom) for atom, _ in d.items]
-        if all(out is outs[0] for out in outs):
-            # constant kernel: the mixture is the common output itself
+        if all(out is outs[0] or out == outs[0] for out in outs):
+            # constant kernel: the mixture is the common output itself, also
+            # when equal laws are built apart, as the tables treat equal rows
             if not isinstance(outs[0], (Dirac, Categorical, Gaussian)):
                 raise DistError(f"kernel returned a non-distribution: {outs[0]!r}")
             return outs[0]
@@ -510,8 +511,4 @@ def _atom_from_key(space: Space, key: str):
         decoded = json.loads(key)
     except json.JSONDecodeError:
         raise DistError(f"label {key!r} is not a point of {space!r}") from None
-    return _tuplify(decoded)
-
-
-def _tuplify(v):
-    return tuple(_tuplify(x) for x in v) if isinstance(v, list) else v
+    return _atom_from_json(space, decoded)

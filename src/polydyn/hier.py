@@ -913,8 +913,9 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
 
 
 def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
-    """Per section, the C_a x C_b deviation of every candidate pair at each
-    tick, from the two systems' tables.
+    """The number of sections, and readings (section, tick, C_a x C_b
+    deviation of every candidate pair) section by section, from the two
+    systems' tables.
 
     Sections move in chunks: the (section, candidate) pairs of a chunk are
     the rows of one law matrix per side (``_key_laws``), and the emitted-lens
@@ -933,60 +934,51 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     choices = np.array(choices, dtype=np.intp).reshape(len(choices), len(keys))
-    cands = (cand_a, cand_b)
-    laws = [np.stack([tb.law(d) for d in cs]) for tb, cs in zip(tables, cands)]
-    per_section = max(len(cs) * (tb.size + len(keys) * (horizon + 1))
-                      for tb, cs in zip(tables, cands))
+    laws = [np.stack([tb.law(d) for d in cs]) for tb, cs in zip(tables, (cand_a, cand_b))]
+    per_section = max(len(law) * (tb.size + len(keys) * (horizon + 1))
+                      for tb, law in zip(tables, laws))
     most = max(1, _BUDGET // per_section)
+    c_a, c_b = len(cand_a), len(cand_b)
     # rows of side a per block, so a block's C_a x C_b x keys array stays small
-    block = max(1, _BUDGET // max(1, len(cand_b) * len(keys)))
+    block = max(1, _BUDGET // max(1, c_b * len(keys)))
 
-    def chunk(lo, hi):
-        """Sections lo..hi-1: both sides' key laws and stopped sections at a
-        tick, propagated to that tick when it is first asked for."""
-        sides = [_key_laws(tb, m, len(keys), choices[lo:hi], law, horizon)
-                 for tb, m, law in zip(tables, maps, laws)]
-        ticks: list = []
+    def readings():
+        for lo in range(0, len(choices), most):
+            sides = [_key_laws(tb, m, len(keys), choices[lo:lo + most], law, horizon)
+                     for tb, m, law in zip(tables, maps, laws)]
+            ticks: list = []  # both sides' (key laws, stopped sections) at each tick reached
+            for s in range(lo, min(lo + most, len(choices))):
+                k = s - lo
+                for t in range(horizon + 1):
+                    if t == len(ticks):
+                        ticks.append([next(side) for side in sides])
+                    (la, sa), (lb, sb) = ticks[t]
+                    if sa[k] or sb[k]:
+                        raise HierError(
+                            f"section {s} has no entry for an emitted lens at tick {t - 1}"
+                        )
+                    ka, kb = la[k * c_a:(k + 1) * c_a], lb[k * c_b:(k + 1) * c_b]
+                    yield s, t, np.concatenate([
+                        np.abs(ka[a:a + block, None, :] - kb[None, :, :]).max(axis=2)
+                        for a in range(0, c_a, block)
+                    ])
 
-        def at(t):
-            while len(ticks) <= t:
-                ticks.append([next(side) for side in sides])
-            return ticks[t]
-
-        return at
-
-    def deviations(at, lo, k):
-        for t in range(horizon + 1):
-            (la, sa), (lb, sb) = at(t)
-            if sa[k] or sb[k]:
-                raise HierError(
-                    f"section {lo + k} has no entry for an emitted lens at tick {t - 1}"
-                )
-            ka, kb = (kl[k * len(cs):(k + 1) * len(cs)] for kl, cs in zip((la, lb), cands))
-            yield np.concatenate([
-                np.abs(ka[a:a + block, None, :] - kb[None, :, :]).max(axis=2)
-                for a in range(0, len(cand_a), block)
-            ])
-
-    out = []
-    for lo in range(0, len(choices), most):
-        at = chunk(lo, min(len(choices), lo + most))
-        out.extend(deviations(at, lo, k) for k in range(min(most, len(choices) - lo)))
-    return out
+    return len(choices), readings()
 
 
 def _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon):
-    """Per section, the C_a x C_b deviation of every candidate pair at each
-    tick, from one trace per (candidate, section): for systems whose states
-    are not finite."""
+    """The number of sections, and readings (section, tick, C_a x C_b
+    deviation of every candidate pair) section by section, from one trace
+    per (candidate, section): for systems whose states are not finite."""
 
-    def deviations(sigma):
-        va = [trace(theta, sigma, c, horizon).values for c in cand_a]
-        vb = [trace(psi, sigma, c, horizon).values for c in cand_b]
-        for t in range(horizon + 1):
-            yield np.array([[dist_distance(a[t], b[t]) for b in vb] for a in va])
+    def readings():
+        for si, sigma in enumerate(sections):
+            va = [trace(theta, sigma, c, horizon).values for c in cand_a]
+            vb = [trace(psi, sigma, c, horizon).values for c in cand_b]
+            for t in range(horizon + 1):
+                yield si, t, np.array([[dist_distance(a[t], b[t]) for b in vb] for a in va])
 
-    return [deviations(sigma) for sigma in sections]
+    return len(sections), readings()
 
 
 def quasi_bisim(
@@ -1038,12 +1030,14 @@ def quasi_bisim(
     cand_a = _candidates(theta, alphas, alpha_mode)
     cand_b = _candidates(psi, betas, beta_mode)
     if is_finite(theta.states) and is_finite(psi.states):
-        source = _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections)
+        n_sections, readings = _table_deviations(
+            theta, psi, sections, cand_a, cand_b, horizon, max_sections
+        )
     elif sections is None:
         raise HierError("systems whose states are not finite need explicit sections")
     else:
-        source = _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
-    if not source:
+        n_sections, readings = _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
+    if not n_sections:
         raise HierError("no section to compare the systems under")
 
     # first mismatch of every candidate pair: section (-1 where none), tick, deviation
@@ -1051,7 +1045,6 @@ def quasi_bisim(
     at_section = np.full(shape, -1, dtype=np.intp)
     at_t = np.zeros(shape, dtype=np.intp)
     deviation = np.zeros(shape)
-    readings = ((si, t, dev) for si, ticks in enumerate(source) for t, dev in enumerate(ticks))
     for si, t, dev in readings:
         new = (at_section < 0) & (dev > tol)
         at_section[new], at_t[new], deviation[new] = si, t, dev[new]
@@ -1070,7 +1063,7 @@ def quasi_bisim(
         if not ok[a, b]:
             witness.update(section=int(at_section[a, b]), t=int(at_t[a, b]),
                            deviation=float(deviation[a, b]))
-    return {"mode": (alpha_mode, beta_mode), "sections": len(source),
+    return {"mode": (alpha_mode, beta_mode), "sections": n_sections,
             "related": bool(decides.any()) == (alpha_mode == "exists"), "witness": witness}
 
 

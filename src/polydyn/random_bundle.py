@@ -49,6 +49,12 @@ class RandomSystemError(ValueError):
 _TIMES = (1, 2, 3)
 
 
+def _require(report: dict, failure: str) -> None:
+    """Refuse to go on when a law check failed, naming the failure."""
+    if not report["pass"]:
+        raise RandomSystemError(f"{failure}: {report}")
+
+
 @dataclass(frozen=True)
 class ProbabilitySpace:
     space: Space  # finite
@@ -82,9 +88,7 @@ def check_measure_preserving(mp: MeasurePreservingSystem, generators) -> dict:
 
 def mk_measure_preserving(base: ProbabilitySpace, flow: ClosedSystem) -> MeasurePreservingSystem:
     mp = MeasurePreservingSystem(base, flow)
-    report = check_measure_preserving(mp, _TIMES)
-    if not report["pass"]:
-        raise RandomSystemError(f"flow does not preserve the measure: {report}")
+    _require(check_measure_preserving(mp, _TIMES), "flow does not preserve the measure")
     return mp
 
 
@@ -163,9 +167,7 @@ def mk_random_system(
     update: Callable,
 ) -> RandomSystem:
     rds = RandomSystem(base, total_states, proj, interface, output, update)
-    report = check_random_system(rds)
-    if not report["pass"]:
-        raise RandomSystemError(f"projection square does not commute: {report}")
+    _require(check_random_system(rds), "projection square does not commute")
     return rds
 
 
@@ -188,9 +190,7 @@ def rebase_rds(psi: MPMorphism, rds: RandomSystem) -> RandomSystem:
     measure-preserving systems."""
     if psi.source != rds.base:
         raise RandomSystemError("morphism does not start at the system's base")
-    verdict = check_mp_morphism(psi)
-    if not verdict["pass"]:
-        raise RandomSystemError(f"base morphism fails its laws: {verdict}")
+    _require(check_mp_morphism(psi), "base morphism fails its laws")
 
     def proj(s):
         return psi.map(rds.proj(s))
@@ -237,9 +237,7 @@ def check_bundle(bs: BundleSystem) -> dict:
 
 def mk_bundle(base_sys: System, total_sys: System, proj: Callable) -> BundleSystem:
     bs = BundleSystem(base_sys, total_sys, proj)
-    report = check_bundle(bs)
-    if not report["pass"]:
-        raise RandomSystemError(f"bundle square does not commute: {report}")
+    _require(check_bundle(bs), "bundle square does not commute")
     return bs
 
 
@@ -251,11 +249,10 @@ def reindex_bundle(phi, bs: BundleSystem) -> BundleSystem:
 def rebase_bundle(f: Callable, new_base: System, bs: BundleSystem) -> BundleSystem:
     """Change the base system by post-composition with a verified morphism of
     open systems on the base interface."""
-    verdict = is_system_morphism(
-        f, bs.base_sys, new_base, all_sections(bs.base_sys.interface), _TIMES
+    _require(
+        is_system_morphism(f, bs.base_sys, new_base, all_sections(bs.base_sys.interface), _TIMES),
+        "base-system morphism fails its squares",
     )
-    if not verdict["pass"]:
-        raise RandomSystemError(f"base-system morphism fails its squares: {verdict}")
 
     def proj(s):
         return f(bs.proj(s))

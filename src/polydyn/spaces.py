@@ -364,4 +364,8 @@ def point_from_json(space: Space, obj: Any) -> Any:
         return tuple(point_from_json(f, v) for f, v in zip(space.factors, obj))
     if isinstance(space, EuclidSpace):
         return tuple(float(c) for c in obj)
-    return check_point(space, obj)
+    return check_point(space, _tuplify(obj))  # JSON holds a tuple label as a list
+
+
+def _tuplify(obj: Any) -> Any:
+    return tuple(_tuplify(x) for x in obj) if isinstance(obj, list) else obj

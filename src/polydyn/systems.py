@@ -493,7 +493,7 @@ def from_vector_field(
     g: Callable,
     p: Polynomial,
     h: float,
-    states: Space = None,
+    states: Space,
 ) -> System:
     """Open continuous-time system from a vector field.
 
@@ -501,8 +501,6 @@ def from_vector_field(
     ``g(x)`` is the exposed position.  One tick integrates h time units with
     the classic fixed-step scheme, holding the direction fixed for the whole
     call (zero-order hold)."""
-    if states is None:
-        raise OpenSystemError("from_vector_field needs the Euclid state space")
     clock = time_real(h)
 
     def output(t, x):

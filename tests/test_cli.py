@@ -123,6 +123,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert last["error"].endswith("holds list, not a JSON object")
 
 
+def test_a_missing_required_flag_is_named(capsys):
+    """``run`` and ``laplace`` need ``--spec`` and ``check`` needs
+    ``--suite``: each exits 2 with one JSON error line naming the flag."""
+    for argv, flag in ((["run"], "spec"), (["laplace", "--horizon", "3"], "spec"),
+                       (["check", "--spec", str(SPECS / "markov.json")], "suite")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": f"{argv[0]} needs --{flag}"}) + "\n"
+
+
 def test_unread_flags_are_usage_errors(capsys):
     """``--tol`` is not an option, ``--suite`` belongs to ``check`` only,
     ``--seed`` to ``run`` and ``demo``, and ``--horizon`` to every command but

@@ -398,6 +398,19 @@ def test_dist_json_roundtrip():
         assert dist_distance(back, d) == 0.0
 
 
+def test_tuple_labelled_laws_survive_json():
+    """JSON holds a tuple as a list; a point mass and a categorical law come
+    back equal on tuple-labelled finite states (the total states of
+    ``skew_random_example``), on nested tuple labels and on a product."""
+    pairs = finite(*[(w, x) for w in range(2) for x in range(2)])
+    nested = finite("a", (1, (2, 3)))
+    both = prod(finite(0, 1), nested)
+    for sp, a, b in ((pairs, (0, 1), (1, 1)), (nested, (1, (2, 3)), "a"),
+                     (both, (1, (1, (2, 3))), (0, "a"))):
+        for d in (dirac(sp, a), dirac(sp, b), categorical(sp, [(a, 0.25), (b, 0.75)])):
+            assert dist_from_json(sp, dist_to_json(d)) == d, (sp, d)
+
+
 def test_dirac_and_categorical_kinds():
     assert isinstance(dirac(SPACE, 0), Dirac)
     assert isinstance(categorical(SPACE, [(0, 0.5), (1, 0.5)]), Categorical)

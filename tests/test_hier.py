@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import pytest
 
 from polydyn import (
@@ -36,6 +39,7 @@ from polydyn import (
     tensor,
     tensor_hier,
     time_nat,
+    time_real,
     trace,
     trivial_section,
     uniform,
@@ -256,6 +260,47 @@ def test_hibi_compose_requires_distribution_inputs():
     f = function_system(lambda a: a, A, A)
     with pytest.raises(HierError):
         hibi_compose(f, f)
+
+
+def test_hibi_compose_refuses_a_mismatched_middle():
+    """The left factor must show the points the right factor takes laws of,
+    and take back the directions it feeds back."""
+    src, tgt = monomial(dist_space(A), unit()), monomial(A, unit())
+
+    def emit(t, x):
+        return det_polymap(src, tgt, lambda i: 0, lambda i, d: ())
+
+    right = mk_hier(src, tgt, unit(), emit, lambda t, x, i, d: dirac(unit(), ()))
+    shows_labels = replace(right, target=monomial(finite("a", "b"), unit()))
+    with pytest.raises(HierError, match=re.escape(
+        "middle spaces disagree: left outputs finite['a', 'b'], "
+        "right consumes distributions over finite[0, 1, 2]"
+    )):
+        hibi_compose(shows_labels, right)
+    takes_bits = replace(right, target=monomial(A, finite(0, 1)))
+    with pytest.raises(HierError, match="^middle backward directions disagree$"):
+        hibi_compose(takes_bits, right)
+
+
+def test_composites_refuse_mismatched_factors():
+    """Sequential factors must meet at one interface, and both kinds of
+    composite need one time monoid."""
+    cp, shows = copy_system(A), function_system(lambda a: a, A, A)
+    with pytest.raises(HierError, match=re.escape(
+        f"cannot compose: left system targets {cp.target!r}, right system expects {shows.source!r}"
+    )):
+        compose_hier(cp, shows)
+    ticks_real = replace(shows, time=time_real(0.1))
+    with pytest.raises(HierError, match="^composed systems must share the time monoid$"):
+        compose_hier(shows, ticks_real)
+    with pytest.raises(HierError, match="^tensored systems must share the time monoid$"):
+        tensor_hier(shows, ticks_real)
+
+
+def test_quasi_bisim_refuses_an_unknown_quantifier():
+    for modes in (("some", "exists"), ("forall", "every")):
+        with pytest.raises(HierError, match="^quantifier modes are 'exists' or 'forall'$"):
+            quasi_bisim(id_hier(linear(A)), id_hier(linear(A)), *modes)
 
 
 def test_hibi_compose_lifts_points_to_diracs():

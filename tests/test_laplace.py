@@ -592,6 +592,22 @@ def test_the_runners_refuse_a_non_finite_datum(bad):
         mean_path(stack(TWO_LEVELS, cfg), PI, [bad], 1)
 
 
+def test_the_runners_refuse_a_datum_or_prior_of_the_wrong_size():
+    cfg = LaplaceConfig()
+    with pytest.raises(LaplaceError, match="^datum dimension does not match the top level$"):
+        run_stack(TWO_LEVELS, cfg, PI, [1.0, 2.0], 1)
+    wide = mk_state([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(LaplaceError, match="^prior dimension does not match the bottom level$"):
+        run_stack(TWO_LEVELS, cfg, wide, [1.0], 1)
+
+
+def test_mean_path_refuses_an_update_that_is_not_gaussian():
+    hs = stack(TWO_LEVELS, LaplaceConfig())
+    frozen = dataclasses.replace(hs, absorb=lambda t, x, pi, d: dirac(hs.states, x))
+    with pytest.raises(LaplaceError, match="^state update did not produce a Gaussian law$"):
+        mean_path(frozen, PI, [1.0], 1)
+
+
 def test_the_runners_refuse_a_negative_step_count():
     """A run lasts 0 or more steps: 0 gives no rows and the initial path."""
     cfg = LaplaceConfig()

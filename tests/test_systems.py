@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -169,7 +170,7 @@ def test_a_tabulated_row_with_one_atom_is_a_point_mass():
     sys_ = mk_system(y(), states, lambda t, s: (), lambda t, s, d: table[s],
                      time_nat(), STOCHASTIC)
     cs = closure(sys_, trivial_section(y()))
-    assert isinstance(_bind_walk(sys_, trivial_section(y()), 2, "a"), Categorical)
+    assert _bind_walk(sys_, trivial_section(y()), 2, "a") == dirac(states, "a")
     assert cs.step(2, "a") == dirac(states, "a")
     assert isinstance(cs.step(3, "a"), Categorical)
 
@@ -298,6 +299,23 @@ def test_mk_system_validates_finite_shapes():
             lambda t, s: s,
             lambda t, s, d: uniform(states),  # stochastic law, deterministic claim
         )
+
+
+def test_mk_system_refuses_an_unknown_effect_and_a_failing_update():
+    states = finite(0, 1)
+
+    def update(t, s, d):
+        if s == 1:
+            raise KeyError("no move from 1")
+        return dirac(states, s)
+
+    with pytest.raises(OpenSystemError, match="^unknown effect 'quantum'$"):
+        mk_system(linear(states), states, lambda t, s: s, update, time_nat(), "quantum")
+    with pytest.raises(OpenSystemError, match=re.escape(
+        "update failed at state 1 with direction () of unit(): 'no move from 1'"
+    )) as caught:
+        mk_system(linear(states), states, lambda t, s: s, update)
+    assert isinstance(caught.value.__cause__, KeyError)
 
 
 # -- reindexing ------------------------------------------------------------

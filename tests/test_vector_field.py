@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from polydyn import (
-    OpenSystemError,
     Section,
     check_flow,
     closure,
@@ -119,7 +118,8 @@ def test_driven_decay_approaches_the_drive():
 
 
 def test_from_vector_field_validation():
-    with pytest.raises(OpenSystemError):
+    """The Euclid state space has no default: leaving it out is a TypeError."""
+    with pytest.raises(TypeError, match="states"):
         from_vector_field(
             lambda x, d: (-x[0],), lambda x: x, monomial(euclid(1), unit()), 0.1
         )
