@@ -77,9 +77,18 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
+def _spec_int(spec: dict, key: str, default: int) -> int:
+    """The spec's ``key``, which must be a JSON integer: a float or a boolean
+    would be truncated into another run length."""
+    value = spec.get(key, default)
+    if type(value) is not int:
+        raise SpecError(f"spec key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _horizon(args, spec: dict, key: str, default: int) -> int:
     """The run length: ``--horizon`` when given, else the spec's ``key``."""
-    value = args.horizon if args.horizon is not None else int(spec.get(key, default))
+    value = args.horizon if args.horizon is not None else _spec_int(spec, key, default)
     if value < 0:
         source = "--horizon" if args.horizon is not None else f"spec key {key!r}"
         raise SpecError(f"{source} must be non-negative, got {value}")
@@ -151,7 +160,7 @@ def _suite_bundle(spec) -> list:
 
 def _suite_comonoid(spec) -> list:
     labels = (spec or {}).get("space", [0, 1, 2])
-    horizon = int((spec or {}).get("horizon", 8))
+    horizon = _spec_int(spec or {}, "horizon", 8)
     A = finite(*labels)
     Ay = linear(A)
     cp = copy_system(A)

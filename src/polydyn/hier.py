@@ -48,7 +48,6 @@ from .poly import (
     PolyMap,
     Polynomial,
     TimeMonoid,
-    compose_key,
     compose_map,
     det_polymap,
     id_map,
@@ -91,7 +90,7 @@ class HierSystem:
     forward_lift: Optional[Callable] = None  # (t, x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
     # (kind, left, right) for compose_hier/tensor_hier composites, whose
-    # tables are built from their factors' tables
+    # tables are built from their factors' tables (see ``tabulate``)
     factors: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -286,7 +285,7 @@ class HierTable:
     normalized ``polymap_key`` and ``options[k]`` its normalized (position,
     direction) responses, in the order ``hom_sections`` offers them.  A leaf
     table walks each lens for its key; a composite table assembles it from
-    its factors' keys (see ``_PairTable``).
+    its factors' keys (see ``_PairTable``), unless it is walked as a leaf.
     ``step(t, s, o)`` is the next-state law of state s after response o at
     tick t, as a sparse row (state ids, weights).  Rows are built on first
     use and interned, so states that move alike share one row id."""
@@ -334,29 +333,6 @@ class HierTable:
         self._rows.append(built)
         return r
 
-    def _dense_row(self, ident, pairs) -> int:
-        r = self._row_ids.get(ident)
-        if r is None:
-            ids = np.array([a for a, _ in pairs], dtype=np.intp)
-            ws = np.array([w for _, w in pairs], dtype=float)
-            r = self._new_row(ident, (ids, ws))
-        return r
-
-    def _mix(self, rids: list, weights: list) -> int:
-        """The row of a mixture of rows, summed in order as ``bind`` does."""
-        if all(r == rids[0] for r in rids):
-            return rids[0]
-        ident = ("mix", tuple(rids), tuple(weights))
-        r = self._row_ids.get(ident)
-        if r is None:
-            mixed: dict = {}
-            for rid, w in zip(rids, weights):
-                ids, ws = self.row(rid)
-                for a, w2 in zip(ids.tolist(), ws.tolist()):
-                    mixed[a] = mixed.get(a, 0.0) + w * w2
-            r = self._dense_row(ident, [(a, w) for a, w in mixed.items() if w != 0.0])
-        return r
-
     def law(self, d: Dist) -> np.ndarray:
         """A finite law over the states as a vector over state ids."""
         vec = np.zeros(self.size)
@@ -366,8 +342,9 @@ class HierTable:
 
 
 class _LeafTable(HierTable):
-    """Tabulated by walking emit once per (tick, state) and absorb once per
-    (tick, state, response) actually reached."""
+    """Tabulated by walking emit once per (tick, state), each distinct lens
+    once for its responses (``_responses``), and absorb once per (tick,
+    state, response) actually reached."""
 
     def __init__(self, hs: HierSystem, horizon: int):
         super().__init__(hs)
@@ -376,14 +353,17 @@ class _LeafTable(HierTable):
         self._states = list(points(hs.states))
         self._ids = {x: s for s, x in enumerate(self._states)}
         self.size = len(self._states)
+        self._resp: list = []  # key id -> [(position, direction), ...]
         for t in range(horizon + 1):
             ids = np.empty(self.size, dtype=np.intp)
             for s, x in enumerate(self._states):
                 lens = hs.emit(t, x)
-                ids[s] = self._key_id(polymap_key(lens), lens)
+                key = polymap_key(lens)
+                if key not in self._key_ids:
+                    self._resp.append(_responses(lens))
+                ids[s] = self._key_id(key, lens)
             self.key_of.append(ids)
         self._width = 1 + max(len(o) for o in self.options)
-        self._responses: dict = {}  # key id -> [(position, direction), ...]
         self._absorbed: dict = {}  # (t, s, o) -> row id
 
     def state_id(self, x) -> int:
@@ -405,19 +385,14 @@ class _LeafTable(HierTable):
         return out[inv]
 
     def _absorb(self, t: int, s: int, o: int) -> int:
-        k = int(self.key_of[t][s])
-        resp = self._responses.get(k)
-        if resp is None:
-            lens = self._lenses[k]
-            resp = self._responses[k] = [
-                (i, d)
-                for i in points(lens.source.positions)
-                for d in points(lens.target.dirs_at(lens.forward(i)))
-            ]
-        i, d = resp[o]
+        i, d = self._resp[self.key_of[t][s]][o]
         law = self.system.absorb(t, self._states[s], i, d)
         pairs = tuple((self.state_id(a), w) for a, w in finite_items(law))
-        return self._dense_row(pairs, pairs)
+        r = self._row_ids.get(pairs)
+        if r is None:
+            ids = np.array([a for a, _ in pairs], dtype=np.intp)
+            r = self._new_row(pairs, (ids, np.array([w for _, w in pairs], dtype=float)))
+        return r
 
 
 class _PairTable(HierTable):
@@ -426,11 +401,10 @@ class _PairTable(HierTable):
     formed once per distinct pair of factor keys, and its rows are pairs of
     factor rows, expanded into their outer product only when used.
 
-    A composite key is assembled from the factors' keys and routes
-    (``compose_key``, ``tensor_key``) and equals ``polymap_key`` of the
-    composed lens.  The lens is walked with ``polymap_key`` only where the
-    assembly cannot reproduce the walk: a composite route that mixes several
-    middle directions, or tensor items whose ``repr`` ties."""
+    A composite key and each response's route, one option of each factor,
+    are read from the factors' keys (``_compose_key``, ``tensor_key``).  The
+    key equals ``polymap_key`` of the composed lens, which is walked only
+    where two items of a tensor's backward law tie in ``repr``."""
 
     def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable,
                  horizon: int):
@@ -440,7 +414,7 @@ class _PairTable(HierTable):
         self._pair_ids: dict = {}  # left key * |right keys| + right key -> pair id
         self._pair_key: list = []  # pair id -> key id
         self._offset: list = []  # pair id -> index of its first route
-        routes: list = []  # (right option, ((left option, weight), ...))
+        routes: list = []  # (left option, right option) per response
         self._pair_of: list = []  # per tick: state id -> pair id
         self._row_pairs: dict = {}  # row id -> left row * 2**31 + right row
         n_right = len(right.keys)
@@ -452,12 +426,7 @@ class _PairTable(HierTable):
             self._pair_of.append(pair)
             self.key_of.append(np.asarray(self._pair_key, dtype=np.intp)[pair])
         self._offset = np.asarray(self._offset, dtype=np.intp)
-        self._route_right = np.array([r for r, _ in routes], dtype=np.intp)
-        # a routed left response with one component is a plain option
-        self._route_left = np.array(
-            [comps[0][0] if len(comps) == 1 else -1 for _, comps in routes], dtype=np.intp
-        )
-        self._mixtures = {n: comps for n, (_, comps) in enumerate(routes) if len(comps) > 1}
+        self._route_left, self._route_right = np.array(routes, dtype=np.intp).reshape(-1, 2).T
 
     def _pair(self, code: int, n_right: int, routes: list) -> int:
         p = self._pair_ids.get(code)
@@ -466,13 +435,13 @@ class _PairTable(HierTable):
             f, g = self._left._lenses[kf], self._right._lenses[kg]
             f_key, g_key = self._left.keys[kf], self._right.keys[kg]
             if self._kind == "compose":
-                lens, routed = compose_map(g, f), _compose_routes(f, g)
-                key = compose_key(g_key, f_key)
+                lens = compose_map(g, f)
+                key, routed = _compose_key(f_key, g_key)
             else:
                 lens, routed = tensor_map(f, g), _tensor_routes(f_key, g_key)
                 key = tensor_key(f, g, f_key, g_key)
-            if key is None:
-                key = polymap_key(lens)
+                if key is None:
+                    key = polymap_key(lens)
             p = self._pair_ids[code] = len(self._pair_key)
             self._pair_key.append(self._key_id(key, lens))
             self._offset.append(len(routes))
@@ -488,23 +457,7 @@ class _PairTable(HierTable):
         xs, zs = np.divmod(sid, self._right.size)
         route = self._offset[self._pair_of[t][sid]] + opt
         right = self._right.rows(t, zs, self._route_right[route])
-        chosen = self._route_left[route]
-        plain = chosen >= 0
-        if plain.all():
-            left = self._left.rows(t, xs, chosen)
-        else:
-            left = np.empty(len(sid), dtype=np.intp)
-            left[plain] = self._left.rows(t, xs[plain], chosen[plain])
-            mixed = np.flatnonzero(~plain)
-            width = self._left.size
-            uniq, inv = np.unique(route[mixed] * width + xs[mixed], return_inverse=True)
-            rows = []
-            for code in uniq.tolist():
-                comps = self._mixtures[code // width]
-                x = np.full(len(comps), code % width)
-                parts = self._left.rows(t, x, np.array([o for o, _ in comps]))
-                rows.append(self._left._mix(parts.tolist(), [w for _, w in comps]))
-            left[mixed] = np.asarray(rows, dtype=np.intp)[inv]
+        left = self._left.rows(t, xs, self._route_left[route])
         code = left.astype(np.int64) * (1 << 31) + right
         uniq, inv = np.unique(code, return_inverse=True)
         ids = np.empty(len(uniq), dtype=np.intp)
@@ -526,54 +479,77 @@ class _PairTable(HierTable):
         return ids[keep], ws[keep]
 
 
-def _compose_routes(f: PolyMap, g: PolyMap) -> list:
-    """Responses of g after f, in option order, routed to g's option and to
-    the mixture of f's options that g's backward law induces."""
-    g_opts: dict = {}
-    offset = 0
-    for j in points(g.source.positions):
-        dirs = list(points(g.target.dirs_at(g.forward(j))))
-        g_opts[j] = (offset, dirs)
-        offset += len(dirs)
-    routes = []
-    offset = 0
-    for i in points(f.source.positions):
-        j = f.forward(i)
-        f_dirs = {d: e for e, d in enumerate(points(f.target.dirs_at(j)))}
-        g_offset, g_dirs = g_opts[j]
-        for e, d in enumerate(g_dirs):
-            comps = []
-            for dm, w in finite_items(g.backward(j, d)):
-                if dm not in f_dirs:
-                    raise HierError(
-                        f"at source position {i!r}, the backward law answers direction "
-                        f"{d!r} with {dm!r}, which is not a direction of the middle "
-                        f"interface at {j!r}"
-                    )
-                comps.append((offset + f_dirs[dm], w))
-            routes.append((g_offset + e, tuple(comps)))
-        offset += len(f_dirs)
-    return routes
+def _stray(where: str, d, atom, fibre: str) -> HierError:
+    return HierError(f"at {where}, the backward law answers direction {d!r} with {atom!r}, "
+                     f"which is not a direction of {fibre}")
+
+
+def _responses(lens: PolyMap) -> list:
+    """A finite lens's (position, direction) responses, in option order.  A
+    backward atom off its fibre is refused where a key would hide it: a unit
+    slot reads ``()`` whatever it holds.  A stray that a key shows is named
+    where a route reads it (``_compose_key``, ``_point_middles``)."""
+    out = []
+    for i in points(lens.source.positions):
+        fibre = lens.source.dirs_at(i)
+        for d in points(lens.target.dirs_at(lens.forward(i))):
+            for a, _ in finite_items(lens.backward(i, d)):
+                if expand_point(fibre, normalize_point(fibre, a)) != a:
+                    raise _stray(f"source position {i!r}", d, a, "the source interface there")
+            out.append((i, d))
+    return out
+
+
+def _point_middles(middle: Polynomial, right: HierTable) -> bool:
+    """Whether every backward law in the keys of a compose composite's right
+    factor is a point mass.  Where one is not, the composite is walked, and
+    an atom off the ``middle`` interface is named here."""
+    rows = [row for key in right.keys for row in key]
+    if all(len(items) == 1 for _, _, back in rows for _, items in back):
+        return True
+    for j, _, back in rows:
+        fibre = middle.dirs_at(expand_point(middle.positions, j))
+        dirs = {normalize_point(fibre, d) for d in points(fibre)}
+        stray = [(d, a) for d, items in back for a, _ in items if a not in dirs]
+        if stray:
+            raise _stray(f"middle position {j!r}", *stray[0], "the middle interface there")
+    return False
+
+
+def _compose_key(f_key: tuple, g_key: tuple) -> tuple:
+    """The key of g after f, and per response its route, the one option of
+    f and of g it takes: from the factors' keys, when every backward law of
+    g is a point mass.  ``bind`` of a point mass at d returns f's backward
+    law at d itself, so the composite's entry is f's key entry for d, under
+    g's forward position and direction keys at f's forward position."""
+    g_rows = {row[0]: (opts, row) for row, opts in zip(g_key, _option_ranges(g_key))}
+    rows, routes = [], []
+    for (i_key, j_key, f_back), f_opts in zip(f_key, _option_ranges(f_key)):
+        g_opts, (_, fwd_key, g_back) = g_rows[j_key]
+        f_laws = {d: (o, items) for o, (d, items) in zip(f_opts, f_back)}
+        back = []
+        for o_g, (d_key, ((mid, _),)) in zip(g_opts, g_back):
+            if mid not in f_laws:
+                raise _stray(f"source position {i_key!r}", d_key, mid,
+                             f"the middle interface at {j_key!r}")
+            o_f, items = f_laws[mid]
+            back.append((d_key, items))
+            routes.append((o_f, o_g))
+        rows.append((i_key, fwd_key, tuple(back)))
+    return tuple(rows), routes
 
 
 def _tensor_routes(f_key: tuple, g_key: tuple) -> list:
-    """Responses of f (x) g, in option order, split into one option each;
-    from the factors' keys, whose rows list each position's directions."""
+    """Routes of f (x) g, in option order: one option of each factor."""
+    g_ranges = _option_ranges(g_key)
+    return [(o_f, o_g) for f_opts in _option_ranges(f_key) for g_opts in g_ranges
+            for o_f in f_opts for o_g in g_opts]
 
-    def grid(key):
-        out, offset = [], 0
-        for row in key:
-            out.append((offset, len(row[2])))
-            offset += len(row[2])
-        return out
 
-    return [
-        (g_off + e2, ((f_off + e1, 1.0),))
-        for f_off, f_n in grid(f_key)
-        for g_off, g_n in grid(g_key)
-        for e1 in range(f_n)
-        for e2 in range(g_n)
-    ]
+def _option_ranges(key: tuple) -> list:
+    """Per row of a lens key, the option indices of its responses."""
+    ends = itertools.accumulate(len(row[2]) for row in key)
+    return [range(end - len(row[2]), end) for row, end in zip(key, ends)]
 
 
 def _check_horizon(horizon: int) -> None:
@@ -586,8 +562,9 @@ def tabulate(hs: HierSystem, horizon: int) -> HierTable:
     """Tabulate a hierarchical system with finite states, positions and
     fibres over ticks 0..horizon (see ``HierTable``).  Composites of
     ``compose_hier``/``tensor_hier`` are built from their factors' tables, so
-    no composite emit or absorb is walked; every other system is tabulated
-    by walking its own emit and absorb."""
+    no composite emit or absorb is walked.  A compose composite whose middle
+    law mixes directions is the exception: it is tabulated, like every other
+    system, by walking its own emit and absorb."""
     _check_horizon(horizon)
     return _tabulate(hs, horizon, {})
 
@@ -600,9 +577,11 @@ def _tabulate(hs: HierSystem, horizon: int, done: dict) -> HierTable:
         table = _LeafTable(hs, horizon)
     else:
         kind, left, right = hs.factors
-        table = _PairTable(
-            hs, kind, _tabulate(left, horizon, done), _tabulate(right, horizon, done), horizon
-        )
+        right_table = _tabulate(right, horizon, done)
+        if kind == "compose" and not _point_middles(right.source, right_table):
+            table = _LeafTable(hs, horizon)
+        else:
+            table = _PairTable(hs, kind, _tabulate(left, horizon, done), right_table, horizon)
     done[id(hs)] = (hs, table)
     return table
 

@@ -339,29 +339,6 @@ def _sorted_items(items) -> tuple:
     return tuple((a, w) for _, a, w in decorated), tied
 
 
-def compose_key(g_key: tuple, f_key: tuple):
-    """``polymap_key(compose_map(g, f))`` from the keys of f and g, or None
-    when some backward law of g has other than one atom.
-
-    With one atom d (a point-mass middle), ``bind`` returns f's backward law
-    at d itself, so the composite's entry is f's key entry for d; forward
-    positions and direction keys come from g's row for f's forward position.
-    A law with several atoms is mixed by ``bind`` in its own summation order,
-    so that lens must be walked."""
-    g_rows = {row[0]: row for row in g_key}
-    rows = []
-    for i_key, j_key, f_back in f_key:
-        _, fwd_key, g_back = g_rows[j_key]
-        f_laws = dict(f_back)
-        back = []
-        for d_key, mid in g_back:
-            if len(mid) != 1:
-                return None
-            back.append((d_key, f_laws[mid[0][0]]))
-        rows.append((i_key, fwd_key, tuple(back)))
-    return tuple(rows)
-
-
 def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple):
     """``polymap_key(tensor_map(f, g))`` from the keys of f and g, or None
     when two items of a backward law tie in ``repr``.

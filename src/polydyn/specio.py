@@ -163,7 +163,9 @@ def system_from_json(obj: dict) -> System:
 def _named_system(obj: dict) -> System:
     name = obj["named"]
     if name == "counter":
-        n = int(obj.get("n", 8))
+        n = obj.get("n", 8)
+        if type(n) is not int or n < 1:
+            raise SpecError(f"counter needs an integer 'n' >= 1, got {n!r}")
         space = finite(*range(n))
         return mk_system(
             monomial(space, unit()),
@@ -177,6 +179,11 @@ def _named_system(obj: dict) -> System:
         matrix = obj["K"]
         if labels is None:
             labels = list(range(len(matrix)))
+        if len(matrix) != len(labels) or any(len(row) != len(labels) for row in matrix):
+            raise SpecError(
+                f"markov 'K' needs one row per label and one weight per label in each row: "
+                f"{len(labels)} labels, row lengths {[len(row) for row in matrix]}"
+            )
         space = finite(*labels)
         rows = {
             lab: categorical(

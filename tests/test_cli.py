@@ -246,6 +246,56 @@ def test_a_negative_horizon_is_a_usage_error(tmp_path, capsys, command, spec, ke
         assert len(rows) == (1 if command == "laplace" else 2)
 
 
+@pytest.mark.parametrize("value", [2.7, True, "3"])
+@pytest.mark.parametrize(
+    "argv, spec, key",
+    [
+        (["run"], "counter.json", "horizon"),
+        (["laplace"], "laplace1d.json", "steps"),
+        (["demo"], "ou.json", "horizon"),
+        (["check", "--suite", "comonoid"], None, "horizon"),
+    ],
+    ids=["run", "laplace", "demo", "comonoid"],
+)
+def test_a_run_length_that_is_not_an_integer_is_a_usage_error(
+    tmp_path, capsys, argv, spec, key, value
+):
+    """A float or a boolean run length would be truncated into another run
+    length (2.7 ran 2 ticks, true ran 1), so it exits 2 naming the key."""
+    base = json.loads((SPECS / spec).read_text()) if spec else {}
+    assert main(argv + ["--spec", _write_spec(tmp_path, dict(base, **{key: value}))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        f"SpecError: spec key {key!r} must be an integer, got {value!r}"
+    )
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        ({"named": "markov", "K": [[0.5, 0.5, 0.7], [0.2, 0.8]]},
+         "markov 'K' needs one row per label and one weight per label in each row: "
+         "2 labels, row lengths [3, 2]"),
+        ({"named": "markov", "labels": ["a", "b", "c"], "K": [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]},
+         "markov 'K' needs one row per label and one weight per label in each row: "
+         "3 labels, row lengths [3, 3]"),
+        ({"named": "counter", "n": 0}, "counter needs an integer 'n' >= 1, got 0"),
+        ({"named": "counter", "n": 2.5}, "counter needs an integer 'n' >= 1, got 2.5"),
+    ],
+    ids=["markov-long-row", "markov-missing-row", "counter-empty", "counter-float"],
+)
+def test_a_malformed_named_system_is_a_usage_error(tmp_path, capsys, system, message):
+    """A weight past the last label was dropped, a missing row failed inside
+    the update, an empty counter failed on its weights and a float one was
+    truncated: each is refused with the key it comes from."""
+    spec = {"system": system, "init": "uniform", "horizon": 2}
+    assert main(["run", "--spec", _write_spec(tmp_path, spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"SpecError: {message}"
+
+
 @pytest.mark.parametrize("key, value", [("iterations", 50), ("tolerance", 1e-6)])
 def test_unread_laplace_spec_keys_are_usage_errors(tmp_path, capsys, key, value):
     """``laplace`` runs exactly ``steps`` steps, so a convergence key it would

@@ -375,6 +375,48 @@ def test_a_backward_law_outside_the_middle_fibre_is_named():
             run()
 
 
+def test_a_backward_law_outside_a_unit_middle_fibre_is_named():
+    """On a unit middle fibre every direction reads as () in a lens key, so a
+    key cannot show the stray answer; it is named all the same."""
+    beta = mk_hier(y(), linear(A), finite(0, 1),
+                   lambda t, x: det_polymap(y(), linear(A), lambda i: x, lambda i, d: ()),
+                   lambda t, x, i, d: dirac(finite(0, 1), 1 - x))
+    stray = PolyMap(linear(A), linear(A), lambda a: a,
+                    lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
+    gamma = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
+                    lambda t, z, a, d: dirac(unit(), ()))
+    both = compose_hier(beta, gamma)
+    for run in (lambda: tabulate(both, 2),
+                lambda: quasi_bisim(both, both, horizon=2)):
+        with pytest.raises(HierError, match=r"answers direction \(\) with 'zzz'"):
+            run()
+
+
+def test_a_stray_backward_atom_is_named_where_no_route_reads_it():
+    """A leaf whose key would hide a stray atom is refused on its own, and a
+    stray in a middle law that mixes directions, whose composite is walked
+    like a leaf, is named at its middle position."""
+    stray = PolyMap(linear(A), linear(A), lambda a: a,
+                    lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
+    leaf = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
+                   lambda t, z, a, d: dirac(unit(), ()))
+    with pytest.raises(HierError, match=r"source position 0, .* with 'zzz'"):
+        tabulate(leaf, 2)
+    S = finite("s0", "s1")
+    beta = mk_hier(y(), monomial(A, S), finite(0, 1),
+                   lambda t, x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
+                   lambda t, x, i, s: dirac(finite(0, 1), 1 - x))
+    mixed = categorical(finite("s0", "zzz"), {"s0": 0.5, "zzz": 0.5})
+    lens = PolyMap(monomial(A, S), linear(A), lambda a: a, lambda a, d: mixed, STOCHASTIC)
+    gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: lens,
+                    lambda t, z, a, d: dirac(unit(), ()))
+    both = compose_hier(beta, gamma)
+    for run in (lambda: tabulate(both, 2),
+                lambda: quasi_bisim(both, both, horizon=2)):
+        with pytest.raises(HierError, match=r"middle position 0, .* with 'zzz'"):
+            run()
+
+
 def test_mk_hier_validates_emitted_shape():
     def emit(t, x):
         return det_polymap(y(), linear(A), lambda i: 0, lambda i, d: ())

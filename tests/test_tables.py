@@ -410,6 +410,40 @@ def test_equal_laws_built_apart_mix_as_one_law():
         assert sorted(w for _, w in finite_items(want[1])) == [0.3, 0.7]
 
 
+def assembled(hs, table) -> bool:
+    """Whether every composite of a system's factor tree has a pair table,
+    built from its factors' tables, and every leaf a walked table."""
+    if hs.factors is None:
+        return type(table) is hier._LeafTable
+    _, left, right = hs.factors
+    return (type(table) is hier._PairTable
+            and assembled(left, table._left) and assembled(right, table._right))
+
+
+def test_point_mass_middles_are_assembled_and_mixed_middles_walked():
+    """The Bayes joints and the comonoid laws answer every middle direction
+    with a point mass, so no composite emit is walked.  ``routed``'s middle
+    law mixes directions, so it is walked like a leaf, also inside a tensor,
+    and every row it reaches is the law its absorb closure gives."""
+    for hs in [*bayes_joints(Rng(77)), *itertools.chain(*comonoid_sides())]:
+        assert assembled(hs, tabulate(hs, HORIZON))
+    mixed = routed(Rng(78))
+    table = tabulate(mixed, HORIZON)
+    assert type(table) is hier._LeafTable
+    inside = tabulate(tensor_hier(mixed, from_tables(Rng(80))), HORIZON)
+    assert type(inside) is hier._PairTable and type(inside._left) is hier._LeafTable
+    states = list(points(mixed.states))
+    for t in range(HORIZON):
+        for s, x in enumerate(states):
+            lens = mixed.emit(t, x)
+            resp = [(i, d) for i in points(lens.source.positions)
+                    for d in points(lens.target.dirs_at(lens.forward(i)))]
+            for o, (i, d) in enumerate(resp):
+                ids, ws = table.step(t, s, o)
+                want = {states.index(z): w for z, w in finite_items(mixed.absorb(t, x, i, d))}
+                assert dict(zip(ids.tolist(), ws.tolist())) == want, (t, x, o)
+
+
 # ---------------------------------------------------------------------------
 # composite keys assembled from their factors' keys
 
