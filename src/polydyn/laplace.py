@@ -36,9 +36,15 @@ The evaluation also keeps the precision-weighted errors it has solved, each
 with the datum or the prior it was solved against, so the free energy at a new
 mean and the next gradient step there solve only the side that changed.
 
-A solve is one LAPACK ``gesv`` call through the gufunc that ``np.linalg.solve``
-wraps (``_Guarded.solve``): on 1 x 1 to 3 x 3 systems the wrapper costs several
-times the solve.
+Every small-matrix LAPACK call of a level-step goes through the gufunc of
+``numpy.linalg._umath_linalg`` that the ``numpy.linalg`` function wraps, with
+the same arguments, so it gives the wrapper's bits: a solve through ``solve1``
+or ``solve`` (``_Guarded.solve``), the condition number through ``svd``
+(``_condition_number``), the log-determinant through ``slogdet``
+(``_logdet_psd``), the inverse through ``inv`` (``_Guarded.inverse``) and the
+PSD check of ``dist.gaussian`` through ``eigvalsh_lo``.  On 1 x 1 to 3 x 3
+matrices each wrapper costs several times its LAPACK call, and a nonlinear
+level's matrices change at every step.
 """
 
 from __future__ import annotations
@@ -77,11 +83,24 @@ class LaplaceError(ValueError):
 
 
 _COND_LIMIT = 1e12
+# the singular values alone: "svd" on numpy 2, "svd_n" (rows >= columns) on 1.x
+_SVD = "svd" if hasattr(_umath_linalg, "svd") else "svd_n"
+
+
+def _condition_number(sigma: np.ndarray) -> float:
+    """``np.linalg.cond(sigma)`` bit for bit for a finite float matrix: the
+    largest singular value over the smallest, and inf when the smallest is 0."""
+    s = getattr(_umath_linalg, _SVD)(sigma, signature="d->d").tolist()
+    if not s:
+        raise np.linalg.LinAlgError("cond is not defined on empty arrays")
+    return s[0] / s[-1] if s[-1] > 0 else math.inf
 
 
 def _logdet_psd(what: str, sigma: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0 or not np.isfinite(logdet):
+    """The log-determinant of ``sigma``, refused unless its sign is positive:
+    ``np.linalg.slogdet`` bit for bit."""
+    sign, logdet = _umath_linalg.slogdet(sigma, signature="d->dd")
+    if sign <= 0 or not math.isfinite(logdet):
         raise LaplaceError(f"{what} has non-positive determinant")
     return float(logdet)
 
@@ -111,11 +130,10 @@ class _Guarded(_Constant):
 
     def __init__(self, what: str, sigma):
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-        # checked first: numpy's condition number fails on a NaN entry
         if not np.isfinite(sigma).all():
             raise LaplaceError(f"{what} is not finite")
-        cond = np.linalg.cond(sigma)
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
+        cond = _condition_number(sigma)
+        if not math.isfinite(cond) or cond > _COND_LIMIT:
             raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
         self.what, self.matrix = what, sigma
         self._logdet = self._inverse = self._law_cov = None
@@ -137,8 +155,11 @@ class _Guarded(_Constant):
         return self._logdet
 
     def inverse(self) -> np.ndarray:
+        """``np.linalg.inv(self.matrix)`` bit for bit, through its gufunc.  The
+        wrapper's ``LinAlgError`` for an exactly singular matrix cannot arise,
+        for the reason given under ``solve``."""
         if self._inverse is None:
-            self._inverse = np.linalg.inv(self.matrix)
+            self._inverse = _umath_linalg.inv(self.matrix, signature="d->d")
         return self._inverse
 
     def law_cov(self) -> tuple:

@@ -1,9 +1,12 @@
 import collections
 import dataclasses
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from polydyn import (
     Gaussian,
@@ -31,7 +34,7 @@ from polydyn import (
     stack,
     state_dist,
 )
-from polydyn import laplace
+from polydyn import dist, laplace
 from polydyn.dist import DistError, dst, gaussian
 
 from helpers import gaussian_bits
@@ -338,6 +341,40 @@ def test_linear_fast_paths_match_the_generic_constructor_bit_for_bit():
                     ch(x)
 
 
+# the np.linalg function that each LAPACK gufunc the Laplace layer and
+# dist.gaussian call stands in for
+_WRAPPERS = {
+    laplace._SVD: "cond",
+    "slogdet": "slogdet",
+    "inv": "inv",
+    "eigvalsh_lo": "eigvalsh",
+    "solve": "solve",
+    "solve1": "solve",
+}
+
+
+def _count_gufuncs(monkeypatch, calls, names=("cond", "eigvalsh", "inv", "slogdet")):
+    """Count in ``calls`` each call that ``laplace`` and ``dist`` make to a
+    ``numpy.linalg._umath_linalg`` gufunc whose ``np.linalg`` wrapper is one
+    of ``names``, under that wrapper's name.  A gufunc not in ``_WRAPPERS`` is
+    an ``AttributeError``, so no call escapes the count."""
+
+    def counted(gufunc, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return gufunc(*args, **kwargs)
+
+        return call
+
+    gufuncs = types.SimpleNamespace(**{
+        attr: counted(getattr(_umath_linalg, attr), name) if name in names
+        else getattr(_umath_linalg, attr)
+        for attr, name in _WRAPPERS.items()
+    })
+    for module in (laplace, dist):
+        monkeypatch.setattr(module, "_umath_linalg", gufuncs)
+
+
 def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     """On a two-level linear hierarchy the condition check runs once for each
     constant covariance (two channels, the raw prior, and the law the lower
@@ -349,12 +386,7 @@ def test_run_stack_checks_each_constant_covariance_once(monkeypatch):
     covariance and once for each level's belief entropy, which its belief
     covariance carries: not once per level-step."""
     calls = collections.Counter()
-    for name in ("cond", "slogdet", "eigvalsh", "inv"):
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    _count_gufuncs(monkeypatch, calls)
     levels = [linear_channel([[2.0]], cov=[[1.0]]), linear_channel([[0.5]], cov=[[0.5]])]
     prior = mk_state([0.0], [[2.0]])
     steps = 50
@@ -378,12 +410,7 @@ def test_a_second_run_repeats_every_prior_and_belief_check(monkeypatch):
     levels = [linear_channel([[2.0]], cov=[[1.0]]), linear_channel([[0.5]], cov=[[0.5]])]
     prior = mk_state([0.0], [[2.0]])
     calls = collections.Counter()
-    for name in ("cond", "slogdet", "eigvalsh", "inv"):
-        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    _count_gufuncs(monkeypatch, calls)
     runs = []
     for _ in range(2):
         calls.clear()
@@ -449,18 +476,43 @@ def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
         calls["cov"] += 1
         return np.diag(0.5 + 0.2 * np.tanh(x) ** 2)
 
-    def cond(*args, _real=np.linalg.cond, **kwargs):
-        calls["cond"] += 1
-        return _real(*args, **kwargs)
-
     ch = GaussianChannel(n, n, mean, None, cov)
     prior = mk_state([0.1, -0.2], np.eye(n))
-    monkeypatch.setattr(np.linalg, "cond", cond)
+    _count_gufuncs(monkeypatch, calls, names=("cond",))
     run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.3, -0.4], steps)
     assert calls == {"mean": (1 + 2 * n) * (steps + 1), "cov": steps + 1, "cond": 2 * steps + 2}
     calls.clear()
     ch([0.2, 0.1])
     assert calls == {"mean": 1, "cov": 1}
+
+
+def test_a_nonlinear_level_step_makes_six_small_lapack_calls_and_three_solves(monkeypatch):
+    """A level with no analytic Jacobian and a state-dependent covariance
+    checks two matrices that change at every step: the covariance at the new
+    mean (a condition number and a log-determinant) and the energy Hessian (a
+    condition number and an inverse).  Its belief takes a PSD check and, for
+    its entropy, a log-determinant, and its errors and curvature take three
+    solves (``test_run_stack_solves_each_error_once``).  The run starts with
+    the prior's condition number, inverse and log-determinant, the
+    covariance's condition number at the zero mean and the two errors solved
+    there."""
+    w = np.array([[1.0, 0.3], [-0.2, 0.9]])
+    ch = GaussianChannel(
+        2, 2, lambda x: np.tanh(w @ x), None, lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2)
+    )
+    prior = mk_state([0.1, -0.2], np.eye(2))
+    calls = collections.Counter()
+    _count_gufuncs(monkeypatch, calls, names=("cond", "eigvalsh", "inv", "slogdet", "solve"))
+    for steps in (10, 40):
+        calls.clear()
+        run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.3, -0.4], steps)
+        assert calls == {
+            "cond": 2 * steps + 2,
+            "slogdet": 2 * steps + 1,
+            "inv": steps + 1,
+            "eigvalsh": steps,
+            "solve": 3 * steps + 2,
+        }, steps
 
 
 def test_uninformative_channel_keeps_the_prior_covariance():
@@ -642,6 +694,68 @@ def test_a_guarded_solve_is_numpys_solve_bit_for_bit():
         assert guard.solve(r).tobytes() == np.linalg.solve(counts.cov(None), r).tobytes()
 
 
+def test_each_gufunc_route_is_numpys_wrapper_bit_for_bit():
+    """The condition number, log-determinant, inverse and PSD eigenvalues call
+    the gufuncs that ``np.linalg.cond``, ``slogdet``, ``inv`` and ``eigvalsh``
+    wrap, so they give the same bits: on 2,400 seeded matrices of sizes 1-4,
+    half of them covariances and half general matrices, read-only or not; and
+    on the guard of an integer-valued covariance that a user's ``cov`` map
+    returns.  A general matrix whose determinant is negative is refused."""
+    gen = np.random.default_rng(21)
+    for k in range(2400):
+        n = 1 + k % 4
+        root = gen.standard_normal((n, n))
+        a = root @ root.T + 0.1 * np.eye(n) if k % 2 else root + n * np.eye(n)
+        if k % 5 == 0:
+            a.flags.writeable = False
+        assert laplace._condition_number(a).hex() == float(np.linalg.cond(a)).hex()
+        sign, logdet = np.linalg.slogdet(a)
+        if sign > 0:
+            assert laplace._logdet_psd("a matrix", a).hex() == float(logdet).hex()
+        else:
+            with pytest.raises(LaplaceError, match="^a matrix has non-positive determinant$"):
+                laplace._logdet_psd("a matrix", a)
+        got, want = laplace._Guarded("a matrix", a).inverse(), np.linalg.inv(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        got, want = dist._symmetric_eigenvalues(a), np.linalg.eigvalsh(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    counts = GaussianChannel(2, 2, lambda x: x, None, lambda x: np.array([[2, 1], [1, 3]]))
+    cov = counts.cov(None)
+    guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior()).guard()
+    assert laplace._condition_number(guard.matrix).hex() == float(np.linalg.cond(cov)).hex()
+    assert guard.logdet().hex() == float(np.linalg.slogdet(cov)[1]).hex()
+    assert guard.inverse().tobytes() == np.linalg.inv(cov).tobytes()
+    assert dist._symmetric_eigenvalues(guard.matrix).tobytes() == np.linalg.eigvalsh(cov).tobytes()
+
+
+def test_the_refusals_around_the_gufuncs_are_the_same_and_warn_nothing():
+    """What the ``numpy.linalg`` wrappers refused is still refused, with the
+    same message and no ``RuntimeWarning``: a zero or exactly singular matrix
+    has condition number inf; a NaN or infinite entry is named before any
+    factorisation; a negative determinant and an indefinite covariance are
+    refused; an empty matrix has no condition number."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for singular in ([[0.0]], np.zeros((2, 2)), [[1.0, 2.0], [0.0, 0.0]], np.diag([1.0, 0.0])):
+            with pytest.raises(
+                LaplaceError, match=r"^a matrix is numerically singular \(condition number inf\)$"
+            ):
+                laplace._Guarded("a matrix", singular)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(LaplaceError, match="^a matrix is not finite$"):
+                laplace._Guarded("a matrix", [[1.0, bad], [bad, 1.0]])
+        for negative in ([[-1.0]], [[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -2.0, 3.0])):
+            with pytest.raises(LaplaceError, match="^a matrix has non-positive determinant$"):
+                laplace._logdet_psd("a matrix", np.asarray(negative))
+        for indefinite in ([[-1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+            with pytest.raises(DistError, match="^covariance is not positive semi-definite$"):
+                gaussian(euclid(len(indefinite)), np.zeros(len(indefinite)), indefinite)
+        with pytest.raises(np.linalg.LinAlgError, match="^cond is not defined on empty arrays$"):
+            laplace._Guarded("a matrix", np.zeros((0, 0)))
+
+
 def test_run_stack_solves_each_error_once(monkeypatch):
     """A level's free energy at its new mean solves both errors there, and
     its next gradient step, from that mean, solves again only the error whose
@@ -688,12 +802,7 @@ def test_a_linear_mean_path_checks_each_predicted_law_once_per_prior(monkeypatch
     levels, pi0, datum = _three_linear_levels()
     cfg = LaplaceConfig(rate=0.05)
     calls = collections.Counter()
-
-    def eigvalsh(*args, _real=np.linalg.eigvalsh, **kwargs):
-        calls["eigvalsh"] += 1
-        return _real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    _count_gufuncs(monkeypatch, calls, names=("eigvalsh",))
     for steps in (20, 60):
         calls.clear()
         mean_path(stack(levels, cfg), pi0, datum, steps)
