@@ -169,8 +169,13 @@ def product_items(items1, items2) -> tuple:
 
 
 def uniform(space: Space) -> Dist:
+    """The uniform law over a finite space.  Its atoms are the points that
+    ``points`` enumerates, so none is checked again; a space with no point
+    is refused, as ``categorical`` refuses weights that sum to 0."""
     atoms = list(points(space))
-    return categorical(space, [(a, 1.0 / len(atoms)) for a in atoms])
+    items = tuple((a, 1.0 / len(atoms)) for a in atoms)
+    _check_total(w for _, w in items)
+    return _finite_law(space, items)
 
 
 def gaussian(space: Space, mean, cov) -> Gaussian:

@@ -90,7 +90,8 @@ class HierSystem:
     forward_lift: Optional[Callable] = None  # (t, x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
     # (kind, left, right) for compose_hier/tensor_hier composites, whose
-    # tables are built from their factors' tables (see ``tabulate``)
+    # tables, and the vector of their own init, are built from their
+    # factors' (see ``tabulate``)
     factors: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -288,7 +289,9 @@ class HierTable:
     its factors' keys (see ``_PairTable``), unless it is walked as a leaf.
     ``step(t, s, o)`` is the next-state law of state s after response o at
     tick t, as a sparse row (state ids, weights).  Rows are built on first
-    use and interned, so states that move alike share one row id."""
+    use and interned, so states that move alike share one row id.
+    ``law(d)`` is a finite law as a vector over state ids; a composite's own
+    initial law is read from its factors' vectors (``_PairTable.law``)."""
 
     def __init__(self, hs: HierSystem):
         self.system = hs
@@ -312,12 +315,8 @@ class HierTable:
 
     def first_seen(self) -> list:
         """Key ids in order of first emission over (tick, state id)."""
-        seen: dict = {}
-        for ids in self.key_of:
-            uniq, first = np.unique(ids, return_index=True)
-            for k in uniq[np.argsort(first)].tolist():
-                seen.setdefault(k, None)
-        return list(seen)
+        return list(dict.fromkeys(itertools.chain.from_iterable(ids.tolist()
+                                                                for ids in self.key_of)))
 
     def step(self, t: int, s: int, o: int) -> tuple:
         return self.row(int(self.rows(t, np.array([s]), np.array([o]))[0]))
@@ -344,7 +343,9 @@ class HierTable:
 class _LeafTable(HierTable):
     """Tabulated by walking emit once per (tick, state), each distinct lens
     once for its responses (``_responses``), and absorb once per (tick,
-    state, response) actually reached."""
+    state, response) actually reached.  The atoms of each law that absorb
+    returns are mapped to a row once per law object: channels, priors and
+    stateless systems return one shared law."""
 
     def __init__(self, hs: HierSystem, horizon: int):
         super().__init__(hs)
@@ -365,6 +366,8 @@ class _LeafTable(HierTable):
             self.key_of.append(ids)
         self._width = 1 + max(len(o) for o in self.options)
         self._absorbed: dict = {}  # (t, s, o) -> row id
+        # id(absorbed law) -> (law, row id); the law kept alive keeps its id
+        self._law_rows: dict = {}
 
     def state_id(self, x) -> int:
         try:
@@ -374,7 +377,7 @@ class _LeafTable(HierTable):
 
     def rows(self, t: int, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
         width = self._width
-        uniq, inv = np.unique(sid * width + opt, return_inverse=True)
+        uniq, inv = _unique_inverse(sid * width + opt)
         out = np.empty(len(uniq), dtype=np.intp)
         for n, code in enumerate(uniq.tolist()):
             s, o = divmod(code, width)
@@ -387,11 +390,15 @@ class _LeafTable(HierTable):
     def _absorb(self, t: int, s: int, o: int) -> int:
         i, d = self._resp[self.key_of[t][s]][o]
         law = self.system.absorb(t, self._states[s], i, d)
+        hit = self._law_rows.get(id(law))
+        if hit is not None:
+            return hit[1]
         pairs = tuple((self.state_id(a), w) for a, w in finite_items(law))
         r = self._row_ids.get(pairs)
         if r is None:
             ids = np.array([a for a, _ in pairs], dtype=np.intp)
             r = self._new_row(pairs, (ids, np.array([w for _, w in pairs], dtype=float)))
+        self._law_rows[id(law)] = (law, r)
         return r
 
 
@@ -420,7 +427,7 @@ class _PairTable(HierTable):
         n_right = len(right.keys)
         for t in range(horizon + 1):
             code = (left.key_of[t][:, None] * n_right + right.key_of[t][None, :]).ravel()
-            uniq, inv = np.unique(code, return_inverse=True)
+            uniq, inv = _unique_inverse(code)
             pair = np.array([self._pair(c, n_right, routes) for c in uniq.tolist()],
                             dtype=np.intp)[inv]
             self._pair_of.append(pair)
@@ -448,6 +455,16 @@ class _PairTable(HierTable):
             routes.extend(routed)
         return p
 
+    def law(self, d: Dist) -> np.ndarray:
+        """The composite's own initial law is ``dst`` of its factors' initial
+        laws, so its vector is the outer product of theirs, raveled in
+        state-id order, and no atom of it is looked up.  Any other law is
+        read atom by atom."""
+        if d is not self.system.init:
+            return super().law(d)
+        left, right = self._left, self._right
+        return np.multiply.outer(left.law(left.system.init), right.law(right.system.init)).ravel()
+
     def state_id(self, x) -> int:
         if not (isinstance(x, tuple) and len(x) == 2):
             raise HierError(f"{x!r} is not a state of the composite")
@@ -459,7 +476,7 @@ class _PairTable(HierTable):
         right = self._right.rows(t, zs, self._route_right[route])
         left = self._left.rows(t, xs, self._route_left[route])
         code = left.astype(np.int64) * (1 << 31) + right
-        uniq, inv = np.unique(code, return_inverse=True)
+        uniq, inv = _unique_inverse(code)
         ids = np.empty(len(uniq), dtype=np.intp)
         for n, c in enumerate(uniq.tolist()):
             r = self._row_ids.get(c)
@@ -591,6 +608,17 @@ def _tabulate(hs: HierSystem, horizon: int, done: dict) -> HierTable:
 _BUDGET = 1 << 20
 
 
+def _unique_inverse(codes: np.ndarray) -> tuple:
+    """``np.unique(codes, return_inverse=True)`` with the inverse flat, as
+    numpy 1.x gives it (some 2.x releases shape it like ``codes``).  One code
+    is its own sorted set, so it skips the sort, which costs more than a
+    table level's other work on one state."""
+    if codes.size == 1:
+        return codes.ravel(), np.zeros(1, dtype=np.intp)
+    uniq, inv = np.unique(codes, return_inverse=True)
+    return uniq, inv.ravel()
+
+
 def _by_group(mass: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
     """Sum the columns of an R x A matrix into n groups: an R x n matrix.
     ``groups`` gives each column's group, for every row (shape A) or for each
@@ -613,7 +641,7 @@ def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray
     its block that leads to each, so its sums, bit for bit, depend neither
     on the other blocks nor on the order in which row ids were handed out."""
     n_blocks, width = rids.shape
-    uniq, inv = np.unique(rids, return_inverse=True)
+    uniq, inv = _unique_inverse(rids)
     inv = inv.reshape(rids.shape)
     agg = _by_group(mass, inv, len(uniq))
     skip = int(uniq[0] < 0)  # states a block does not reach hold none of its mass
@@ -871,24 +899,31 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
 
 
 def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
-    out = list(provided or [])
-    if sys_.init is not None:
-        out.append(sys_.init)
+    """The provided laws and the system's ``init``, then, over at most
+    ``cap`` states, every point mass and the uniform law; a law equal to an
+    earlier one is dropped.  Point masses of distinct states differ, and
+    from the uniform law over two or more states, so only the provided laws
+    and ``init`` are compared.  The states come from ``points``, so their
+    point masses are not checked again."""
+    given = []
+    for d in [*(provided or []), *([] if sys_.init is None else [sys_.init])]:
+        if not any(e is d or e == d for e in given):
+            given.append(d)
+    out = list(given)
     states = sys_.states
     if is_finite(states):
         atoms = list(points(states))
         if len(atoms) <= cap:
-            out.extend(dirac(states, a) for a in atoms)
-            out.append(uniform(states))
+            made = [Dirac(states, a) for a in atoms]
+            spread = uniform(states)  # refuses a space with no state
+            if len(atoms) > 1:  # over one state it is that state's point mass
+                made.append(spread)
+            out.extend(d for d in made if not any(e is d or e == d for e in given))
     if not out:
         raise HierError(
             f"no initial-state candidates available for quantifier {mode!r}"
         )
-    seen = []
-    for d in out:
-        if not any(existing is d or existing == d for existing in seen):
-            seen.append(d)
-    return seen
+    return out
 
 
 def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):

@@ -83,6 +83,7 @@ class LaplaceError(ValueError):
 
 
 _COND_LIMIT = 1e12
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 # the singular values alone: "svd" on numpy 2, "svd_n" (rows >= columns) on 1.x
 _SVD = "svd" if hasattr(_umath_linalg, "svd") else "svd_n"
 
@@ -90,10 +91,16 @@ _SVD = "svd" if hasattr(_umath_linalg, "svd") else "svd_n"
 def _condition_number(sigma: np.ndarray) -> float:
     """``np.linalg.cond(sigma)`` bit for bit for a finite float matrix: the
     largest singular value over the smallest, and inf when the smallest is 0."""
+    return _conditioning(sigma)[0]
+
+
+def _conditioning(sigma: np.ndarray) -> tuple:
+    """The condition number of a finite float matrix, as ``np.linalg.cond``
+    gives it, and its smallest singular value."""
     s = getattr(_umath_linalg, _SVD)(sigma, signature="d->d").tolist()
     if not s:
         raise np.linalg.LinAlgError("cond is not defined on empty arrays")
-    return s[0] / s[-1] if s[-1] > 0 else math.inf
+    return (s[0] / s[-1] if s[-1] > 0 else math.inf), s[-1]
 
 
 def _logdet_psd(what: str, sigma: np.ndarray) -> float:
@@ -119,12 +126,13 @@ class _Constant:
 
 
 class _Guarded(_Constant):
-    """A matrix whose condition number shows that it can be solved against or
-    inverted.  The check runs once, when it is built; the log-determinant, the
-    inverse and the law covariance (``law_cov``) are computed on first use and
-    kept.  A constant channel covariance is one of these, callable as the
-    channel's ``cov`` map.  The matrix is held as float64, as every solve and
-    inverse computes it."""
+    """A matrix whose condition number and scale show that it can be solved
+    against or inverted: its smallest singular value is a normal float, not
+    a subnormal one, whose solves overflow.  The check runs once, when it is
+    built; the log-determinant, the inverse and the law covariance
+    (``law_cov``) are computed on first use and kept.  A constant channel
+    covariance is one of these, callable as the channel's ``cov`` map.  The
+    matrix is held as float64, as every solve and inverse computes it."""
 
     __slots__ = ("what", "_logdet", "_inverse", "_law_cov")
 
@@ -132,9 +140,14 @@ class _Guarded(_Constant):
         sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         if not np.isfinite(sigma).all():
             raise LaplaceError(f"{what} is not finite")
-        cond = _condition_number(sigma)
+        cond, smallest = _conditioning(sigma)
         if not math.isfinite(cond) or cond > _COND_LIMIT:
             raise LaplaceError(f"{what} is numerically singular (condition number {cond:.3e})")
+        # well conditioned, but of subnormal scale: its solves overflow
+        if smallest < _TINY:
+            raise LaplaceError(
+                f"{what} is numerically singular (smallest singular value {smallest:.3e})"
+            )
         self.what, self.matrix = what, sigma
         self._logdet = self._inverse = self._law_cov = None
 

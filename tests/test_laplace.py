@@ -832,3 +832,29 @@ def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():
             got = hs.absorb(t, (tuple(x), tuple(ypred)), pi, tuple(y))
             assert gaussian_bits(got) == gaussian_bits(dst(rho, pred)), t
             x, ypred = np.asarray(got.mean[:n]), np.asarray(got.mean[n:])
+
+
+def test_a_matrix_of_subnormal_scale_is_refused_as_numerically_singular():
+    """``1e-310 * I`` has condition number 1, yet its solve against ones is
+    [nan, inf]: a matrix whose smallest singular value is subnormal is
+    refused, by name.  At the smallest normal scale a solve stays finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for subnormal in (1e-310 * np.eye(2), [[5e-324]], np.diag([1e-300, 1e-309])):
+            message = r"^a matrix is numerically singular \(smallest singular value \S+e-3\d\d\)$"
+            with pytest.raises(LaplaceError, match=message):
+                laplace._Guarded("a matrix", subnormal)
+        guard = laplace._Guarded("a matrix", np.finfo(float).tiny * np.eye(2))
+        assert np.isfinite(guard.solve(np.ones(2))).all() and np.isfinite(guard.inverse()).all()
+
+
+def test_run_stack_names_a_channel_covariance_of_subnormal_scale():
+    """Before any energy Hessian is formed: a constant covariance when the
+    channel is built, a state-dependent one at the step that reads it."""
+    cfg = LaplaceConfig(rate=0.05)
+    with pytest.raises(LaplaceError, match="^channel covariance is numerically singular"):
+        run_stack([linear_channel([[1.0], [1.0]], cov=1e-310 * np.eye(2))], cfg, PI,
+                  [1.0, 1.0], 2)
+    tiny = GaussianChannel(1, 1, lambda x: 2.0 * x, None, lambda x: [[1e-310]])
+    with pytest.raises(LaplaceError, match="^channel covariance is numerically singular"):
+        run_stack([tiny], cfg, PI, Y, 2)

@@ -1,0 +1,171 @@
+"""What a table verdict builds, counted: each thing once.
+
+A composite's own initial law is read from its factors' law vectors, with
+no composite state looked up; a leaf maps each absorbed law's atoms once; no
+``np.unique`` sorts a single code; and the candidate initial laws are the
+point masses and uniform law built the checked way, without the checks.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from polydyn import (
+    DistError,
+    Rng,
+    as_hier,
+    bayes_check,
+    categorical,
+    compose_hier,
+    copy_system,
+    dirac,
+    exact_bayes,
+    finite,
+    id_hier,
+    linear,
+    points,
+    prior_system,
+    quasi_bisim,
+    stochastic_channel_system,
+    tensor_hier,
+    uniform,
+)
+from polydyn import hier
+
+from helpers import dyadic_channel_prior, random_finite_system
+
+
+def bayes_3x3():
+    """A seeded 3x3 channel, prior and exact inversion, whose verdict reads
+    every tick."""
+    X, Y, pi, rows, _ = dyadic_channel_prior(Rng(96), 3, 3)
+    inverse = exact_bayes(rows.__getitem__, pi, target=Y)
+    return (stochastic_channel_system(rows.__getitem__, X, Y), prior_system(pi),
+            stochastic_channel_system(inverse, Y, X))
+
+
+def test_a_composites_initial_law_looks_up_no_composite_state(monkeypatch):
+    """In a 3x3 ``bayes_check`` each joint's initial vector is built with no
+    ``_PairTable.state_id`` call, although the right joint's initial law has
+    2,187 atoms, and it is the atom-by-atom vector bit for bit."""
+    looked_up = []
+    real_state_id = hier._PairTable.state_id
+    built = []  # (table, law, state_id calls while building its vector)
+    real_law = hier._PairTable.law
+
+    def state_id(self, x):
+        looked_up.append(x)
+        return real_state_id(self, x)
+
+    def law(self, d):
+        before = len(looked_up)
+        vec = real_law(self, d)
+        built.append((self, d, len(looked_up) - before))
+        return vec
+
+    monkeypatch.setattr(hier._PairTable, "state_id", state_id)
+    monkeypatch.setattr(hier._PairTable, "law", law)
+    assert bayes_check(*bayes_3x3())["related"] is True
+    own = [(table, d, n) for table, d, n in built if d is table.system.init]
+    assert {table.size for table, _, _ in own} >= {81, 2187}
+    assert [n for _, _, n in own] == [0] * len(own)
+    for table, d, _ in own:
+        walked = hier.HierTable.law(table, d)
+        assert real_law(table, d).tobytes() == walked.tobytes()
+
+
+def test_a_leaf_maps_each_absorbed_law_once(monkeypatch):
+    """The channel, the prior and the stateless systems each absorb into one
+    shared law: a 3x3 ``bayes_check`` makes hundreds of absorbs, and each
+    leaf table maps the atoms of each law object it gets once."""
+    inside = []
+    absorbs = collections.Counter()
+    mapped = collections.Counter()
+    kept = []  # the laws, kept alive so that their ids stay theirs
+    real_absorb, real_items = hier._LeafTable._absorb, hier.finite_items
+
+    def absorb(self, t, s, o):
+        absorbs[id(self)] += 1
+        inside.append(self)
+        try:
+            return real_absorb(self, t, s, o)
+        finally:
+            inside.pop()
+
+    def finite_items(d):
+        if inside:
+            mapped[(id(inside[-1]), id(d))] += 1
+            kept.append(d)
+        return real_items(d)
+
+    monkeypatch.setattr(hier._LeafTable, "_absorb", absorb)
+    monkeypatch.setattr(hier, "finite_items", finite_items)
+    assert bayes_check(*bayes_3x3())["related"] is True
+    assert set(mapped.values()) == {1}
+    assert sum(absorbs.values()) >= 10 * len(mapped)
+
+
+def test_a_comonoid_verdict_sorts_no_single_code(monkeypatch):
+    """Comonoid systems have one state, so a table level and a tick often
+    meet one code; such a code is not handed to ``np.unique``."""
+    sizes = []
+    real_unique = np.unique
+
+    def unique(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return real_unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", unique)
+    A = finite(0, 1, 2)
+    cp, ida = copy_system(A), id_hier(linear(A))
+    verdict = quasi_bisim(compose_hier(cp, tensor_hier(cp, ida)),
+                          compose_hier(cp, tensor_hier(ida, cp)),
+                          "forall", "forall", horizon=16, tol=0.0)
+    assert verdict["related"] is True
+    assert sizes and min(sizes) > 1
+
+
+def test_the_uniform_law_of_no_point_is_refused():
+    with pytest.raises(DistError, match=r"^weights sum to 0\.0, expected 1 within 1e-12$"):
+        uniform(finite())
+
+
+def checked_candidates(sys_, provided):
+    """The candidate initial laws as ``categorical`` and ``dirac`` build
+    them, each checked, with every law equal to an earlier one dropped."""
+    out = list(provided) + ([sys_.init] if sys_.init is not None else [])
+    atoms = list(points(sys_.states))
+    if len(atoms) <= 256:
+        out += [dirac(sys_.states, a) for a in atoms]
+        out.append(categorical(sys_.states, [(a, 1.0 / len(atoms)) for a in atoms]))
+    kept = []
+    for d in out:
+        if not any(e is d or e == d for e in kept):
+            kept.append(d)
+    return kept
+
+
+def test_the_trusted_candidates_are_the_checked_ones():
+    """Equal and with equal ``repr`` to the checked laws, in the same order,
+    with provided laws that repeat a point mass, the uniform law and
+    ``init``; over one state the uniform law is that state's point mass."""
+    c, p, _ = bayes_3x3()
+    X = c.source.positions
+    lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
+    flats = [as_hier(random_finite_system(Rng(97), n_states=n)) for n in (1, 4)]
+    systems = [lhs, p, *flats, id_hier(linear(finite(0, 1, 2)))]
+    for hs in systems:
+        states = hs.states
+        atoms = list(points(states))
+        spread = categorical(states, [(a, 1.0 / len(atoms)) for a in atoms])
+        repeats = [dirac(states, atoms[-1]), spread, dirac(states, atoms[0])]
+        if hs.init is not None:
+            repeats.append(hs.init)
+        for provided in ([], repeats):
+            got = hier._candidates(hs, provided, "forall")
+            want = checked_candidates(hs, provided)
+            assert got == want
+            assert [repr(d) for d in got] == [repr(d) for d in want]
+            assert [type(d) for d in got] == [type(d) for d in want]
+    assert uniform(finite("a")) == dirac(finite("a"), "a")
