@@ -89,9 +89,10 @@ class HierSystem:
     _: KW_ONLY
     forward_lift: Optional[Callable] = None  # (t, x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
-    # (kind, left, right) for compose_hier/tensor_hier composites, whose
-    # tables, and the vector of their own init, are built from their
-    # factors' (see ``tabulate``)
+    # (kind, left, right) for compose_hier/tensor_hier composites: their
+    # tables, and the vector of their own init, are built from the factors'
+    # (see ``tabulate``), so a copy that replaces emit, absorb or init drops
+    # them, as ``hibi_compose`` does
     factors: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
