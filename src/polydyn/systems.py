@@ -12,7 +12,8 @@ components; the t-tick kernel is the t-fold Kleisli iterate.  On finite
 states that iterate is the t-th power of one row-stochastic matrix P, the
 one-tick kernel under the section, so a closure on up to 512 states reads its
 t-tick laws from the rows of P^t.  Its flow law then holds by construction: ``check_flow``'s compose
-cases compare P^(s+t) with P^t P^s and only measure rounding.  The law content
+cases compare P^(s+t) with P^t P^s and only measure rounding.  A square law
+between two such closures reads both of its sides from rows of their powers.  The law content
 is the zero case and the probe that the stored maps really are
 tick-stationary.  Continuous-time systems integrate a vector field with a
 fixed-step classic Runge-Kutta scheme: an open system holds its input for the
@@ -123,10 +124,14 @@ class _TickPowers:
     def power(self, t: int) -> np.ndarray:
         if not self._powers:
             p = np.zeros((len(self.atoms), len(self.atoms)))
+            rows, cols = [], []
             for i, x in enumerate(self.atoms):
                 for z, w in finite_items(self.one_tick(x)):
                     p[i, self.index[z]] += w
+                    rows.append(i)
+                    cols.append(self.index[z])
             self._powers = {0: np.eye(len(self.atoms)), 1: p}
+            self._tick_entries = (np.array(rows, dtype=int), np.array(cols, dtype=int))
         if t not in self._powers:
             k = max(k for k in self._powers if k < t)
             m = self._powers[k]
@@ -134,6 +139,13 @@ class _TickPowers:
                 m = m @ self._powers[1]
             self._powers[t] = m
         return self._powers[t]
+
+    def entries(self, t: int) -> tuple:
+        """The (row, column) of each atom of each row of P^t, in the order
+        that step(t) lists a law's items: the one-tick laws' own order at
+        t = 1, and column order, row by row, at every other t."""
+        power = self.power(t)
+        return self._tick_entries if t == 1 else np.nonzero(power)
 
     def law(self, t: int, x) -> Dist:
         """Row x of P^t as a law; a row with one atom is a point mass."""
@@ -319,12 +331,59 @@ def _compose_gaps(cs: ClosedSystem, s: int, t: int, states) -> list:
 
 def _square_cases(left, right, f, times, states, kind="square", **labels):
     """The square ``pushforward(f, left.step(t, x)) = right.step(t, f(x))`` at
-    every time and state."""
+    every time and state.
+
+    When both closures are tabulated, each case is read from rows of the tick
+    matrices' powers: row x of P_L^t summed into the right closure's atoms
+    through f, against row f(x) of P_R^t.  The rows are read as the laws that
+    step would return, so every deviation is the per-state one bit for bit: a
+    left row sums its atoms in the order step(t) lists them (``entries``), and
+    a row with one atom is a point mass (weight 1.0) on the left, as
+    ``pushforward`` makes it, and on the right except at t = 1, where step
+    returns the one-tick law itself.  Every other closure is stepped state by
+    state."""
+    if isinstance(left, _TabulatedClosure) and isinstance(right, _TabulatedClosure):
+        image = np.array(
+            [right.table.index[check_point(right.states, f(a))] for a in left.table.atoms],
+            dtype=int,
+        )
+        rows = [left.table.index[check_point(left.states, x)] for x in states]
+        for t in times:
+            left.time.check(t)
+            gaps = _square_gaps(left.table, right.table, image, right.time.check(t))
+            for x, i in zip(states, rows):
+                yield {"kind": kind, **labels, "t": t, "state": x}, gaps[i]
+        return
     for t in times:
         for x in states:
             lhs = pushforward(f, left.step(t, x), target=right.states)
             rhs = right.step(t, f(x))
             yield {"kind": kind, **labels, "t": t, "state": x}, dist_distance(lhs, rhs)
+
+
+def _square_gaps(left: _TickPowers, right: _TickPowers, image, t: int) -> list:
+    """At each left atom x, the sup-distance of row x of P_L^t pushed along
+    ``image`` (the right column of f at each left atom) from row f(x) of
+    P_R^t.  ``np.bincount`` adds each weight to its target in input order,
+    as ``pushforward`` merges a law's items."""
+    n, m = len(left.atoms), len(right.atoms)
+    r, c = left.entries(t)
+    cols = image[c]
+    pushed = np.bincount(r * m + cols, weights=left.power(t)[r, c], minlength=n * m)
+    pushed = _point_masses(pushed.reshape(n, m), r, cols)
+    target = right.power(t)[image]
+    if t != 1:
+        target = _point_masses(target, *np.nonzero(target))
+    return np.max(np.abs(pushed - target), axis=1, initial=0.0).tolist()
+
+
+def _point_masses(rows: np.ndarray, r, c) -> np.ndarray:
+    """``rows`` with the one atom of each single-atom row set to weight 1.0,
+    given the (row, column) of every atom: a law with one atom is a point
+    mass."""
+    one = np.bincount(r, minlength=len(rows))[r] == 1
+    rows[r[one], c[one]] = 1.0
+    return rows
 
 
 def check_closed_flow(
