@@ -113,7 +113,9 @@ class _TickPowers:
     matrix P over ``points(states)``, and its powers: row x of P^t is the
     t-tick law from x.  P is built on the first call of ``power``.  Each
     power asked for is kept; P^t is the nearest kept lower power times P,
-    once per missing tick, so its bits do not depend on which were asked."""
+    once per missing tick, so its bits do not depend on which were asked.
+    Building P also records where each one-tick law's items sit in it, in
+    the order the law lists them."""
 
     def __init__(self, states: Space, one_tick: Callable):
         self.states, self.one_tick = states, one_tick
@@ -127,9 +129,10 @@ class _TickPowers:
             rows, cols = [], []
             for i, x in enumerate(self.atoms):
                 for z, w in finite_items(self.one_tick(x)):
-                    p[i, self.index[z]] += w
+                    j = self.index[z]
+                    p[i, j] += w
                     rows.append(i)
-                    cols.append(self.index[z])
+                    cols.append(j)
             self._powers = {0: np.eye(len(self.atoms)), 1: p}
             self._tick_entries = (np.array(rows, dtype=int), np.array(cols, dtype=int))
         if t not in self._powers:
