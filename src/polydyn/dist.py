@@ -122,8 +122,9 @@ def categorical(space: Space, weights) -> Dist:
     """Finite-support distribution from a dict or (atom, weight) pairs.
 
     Zero-weight atoms are pruned, duplicate atoms merged; weights must be
-    non-negative and sum to 1 within 1e-12.  Euclid-valued atoms compare by
-    exact bit equality -- merging nearby continuous atoms is the caller's job.
+    non-negative and sum to 1 within 1e-12.  A law left on one atom is the
+    ``Dirac`` there.  Euclid-valued atoms compare by exact bit equality --
+    merging nearby continuous atoms is the caller's job.
     """
     pairs = weights.items() if isinstance(weights, dict) else weights
     merged: dict = {}
@@ -144,11 +145,21 @@ def _check_total(weights) -> None:
 
 
 def _finite_law(space: Space, items: tuple) -> Dist:
-    """The law of pruned, distinct items: a point mass for one atom of weight
-    exactly 1."""
-    if len(items) == 1 and items[0][1] == 1.0:
+    """The law of pruned, distinct items.  A law on one atom is the point
+    mass there, the monad's unit, whatever weight rounding left on it.  No
+    other code builds a ``Categorical``, so none has one atom."""
+    if len(items) == 1:
         return Dirac(space, items[0][0])
     return Categorical(space, items)
+
+
+def _point_mass_rows(laws: np.ndarray) -> np.ndarray:
+    """``laws``, whose rows are finite laws as weight vectors, with weight 1.0
+    on the one atom of each row that has one: each row is then the vector of
+    the law ``_finite_law`` makes of it.  The rows are changed in place."""
+    nonzero = laws != 0.0
+    np.copyto(laws, nonzero, where=nonzero.sum(axis=1, keepdims=True) == 1)
+    return laws
 
 
 def product_items(items1, items2) -> tuple:
@@ -292,10 +303,7 @@ def pushforward(f, d: Dist, target: Space) -> Dist:
     map); for a nonlinear one draw with ``sample`` and transform the draws.
     """
     if isinstance(d, (Dirac, Categorical)):
-        pairs = [(f(a), w) for a, w in finite_items(d)]
-        if len(pairs) == 1:
-            return dirac(target, pairs[0][0])
-        return categorical(target, pairs)
+        return categorical(target, [(f(a), w) for a, w in finite_items(d)])
     if isinstance(d, Gaussian):
         raise DistError(
             "pushforward of a Gaussian has no exact image; bind it with a "

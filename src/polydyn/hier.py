@@ -32,6 +32,7 @@ from .dist import (
     Dirac,
     Dist,
     Rng,
+    _point_mass_rows,
     bind,
     categorical,
     dirac,
@@ -328,10 +329,9 @@ class HierTable:
             got = self._rows[r] = self._build(r)
         return got
 
-    def _new_row(self, ident, built) -> int:
-        r = self._row_ids[ident] = len(self._rows)
+    def _new_row(self, built) -> int:
         self._rows.append(built)
-        return r
+        return len(self._rows) - 1
 
     def law(self, d: Dist) -> np.ndarray:
         """A finite law over the states as a vector over state ids."""
@@ -366,7 +366,8 @@ class _LeafTable(HierTable):
                 ids[s] = self._key_id(key, lens)
             self.key_of.append(ids)
         self._width = 1 + max(len(o) for o in self.options)
-        self._absorbed: dict = {}  # (t, s, o) -> row id
+        # per tick: state id * width + option -> row id
+        self._absorbed = [{} for _ in range(horizon + 1)]
         # id(absorbed law) -> (law, row id); the law kept alive keeps its id
         self._law_rows: dict = {}
 
@@ -378,15 +379,8 @@ class _LeafTable(HierTable):
 
     def rows(self, t: int, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
         width = self._width
-        uniq, inv = _unique_inverse(sid * width + opt)
-        out = np.empty(len(uniq), dtype=np.intp)
-        for n, code in enumerate(uniq.tolist()):
-            s, o = divmod(code, width)
-            r = self._absorbed.get((t, s, o))
-            if r is None:
-                r = self._absorbed[(t, s, o)] = self._absorb(t, s, o)
-            out[n] = r
-        return out[inv]
+        return _interned(sid * width + opt, self._absorbed[t],
+                         lambda code: self._absorb(t, *divmod(code, width)))
 
     def _absorb(self, t: int, s: int, o: int) -> int:
         i, d = self._resp[self.key_of[t][s]][o]
@@ -398,7 +392,8 @@ class _LeafTable(HierTable):
         r = self._row_ids.get(pairs)
         if r is None:
             ids = np.array([a for a, _ in pairs], dtype=np.intp)
-            r = self._new_row(pairs, (ids, np.array([w for _, w in pairs], dtype=float)))
+            r = self._row_ids[pairs] = self._new_row(
+                (ids, np.array([w for _, w in pairs], dtype=float)))
         self._law_rows[id(law)] = (law, r)
         return r
 
@@ -428,33 +423,28 @@ class _PairTable(HierTable):
         n_right = len(right.keys)
         for t in range(horizon + 1):
             code = (left.key_of[t][:, None] * n_right + right.key_of[t][None, :]).ravel()
-            uniq, inv = _unique_inverse(code)
-            pair = np.array([self._pair(c, n_right, routes) for c in uniq.tolist()],
-                            dtype=np.intp)[inv]
+            pair = _interned(code, self._pair_ids, lambda c: self._pair(c, n_right, routes))
             self._pair_of.append(pair)
             self.key_of.append(np.asarray(self._pair_key, dtype=np.intp)[pair])
         self._offset = np.asarray(self._offset, dtype=np.intp)
         self._route_left, self._route_right = np.array(routes, dtype=np.intp).reshape(-1, 2).T
 
     def _pair(self, code: int, n_right: int, routes: list) -> int:
-        p = self._pair_ids.get(code)
-        if p is None:
-            kf, kg = divmod(code, n_right)
-            f, g = self._left._lenses[kf], self._right._lenses[kg]
-            f_key, g_key = self._left.keys[kf], self._right.keys[kg]
-            if self._kind == "compose":
-                lens = compose_map(g, f)
-                key, routed = _compose_key(f_key, g_key)
-            else:
-                lens, routed = tensor_map(f, g), _tensor_routes(f_key, g_key)
-                key = tensor_key(f, g, f_key, g_key)
-                if key is None:
-                    key = polymap_key(lens)
-            p = self._pair_ids[code] = len(self._pair_key)
-            self._pair_key.append(self._key_id(key, lens))
-            self._offset.append(len(routes))
-            routes.extend(routed)
-        return p
+        kf, kg = divmod(code, n_right)
+        f, g = self._left._lenses[kf], self._right._lenses[kg]
+        f_key, g_key = self._left.keys[kf], self._right.keys[kg]
+        if self._kind == "compose":
+            lens = compose_map(g, f)
+            key, routed = _compose_key(f_key, g_key)
+        else:
+            lens, routed = tensor_map(f, g), _tensor_routes(f_key, g_key)
+            key = tensor_key(f, g, f_key, g_key)
+            if key is None:
+                key = polymap_key(lens)
+        self._pair_key.append(self._key_id(key, lens))
+        self._offset.append(len(routes))
+        routes.extend(routed)
+        return len(self._pair_key) - 1
 
     def law(self, d: Dist) -> np.ndarray:
         """The composite's own initial law is ``dst`` of its factors' initial
@@ -476,16 +466,12 @@ class _PairTable(HierTable):
         route = self._offset[self._pair_of[t][sid]] + opt
         right = self._right.rows(t, zs, self._route_right[route])
         left = self._left.rows(t, xs, self._route_left[route])
-        code = left.astype(np.int64) * (1 << 31) + right
-        uniq, inv = _unique_inverse(code)
-        ids = np.empty(len(uniq), dtype=np.intp)
-        for n, c in enumerate(uniq.tolist()):
-            r = self._row_ids.get(c)
-            if r is None:
-                r = self._new_row(c, None)
-                self._row_pairs[r] = c
-            ids[n] = r
-        return ids[inv]
+        return _interned(left.astype(np.int64) * (1 << 31) + right, self._row_ids, self._pair_row)
+
+    def _pair_row(self, code: int) -> int:
+        r = self._new_row(None)
+        self._row_pairs[r] = code
+        return r
 
     def _build(self, r: int) -> tuple:
         code = self._row_pairs[r]
@@ -620,6 +606,20 @@ def _unique_inverse(codes: np.ndarray) -> tuple:
     return uniq, inv.ravel()
 
 
+def _interned(codes: np.ndarray, ids: dict, make: Callable) -> np.ndarray:
+    """The id of each code in ``codes``, read from ``ids``, where ``make(code)``
+    puts it the first time the code is met.  Each distinct code is looked up
+    once."""
+    uniq, inv = _unique_inverse(codes)
+    out = np.empty(len(uniq), dtype=np.intp)
+    for n, code in enumerate(uniq.tolist()):
+        got = ids.get(code)
+        if got is None:
+            got = ids[code] = make(code)
+        out[n] = got
+    return out[inv]
+
+
 def _by_group(mass: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
     """Sum the columns of an R x A matrix into n groups: an R x n matrix.
     ``groups`` gives each column's group, for every row (shape A) or for each
@@ -699,7 +699,7 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
         active = np.flatnonzero(law.any(axis=0))
         mass = law[:, active]
         keys = table.key_of[t][active]
-        yield _point_masses(_by_group(mass, to_union[keys], n_keys)), stopped
+        yield _point_mass_rows(_by_group(mass, to_union[keys], n_keys)), stopped
         if t < horizon:
             sec, col = np.nonzero(mass.reshape(n_sec, n_cand, len(active)).any(axis=1))
             opt = sigma[sec, keys[col]]
@@ -712,17 +712,6 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
             rids = np.full((n_sec, len(active)), -1, dtype=np.intp)
             rids[sec, col] = table.rows(t, active[col], opt)
             law = _advance(table, mass, rids) if len(sec) else np.zeros_like(law)
-
-
-def _point_masses(laws: np.ndarray) -> np.ndarray:
-    """Round a law on one key whose weight is within 1e-12 of 1 to the point
-    mass, as ``_key_dist`` does."""
-    nonzero = laws != 0.0
-    rows = np.flatnonzero(nonzero.sum(axis=1) == 1)
-    cols = nonzero[rows].argmax(axis=1)
-    near = np.abs(laws[rows, cols] - 1.0) <= 1e-12
-    laws[rows[near], cols[near]] = 1.0
-    return laws
 
 
 def _union(tables: list) -> tuple:
@@ -840,13 +829,8 @@ def _apply_hom_section(hs: HierSystem, respond: Callable, t: int, x):
 
 
 def _key_dist(pairs) -> Dist:
-    space = FiniteSpace(tuple(dict.fromkeys(k for k, _ in pairs)))
-    merged: dict = {}
-    for k, w in pairs:
-        merged[k] = merged.get(k, 0.0) + w
-    if len(merged) == 1 and abs(next(iter(merged.values())) - 1.0) <= 1e-12:
-        return Dirac(space, next(iter(merged)))
-    return categorical(space, merged)
+    """The law of (lens key, weight) pairs over the keys they name."""
+    return categorical(FiniteSpace(tuple(dict.fromkeys(k for k, _ in pairs))), pairs)
 
 
 def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:

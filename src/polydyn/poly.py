@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .dist import (
-    Categorical,
     Dirac,
     Dist,
     DistError,
@@ -259,8 +258,6 @@ def dirac_point(d: Dist):
     """Extract the payload of a deterministic distribution."""
     if isinstance(d, Dirac):
         return d.point
-    if isinstance(d, Categorical) and len(d.items) == 1:
-        return d.items[0][0]
     raise DistError(f"expected a point mass, got {d!r}")
 
 

@@ -15,10 +15,11 @@ A bundle's closures, total and base, are tabulated (``systems.closure`` on up
 to 512 states), so ``check_bundle`` and the base-morphism squares of
 ``rebase_bundle`` read every case from rows of the tick matrices' powers: row
 x of P_total^t summed into the base states through the projection, against
-row proj(x) of P_base^t.  A row with one atom is read as a point mass (weight
-1.0), as the stepped laws are.  The random-system and measure-preserving
-squares compare against base flows made by ``closed_from_kernel``, which have
-no tick matrix, and step them state by state.
+row proj(x) of P_base^t.  A row with one atom, on either side, is read as a
+point mass (weight 1.0), as ``dist`` makes every law on one atom.  The
+random-system and measure-preserving squares compare against base flows made
+by ``closed_from_kernel``, which have no tick matrix, and step them state by
+state.
 """
 
 from __future__ import annotations

@@ -31,8 +31,9 @@ import numpy as np
 from .dist import (
     Dirac,
     Dist,
+    _finite_law,
+    _point_mass_rows,
     bind,
-    categorical,
     dirac,
     dist_distance,
     finite_items,
@@ -74,11 +75,11 @@ class DiscreteMap:
 @dataclass(frozen=True)
 class VectorField:
     """Continuous-time flavor: ``field(x, d)`` is the tangent vector at state
-    x under input d, a direction of the system's own interface; ``h`` is the
-    integrator step (one tick) of the classic fixed-step rk4 scheme."""
+    x under input d, a direction of the system's own interface.  One tick
+    integrates it over the system's time step ``time.h`` with the classic
+    fixed-step rk4 scheme."""
 
     field: Callable
-    h: float
 
 
 Flavor = Union[DiscreteMap, VectorField]
@@ -151,12 +152,12 @@ class _TickPowers:
         return self._tick_entries if t == 1 else np.nonzero(power)
 
     def law(self, t: int, x) -> Dist:
-        """Row x of P^t as a law; a row with one atom is a point mass."""
+        """Row x of P^t as a law, so a row with one atom is its point mass.
+        The row's weights are sums of products of the one-tick laws' weights,
+        which were checked when those laws were built, so they are not
+        checked again: their total drifts from 1 with t."""
         row = self.power(t)[self.index[x]].tolist()
-        pairs = [(a, w) for a, w in zip(self.atoms, row) if w != 0.0]
-        if len(pairs) == 1:
-            return dirac(self.states, pairs[0][0])
-        return categorical(self.states, pairs)
+        return _finite_law(self.states, tuple((a, w) for a, w in zip(self.atoms, row) if w != 0.0))
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ def closure(sys_: System, sigma: Section) -> ClosedSystem:
             t = sys_.time.check(t)
             if t == 0:
                 return dirac(sys_.states, s)
-            return _rk4_flow(closed, sys_.states, s, t, sys_.flavor.h)
+            return _rk4_flow(closed, sys_.states, s, t, sys_.time.h)
 
         return ClosedSystem(sys_.states, sys_.time, step)
 
@@ -341,10 +342,9 @@ def _square_cases(left, right, f, times, states, kind="square", **labels):
     through f, against row f(x) of P_R^t.  The rows are read as the laws that
     step would return, so every deviation is the per-state one bit for bit: a
     left row sums its atoms in the order step(t) lists them (``entries``), and
-    a row with one atom is a point mass (weight 1.0) on the left, as
-    ``pushforward`` makes it, and on the right except at t = 1, where step
-    returns the one-tick law itself.  Every other closure is stepped state by
-    state."""
+    a row with one atom, on either side, is a point mass (weight 1.0), as
+    ``dist`` makes every law on one atom.  Every other closure is stepped
+    state by state."""
     if isinstance(left, _TabulatedClosure) and isinstance(right, _TabulatedClosure):
         image = np.array(
             [right.table.index[check_point(right.states, f(a))] for a in left.table.atoms],
@@ -371,22 +371,10 @@ def _square_gaps(left: _TickPowers, right: _TickPowers, image, t: int) -> list:
     as ``pushforward`` merges a law's items."""
     n, m = len(left.atoms), len(right.atoms)
     r, c = left.entries(t)
-    cols = image[c]
-    pushed = np.bincount(r * m + cols, weights=left.power(t)[r, c], minlength=n * m)
-    pushed = _point_masses(pushed.reshape(n, m), r, cols)
-    target = right.power(t)[image]
-    if t != 1:
-        target = _point_masses(target, *np.nonzero(target))
+    pushed = np.bincount(r * m + image[c], weights=left.power(t)[r, c], minlength=n * m)
+    pushed = _point_mass_rows(pushed.reshape(n, m))
+    target = _point_mass_rows(right.power(t)[image])
     return np.max(np.abs(pushed - target), axis=1, initial=0.0).tolist()
-
-
-def _point_masses(rows: np.ndarray, r, c) -> np.ndarray:
-    """``rows`` with the one atom of each single-atom row set to weight 1.0,
-    given the (row, column) of every atom: a law with one atom is a point
-    mass."""
-    one = np.bincount(r, minlength=len(rows))[r] == 1
-    rows[r[one], c[one]] = 1.0
-    return rows
 
 
 def check_closed_flow(
@@ -504,7 +492,7 @@ def reindex(phi: PolyMap, sys_: System) -> System:
         def field(x, d_new):
             return inner(x, dirac_point(phi.backward(sys_.output(1, x), d_new)))
 
-        flavor = VectorField(field, flavor.h)
+        flavor = VectorField(field)
     return System(
         phi.target, sys_.states, sys_.time, output, update, sys_.effect, flavor
     )
@@ -569,11 +557,9 @@ def from_vector_field(
         return g(x)
 
     def update(t, x, d):
-        return _rk4_flow(lambda pt: f(pt, d), states, x, clock.check(t), h)
+        return _rk4_flow(lambda pt: f(pt, d), states, x, clock.check(t), clock.h)
 
-    return System(
-        p, states, clock, output, update, DETERMINISTIC, VectorField(f, h)
-    )
+    return System(p, states, clock, output, update, DETERMINISTIC, VectorField(f))
 
 
 # ---------------------------------------------------------------------------

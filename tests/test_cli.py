@@ -54,6 +54,31 @@ def test_markov_exact_rows_match_matrix_powers(tmp_path):
     ]
 
 
+def test_explicit_table_run_is_pinned(tmp_path):
+    """``switch.json`` is an explicit-table system with constant directions
+    and a constant section, and it gives no init, horizon or mode: the run
+    starts from the uniform law and traces 8 ticks exactly.  Its weights are
+    multiples of 1/8, so every row is the exact law, digit for digit, and
+    ``--seed`` changes nothing in exact mode."""
+    argv = ["run", "--spec", str(SPECS / "switch.json")]
+    code, data = run_to_file(tmp_path, "s.csv", argv)
+    assert code == 0
+    assert data.decode().strip().split("\n") == [
+        "t,p_dark,p_lit",
+        "0,0.5,0.5",
+        "1,0.6875,0.3125",
+        "2,0.6015625,0.3984375",
+        "3,0.619140625,0.380859375",
+        "4,0.65283203125,0.34716796875",
+        "5,0.6396484375,0.3603515625",
+        "6,0.654754638671875,0.345245361328125",
+        "7,0.664642333984375,0.335357666015625",
+        "8,0.6684532165527344,0.3315467834472656",
+    ]
+    for name in ("a.csv", "b.csv"):
+        assert run_to_file(tmp_path, name, argv + ["--seed", "7"]) == (0, data)
+
+
 def test_exact_runs_are_byte_identical(tmp_path):
     for spec in ("counter.json", "markov.json"):
         argv = ["run", "--spec", str(SPECS / spec)]

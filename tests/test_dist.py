@@ -415,3 +415,24 @@ def test_dirac_and_categorical_kinds():
     assert isinstance(dirac(SPACE, 0), Dirac)
     assert isinstance(categorical(SPACE, [(0, 0.5), (1, 0.5)]), Categorical)
     assert math.isclose(sum(w for _, w in finite_items(uniform(SPACE))), 1.0)
+
+
+def test_a_law_on_one_atom_is_its_point_mass():
+    """Rounding can leave a law on one atom short of weight 1.  The law is
+    still the point mass there, however it was built: one atom, weight
+    1 - 2**-52; a product of two such laws; a mixture whose one other atom
+    underflows to weight 0; an image that merges three atoms into one,
+    whose weights sum to 1 - 2**-53."""
+    near = 1.0 - 2.0**-52
+    assert 0.7 + 0.2 + 0.1 == 1.0 - 2.0**-53
+    mixing = categorical(SPACE, [(0, 0.5), (1, 0.5 - 2.0**-53)])
+    tiny = categorical(SPACE, [(3, 1.0), (2, 5e-324)])
+    built = {
+        2: categorical(SPACE, [(2, near)]),
+        (1, 3): dst(categorical(SPACE, [(1, near)]), categorical(SPACE, [(3, near)])),
+        3: bind(mixing, lambda x: tiny if x else dirac(SPACE, 3)),
+        0: pushforward(lambda x: 0, categorical(SPACE, [(0, 0.7), (1, 0.2), (2, 0.1)]), SPACE),
+    }
+    for atom, d in built.items():
+        assert isinstance(d, Dirac), d
+        assert finite_items(d) == ((atom, 1.0),)

@@ -99,21 +99,26 @@ def square_checks(total, base, proj):
 
 
 def test_a_one_atom_law_is_a_point_mass_on_both_routes():
-    """A one-tick law with one atom of weight 1 - 2**-52: pushed forward it is
-    a point mass, while the base's step(1) is that law itself, so the square
-    misses by 2**-52 at t = 1; at t = 2 and 3 both sides are point masses."""
+    """One-tick laws with one atom of weight 1 - 2**-52 are point masses, on
+    the total side and on the base side, so the square commutes at every
+    time on both routes, and ``mk_bundle`` accepts the bundle."""
     total = finite(0, 1, 2, 3)
     base = finite("a", "b")
     tick = {x: dirac(total, (x + 1) % 4) for x in range(1, 4)}
     tick[0] = categorical(total, [(1, NEAR_ONE)])
     base_tick = {"a": categorical(base, [("b", NEAR_ONE)]), "b": dirac(base, "a")}
-    checks = square_checks(system(total, tick), system(base, base_tick), lambda x: "ab"[x % 2])
-    for check in checks:
+    total_sys, base_sys = system(total, tick), system(base, base_tick)
+
+    def proj(x):
+        return "ab"[x % 2]
+
+    for check in square_checks(total_sys, base_sys, proj):
         tabulated, stepped = both_routes(check)
         assert tabulated == stepped
         report = json.loads(stepped)
-        assert report["max_deviation"] == 2.0**-52
-        assert {(v["t"], v["state"]) for v in report["violations"]} == {(1, 0), (1, 2)}
+        assert report["max_deviation"] == 0.0
+        assert report["violations"] == []
+    assert random_bundle.mk_bundle(base_sys, total_sys, proj).proj is proj
 
 
 def test_a_one_tick_law_sums_its_items_in_its_own_order():

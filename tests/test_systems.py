@@ -175,6 +175,18 @@ def test_a_tabulated_row_with_one_atom_is_a_point_mass():
     assert isinstance(cs.step(3, "a"), Categorical)
 
 
+def test_a_tabulated_row_is_not_checked_again():
+    """A one-tick law whose weights sum to 1 - 9e-13 is accepted; the rows of
+    P^2 sum to about 1 - 1.8e-12, past the 1e-12 that ``categorical``
+    allows, and step(2) still reads them as they are."""
+    states = finite(0, 1)
+    law = categorical(states, [(0, 0.5), (1, 0.5 - 9e-13)])
+    sys_ = mk_system(y(), states, lambda t, s: (), lambda t, s, d: law, time_nat(), STOCHASTIC)
+    cs = closure(sys_, trivial_section(y()))
+    p = np.array([[0.5, 0.5 - 9e-13]] * 2)
+    assert cs.step(2, 0) == Categorical(states, tuple(zip((0, 1), (p @ p)[0].tolist())))
+
+
 def test_a_closure_on_many_states_steps_without_a_tick_matrix():
     """Past 512 states a closure steps by nested binds: step(2) of a
     2,000-state counter builds no 2,000 x 2,000 matrix (32 MB)."""
