@@ -342,11 +342,12 @@ class HierTable:
 
 
 class _LeafTable(HierTable):
-    """Tabulated by walking emit once per (tick, state), each distinct lens
-    once for its responses (``_responses``), and absorb once per (tick,
-    state, response) actually reached.  The atoms of each law that absorb
-    returns are mapped to a row once per law object: channels, priors and
-    stateless systems return one shared law."""
+    """Tabulated by walking emit once per (tick, state), keying each lens
+    with ``polymap_key`` (which refuses a backward atom off its fibre),
+    listing each distinct lens's responses once (``_responses``), and
+    walking absorb once per (tick, state, response) actually reached.  The
+    atoms of each law that absorb returns are mapped to a row once per law
+    object: channels, priors and stateless systems return one shared law."""
 
     def __init__(self, hs: HierSystem, horizon: int):
         super().__init__(hs)
@@ -405,9 +406,10 @@ class _PairTable(HierTable):
     factor rows, expanded into their outer product only when used.
 
     A composite key and each response's route, one option of each factor,
-    are read from the factors' keys (``_compose_key``, ``tensor_key``).  The
-    key equals ``polymap_key`` of the composed lens, which is walked only
-    where two items of a tensor's backward law tie in ``repr``."""
+    are read from the factors' keys (``_compose_key``, ``tensor_key``), and
+    the composed lens is never walked.  The key equals ``polymap_key`` of
+    that lens: both list a law's items in its fibre's order, and an atom off
+    its fibre was refused where a factor's leaf was keyed."""
 
     def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable,
                  horizon: int):
@@ -439,8 +441,6 @@ class _PairTable(HierTable):
         else:
             lens, routed = tensor_map(f, g), _tensor_routes(f_key, g_key)
             key = tensor_key(f, g, f_key, g_key)
-            if key is None:
-                key = polymap_key(lens)
         self._pair_key.append(self._key_id(key, lens))
         self._offset.append(len(routes))
         routes.extend(routed)
@@ -483,41 +483,17 @@ class _PairTable(HierTable):
         return ids[keep], ws[keep]
 
 
-def _stray(where: str, d, atom, fibre: str) -> HierError:
-    return HierError(f"at {where}, the backward law answers direction {d!r} with {atom!r}, "
-                     f"which is not a direction of {fibre}")
-
-
 def _responses(lens: PolyMap) -> list:
-    """A finite lens's (position, direction) responses, in option order.  A
-    backward atom off its fibre is refused where a key would hide it: a unit
-    slot reads ``()`` whatever it holds.  A stray that a key shows is named
-    where a route reads it (``_compose_key``, ``_point_middles``)."""
-    out = []
-    for i in points(lens.source.positions):
-        fibre = lens.source.dirs_at(i)
-        for d in points(lens.target.dirs_at(lens.forward(i))):
-            for a, _ in finite_items(lens.backward(i, d)):
-                if expand_point(fibre, normalize_point(fibre, a)) != a:
-                    raise _stray(f"source position {i!r}", d, a, "the source interface there")
-            out.append((i, d))
-    return out
+    """A finite lens's (position, direction) responses, in option order: the
+    order of its key's rows and of their directions."""
+    return [(i, d) for i in points(lens.source.positions)
+            for d in points(lens.target.dirs_at(lens.forward(i)))]
 
 
-def _point_middles(middle: Polynomial, right: HierTable) -> bool:
+def _point_middles(right: HierTable) -> bool:
     """Whether every backward law in the keys of a compose composite's right
-    factor is a point mass.  Where one is not, the composite is walked, and
-    an atom off the ``middle`` interface is named here."""
-    rows = [row for key in right.keys for row in key]
-    if all(len(items) == 1 for _, _, back in rows for _, items in back):
-        return True
-    for j, _, back in rows:
-        fibre = middle.dirs_at(expand_point(middle.positions, j))
-        dirs = {normalize_point(fibre, d) for d in points(fibre)}
-        stray = [(d, a) for d, items in back for a, _ in items if a not in dirs]
-        if stray:
-            raise _stray(f"middle position {j!r}", *stray[0], "the middle interface there")
-    return False
+    factor is a point mass; where one is not, the composite is walked."""
+    return all(len(items) == 1 for key in right.keys for _, _, back in key for _, items in back)
 
 
 def _compose_key(f_key: tuple, g_key: tuple) -> tuple:
@@ -525,7 +501,9 @@ def _compose_key(f_key: tuple, g_key: tuple) -> tuple:
     f and of g it takes: from the factors' keys, when every backward law of
     g is a point mass.  ``bind`` of a point mass at d returns f's backward
     law at d itself, so the composite's entry is f's key entry for d, under
-    g's forward position and direction keys at f's forward position."""
+    g's forward position and direction keys at f's forward position.  Each
+    such d is a direction of f's key there, because ``polymap_key`` keyed g
+    only if its atoms lie in the middle fibre."""
     g_rows = {row[0]: (opts, row) for row, opts in zip(g_key, _option_ranges(g_key))}
     rows, routes = [], []
     for (i_key, j_key, f_back), f_opts in zip(f_key, _option_ranges(f_key)):
@@ -533,9 +511,6 @@ def _compose_key(f_key: tuple, g_key: tuple) -> tuple:
         f_laws = {d: (o, items) for o, (d, items) in zip(f_opts, f_back)}
         back = []
         for o_g, (d_key, ((mid, _),)) in zip(g_opts, g_back):
-            if mid not in f_laws:
-                raise _stray(f"source position {i_key!r}", d_key, mid,
-                             f"the middle interface at {j_key!r}")
             o_f, items = f_laws[mid]
             back.append((d_key, items))
             routes.append((o_f, o_g))
@@ -582,7 +557,7 @@ def _tabulate(hs: HierSystem, horizon: int, done: dict) -> HierTable:
     else:
         kind, left, right = hs.factors
         right_table = _tabulate(right, horizon, done)
-        if kind == "compose" and not _point_middles(right.source, right_table):
+        if kind == "compose" and not _point_middles(right_table):
             table = _LeafTable(hs, horizon)
         else:
             table = _PairTable(hs, kind, _tabulate(left, horizon, done), right_table, horizon)

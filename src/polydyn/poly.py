@@ -300,52 +300,52 @@ def polymap_key(f: PolyMap):
     so lenses that differ only by unit factors or by product re-association
     get the same key.  A row per source position i (in enumeration order)
     holds i, its forward position, and per direction d of the target there
-    the backward law's items, sorted by ``repr`` of their normalized atoms."""
+    the backward law's items in the order of the source fibre's ``points``,
+    which normalizing keeps, so no key depends on the order in which a law
+    lists its atoms.  Every backward atom must be a point of the source fibre
+    at i: an atom off it is refused here, for every route that keys a lens."""
     if not is_finite(f.source.positions):
         raise PolyError("polymap_key needs a finite position space")
     rows = []
+    fibre_of = atoms = None  # the last source fibre, and its atoms' ranks and normal forms
     for i in points(f.source.positions):
         fwd = f.forward(i)
         fibre_out = f.target.dirs_at(fwd)
         fibre_in = f.source.dirs_at(i)
         if not (is_finite(fibre_out) and is_finite(fibre_in)):
             raise PolyError("polymap_key needs finite direction spaces")
+        if fibre_in is not fibre_of:
+            fibre_of = fibre_in
+            atoms = {a: (n, normalize_point(fibre_in, a)) for n, a in enumerate(points(fibre_in))}
         back = []
         for d in points(fibre_out):
-            res = f.backward(i, d)
-            key_d = normalize_point(fibre_out, d)
-            res_items, _ = _sorted_items(
-                (normalize_point(fibre_in, a), w) for a, w in finite_items(res)
-            )
-            back.append((key_d, res_items))
+            items = []
+            for a, w in finite_items(f.backward(i, d)):
+                try:
+                    n, a_key = atoms[a]
+                except (KeyError, TypeError):
+                    raise PolyError(
+                        f"at source position {i!r}, the backward law answers direction "
+                        f"{d!r} with {a!r}, which is not a point of {fibre_in!r}"
+                    ) from None
+                items.append((n, a_key, w))
+            items.sort()
+            back.append((normalize_point(fibre_out, d), tuple((a, w) for _, a, w in items)))
         fwd_key = normalize_point(f.target.positions, fwd)
         i_key = normalize_point(f.source.positions, i)
         rows.append((i_key, fwd_key, tuple(back)))
     return tuple(rows)
 
 
-def _sorted_items(items) -> tuple:
-    """Normalized (atom, weight) items sorted by the ``repr`` of their atoms,
-    as a lens key holds them, and whether two of those reprs tie (the sort is
-    stable, so tied items keep the order they came in)."""
-    items = list(items)
-    if len(items) < 2:
-        return tuple(items), False
-    decorated = sorted(((repr(a), a, w) for a, w in items), key=lambda it: it[0])
-    tied = any(decorated[k][0] == decorated[k + 1][0] for k in range(len(decorated) - 1))
-    return tuple((a, w) for _, a, w in decorated), tied
-
-
-def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple):
-    """``polymap_key(tensor_map(f, g))`` from the keys of f and g, or None
-    when two items of a backward law tie in ``repr``.
+def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple) -> tuple:
+    """``polymap_key(tensor_map(f, g))`` from the keys of f and g.
 
     Positions and directions are the factors' normal forms joined, by the
     normalized arity of each factor's space (of each fibre, per position),
     and a backward law's items are the products of the factors' items, as
-    ``dst`` forms them, re-sorted.  Tied items would keep the order of
-    ``dst``'s product, which the factors' sorted items no longer hold, so
-    that lens must be walked."""
+    ``dst`` forms them.  Those pairs run through f's atoms slowest, each list
+    in its own fibre's order, so they are in the order of the product fibre's
+    ``points``, as the key of the walked lens lists them."""
     pos_f, tgt_f, fibres_f = _arities(f)
     pos_g, tgt_g, fibres_g = _arities(g)
     rows = []
@@ -354,13 +354,10 @@ def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple):
             back = []
             for d1, items1 in back1:
                 for d2, items2 in back2:
-                    res_items, tied = _sorted_items(
+                    back.append((join_normal(out1, d1, out2, d2), tuple(
                         (join_normal(in1, a1, in2, a2), w)
                         for (a1, a2), w in product_items(items1, items2)
-                    )
-                    if tied:
-                        return None
-                    back.append((join_normal(out1, d1, out2, d2), res_items))
+                    )))
             rows.append((
                 join_normal(pos_f, i_key, pos_g, j_key),
                 join_normal(tgt_f, fwd1, tgt_g, fwd2),

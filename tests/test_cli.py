@@ -79,6 +79,58 @@ def test_explicit_table_run_is_pinned(tmp_path):
         assert run_to_file(tmp_path, name, argv + ["--seed", "7"]) == (0, data)
 
 
+def _finite(*labels) -> dict:
+    return {"kind": "finite", "labels": list(labels)}
+
+
+# spaces as JSON objects: the states are pairs (level, bit), written as lists
+# in output, update and init, and as JSON-encoded lists in categorical keys
+OBJECT_SPACES_SPEC = {
+    "system": {
+        "interface": {
+            "positions": _finite("dark", "lit"),
+            "directions": {"constant": _finite("press", "wait")},
+        },
+        "states": {"kind": "prod", "factors": [_finite("lo", "hi"), _finite(0, 1)]},
+        "output": [[["lo", 0], "dark"], [["lo", 1], "dark"],
+                   [["hi", 0], "lit"], [["hi", 1], "lit"]],
+        "update": [
+            [["lo", 0], "press",
+             {"categorical": {json.dumps(["hi", 0]): 0.75, json.dumps(["lo", 1]): 0.25}}],
+            [["lo", 1], "press", {"dirac": ["hi", 1]}],
+            [["hi", 0], "press",
+             {"categorical": {json.dumps(["lo", 0]): 0.5, json.dumps(["hi", 1]): 0.5}}],
+            [["hi", 1], "press", {"dirac": ["lo", 0]}],
+            *([[s, "wait", {"dirac": s}] for s in (["lo", 0], ["lo", 1], ["hi", 0], ["hi", 1])]),
+        ],
+    },
+    "section": {"constant": "press"},
+    "init": {"dirac": ["lo", 0]},
+    "horizon": 5,
+}
+
+
+def test_a_spec_whose_spaces_are_json_objects_runs(tmp_path):
+    """Positions, directions and states given as JSON space objects, the
+    states a product whose points are tuples.  The weights are multiples of
+    1/8, so every row is the exact law, digit for digit, and ``--seed``
+    changes nothing in exact mode."""
+    argv = ["run", "--spec", _write_spec(tmp_path, OBJECT_SPACES_SPEC)]
+    code, data = run_to_file(tmp_path, "o.csv", argv)
+    assert code == 0
+    assert data.decode().strip().split("\n") == [
+        "t,p_dark,p_lit",
+        "0,1.0,0.0",
+        "1,0.25,0.75",
+        "2,0.375,0.625",
+        "3,0.71875,0.28125",
+        "4,0.296875,0.703125",
+        "5,0.50390625,0.49609375",
+    ]
+    for name in ("a.csv", "b.csv"):
+        assert run_to_file(tmp_path, name, argv + ["--seed", "7"]) == (0, data)
+
+
 def test_exact_runs_are_byte_identical(tmp_path):
     for spec in ("counter.json", "markov.json"):
         argv = ["run", "--spec", str(SPECS / spec)]
@@ -157,6 +209,18 @@ def test_a_missing_required_flag_is_named(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == json.dumps({"error": f"{argv[0]} needs --{flag}"}) + "\n"
+
+
+@pytest.mark.parametrize("suite", ["measure", "rds", "bundle"])
+def test_a_suite_that_reads_no_spec_refuses_one(tmp_path, capsys, suite):
+    """These suites check their built-in examples only, so any ``--spec``,
+    an empty object or one the flow suite reads, exits 2 naming the suite."""
+    for spec in (_write_spec(tmp_path, {}), str(SPECS / "markov.json")):
+        assert main(["check", "--suite", suite, "--spec", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == json.dumps({"error": f"SpecError: the {suite} suite checks its "
+                                           "built-in examples and reads no spec"}) + "\n"
 
 
 def test_unread_flags_are_usage_errors(capsys):

@@ -12,6 +12,7 @@ from polydyn import (
     HierError,
     HierSystem,
     HomSection,
+    PolyError,
     PolyMap,
     categorical,
     compose_hier,
@@ -46,6 +47,7 @@ from polydyn import (
     unit,
     y,
 )
+from polydyn.hier import _closure_trace
 
 A = finite(0, 1, 2)
 
@@ -359,7 +361,8 @@ def test_hibi_composite_is_tabulated_by_walking_it():
 
 def test_a_backward_law_outside_the_middle_fibre_is_named():
     """gamma answers with a direction that is not in beta's target fibre, so
-    the composite's backward traffic has nowhere to go."""
+    the composite's backward traffic has nowhere to go.  gamma's own key
+    refuses it, at gamma's source position."""
     S = finite("s0", "s1")
     beta = mk_hier(y(), monomial(A, S), finite(0, 1),
                    lambda t, x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
@@ -371,13 +374,14 @@ def test_a_backward_law_outside_the_middle_fibre_is_named():
     both = compose_hier(beta, gamma)
     for run in (lambda: tabulate(both, 2),
                 lambda: quasi_bisim(both, both, horizon=2)):
-        with pytest.raises(HierError, match=r"source position \(\).*'zzz'"):
+        with pytest.raises(PolyError, match=r"source position 0, .* direction \(\) with 'zzz', "
+                                            r"which is not a point of finite\['s0', 's1'\]"):
             run()
 
 
 def test_a_backward_law_outside_a_unit_middle_fibre_is_named():
-    """On a unit middle fibre every direction reads as () in a lens key, so a
-    key cannot show the stray answer; it is named all the same."""
+    """On a unit middle fibre every direction reads as () in a normalized
+    lens key, so the stray answer is refused before it is normalized."""
     beta = mk_hier(y(), linear(A), finite(0, 1),
                    lambda t, x: det_polymap(y(), linear(A), lambda i: x, lambda i, d: ()),
                    lambda t, x, i, d: dirac(finite(0, 1), 1 - x))
@@ -388,19 +392,21 @@ def test_a_backward_law_outside_a_unit_middle_fibre_is_named():
     both = compose_hier(beta, gamma)
     for run in (lambda: tabulate(both, 2),
                 lambda: quasi_bisim(both, both, horizon=2)):
-        with pytest.raises(HierError, match=r"answers direction \(\) with 'zzz'"):
+        with pytest.raises(PolyError, match=r"source position 0, .* direction \(\) with 'zzz', "
+                                            r"which is not a point of unit\(\)"):
             run()
 
 
 def test_a_stray_backward_atom_is_named_where_no_route_reads_it():
-    """A leaf whose key would hide a stray atom is refused on its own, and a
-    stray in a middle law that mixes directions, whose composite is walked
-    like a leaf, is named at its middle position."""
+    """A leaf whose normalized key would hide a stray atom is refused on its
+    own, and a stray in a middle law that mixes directions, whose composite
+    is walked like a leaf, is refused where the middle factor is keyed, at
+    its own source position."""
     stray = PolyMap(linear(A), linear(A), lambda a: a,
                     lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
     leaf = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
                    lambda t, z, a, d: dirac(unit(), ()))
-    with pytest.raises(HierError, match=r"source position 0, .* with 'zzz'"):
+    with pytest.raises(PolyError, match=r"source position 0, .* with 'zzz'"):
         tabulate(leaf, 2)
     S = finite("s0", "s1")
     beta = mk_hier(y(), monomial(A, S), finite(0, 1),
@@ -413,7 +419,25 @@ def test_a_stray_backward_atom_is_named_where_no_route_reads_it():
     both = compose_hier(beta, gamma)
     for run in (lambda: tabulate(both, 2),
                 lambda: quasi_bisim(both, both, horizon=2)):
-        with pytest.raises(HierError, match=r"middle position 0, .* with 'zzz'"):
+        with pytest.raises(PolyError, match=r"source position 0, .* with 'zzz'"):
+            run()
+
+
+def test_a_standalone_leaf_answering_off_its_fibre_is_refused():
+    """A backward law on a labelled fibre whose atom lies outside it: the
+    table route and the closure route refuse the leaf alike, naming its
+    source position, the direction and the atom."""
+    S = finite("s0", "s1")
+    stray = PolyMap(monomial(A, S), linear(A), lambda a: a,
+                    lambda a, d: dirac(finite("s0", "zzz"), "zzz"), DETERMINISTIC)
+    leaf = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: stray,
+                   lambda t, z, a, d: dirac(unit(), ()))
+    message = (r"at source position 0, the backward law answers direction \(\) with 'zzz', "
+               r"which is not a point of finite\['s0', 's1'\]")
+    for run in (lambda: tabulate(leaf, 2),
+                lambda: quasi_bisim(leaf, leaf, "forall", "forall", horizon=2),
+                lambda: _closure_trace(leaf, HomSection(()), dirac(unit(), ()), 2)):
+        with pytest.raises(PolyError, match=message):
             run()
 
 

@@ -1,4 +1,9 @@
+import collections
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydyn import (
     DETERMINISTIC,
@@ -155,6 +160,72 @@ def test_polymap_key_separates_different_lenses():
     f = id_map(linear(A))
     g = det_polymap(linear(A), linear(A), lambda x: "a", lambda i, d: d)
     assert polymap_key(f) != polymap_key(g)
+
+
+def _right(parts, pair):
+    return parts[0] if len(parts) == 1 else pair(parts[0], _right(parts[1:], pair))
+
+
+def _left(parts, pair):
+    return parts[0] if len(parts) == 1 else pair(_left(parts[:-1], pair), parts[-1])
+
+
+def _padded(parts, pair):
+    """A unit factor in front and after every part: ``()`` is the unit
+    space's one point, and ``pair()`` of nothing is the unit space."""
+    return pair(pair(), *(pair(x, pair()) for x in parts))
+
+
+def _atoms(*parts):
+    return tuple(parts)
+
+
+@st.composite
+def dyadic_lenses(draw):
+    """A finite lens as data: per source position, its fibre's finite
+    factors (one factor is a labelled fibre), its forward position, and per
+    target direction a law with weights k/8 over tuples of factor labels, as
+    items in a drawn order and the same items in another drawn order.  Labels
+    are drawn in an order their reprs do not follow."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [
+            finite(*draw(st.permutations(("b", "c", "a")))[:draw(st.integers(1, 3))])
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        atoms = list(itertools.product(*(f.labels for f in factors)))
+        laws = []
+        for _ in range(2):
+            eighths = draw(st.lists(st.sampled_from(atoms), min_size=8, max_size=8))
+            listed = [(a, c / 8) for a, c in collections.Counter(eighths).items()]
+            laws.append((listed, draw(st.permutations(listed))))
+        rows.append((factors, draw(st.sampled_from(("u", "v"))), laws))
+    return rows
+
+
+def _lens(rows, shape, order):
+    """The lens of ``dyadic_lenses`` data with each source fibre nested by
+    ``shape`` and each law's items listed in its ``order`` (0 or 1)."""
+    fibres = {i: shape(factors, prod) for i, (factors, _, _) in enumerate(rows)}
+    target = monomial(finite("u", "v"), finite("d0", "d1"))
+    laws = {
+        (i, d): categorical(fibres[i], [(shape(a, _atoms), w) for a, w in law[order]])
+        for i, (_, _, by_dir) in enumerate(rows) for d, law in zip(("d0", "d1"), by_dir)
+    }
+    return PolyMap(tabulated(finite(*range(len(rows))), fibres), target,
+                   lambda i: rows[i][1], lambda i, d: laws[(i, d)], STOCHASTIC)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rows=dyadic_lenses())
+def test_polymap_key_ignores_listing_order_and_fibre_association(rows):
+    """A key lists each law's items in its fibre's order, which normalizing
+    keeps: listing the items in another order, re-associating the source
+    fibres or padding them with unit factors leaves it unchanged."""
+    key = polymap_key(_lens(rows, _right, 0))
+    assert polymap_key(_lens(rows, _right, 1)) == key
+    assert polymap_key(_lens(rows, _left, 0)) == key
+    assert polymap_key(_lens(rows, _padded, 1)) == key
 
 
 def test_time_monoids():

@@ -549,11 +549,12 @@ class Label:
         return self.text
 
 
-def test_tensor_keys_walk_the_lens_on_a_repr_tie(monkeypatch):
+def test_tensor_keys_are_assembled_on_a_repr_tie(monkeypatch):
     """Atoms "p, q" and "p" on the left and "r" and "q, r" on the right make
-    two product atoms that both read "(p, q, r)".  The walk keeps them in the
-    order ``dst`` forms them, left atom "p, q" first; the left key sorts "p"
-    first, so an assembled key would swap them.  The lens is walked."""
+    two product atoms that both read "(p, q, r)".  A key lists them in the
+    product fibre's order, left atom "p, q" first, whatever their reprs, so
+    the key assembled from the leaves' keys is the walked one, and only the
+    two leaves are walked, once per tick each."""
     A = finite("a")
     pq, p_, r_, qr = Label("p, q"), Label("p"), Label("r"), Label("q, r")
 
@@ -578,7 +579,28 @@ def test_tensor_keys_walk_the_lens_on_a_repr_tie(monkeypatch):
     tied = [a for a, _ in key[0][2][0][1] if repr(a) == "(p, q, r)"]
     assert tied == [(pq, r_), (p_, qr)]
     assert table.keys[table.key_of[0][0]] == key
-    assert len(walked) == 2 * (HORIZON + 1) + 1
+    assert len(walked) == 2 * (HORIZON + 1)
+
+
+def test_one_law_listed_in_either_order_has_one_key():
+    """Two leaves carry one backward law over two atoms whose reprs tie,
+    listed in opposite orders.  A lens does not depend on the order in which
+    its laws list their atoms, so both get one key and are related with
+    every initial law on each side."""
+    A = finite("a")
+    x1, x2 = Label("x"), Label("x")
+    fibre = finite(x1, x2)
+
+    def leaf(items):
+        law = categorical(fibre, items)
+        lens = PolyMap(monomial(A, fibre), linear(A), lambda i: i, lambda i, d: law, STOCHASTIC)
+        return mk_hier(monomial(A, fibre), linear(A), finite(0), lambda t, x: lens,
+                       lambda t, x, i, d: dirac(finite(0), 0))
+
+    one, other = leaf([(x1, 0.75), (x2, 0.25)]), leaf([(x2, 0.25), (x1, 0.75)])
+    assert polymap_key(one.emit(0, 0)) == polymap_key(other.emit(0, 0))
+    verdict = quasi_bisim(one, other, "forall", "forall", horizon=HORIZON)
+    assert verdict["related"] and verdict["witness"] is None
 
 
 # ---------------------------------------------------------------------------
