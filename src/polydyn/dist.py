@@ -314,7 +314,9 @@ def pushforward(f, d: Dist, target: Space) -> Dist:
 
 
 def bind(d: Dist, k) -> Dist:
-    """Monad bind: average the kernel ``k`` over ``d`` (exact regimes only)."""
+    """Monad bind: average the kernel ``k`` over ``d`` (exact regimes only).
+    A mixture's atoms are merged, pruned and checked, but not its total: its
+    weights come from checked laws, as a tick-matrix power's rows do."""
     if isinstance(d, Dirac):
         out = k(d.point)
         if not isinstance(out, (Dirac, Categorical, Gaussian)):
@@ -339,7 +341,9 @@ def bind(d: Dist, k) -> Dist:
             for a2, w2 in finite_items(out):
                 mixed[a2] = mixed.get(a2, 0.0) + w * w2
             space = out.space
-        return categorical(space, mixed)
+        for a2 in mixed:
+            check_point(space, a2)
+        return _finite_law(space, tuple((a2, float(w)) for a2, w in mixed.items() if w != 0.0))
     if isinstance(d, Gaussian):
         if isinstance(k, GaussianKernel):
             a, b, s = k.arrays()

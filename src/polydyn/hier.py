@@ -105,6 +105,12 @@ def mk_hier(
     absorb: Callable,
     init: Dist = None,
 ) -> HierSystem:
+    """A hierarchical system from its one-tick emit and absorb, which
+    ``trace`` and ``quasi_bisim`` read at t = 1, as ``closure`` reads a
+    ``System``.  At each state of a finite space the lens must have the
+    declared shape, and a clock is refused, naming the state and the tick:
+    where the lens is finite, it and the absorb of each of its responses
+    must be at ticks 0 and 2 what they are at 1.  A clock goes in the state."""
     hs = HierSystem(source, target, states, time_nat(), emit, absorb, init=init)
     if is_finite(states):
         for x in points(states):
@@ -114,17 +120,37 @@ def mk_hier(
                     f"emitted lens at state {x!r} has shape {phi.source!r} -> "
                     f"{phi.target!r}, declared {source!r} -> {target!r}"
                 )
+            if (t := _clock_tick(hs, x, phi)) is not None:
+                raise HierError(f"the system reads the clock: at state {x!r}, its emit or "
+                                f"absorb at tick {t} differs from tick 1; carry it in the state")
     return hs
+
+
+def _clock_tick(hs: HierSystem, x, lens: PolyMap) -> Optional[int]:
+    """The first of ticks 0 and 2 at which state x emits another lens than
+    ``lens``, its lens at tick 1, or absorbs a response into another law."""
+    ins = lens.source.positions
+    if not is_finite(ins) or not all(is_finite(lens.target.dirs_at(lens.forward(i)))
+                                     for i in points(ins)):
+        return None
+    moves = [(i, d, hs.absorb(1, x, i, d)) for i, d in _responses(lens)]
+    for t in (0, 2):
+        other = hs.emit(t, x)
+        if any(other.forward(i) != lens.forward(i) for i in points(ins)) or any(
+                dist_distance(other.backward(i, d), lens.backward(i, d))
+                or dist_distance(hs.absorb(t, x, i, d), law) for i, d, law in moves):
+            return t
+    return None
 
 
 def as_hier(sys_: System) -> HierSystem:
     """An open system on p as the hierarchical system y -> p, whose lenses are
     the positions of p: it emits the constant lens at its output and absorbs
-    a direction as one tick of its update, as ``closure`` steps it."""
+    a direction as one tick of its update, read at t = 1 as ``closure`` is."""
     source, p = y(), sys_.interface
 
     def emit(t, x):
-        a = sys_.output(t, x)
+        a = sys_.output(1, x)
         return det_polymap(source, p, lambda i: a, lambda i, d: ())
 
     def absorb(t, x, i, d):
@@ -281,24 +307,23 @@ def function_system(f: Callable, A: Space, B: Space) -> HierSystem:
 
 class HierTable:
     """A hierarchical system with finite states, positions and fibres,
-    tabulated over ticks 0..horizon.
+    tabulated at one tick: its emit and absorb read at t = 1, which every
+    tick repeats (see ``mk_hier``).
 
-    State ids follow ``points(states)``.  ``key_of[t]`` maps each state id to
-    the id of the lens the state emits at tick t; ``keys[k]`` is that lens's
+    State ids follow ``points(states)``.  ``key_of`` maps each state id to
+    the id of the lens the state emits; ``keys[k]`` is that lens's
     normalized ``polymap_key`` and ``options[k]`` its normalized (position,
     direction) responses, in the order ``hom_sections`` offers them.  A leaf
     table walks each lens for its key; a composite table assembles it from
     its factors' keys (see ``_PairTable``), unless it is walked as a leaf.
-    ``step(t, s, o)`` is the next-state law of state s after response o at
-    tick t, as a sparse row (state ids, weights).  Rows are built on first
-    use and interned, so states that move alike share one row id.
-    ``law(d)`` is a finite law as a vector over state ids; a composite's own
-    initial law is read from its factors' vectors (``_PairTable.law``)."""
+    ``step(s, o)`` is the next-state law of state s after response o, as a
+    sparse row (state ids, weights).  Rows are built on first use and
+    interned, so states that move alike share one row id.  ``law(d)`` is a
+    finite law as a vector over state ids; a composite's own initial law is
+    read from its factors' vectors (``_PairTable.law``)."""
 
     def __init__(self, hs: HierSystem):
         self.system = hs
-        self.size = 0
-        self.key_of: list = []
         self.keys: list = []
         self.options: list = []
         self._lenses: list = []  # key id -> one emitted lens with that key
@@ -315,13 +340,8 @@ class HierTable:
             self._lenses.append(lens)
         return k
 
-    def first_seen(self) -> list:
-        """Key ids in order of first emission over (tick, state id)."""
-        return list(dict.fromkeys(itertools.chain.from_iterable(ids.tolist()
-                                                                for ids in self.key_of)))
-
-    def step(self, t: int, s: int, o: int) -> tuple:
-        return self.row(int(self.rows(t, np.array([s]), np.array([o]))[0]))
+    def step(self, s: int, o: int) -> tuple:
+        return self.row(int(self.rows(np.array([s]), np.array([o]))[0]))
 
     def row(self, r: int) -> tuple:
         got = self._rows[r]
@@ -342,33 +362,27 @@ class HierTable:
 
 
 class _LeafTable(HierTable):
-    """Tabulated by walking emit once per (tick, state), keying each lens
-    with ``polymap_key`` (which refuses a backward atom off its fibre),
-    listing each distinct lens's responses once (``_responses``), and
-    walking absorb once per (tick, state, response) actually reached.  The
-    atoms of each law that absorb returns are mapped to a row once per law
-    object: channels, priors and stateless systems return one shared law."""
+    """Tabulated by walking emit once per state, keying each lens with
+    ``polymap_key`` (which refuses a backward atom off its fibre), listing
+    each distinct lens's responses once (``_responses``), and walking
+    absorb once per (state, response) that a tick reaches.  The atoms of
+    each law that absorb returns are mapped to a row once per law object:
+    channels, priors and stateless systems return one shared law."""
 
-    def __init__(self, hs: HierSystem, horizon: int):
+    def __init__(self, hs: HierSystem):
         super().__init__(hs)
         if not (is_finite(hs.states) and is_finite(hs.source.positions)):
             raise HierError("tabulating needs finite states and source positions")
         self._states = list(points(hs.states))
         self._ids = {x: s for s, x in enumerate(self._states)}
         self.size = len(self._states)
-        self._resp: list = []  # key id -> [(position, direction), ...]
-        for t in range(horizon + 1):
-            ids = np.empty(self.size, dtype=np.intp)
-            for s, x in enumerate(self._states):
-                lens = hs.emit(t, x)
-                key = polymap_key(lens)
-                if key not in self._key_ids:
-                    self._resp.append(_responses(lens))
-                ids[s] = self._key_id(key, lens)
-            self.key_of.append(ids)
+        self.key_of = np.empty(self.size, dtype=np.intp)
+        for s, x in enumerate(self._states):
+            lens = hs.emit(1, x)
+            self.key_of[s] = self._key_id(polymap_key(lens), lens)
+        self._resp = [_responses(lens) for lens in self._lenses]  # key id -> responses
         self._width = 1 + max(len(o) for o in self.options)
-        # per tick: state id * width + option -> row id
-        self._absorbed = [{} for _ in range(horizon + 1)]
+        self._absorbed: dict = {}  # state id * width + option -> row id
         # id(absorbed law) -> (law, row id); the law kept alive keeps its id
         self._law_rows: dict = {}
 
@@ -378,14 +392,14 @@ class _LeafTable(HierTable):
         except (KeyError, TypeError):
             raise HierError(f"{x!r} is not a state of the system") from None
 
-    def rows(self, t: int, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
+    def rows(self, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
         width = self._width
-        return _interned(sid * width + opt, self._absorbed[t],
-                         lambda code: self._absorb(t, *divmod(code, width)))
+        return _interned(sid * width + opt, self._absorbed,
+                         lambda code: self._absorb(*divmod(code, width)))
 
-    def _absorb(self, t: int, s: int, o: int) -> int:
-        i, d = self._resp[self.key_of[t][s]][o]
-        law = self.system.absorb(t, self._states[s], i, d)
+    def _absorb(self, s: int, o: int) -> int:
+        i, d = self._resp[self.key_of[s]][o]
+        law = self.system.absorb(1, self._states[s], i, d)
         hit = self._law_rows.get(id(law))
         if hit is not None:
             return hit[1]
@@ -402,8 +416,9 @@ class _LeafTable(HierTable):
 class _PairTable(HierTable):
     """A ``compose_hier``/``tensor_hier`` composite, tabulated from its
     factors' tables.  State (x, z) has id ``id(x) * |Z| + id(z)``; its key is
-    formed once per distinct pair of factor keys, and its rows are pairs of
-    factor rows, expanded into their outer product only when used.
+    formed once per distinct pair of factor keys, the factors' key arrays
+    are paired once, and its rows are pairs of factor rows, expanded into
+    their outer product only when used.
 
     A composite key and each response's route, one option of each factor,
     are read from the factors' keys (``_compose_key``, ``tensor_key``), and
@@ -411,23 +426,19 @@ class _PairTable(HierTable):
     that lens: both list a law's items in its fibre's order, and an atom off
     its fibre was refused where a factor's leaf was keyed."""
 
-    def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable,
-                 horizon: int):
+    def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable):
         super().__init__(hs)
         self._kind, self._left, self._right = kind, left, right
         self.size = left.size * right.size
-        self._pair_ids: dict = {}  # left key * |right keys| + right key -> pair id
         self._pair_key: list = []  # pair id -> key id
         self._offset: list = []  # pair id -> index of its first route
         routes: list = []  # (left option, right option) per response
-        self._pair_of: list = []  # per tick: state id -> pair id
         self._row_pairs: dict = {}  # row id -> left row * 2**31 + right row
         n_right = len(right.keys)
-        for t in range(horizon + 1):
-            code = (left.key_of[t][:, None] * n_right + right.key_of[t][None, :]).ravel()
-            pair = _interned(code, self._pair_ids, lambda c: self._pair(c, n_right, routes))
-            self._pair_of.append(pair)
-            self.key_of.append(np.asarray(self._pair_key, dtype=np.intp)[pair])
+        code = (left.key_of[:, None] * n_right + right.key_of[None, :]).ravel()
+        # state id -> pair id, a pair being left key * |right keys| + right key
+        self._pair_of = _interned(code, {}, lambda c: self._pair(c, n_right, routes))
+        self.key_of = np.asarray(self._pair_key, dtype=np.intp)[self._pair_of]
         self._offset = np.asarray(self._offset, dtype=np.intp)
         self._route_left, self._route_right = np.array(routes, dtype=np.intp).reshape(-1, 2).T
 
@@ -461,11 +472,11 @@ class _PairTable(HierTable):
             raise HierError(f"{x!r} is not a state of the composite")
         return self._left.state_id(x[0]) * self._right.size + self._right.state_id(x[1])
 
-    def rows(self, t: int, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
+    def rows(self, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:
         xs, zs = np.divmod(sid, self._right.size)
-        route = self._offset[self._pair_of[t][sid]] + opt
-        right = self._right.rows(t, zs, self._route_right[route])
-        left = self._left.rows(t, xs, self._route_left[route])
+        route = self._offset[self._pair_of[sid]] + opt
+        right = self._right.rows(zs, self._route_right[route])
+        left = self._left.rows(xs, self._route_left[route])
         return _interned(left.astype(np.int64) * (1 << 31) + right, self._row_ids, self._pair_row)
 
     def _pair_row(self, code: int) -> int:
@@ -537,30 +548,29 @@ def _check_horizon(horizon: int) -> None:
         raise HierError(f"horizon must be non-negative, got {horizon}")
 
 
-def tabulate(hs: HierSystem, horizon: int) -> HierTable:
+def tabulate(hs: HierSystem) -> HierTable:
     """Tabulate a hierarchical system with finite states, positions and
-    fibres over ticks 0..horizon (see ``HierTable``).  Composites of
+    fibres at one tick (see ``HierTable``).  Composites of
     ``compose_hier``/``tensor_hier`` are built from their factors' tables, so
     no composite emit or absorb is walked.  A compose composite whose middle
     law mixes directions is the exception: it is tabulated, like every other
     system, by walking its own emit and absorb."""
-    _check_horizon(horizon)
-    return _tabulate(hs, horizon, {})
+    return _tabulate(hs, {})
 
 
-def _tabulate(hs: HierSystem, horizon: int, done: dict) -> HierTable:
+def _tabulate(hs: HierSystem, done: dict) -> HierTable:
     hit = done.get(id(hs))
     if hit is not None and hit[0] is hs:
         return hit[1]
     if hs.factors is None:
-        table = _LeafTable(hs, horizon)
+        table = _LeafTable(hs)
     else:
         kind, left, right = hs.factors
-        right_table = _tabulate(right, horizon, done)
+        right_table = _tabulate(right, done)
         if kind == "compose" and not _point_middles(right_table):
-            table = _LeafTable(hs, horizon)
+            table = _LeafTable(hs)
         else:
-            table = _PairTable(hs, kind, _tabulate(left, horizon, done), right_table, horizon)
+            table = _PairTable(hs, kind, _tabulate(left, done), right_table)
     done[id(hs)] = (hs, table)
     return table
 
@@ -673,7 +683,7 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
     for t in range(horizon + 1):
         active = np.flatnonzero(law.any(axis=0))
         mass = law[:, active]
-        keys = table.key_of[t][active]
+        keys = table.key_of[active]
         yield _point_mass_rows(_by_group(mass, to_union[keys], n_keys)), stopped
         if t < horizon:
             sec, col = np.nonzero(mass.reshape(n_sec, n_cand, len(active)).any(axis=1))
@@ -685,7 +695,7 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
                 keep = ~stopped[sec]
                 sec, col, opt = sec[keep], col[keep], opt[keep]
             rids = np.full((n_sec, len(active)), -1, dtype=np.intp)
-            rids[sec, col] = table.rows(t, active[col], opt)
+            rids[sec, col] = table.rows(active[col], opt)
             law = _advance(table, mass, rids) if len(sec) else np.zeros_like(law)
 
 
@@ -698,7 +708,7 @@ def _union(tables: list) -> tuple:
     maps = []
     for table in tables:
         to_union = np.empty(len(table.keys), dtype=np.intp)
-        for k in table.first_seen():
+        for k in dict.fromkeys(table.key_of.tolist()):  # in order of first emission
             u = index.get(table.keys[k])
             if u is None:
                 u = index[table.keys[k]] = len(keys)
@@ -780,27 +790,15 @@ class HomSection:
     table: tuple  # ((lens key, (position, direction)), ...)
 
 
-def hom_sections(systems, horizon: int, max_sections: int = 512) -> list:
-    """All environment strategies over the lenses the given systems can emit,
+def hom_sections(systems, max_sections: int = 512) -> list:
+    """All environment strategies over the lenses the given systems emit,
     capped by seeded sampling when the exhaustive product is too large."""
-    _check_horizon(horizon)
     done: dict = {}
-    keys, options, _ = _union([_tabulate(hs, horizon, done) for hs in systems])
+    keys, options, _ = _union([_tabulate(hs, done) for hs in systems])
     return [
         HomSection(tuple(zip(keys, (opts[o] for opts, o in zip(options, combo)))))
         for combo in _section_choices(options, max_sections)
     ]
-
-
-def _apply_hom_section(hs: HierSystem, respond: Callable, t: int, x):
-    phi = hs.emit(t, x)
-    response = respond(polymap_key(phi))
-    if response is None:
-        raise HierError("section has no entry for an emitted lens")
-    i_n, d_n = response
-    i = expand_point(hs.source.positions, i_n)
-    fibre = hs.target.dirs_at(phi.forward(i))
-    return hs.absorb(t, x, i, expand_point(fibre, d_n))
 
 
 def _key_dist(pairs) -> Dist:
@@ -810,16 +808,32 @@ def _key_dist(pairs) -> Dist:
 
 def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
     """The trace of a hierarchical system by walking its emit and absorb
-    closures: the specification the tables are checked against, and the
-    route for systems whose states are not finite."""
+    closures, read at t = 1 as the tables read them: the specification the
+    tables are checked against, and the route for systems whose states are
+    not finite.  Each state reached emits and is keyed once."""
     respond = _strategy(sigma, (hs,))
+    emitted: dict = {}  # state -> (lens, key)
+
+    def lens_key(x) -> tuple:
+        hit = emitted.get(x)
+        if hit is None:
+            lens = hs.emit(1, x)
+            hit = emitted[x] = (lens, polymap_key(lens))
+        return hit
+
+    def moved(x) -> Dist:
+        lens, key = lens_key(x)
+        if (response := respond(key)) is None:
+            raise HierError("section has no entry for an emitted lens")
+        i = expand_point(hs.source.positions, response[0])
+        return hs.absorb(1, x, i, expand_point(hs.target.dirs_at(lens.forward(i)), response[1]))
+
     values = []
     law = init
     for t in range(horizon + 1):
-        pairs = [(polymap_key(hs.emit(t, x)), w) for x, w in finite_items(law)]
-        values.append(_key_dist(pairs))
+        values.append(_key_dist([(lens_key(x)[1], w) for x, w in finite_items(law)]))
         if t < horizon:
-            law = bind(law, lambda x, _t=t: _apply_hom_section(hs, respond, _t, x))
+            law = bind(law, moved)
     return Trace(tuple(range(horizon + 1)), tuple(values))
 
 
@@ -842,7 +856,7 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
         ))
     if not is_finite(sys_.states):
         return _closure_trace(sys_, sigma, init, horizon)
-    table = tabulate(sys_, horizon)
+    table = tabulate(sys_)
     n = len(table.keys)
     laws = _key_laws(
         table, np.arange(n), n, _choice(sigma, (sys_,), table.keys, table.options)[None, :],
@@ -901,7 +915,7 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     a lens it reaches at tick t raises ``HierError`` when its tick t + 1 is
     read."""
     done: dict = {}
-    tables = [_tabulate(theta, horizon, done), _tabulate(psi, horizon, done)]
+    tables = [_tabulate(theta, done), _tabulate(psi, done)]
     keys, options, maps = _union(tables)
     if sections is None:
         choices = _section_choices(options, max_sections)
@@ -979,9 +993,11 @@ def quasi_bisim(
     sections become a seeded sample of ``max_sections`` (512) distinct
     sections when their exhaustive product is larger.
     An open system on p is compared as the hierarchical system y -> p
-    (``as_hier``).  Systems with finite states are compared on their tables;
-    any other system only under explicit ``sections``.  A comparison under
-    no section at all is refused, not passed.
+    (``as_hier``).  Systems with finite states are compared on their tables,
+    which hold their emit and absorb at one tick, and ticks 0..horizon move
+    the laws through them; any other system only under explicit
+    ``sections``.  A comparison under no section at all is refused, not
+    passed.
 
     A candidate pair matches when its traces agree within ``tol`` at every
     tick under every section.  A side-a candidate holds when some

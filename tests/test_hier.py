@@ -47,6 +47,7 @@ from polydyn import (
     unit,
     y,
 )
+from polydyn import hier
 from polydyn.hier import _closure_trace
 
 A = finite(0, 1, 2)
@@ -168,7 +169,7 @@ def test_hier_tables_roundtrip():
 
 def test_trace_of_identity_system_is_constant():
     idA = id_hier(linear(A))
-    sections = hom_sections([idA], horizon=4)
+    sections = hom_sections([idA])
     assert len(sections) == 3  # one choice of offered position per lens
     tr = trace(idA, sections[0], idA.init, horizon=4)
     assert tr.times == (0, 1, 2, 3, 4)
@@ -245,7 +246,7 @@ def test_stochastic_hier_absorb_law():
         return uniform(states)
 
     hs = mk_hier(y(), linear(states), states, emit, absorb)
-    sections = hom_sections([hs], horizon=2)
+    sections = hom_sections([hs])
     tr = trace(hs, sections[0], dirac(states, 0), 2)
     assert prob_of_key(tr.values[1]) == 0.5
 
@@ -372,7 +373,7 @@ def test_a_backward_law_outside_the_middle_fibre_is_named():
     gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: stray,
                     lambda t, z, a, d: dirac(unit(), ()))
     both = compose_hier(beta, gamma)
-    for run in (lambda: tabulate(both, 2),
+    for run in (lambda: tabulate(both),
                 lambda: quasi_bisim(both, both, horizon=2)):
         with pytest.raises(PolyError, match=r"source position 0, .* direction \(\) with 'zzz', "
                                             r"which is not a point of finite\['s0', 's1'\]"):
@@ -390,7 +391,7 @@ def test_a_backward_law_outside_a_unit_middle_fibre_is_named():
     gamma = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
                     lambda t, z, a, d: dirac(unit(), ()))
     both = compose_hier(beta, gamma)
-    for run in (lambda: tabulate(both, 2),
+    for run in (lambda: tabulate(both),
                 lambda: quasi_bisim(both, both, horizon=2)):
         with pytest.raises(PolyError, match=r"source position 0, .* direction \(\) with 'zzz', "
                                             r"which is not a point of unit\(\)"):
@@ -407,7 +408,7 @@ def test_a_stray_backward_atom_is_named_where_no_route_reads_it():
     leaf = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
                    lambda t, z, a, d: dirac(unit(), ()))
     with pytest.raises(PolyError, match=r"source position 0, .* with 'zzz'"):
-        tabulate(leaf, 2)
+        tabulate(leaf)
     S = finite("s0", "s1")
     beta = mk_hier(y(), monomial(A, S), finite(0, 1),
                    lambda t, x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
@@ -417,7 +418,7 @@ def test_a_stray_backward_atom_is_named_where_no_route_reads_it():
     gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: lens,
                     lambda t, z, a, d: dirac(unit(), ()))
     both = compose_hier(beta, gamma)
-    for run in (lambda: tabulate(both, 2),
+    for run in (lambda: tabulate(both),
                 lambda: quasi_bisim(both, both, horizon=2)):
         with pytest.raises(PolyError, match=r"source position 0, .* with 'zzz'"):
             run()
@@ -434,7 +435,7 @@ def test_a_standalone_leaf_answering_off_its_fibre_is_refused():
                    lambda t, z, a, d: dirac(unit(), ()))
     message = (r"at source position 0, the backward law answers direction \(\) with 'zzz', "
                r"which is not a point of finite\['s0', 's1'\]")
-    for run in (lambda: tabulate(leaf, 2),
+    for run in (lambda: tabulate(leaf),
                 lambda: quasi_bisim(leaf, leaf, "forall", "forall", horizon=2),
                 lambda: _closure_trace(leaf, HomSection(()), dirac(unit(), ()), 2)):
         with pytest.raises(PolyError, match=message):
@@ -448,6 +449,44 @@ def test_mk_hier_validates_emitted_shape():
     with pytest.raises(HierError):
         mk_hier(linear(A), linear(A), finite(0), emit,
                 lambda t, x, i, d: dirac(finite(0), 0))
+
+
+def test_a_leaf_that_reads_the_clock_is_refused_by_name():
+    """A discrete hierarchical system is its one-tick emit and absorb, so
+    ``mk_hier`` refuses a leaf whose emit or absorb reads the clock, naming
+    the first state and probed tick where it differs from tick 1: a lens
+    that changes at tick 0, an absorb that does, a lens on a clock of
+    period two, and ``hier_from_tables`` maps that read it.  The clock
+    carried in the state is accepted."""
+    states = finite(0, 1, 2)
+    B = finite("even", "odd")
+
+    def lens(label):
+        return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
+
+    def stay(t, x, i, d):
+        return dirac(states, x)
+
+    refused = [
+        (lambda t, x: lens("even" if t == 0 else "odd"), stay, 0, 0),
+        (lambda t, x: lens("even"), lambda t, x, i, d: dirac(states, min(t, 2)), 0, 0),
+        (lambda t, x: lens("odd" if (x == 2) == (t % 2 == 1) else "even"), stay, 0, 0),
+        (lambda t, x: lens("odd" if x < 2 or t < 2 else "even"), stay, 2, 2),
+    ]
+    for emit, absorb, x, t in refused:
+        with pytest.raises(HierError, match=rf"^the system reads the clock: at state {x}, "
+                                            rf"its emit or absorb at tick {t} differs"):
+            mk_hier(y(), linear(B), states, emit, absorb)
+    with pytest.raises(HierError, match=r"at state 1, its emit or absorb at tick 2 differs"):
+        hier_from_tables(finite(0), unit(), B, unit(), states,
+                         o1=lambda t, x, a: "even", o2=lambda t, x, a, tp: (),
+                         u=lambda t, x, a, tp: dirac(states, x if x != 1 or t < 2 else 0))
+    clocked = prod(states, finite(0, 1))
+    parity = mk_hier(y(), linear(B), clocked, lambda t, xc: lens(("even", "odd")[xc[1]]),
+                     lambda t, xc, i, d: dirac(clocked, (xc[0], 1 - xc[1])))
+    start = dirac(clocked, (0, 0))
+    values = trace(parity, hom_sections([parity])[0], start, 3).values
+    assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
 
 
 def test_hier_system_optional_fields_are_keyword_only():
@@ -479,7 +518,7 @@ def test_quasi_bisim_on_infinite_states_walks_the_closures():
         return mk_hier(y(), linear(B), states, emit,
                        lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
 
-    sections = hom_sections([blinker(2)], horizon=4)
+    sections = hom_sections([blinker(2)])
     start = [dirac(states, (0.0,))]
     same = quasi_bisim(machine(0), machine(2), sections=sections, horizon=4,
                        tol=0.0, alphas=start, betas=start)
@@ -507,47 +546,72 @@ def test_quasi_bisim_refuses_to_compare_under_no_section():
     mute = mk_hier(y(), mute_target, finite(0),
                    lambda t, x: det_polymap(y(), mute_target, lambda i: "even", lambda i, d: ()),
                    lambda t, x, i, d: dirac(finite(0), 0))
-    assert hom_sections([mute], horizon=3) == []
+    assert hom_sections([mute]) == []
     with pytest.raises(HierError, match="no section"):
         quasi_bisim(mute, mute, "forall", "forall", horizon=3)
 
 
 def forking(swap=False):
-    """Three states.  At tick 0 every state shows "l0", whose response "a"
-    moves to state 1 and "b" to state 2 (the other way round with ``swap``);
-    later state x shows "l{x}" and stays.  Its three lens keys, in
-    first-seen order: l0, l1, l2."""
-    states = finite(0, 1, 2)
+    """Three states x, each with a started flag, carried in the state (x,
+    started).  Before it has started, every state shows "l0", whose response
+    "a" moves to started state 1 and "b" to started state 2 (the other way
+    round with ``swap``); started state x shows "l{x}" and stays.  Its three
+    lens keys, in first-seen order: l0, l1, l2."""
+    states = prod(finite(0, 1, 2), finite(0, 1))
     target = monomial(finite("l0", "l1", "l2"), finite("a", "b"))
 
-    def emit(t, x):
-        label = "l0" if t == 0 else f"l{x}"
+    def emit(t, xs):
+        x, started = xs
+        label = f"l{x}" if started else "l0"
         return det_polymap(y(), target, lambda i: label, lambda i, d: ())
 
-    def absorb(t, x, i, d):
-        return dirac(states, x if t else (1 if (d == "a") != swap else 2))
+    def absorb(t, xs, i, d):
+        x, started = xs
+        return dirac(states, xs if started else (1 if (d == "a") != swap else 2, 1))
 
     return mk_hier(y(), target, states, emit, absorb)
 
 
-def test_a_partial_section_answers_only_the_lenses_it_reaches():
+@pytest.fixture
+def from_the_start(monkeypatch):
+    """Verdicts on ``forking`` from its start alone, the point mass at
+    unstarted state 0.  With the flag in the state, a started state is a
+    candidate start of its own, which shows at tick 0 the lens that a
+    partial section lacks; these verdicts are about the runs from the
+    start."""
+    monkeypatch.setattr(hier, "_candidates",
+                        lambda sys_, provided, mode: [dirac(sys_.states, (0, 0))])
+
+
+def test_forking_equals_the_closure_walk():
+    """With its started flag in the state, ``forking`` traces as the closure
+    walk does, at tolerance 0, from every state and under every section."""
+    for hs in (forking(), forking(swap=True)):
+        for sigma in hom_sections([hs]):
+            for x in points(hs.states):
+                start = dirac(hs.states, x)
+                got, want = trace(hs, sigma, start, 3), _closure_trace(hs, sigma, start, 3)
+                assert got == want, (x, sigma)
+
+
+def test_a_partial_section_answers_only_the_lenses_it_reaches(from_the_start):
     """Section A answers "a" at l0 and has no entry for l2; section B answers
     "b" at l0 and has no entry for l1.  Neither ever meets the lens it lacks,
     so the verdict holds, also with A and B moved together."""
     hs = forking()
-    full = hom_sections([hs], horizon=2)  # options in product order: a, b
+    full = hom_sections([hs])  # options in product order: a, b
     go_a = HomSection(full[0].table[:2])
     go_b = HomSection((full[4].table[0], full[4].table[2]))
     for part, whole in ((go_a, full[0]), (go_b, full[4])):
-        start = dirac(hs.states, 0)
+        start = dirac(hs.states, (0, 0))
         assert trace(hs, part, start, 2) == trace(hs, whole, start, 2)
     verdict = quasi_bisim(hs, hs, "forall", "exists", sections=[go_a, go_b] * 4, horizon=2)
     assert verdict["related"] and verdict["sections"] == 8
 
 
-def test_a_section_missing_a_reached_lens_is_named_with_its_tick():
+def test_a_section_missing_a_reached_lens_is_named_with_its_tick(from_the_start):
     hs = forking()
-    full = hom_sections([hs], horizon=2)
+    full = hom_sections([hs])
     go_a = HomSection(full[0].table[:2])
     go_b = HomSection((full[4].table[0], full[4].table[2]))
     lacks_l1 = HomSection((full[0].table[0], full[0].table[2]))
@@ -556,14 +620,14 @@ def test_a_section_missing_a_reached_lens_is_named_with_its_tick():
                     horizon=2)
 
 
-def test_a_refutation_stands_without_reading_a_later_partial_section():
+def test_a_refutation_stands_without_reading_a_later_partial_section(from_the_start):
     """Under the full section "a" the two machines part at tick 1 (l1
     against l2), so every pair has mismatched within section 0.  Section 1
     has no entry for l0, which every state shows at tick 0.  It is never
     read, so the refutation is returned; where section 1 is read, it is
     named."""
     hs = forking()
-    full = hom_sections([hs], horizon=2)
+    full = hom_sections([hs])
     no_l0 = HomSection(full[0].table[1:])
     verdict = quasi_bisim(hs, forking(swap=True), "forall", "forall",
                           sections=[full[0], no_l0], horizon=2)
@@ -574,7 +638,7 @@ def test_a_refutation_stands_without_reading_a_later_partial_section():
     with pytest.raises(HierError, match="section 0 has no entry for an emitted lens at tick 0"):
         quasi_bisim(hs, hs, "forall", "forall", sections=[no_l0], horizon=2)
     with pytest.raises(HierError, match="section has no entry for an emitted lens at tick 0"):
-        trace(hs, no_l0, dirac(hs.states, 0), 2)
+        trace(hs, no_l0, dirac(hs.states, (0, 0)), 2)
 
 
 def test_quasi_bisim_on_infinite_states_needs_explicit_sections():
@@ -589,10 +653,10 @@ def test_quasi_bisim_on_infinite_states_needs_explicit_sections():
 
 
 def test_a_negative_horizon_is_refused():
-    """Ticks run 0..horizon, so horizon -1 leaves none: every tabulating or
-    tracing entry point refuses it by name, for finite and infinite states."""
+    """Ticks run 0..horizon, so horizon -1 leaves none: every tracing entry
+    point refuses it by name, for finite and infinite states."""
     hs = blinker(2)
-    sigma = hom_sections([hs], horizon=0)[0]
+    sigma = hom_sections([hs])[0]
     states = euclid(1)
     B = finite("even", "odd")
     drift = mk_hier(y(), linear(B), states,
@@ -600,8 +664,6 @@ def test_a_negative_horizon_is_refused():
                     lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
     start = [dirac(states, (0.0,))]
     for refused in (
-        lambda: tabulate(hs, -1),
-        lambda: hom_sections([hs], horizon=-1),
         lambda: trace(hs, sigma, dirac(hs.states, 0), -1),
         lambda: quasi_bisim(hs, blinker(4), horizon=-1),
         lambda: trace(drift, sigma, start[0], -1),

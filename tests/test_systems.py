@@ -187,6 +187,19 @@ def test_a_tabulated_row_is_not_checked_again():
     assert cs.step(2, 0) == Categorical(states, tuple(zip((0, 1), (p @ p)[0].tolist())))
 
 
+def test_a_nested_bind_is_not_checked_again():
+    """One-tick laws summing to 1 - 9e-13 at either state: the nested bind,
+    as a closure on more than 512 states steps, mixes them into the row of
+    P^2, whose total is past ``categorical``'s 1e-12, without refusing it."""
+    states = finite(0, 1)
+    laws = [categorical(states, {0: 0.5, 1: 0.5 - 9e-13}),
+            categorical(states, {0: 0.5 - 9e-13, 1: 0.5})]
+    sys_ = mk_system(y(), states, lambda t, s: (), lambda t, s, d: laws[s], time_nat(),
+                     STOCHASTIC)
+    cs = closure(sys_, trivial_section(y()))
+    assert bind(cs.step(1, 0), lambda z: cs.step(1, z)) == cs.step(2, 0)
+
+
 def test_a_closure_on_many_states_steps_without_a_tick_matrix():
     """Past 512 states a closure steps by nested binds: step(2) of a
     2,000-state counter builds no 2,000 x 2,000 matrix (32 MB)."""

@@ -1,9 +1,11 @@
 """What a table verdict builds, counted: each thing once.
 
-A composite's own initial law is read from its factors' law vectors, with
-no composite state looked up; a leaf maps each absorbed law's atoms once; no
-``np.unique`` sorts a single code; and the candidate initial laws are the
-point masses and uniform law built the checked way, without the checks.
+A verdict keys each leaf state's lens once and absorbs each (state,
+response) once, whatever its horizon; a composite's own initial law is read
+from its factors' law vectors, with no composite state looked up; a leaf
+maps each absorbed law's atoms once; no ``np.unique`` sorts a single code;
+and the candidate initial laws are the point masses and uniform law built
+the checked way, without the checks.
 """
 
 import collections
@@ -43,6 +45,52 @@ def bayes_3x3():
     inverse = exact_bayes(rows.__getitem__, pi, target=Y)
     return (stochastic_channel_system(rows.__getitem__, X, Y), prior_system(pi),
             stochastic_channel_system(inverse, Y, X))
+
+
+# the stateless leaves of a Bayes check's joints: copy and identity on X and on Y
+STATELESS = 4
+
+
+@pytest.mark.parametrize("horizon", (0, 4, 8))
+def test_a_verdict_keys_each_leaf_state_once(monkeypatch, horizon):
+    """A 3x3 Bayes verdict keys one lens per state of its leaves, the prior,
+    the channel, the inversion and the four stateless systems, at every
+    horizon: a tick repeats the lenses of tick 1, so no tick walks them
+    again."""
+    c, p, inv = bayes_3x3()
+    keyed = []
+    real_key = hier.polymap_key
+
+    def polymap_key(lens):
+        keyed.append(lens)
+        return real_key(lens)
+
+    monkeypatch.setattr(hier, "polymap_key", polymap_key)
+    assert bayes_check(c, p, inv, horizon=horizon)["related"] is True
+    states = sum(len(list(points(leaf.states))) for leaf in (c, p, inv)) + STATELESS
+    assert states == 61
+    assert len(keyed) == states
+
+
+@pytest.mark.parametrize("horizon", (4, 8))
+def test_a_verdict_absorbs_each_state_and_response_once(monkeypatch, horizon):
+    """Every tick of a 3x3 Bayes verdict reads its leaves' rows, but each
+    leaf absorbs a (state, response) once, so the absorbs are at most the
+    distinct (state, response) pairs of its leaves."""
+    absorbed = collections.Counter()
+    tables = {}
+    real_absorb = hier._LeafTable._absorb
+
+    def absorb(self, s, o):
+        absorbed[(id(self), s, o)] += 1
+        tables[id(self)] = self
+        return real_absorb(self, s, o)
+
+    monkeypatch.setattr(hier._LeafTable, "_absorb", absorb)
+    assert bayes_check(*bayes_3x3(), horizon=horizon)["related"] is True
+    pairs = sum(len(tb.options[k]) for tb in tables.values() for k in tb.key_of.tolist())
+    assert set(absorbed.values()) == {1}
+    assert sum(absorbed.values()) <= pairs
 
 
 def test_a_composites_initial_law_looks_up_no_composite_state(monkeypatch):
@@ -85,11 +133,11 @@ def test_a_leaf_maps_each_absorbed_law_once(monkeypatch):
     kept = []  # the laws, kept alive so that their ids stay theirs
     real_absorb, real_items = hier._LeafTable._absorb, hier.finite_items
 
-    def absorb(self, t, s, o):
+    def absorb(self, s, o):
         absorbs[id(self)] += 1
         inside.append(self)
         try:
-            return real_absorb(self, t, s, o)
+            return real_absorb(self, s, o)
         finally:
             inside.pop()
 

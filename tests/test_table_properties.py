@@ -1,8 +1,8 @@
 """Generated finite hierarchical systems: their tables against the closures.
 
-Hypothesis draws small leaves -- one or two states, weights k/8, interfaces
-with unit and labelled fibres, lenses that change with the tick, every leaf
-with an initial law -- and combines them with ``compose_hier`` and
+Hypothesis draws small leaves -- one or two states, one state on a clock
+of period two ticks carried in the state, weights k/8, interfaces with unit
+and labelled fibres, every leaf with an initial law -- and combines them with ``compose_hier`` and
 ``tensor_hier`` up to depth 3, with compose middles whose backward laws are
 point masses or mixtures.  The closure walk is the specification: at
 tolerance zero, every key and reached row of a table is the closure's, and
@@ -32,6 +32,8 @@ from polydyn import (
     monomial,
     points,
     polymap_key,
+    prod,
+    pushforward,
     tabulate,
     tabulated,
     tensor_hier,
@@ -64,16 +66,18 @@ INTERFACES = [
 ]
 
 
-def leaf(rng, source, target, n_states: int, mixed: bool):
-    """A leaf whose lens at (tick, state) is read from tables drawn by
-    ``rng``, with a period of two ticks.  Its backward laws mix directions
-    when ``mixed``, and are point masses otherwise."""
+def leaf(rng, source, target, n_states: int, period: int, mixed: bool):
+    """A leaf on states (x, phase) whose lens is read from tables drawn by
+    ``rng``, and whose every move advances the phase, so that its lens has a
+    period of ``period`` ticks.  Its backward laws mix directions when
+    ``mixed``, and are point masses otherwise."""
     gen = rng.generator()
-    states = finite(*range(n_states))
+    xs = finite(*range(n_states))
+    states = prod(xs, finite(*range(period)))
     ins, outs = list(points(source.positions)), list(points(target.positions))
     forward, backward, moves = {}, {}, {}
-    for parity in range(2):
-        for x in points(states):
+    for parity in range(period):
+        for x in points(xs):
             for i in ins:
                 o = forward[(parity, x, i)] = outs[int(gen.integers(len(outs)))]
                 fibre = source.dirs_at(i)
@@ -84,15 +88,22 @@ def leaf(rng, source, target, n_states: int, mixed: bool):
                         atoms = list(points(fibre))
                         backward[(parity, x, i, d)] = dirac(
                             fibre, atoms[int(gen.integers(len(atoms)))])
-                    moves[(parity, x, i, d)] = dyadic_dist(gen, states)
+                    moves[(parity, x, i, d)] = pushforward(
+                        lambda z, _p=parity: (z, (_p + 1) % period), dyadic_dist(gen, xs),
+                        target=states)
 
-    def emit(t, x):
-        return PolyMap(source, target, lambda i: forward[(t % 2, x, i)],
-                       lambda i, d: backward[(t % 2, x, i, d)],
+    def emit(t, xp):
+        x, parity = xp
+        return PolyMap(source, target, lambda i: forward[(parity, x, i)],
+                       lambda i, d: backward[(parity, x, i, d)],
                        STOCHASTIC if mixed else DETERMINISTIC)
 
-    return mk_hier(source, target, states, emit,
-                   lambda t, x, i, d: moves[(t % 2, x, i, d)], init=dyadic_dist(gen, states))
+    def absorb(t, xp, i, d):
+        x, parity = xp
+        return moves[(parity, x, i, d)]
+
+    start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
+    return mk_hier(source, target, states, emit, absorb, init=start)
 
 
 @st.composite
@@ -100,8 +111,9 @@ def leaves(draw, source=None):
     if source is None:
         source = draw(st.sampled_from(INTERFACES))
     target = draw(st.sampled_from(INTERFACES))
+    # (states, period): one or two states, the one state on a clock of two
     return leaf(Rng(draw(st.integers(0, 2**16))), source, target,
-                draw(st.sampled_from((1, 2))), draw(st.booleans()))
+                *draw(st.sampled_from(((1, 1), (2, 1), (1, 2)))), draw(st.booleans()))
 
 
 @st.composite
@@ -128,34 +140,32 @@ def systems(draw, depth: int = 3, source=None):
 
 
 def sections_of(hs) -> list:
-    return hom_sections([hs], HORIZON, max_sections=SECTIONS)
+    return hom_sections([hs], max_sections=SECTIONS)
 
 
 @GENERATED
 @given(hs=systems())
 def test_generated_table_keys_and_rows_equal_the_closures(hs):
-    """Every key is the key of the lens the closure emits, and every row
-    that a response reaches is the law the closure absorbs into."""
-    table = tabulate(hs, HORIZON)
+    """Every key is the key of the lens the closure emits at tick 1, and
+    every row that a response reaches is the law the closure absorbs into
+    there."""
+    table = tabulate(hs)
     states = list(points(hs.states))
-    for t in range(HORIZON + 1):
-        for s, x in enumerate(states):
-            lens = hs.emit(t, x)
-            k = table.key_of[t][s]
-            assert table.keys[k] == polymap_key(lens), (t, x)
-            if t == HORIZON:
-                continue
-            resp = [(i, d) for i in points(lens.source.positions)
-                    for d in points(lens.target.dirs_at(lens.forward(i)))]
-            assert len(resp) == len(table.options[k])
-            for o, (i, d) in enumerate(resp):
-                ids, ws = table.step(t, s, o)
-                want = np.zeros(table.size)
-                for z, w in finite_items(hs.absorb(t, x, i, d)):
-                    want[states.index(z)] = w
-                got = np.zeros(table.size)
-                got[ids] = ws
-                assert np.array_equal(got, want), (t, x, o)
+    for s, x in enumerate(states):
+        lens = hs.emit(1, x)
+        k = table.key_of[s]
+        assert table.keys[k] == polymap_key(lens), x
+        resp = [(i, d) for i in points(lens.source.positions)
+                for d in points(lens.target.dirs_at(lens.forward(i)))]
+        assert len(resp) == len(table.options[k])
+        for o, (i, d) in enumerate(resp):
+            ids, ws = table.step(s, o)
+            want = np.zeros(table.size)
+            for z, w in finite_items(hs.absorb(1, x, i, d)):
+                want[states.index(z)] = w
+            got = np.zeros(table.size)
+            got[ids] = ws
+            assert np.array_equal(got, want), (x, o)
 
 
 @GENERATED

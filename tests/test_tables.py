@@ -58,6 +58,7 @@ from polydyn import (
     time_nat,
     trace,
     trivial_section,
+    uniform,
     unit,
     y,
 )
@@ -96,18 +97,23 @@ def comonoid_sides():
 
 
 def ticking(rng, n: int = 4):
-    """n states on a clock whose emitted label depends on the tick."""
+    """n states on a clock of period 4, carried in the state (x, c): the
+    emitted label depends on x and the clock c, and every move advances c.
+    The initial law starts the clock at 0."""
     gen = rng.generator()
-    states = finite(*range(n))
+    xs, clock = finite(*range(n)), finite(0, 1, 2, 3)
+    states = prod(xs, clock)
     B = finite("a", "b")
-    moves = {x: dyadic_dist(gen, states) for x in points(states)}
+    moves = {x: dyadic_dist(gen, xs) for x in points(xs)}
+    moves = {(x, c): pushforward(lambda z, _c=c: (z, (_c + 1) % 4), moves[x], target=states)
+             for x, c in points(states)}
 
-    def emit(t, x):
-        label = "a" if (x + t) % 3 == 0 else "b"
+    def emit(t, xc):
+        label = "a" if sum(xc) % 3 == 0 else "b"
         return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
 
-    return mk_hier(y(), linear(B), states, emit, lambda t, x, i, d: moves[x],
-                   init=dyadic_dist(gen, states))
+    start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
+    return mk_hier(y(), linear(B), states, emit, lambda t, xc, i, d: moves[xc], init=start)
 
 
 def routed(rng, spread: bool = True):
@@ -190,7 +196,7 @@ CASES = corpus()
 
 @pytest.mark.parametrize("name,theta,psi,provided", CASES, ids=[c[0] for c in CASES])
 def test_table_traces_equal_closure_traces(name, theta, psi, provided):
-    sections = hom_sections([theta, psi], HORIZON)
+    sections = hom_sections([theta, psi])
     sides = [(theta, provided)] + ([(psi, None)] if psi is not theta else [])
     for sys_, given in sides:
         for init in hier._candidates(sys_, given, "forall"):
@@ -203,28 +209,27 @@ def test_table_traces_equal_closure_traces(name, theta, psi, provided):
 
 @pytest.mark.parametrize("name,theta,psi,provided", CASES, ids=[c[0] for c in CASES])
 def test_table_keys_and_rows_equal_the_closures(name, theta, psi, provided):
-    """Every composite key is the key of the lens the closure emits, and
-    every reached row is the law the closure absorbs into."""
+    """Every composite key is the key of the lens the closure emits at tick
+    1, and every reached row is the law the closure absorbs into there."""
     for sys_ in (theta, psi):
-        table = tabulate(sys_, HORIZON)
+        table = tabulate(sys_)
         states = list(points(sys_.states))
-        for t in range(HORIZON + 1):
-            for s, x in enumerate(states):
-                k = table.key_of[t][s]
-                assert table.keys[k] == polymap_key(sys_.emit(t, x))
+        for s, x in enumerate(states):
+            k = table.key_of[s]
+            assert table.keys[k] == polymap_key(sys_.emit(1, x))
         for s, x in enumerate(states[:8]):
-            k = table.key_of[1][s]
+            k = table.key_of[s]
             lens = sys_.emit(1, x)
             resp = [(i, d) for i in points(lens.source.positions)
                     for d in points(lens.target.dirs_at(lens.forward(i)))]
             for o, (i, d) in enumerate(resp):
-                ids, ws = table.step(1, s, o)
+                ids, ws = table.step(s, o)
                 want = np.zeros(table.size)
                 for z, w in finite_items(sys_.absorb(1, x, i, d)):
                     want[states.index(z)] = w
                 got = np.zeros(table.size)
                 got[ids] = ws
-                assert np.array_equal(got, want), (name, t, x, o)
+                assert np.array_equal(got, want), (name, x, o)
             assert len(resp) == len(table.options[k])
 
 
@@ -232,10 +237,9 @@ def test_hom_sections_offer_the_closure_keys_in_first_seen_order():
     for name, theta, psi, _ in CASES:
         seen = {}
         for sys_ in (theta, psi):
-            for t in range(HORIZON + 1):
-                for x in points(sys_.states):
-                    seen.setdefault(polymap_key(sys_.emit(t, x)), None)
-        sections = hom_sections([theta, psi], HORIZON)
+            for x in points(sys_.states):
+                seen.setdefault(polymap_key(sys_.emit(1, x)), None)
+        sections = hom_sections([theta, psi])
         assert [key for key, _ in sections[0].table] == list(seen), name
 
 
@@ -245,7 +249,7 @@ def closure_verdict(theta, psi, alpha_mode, beta_mode, horizon, tol, alphas, tra
     the given sections or else every section; ``traces`` keeps the walks for
     the next call on the same systems and candidates."""
     if sections is None:
-        sections = hom_sections([theta, psi], horizon)
+        sections = hom_sections([theta, psi])
     cand_a = hier._candidates(theta, alphas, alpha_mode)
     cand_b = hier._candidates(psi, betas, beta_mode)
 
@@ -331,7 +335,7 @@ def test_traced_verdicts_equal_closure_verdicts():
                      lambda t, x: det_polymap(y(), target, lambda i: ("even", "odd")[x],
                                               lambda i, d: ()),
                      lambda t, x, i, d: dirac(shows, x))
-    sections = hom_sections([parity], HORIZON)
+    sections = hom_sections([parity])
     assert len(sections) == 4
     named = set()
     pairs = [(drifting(0), drifting(2)), (drifting(0), drifting(1)),
@@ -404,7 +408,7 @@ def test_equal_laws_built_apart_mix_as_one_law():
                     lambda t, z, b, u: dirac(unit(), ()), init=dirac(unit(), ()))
     composite = compose_hier(beta, gamma)
     for hs, start in ((as_hier(markov), init), (composite, composite.init)):
-        sigma = hom_sections([hs], 2)[0]
+        sigma = hom_sections([hs])[0]
         want = hier._closure_trace(hs, sigma, start, 2).values
         assert trace(hs, sigma, start, 2).values == want
         assert sorted(w for _, w in finite_items(want[1])) == [0.3, 0.7]
@@ -426,22 +430,21 @@ def test_point_mass_middles_are_assembled_and_mixed_middles_walked():
     law mixes directions, so it is walked like a leaf, also inside a tensor,
     and every row it reaches is the law its absorb closure gives."""
     for hs in [*bayes_joints(Rng(77)), *itertools.chain(*comonoid_sides())]:
-        assert assembled(hs, tabulate(hs, HORIZON))
+        assert assembled(hs, tabulate(hs))
     mixed = routed(Rng(78))
-    table = tabulate(mixed, HORIZON)
+    table = tabulate(mixed)
     assert type(table) is hier._LeafTable
-    inside = tabulate(tensor_hier(mixed, from_tables(Rng(80))), HORIZON)
+    inside = tabulate(tensor_hier(mixed, from_tables(Rng(80))))
     assert type(inside) is hier._PairTable and type(inside._left) is hier._LeafTable
     states = list(points(mixed.states))
-    for t in range(HORIZON):
-        for s, x in enumerate(states):
-            lens = mixed.emit(t, x)
-            resp = [(i, d) for i in points(lens.source.positions)
-                    for d in points(lens.target.dirs_at(lens.forward(i)))]
-            for o, (i, d) in enumerate(resp):
-                ids, ws = table.step(t, s, o)
-                want = {states.index(z): w for z, w in finite_items(mixed.absorb(t, x, i, d))}
-                assert dict(zip(ids.tolist(), ws.tolist())) == want, (t, x, o)
+    for s, x in enumerate(states):
+        lens = mixed.emit(1, x)
+        resp = [(i, d) for i in points(lens.source.positions)
+                for d in points(lens.target.dirs_at(lens.forward(i)))]
+        for o, (i, d) in enumerate(resp):
+            ids, ws = table.step(s, o)
+            want = {states.index(z): w for z, w in finite_items(mixed.absorb(1, x, i, d))}
+            assert dict(zip(ids.tolist(), ws.tolist())) == want, (x, o)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +465,8 @@ def leaves(hs, found=None) -> list:
 @pytest.mark.parametrize("n", (2, 3))
 def test_composite_keys_walk_only_the_leaf_lenses(monkeypatch, n):
     """Tabulating the two joints of the dynamical Bayes check walks each leaf
-    lens once per (tick, state) for its key, and no composite lens: every
-    composite key is assembled from its factors' keys."""
-    horizon = 4
+    lens once per state for its key, and no composite lens: every composite
+    key is assembled from its factors' keys."""
     X, Y, pi, rows, back = dyadic_channel_prior(Rng(83).child(n), n, n)
     c = stochastic_channel_system(rows.__getitem__, X, Y)
     p = prior_system(pi)
@@ -483,37 +485,45 @@ def test_composite_keys_walk_only_the_leaf_lenses(monkeypatch, n):
     monkeypatch.setattr(hier, "polymap_key", counted)
     for joint in (lhs, rhs):
         walked.clear()
-        tabulate(joint, horizon)
-        expected = sum((horizon + 1) * cardinality(leaf.states) for leaf in leaves(joint))
+        tabulate(joint)
+        expected = sum(cardinality(leaf.states) for leaf in leaves(joint))
         assert len(walked) == expected, (n, len(walked), expected)
 
 
-def tabulated_system(rng, positions, fibres, out_positions, out_fibres, states):
+def tabulated_system(rng, positions, fibres, out_positions, out_fibres, xs):
     """A stochastic system between tabulated interfaces whose backward laws
-    are categorical and whose lens depends on the tick and the state."""
+    are categorical and whose lens depends on the state (x, c): on x and on
+    a clock c, which every move advances, of period the number of outputs."""
     gen = rng.generator()
     source = tabulated(positions, dict(zip(points(positions), fibres)))
     target = tabulated(out_positions, dict(zip(points(out_positions), out_fibres)))
     outs = list(points(out_positions))
+    clock = finite(*range(len(outs)))
+    states = prod(xs, clock)
     index = {i: k for k, i in enumerate(points(positions))}
     laws = {
         (x, i, k, d): dyadic_dist(gen, source.dirs_at(i))
-        for x in points(states) for i in points(positions)
+        for x in points(xs) for i in points(positions)
         for k, o in enumerate(outs) for d in points(target.dirs_at(o))
     }
-    moves = {x: dyadic_dist(gen, states) for x in points(states)}
+    moves = {x: dyadic_dist(gen, xs) for x in points(xs)}
+    moves = {(x, c): pushforward(lambda z, _c=c: (z, (_c + 1) % len(outs)), moves[x],
+                                 target=states)
+             for x, c in points(states)}
 
-    def emit(t, x):
+    def emit(t, xc):
+        x, c = xc
+
         def forward(i):
-            return outs[(index[i] + x + t) % len(outs)]
+            return outs[(index[i] + x + c) % len(outs)]
 
         def backward(i, d):
             return laws[(x, i, outs.index(forward(i)), d)]
 
         return PolyMap(source, target, forward, backward, STOCHASTIC)
 
-    return mk_hier(source, target, states, emit, lambda t, x, i, d: moves[x],
-                   init=dyadic_dist(gen, states))
+    start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
+    return mk_hier(source, target, states, emit, lambda t, xc, i, d: moves[xc], init=start)
 
 
 def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
@@ -532,11 +542,10 @@ def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
         finite(0, 1),
     )
     for both in (tensor_hier(left, right), tensor_hier(right, left)):
-        table = tabulate(both, HORIZON)
+        table = tabulate(both)
         states = list(points(both.states))
-        for t in range(HORIZON + 1):
-            for s, x in enumerate(states):
-                assert table.keys[table.key_of[t][s]] == polymap_key(both.emit(t, x)), (t, x)
+        for s, x in enumerate(states):
+            assert table.keys[table.key_of[s]] == polymap_key(both.emit(1, x)), x
 
 
 class Label:
@@ -554,7 +563,7 @@ def test_tensor_keys_are_assembled_on_a_repr_tie(monkeypatch):
     two product atoms that both read "(p, q, r)".  A key lists them in the
     product fibre's order, left atom "p, q" first, whatever their reprs, so
     the key assembled from the leaves' keys is the walked one, and only the
-    two leaves are walked, once per tick each."""
+    two leaves are walked, once each."""
     A = finite("a")
     pq, p_, r_, qr = Label("p, q"), Label("p"), Label("r"), Label("q, r")
 
@@ -574,12 +583,12 @@ def test_tensor_keys_are_assembled_on_a_repr_tie(monkeypatch):
         return polymap_key(lens)
 
     monkeypatch.setattr(hier, "polymap_key", counted)
-    table = tabulate(both, HORIZON)
-    key = polymap_key(both.emit(0, (0, 0)))
+    table = tabulate(both)
+    key = polymap_key(both.emit(1, (0, 0)))
     tied = [a for a, _ in key[0][2][0][1] if repr(a) == "(p, q, r)"]
     assert tied == [(pq, r_), (p_, qr)]
-    assert table.keys[table.key_of[0][0]] == key
-    assert len(walked) == 2 * (HORIZON + 1)
+    assert table.keys[table.key_of[0]] == key
+    assert len(walked) == 2
 
 
 def test_one_law_listed_in_either_order_has_one_key():
@@ -598,7 +607,7 @@ def test_one_law_listed_in_either_order_has_one_key():
                        lambda t, x, i, d: dirac(finite(0), 0))
 
     one, other = leaf([(x1, 0.75), (x2, 0.25)]), leaf([(x2, 0.25), (x1, 0.75)])
-    assert polymap_key(one.emit(0, 0)) == polymap_key(other.emit(0, 0))
+    assert polymap_key(one.emit(1, 0)) == polymap_key(other.emit(1, 0))
     verdict = quasi_bisim(one, other, "forall", "forall", horizon=HORIZON)
     assert verdict["related"] and verdict["witness"] is None
 
@@ -616,24 +625,31 @@ def sevenths_dist(gen, space):
 
 
 def labelled(rng, odd=None):
-    """Four states showing one of six labels, by state and tick, with three
-    responses each: 6 lens keys and 3**6 = 729 sections, so ``quasi_bisim``
-    samples 512 of them.  Its moves have weights k/7.  ``odd`` = (t, x, d)
-    redirects that one absorb."""
+    """Four states x, on a clock c of period 3 carried in the state (x, c),
+    showing label x + c, one of six, with three responses each: 6 lens keys
+    and 3**6 = 729 sections, so ``quasi_bisim`` samples 512 of them.  Its
+    moves have weights k/7, and every move advances the clock.  ``odd`` =
+    (c, x, d) redirects that one absorb."""
     gen = rng.generator()
-    states = finite(0, 1, 2, 3)
+    xs, clock = finite(0, 1, 2, 3), finite(0, 1, 2)
+    states = prod(xs, clock)
     B, T = finite(*[f"b{k}" for k in range(6)]), finite("u", "v", "w")
     target = monomial(B, T)
-    moves = {(x, d): sevenths_dist(gen, states) for x in points(states) for d in points(T)}
+    moves = {(x, d): sevenths_dist(gen, xs) for x in points(xs) for d in points(T)}
+    moves = {(x, c, d): pushforward(lambda z, _c=c: (z, (_c + 1) % 3), moves[(x, d)],
+                                    target=states)
+             for x, c in points(states) for d in points(T)}
 
-    def emit(t, x):
-        label = f"b{(x + t) % 6}"
+    def emit(t, xc):
+        label = f"b{sum(xc)}"
         return det_polymap(y(), target, lambda i: label, lambda i, d: ())
 
-    def absorb(t, x, i, d):
-        return dirac(states, (x + 1) % 4) if (t, x, d) == odd else moves[(x, d)]
+    def absorb(t, xc, i, d):
+        x, c = xc
+        return dirac(states, ((x + 1) % 4, (c + 1) % 3)) if (c, x, d) == odd else moves[(x, c, d)]
 
-    return mk_hier(y(), target, states, emit, absorb, init=sevenths_dist(gen, states))
+    start = pushforward(lambda x: (x, 0), sevenths_dist(gen, xs), target=states)
+    return mk_hier(y(), target, states, emit, absorb, init=start)
 
 
 def one_section_at_a_time(read: dict):
@@ -645,7 +661,7 @@ def one_section_at_a_time(read: dict):
         key = (id(theta), id(psi), len(cand_a), len(cand_b), horizon)
         if key not in read:
             done: dict = {}
-            tables = [hier._tabulate(theta, horizon, done), hier._tabulate(psi, horizon, done)]
+            tables = [hier._tabulate(theta, done), hier._tabulate(psi, done)]
             keys, options, maps = hier._union(tables)
             assert sections is None  # the sampled family
             choices = hier._section_choices(options, max_sections)
@@ -680,7 +696,7 @@ def test_chunked_verdicts_equal_the_section_by_section_verdicts(monkeypatch):
     for lhs, rhs in pairs:
         args = (None, hier._candidates(lhs, None, "forall"), hier._candidates(rhs, None, "forall"),
                 HORIZON, 512)
-        for budget in (hier._BUDGET, 512):  # 512: chunks of at most 3 sections
+        for budget in (hier._BUDGET, 1536):  # 1536: chunks of at most 3 sections
             with monkeypatch.context() as m:
                 m.setattr(hier, "_BUDGET", budget)
                 (n_chunked, chunked), (n_alone, alone) = (
@@ -706,14 +722,14 @@ def test_a_tick_does_not_depend_on_row_ids_or_blocks(monkeypatch):
     gives alone, what a table whose rows were interned in another order
     gives, and what every split into blocks under a small budget gives."""
     theta = labelled(Rng(95))
-    tables = [hier.tabulate(theta, HORIZON) for _ in range(2)]
+    tables = [hier.tabulate(theta) for _ in range(2)]
     states = np.arange(tables[0].size)
     for s in states[::-1]:  # the second table hands out row ids in reverse
-        tables[1].rows(0, np.full(3, s), np.arange(3))
+        tables[1].rows(np.full(3, s), np.arange(3))
     cands = hier._candidates(theta, None, "forall")
     mass = np.tile(np.stack([tables[0].law(d) for d in cands]), (5, 1))
     opts = Rng(3).generator().integers(3, size=(5, len(states)))
-    rids = [np.stack([tb.rows(0, states, o) for o in opts]) for tb in tables]
+    rids = [np.stack([tb.rows(states, o) for o in opts]) for tb in tables]
     assert not np.array_equal(*rids)
     whole = hier._advance(tables[0], mass, rids[0])
     assert np.array_equal(hier._advance(tables[1], mass, rids[1]), whole)
@@ -738,5 +754,63 @@ def test_a_sampled_family_draws_distinct_sections():
     assert len(set(draws)) == 367
     assert choices[:367] == list(dict.fromkeys(draws))
     assert hier._section_choices(options[:5], 512) == list(itertools.product(range(3), repeat=5))
-    sections = hom_sections([labelled(Rng(95))], HORIZON)
+    sections = hom_sections([labelled(Rng(95))])
     assert len({sigma.table for sigma in sections}) == 512
+
+
+# ---------------------------------------------------------------------------
+# fixtures that carry their clock in their state
+
+
+def clocked_fixtures():
+    """The fixtures whose clock is carried in their state, each with the
+    first four sections of its family and the tolerance its routes agree
+    within: 0 for dyadic weights; ``labelled``'s weights k/7 are inexact,
+    and the two routes add them in different orders (by 5.6e-17, as the
+    fixture did when its clock was the tick)."""
+    S, T = finite("s0", "s1"), finite("t0", "t1", "t2")
+    systems = [
+        (ticking(Rng(78)), 0.0),
+        (compose_hier(ticking(Rng(78).child(1)), copy_system(finite("a", "b"))), 0.0),
+        (tabulated_system(Rng(84), prod(finite("p", "q"), unit()),
+                          [prod(unit(), S), prod(S, T)],
+                          finite(0, 1), [prod(T, unit(), S), unit()], finite(0, 1, 2)), 0.0),
+        (labelled(Rng(95)), 1e-15),
+        (labelled(Rng(95), odd=(2, 3, "w")), 1e-15),
+    ]
+    return [(hs, hom_sections([hs])[:4], tol) for hs, tol in systems]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_clocked_fixtures_equal_the_closure_walk(k):
+    """From the initial law, which starts the clock, and from every other
+    candidate, the table trace is the closure walk."""
+    hs, sections, tol = clocked_fixtures()[k]
+    for init in hier._candidates(hs, None, "forall"):
+        for sigma in sections:
+            got = trace(hs, sigma, init, HORIZON).values
+            want = hier._closure_trace(hs, sigma, init, HORIZON).values
+            for t, (g, w) in enumerate(zip(got, want)):
+                assert dist_distance(g, w) <= tol, (k, init, t, g, w)
+
+
+def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
+    """The closure route reads the one-tick emit of every state it reaches
+    and keys it once, for the trace value and the section's response alike:
+    3 keys for a prior of 3 states copied, over 4 ticks."""
+    A = finite(0, 1, 2)
+    hs = compose_hier(prior_system(uniform(A)), copy_system(A))
+    sigma = hom_sections([hs])[0]
+    keyed = []
+    real_key = hier.polymap_key
+
+    def counted(lens):
+        keyed.append(lens)
+        return real_key(lens)
+
+    monkeypatch.setattr(hier, "polymap_key", counted)
+    values = hier._closure_trace(hs, sigma, hs.init, 3).values
+    assert len(values) == 4 and len(keyed) == 3
+    monkeypatch.undo()
+    for got, want in zip(trace(hs, sigma, hs.init, 3).values, values):
+        assert dist_distance(got, want) == 0.0
