@@ -16,9 +16,9 @@ A survived or stale mutant, or a run that errs, fails the script (exit 1).
 Nothing is written in the working tree: tests run in the copy, without
 bytecode files and without pytest's cache.
 
-Run from anywhere, for every mutant or for the named ones:
+Run from anywhere:
 
-    python scripts/mutants.py [name ...]
+    python scripts/mutants.py
 """
 
 from __future__ import annotations
@@ -77,14 +77,15 @@ MUTANTS = (
         ("tests/test_poly.py::test_polymap_key_ignores_listing_order_and_fibre_association",
          "tests/test_tables.py::test_one_law_listed_in_either_order_has_one_key"),
     ),
-    # mk_hier no longer probes a leaf for a clock, so a leaf whose emit reads
-    # the tick is read at t = 1 in silence
+    # the clock probe reads no other tick, so a leaf whose emit or absorb
+    # reads the clock is read at t = 1 in silence, on either route
     Mutant(
         "no-clock-probe",
         "src/polydyn/hier.py",
-        "(t := _clock_tick(hs, x, phi))",
-        "(t := None)",
-        ("tests/test_hier.py::test_a_leaf_that_reads_the_clock_is_refused_by_name",),
+        "    for t in (0, 2):\n        if polymap_key(hs.emit(t, x)) != key",
+        "    for t in ():\n        if polymap_key(hs.emit(t, x)) != key",
+        ("tests/test_hier.py::test_a_leaf_that_reads_the_clock_is_refused_by_name",
+         "tests/test_hier.py::test_a_leaf_on_infinite_states_that_reads_the_clock_is_refused"),
     ),
 )
 
@@ -112,12 +113,7 @@ def verdict(tree: Path, mutant: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
 
 
-def main(names) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = sorted(set(names) - {m.name for m in MUTANTS})
-    if unknown:
-        print(f"no such mutant: {', '.join(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="polydyn-mutants-") as tmp:
         tree = Path(tmp)
@@ -128,20 +124,20 @@ def main(names) -> int:
                 shutil.copytree(source, tree / name, ignore=ignore)
             else:
                 shutil.copy2(source, tree / name)
-        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code = run_tests(tree, tests)
         if code != 0:
             print(f"the unmutated tree fails its mutants' tests (pytest exit {code})")
             return 1
         failed = 0
-        for mutant in chosen:
+        for mutant in MUTANTS:
             result = verdict(tree, mutant)
             failed += result != "killed"
             print(f"{mutant.name}: {result}")
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed "
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
           f"in {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

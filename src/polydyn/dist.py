@@ -315,8 +315,7 @@ def pushforward(f, d: Dist, target: Space) -> Dist:
 
 def bind(d: Dist, k) -> Dist:
     """Monad bind: average the kernel ``k`` over ``d`` (exact regimes only).
-    A mixture's atoms are merged, pruned and checked, but not its total: its
-    weights come from checked laws, as a tick-matrix power's rows do."""
+    A mixture of checked laws has its atoms merged, pruned and checked, not its total."""
     if isinstance(d, Dirac):
         out = k(d.point)
         if not isinstance(out, (Dirac, Categorical, Gaussian)):

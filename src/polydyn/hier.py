@@ -46,6 +46,7 @@ from .dist import (
 from .poly import (
     DETERMINISTIC,
     STOCHASTIC,
+    PolyError,
     PolyMap,
     Polynomial,
     TimeMonoid,
@@ -108,9 +109,8 @@ def mk_hier(
     """A hierarchical system from its one-tick emit and absorb, which
     ``trace`` and ``quasi_bisim`` read at t = 1, as ``closure`` reads a
     ``System``.  At each state of a finite space the lens must have the
-    declared shape, and a clock is refused, naming the state and the tick:
-    where the lens is finite, it and the absorb of each of its responses
-    must be at ticks 0 and 2 what they are at 1.  A clock goes in the state."""
+    declared shape, and a clock is refused by name (``_refuse_clock``)
+    where the lens has a key.  A clock goes in the state."""
     hs = HierSystem(source, target, states, time_nat(), emit, absorb, init=init)
     if is_finite(states):
         for x in points(states):
@@ -120,27 +120,24 @@ def mk_hier(
                     f"emitted lens at state {x!r} has shape {phi.source!r} -> "
                     f"{phi.target!r}, declared {source!r} -> {target!r}"
                 )
-            if (t := _clock_tick(hs, x, phi)) is not None:
-                raise HierError(f"the system reads the clock: at state {x!r}, its emit or "
-                                f"absorb at tick {t} differs from tick 1; carry it in the state")
+            try:
+                key = polymap_key(phi)
+            except PolyError:  # tabulating refuses it
+                continue
+            _refuse_clock(hs, x, phi, key)
     return hs
 
 
-def _clock_tick(hs: HierSystem, x, lens: PolyMap) -> Optional[int]:
-    """The first of ticks 0 and 2 at which state x emits another lens than
-    ``lens``, its lens at tick 1, or absorbs a response into another law."""
-    ins = lens.source.positions
-    if not is_finite(ins) or not all(is_finite(lens.target.dirs_at(lens.forward(i)))
-                                     for i in points(ins)):
-        return None
+def _refuse_clock(hs: HierSystem, x, lens: PolyMap, key: tuple) -> None:
+    """Refuse a system whose state x, emitting ``lens`` with ``key`` at tick
+    1, emits another key or absorbs a response into another law at tick 0
+    or 2, naming the state and the tick."""
     moves = [(i, d, hs.absorb(1, x, i, d)) for i, d in _responses(lens)]
     for t in (0, 2):
-        other = hs.emit(t, x)
-        if any(other.forward(i) != lens.forward(i) for i in points(ins)) or any(
-                dist_distance(other.backward(i, d), lens.backward(i, d))
-                or dist_distance(hs.absorb(t, x, i, d), law) for i, d, law in moves):
-            return t
-    return None
+        if polymap_key(hs.emit(t, x)) != key or any(
+                dist_distance(hs.absorb(t, x, i, d), law) for i, d, law in moves):
+            raise HierError(f"the system reads the clock: at state {x!r}, its emit or "
+                            f"absorb at tick {t} differs from tick 1; carry it in the state")
 
 
 def as_hier(sys_: System) -> HierSystem:
@@ -244,9 +241,7 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
 
     def absorb(t, xz, ij, dd):
         x, z = xz
-        i, j = ij
-        d1, d2 = dd
-        return dst(beta.absorb(t, x, i, d1), gamma.absorb(t, z, j, d2))
+        return dst(beta.absorb(t, x, ij[0], dd[0]), gamma.absorb(t, z, ij[1], dd[1]))
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
     return HierSystem(
@@ -298,7 +293,6 @@ def function_system(f: Callable, A: Space, B: Space) -> HierSystem:
     target = linear(B)
     lens = det_polymap(source, target, f, lambda a, d: ())
     return _stateless(source, target, lens)
-
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +410,8 @@ class _LeafTable(HierTable):
 class _PairTable(HierTable):
     """A ``compose_hier``/``tensor_hier`` composite, tabulated from its
     factors' tables.  State (x, z) has id ``id(x) * |Z| + id(z)``; its key is
-    formed once per distinct pair of factor keys, the factors' key arrays
-    are paired once, and its rows are pairs of factor rows, expanded into
-    their outer product only when used.
+    formed once per distinct pair of factor keys, and its rows are pairs of
+    factor rows, expanded into their outer product only when used.
 
     A composite key and each response's route, one option of each factor,
     are read from the factors' keys (``_compose_key``, ``tensor_key``), and
@@ -810,7 +803,8 @@ def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
     """The trace of a hierarchical system by walking its emit and absorb
     closures, read at t = 1 as the tables read them: the specification the
     tables are checked against, and the route for systems whose states are
-    not finite.  Each state reached emits and is keyed once."""
+    not finite.  Each state reached emits, is keyed and is probed for a
+    clock once."""
     respond = _strategy(sigma, (hs,))
     emitted: dict = {}  # state -> (lens, key)
 
@@ -819,6 +813,7 @@ def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
         if hit is None:
             lens = hs.emit(1, x)
             hit = emitted[x] = (lens, polymap_key(lens))
+            _refuse_clock(hs, x, *hit)
         return hit
 
     def moved(x) -> Dist:
@@ -894,9 +889,7 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
                 made.append(spread)
             out.extend(d for d in made if not any(e is d or e == d for e in given))
     if not out:
-        raise HierError(
-            f"no initial-state candidates available for quantifier {mode!r}"
-        )
+        raise HierError(f"no initial-state candidates available for quantifier {mode!r}")
     return out
 
 
@@ -993,11 +986,10 @@ def quasi_bisim(
     sections become a seeded sample of ``max_sections`` (512) distinct
     sections when their exhaustive product is larger.
     An open system on p is compared as the hierarchical system y -> p
-    (``as_hier``).  Systems with finite states are compared on their tables,
-    which hold their emit and absorb at one tick, and ticks 0..horizon move
-    the laws through them; any other system only under explicit
-    ``sections``.  A comparison under no section at all is refused, not
-    passed.
+    (``as_hier``).  Systems with finite states are compared on their
+    one-tick tables, through which ticks 0..horizon move the laws; any other
+    system only under explicit ``sections``.  A comparison under no section
+    at all is refused, not passed.
 
     A candidate pair matches when its traces agree within ``tol`` at every
     tick under every section.  A side-a candidate holds when some
@@ -1096,9 +1088,7 @@ def exact_bayes(c: Callable, pi: Dist, target: Space = None) -> BayesInverse:
             zero.append(yv)
             rows.append((yv, uniform(X)))
             continue
-        post = {
-            x: joint.get((x, yv), 0.0) / evidence for x, _ in finite_items(pi)
-        }
+        post = {x: joint.get((x, yv), 0.0) / evidence for x, _ in finite_items(pi)}
         rows.append((yv, categorical(X, post)))
     return BayesInverse(tuple(rows), tuple(zero))
 
@@ -1123,9 +1113,7 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     c(x), so upstream samples are pushed through the channel's law while the
     emitted lens stays an honest deterministic table."""
     xs = list(points(X))
-    table_space = FiniteSpace(
-        tuple(itertools.product(*[tuple(points(Y)) for _ in xs]))
-    )
+    table_space = FiniteSpace(tuple(itertools.product(*[tuple(points(Y)) for _ in xs])))
     weights = {}
     for combo in points(table_space):
         w = 1.0
@@ -1145,13 +1133,8 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     return HierSystem(linear(X), linear(Y), table_space, time_nat(), emit, absorb, init=law)
 
 
-def bayes_check(
-    c: HierSystem,
-    pi: HierSystem,
-    cdag: HierSystem,
-    horizon: int = 4,
-    tol: float = 1e-9,
-) -> dict:
+def bayes_check(c: HierSystem, pi: HierSystem, cdag: HierSystem, horizon: int = 4,
+                tol: float = 1e-9) -> dict:
     """Dynamical Bayes' rule: the two joint processes built from the prior,
     the channel, and the candidate inversion must be trace-equivalent.
 
@@ -1202,12 +1185,8 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
         raise HierError("middle backward directions disagree")
 
     def lift_lens(t, x):
-        if f.forward_lift is not None:
-            def fwd(b):
-                return f.forward_lift(t, x, b)
-        else:
-            def fwd(b):
-                return dirac(B, b)
+        def fwd(b):
+            return dirac(B, b) if f.forward_lift is None else f.forward_lift(t, x, b)
 
         def backward(b, t_prime):
             return dirac(f.target.dirs_at(b), t_prime)

@@ -298,14 +298,13 @@ def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> Clo
 def _report(law: str, cases, tol: float, **extra) -> dict:
     """The verdict of one law over its (case, deviation) pairs: a case past
     ``tol`` is a violation, and ``max_deviation`` is the worst deviation over
-    every case checked.  A case is its label dict, or a function that makes
-    it, called only for a violation."""
+    every case checked."""
     violations = []
     max_dev = 0.0
     for case, dev in cases:
         max_dev = max(max_dev, dev)
         if dev > tol:
-            violations.append({**(case() if callable(case) else case), "deviation": dev})
+            violations.append({**case, "deviation": dev})
     verdict = {"law": law, "pass": not violations, **extra}
     return {**verdict, "max_deviation": max_dev, "violations": violations}
 
@@ -345,12 +344,7 @@ def _square_cases(left, right, f, times, states, kind="square", **labels):
     left row sums its atoms in the order step(t) lists them (``entries``), and
     a row with one atom, on either side, is a point mass (weight 1.0), as
     ``dist`` makes every law on one atom.  Every other closure is stepped
-    state by state.  Each case is a function that makes its labels, which
-    only a violation reads."""
-
-    def case(t, x):
-        return lambda: {"kind": kind, **labels, "t": t, "state": x}
-
+    state by state."""
     if isinstance(left, _TabulatedClosure) and isinstance(right, _TabulatedClosure):
         image = np.array(
             [right.table.index[check_point(right.states, f(a))] for a in left.table.atoms],
@@ -361,13 +355,13 @@ def _square_cases(left, right, f, times, states, kind="square", **labels):
             left.time.check(t)
             gaps = _square_gaps(left.table, right.table, image, right.time.check(t))
             for x, i in zip(states, rows):
-                yield case(t, x), gaps[i]
+                yield {"kind": kind, **labels, "t": t, "state": x}, gaps[i]
         return
     for t in times:
         for x in states:
             lhs = pushforward(f, left.step(t, x), target=right.states)
             rhs = right.step(t, f(x))
-            yield case(t, x), dist_distance(lhs, rhs)
+            yield {"kind": kind, **labels, "t": t, "state": x}, dist_distance(lhs, rhs)
 
 
 def _square_gaps(left: _TickPowers, right: _TickPowers, image, t: int) -> list:

@@ -489,6 +489,40 @@ def test_a_leaf_that_reads_the_clock_is_refused_by_name():
     assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
 
 
+def test_a_leaf_on_infinite_states_that_reads_the_clock_is_refused():
+    """States that are not finite are walked by their closures, which probe
+    each state they reach for a clock: a leaf over a Euclidean state space,
+    built by ``mk_hier`` or directly, whose emit or absorb reads the clock,
+    is refused by name when it is traced.  Its clock carried in the state
+    traces as it did."""
+    states = euclid(1)
+    B = finite("even", "odd")
+    sigma = hom_sections([blinker(2)])[0]
+    start = dirac(states, (0.0,))
+
+    def lens(label):
+        return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
+
+    def step(t, x, i, d):
+        return dirac(states, (x[0] + 1.0,))
+
+    refused = [
+        (lambda t, x: lens(("even", "odd")[t % 2]), step, "0.0", 0),
+        (lambda t, x: lens("even"), lambda t, x, i, d: dirac(states, (x[0] + t,)), "0.0", 0),
+        (lambda t, x: lens("odd" if x[0] >= 1.0 and t == 2 else "even"), step, "1.0", 2),
+    ]
+    for emit, absorb, x, t in refused:
+        for leaf in (mk_hier(y(), linear(B), states, emit, absorb),
+                     HierSystem(y(), linear(B), states, time_nat(), emit, absorb)):
+            with pytest.raises(HierError, match=rf"^the system reads the clock: at state "
+                                                rf"\({x},\), its emit or absorb at tick {t} "):
+                trace(leaf, sigma, start, 3)
+    parity = mk_hier(y(), linear(B), states,
+                     lambda t, x: lens(("even", "odd")[int(x[0]) % 2]), step)
+    values = trace(parity, sigma, start, 3).values
+    assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
+
+
 def test_hier_system_optional_fields_are_keyword_only():
     """A seventh positional argument, where an effect label used to go, is
     refused instead of being read as the forward lift."""

@@ -796,8 +796,10 @@ def test_clocked_fixtures_equal_the_closure_walk(k):
 
 def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
     """The closure route reads the one-tick emit of every state it reaches
-    and keys it once, for the trace value and the section's response alike:
-    3 keys for a prior of 3 states copied, over 4 ticks."""
+    and keys it once, for the trace value and the section's response alike,
+    and its clock probe keys the state's lens at ticks 0 and 2: 9 keys for a
+    prior of 3 states copied, over 4 ticks, where keying each (tick, state)
+    and again for the response took 21."""
     A = finite(0, 1, 2)
     hs = compose_hier(prior_system(uniform(A)), copy_system(A))
     sigma = hom_sections([hs])[0]
@@ -810,7 +812,7 @@ def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
 
     monkeypatch.setattr(hier, "polymap_key", counted)
     values = hier._closure_trace(hs, sigma, hs.init, 3).values
-    assert len(values) == 4 and len(keyed) == 3
+    assert len(values) == 4 and len(keyed) == 3 * 3
     monkeypatch.undo()
     for got, want in zip(trace(hs, sigma, hs.init, 3).values, values):
         assert dist_distance(got, want) == 0.0
