@@ -241,7 +241,9 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
 
     def absorb(t, xz, ij, dd):
         x, z = xz
-        return dst(beta.absorb(t, x, ij[0], dd[0]), gamma.absorb(t, z, ij[1], dd[1]))
+        i, j = ij
+        d1, d2 = dd
+        return dst(beta.absorb(t, x, i, d1), gamma.absorb(t, z, j, d2))
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
     return HierSystem(
@@ -889,7 +891,9 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
                 made.append(spread)
             out.extend(d for d in made if not any(e is d or e == d for e in given))
     if not out:
-        raise HierError(f"no initial-state candidates available for quantifier {mode!r}")
+        raise HierError(
+            f"no initial-state candidates available for quantifier {mode!r}"
+        )
     return out
 
 
@@ -1088,7 +1092,9 @@ def exact_bayes(c: Callable, pi: Dist, target: Space = None) -> BayesInverse:
             zero.append(yv)
             rows.append((yv, uniform(X)))
             continue
-        post = {x: joint.get((x, yv), 0.0) / evidence for x, _ in finite_items(pi)}
+        post = {
+            x: joint.get((x, yv), 0.0) / evidence for x, _ in finite_items(pi)
+        }
         rows.append((yv, categorical(X, post)))
     return BayesInverse(tuple(rows), tuple(zero))
 
@@ -1113,7 +1119,9 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     c(x), so upstream samples are pushed through the channel's law while the
     emitted lens stays an honest deterministic table."""
     xs = list(points(X))
-    table_space = FiniteSpace(tuple(itertools.product(*[tuple(points(Y)) for _ in xs])))
+    table_space = FiniteSpace(
+        tuple(itertools.product(*[tuple(points(Y)) for _ in xs]))
+    )
     weights = {}
     for combo in points(table_space):
         w = 1.0
@@ -1133,8 +1141,13 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     return HierSystem(linear(X), linear(Y), table_space, time_nat(), emit, absorb, init=law)
 
 
-def bayes_check(c: HierSystem, pi: HierSystem, cdag: HierSystem, horizon: int = 4,
-                tol: float = 1e-9) -> dict:
+def bayes_check(
+    c: HierSystem,
+    pi: HierSystem,
+    cdag: HierSystem,
+    horizon: int = 4,
+    tol: float = 1e-9,
+) -> dict:
     """Dynamical Bayes' rule: the two joint processes built from the prior,
     the channel, and the candidate inversion must be trace-equivalent.
 
