@@ -87,6 +87,26 @@ MUTANTS = (
         ("tests/test_hier.py::test_a_leaf_that_reads_the_clock_is_refused_by_name",
          "tests/test_hier.py::test_a_leaf_on_infinite_states_that_reads_the_clock_is_refused"),
     ),
+    # reading stops after one tick whatever the laws, as if every law matrix
+    # repeated its last one
+    Mutant(
+        "stop-after-one-tick",
+        "src/polydyn/hier.py",
+        "if new.tobytes() == law.tobytes():",
+        "if new.tobytes() == new.tobytes():",
+        ("tests/test_tables.py::test_a_leaf_that_settles_late_equals_the_closure_walk",
+         "tests/test_tables.py::test_a_mismatch_after_one_side_settles_keeps_its_tick",
+         "tests/test_tables.py::test_a_swap_that_never_settles_advances_every_tick"),
+    ),
+    # a trace whose laws repeat ends at its last distinct tick, short of the
+    # horizon
+    Mutant(
+        "trace-unpadded",
+        "src/polydyn/hier.py",
+        "    values += values[-1:] * (horizon + 1 - len(values))  # the laws repeat from here on\n",
+        "",
+        ("tests/test_tables.py::test_a_settling_trace_has_a_value_per_tick",),
+    ),
 )
 
 

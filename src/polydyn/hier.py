@@ -670,7 +670,13 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
     c.  All S*C rows move as one law matrix, one tick each time the next
     tick is asked for.  A section is asked for an option only where its own
     rows hold mass; where it has no entry, it stops, and from the next tick
-    on its rows hold no mass."""
+    on its rows hold no mass.
+
+    Reading stops at the horizon, or once a tick leaves the law matrix bit
+    for bit as it was: the last tick yielded is then repeated by every later
+    one, since the next matrix depends on this one alone, and no section
+    newly stops on a matrix that does not change (its rows would drop to
+    zero)."""
     n_sec, n_cand = len(choices), len(law)
     sigma = choices[:, to_union]
     law = np.tile(law, (n_sec, 1))
@@ -691,7 +697,10 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
                 sec, col, opt = sec[keep], col[keep], opt[keep]
             rids = np.full((n_sec, len(active)), -1, dtype=np.intp)
             rids[sec, col] = table.rows(active[col], opt)
-            law = _advance(table, mass, rids) if len(sec) else np.zeros_like(law)
+            new = _advance(table, mass, rids) if len(sec) else np.zeros_like(law)
+            if new.tobytes() == law.tobytes():  # raw bits: -0.0 is not 0.0
+                return
+            law = new
 
 
 def _union(tables: list) -> tuple:
@@ -842,7 +851,10 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     tables when its states are finite.  An open system on p is traced as the
     hierarchical system y -> p (``as_hier``) under a ``Section`` or a
     ``HomSection``, and each law is read back over the positions of p.
-    Exact by enumeration on finite supports."""
+    Exact by enumeration on finite supports.  On the tables, reading stops
+    at the horizon or once the laws repeat the tick before, and the last law
+    read stands for every later tick: the trace always has horizon + 1
+    values."""
     _check_horizon(horizon)
     if isinstance(sys_, System):
         p = sys_.interface.positions
@@ -866,6 +878,7 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
         values.append(
             _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
         )
+    values += values[-1:] * (horizon + 1 - len(values))  # the laws repeat from here on
     return Trace(tuple(range(horizon + 1)), tuple(values))
 
 
@@ -908,9 +921,13 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     the union of their keys.  A chunk holds as many sections as fit the
     budget, chunk * C * (states + keys * ticks) <= ``_BUDGET`` elements per
     side, and at least one.  It advances one tick only when one of its
-    sections reads a tick not yet reached.  A section that has no entry for
-    a lens it reaches at tick t raises ``HierError`` when its tick t + 1 is
-    read."""
+    sections reads a tick not yet reached.  Reading stops at the horizon, or
+    once both sides' law matrices repeat the tick before, every section of
+    the chunk with them: a side whose matrix repeats repeats its last
+    reading while the other goes on, and the ticks after the last distinct
+    one of both are not read, as they would read as that one.  A section
+    that has no entry for a lens it reaches at tick t raises ``HierError``
+    when its tick t + 1 is read."""
     done: dict = {}
     tables = [_tabulate(theta, done), _tabulate(psi, done)]
     keys, options, maps = _union(tables)
@@ -936,7 +953,11 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
                 k = s - lo
                 for t in range(horizon + 1):
                     if t == len(ticks):
-                        ticks.append([next(side) for side in sides])
+                        # a side whose laws repeat from here on repeats its last reading
+                        now = [next(side, None) for side in sides]
+                        if now == [None, None]:  # so later ticks read as tick t - 1
+                            break
+                        ticks.append([n or ticks[-1][i] for i, n in enumerate(now)])
                     (la, sa), (lb, sb) = ticks[t]
                     if sa[k] or sb[k]:
                         raise HierError(
@@ -1006,7 +1027,8 @@ def quasi_bisim(
     (``section``, ``t``, ``deviation``) when it does not match.  A
     ``forall`` side b that holds has no such beta: the witness is None.
     ``sections`` in the verdict counts the sections offered; reading stops
-    at the first tick after which every pair has a mismatch."""
+    at the first tick after which every pair has a mismatch, or once both
+    sides' laws repeat the tick before, as every later tick would too."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
     _check_horizon(horizon)

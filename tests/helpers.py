@@ -125,3 +125,16 @@ def gaussian_bits(law):
         [m.hex() for m in law.mean],
         [[c.hex() for c in row] for row in law.cov],
     )
+
+
+def calls_of(monkeypatch, owner, name: str) -> list:
+    """The arguments of every call of ``owner.name`` from here on."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

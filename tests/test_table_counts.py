@@ -1,7 +1,9 @@
 """What a table verdict builds, counted: each thing once.
 
 A verdict keys each leaf state's lens once and absorbs each (state,
-response) once, whatever its horizon; a composite's own initial law is read
+response) once, whatever its horizon; it stops advancing a side once that
+side's laws repeat bit for bit, so its ticks, too, do not grow with the
+horizon past that point; a composite's own initial law is read
 from its factors' law vectors, with no composite state looked up; a leaf
 maps each absorbed law's atoms once; no ``np.unique`` sorts a single code;
 and the candidate initial laws are the point masses and uniform law built
@@ -35,7 +37,7 @@ from polydyn import (
 )
 from polydyn import hier
 
-from helpers import dyadic_channel_prior, random_finite_system
+from helpers import calls_of, dyadic_channel_prior, random_finite_system
 
 
 def bayes_3x3():
@@ -91,6 +93,34 @@ def test_a_verdict_absorbs_each_state_and_response_once(monkeypatch, horizon):
     pairs = sum(len(tb.options[k]) for tb in tables.values() for k in tb.key_of.tolist())
     assert set(absorbed.values()) == {1}
     assert sum(absorbed.values()) <= pairs
+
+
+@pytest.mark.parametrize("horizon", (8, 16, 32))
+def test_a_comonoid_verdict_advances_each_side_once(monkeypatch, horizon):
+    """The coassociativity sides have one state, so one tick leaves each
+    side's law matrix as it was: a forall verdict advances each side once at
+    every horizon, where it advanced each horizon times."""
+    advances = calls_of(monkeypatch, hier, "_advance")
+    A = finite(0, 1, 2)
+    cp, ida = copy_system(A), id_hier(linear(A))
+    verdict = quasi_bisim(compose_hier(cp, tensor_hier(cp, ida)),
+                          compose_hier(cp, tensor_hier(ida, cp)),
+                          "forall", "forall", horizon=horizon, tol=0.0)
+    assert verdict["related"] is True
+    assert len(advances) == 2
+
+
+@pytest.mark.parametrize("horizon", (4, 8))
+def test_a_bayes_verdict_reads_its_rows_until_its_laws_repeat(monkeypatch, horizon):
+    """The channel and prior leaves redraw from a fixed law, so a 3x3 Bayes
+    verdict's right joint repeats its laws after one tick and its left joint
+    after two: 3 advances and 10 ``_PairTable.rows`` calls at horizons 4 and
+    8, where every tick read took 2 * horizon advances and 7 * horizon
+    ``rows`` calls."""
+    advances = calls_of(monkeypatch, hier, "_advance")
+    rows = calls_of(monkeypatch, hier._PairTable, "rows")
+    assert bayes_check(*bayes_3x3(), horizon=horizon)["related"] is True
+    assert (len(advances), len(rows)) == (3, 10)
 
 
 def test_a_composites_initial_law_looks_up_no_composite_state(monkeypatch):

@@ -10,10 +10,17 @@ every trace, from the system's own initial law and from each candidate
 initial law, is ``hier._closure_trace``.  State spaces have power-of-two
 sizes and weights are dyadic, so every sum either side performs is exact.
 
+Pairs of systems whose laws repeat bit for bit from different ticks, or
+never, check that a verdict does not depend on how its sections are
+chunked, and that it is the verdict of the closure walks.
+
 The examples are derandomized, so every run checks the same systems.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +41,7 @@ from polydyn import (
     polymap_key,
     prod,
     pushforward,
+    quasi_bisim,
     tabulate,
     tabulated,
     tensor_hier,
@@ -180,3 +188,107 @@ def test_generated_traces_equal_the_closure_traces(hs):
             want = hier._closure_trace(hs, sigma, init, HORIZON).values
             for t, (g, w) in enumerate(zip(got, want)):
                 assert dist_distance(g, w) == 0.0, (init, t, g, w)
+
+
+# ---------------------------------------------------------------------------
+# chunks of sections, on pairs of systems whose laws repeat from different
+# ticks
+
+MODES = list(itertools.product(("exists", "forall"), repeat=2))
+SETTLE_HORIZON = 5
+SETTLE_SECTIONS = 8  # the verdict's max_sections
+
+
+def settling(lenses, moves, source, target, n_states: int, period: int, mixed: bool):
+    """A leaf on states (x, phase) showing one of two lenses drawn by
+    ``lenses``, so that leaves drawn with one ``lenses`` seed share them;
+    ``moves`` draws which lens each state shows, and its moves.  With period
+    1, x moves to a law over the states below it (0 stays at 0), so its laws
+    repeat bit for bit by tick ``n_states``; with period 2, every move flips
+    the phase, so from a point mass its laws never repeat."""
+    pool_gen, gen = lenses.generator(), moves.generator()
+    xs = finite(*range(n_states))
+    states = prod(xs, finite(*range(period)))
+    ins, outs = list(points(source.positions)), list(points(target.positions))
+    pool = []
+    for _ in range(2):
+        forward, backward = {}, {}
+        for i in ins:
+            o = forward[i] = outs[int(pool_gen.integers(len(outs)))]
+            fibre = source.dirs_at(i)
+            for d in points(target.dirs_at(o)):
+                atoms = list(points(fibre))
+                backward[(i, d)] = (dyadic_dist(pool_gen, fibre) if mixed
+                                    else dirac(fibre, atoms[int(pool_gen.integers(len(atoms)))]))
+        pool.append(PolyMap(source, target, forward.__getitem__,
+                            lambda i, d, _b=backward: _b[(i, d)],
+                            STOCHASTIC if mixed else DETERMINISTIC))
+    shows = {xp: pool[int(gen.integers(2))] for xp in points(states)}
+    moves_to = {}
+    for x, phase in points(states):
+        below = xs if period > 1 else finite(*range(max(x, 1)))
+        moves_to[(x, phase)] = pushforward(lambda z, _p=phase: (z, (_p + 1) % period),
+                                           dyadic_dist(gen, below), target=states)
+    start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
+    return mk_hier(source, target, states, lambda t, xp: shows[xp],
+                   lambda t, xp, i, d: moves_to[xp], init=start)
+
+
+@st.composite
+def settling_pairs(draw, depth: int = 2, source=None):
+    """Two systems of one shape, a leaf or a composite of two: place by
+    place, their leaves share an interface and a pair of lenses, but not
+    their states, which lens each state shows, or their moves, so that
+    their laws repeat from different ticks, or never."""
+    kinds = ["leaf"]
+    if depth > 1:
+        kinds += ["compose"] + (["tensor"] if source is None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        if source is None:
+            source = draw(st.sampled_from(INTERFACES))
+        target = draw(st.sampled_from(INTERFACES))
+        lenses, mixed = Rng(draw(st.integers(0, 2**16))), draw(st.booleans())
+        # (states, period): falling through 1, 2 or 4 states, or two on a clock of two
+        return tuple(
+            settling(lenses, Rng(draw(st.integers(0, 2**16))), source, target,
+                     *draw(st.sampled_from(((1, 1), (2, 1), (4, 1), (2, 2)))), mixed)
+            for _ in range(2)
+        )
+    if kind == "tensor":
+        left, right = draw(settling_pairs(depth - 1)), draw(settling_pairs(depth - 1))
+        return tuple(map(tensor_hier, left, right))
+    first = draw(settling_pairs(depth - 1, source))
+    return tuple(map(compose_hier, first, draw(settling_pairs(depth - 1, first[0].target))))
+
+
+def walked_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
+    """``hier._table_deviations`` read from traces that walk the closures
+    (with ``hier.trace`` set to ``hier._closure_trace``), every tick of every
+    section."""
+    if sections is None:
+        sections = hom_sections([theta, psi], max_sections)
+    return hier._traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
+
+
+@GENERATED
+@given(pair=settling_pairs(), modes=st.sampled_from(MODES), tol=st.sampled_from((0.0, 0.25)))
+def test_generated_verdicts_do_not_depend_on_the_chunks(pair, modes, tol):
+    """All sections in one chunk, or one section per chunk (a budget of one
+    element), give the same verdict, witness and all, bit for bit, and it is
+    the verdict of the closure walks: a chunk stops reading only once every
+    one of its sections repeats its laws, and a side that has stopped
+    repeats its last reading while the other goes on."""
+    def verdict():
+        return quasi_bisim(*pair, *modes, horizon=SETTLE_HORIZON, tol=tol,
+                           max_sections=SETTLE_SECTIONS)
+
+    chunked = verdict()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hier, "_BUDGET", 1)
+        alone = verdict()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hier, "_table_deviations", walked_deviations)
+        m.setattr(hier, "trace", hier._closure_trace)
+        walked = verdict()
+    assert repr(chunked) == repr(alone) == repr(walked)

@@ -64,7 +64,7 @@ from polydyn import (
 )
 from polydyn import hier
 
-from helpers import dyadic_channel_prior, dyadic_dist, random_finite_system
+from helpers import calls_of, dyadic_channel_prior, dyadic_dist, random_finite_system
 
 HORIZON = 3
 MODES = list(itertools.product(("exists", "forall"), repeat=2))
@@ -652,10 +652,20 @@ def labelled(rng, odd=None):
     return mk_hier(y(), target, states, emit, absorb, init=start)
 
 
+def padded(laws, horizon: int) -> list:
+    """A side's ``_key_laws`` readings with the last repeated to horizon + 1
+    readings, as every tick after the last one read repeats it."""
+    got = list(laws)
+    got += got[-1:] * (horizon + 1 - len(got))
+    assert len(got) == horizon + 1
+    return got
+
+
 def one_section_at_a_time(read: dict):
-    """``hier._table_deviations`` with every section propagated on its own:
-    the reference for sections moved in chunks.  ``read`` keeps each pair of
-    systems' deviations for the next call."""
+    """``hier._table_deviations`` with every section propagated on its own,
+    each side read at every tick 0..horizon: the reference for sections
+    moved in chunks.  ``read`` keeps each pair of systems' deviations for the
+    next call."""
 
     def table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
         key = (id(theta), id(psi), len(cand_a), len(cand_b), horizon)
@@ -670,11 +680,12 @@ def one_section_at_a_time(read: dict):
             read[key] = []
             for choice in choices:
                 ka, kb = (
-                    hier._key_laws(tb, m, len(keys), np.asarray(choice)[None, :], law, horizon)
+                    padded(hier._key_laws(tb, m, len(keys), np.asarray(choice)[None, :], law,
+                                          horizon), horizon)
                     for tb, m, law in zip(tables, maps, laws)
                 )
                 read[key].append([np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-                                  for (a, _), (b, _) in zip(ka, kb)])
+                                  for (a, _), (b, _) in zip(ka, kb, strict=True)])
         return len(read[key]), ((s, t, dev) for s, ticks in enumerate(read[key])
                                 for t, dev in enumerate(ticks))
 
@@ -816,3 +827,95 @@ def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
     monkeypatch.undo()
     for got, want in zip(trace(hs, sigma, hs.init, 3).values, values):
         assert dist_distance(got, want) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# laws that repeat bit for bit: reading stops, and the last reading stands
+# for every later tick
+
+SHOWN = finite("a", "b", "c")
+
+
+def chain(moves, labels):
+    """A deterministic leaf on states 0..n-1 that moves x to ``moves[x]``
+    whatever the response, shows ``labels[x]``, and starts at 0."""
+    states = finite(*range(len(moves)))
+
+    def emit(t, x):
+        label = labels[x]
+        return det_polymap(y(), linear(SHOWN), lambda i: label, lambda i, d: ())
+
+    return mk_hier(y(), linear(SHOWN), states, emit,
+                   lambda t, x, i, d: dirac(states, moves[x]), init=dirac(states, 0))
+
+
+def test_a_leaf_that_settles_late_equals_the_closure_walk():
+    """0 -> 1 -> 2 -> 2 with a lens per state: from 0 its law repeats from
+    tick 2 on.  Its trace from every candidate, and every verdict against
+    itself, a 3-cycle, a leaf that settles at 1 and a one-state leaf, in
+    every mode and at every horizon up to 5, are the closure walk's."""
+    late = chain((1, 2, 2), "abc")
+    sigma = hom_sections([late])[0]
+    for init in hier._candidates(late, None, "forall"):
+        got = trace(late, sigma, init, 5).values
+        want = hier._closure_trace(late, sigma, init, 5).values
+        assert len(got) == 6
+        for t, (g, w) in enumerate(zip(got, want)):
+            assert dist_distance(g, w) == 0.0, (init, t, g, w)
+    for psi in (late, chain((1, 2, 0), "abc"), chain((1, 1, 2), "abc"), chain((0,), "a")):
+        for horizon in range(6):
+            traces: dict = {}
+            for modes in MODES:
+                got = quasi_bisim(late, psi, *modes, horizon=horizon, tol=0.0)
+                related, witness = closure_verdict(late, psi, *modes, horizon, 0.0, None, traces)
+                assert (got["related"], got["witness"]) == (related, witness), (horizon, modes)
+
+
+def test_a_mismatch_after_one_side_settles_keeps_its_tick(monkeypatch):
+    """A one-state leaf repeats its law from tick 1 on; a chain that shows
+    the same label until it reaches its last state first differs at tick 5.
+    The settled side repeats its last reading while the other goes on, so
+    the witness keeps t = 5, as on the closure walk, and the settled side
+    advances once."""
+    one, five = chain((0,), "a"), chain((1, 2, 3, 4, 5, 5), "aaaaab")
+    advanced = calls_of(monkeypatch, hier, "_advance")
+    got = quasi_bisim(one, five, "forall", "forall", horizon=8, tol=0.0)
+    assert got["witness"] == {"alpha": 0, "beta": 0, "section": 0, "t": 5, "deviation": 1.0}
+    assert (got["related"], got["witness"]) == closure_verdict(
+        one, five, "forall", "forall", 8, 0.0, None, {})
+    assert sum(args[0].system is one for args in advanced) == 1
+
+
+def test_a_swap_that_never_settles_advances_every_tick(monkeypatch):
+    """Two states that swap at every tick, from a point mass: the law never
+    repeats, so a trace advances horizon times and a verdict of the swap
+    against itself horizon times per side, and both are the closure's."""
+    swap = chain((1, 0), "ab")
+    sigma = hom_sections([swap])[0]
+    advanced = calls_of(monkeypatch, hier, "_advance")
+    got = trace(swap, sigma, swap.init, 6).values
+    assert len(advanced) == 6
+    want = hier._closure_trace(swap, sigma, swap.init, 6).values
+    assert [dist_distance(g, w) for g, w in zip(got, want, strict=True)] == [0.0] * 7
+    del advanced[:]
+    verdict = quasi_bisim(swap, swap, "forall", "forall", horizon=6, tol=0.0)
+    assert len(advanced) == 2 * 6
+    assert (verdict["related"], verdict["witness"]) == closure_verdict(
+        swap, swap, "forall", "forall", 6, 0.0, None, {})
+
+
+@pytest.mark.parametrize("horizon", (0, 1, 7))
+def test_a_settling_trace_has_a_value_per_tick(horizon):
+    """A one-state leaf, and the swap from its uniform law, repeat their
+    laws after one tick; their traces still hold horizon + 1 values, the
+    closure's."""
+    swap = chain((1, 0), "ab")
+    for hs, init in ((chain((0,), "a"), None), (swap, uniform(swap.states))):
+        init = hs.init if init is None else init
+        sigma = hom_sections([hs])[0]
+        got = trace(hs, sigma, init, horizon)
+        want = hier._closure_trace(hs, sigma, init, horizon)
+        assert got.times == want.times == tuple(range(horizon + 1))
+        assert len(got.values) == horizon + 1
+        for g, w in zip(got.values, want.values, strict=True):
+            assert dist_distance(g, w) == 0.0
