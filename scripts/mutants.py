@@ -61,8 +61,8 @@ MUTANTS = (
     Mutant(
         "absorb-memo-by-type",
         "src/polydyn/hier.py",
-        "        law = self.system.absorb(1, self._states[s], i, d)\n",
-        "        law = self.system.absorb(1, self._states[s], i, d)\n"
+        "        law = self.system.absorb(self._states[s], i, d)\n",
+        "        law = self.system.absorb(self._states[s], i, d)\n"
         "        law = self._law_rows.setdefault(type(law), (law, None))[0]\n",
         ("tests/test_table_properties.py::test_generated_table_keys_and_rows_equal_the_closures",
          "tests/test_tables.py::test_table_keys_and_rows_equal_the_closures"),
@@ -77,15 +77,22 @@ MUTANTS = (
         ("tests/test_poly.py::test_polymap_key_ignores_listing_order_and_fibre_association",
          "tests/test_tables.py::test_one_law_listed_in_either_order_has_one_key"),
     ),
-    # the clock probe reads no other tick, so a leaf whose emit or absorb
-    # reads the clock is read at t = 1 in silence, on either route
+    # mk_hier accepts an emitted lens of any shape
     Mutant(
-        "no-clock-probe",
+        "mk-hier-no-shape-check",
         "src/polydyn/hier.py",
-        "    for t in (0, 2):\n        if polymap_key(hs.emit(t, x)) != key",
-        "    for t in ():\n        if polymap_key(hs.emit(t, x)) != key",
-        ("tests/test_hier.py::test_a_leaf_that_reads_the_clock_is_refused_by_name",
-         "tests/test_hier.py::test_a_leaf_on_infinite_states_that_reads_the_clock_is_refused"),
+        "if phi.source != source or phi.target != target:",
+        "if False:",
+        ("tests/test_hier.py::test_mk_hier_validates_emitted_shape",),
+    ),
+    # a forall side b read as exists: a side-a candidate holds once some
+    # side-b candidate matches it
+    Mutant(
+        "forall-read-as-exists",
+        "src/polydyn/hier.py",
+        'holds = ok.any(axis=1) if beta_mode == "exists" else ok.all(axis=1)',
+        "holds = ok.any(axis=1)",
+        ("tests/test_hier.py::test_quantifier_modes_differ",),
     ),
     # reading stops after one tick whatever the laws, as if every law matrix
     # repeated its last one

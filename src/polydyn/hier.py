@@ -3,7 +3,9 @@
 A ``HierSystem`` from interface p to interface q is a stateful process that at
 each tick emits a whole lens p -> q (``emit``) and absorbs the response -- a
 source position together with the direction the target returned there -- into
-a state update (``absorb``).  Composing two of them runs the emitted lenses
+a state update (``absorb``).  A system is its one-tick data: emit and absorb
+take a state, not a tick, so every tick repeats them, and a system that needs
+a clock carries it in its state.  Composing two of them runs the emitted lenses
 nose-to-tail while routing the backward traffic through both states; tensoring
 runs them side by side.  Copy and discard systems make this a copy-discard
 setting, which is what lets an abstract Bayes' rule be stated dynamically.
@@ -46,7 +48,6 @@ from .dist import (
 from .poly import (
     DETERMINISTIC,
     STOCHASTIC,
-    PolyError,
     PolyMap,
     Polynomial,
     TimeMonoid,
@@ -82,14 +83,22 @@ class HierError(ValueError):
 
 @dataclass(frozen=True)
 class HierSystem:
+    """A hierarchical system source -> target over ``states``, given by its
+    one-tick data: ``emit(x)`` is the lens state x shows, ``absorb(x, i, d)``
+    the law of the next state once the response at source position i
+    returns direction d, and ``forward_lift(x, b)``, when given, the law
+    ``hibi_compose`` puts on the middle wire for target position b.  None
+    takes a tick, so every tick repeats them.  ``time`` is the monoid the
+    ticks come from; composites refuse a mix."""
+
     source: Polynomial
     target: Polynomial
     states: Space
     time: TimeMonoid
-    emit: Callable  # (t, x) -> PolyMap source -> target
-    absorb: Callable  # (t, x, i, d') -> Dist over states
+    emit: Callable  # x -> PolyMap source -> target
+    absorb: Callable  # (x, i, d') -> Dist over states
     _: KW_ONLY
-    forward_lift: Optional[Callable] = None  # (t, x, b) -> Dist over target positions
+    forward_lift: Optional[Callable] = None  # (x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
     # (kind, left, right) for compose_hier/tensor_hier composites: their
     # tables, and the vector of their own init, are built from the factors'
@@ -106,38 +115,17 @@ def mk_hier(
     absorb: Callable,
     init: Dist = None,
 ) -> HierSystem:
-    """A hierarchical system from its one-tick emit and absorb, which
-    ``trace`` and ``quasi_bisim`` read at t = 1, as ``closure`` reads a
-    ``System``.  At each state of a finite space the lens must have the
-    declared shape, and a clock is refused by name (``_refuse_clock``)
-    where the lens has a key.  A clock goes in the state."""
-    hs = HierSystem(source, target, states, time_nat(), emit, absorb, init=init)
+    """A hierarchical system from its one-tick emit and absorb.  At each
+    state of a finite space the emitted lens must have the declared shape."""
     if is_finite(states):
         for x in points(states):
-            phi = emit(1, x)
+            phi = emit(x)
             if phi.source != source or phi.target != target:
                 raise HierError(
                     f"emitted lens at state {x!r} has shape {phi.source!r} -> "
                     f"{phi.target!r}, declared {source!r} -> {target!r}"
                 )
-            try:
-                key = polymap_key(phi)
-            except PolyError:  # tabulating refuses it
-                continue
-            _refuse_clock(hs, x, phi, key)
-    return hs
-
-
-def _refuse_clock(hs: HierSystem, x, lens: PolyMap, key: tuple) -> None:
-    """Refuse a system whose state x, emitting ``lens`` with ``key`` at tick
-    1, emits another key or absorbs a response into another law at tick 0
-    or 2, naming the state and the tick."""
-    moves = [(i, d, hs.absorb(1, x, i, d)) for i, d in _responses(lens)]
-    for t in (0, 2):
-        if polymap_key(hs.emit(t, x)) != key or any(
-                dist_distance(hs.absorb(t, x, i, d), law) for i, d, law in moves):
-            raise HierError(f"the system reads the clock: at state {x!r}, its emit or "
-                            f"absorb at tick {t} differs from tick 1; carry it in the state")
+    return HierSystem(source, target, states, time_nat(), emit, absorb, init=init)
 
 
 def as_hier(sys_: System) -> HierSystem:
@@ -146,11 +134,11 @@ def as_hier(sys_: System) -> HierSystem:
     a direction as one tick of its update, read at t = 1 as ``closure`` is."""
     source, p = y(), sys_.interface
 
-    def emit(t, x):
+    def emit(x):
         a = sys_.output(1, x)
         return det_polymap(source, p, lambda i: a, lambda i, d: ())
 
-    def absorb(t, x, i, d):
+    def absorb(x, i, d):
         return sys_.update(1, x, d)
 
     return HierSystem(source, p, sys_.states, sys_.time, emit, absorb)
@@ -163,17 +151,17 @@ def as_hier(sys_: System) -> HierSystem:
 def hier_from_tables(
     A: Space, S: Space, B: Space, T: Space,
     states: Space,
-    o1: Callable,  # (t, x, a) -> b
-    o2: Callable,  # (t, x, a, t') -> s
-    u: Callable,  # (t, x, a, t') -> Dist over states
+    o1: Callable,  # (x, a) -> b
+    o2: Callable,  # (x, a, t') -> s
+    u: Callable,  # (x, a, t') -> Dist over states
 ) -> HierSystem:
     """Hierarchical system between monomial interfaces Ay^S -> By^T from its
     three component maps: forward output, backward output, update."""
     source = monomial(A, S)
     target = monomial(B, T)
 
-    def emit(t, x):
-        return det_polymap(source, target, lambda a: o1(t, x, a), lambda a, tp: o2(t, x, a, tp))
+    def emit(x):
+        return det_polymap(source, target, lambda a: o1(x, a), lambda a, tp: o2(x, a, tp))
 
     return mk_hier(source, target, states, emit, u)
 
@@ -203,22 +191,22 @@ def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         raise HierError("composed systems must share the time monoid")
     states = prod(beta.states, gamma.states)
 
-    def emit(t, xy):
+    def emit(xy):
         x, z = xy
-        return compose_map(gamma.emit(t, z), beta.emit(t, x))
+        return compose_map(gamma.emit(z), beta.emit(x))
 
-    def absorb(t, xy, i, d_out):
+    def absorb(xy, i, d_out):
         x, z = xy
-        j = beta.emit(t, x).forward(i)
-        mid_dirs = gamma.emit(t, z).backward(j, d_out)
-        left_new = bind(mid_dirs, lambda d_mid: beta.absorb(t, x, i, d_mid))
-        right_new = gamma.absorb(t, z, j, d_out)
+        j = beta.emit(x).forward(i)
+        mid_dirs = gamma.emit(z).backward(j, d_out)
+        left_new = bind(mid_dirs, lambda d_mid: beta.absorb(x, i, d_mid))
+        right_new = gamma.absorb(z, j, d_out)
         return dst(left_new, right_new)
 
     lift = None
     if gamma.forward_lift is not None:
-        def lift(t, xy, b):  # noqa: E731 - closure over gamma
-            return gamma.forward_lift(t, xy[1], b)
+        def lift(xy, b):  # noqa: E731 - closure over gamma
+            return gamma.forward_lift(xy[1], b)
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
     return HierSystem(
@@ -235,15 +223,15 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
     target = tensor(beta.target, gamma.target)
     states = prod(beta.states, gamma.states)
 
-    def emit(t, xz):
+    def emit(xz):
         x, z = xz
-        return tensor_map(beta.emit(t, x), gamma.emit(t, z))
+        return tensor_map(beta.emit(x), gamma.emit(z))
 
-    def absorb(t, xz, ij, dd):
+    def absorb(xz, ij, dd):
         x, z = xz
         i, j = ij
         d1, d2 = dd
-        return dst(beta.absorb(t, x, i, d1), gamma.absorb(t, z, j, d2))
+        return dst(beta.absorb(x, i, d1), gamma.absorb(z, j, d2))
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
     return HierSystem(
@@ -256,10 +244,10 @@ def _stateless(source: Polynomial, target: Polynomial, lens: PolyMap) -> HierSys
     ustates = unit()
     silent = dirac(ustates, ())
 
-    def emit(t, x):
+    def emit(x):
         return lens
 
-    def absorb(t, x, i, d):
+    def absorb(x, i, d):
         return silent
 
     return HierSystem(source, target, ustates, time_nat(), emit, absorb, init=silent)
@@ -303,8 +291,7 @@ def function_system(f: Callable, A: Space, B: Space) -> HierSystem:
 
 class HierTable:
     """A hierarchical system with finite states, positions and fibres,
-    tabulated at one tick: its emit and absorb read at t = 1, which every
-    tick repeats (see ``mk_hier``).
+    tabulated from its one-tick emit and absorb, which every tick repeats.
 
     State ids follow ``points(states)``.  ``key_of`` maps each state id to
     the id of the lens the state emits; ``keys[k]`` is that lens's
@@ -374,7 +361,7 @@ class _LeafTable(HierTable):
         self.size = len(self._states)
         self.key_of = np.empty(self.size, dtype=np.intp)
         for s, x in enumerate(self._states):
-            lens = hs.emit(1, x)
+            lens = hs.emit(x)
             self.key_of[s] = self._key_id(polymap_key(lens), lens)
         self._resp = [_responses(lens) for lens in self._lenses]  # key id -> responses
         self._width = 1 + max(len(o) for o in self.options)
@@ -395,7 +382,7 @@ class _LeafTable(HierTable):
 
     def _absorb(self, s: int, o: int) -> int:
         i, d = self._resp[self.key_of[s]][o]
-        law = self.system.absorb(1, self._states[s], i, d)
+        law = self.system.absorb(self._states[s], i, d)
         hit = self._law_rows.get(id(law))
         if hit is not None:
             return hit[1]
@@ -812,19 +799,17 @@ def _key_dist(pairs) -> Dist:
 
 def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
     """The trace of a hierarchical system by walking its emit and absorb
-    closures, read at t = 1 as the tables read them: the specification the
-    tables are checked against, and the route for systems whose states are
-    not finite.  Each state reached emits, is keyed and is probed for a
-    clock once."""
+    closures: the specification the tables are checked against, and the
+    route for systems whose states are not finite.  Each state reached
+    emits and is keyed once."""
     respond = _strategy(sigma, (hs,))
     emitted: dict = {}  # state -> (lens, key)
 
     def lens_key(x) -> tuple:
         hit = emitted.get(x)
         if hit is None:
-            lens = hs.emit(1, x)
+            lens = hs.emit(x)
             hit = emitted[x] = (lens, polymap_key(lens))
-            _refuse_clock(hs, x, *hit)
         return hit
 
     def moved(x) -> Dist:
@@ -832,7 +817,7 @@ def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
         if (response := respond(key)) is None:
             raise HierError("section has no entry for an emitted lens")
         i = expand_point(hs.source.positions, response[0])
-        return hs.absorb(1, x, i, expand_point(hs.target.dirs_at(lens.forward(i)), response[1]))
+        return hs.absorb(x, i, expand_point(hs.target.dirs_at(lens.forward(i)), response[1]))
 
     values = []
     law = init
@@ -1154,10 +1139,10 @@ def stochastic_channel_system(c: Callable, X: Space, Y: Space) -> HierSystem:
     law = categorical(table_space, weights)
     index = {xv: k for k, xv in enumerate(xs)}
 
-    def emit(t, table):
+    def emit(table):
         return det_polymap(linear(X), linear(Y), lambda a: table[index[a]], lambda a, d: ())
 
-    def absorb(t, table, i, d):
+    def absorb(x, i, d):
         return law
 
     return HierSystem(linear(X), linear(Y), table_space, time_nat(), emit, absorb, init=law)
@@ -1219,17 +1204,17 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
     if f.target.directions != g.source.directions:
         raise HierError("middle backward directions disagree")
 
-    def lift_lens(t, x):
+    def lift_lens(x):
         def fwd(b):
-            return dirac(B, b) if f.forward_lift is None else f.forward_lift(t, x, b)
+            return dirac(B, b) if f.forward_lift is None else f.forward_lift(x, b)
 
         def backward(b, t_prime):
             return dirac(f.target.dirs_at(b), t_prime)
 
         return PolyMap(f.target, g.source, fwd, backward, DETERMINISTIC)
 
-    def emit(t, x):
-        return compose_map(lift_lens(t, x), f.emit(t, x))
+    def emit(x):
+        return compose_map(lift_lens(x), f.emit(x))
 
     lifted = HierSystem(f.source, g.source, f.states, f.time, emit, f.absorb, init=f.init)
     # g's positions are distributions, so g has no table; the composite is

@@ -508,7 +508,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
     # safe to share between composites: every read checks the covariance
     prior = _Prior()
 
-    def emit(t, xy):
+    def emit(xy):
         x, ypred = xy
 
         def backward(pi_in, datum):
@@ -516,7 +516,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
 
         return PolyMap(source, target, lambda pi_in: ypred, backward, DETERMINISTIC)
 
-    def absorb(t, xy, pi_in, datum):
+    def absorb(xy, pi_in, datum):
         x, _ = xy
         # a point mass is a zero-covariance belief, which the energy rejects
         # as numerically singular
@@ -529,7 +529,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
         rho, at_new = at.update(pi, yv, cfg)
         return dst(rho, at_new.prediction(rho))
 
-    def forward_lift(t, xy, b):
+    def forward_lift(xy, b):
         return gamma(xy[0])
 
     return HierSystem(
@@ -582,8 +582,8 @@ def mean_path(hs: HierSystem, pi0: Dist, datum, steps: int):
     datum = tuple(_finite_datum(datum))
     point = unflatten_floats(hs.states, (0.0,) * euclid_dims(hs.states))
     path = [tuple(flatten_floats(hs.states, point))]
-    for t in range(steps):
-        law = hs.absorb(t, point, pi0, datum)
+    for _ in range(steps):
+        law = hs.absorb(point, pi0, datum)
         if not isinstance(law, Gaussian):
             raise LaplaceError("state update did not produce a Gaussian law")
         point = unflatten_floats(hs.states, law.mean)

@@ -114,8 +114,8 @@ def test_deterministic_bijection_channel_inverts_on_the_nose():
 def test_prior_system_redraws_each_tick():
     pi = categorical(X2, [("x1", 0.25), ("x2", 0.75)])
     pr = prior_system(pi)
-    law = pr.absorb(0, "x1", (), ())
-    assert law is pr.absorb(3, "x2", (), ())
+    law = pr.absorb("x1", (), ())
+    assert law is pr.absorb("x2", (), ())
     assert prob(law, "x2") == 0.75
 
 

@@ -59,11 +59,11 @@ def blinker(n: int) -> HierSystem:
     states = finite(*range(n))
     B = finite("even", "odd")
 
-    def emit(t, x):
+    def emit(x):
         lab = "even" if x % 2 == 0 else "odd"
         return det_polymap(y(), linear(B), lambda i: lab, lambda i, d: ())
 
-    def absorb(t, x, i, d):
+    def absorb(x, i, d):
         return dirac(states, (x + 1) % n)
 
     return mk_hier(y(), linear(B), states, emit, absorb)
@@ -126,7 +126,7 @@ def test_compose_hier_is_associative_up_to_trace():
 def test_tensor_hier_runs_sides_independently():
     two = tensor_hier(blinker(2), blinker(4))
     assert two.states == prod(finite(0, 1), finite(0, 1, 2, 3))
-    lens = two.emit(0, (0, 1))
+    lens = two.emit((0, 1))
     assert lens.forward(((), ())) == ("even", "odd")
 
 
@@ -150,18 +150,16 @@ def test_hier_tables_roundtrip():
     hs = hier_from_tables(
         A=finite(0, 1), S=S, B=finite("go", "stay"), T=T,
         states=states,
-        o1=lambda t, x, a: o1(x, a),
-        o2=lambda t, x, a, tp: o2(x, a, tp),
-        u=lambda t, x, a, tp: u(x, a, tp),
+        o1=o1, o2=o2, u=u,
     )
     assert hs.source == monomial(finite(0, 1), S)
     assert hs.target == monomial(finite("go", "stay"), T)
     for x in (0, 1):
-        lens = hs.emit(1, x)
+        lens = hs.emit(x)
         for a in (0, 1):
             assert lens.forward(a) == o1(x, a)
             assert dirac_point(lens.backward(a, "t0")) == o2(x, a, "t0")
-            assert prob(hs.absorb(1, x, a, "t0"), (x + a) % 2) == 1.0
+            assert prob(hs.absorb(x, a, "t0"), (x + a) % 2) == 1.0
 
 
 # -- traces and quasi-bisimilarity --------------------------------------------
@@ -206,11 +204,11 @@ def test_mismatch_is_reported_at_first_divergence():
     B = finite("a", "b")
 
     def machine(last):
-        def emit(t, x):
+        def emit(x):
             lab = "a" if x < 3 else last
             return det_polymap(y(), linear(B), lambda i: lab, lambda i, d: ())
 
-        def absorb(t, x, i, d):
+        def absorb(x, i, d):
             return dirac(states, min(x + 1, 3))
 
         return mk_hier(y(), linear(B), states, emit, absorb,
@@ -239,10 +237,10 @@ def test_quantifier_modes_differ():
 def test_stochastic_hier_absorb_law():
     states = finite(0, 1)
 
-    def emit(t, x):
+    def emit(x):
         return det_polymap(y(), linear(states), lambda i: x, lambda i, d: ())
 
-    def absorb(t, x, i, d):
+    def absorb(x, i, d):
         return uniform(states)
 
     hs = mk_hier(y(), linear(states), states, emit, absorb)
@@ -270,10 +268,10 @@ def test_hibi_compose_refuses_a_mismatched_middle():
     and take back the directions it feeds back."""
     src, tgt = monomial(dist_space(A), unit()), monomial(A, unit())
 
-    def emit(t, x):
+    def emit(x):
         return det_polymap(src, tgt, lambda i: 0, lambda i, d: ())
 
-    right = mk_hier(src, tgt, unit(), emit, lambda t, x, i, d: dirac(unit(), ()))
+    right = mk_hier(src, tgt, unit(), emit, lambda x, i, d: dirac(unit(), ()))
     shows_labels = replace(right, target=monomial(finite("a", "b"), unit()))
     with pytest.raises(HierError, match=re.escape(
         "middle spaces disagree: left outputs finite['a', 'b'], "
@@ -315,10 +313,10 @@ def test_hibi_compose_lifts_points_to_diracs():
         tgt = monomial(A, unit())
         states = finite(0, 1, 2)
 
-        def emit(t, x):
+        def emit(x):
             return det_polymap(src, tgt, lambda i: x, lambda i, d: ())
 
-        def absorb(t, x, pi_in, d):
+        def absorb(x, pi_in, d):
             # move toward the mode of the incoming belief, shifted
             mode = max(points(A), key=lambda a: prob(pi_in, a))
             return dirac(states, (mode + offset) % 3)
@@ -329,7 +327,7 @@ def test_hibi_compose_lifts_points_to_diracs():
     both = hibi_compose(lower, upper)
     assert both.source == monomial(dist_space(A), unit())
     assert both.target == monomial(A, unit())
-    law = both.absorb(0, (0, 0), uniform(A), ())
+    law = both.absorb((0, 0), uniform(A), ())
     # lower sees the uniform belief (mode 0) and moves to 1;
     # upper sees dirac at lower's emitted 0 and stays at 0
     assert prob(law, (1, 0)) == 1.0
@@ -344,16 +342,16 @@ def test_hibi_composite_is_tabulated_by_walking_it():
     states = finite(0, 1)
 
     def level(source):
-        def emit(t, x):
+        def emit(x):
             return det_polymap(source, tgt, lambda i: x, lambda i, d: ())
 
-        def absorb(t, x, i, d):
+        def absorb(x, i, d):
             return dirac(states, 1 - x)
 
         return mk_hier(source, tgt, states, emit, absorb, init=dirac(states, 0))
 
     both = hibi_compose(level(src), level(src))
-    assert both.absorb(0, (0, 1), uniform(A), ()) == dirac(prod(states, states), (1, 0))
+    assert both.absorb((0, 1), uniform(A), ()) == dirac(prod(states, states), (1, 0))
     with pytest.raises(HierError, match="tabulating needs finite states and source positions"):
         quasi_bisim(both, both, horizon=2)
     pointed = hibi_compose(level(tgt), level(src))
@@ -366,12 +364,12 @@ def test_a_backward_law_outside_the_middle_fibre_is_named():
     refuses it, at gamma's source position."""
     S = finite("s0", "s1")
     beta = mk_hier(y(), monomial(A, S), finite(0, 1),
-                   lambda t, x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
-                   lambda t, x, i, s: dirac(finite(0, 1), 1 - x))
+                   lambda x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
+                   lambda x, i, s: dirac(finite(0, 1), 1 - x))
     stray = PolyMap(monomial(A, S), linear(A), lambda a: a,
                     lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
-    gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: stray,
-                    lambda t, z, a, d: dirac(unit(), ()))
+    gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda z: stray,
+                    lambda z, a, d: dirac(unit(), ()))
     both = compose_hier(beta, gamma)
     for run in (lambda: tabulate(both),
                 lambda: quasi_bisim(both, both, horizon=2)):
@@ -384,12 +382,12 @@ def test_a_backward_law_outside_a_unit_middle_fibre_is_named():
     """On a unit middle fibre every direction reads as () in a normalized
     lens key, so the stray answer is refused before it is normalized."""
     beta = mk_hier(y(), linear(A), finite(0, 1),
-                   lambda t, x: det_polymap(y(), linear(A), lambda i: x, lambda i, d: ()),
-                   lambda t, x, i, d: dirac(finite(0, 1), 1 - x))
+                   lambda x: det_polymap(y(), linear(A), lambda i: x, lambda i, d: ()),
+                   lambda x, i, d: dirac(finite(0, 1), 1 - x))
     stray = PolyMap(linear(A), linear(A), lambda a: a,
                     lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
-    gamma = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
-                    lambda t, z, a, d: dirac(unit(), ()))
+    gamma = mk_hier(linear(A), linear(A), unit(), lambda z: stray,
+                    lambda z, a, d: dirac(unit(), ()))
     both = compose_hier(beta, gamma)
     for run in (lambda: tabulate(both),
                 lambda: quasi_bisim(both, both, horizon=2)):
@@ -405,18 +403,18 @@ def test_a_stray_backward_atom_is_named_where_no_route_reads_it():
     its own source position."""
     stray = PolyMap(linear(A), linear(A), lambda a: a,
                     lambda a, d: dirac(finite("zzz"), "zzz"), DETERMINISTIC)
-    leaf = mk_hier(linear(A), linear(A), unit(), lambda t, z: stray,
-                   lambda t, z, a, d: dirac(unit(), ()))
+    leaf = mk_hier(linear(A), linear(A), unit(), lambda z: stray,
+                   lambda z, a, d: dirac(unit(), ()))
     with pytest.raises(PolyError, match=r"source position 0, .* with 'zzz'"):
         tabulate(leaf)
     S = finite("s0", "s1")
     beta = mk_hier(y(), monomial(A, S), finite(0, 1),
-                   lambda t, x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
-                   lambda t, x, i, s: dirac(finite(0, 1), 1 - x))
+                   lambda x: det_polymap(y(), monomial(A, S), lambda i: x, lambda i, d: ()),
+                   lambda x, i, s: dirac(finite(0, 1), 1 - x))
     mixed = categorical(finite("s0", "zzz"), {"s0": 0.5, "zzz": 0.5})
     lens = PolyMap(monomial(A, S), linear(A), lambda a: a, lambda a, d: mixed, STOCHASTIC)
-    gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: lens,
-                    lambda t, z, a, d: dirac(unit(), ()))
+    gamma = mk_hier(monomial(A, S), linear(A), unit(), lambda z: lens,
+                    lambda z, a, d: dirac(unit(), ()))
     both = compose_hier(beta, gamma)
     for run in (lambda: tabulate(both),
                 lambda: quasi_bisim(both, both, horizon=2)):
@@ -431,8 +429,8 @@ def test_a_standalone_leaf_answering_off_its_fibre_is_refused():
     S = finite("s0", "s1")
     stray = PolyMap(monomial(A, S), linear(A), lambda a: a,
                     lambda a, d: dirac(finite("s0", "zzz"), "zzz"), DETERMINISTIC)
-    leaf = mk_hier(monomial(A, S), linear(A), unit(), lambda t, z: stray,
-                   lambda t, z, a, d: dirac(unit(), ()))
+    leaf = mk_hier(monomial(A, S), linear(A), unit(), lambda z: stray,
+                   lambda z, a, d: dirac(unit(), ()))
     message = (r"at source position 0, the backward law answers direction \(\) with 'zzz', "
                r"which is not a point of finite\['s0', 's1'\]")
     for run in (lambda: tabulate(leaf),
@@ -443,84 +441,38 @@ def test_a_standalone_leaf_answering_off_its_fibre_is_refused():
 
 
 def test_mk_hier_validates_emitted_shape():
-    def emit(t, x):
+    """The lens a state emits must run between the declared interfaces: a
+    source or a target that differs is refused, naming the state."""
+    def emit(x):
         return det_polymap(y(), linear(A), lambda i: 0, lambda i, d: ())
 
-    with pytest.raises(HierError):
-        mk_hier(linear(A), linear(A), finite(0), emit,
-                lambda t, x, i, d: dirac(finite(0), 0))
+    def stay(x, i, d):
+        return dirac(finite(0), 0)
+
+    for source, target in ((linear(A), linear(A)), (y(), linear(finite(0, 1)))):
+        with pytest.raises(HierError, match=r"^emitted lens at state 0 has shape"):
+            mk_hier(source, target, finite(0), emit, stay)
 
 
-def test_a_leaf_that_reads_the_clock_is_refused_by_name():
-    """A discrete hierarchical system is its one-tick emit and absorb, so
-    ``mk_hier`` refuses a leaf whose emit or absorb reads the clock, naming
-    the first state and probed tick where it differs from tick 1: a lens
-    that changes at tick 0, an absorb that does, a lens on a clock of
-    period two, and ``hier_from_tables`` maps that read it.  The clock
-    carried in the state is accepted."""
-    states = finite(0, 1, 2)
+def test_a_clock_carried_in_the_state_traces_its_parity():
+    """Emit and absorb take no tick, so a leaf that needs a clock carries it
+    in its state: on finite states as a flag beside the state, on Euclidean
+    states in the state itself.  Either traces its parity."""
     B = finite("even", "odd")
 
     def lens(label):
         return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
 
-    def stay(t, x, i, d):
-        return dirac(states, x)
-
-    refused = [
-        (lambda t, x: lens("even" if t == 0 else "odd"), stay, 0, 0),
-        (lambda t, x: lens("even"), lambda t, x, i, d: dirac(states, min(t, 2)), 0, 0),
-        (lambda t, x: lens("odd" if (x == 2) == (t % 2 == 1) else "even"), stay, 0, 0),
-        (lambda t, x: lens("odd" if x < 2 or t < 2 else "even"), stay, 2, 2),
-    ]
-    for emit, absorb, x, t in refused:
-        with pytest.raises(HierError, match=rf"^the system reads the clock: at state {x}, "
-                                            rf"its emit or absorb at tick {t} differs"):
-            mk_hier(y(), linear(B), states, emit, absorb)
-    with pytest.raises(HierError, match=r"at state 1, its emit or absorb at tick 2 differs"):
-        hier_from_tables(finite(0), unit(), B, unit(), states,
-                         o1=lambda t, x, a: "even", o2=lambda t, x, a, tp: (),
-                         u=lambda t, x, a, tp: dirac(states, x if x != 1 or t < 2 else 0))
-    clocked = prod(states, finite(0, 1))
-    parity = mk_hier(y(), linear(B), clocked, lambda t, xc: lens(("even", "odd")[xc[1]]),
-                     lambda t, xc, i, d: dirac(clocked, (xc[0], 1 - xc[1])))
-    start = dirac(clocked, (0, 0))
-    values = trace(parity, hom_sections([parity])[0], start, 3).values
-    assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
-
-
-def test_a_leaf_on_infinite_states_that_reads_the_clock_is_refused():
-    """States that are not finite are walked by their closures, which probe
-    each state they reach for a clock: a leaf over a Euclidean state space,
-    built by ``mk_hier`` or directly, whose emit or absorb reads the clock,
-    is refused by name when it is traced.  Its clock carried in the state
-    traces as it did."""
-    states = euclid(1)
-    B = finite("even", "odd")
+    clocked = prod(finite(0, 1, 2), finite(0, 1))
+    flag = mk_hier(y(), linear(B), clocked, lambda xc: lens(("even", "odd")[xc[1]]),
+                   lambda xc, i, d: dirac(clocked, (xc[0], 1 - xc[1])))
+    line = euclid(1)
+    count = mk_hier(y(), linear(B), line, lambda x: lens(("even", "odd")[int(x[0]) % 2]),
+                    lambda x, i, d: dirac(line, (x[0] + 1.0,)))
     sigma = hom_sections([blinker(2)])[0]
-    start = dirac(states, (0.0,))
-
-    def lens(label):
-        return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
-
-    def step(t, x, i, d):
-        return dirac(states, (x[0] + 1.0,))
-
-    refused = [
-        (lambda t, x: lens(("even", "odd")[t % 2]), step, "0.0", 0),
-        (lambda t, x: lens("even"), lambda t, x, i, d: dirac(states, (x[0] + t,)), "0.0", 0),
-        (lambda t, x: lens("odd" if x[0] >= 1.0 and t == 2 else "even"), step, "1.0", 2),
-    ]
-    for emit, absorb, x, t in refused:
-        for leaf in (mk_hier(y(), linear(B), states, emit, absorb),
-                     HierSystem(y(), linear(B), states, time_nat(), emit, absorb)):
-            with pytest.raises(HierError, match=rf"^the system reads the clock: at state "
-                                                rf"\({x},\), its emit or absorb at tick {t} "):
-                trace(leaf, sigma, start, 3)
-    parity = mk_hier(y(), linear(B), states,
-                     lambda t, x: lens(("even", "odd")[int(x[0]) % 2]), step)
-    values = trace(parity, sigma, start, 3).values
-    assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
+    for leaf, start in ((flag, dirac(clocked, (0, 0))), (count, dirac(line, (0.0,)))):
+        values = trace(leaf, sigma, start, 3).values
+        assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
 
 
 def test_hier_system_optional_fields_are_keyword_only():
@@ -528,10 +480,10 @@ def test_hier_system_optional_fields_are_keyword_only():
     refused instead of being read as the forward lift."""
     states = finite(0)
 
-    def emit(t, x):
+    def emit(x):
         return det_polymap(y(), linear(A), lambda i: 0, lambda i, d: ())
 
-    args = (y(), linear(A), states, time_nat(), emit, lambda t, x, i, d: dirac(states, 0))
+    args = (y(), linear(A), states, time_nat(), emit, lambda x, i, d: dirac(states, 0))
     with pytest.raises(TypeError):
         HierSystem(*args, STOCHASTIC)
     hs = HierSystem(*args, init=dirac(states, 0))
@@ -545,12 +497,12 @@ def test_quasi_bisim_on_infinite_states_walks_the_closures():
     B = finite("even", "odd")
 
     def machine(shift):
-        def emit(t, x):
+        def emit(x):
             lab = "even" if int(x[0] + shift) % 2 == 0 else "odd"
             return det_polymap(y(), linear(B), lambda i: lab, lambda i, d: ())
 
         return mk_hier(y(), linear(B), states, emit,
-                       lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
+                       lambda x, i, d: dirac(states, (x[0] + 1.0,)))
 
     sections = hom_sections([blinker(2)])
     start = [dirac(states, (0.0,))]
@@ -569,8 +521,8 @@ def test_quasi_bisim_refuses_to_compare_under_no_section():
     refused.  Under the enumerated sections the same pair is refuted."""
     B = finite("even", "odd")
     constant = mk_hier(y(), linear(B), finite(0),
-                       lambda t, x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                       lambda t, x, i, d: dirac(finite(0), 0))
+                       lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                       lambda x, i, d: dirac(finite(0), 0))
     refuted = quasi_bisim(blinker(2), constant, "forall", "forall", horizon=3)
     assert not refuted["related"]
     assert (refuted["witness"]["t"], refuted["witness"]["deviation"]) == (1, 1.0)
@@ -578,8 +530,8 @@ def test_quasi_bisim_refuses_to_compare_under_no_section():
         quasi_bisim(blinker(2), constant, "forall", "forall", sections=[], horizon=3)
     mute_target = monomial(B, finite())
     mute = mk_hier(y(), mute_target, finite(0),
-                   lambda t, x: det_polymap(y(), mute_target, lambda i: "even", lambda i, d: ()),
-                   lambda t, x, i, d: dirac(finite(0), 0))
+                   lambda x: det_polymap(y(), mute_target, lambda i: "even", lambda i, d: ()),
+                   lambda x, i, d: dirac(finite(0), 0))
     assert hom_sections([mute]) == []
     with pytest.raises(HierError, match="no section"):
         quasi_bisim(mute, mute, "forall", "forall", horizon=3)
@@ -594,12 +546,12 @@ def forking(swap=False):
     states = prod(finite(0, 1, 2), finite(0, 1))
     target = monomial(finite("l0", "l1", "l2"), finite("a", "b"))
 
-    def emit(t, xs):
+    def emit(xs):
         x, started = xs
         label = f"l{x}" if started else "l0"
         return det_polymap(y(), target, lambda i: label, lambda i, d: ())
 
-    def absorb(t, xs, i, d):
+    def absorb(xs, i, d):
         x, started = xs
         return dirac(states, xs if started else (1 if (d == "a") != swap else 2, 1))
 
@@ -679,8 +631,8 @@ def test_quasi_bisim_on_infinite_states_needs_explicit_sections():
     states = euclid(1)
     B = finite("even", "odd")
     drift = mk_hier(y(), linear(B), states,
-                    lambda t, x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                    lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
+                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
     start = [dirac(states, (0.0,))]
     with pytest.raises(HierError, match="explicit sections"):
         quasi_bisim(drift, drift, horizon=2, alphas=start, betas=start)
@@ -694,8 +646,8 @@ def test_a_negative_horizon_is_refused():
     states = euclid(1)
     B = finite("even", "odd")
     drift = mk_hier(y(), linear(B), states,
-                    lambda t, x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                    lambda t, x, i, d: dirac(states, (x[0] + 1.0,)))
+                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
     start = [dirac(states, (0.0,))]
     for refused in (
         lambda: trace(hs, sigma, dirac(hs.states, 0), -1),

@@ -193,7 +193,7 @@ def test_a_channel_is_its_own_kernel():
         for use in (energy, grad_energy):
             assert np.array_equal(use(law, probe, origin, [1.0]), use(same, probe, origin, [1.0]))
         assert law == same and hash(law) == hash(same) and repr(law) == repr(same)
-        lifted = build_laplace(ch, cfg).forward_lift(0, (x, origin), origin)
+        lifted = build_laplace(ch, cfg).forward_lift((x, origin), origin)
         assert lifted == law
 
 
@@ -209,7 +209,7 @@ def test_a_channel_rejects_a_law_of_the_wrong_size():
         with pytest.raises(LaplaceError, match=match):
             bad([0.5])
         with pytest.raises(LaplaceError, match=match):
-            build_laplace(bad, cfg).forward_lift(0, ((0.5,), (0.0, 0.0)), (0.0, 0.0))
+            build_laplace(bad, cfg).forward_lift(((0.5,), (0.0, 0.0)), (0.0, 0.0))
         with pytest.raises(LaplaceError, match=match):
             run_stack([bad, linear_channel([[1.0, 0.0]])], cfg, PI, [1.0], 2)
 
@@ -223,7 +223,7 @@ def test_a_channel_refuses_a_point_of_the_wrong_size():
             ch([1.0, 2.0])
         lift = build_laplace(ch, LaplaceConfig()).forward_lift
         with pytest.raises(LaplaceError, match="in_dim 1 called at a point of size 0"):
-            lift(0, ((), (0.0,)), (0.0,))
+            lift(((), (0.0,)), (0.0,))
         assert ch(1.0) == ch([1.0])
 
 
@@ -331,7 +331,7 @@ def test_linear_fast_paths_match_the_generic_constructor_bit_for_bit():
             assert gaussian_bits(rho_update(x, pi, y, ch, cfg)) == gaussian_bits(want)
             law = gaussian_bits(ch(x))
             assert law == gaussian_bits(gaussian(euclid(m), ch.mean(x), ch.cov(x)))
-            assert gaussian_bits(build_laplace(ch, cfg).forward_lift(0, (x, y), y)) == law
+            assert gaussian_bits(build_laplace(ch, cfg).forward_lift((x, y), y)) == law
         for bad in (np.nan, np.inf):
             x = np.full(n, bad)
             with np.errstate(invalid="ignore"):
@@ -655,7 +655,7 @@ def test_the_runners_refuse_a_datum_or_prior_of_the_wrong_size():
 
 def test_mean_path_refuses_an_update_that_is_not_gaussian():
     hs = stack(TWO_LEVELS, LaplaceConfig())
-    frozen = dataclasses.replace(hs, absorb=lambda t, x, pi, d: dirac(hs.states, x))
+    frozen = dataclasses.replace(hs, absorb=lambda x, pi, d: dirac(hs.states, x))
     with pytest.raises(LaplaceError, match="^state update did not produce a Gaussian law$"):
         mean_path(frozen, PI, [1.0], 1)
 
@@ -829,7 +829,7 @@ def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():
             a = ch.jacobian(x)
             cov = a @ rho.cov_array() @ a.T + ch.cov(x)
             pred = gaussian(euclid(m), ch.mean(rho.mean_array()), cov)
-            got = hs.absorb(t, (tuple(x), tuple(ypred)), pi, tuple(y))
+            got = hs.absorb((tuple(x), tuple(ypred)), pi, tuple(y))
             assert gaussian_bits(got) == gaussian_bits(dst(rho, pred)), t
             x, ypred = np.asarray(got.mean[:n]), np.asarray(got.mean[n:])
 

@@ -57,7 +57,7 @@ STATELESS = 4
 def test_a_verdict_keys_each_leaf_state_once(monkeypatch, horizon):
     """A 3x3 Bayes verdict keys one lens per state of its leaves, the prior,
     the channel, the inversion and the four stateless systems, at every
-    horizon: a tick repeats the lenses of tick 1, so no tick walks them
+    horizon: every tick emits the same lenses, so no tick walks them
     again."""
     c, p, inv = bayes_3x3()
     keyed = []

@@ -100,13 +100,13 @@ def leaf(rng, source, target, n_states: int, period: int, mixed: bool):
                         lambda z, _p=parity: (z, (_p + 1) % period), dyadic_dist(gen, xs),
                         target=states)
 
-    def emit(t, xp):
+    def emit(xp):
         x, parity = xp
         return PolyMap(source, target, lambda i: forward[(parity, x, i)],
                        lambda i, d: backward[(parity, x, i, d)],
                        STOCHASTIC if mixed else DETERMINISTIC)
 
-    def absorb(t, xp, i, d):
+    def absorb(xp, i, d):
         x, parity = xp
         return moves[(parity, x, i, d)]
 
@@ -154,13 +154,12 @@ def sections_of(hs) -> list:
 @GENERATED
 @given(hs=systems())
 def test_generated_table_keys_and_rows_equal_the_closures(hs):
-    """Every key is the key of the lens the closure emits at tick 1, and
-    every row that a response reaches is the law the closure absorbs into
-    there."""
+    """Every key is the key of the lens the closure emits, and every row
+    that a response reaches is the law the closure absorbs into there."""
     table = tabulate(hs)
     states = list(points(hs.states))
     for s, x in enumerate(states):
-        lens = hs.emit(1, x)
+        lens = hs.emit(x)
         k = table.key_of[s]
         assert table.keys[k] == polymap_key(lens), x
         resp = [(i, d) for i in points(lens.source.positions)
@@ -169,7 +168,7 @@ def test_generated_table_keys_and_rows_equal_the_closures(hs):
         for o, (i, d) in enumerate(resp):
             ids, ws = table.step(s, o)
             want = np.zeros(table.size)
-            for z, w in finite_items(hs.absorb(1, x, i, d)):
+            for z, w in finite_items(hs.absorb(x, i, d)):
                 want[states.index(z)] = w
             got = np.zeros(table.size)
             got[ids] = ws
@@ -230,8 +229,8 @@ def settling(lenses, moves, source, target, n_states: int, period: int, mixed: b
         moves_to[(x, phase)] = pushforward(lambda z, _p=phase: (z, (_p + 1) % period),
                                            dyadic_dist(gen, below), target=states)
     start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
-    return mk_hier(source, target, states, lambda t, xp: shows[xp],
-                   lambda t, xp, i, d: moves_to[xp], init=start)
+    return mk_hier(source, target, states, lambda xp: shows[xp],
+                   lambda xp, i, d: moves_to[xp], init=start)
 
 
 @st.composite

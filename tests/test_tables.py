@@ -108,12 +108,12 @@ def ticking(rng, n: int = 4):
     moves = {(x, c): pushforward(lambda z, _c=c: (z, (_c + 1) % 4), moves[x], target=states)
              for x, c in points(states)}
 
-    def emit(t, xc):
+    def emit(xc):
         label = "a" if sum(xc) % 3 == 0 else "b"
         return det_polymap(y(), linear(B), lambda i: label, lambda i, d: ())
 
     start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
-    return mk_hier(y(), linear(B), states, emit, lambda t, xc, i, d: moves[xc], init=start)
+    return mk_hier(y(), linear(B), states, emit, lambda xc, i, d: moves[xc], init=start)
 
 
 def routed(rng, spread: bool = True):
@@ -128,18 +128,18 @@ def routed(rng, spread: bool = True):
     backs = {(z, b, u): dyadic_dist(gen, S) for z in points(zs) for b in points(B) for u in points(T)}
     g_moves = {(z, b, u): dyadic_dist(gen, zs) for z in points(zs) for b in points(B) for u in points(T)}
 
-    def b_emit(t, x):
+    def b_emit(x):
         return PolyMap(y(), monomial(B, S), lambda i: x % 2 if spread else 0,
                        lambda i, s: dirac(unit(), ()), DETERMINISTIC)
 
-    def g_emit(t, z):
+    def g_emit(z):
         w = z if spread else 0
         return PolyMap(monomial(B, S), monomial(C, T), lambda b: f"c{(b + w) % 2}",
                        lambda b, u: backs[(w, b, u)], STOCHASTIC)
 
-    beta = mk_hier(y(), monomial(B, S), xs, b_emit, lambda t, x, i, s: b_moves[(x, s)])
+    beta = mk_hier(y(), monomial(B, S), xs, b_emit, lambda x, i, s: b_moves[(x, s)])
     gamma = mk_hier(monomial(B, S), monomial(C, T), zs, g_emit,
-                    lambda t, z, b, u: g_moves[(z, b, u)], init=dyadic_dist(gen, zs))
+                    lambda z, b, u: g_moves[(z, b, u)], init=dyadic_dist(gen, zs))
     return compose_hier(beta, gamma)
 
 
@@ -153,9 +153,9 @@ def from_tables(rng, n: int = 2, spread: bool = True):
              for x in points(states) for a in points(A) for tp in points(T)}
     return hier_from_tables(
         A, S, B, T, states,
-        o1=lambda t, x, a: "go" if (spread * x + a) % 2 else "stay",
-        o2=lambda t, x, a, tp: "s0" if (spread * x + (tp == "t1")) % 2 else "s1",
-        u=lambda t, x, a, tp: moves[(x, a, tp)],
+        o1=lambda x, a: "go" if (spread * x + a) % 2 else "stay",
+        o2=lambda x, a, tp: "s0" if (spread * x + (tp == "t1")) % 2 else "s1",
+        u=lambda x, a, tp: moves[(x, a, tp)],
     )
 
 
@@ -209,23 +209,23 @@ def test_table_traces_equal_closure_traces(name, theta, psi, provided):
 
 @pytest.mark.parametrize("name,theta,psi,provided", CASES, ids=[c[0] for c in CASES])
 def test_table_keys_and_rows_equal_the_closures(name, theta, psi, provided):
-    """Every composite key is the key of the lens the closure emits at tick
-    1, and every reached row is the law the closure absorbs into there."""
+    """Every composite key is the key of the lens the closure emits, and
+    every reached row is the law the closure absorbs into there."""
     for sys_ in (theta, psi):
         table = tabulate(sys_)
         states = list(points(sys_.states))
         for s, x in enumerate(states):
             k = table.key_of[s]
-            assert table.keys[k] == polymap_key(sys_.emit(1, x))
+            assert table.keys[k] == polymap_key(sys_.emit(x))
         for s, x in enumerate(states[:8]):
             k = table.key_of[s]
-            lens = sys_.emit(1, x)
+            lens = sys_.emit(x)
             resp = [(i, d) for i in points(lens.source.positions)
                     for d in points(lens.target.dirs_at(lens.forward(i)))]
             for o, (i, d) in enumerate(resp):
                 ids, ws = table.step(s, o)
                 want = np.zeros(table.size)
-                for z, w in finite_items(sys_.absorb(1, x, i, d)):
+                for z, w in finite_items(sys_.absorb(x, i, d)):
                     want[states.index(z)] = w
                 got = np.zeros(table.size)
                 got[ids] = ws
@@ -238,7 +238,7 @@ def test_hom_sections_offer_the_closure_keys_in_first_seen_order():
         seen = {}
         for sys_ in (theta, psi):
             for x in points(sys_.states):
-                seen.setdefault(polymap_key(sys_.emit(1, x)), None)
+                seen.setdefault(polymap_key(sys_.emit(x)), None)
         sections = hom_sections([theta, psi])
         assert [key for key, _ in sections[0].table] == list(seen), name
 
@@ -312,12 +312,12 @@ def drifting(shift, steps_on=("go",)):
     B, T = finite("even", "odd"), finite("stay", "go")
     target = monomial(B, T)
 
-    def emit(t, x):
+    def emit(x):
         label = "even" if int(x[0] + shift) % 2 == 0 else "odd"
         return det_polymap(y(), target, lambda i: label, lambda i, d: ())
 
     return mk_hier(y(), target, states, emit,
-                   lambda t, x, i, d: dirac(states, (x[0] + (d in steps_on),)))
+                   lambda x, i, d: dirac(states, (x[0] + (d in steps_on),)))
 
 
 def test_traced_verdicts_equal_closure_verdicts():
@@ -332,9 +332,9 @@ def test_traced_verdicts_equal_closure_verdicts():
     shows = finite(0, 1)
     target = drifting(0).target
     parity = mk_hier(y(), target, shows,
-                     lambda t, x: det_polymap(y(), target, lambda i: ("even", "odd")[x],
+                     lambda x: det_polymap(y(), target, lambda i: ("even", "odd")[x],
                                               lambda i, d: ()),
-                     lambda t, x, i, d: dirac(shows, x))
+                     lambda x, i, d: dirac(shows, x))
     sections = hom_sections([parity])
     assert len(sections) == 4
     named = set()
@@ -400,12 +400,12 @@ def test_equal_laws_built_apart_mix_as_one_law():
     init = categorical(X, {0: 0.1, 2: 0.9})
     assert trace(markov, trivial_section(linear(X)), init, 1).values[1] == law()
     assert bind(init, law) == law()
-    beta = mk_hier(y(), B, X, lambda t, x: det_polymap(y(), B, lambda i: x, lambda i, m: ()),
+    beta = mk_hier(y(), B, X, lambda x: det_polymap(y(), B, lambda i: x, lambda i, m: ()),
                    law, init=dirac(X, 2))
     split = categorical(M, {"m0": 0.1, "m1": 0.9})
     lens = PolyMap(B, linear(X), lambda b: b, lambda b, u: split, STOCHASTIC)
-    gamma = mk_hier(B, linear(X), unit(), lambda t, z: lens,
-                    lambda t, z, b, u: dirac(unit(), ()), init=dirac(unit(), ()))
+    gamma = mk_hier(B, linear(X), unit(), lambda z: lens,
+                    lambda z, b, u: dirac(unit(), ()), init=dirac(unit(), ()))
     composite = compose_hier(beta, gamma)
     for hs, start in ((as_hier(markov), init), (composite, composite.init)):
         sigma = hom_sections([hs])[0]
@@ -438,12 +438,12 @@ def test_point_mass_middles_are_assembled_and_mixed_middles_walked():
     assert type(inside) is hier._PairTable and type(inside._left) is hier._LeafTable
     states = list(points(mixed.states))
     for s, x in enumerate(states):
-        lens = mixed.emit(1, x)
+        lens = mixed.emit(x)
         resp = [(i, d) for i in points(lens.source.positions)
                 for d in points(lens.target.dirs_at(lens.forward(i)))]
         for o, (i, d) in enumerate(resp):
             ids, ws = table.step(s, o)
-            want = {states.index(z): w for z, w in finite_items(mixed.absorb(1, x, i, d))}
+            want = {states.index(z): w for z, w in finite_items(mixed.absorb(x, i, d))}
             assert dict(zip(ids.tolist(), ws.tolist())) == want, (x, o)
 
 
@@ -511,7 +511,7 @@ def tabulated_system(rng, positions, fibres, out_positions, out_fibres, xs):
                                  target=states)
              for x, c in points(states)}
 
-    def emit(t, xc):
+    def emit(xc):
         x, c = xc
 
         def forward(i):
@@ -523,7 +523,7 @@ def tabulated_system(rng, positions, fibres, out_positions, out_fibres, xs):
         return PolyMap(source, target, forward, backward, STOCHASTIC)
 
     start = pushforward(lambda x: (x, 0), dyadic_dist(gen, xs), target=states)
-    return mk_hier(source, target, states, emit, lambda t, xc, i, d: moves[xc], init=start)
+    return mk_hier(source, target, states, emit, lambda xc, i, d: moves[xc], init=start)
 
 
 def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
@@ -545,7 +545,7 @@ def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
         table = tabulate(both)
         states = list(points(both.states))
         for s, x in enumerate(states):
-            assert table.keys[table.key_of[s]] == polymap_key(both.emit(1, x)), x
+            assert table.keys[table.key_of[s]] == polymap_key(both.emit(x)), x
 
 
 class Label:
@@ -569,8 +569,8 @@ def test_tensor_keys_are_assembled_on_a_repr_tie(monkeypatch):
 
     def leaf(fibre, law):
         lens = PolyMap(monomial(A, fibre), linear(A), lambda i: i, lambda i, d: law, STOCHASTIC)
-        return mk_hier(monomial(A, fibre), linear(A), finite(0), lambda t, x: lens,
-                       lambda t, x, i, d: dirac(finite(0), 0))
+        return mk_hier(monomial(A, fibre), linear(A), finite(0), lambda x: lens,
+                       lambda x, i, d: dirac(finite(0), 0))
 
     left_fibre, right_fibre = finite(pq, p_), finite(r_, qr)
     left = leaf(left_fibre, categorical(left_fibre, [(pq, 0.75), (p_, 0.25)]))
@@ -584,7 +584,7 @@ def test_tensor_keys_are_assembled_on_a_repr_tie(monkeypatch):
 
     monkeypatch.setattr(hier, "polymap_key", counted)
     table = tabulate(both)
-    key = polymap_key(both.emit(1, (0, 0)))
+    key = polymap_key(both.emit((0, 0)))
     tied = [a for a, _ in key[0][2][0][1] if repr(a) == "(p, q, r)"]
     assert tied == [(pq, r_), (p_, qr)]
     assert table.keys[table.key_of[0]] == key
@@ -603,11 +603,11 @@ def test_one_law_listed_in_either_order_has_one_key():
     def leaf(items):
         law = categorical(fibre, items)
         lens = PolyMap(monomial(A, fibre), linear(A), lambda i: i, lambda i, d: law, STOCHASTIC)
-        return mk_hier(monomial(A, fibre), linear(A), finite(0), lambda t, x: lens,
-                       lambda t, x, i, d: dirac(finite(0), 0))
+        return mk_hier(monomial(A, fibre), linear(A), finite(0), lambda x: lens,
+                       lambda x, i, d: dirac(finite(0), 0))
 
     one, other = leaf([(x1, 0.75), (x2, 0.25)]), leaf([(x2, 0.25), (x1, 0.75)])
-    assert polymap_key(one.emit(1, 0)) == polymap_key(other.emit(1, 0))
+    assert polymap_key(one.emit(0)) == polymap_key(other.emit(0))
     verdict = quasi_bisim(one, other, "forall", "forall", horizon=HORIZON)
     assert verdict["related"] and verdict["witness"] is None
 
@@ -640,11 +640,11 @@ def labelled(rng, odd=None):
                                     target=states)
              for x, c in points(states) for d in points(T)}
 
-    def emit(t, xc):
+    def emit(xc):
         label = f"b{sum(xc)}"
         return det_polymap(y(), target, lambda i: label, lambda i, d: ())
 
-    def absorb(t, xc, i, d):
+    def absorb(xc, i, d):
         x, c = xc
         return dirac(states, ((x + 1) % 4, (c + 1) % 3)) if (c, x, d) == odd else moves[(x, c, d)]
 
@@ -807,10 +807,10 @@ def test_clocked_fixtures_equal_the_closure_walk(k):
 
 def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
     """The closure route reads the one-tick emit of every state it reaches
-    and keys it once, for the trace value and the section's response alike,
-    and its clock probe keys the state's lens at ticks 0 and 2: 9 keys for a
-    prior of 3 states copied, over 4 ticks, where keying each (tick, state)
-    and again for the response took 21."""
+    and keys it once, for the trace value and the section's response alike:
+    3 keys for a prior of 3 states copied, over 4 ticks, one per reached
+    state, where keying each (tick, state) and again for the response took
+    21."""
     A = finite(0, 1, 2)
     hs = compose_hier(prior_system(uniform(A)), copy_system(A))
     sigma = hom_sections([hs])[0]
@@ -823,7 +823,7 @@ def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
 
     monkeypatch.setattr(hier, "polymap_key", counted)
     values = hier._closure_trace(hs, sigma, hs.init, 3).values
-    assert len(values) == 4 and len(keyed) == 3 * 3
+    assert len(values) == 4 and len(keyed) == 3
     monkeypatch.undo()
     for got, want in zip(trace(hs, sigma, hs.init, 3).values, values):
         assert dist_distance(got, want) == 0.0
@@ -841,12 +841,12 @@ def chain(moves, labels):
     whatever the response, shows ``labels[x]``, and starts at 0."""
     states = finite(*range(len(moves)))
 
-    def emit(t, x):
+    def emit(x):
         label = labels[x]
         return det_polymap(y(), linear(SHOWN), lambda i: label, lambda i, d: ())
 
     return mk_hier(y(), linear(SHOWN), states, emit,
-                   lambda t, x, i, d: dirac(states, moves[x]), init=dirac(states, 0))
+                   lambda x, i, d: dirac(states, moves[x]), init=dirac(states, 0))
 
 
 def test_a_leaf_that_settles_late_equals_the_closure_walk():
