@@ -114,6 +114,25 @@ MUTANTS = (
         "",
         ("tests/test_tables.py::test_a_settling_trace_has_a_value_per_tick",),
     ),
+    # a Laplace run stops after its first step whatever the means, as if every
+    # level's new mean were its old one
+    Mutant(
+        "run-stop-after-one-step",
+        "src/polydyn/laplace.py",
+        "new.x.tobytes() == at.x.tobytes()",
+        "new.x.tobytes() == new.x.tobytes()",
+        ("tests/test_laplace.py::test_a_run_that_settles_gives_the_rows_of_a_runner_that_steps_every_level",
+         "tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled"),
+    ),
+    # a Laplace run stops once its bottom level settles, whatever the levels
+    # above it do
+    Mutant(
+        "run-stop-on-one-level",
+        "src/polydyn/laplace.py",
+        "for new, at in zip(new_points, points)",
+        "for new, at in zip(new_points[:1], points[:1])",
+        ("tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled",),
+    ),
 )
 
 

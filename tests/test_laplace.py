@@ -423,6 +423,25 @@ def test_a_second_run_repeats_every_prior_and_belief_check(monkeypatch):
     ]
 
 
+def _hex_row(step, k, mean, free):
+    return step, k, tuple(map(float.hex, mean)), float.hex(free)
+
+
+def _stepped_rows(levels, cfg, pi0, datum, steps):
+    """The rows, by ``float.hex``, of a runner that steps every level at every
+    step with ``rho_update`` and ``free_energy_laplace``, each of which checks
+    its prior afresh, and each step's beliefs."""
+    rows, beliefs, xs = [], [], [np.zeros(ch.in_dim) for ch in levels]
+    for step in range(1, steps + 1):
+        priors = [pi0] + [ch(x) for ch, x in zip(levels[:-1], xs)]
+        data = xs[1:] + [datum]
+        beliefs.append([rho_update(*args, cfg) for args in zip(xs, priors, data, levels)])
+        for k, (rho, pi, y, ch) in enumerate(zip(beliefs[-1], priors, data, levels)):
+            rows.append(_hex_row(step, k, rho.mean, free_energy_laplace(pi, ch, rho, y)))
+        xs = [rho.mean_array() for rho in beliefs[-1]]
+    return rows, beliefs
+
+
 def test_a_level_whose_prior_changes_at_every_step_rechecks_it():
     """Below a linear level, a level with a state-dependent covariance pushes
     up a prior whose covariance changes at every step, so the upper level's
@@ -436,24 +455,103 @@ def test_a_level_whose_prior_changes_at_every_step_rechecks_it():
     levels = [lower, linear_channel([[0.5]], cov=[[0.5]])]
     cfg, datum, steps = LaplaceConfig(rate=0.05), np.array([1.0]), 60
     rows = run_stack(levels, cfg, PI, datum, steps)
-
-    def bits(step, k, mean, free):
-        return step, k, tuple(map(float.hex, mean)), float.hex(free)
-
-    want, upper_covs, xs = [], set(), [np.zeros(1), np.zeros(1)]
-    for step in range(1, steps + 1):
-        priors, data = [PI, lower(xs[0])], [xs[1], datum]
-        beliefs = [rho_update(x, pi, y, ch, cfg) for x, pi, y, ch in zip(xs, priors, data, levels)]
-        for k, (rho, pi, y, ch) in enumerate(zip(beliefs, priors, data, levels)):
-            want.append(bits(step, k, rho.mean, free_energy_laplace(pi, ch, rho, y)))
-        upper_covs.add(beliefs[1].cov)
-        xs = [rho.mean_array() for rho in beliefs]
-    assert len(upper_covs) == steps - 1
-    assert [bits(*row) for row in rows] == want
+    want, beliefs = _stepped_rows(levels, cfg, PI, datum, steps)
+    assert len({upper.cov for _, upper in beliefs}) == steps - 1
+    assert [_hex_row(*row) for row in rows] == want
     path = mean_path(stack(levels, cfg), PI, datum, steps)
     assert [(row[0], row[1], row[2][0]) for row in rows] == [
         (step, k, path[step][2 * k]) for step in range(1, steps + 1) for k in (0, 1)
     ]
+
+
+def _settled_at(rows, k):
+    """The step from which level k's mean stays as the step before left it
+    (the zero mean before step 1), or None."""
+    means = [(0.0,)] + [mean for _, level, mean, _ in rows if level == k]
+    moved = max((s for s in range(1, len(means)) if means[s] != means[s - 1]), default=0)
+    return moved + 1 if moved + 1 < len(means) else None
+
+
+def _count_solves(monkeypatch, calls):
+    """Count in ``calls`` each solve against a guarded matrix."""
+
+    def counted(self, r, _real=laplace._Guarded.solve):
+        calls["solve"] += 1
+        return _real(self, r)
+
+    monkeypatch.setattr(laplace._Guarded, "solve", counted)
+
+
+def _counted_means(levels, calls):
+    """The levels with their mean maps counted in ``calls``; each keeps its
+    Jacobian and covariance, so a linear level stays linear."""
+
+    def counted(mean):
+        def call(x):
+            calls["mean"] += 1
+            return mean(x)
+
+        return call
+
+    return [dataclasses.replace(ch, mean=counted(ch.mean)) for ch in levels]
+
+
+# a linear stack whose levels settle at steps 187 and 182
+SETTLING = [linear_channel([[1.0]], [0.2], cov=[[0.5]]), linear_channel([[1.5]], cov=[[0.25]])]
+SETTLING_PRIOR = mk_state([0.3], [[0.5]])
+
+
+def test_a_run_that_settles_gives_the_rows_of_a_runner_that_steps_every_level():
+    """The stack settles well inside its run: its rows, the repeated ones
+    among them, are bit for bit those of a runner that steps every level at
+    every step."""
+    cfg, steps = LaplaceConfig(rate=0.05), 400
+    rows = run_stack(SETTLING, cfg, SETTLING_PRIOR, [1.0], steps)
+    assert [_settled_at(rows, k) for k in (0, 1)] == [187, 182]
+    assert [_hex_row(*row) for row in rows] == _stepped_rows(
+        SETTLING, cfg, SETTLING_PRIOR, np.array([1.0]), steps)[0]
+
+
+def test_a_settled_run_makes_no_more_evaluations_or_solves_for_more_steps(monkeypatch):
+    """Once the stack settles (step 187), ten times the steps evaluate each
+    channel and solve as often, and the run's first rows are the shorter
+    run's: each level's channel is evaluated at the zero mean and at each of
+    the 187 new means, and nowhere else."""
+    calls = collections.Counter()
+    _count_solves(monkeypatch, calls)
+    levels, cfg = _counted_means(SETTLING, calls), LaplaceConfig(rate=0.05)
+    runs = []
+    for steps in (300, 3000):
+        calls.clear()
+        runs.append((run_stack(levels, cfg, SETTLING_PRIOR, [1.0], steps), dict(calls)))
+    (short, short_calls), (long, long_calls) = runs
+    assert short_calls == long_calls and short_calls["mean"] == 2 * (187 + 1)
+    assert long[: len(short)] == short and len(long) == 2 * 3000
+    assert [row[1:] for row in long[-2:]] == [row[1:] for row in short[-2:]]
+
+
+@pytest.mark.parametrize("lower_prior_var, upper_gain, upper_prior_var, first", [
+    (0.5, 0.5, 4.0, 0),
+    (2.0, 1.0, 1.0, 1),
+])
+def test_a_run_steps_until_every_level_has_settled(
+    lower_prior_var, upper_gain, upper_prior_var, first
+):
+    """A lower channel with A = [[0.0]] decouples the levels: the upper
+    level's prior is N(b, Sigma) at every lower mean.  Each level settles on
+    its own, one over 250 steps before the other, in either order, and the run
+    steps until both have: its rows are the stepping runner's, and it
+    evaluates each channel at the last new mean and at none after it."""
+    levels = [linear_channel([[0.0]], [0.5], cov=[[upper_prior_var]]),
+              linear_channel([[upper_gain]], cov=[[1.0]])]
+    pi0, cfg, steps = mk_state([1.0], [[lower_prior_var]]), LaplaceConfig(rate=0.2), 400
+    calls = collections.Counter()
+    rows = run_stack(_counted_means(levels, calls), cfg, pi0, [1.0], steps)
+    settled = [_settled_at(rows, k) for k in (0, 1)]
+    assert settled[first] + 200 < settled[1 - first] < steps
+    assert calls["mean"] == 2 * (max(settled) + 1)
+    assert [_hex_row(*row) for row in rows] == _stepped_rows(
+        levels, cfg, pi0, np.array([1.0]), steps)[0]
 
 
 def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
@@ -769,12 +867,7 @@ def test_run_stack_solves_each_error_once(monkeypatch):
     - One nonlinear level: its curvature changes with the mean, so 3 solves
       per step, 3N + 2 in all."""
     calls = collections.Counter()
-
-    def counted(self, r, _real=laplace._Guarded.solve):
-        calls["solve"] += 1
-        return _real(self, r)
-
-    monkeypatch.setattr(laplace._Guarded, "solve", counted)
+    _count_solves(monkeypatch, calls)
     tanh = GaussianChannel(1, 1, np.tanh, None, lambda x: [[0.5 + 0.1 * np.tanh(x[0]) ** 2]])
     cfg, steps = LaplaceConfig(rate=0.05), 40
     runs = (([GAMMA], 2 * steps + 3), (TWO_LEVELS, 6 * steps + 4), ([tanh], 3 * steps + 2))
