@@ -133,6 +133,24 @@ MUTANTS = (
         "for new, at in zip(new_points[:1], points[:1])",
         ("tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled",),
     ),
+    # the flow check reads the walk from step(t, x)'s point out of x's walk,
+    # by a memo of every point a walk reached, so step(s) after step(t) is
+    # step(s + t) by construction
+    Mutant(
+        "flow-successor-memo",
+        "src/polydyn/systems.py",
+        "    def step(t: int, s):\n"
+        "        return walk(s).law(cs.time.check(t))\n",
+        "    reached: dict = {}\n"
+        "\n"
+        "    def step(t: int, s):\n"
+        "        w, t0 = reached.setdefault(cs.walk(s).key, (walk(s), 0))\n"
+        "        law = w.law(t0 + cs.time.check(t))\n"
+        "        if isinstance(law, Dirac):\n"
+        "            reached.setdefault(cs.walk(law.point).key, (w, t0 + t))\n"
+        "        return law\n",
+        ("tests/test_vector_field.py::test_a_field_that_reads_a_call_counter_fails_the_flow_law",),
+    ),
 )
 
 

@@ -18,7 +18,9 @@ is the zero case and the probe that the stored maps really are
 tick-stationary.  Continuous-time systems integrate a vector field with a
 fixed-step classic Runge-Kutta scheme: an open system holds its input for the
 whole call (zero-order hold), while its closure feeds the section's direction
-back at every stage of every step.
+back at every stage of every step.  The RK4 closure and a discrete closure on
+more states step by walking one tick at a time from each start: step(t, x) is
+the t-th law of the walk from x.
 """
 
 from __future__ import annotations
@@ -167,6 +169,30 @@ class _TabulatedClosure(ClosedSystem):
     table: _TickPowers
 
 
+class _Walk:
+    """The ticks of a closure from one start: ``law(t)`` extends the walk one
+    tick at a time up to t, keeps the value of every tick, and returns the
+    law of the t-th.  ``key`` is what the closure reads of the start."""
+
+    def __init__(self, key, first, advance: Callable, law_of: Callable):
+        self.key = key
+        self._values, self._advance, self._law_of = [first], advance, law_of
+
+    def law(self, t: int) -> Dist:
+        values = self._values
+        while len(values) <= t:
+            values.append(self._advance(values[-1]))
+        return self._law_of(values[t])
+
+
+@dataclass(frozen=True)
+class _IteratedClosure(ClosedSystem):
+    """A closure that iterates its one tick: ``walk(x)`` is a fresh walk from
+    x, and step(t, x) is its t-th law."""
+
+    walk: Callable  # state -> _Walk
+
+
 def mk_system(
     interface: Polynomial,
     states: Space,
@@ -233,7 +259,8 @@ def closure(sys_: System, sigma: Section) -> ClosedSystem:
     system is closed by integrating the autonomous field x |-> f(x, sigma(g(x))).
     A discrete one reads step(t) off the t-th power of its tick matrix when it
     has at most ``_TABLE_MAX_STATES`` states, and binds t one-tick laws
-    otherwise."""
+    otherwise.  The RK4 and bind closures step(t, x) by a walk of t ticks
+    from x."""
     if sigma.of != sys_.interface:
         raise OpenSystemError("section does not match the system interface")
 
@@ -243,13 +270,10 @@ def closure(sys_: System, sigma: Section) -> ClosedSystem:
         def closed(x):
             return f(x, sigma.assign(sys_.output(1, x)))
 
-        def step(t: int, s):
-            t = sys_.time.check(t)
-            if t == 0:
-                return dirac(sys_.states, s)
-            return _rk4_flow(closed, sys_.states, s, t, sys_.time.h)
+        def walk(x) -> _Walk:
+            return _rk4_walk(closed, sys_.states, x, sys_.time.h)
 
-        return ClosedSystem(sys_.states, sys_.time, step)
+        return _iterated(sys_, walk)
 
     def one_tick(s):
         return sys_.update(1, s, sigma.assign(sys_.output(1, s)))
@@ -266,14 +290,19 @@ def closure(sys_: System, sigma: Section) -> ClosedSystem:
 
         return _TabulatedClosure(sys_.states, sys_.time, step, table)
 
+    def walk(x) -> _Walk:
+        first = dirac(sys_.states, x)
+        return _Walk(first.point, first, lambda law: bind(law, one_tick), lambda law: law)
+
+    return _iterated(sys_, walk)
+
+
+def _iterated(sys_: System, walk: Callable) -> _IteratedClosure:
     def step(t: int, s):
         t = sys_.time.check(t)
-        law: Dist = dirac(sys_.states, s)
-        for _ in range(t):
-            law = bind(law, one_tick)
-        return law
+        return walk(s).law(t)
 
-    return ClosedSystem(sys_.states, sys_.time, step)
+    return _IteratedClosure(sys_.states, sys_.time, step, walk)
 
 
 def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> ClosedSystem:
@@ -384,19 +413,21 @@ def check_closed_flow(
     return _report("flow", _flow_cases(cs, times, list(states_sample)), tol)
 
 
-def _memoized(cs: ClosedSystem) -> ClosedSystem:
-    """The same closed system, computing each step(t, x) once: for the
-    closures that no tick matrix represents, whose flow cases would step the
-    same state again and again."""
-    memo: dict = {}
+def _walked(cs: _IteratedClosure, states) -> tuple:
+    """The closure keeping each walk it is asked about, and the sample as the
+    points it reads.  step(t, x) extends x's walk to t.  A walk is found by
+    the key of its start alone, never by a state it passed through, so
+    step(s) after step(t) walks afresh from step(t, x)'s point."""
+    walks: dict = {}
+
+    def walk(x) -> _Walk:
+        fresh = cs.walk(x)
+        return walks.setdefault(fresh.key, fresh)
 
     def step(t: int, s):
-        key = (t, s)
-        if key not in memo:
-            memo[key] = cs.step(t, s)
-        return memo[key]
+        return walk(s).law(cs.time.check(t))
 
-    return ClosedSystem(cs.states, cs.time, step)
+    return ClosedSystem(cs.states, cs.time, step), [dirac_point(step(0, x)) for x in states]
 
 
 def check_flow(
@@ -415,7 +446,12 @@ def check_flow(
     a t-dependent stored map is a law violation even though the derived
     kernels compose by construction.  On up to 512 states the compose cases
     compare powers of the closure's tick matrix, so they measure only
-    rounding.
+    rounding.  The other closures (RK4, and nested binds on more states) are
+    walked: each start of the sample, and each point a compose case steps
+    on from, gets one walk, extended to the largest t asked of it.  The
+    walks live for this call only.  A continuous-time sample may be written
+    as lists or arrays; its states are reported as the points the closure
+    reads.
     """
     if sections is None:
         sections = all_sections(sys_.interface)
@@ -431,10 +467,10 @@ def check_flow(
         if isinstance(sys_.flavor, DiscreteMap):
             yield from _stationary_cases(sys_, times, states)
         for k, sigma in enumerate(sections):
-            cs = closure(sys_, sigma)
-            if not isinstance(cs, _TabulatedClosure):
-                cs = _memoized(cs)
-            yield from _flow_cases(cs, times, states, section=k)
+            cs, sample = closure(sys_, sigma), states
+            if isinstance(cs, _IteratedClosure):
+                cs, sample = _walked(cs, states)
+            yield from _flow_cases(cs, times, sample, section=k)
 
     return _report("flow", cases(), tol, sections=len(sections))
 
@@ -525,17 +561,28 @@ def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_flow(field: Callable, states: Space, x, ticks: int, h: float) -> Dist:
-    """Point mass at x after ``ticks`` classic RK4 steps of h along
-    ``field``, which maps a point of ``states`` to its tangent."""
-    vec = np.asarray(flatten_floats(states, x), dtype=float)
+def _tuples(x):
+    """x with every list and array in it read as a tuple."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    return tuple(_tuples(c) for c in x) if isinstance(x, (list, tuple)) else x
+
+
+def _rk4_walk(field: Callable, states: Space, x, h: float) -> _Walk:
+    """The classic RK4 steps of h from x along ``field``, which maps a point
+    of ``states`` to its tangent; the law at each tick is the point mass at
+    its vector.  x may be written with lists or arrays in place of tuples.
+    The walk is keyed by the raw bytes of the start vector, so -0.0 and 0.0
+    are two starts."""
+    vec = np.asarray(flatten_floats(states, check_point(states, _tuples(x))), dtype=float)
 
     def tangent(v):
         return np.asarray(field(unflatten_floats(states, v.tolist())), dtype=float)
 
-    for _ in range(ticks):
-        vec = rk4_step(tangent, vec, h)
-    return dirac(states, unflatten_floats(states, vec.tolist()))
+    def law_of(v):
+        return dirac(states, unflatten_floats(states, v.tolist()))
+
+    return _Walk(vec.tobytes(), vec, lambda v: rk4_step(tangent, v, h), law_of)
 
 
 def from_vector_field(
@@ -557,7 +604,7 @@ def from_vector_field(
         return g(x)
 
     def update(t, x, d):
-        return _rk4_flow(lambda pt: f(pt, d), states, x, clock.check(t), clock.h)
+        return _rk4_walk(lambda pt: f(pt, d), states, x, clock.h).law(clock.check(t))
 
     return System(p, states, clock, output, update, DETERMINISTIC, VectorField(f))
 

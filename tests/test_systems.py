@@ -23,6 +23,7 @@ from polydyn import (
     dirac,
     dist_distance,
     finite,
+    finite_items,
     id_map,
     is_system_morphism,
     linear,
@@ -41,6 +42,7 @@ from polydyn import (
     unit,
     y,
 )
+from polydyn import systems
 
 from helpers import enumerate_deterministic_systems, random_finite_system
 
@@ -213,6 +215,30 @@ def test_a_closure_on_many_states_steps_without_a_tick_matrix():
         tracemalloc.stop()
     assert law == dirac(sys_.states, 2)
     assert peak < 4_000_000
+
+
+def _law_bits(law) -> dict:
+    return {atom: w.hex() for atom, w in finite_items(law)}
+
+
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_a_bind_closure_composes_by_construction(monkeypatch, stochastic):
+    """A closure that steps by nested binds (forced here on small seeded
+    systems) walks one tick at a time: step(t, x) is t binds from x bit for
+    bit, and step(s + t, x) is step(s) after step(t), whose dyadic weights
+    sum exactly."""
+    monkeypatch.setattr(systems, "_TABLE_MAX_STATES", 0)
+    for seed in range(6):
+        sys_ = random_finite_system(Rng(610).child(seed), stochastic=stochastic)
+        for sigma in all_sections(sys_.interface):
+            cs = closure(sys_, sigma)
+            assert isinstance(cs, systems._IteratedClosure)
+            for x in points(sys_.states):
+                for t in range(7):
+                    assert _law_bits(cs.step(t, x)) == _law_bits(_bind_walk(sys_, sigma, t, x))
+                    for s in range(7 - t):
+                        after = bind(cs.step(t, x), lambda z: cs.step(s, z))
+                        assert _law_bits(cs.step(s + t, x)) == _law_bits(after), (seed, s, t, x)
 
 
 def test_check_closed_flow_zero_law():

@@ -1,10 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from polydyn import (
+    Rng,
     Section,
+    SpaceError,
     check_flow,
     closure,
     constant_section,
@@ -19,6 +22,9 @@ from polydyn import (
     trivial_section,
     unit,
 )
+from polydyn import systems
+
+from helpers import calls_of
 
 
 def decay_system(h: float):
@@ -167,3 +173,109 @@ def test_constant_section_closure_equals_the_held_update():
     cs = closure(sys_, constant_section(p, 1.0))
     for t in (1, 7, 100):
         assert cs.step(t, (0.25,)) == sys_.update(t, (0.25,), 1.0)
+
+
+# the grid of the benchmark's rk4-flow op: splits s + t of 5..40 ticks each
+RK4_GRID = [(s, t) for s in range(5, 45, 5) for t in range(5, 45, 5)]
+
+
+def _decay_flow(sys_, states, tol=1e-12):
+    return check_flow(sys_, sections=[trivial_section(sys_.interface)], times=RK4_GRID,
+                      states=states, tol=tol)
+
+
+def test_check_flow_walks_each_start_once(monkeypatch):
+    """The rk4-flow check makes one walk of 80 ticks from its start and one of
+    40 from each of the 8 points step(t) reaches: 400 RK4 steps."""
+    steps = calls_of(monkeypatch, systems, "rk4_step")
+    report = _decay_flow(decay_system(0.01), [(1.0,)])
+    assert report["pass"] and report["max_deviation"] == 0.0
+    assert len(steps) == 80 + 8 * 40
+
+
+def test_negative_zero_is_a_start_of_its_own(monkeypatch):
+    """Walks are keyed by the raw bytes of the start vector: from 0.0 and
+    -0.0 a sign-reading field moves apart, so each gets its own walk (two
+    ticks, then one from the point after one tick)."""
+    sys_ = from_vector_field(lambda x, d: (math.copysign(1.0, x[0]),), lambda x: x,
+                             monomial(euclid(1), unit()), 0.01, states=euclid(1))
+    steps = calls_of(monkeypatch, systems, "rk4_step")
+    report = check_flow(sys_, sections=[trivial_section(sys_.interface)], times=[(1, 1)],
+                        states=[(0.0,), (-0.0,)], tol=-1.0)
+    assert len(steps) == 2 * (2 + 1)
+    assert [repr(v["state"]) for v in report["violations"]] == ["(0.0,)", "(-0.0,)"] * 2
+
+
+def test_a_field_that_reads_a_call_counter_fails_the_flow_law():
+    """step(s) after step(t) walks afresh from step(t, x)'s point, so a field
+    that is not a function of the state alone shows on the compose cases."""
+    calls = [0]
+
+    def field(x, d):
+        calls[0] += 1
+        return (-0.5 * x[0] + 1e-9 * calls[0],)
+
+    sys_ = from_vector_field(field, lambda x: x, monomial(euclid(1), unit()), 0.01,
+                             states=euclid(1))
+    report = _decay_flow(sys_, [(1.0,)])
+    assert not report["pass"]
+    assert {v["kind"] for v in report["violations"]} == {"compose"}
+
+
+@pytest.mark.parametrize("sample", [[[1.0]], [np.array([1.0])]])
+def test_a_sample_written_as_lists_or_arrays_is_read_as_points(sample):
+    """A state sample in lists or arrays gives the verdict of its tuples; a
+    negative tolerance reports every case, so their state labels show."""
+    sys_ = decay_system(0.01)
+    for tol in (1e-12, -1.0):
+        assert _decay_flow(sys_, sample, tol) == _decay_flow(sys_, [(1.0,)], tol)
+
+
+@pytest.mark.parametrize("t", [0, 2])
+@pytest.mark.parametrize("start", [1.0, "1"])
+def test_a_start_that_is_not_a_point_is_refused(start, t):
+    sys_ = decay_system(0.01)
+    cs = closure(sys_, trivial_section(sys_.interface))
+    with pytest.raises(SpaceError, match=re.escape(f"{start!r} is not a point of euclid(1)")):
+        cs.step(t, start)
+
+
+def _seeded_linear_system(rng):
+    """x' = A x + d on euclid(2), closed by d = B x, with A, B, h and a start
+    drawn from the seed."""
+    gen = rng.generator()
+    a, b = gen.normal(size=(2, 2)), gen.normal(size=(2, 2))
+    h = float(gen.uniform(0.005, 0.05))
+    p = monomial(euclid(2), euclid(2))
+
+    def field(x, d):
+        return tuple((a @ np.array(x) + np.array(d)).tolist())
+
+    sys_ = from_vector_field(field, lambda x: x, p, h, states=euclid(2))
+    sigma = Section(p, lambda pos: tuple((b @ np.array(pos)).tolist()))
+    return sys_, sigma, field, tuple(gen.normal(size=2).tolist())
+
+
+def _bits(point) -> list:
+    return [c.hex() for c in point]
+
+
+def test_an_rk4_closure_composes_by_construction():
+    """The RK4 closure walks one tick at a time: step(t, x) is t calls of
+    ``rk4_step`` from x bit for bit, and step(s + t, x) is step(s) after
+    step(t)."""
+    for seed in range(5):
+        sys_, sigma, field, x = _seeded_linear_system(Rng(700).child(seed))
+        cs = closure(sys_, sigma)
+
+        def tangent(v):
+            pt = tuple(v.tolist())
+            return np.asarray(field(pt, sigma.assign(pt)), dtype=float)
+
+        vec = np.array(x)
+        for t in range(13):
+            assert _bits(dirac_point(cs.step(t, x))) == _bits(vec.tolist()), (seed, t)
+            for s in range(13 - t):
+                after = cs.step(s, dirac_point(cs.step(t, x)))
+                assert _bits(dirac_point(cs.step(s + t, x))) == _bits(dirac_point(after))
+            vec = rk4_step(tangent, vec, sys_.time.h)
