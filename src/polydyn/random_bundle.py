@@ -13,13 +13,10 @@ refuse to return an unverified object.
 
 A bundle's closures, total and base, are tabulated (``systems.closure`` on up
 to 512 states), so ``check_bundle`` and the base-morphism squares of
-``rebase_bundle`` read every case from rows of the tick matrices' powers: row
-x of P_total^t summed into the base states through the projection, against
-row proj(x) of P_base^t.  A row with one atom, on either side, is read as a
-point mass (weight 1.0), as ``dist`` makes every law on one atom.  The
-random-system and measure-preserving squares compare against base flows made
-by ``closed_from_kernel``, which have no tick matrix, and step them state by
-state.
+``rebase_bundle`` read every case from rows of the tick matrices' powers, each
+block of rows once per call.  The random-system and measure-preserving squares
+compare against base flows made by ``closed_from_kernel``, which have no tick
+matrix, and step them state by state.
 """
 
 from __future__ import annotations
@@ -41,8 +38,8 @@ from .spaces import Space, euclid, is_finite, points
 from .systems import (
     ClosedSystem,
     System,
+    _Reader,
     _report,
-    _square_cases,
     closed_from_kernel,
     closure,
     is_system_morphism,
@@ -118,9 +115,8 @@ def check_mp_morphism(psi: MPMorphism) -> dict:
     def cases():
         pushed = pushforward(psi.map, source.base.measure, target=target.base.space)
         yield {"kind": "measure"}, dist_distance(pushed, target.base.measure)
-        yield from _square_cases(
-            source.flow, target.flow, psi.map, _TIMES, list(points(source.base.space)),
-            kind="flow",
+        yield from _Reader(points(source.base.space)).square_cases(
+            source.flow, target.flow, psi.map, _TIMES, kind="flow"
         )
 
     return _report("mp-morphism", cases(), 0.0)
@@ -157,12 +153,12 @@ def as_system(rds: RandomSystem) -> System:
 def check_random_system(rds: RandomSystem) -> dict:
     """Exact commutation of projection with every sectioned closure."""
     sys_ = as_system(rds)
-    states = list(points(rds.total_states))
+    read = _Reader(points(rds.total_states))
 
     def cases():
         for k, sigma in enumerate(all_sections(rds.interface)):
-            yield from _square_cases(
-                closure(sys_, sigma), rds.base.flow, rds.proj, _TIMES, states, section=k
+            yield from read.square_cases(
+                closure(sys_, sigma), rds.base.flow, rds.proj, _TIMES, section=k
             )
 
     return _report("random-system", cases(), 0.0)
@@ -232,15 +228,13 @@ class BundleSystem:
 def check_bundle(bs: BundleSystem) -> dict:
     sections_b = all_sections(bs.base_sys.interface)
     bases = [closure(bs.base_sys, varsigma) for varsigma in sections_b]
-    states = list(points(bs.total_sys.states))
+    read = _Reader(points(bs.total_sys.states))
 
     def cases():
         for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):
             ct = closure(bs.total_sys, sigma)
             for kb, cb in enumerate(bases):
-                yield from _square_cases(
-                    ct, cb, bs.proj, _TIMES, states, section_p=kp, section_b=kb
-                )
+                yield from read.square_cases(ct, cb, bs.proj, _TIMES, section_p=kp, section_b=kb)
 
     return _report("bundle", cases(), 0.0)
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from polydyn import (
     uniform,
     unit,
 )
-from polydyn import MeasurePreservingSystem, all_sections, random_bundle, rebase_bundle
+from polydyn import MeasurePreservingSystem, all_sections, random_bundle, rebase_bundle, systems
 from polydyn.specio import (
     biased_swap_example,
     bundle_example,
@@ -113,6 +114,38 @@ def test_bundle_double_section_square(monkeypatch):
     assert report["violations"] == []
     assert sum(s is bs.base_sys for s in closed) == len(all_sections(bs.base_sys.interface))
     assert sum(s is bs.total_sys for s in closed) == len(all_sections(bs.total_sys.interface))
+
+
+def test_a_bundle_check_pushes_each_closure_once_per_time(monkeypatch):
+    """One bundle check makes 4 x 8 section pairs at 3 times, 96 squares, but
+    pushes each total closure's rows once per time (4 x 3 = 12), reads each
+    base closure's rows once per time (8 x 3 = 24), and checks the
+    projection's image of the 6 total states once."""
+    bs = bundle_example(3, 2)
+    made = Counter()
+    for name in ("push", "target"):
+        real = getattr(systems._Reader, name)
+
+        def counted(table, *args, real=real, name=name):
+            made[(name, id(table), args[-1])] += 1
+            return real(table, *args)
+
+        monkeypatch.setattr(systems._Reader, name, staticmethod(counted))
+    on_base = []
+    real_check = systems.check_point
+
+    def check_point(space, x):
+        on_base.append(space == bs.base_sys.states)
+        return real_check(space, x)
+
+    monkeypatch.setattr(systems, "check_point", check_point)
+    report = check_bundle(bs)
+    assert report["pass"]
+    sections = [len(all_sections(s.interface)) for s in (bs.total_sys, bs.base_sys)]
+    assert sections == [4, 8]
+    assert set(made.values()) == {1}
+    assert Counter(name for name, _, _ in made) == {"push": 12, "target": 24}
+    assert sum(on_base) == 6
 
 
 def test_bundle_reindex_keeps_all_squares():

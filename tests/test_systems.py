@@ -1,5 +1,7 @@
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +45,7 @@ from polydyn import (
     y,
 )
 from polydyn import systems
+from polydyn.specio import system_from_json
 
 from helpers import enumerate_deterministic_systems, random_finite_system
 
@@ -239,6 +242,27 @@ def test_a_bind_closure_composes_by_construction(monkeypatch, stochastic):
                     for s in range(7 - t):
                         after = bind(cs.step(t, x), lambda z: cs.step(s, z))
                         assert _law_bits(cs.step(s + t, x)) == _law_bits(after), (seed, s, t, x)
+
+
+def test_a_tabulated_closure_composes_up_to_rounding():
+    """The bundled markov spec's closure reads step(t) from row x of P^t, and
+    P^(s+t) is P^(s+t-1) P, so step(s + t) and step(s) after step(t) sum the
+    same products in other orders: they differ by rounding, not by zero.  Each
+    weight agrees within 4 ulps of 1.0 per tick of s + t."""
+    spec = Path(__file__).resolve().parent.parent / "scripts" / "specs" / "markov.json"
+    sys_ = system_from_json(json.loads(spec.read_text())["system"])
+    ulp = np.finfo(float).eps
+    rounded = 0
+    for sigma in all_sections(sys_.interface):
+        cs = closure(sys_, sigma)
+        for x in points(sys_.states):
+            for t in range(13):
+                for s in range(13):
+                    after = bind(cs.step(t, x), lambda z: cs.step(s, z))
+                    gap = dist_distance(cs.step(s + t, x), after)
+                    assert gap <= 4 * ulp * (s + t), (s, t, x, gap)
+                    rounded += gap > 0.0
+    assert rounded > 0
 
 
 def test_check_closed_flow_zero_law():

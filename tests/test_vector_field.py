@@ -8,6 +8,7 @@ from polydyn import (
     Rng,
     Section,
     SpaceError,
+    check_closed_flow,
     check_flow,
     closure,
     constant_section,
@@ -193,6 +194,17 @@ def test_check_flow_walks_each_start_once(monkeypatch):
     assert len(steps) == 80 + 8 * 40
 
 
+def test_check_closed_flow_walks_each_start_once(monkeypatch):
+    """The closed flow check keeps its walks as ``check_flow`` does: 400 RK4
+    steps on the rk4-flow grid, where stepping each case afresh takes 5,760."""
+    sys_ = decay_system(0.01)
+    cs = closure(sys_, trivial_section(sys_.interface))
+    steps = calls_of(monkeypatch, systems, "rk4_step")
+    report = check_closed_flow(cs, RK4_GRID, [(1.0,)], tol=1e-12)
+    assert report["pass"] and report["max_deviation"] == 0.0
+    assert len(steps) == 80 + 8 * 40
+
+
 def test_negative_zero_is_a_start_of_its_own(monkeypatch):
     """Walks are keyed by the raw bytes of the start vector: from 0.0 and
     -0.0 a sign-reading field moves apart, so each gets its own walk (two
@@ -208,7 +220,8 @@ def test_negative_zero_is_a_start_of_its_own(monkeypatch):
 
 def test_a_field_that_reads_a_call_counter_fails_the_flow_law():
     """step(s) after step(t) walks afresh from step(t, x)'s point, so a field
-    that is not a function of the state alone shows on the compose cases."""
+    that is not a function of the state alone shows on the compose cases of
+    ``check_flow`` and of ``check_closed_flow``."""
     calls = [0]
 
     def field(x, d):
@@ -218,6 +231,10 @@ def test_a_field_that_reads_a_call_counter_fails_the_flow_law():
     sys_ = from_vector_field(field, lambda x: x, monomial(euclid(1), unit()), 0.01,
                              states=euclid(1))
     report = _decay_flow(sys_, [(1.0,)])
+    assert not report["pass"]
+    assert {v["kind"] for v in report["violations"]} == {"compose"}
+    cs = closure(sys_, trivial_section(sys_.interface))
+    report = check_closed_flow(cs, RK4_GRID, [(1.0,)], tol=1e-12)
     assert not report["pass"]
     assert {v["kind"] for v in report["violations"]} == {"compose"}
 
