@@ -139,21 +139,30 @@ MUTANTS = (
     Mutant(
         "flow-successor-memo",
         "src/polydyn/systems.py",
-        "            return self._keep((id(cs), fresh.key), cs, lambda: fresh).law(cs.time.check(t))\n",
-        "            walk, t0 = self._keep((id(cs), fresh.key), cs, lambda: (fresh, 0))\n"
-        "            law = walk.law(t0 + cs.time.check(t))\n"
-        "            if isinstance(law, Dirac):\n"
-        "                self._keep((id(cs), cs.walk(law.point).key), cs, lambda: (walk, t0 + t))\n"
-        "            return law\n",
+        "    def step(t: int, s):\n"
+        "        return walk(s).law(cs.time.check(t))\n",
+        "    reached: dict = {}\n"
+        "\n"
+        "    def step(t: int, s):\n"
+        "        w, t0 = reached.setdefault(cs.walk(s).key, (walk(s), 0))\n"
+        "        law = w.law(t0 + cs.time.check(t))\n"
+        "        if isinstance(law, Dirac):\n"
+        "            reached.setdefault(cs.walk(law.point).key, (w, t0 + t))\n"
+        "        return law\n",
         ("tests/test_vector_field.py::test_a_field_that_reads_a_call_counter_fails_the_flow_law",),
     ),
-    # a square keeps its pushes by t alone, not by (left closure, t), so
-    # every total section of a bundle reads the first section's push
+    # the bundle check keeps its pushes by t alone, for the whole call, not
+    # by (total closure, t), so every total section reads the first one's push
     Mutant(
         "square-push-by-time",
-        "src/polydyn/systems.py",
-        'self._keep((id(left), "push", id(image), t), left,',
-        'self._keep(("push", id(image), t), left,',
+        "src/polydyn/random_bundle.py",
+        "        image = None\n"
+        "        for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):\n"
+        "            ct = closure(bs.total_sys, sigma)\n"
+        "            pushes: dict = {}\n",
+        "        image, pushes = None, {}\n"
+        "        for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):\n"
+        "            ct = closure(bs.total_sys, sigma)\n",
         ("tests/test_random_bundle.py::test_a_bundle_check_pushes_each_closure_once_per_time",
          "tests/test_square_route.py::test_generated_bundle_reports_are_the_per_state_reports"),
     ),

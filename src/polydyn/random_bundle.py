@@ -13,10 +13,16 @@ refuse to return an unverified object.
 
 A bundle's closures, total and base, are tabulated (``systems.closure`` on up
 to 512 states), so ``check_bundle`` and the base-morphism squares of
-``rebase_bundle`` read every case from rows of the tick matrices' powers, each
-block of rows once per call.  The random-system and measure-preserving squares
-compare against base flows made by ``closed_from_kernel``, which have no tick
-matrix, and step them state by state.
+``rebase_bundle`` read every case from rows of the tick matrices' powers: row
+x of P_total^t summed into the base states through the projection, against
+row proj(x) of P_base^t.  A row with one atom, on either side, is read as a
+point mass (weight 1.0), as ``dist`` makes every law on one atom.
+``check_bundle`` squares each total closure with every base closure, so it
+maps the total states through the projection once, pushes each (total
+closure, t) block of rows once and reads each (base closure, t) block once.
+The random-system and measure-preserving squares compare against base flows
+made by ``closed_from_kernel``, which have no tick matrix, and step them
+state by state.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ from .spaces import Space, euclid, is_finite, points
 from .systems import (
     ClosedSystem,
     System,
-    _Reader,
+    _image,
     _report,
+    _square_cases,
     closed_from_kernel,
     closure,
     is_system_morphism,
@@ -115,8 +122,9 @@ def check_mp_morphism(psi: MPMorphism) -> dict:
     def cases():
         pushed = pushforward(psi.map, source.base.measure, target=target.base.space)
         yield {"kind": "measure"}, dist_distance(pushed, target.base.measure)
-        yield from _Reader(points(source.base.space)).square_cases(
-            source.flow, target.flow, psi.map, _TIMES, kind="flow"
+        yield from _square_cases(
+            source.flow, target.flow, psi.map, _TIMES, list(points(source.base.space)),
+            kind="flow",
         )
 
     return _report("mp-morphism", cases(), 0.0)
@@ -153,12 +161,12 @@ def as_system(rds: RandomSystem) -> System:
 def check_random_system(rds: RandomSystem) -> dict:
     """Exact commutation of projection with every sectioned closure."""
     sys_ = as_system(rds)
-    read = _Reader(points(rds.total_states))
+    states = list(points(rds.total_states))
 
     def cases():
         for k, sigma in enumerate(all_sections(rds.interface)):
-            yield from read.square_cases(
-                closure(sys_, sigma), rds.base.flow, rds.proj, _TIMES, section=k
+            yield from _square_cases(
+                closure(sys_, sigma), rds.base.flow, rds.proj, _TIMES, states, section=k
             )
 
     return _report("random-system", cases(), 0.0)
@@ -228,13 +236,21 @@ class BundleSystem:
 def check_bundle(bs: BundleSystem) -> dict:
     sections_b = all_sections(bs.base_sys.interface)
     bases = [closure(bs.base_sys, varsigma) for varsigma in sections_b]
-    read = _Reader(points(bs.total_sys.states))
+    states = list(points(bs.total_sys.states))
+    targets = [{} for _ in bases]
 
     def cases():
+        image = None
         for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):
             ct = closure(bs.total_sys, sigma)
+            pushes: dict = {}
             for kb, cb in enumerate(bases):
-                yield from read.square_cases(ct, cb, bs.proj, _TIMES, section_p=kp, section_b=kb)
+                if image is None:
+                    image = _image(ct, cb, bs.proj)
+                yield from _square_cases(
+                    ct, cb, bs.proj, _TIMES, states, image=image, pushes=pushes,
+                    targets=targets[kb], section_p=kp, section_b=kb,
+                )
 
     return _report("bundle", cases(), 0.0)
 

@@ -11,18 +11,19 @@ discrete-map systems the stored output/update maps are the one-tick
 components; the t-tick kernel is the t-fold Kleisli iterate.  On finite
 states that iterate is the t-th power of one row-stochastic matrix P, the
 one-tick kernel under the section, so a closure on up to 512 states reads its
-t-tick laws from the rows of P^t.  Continuous-time systems integrate a vector
-field with a fixed-step classic Runge-Kutta scheme: an open system holds its
-input for the whole call (zero-order hold), while its closure feeds the
-section's direction back at every stage of every step.  The RK4 closure and a
-discrete closure on more states step by walking one tick at a time from each
-start: step(t, x) is the t-th law of the walk from x.
-
-Each law check reads its closures through one reader for the length of the
-call, so a square pushes each (closure, t) block of rows once, and a walk is
-made once per start.  A tabulated flow law holds by construction: its compose
-cases compare P^(s+t) with P^t P^s and only measure rounding, and its law
-content is the zero case and the probe that the maps are tick-stationary.
+t-tick laws from the rows of P^t.  Its flow law then holds by construction:
+``check_flow``'s compose cases compare P^(s+t) with P^t P^s and only measure
+rounding.  A square law between two such closures reads both of its sides
+from rows of their powers; a check that reads one closure in many squares,
+as a bundle check does, makes each (closure, t) block of rows once.  The law
+content is the zero case and the probe that the stored maps really are
+tick-stationary.  Continuous-time systems integrate a vector field with a
+fixed-step classic Runge-Kutta scheme: an open system holds its input for the
+whole call (zero-order hold), while its closure feeds the section's direction
+back at every stage of every step.  The RK4 closure and a discrete closure on
+more states step by walking one tick at a time from each start: step(t, x) is
+the t-th law of the walk from x, and both flow checks keep one walk per start
+for the length of the call.
 """
 
 from __future__ import annotations
@@ -340,114 +341,103 @@ def _report(law: str, cases, tol: float, **extra) -> dict:
     return {**verdict, "max_deviation": max_dev, "violations": violations}
 
 
-class _Reader:
-    """The closures of one law-check call, read at the call's state sample.
-    What it computes is kept until the call returns, under a key naming the
-    closure, map or state space it came from.  A closure or map is named by
-    its id, and its entries hold it, so no id is reused meanwhile.
+def _flow_cases(cs: ClosedSystem, times, states, **labels):
+    """step(0) against the point mass, and step(s+t) against step(s) after
+    step(t), at every state of the sample."""
+    for x in states:
+        dev = dist_distance(cs.step(0, x), dirac(cs.states, x))
+        yield {"kind": "zero", **labels, "state": x}, dev
+    for s, t in times:
+        for x, dev in zip(states, _compose_gaps(cs, s, t, states)):
+            yield {"kind": "compose", **labels, "s": s, "t": t, "state": x}, dev
 
-    - An iterated closure's step(t, x) is read from one walk per start, found
-      by the start's key alone, never by a state a walk passed through, so
-      step(s) after step(t) walks afresh from step(t, x)'s point.  Its sample
-      is read as the points the closure reads.
-    - A tabulated closure's compose case compares row x of P^(s+t) with row
-      x of the whole product P^t P^s; a row-vector product differs from it
-      in its last bits.
-    - A square between two tabulated closures keeps the map's image of the
-      left atoms, each (left closure, t) ``push`` and each (right closure, t)
-      ``target``.  Its rows are the laws step would return, so each deviation
-      is the per-state one bit for bit: a left row adds its atoms in the
-      order step(t) lists them (``entries``) with ``np.bincount``, which adds
-      in input order as ``pushforward`` merges, and a row with one atom, on
-      either side, is a point mass (weight 1.0), as ``dist`` makes every law
-      on one atom.
-    - Every other closure is stepped state by state."""
 
-    def __init__(self, states):
-        self.states = list(states)
-        self._kept: dict = {}
+def _compose_gaps(cs: ClosedSystem, s: int, t: int, states) -> list:
+    """The sup-distance of step(s+t) from step(s) after step(t) at each state.
+    A tabulated closure compares row x of P^(s+t) with row x of the whole
+    product P^t P^s; a row-vector product differs from it in its last bits."""
+    if isinstance(cs, _TabulatedClosure):
+        power = cs.table.power
+        gaps = np.max(np.abs(power(s + t) - power(t) @ power(s)), axis=1, initial=0.0)
+        return [float(gaps[cs.table.index[check_point(cs.states, x)]]) for x in states]
+    return [
+        dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
+        for x in states
+    ]
 
-    def _keep(self, key, owner, make: Callable):
-        """The value kept under ``key``, made for ``owner`` on the first ask."""
-        if key not in self._kept:
-            self._kept[key] = (owner, make())
-        return self._kept[key][1]
 
-    def _rows(self, cs: _TabulatedClosure) -> list:
-        """The row of each sample state in a tabulated closure's atoms."""
-        return self._keep(("rows", cs.states), cs.states, lambda: [
-            cs.table.index[check_point(cs.states, x)] for x in self.states
-        ])
+def _image(left: ClosedSystem, right: ClosedSystem, f):
+    """The right closure's atom index of f at each left atom, when both
+    closures are tabulated; None otherwise."""
+    if not (isinstance(left, _TabulatedClosure) and isinstance(right, _TabulatedClosure)):
+        return None
+    return np.array(
+        [right.table.index[check_point(right.states, f(a))] for a in left.table.atoms],
+        dtype=int,
+    )
 
-    def law(self, cs: ClosedSystem, t: int, x) -> Dist:
-        """step(t, x) of ``cs``."""
-        if isinstance(cs, _IteratedClosure):
-            fresh = cs.walk(x)
-            return self._keep((id(cs), fresh.key), cs, lambda: fresh).law(cs.time.check(t))
-        return cs.step(t, x)
 
-    def flow_cases(self, cs: ClosedSystem, times, **labels):
-        """step(0) against the point mass, and step(s+t) against step(s) after
-        step(t), at every state of the sample."""
-        states = self.states
-        if isinstance(cs, _IteratedClosure):
-            states = [dirac_point(self.law(cs, 0, x)) for x in states]
-        for x in states:
-            dev = dist_distance(self.law(cs, 0, x), dirac(cs.states, x))
-            yield {"kind": "zero", **labels, "state": x}, dev
-        for s, t in times:
-            if isinstance(cs, _TabulatedClosure):
-                power = cs.table.power
-                gaps = np.max(np.abs(power(s + t) - power(t) @ power(s)), axis=1, initial=0.0)
-                devs = [float(gaps[i]) for i in self._rows(cs)]
-            else:
-                devs = [
-                    dist_distance(self.law(cs, s + t, x),
-                                  bind(self.law(cs, t, x), lambda z: self.law(cs, s, z)))
-                    for x in states
-                ]
-            for x, dev in zip(states, devs):
-                yield {"kind": "compose", **labels, "s": s, "t": t, "state": x}, dev
+def _square_cases(
+    left, right, f, times, states, kind="square", image=None, pushes=None, targets=None,
+    **labels,
+):
+    """The square ``pushforward(f, left.step(t, x)) = right.step(t, f(x))`` at
+    every time and state.
 
-    def square_cases(self, left, right, f, times, kind="square", **labels):
-        """The square ``pushforward(f, left.step(t, x)) = right.step(t, f(x))``
-        at every time and state of the sample."""
-        states = self.states
-        if not (isinstance(left, _TabulatedClosure) and isinstance(right, _TabulatedClosure)):
-            for t in times:
-                for x in states:
-                    lhs = pushforward(f, self.law(left, t, x), target=right.states)
-                    rhs = self.law(right, t, f(x))
-                    yield {"kind": kind, **labels, "t": t, "state": x}, dist_distance(lhs, rhs)
-            return
-        image = self._keep((id(f), left.states, right.states), f, lambda: np.array(
-            [right.table.index[check_point(right.states, f(a))] for a in left.table.atoms],
-            dtype=int,
-        ))
-        rows = self._rows(left)
+    When both closures are tabulated, each case is read from rows of the tick
+    matrices' powers: row x of P_L^t summed into the right closure's atoms
+    through f (``_push``), against row f(x) of P_R^t (``_target``).  The rows
+    are read as the laws that step would return, so every deviation is the
+    per-state one bit for bit: a left row sums its atoms in the order step(t)
+    lists them (``entries``), and a row with one atom, on either side, is a
+    point mass (weight 1.0), as ``dist`` makes every law on one atom.  A
+    caller that reads the same closures in several squares passes f's
+    ``image`` and, as dicts by t, the left closure's ``pushes`` and the right
+    closure's ``targets``; each block is made on its first read and kept for
+    as long as the caller keeps the dict.  Without them each block is freed
+    once its time is read.  Every other closure is stepped state by state."""
+    if image is None:
+        image = _image(left, right, f)
+    if image is None:
         for t in times:
-            left.time.check(t)
-            right.time.check(t)
-            pushed = self._keep((id(left), "push", id(image), t), left,
-                                lambda: self.push(left.table, image, len(right.table.atoms), t))
-            target = self._keep((id(right), "target", id(image), t), right,
-                                lambda: self.target(right.table, image, t))
-            gaps = np.max(np.abs(pushed - target), axis=1, initial=0.0).tolist()
-            for x, i in zip(states, rows):
-                yield {"kind": kind, **labels, "t": t, "state": x}, gaps[i]
+            for x in states:
+                lhs = pushforward(f, left.step(t, x), target=right.states)
+                rhs = right.step(t, f(x))
+                yield {"kind": kind, **labels, "t": t, "state": x}, dist_distance(lhs, rhs)
+        return
+    rows = [left.table.index[check_point(left.states, x)] for x in states]
+    for t in times:
+        left.time.check(t)
+        right.time.check(t)
+        pushed = _kept(pushes, t, lambda: _push(left.table, image, len(right.table.atoms), t))
+        target = _kept(targets, t, lambda: _target(right.table, image, t))
+        gaps = np.max(np.abs(pushed - target), axis=1, initial=0.0).tolist()
+        for x, i in zip(states, rows):
+            yield {"kind": kind, **labels, "t": t, "state": x}, gaps[i]
 
-    @staticmethod
-    def push(table: _TickPowers, image, m: int, t: int) -> np.ndarray:
-        """Each row of P^t summed into the m right atoms along ``image``."""
-        n = len(table.atoms)
-        r, c = table.entries(t)
-        pushed = np.bincount(r * m + image[c], weights=table.power(t)[r, c], minlength=n * m)
-        return _point_mass_rows(pushed.reshape(n, m))
 
-    @staticmethod
-    def target(table: _TickPowers, image, t: int) -> np.ndarray:
-        """The row of P^t at each left atom's image."""
-        return _point_mass_rows(table.power(t)[image])
+def _kept(blocks, t: int, make: Callable):
+    """blocks[t], made on its first read; made afresh when blocks is None."""
+    if blocks is None:
+        return make()
+    if t not in blocks:
+        blocks[t] = make()
+    return blocks[t]
+
+
+def _push(table: _TickPowers, image, m: int, t: int) -> np.ndarray:
+    """Each row of P^t summed into the m right atoms along ``image``.
+    ``np.bincount`` adds each weight to its target in input order, as
+    ``pushforward`` merges a law's items."""
+    n = len(table.atoms)
+    r, c = table.entries(t)
+    pushed = np.bincount(r * m + image[c], weights=table.power(t)[r, c], minlength=n * m)
+    return _point_mass_rows(pushed.reshape(n, m))
+
+
+def _target(table: _TickPowers, image, t: int) -> np.ndarray:
+    """The row of P^t at each left atom's image."""
+    return _point_mass_rows(table.power(t)[image])
 
 
 def check_closed_flow(
@@ -455,7 +445,26 @@ def check_closed_flow(
 ) -> dict:
     """Verify step(0) = point mass and step(s+t) = step(s) after step(t).  An
     iterated closure keeps one walk per start for the length of the call."""
-    return _report("flow", _Reader(states_sample).flow_cases(cs, times), tol)
+    if isinstance(cs, _IteratedClosure):
+        cs = _walked(cs)
+    return _report("flow", _flow_cases(cs, times, list(states_sample)), tol)
+
+
+def _walked(cs: _IteratedClosure) -> ClosedSystem:
+    """The closure keeping each walk it is asked about.  step(t, x) extends
+    x's walk to t.  A walk is found by the key of its start alone, never by a
+    state it passed through, so step(s) after step(t) walks afresh from
+    step(t, x)'s point."""
+    walks: dict = {}
+
+    def walk(x) -> _Walk:
+        fresh = cs.walk(x)
+        return walks.setdefault(fresh.key, fresh)
+
+    def step(t: int, s):
+        return walk(s).law(cs.time.check(t))
+
+    return ClosedSystem(cs.states, cs.time, step)
 
 
 def check_flow(
@@ -491,13 +500,15 @@ def check_flow(
             raise OpenSystemError("check_flow needs an explicit state sample here")
         states = list(points(sys_.states))
 
-    read = _Reader(states)
-
     def cases():
         if isinstance(sys_.flavor, DiscreteMap):
             yield from _stationary_cases(sys_, times, states)
         for k, sigma in enumerate(sections):
-            yield from read.flow_cases(closure(sys_, sigma), times, section=k)
+            cs, sample = closure(sys_, sigma), states
+            if isinstance(cs, _IteratedClosure):
+                cs = _walked(cs)
+                sample = [dirac_point(cs.step(0, x)) for x in states]
+            yield from _flow_cases(cs, times, sample, section=k)
 
     return _report("flow", cases(), tol, sections=len(sections))
 
@@ -701,13 +712,15 @@ def is_system_morphism(
     at the image state."""
     if a.interface != b.interface or a.time != b.time:
         raise OpenSystemError("systems must share interface and time monoid")
-    read = _Reader(points(a.states))
+    states = list(points(a.states))
 
     def cases():
-        for x in read.states:
+        for x in states:
             if b.output(1, f(x)) != a.output(1, x):
                 yield {"kind": "output", "state": x}, float("inf")
         for k, sigma in enumerate(sections):
-            yield from read.square_cases(closure(a, sigma), closure(b, sigma), f, times, section=k)
+            yield from _square_cases(
+                closure(a, sigma), closure(b, sigma), f, times, states, section=k
+            )
 
     return _report("system-morphism", cases(), 0.0)

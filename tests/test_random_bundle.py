@@ -124,13 +124,13 @@ def test_a_bundle_check_pushes_each_closure_once_per_time(monkeypatch):
     bs = bundle_example(3, 2)
     made = Counter()
     for name in ("push", "target"):
-        real = getattr(systems._Reader, name)
+        real = getattr(systems, "_" + name)
 
         def counted(table, *args, real=real, name=name):
             made[(name, id(table), args[-1])] += 1
             return real(table, *args)
 
-        monkeypatch.setattr(systems._Reader, name, staticmethod(counted))
+        monkeypatch.setattr(systems, "_" + name, counted)
     on_base = []
     real_check = systems.check_point
 

@@ -242,10 +242,15 @@ def test_a_field_that_reads_a_call_counter_fails_the_flow_law():
 @pytest.mark.parametrize("sample", [[[1.0]], [np.array([1.0])]])
 def test_a_sample_written_as_lists_or_arrays_is_read_as_points(sample):
     """A state sample in lists or arrays gives the verdict of its tuples; a
-    negative tolerance reports every case, so their state labels show."""
+    negative tolerance reports every case, so their state labels show.
+    ``check_closed_flow`` takes its sample as states of the closure, so it
+    refuses one that is not a point, as its zero case's point mass does."""
     sys_ = decay_system(0.01)
     for tol in (1e-12, -1.0):
         assert _decay_flow(sys_, sample, tol) == _decay_flow(sys_, [(1.0,)], tol)
+    cs = closure(sys_, trivial_section(sys_.interface))
+    with pytest.raises(SpaceError, match=re.escape(f"{sample[0]!r} is not a point of euclid(1)")):
+        check_closed_flow(cs, RK4_GRID, sample)
 
 
 @pytest.mark.parametrize("t", [0, 2])
