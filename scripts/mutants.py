@@ -56,6 +56,16 @@ MUTANTS = (
         ("tests/test_table_properties.py::test_generated_traces_equal_the_closure_traces",
          "tests/test_table_counts.py::test_a_composites_initial_law_looks_up_no_composite_state"),
     ),
+    # a compose table's source fibre arities are g's (the middle fibres) in
+    # place of f's, so a tensor parent joins f's directions by the wrong
+    # arity
+    Mutant(
+        "pair-fibre-arity-swapped",
+        "src/polydyn/hier.py",
+        "            return f_src, g_tgt\n",
+        "            return g_src, g_tgt\n",
+        ("tests/test_tables.py::test_arities_pass_through_pair_tables",),
+    ),
     # a leaf's memo of absorbed laws keyed by the law's type, not its
     # identity, so every law of a type reads the row of the first one mapped
     Mutant(

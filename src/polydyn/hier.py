@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import KW_ONLY, dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -69,6 +70,8 @@ from .spaces import (
     Space,
     expand_point,
     is_finite,
+    join_normal,
+    norm_arity,
     normalize_point,
     points,
     prod,
@@ -296,9 +299,10 @@ class HierTable:
     State ids follow ``points(states)``.  ``key_of`` maps each state id to
     the id of the lens the state emits; ``keys[k]`` is that lens's
     normalized ``polymap_key`` and ``options[k]`` its normalized (position,
-    direction) responses, in the order ``hom_sections`` offers them.  A leaf
-    table walks each lens for its key; a composite table assembles it from
-    its factors' keys (see ``_PairTable``), unless it is walked as a leaf.
+    direction) responses, in the order ``hom_sections`` offers them, and
+    ``_ranges[k]`` the options of each row of the key.  A leaf table walks
+    each lens for its key and keeps one lens per key; a composite table
+    keeps keys, not lenses (see ``_PairTable``), unless it is walked as a leaf.
     ``step(s, o)`` is the next-state law of state s after response o, as a
     sparse row (state ids, weights).  Rows are built on first use and
     interned, so states that move alike share one row id.  ``law(d)`` is a
@@ -309,19 +313,29 @@ class HierTable:
         self.system = hs
         self.keys: list = []
         self.options: list = []
-        self._lenses: list = []  # key id -> one emitted lens with that key
+        self._ranges: list = []
         self._key_ids: dict = {}
         self._rows: list = []  # row id -> (state ids, weights), None until built
         self._row_ids: dict = {}
 
-    def _key_id(self, key, lens) -> int:
+    def _key_id(self, key) -> int:
         k = self._key_ids.get(key)
         if k is None:
             k = self._key_ids[key] = len(self.keys)
             self.keys.append(key)
             self.options.append(tuple((row[0], d) for row in key for d, _ in row[2]))
-            self._lenses.append(lens)
+            ends = itertools.accumulate(len(row[2]) for row in key)
+            self._ranges.append([range(end - len(row[2]), end) for row, end in zip(key, ends)])
         return k
+
+    @cached_property
+    def arities(self) -> tuple:
+        """Normalized arities of the source and target positions, and of the
+        fibre at each source and target position the keys name (dicts by
+        normal form), built when a ``tensor_hier`` parent first asks."""
+        hs = self.system
+        return (norm_arity(hs.source.positions), norm_arity(hs.target.positions),
+                *self._fibre_arities())
 
     def step(self, s: int, o: int) -> tuple:
         return self.row(int(self.rows(np.array([s]), np.array([o]))[0]))
@@ -360,14 +374,24 @@ class _LeafTable(HierTable):
         self._ids = {x: s for s, x in enumerate(self._states)}
         self.size = len(self._states)
         self.key_of = np.empty(self.size, dtype=np.intp)
+        self._lenses: dict = {}  # key id -> the first emitted lens with that key
         for s, x in enumerate(self._states):
             lens = hs.emit(x)
-            self.key_of[s] = self._key_id(polymap_key(lens), lens)
-        self._resp = [_responses(lens) for lens in self._lenses]  # key id -> responses
+            k = self.key_of[s] = self._key_id(polymap_key(lens))
+            self._lenses.setdefault(k, lens)
+        self._resp = [_responses(lens) for lens in self._lenses.values()]  # key id -> responses
         self._width = 1 + max(len(o) for o in self.options)
         self._absorbed: dict = {}  # state id * width + option -> row id
         # id(absorbed law) -> (law, row id); the law kept alive keeps its id
         self._law_rows: dict = {}
+
+    def _fibre_arities(self) -> tuple:
+        src, tgt = {}, {}
+        for k, lens in self._lenses.items():
+            for (i_key, fwd_key, _), i in zip(self.keys[k], points(lens.source.positions)):
+                src[i_key] = norm_arity(lens.source.dirs_at(i))
+                tgt[fwd_key] = norm_arity(lens.target.dirs_at(lens.forward(i)))
+        return src, tgt
 
     def state_id(self, x) -> int:
         try:
@@ -403,41 +427,57 @@ class _PairTable(HierTable):
     factor rows, expanded into their outer product only when used.
 
     A composite key and each response's route, one option of each factor,
-    are read from the factors' keys (``_compose_key``, ``tensor_key``), and
-    the composed lens is never walked.  The key equals ``polymap_key`` of
-    that lens: both list a law's items in its fibre's order, and an atom off
-    its fibre was refused where a factor's leaf was keyed."""
+    are read from the factors' keys and option ranges (``_compose_key``,
+    ``tensor_key``, joining normal forms by the factors' ``arities``); no
+    composite lens is built.  The key equals ``polymap_key`` of the composed
+    lens: both list a law's items in its fibre's order, and an atom off its
+    fibre was refused where a factor's leaf was keyed."""
 
     def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable):
         super().__init__(hs)
         self._kind, self._left, self._right = kind, left, right
         self.size = left.size * right.size
-        self._pair_key: list = []  # pair id -> key id
-        self._offset: list = []  # pair id -> index of its first route
+        pair_key, offset = [], []  # pair id -> key id, and index of its first route
         routes: list = []  # (left option, right option) per response
         self._row_pairs: dict = {}  # row id -> left row * 2**31 + right row
         n_right = len(right.keys)
+        if kind == "tensor":
+            f_arities, g_arities = left.arities, right.arities
+            products: dict = {}  # each product of factor laws formed while this table is built
+
+        def pair(code: int) -> int:
+            kf, kg = divmod(code, n_right)
+            f_key, g_key, f_ranges, g_ranges = (
+                left.keys[kf], right.keys[kg], left._ranges[kf], right._ranges[kg])
+            if kind == "compose":
+                key, routed = _compose_key(f_key, g_key, f_ranges, g_ranges)
+            else:
+                key = tensor_key(f_key, g_key, f_arities, g_arities, products)
+                routed = [(o_f, o_g) for f_opts in f_ranges for g_opts in g_ranges
+                          for o_f in f_opts for o_g in g_opts]
+            pair_key.append(self._key_id(key))
+            offset.append(len(routes))
+            routes.extend(routed)
+            return len(pair_key) - 1
+
         code = (left.key_of[:, None] * n_right + right.key_of[None, :]).ravel()
         # state id -> pair id, a pair being left key * |right keys| + right key
-        self._pair_of = _interned(code, {}, lambda c: self._pair(c, n_right, routes))
-        self.key_of = np.asarray(self._pair_key, dtype=np.intp)[self._pair_of]
-        self._offset = np.asarray(self._offset, dtype=np.intp)
+        self._pair_of = _interned(code, {}, pair)
+        self.key_of = np.asarray(pair_key, dtype=np.intp)[self._pair_of]
+        self._offset = np.asarray(offset, dtype=np.intp)
         self._route_left, self._route_right = np.array(routes, dtype=np.intp).reshape(-1, 2).T
 
-    def _pair(self, code: int, n_right: int, routes: list) -> int:
-        kf, kg = divmod(code, n_right)
-        f, g = self._left._lenses[kf], self._right._lenses[kg]
-        f_key, g_key = self._left.keys[kf], self._right.keys[kg]
+    def _fibre_arities(self) -> tuple:
+        """From the factors': g after f has f's source fibres and g's target
+        fibres; a tensor's fibre at a pair of positions is the sum of theirs."""
+        (pf, tf, f_src, f_tgt), (pg, tg, g_src, g_tgt) = self._left.arities, self._right.arities
         if self._kind == "compose":
-            lens = compose_map(g, f)
-            key, routed = _compose_key(f_key, g_key)
-        else:
-            lens, routed = tensor_map(f, g), _tensor_routes(f_key, g_key)
-            key = tensor_key(f, g, f_key, g_key)
-        self._pair_key.append(self._key_id(key, lens))
-        self._offset.append(len(routes))
-        routes.extend(routed)
-        return len(self._pair_key) - 1
+            return f_src, g_tgt
+
+        def joined(n_f, f, n_g, g):
+            return {join_normal(n_f, i, n_g, j): a + b for i, a in f.items() for j, b in g.items()}
+
+        return joined(pf, f_src, pg, g_src), joined(tf, f_tgt, tg, g_tgt)
 
     def law(self, d: Dist) -> np.ndarray:
         """The composite's own initial law is ``dst`` of its factors' initial
@@ -489,17 +529,17 @@ def _point_middles(right: HierTable) -> bool:
     return all(len(items) == 1 for key in right.keys for _, _, back in key for _, items in back)
 
 
-def _compose_key(f_key: tuple, g_key: tuple) -> tuple:
+def _compose_key(f_key: tuple, g_key: tuple, f_ranges: list, g_ranges: list) -> tuple:
     """The key of g after f, and per response its route, the one option of
-    f and of g it takes: from the factors' keys, when every backward law of
-    g is a point mass.  ``bind`` of a point mass at d returns f's backward
-    law at d itself, so the composite's entry is f's key entry for d, under
-    g's forward position and direction keys at f's forward position.  Each
-    such d is a direction of f's key there, because ``polymap_key`` keyed g
-    only if its atoms lie in the middle fibre."""
-    g_rows = {row[0]: (opts, row) for row, opts in zip(g_key, _option_ranges(g_key))}
+    f and of g it takes: from the factors' keys and option ranges, when
+    every backward law of g is a point mass.  ``bind`` of a point mass at d
+    returns f's backward law at d itself, so the composite's entry is f's
+    key entry for d, under g's forward position and direction keys at f's
+    forward position.  Each such d is a direction of f's key there, because
+    ``polymap_key`` keyed g only if its atoms lie in the middle fibre."""
+    g_rows = {row[0]: (opts, row) for row, opts in zip(g_key, g_ranges)}
     rows, routes = [], []
-    for (i_key, j_key, f_back), f_opts in zip(f_key, _option_ranges(f_key)):
+    for (i_key, j_key, f_back), f_opts in zip(f_key, f_ranges):
         g_opts, (_, fwd_key, g_back) = g_rows[j_key]
         f_laws = {d: (o, items) for o, (d, items) in zip(f_opts, f_back)}
         back = []
@@ -509,19 +549,6 @@ def _compose_key(f_key: tuple, g_key: tuple) -> tuple:
             routes.append((o_f, o_g))
         rows.append((i_key, fwd_key, tuple(back)))
     return tuple(rows), routes
-
-
-def _tensor_routes(f_key: tuple, g_key: tuple) -> list:
-    """Routes of f (x) g, in option order: one option of each factor."""
-    g_ranges = _option_ranges(g_key)
-    return [(o_f, o_g) for f_opts in _option_ranges(f_key) for g_opts in g_ranges
-            for o_f in f_opts for o_g in g_opts]
-
-
-def _option_ranges(key: tuple) -> list:
-    """Per row of a lens key, the option indices of its responses."""
-    ends = itertools.accumulate(len(row[2]) for row in key)
-    return [range(end - len(row[2]), end) for row, end in zip(key, ends)]
 
 
 def _check_horizon(horizon: int) -> None:

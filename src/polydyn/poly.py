@@ -42,7 +42,6 @@ from .spaces import (
     check_point,
     is_finite,
     join_normal,
-    norm_arity,
     normalize_point,
     points,
     prod,
@@ -337,26 +336,34 @@ def polymap_key(f: PolyMap):
     return tuple(rows)
 
 
-def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple) -> tuple:
+def tensor_key(f_key: tuple, g_key: tuple, f_arities: tuple, g_arities: tuple,
+               products: dict) -> tuple:
     """``polymap_key(tensor_map(f, g))`` from the keys of f and g.
 
-    Positions and directions are the factors' normal forms joined, by the
-    normalized arity of each factor's space (of each fibre, per position),
-    and a backward law's items are the products of the factors' items, as
-    ``dst`` forms them.  Those pairs run through f's atoms slowest, each list
-    in its own fibre's order, so they are in the order of the product fibre's
-    ``points``, as the key of the walked lens lists them."""
-    pos_f, tgt_f, fibres_f = _arities(f)
-    pos_g, tgt_g, fibres_g = _arities(g)
+    Positions and directions are the factors' normal forms joined by the
+    normalized arities of f's spaces, ``f_arities`` (source and target
+    positions, and dicts from each source and target position's normal form
+    to its fibre's), and of g's.  A backward law's items are the products of
+    the factors' items, as ``dst`` forms them; each distinct product is
+    formed once, and kept in ``products`` for the caller's next keys.
+    Those pairs run through f's atoms slowest, each list in its own fibre's
+    order, so they are in the order of the product fibre's ``points``, as
+    the key of the walked lens lists them."""
+    pos_f, tgt_f, src_f, out_f = f_arities
+    pos_g, tgt_g, src_g, out_g = g_arities
     rows = []
-    for (i_key, fwd1, back1), (in1, out1) in zip(f_key, fibres_f):
-        for (j_key, fwd2, back2), (in2, out2) in zip(g_key, fibres_g):
+    for i_key, fwd1, back1 in f_key:
+        in1, out1 = src_f[i_key], out_f[fwd1]
+        for j_key, fwd2, back2 in g_key:
+            in2, out2 = src_g[j_key], out_g[fwd2]
             back = []
             for d1, items1 in back1:
                 for d2, items2 in back2:
+                    pairs = products.get((items1, items2))
+                    if pairs is None:
+                        pairs = products[items1, items2] = product_items(items1, items2)
                     back.append((join_normal(out1, d1, out2, d2), tuple(
-                        (join_normal(in1, a1, in2, a2), w)
-                        for (a1, a2), w in product_items(items1, items2)
+                        (join_normal(in1, a1, in2, a2), w) for (a1, a2), w in pairs
                     )))
             rows.append((
                 join_normal(pos_f, i_key, pos_g, j_key),
@@ -364,17 +371,6 @@ def tensor_key(f: PolyMap, g: PolyMap, f_key: tuple, g_key: tuple) -> tuple:
                 tuple(back),
             ))
     return tuple(rows)
-
-
-def _arities(f: PolyMap) -> tuple:
-    """Normalized arities of a finite lens's source and target positions,
-    and per source position of its own fibre and of the target's fibre
-    there."""
-    fibres = [
-        (norm_arity(f.source.dirs_at(i)), norm_arity(f.target.dirs_at(f.forward(i))))
-        for i in points(f.source.positions)
-    ]
-    return norm_arity(f.source.positions), norm_arity(f.target.positions), fibres
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,13 @@ def test_a_bundle_check_pushes_each_closure_once_per_time(monkeypatch):
     projection's image of the 6 total states once."""
     bs = bundle_example(3, 2)
     made = Counter()
+    kept = []  # the tables, kept alive so that their ids stay theirs
     for name in ("push", "target"):
         real = getattr(systems, "_" + name)
 
         def counted(table, *args, real=real, name=name):
             made[(name, id(table), args[-1])] += 1
+            kept.append(table)
             return real(table, *args)
 
         monkeypatch.setattr(systems, "_" + name, counted)

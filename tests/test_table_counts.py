@@ -35,7 +35,7 @@ from polydyn import (
     tensor_hier,
     uniform,
 )
-from polydyn import hier
+from polydyn import hier, poly
 
 from helpers import calls_of, dyadic_channel_prior, random_finite_system
 
@@ -182,6 +182,43 @@ def test_a_leaf_maps_each_absorbed_law_once(monkeypatch):
     assert bayes_check(*bayes_3x3())["related"] is True
     assert set(mapped.values()) == {1}
     assert sum(absorbs.values()) >= 10 * len(mapped)
+
+
+def test_a_bayes_verdict_builds_no_composite_lens_and_forms_each_product_once(monkeypatch):
+    """A 3x3 ``bayes_check`` tabulates both joints from its leaves' keys:
+    no ``compose_map`` or ``tensor_map`` call builds a composite lens, and
+    within each tensor table ``product_items`` runs at most once per
+    distinct pair of factor laws, although its 54 ``tensor_key`` calls meet
+    486 pairs of backward laws."""
+    built = [calls_of(monkeypatch, module, name)
+             for module in (hier, poly) for name in ("compose_map", "tensor_map")]
+    keyed = calls_of(monkeypatch, hier, "tensor_key")
+    # the pair table whose constructor runs, None once it returns; the tables
+    # are kept alive, so that their ids stay theirs
+    building = [None]
+    real_init = hier._PairTable.__init__
+
+    def init(self, hs, kind, left, right):
+        building.append(self)
+        real_init(self, hs, kind, left, right)
+        building.append(None)
+
+    products = collections.Counter()
+    real_product = poly.product_items
+
+    def product_items(items1, items2):
+        products[(id(building[-1]), items1, items2)] += 1
+        return real_product(items1, items2)
+
+    monkeypatch.setattr(hier._PairTable, "__init__", init)
+    monkeypatch.setattr(poly, "product_items", product_items)
+    assert bayes_check(*bayes_3x3())["related"] is True
+    assert built == [[]] * 4
+    laws = sum(len(b1) * len(b2) for f_key, g_key, *_ in keyed
+               for (_, _, b1) in f_key for (_, _, b2) in g_key)
+    assert (len(keyed), laws) == (54, 486)
+    assert set(products.values()) == {1}
+    assert len({table for table, _, _ in products}) == 2  # the two joints' tensor tables
 
 
 def test_a_comonoid_verdict_sorts_no_single_code(monkeypatch):

@@ -54,6 +54,7 @@ from polydyn import (
     swap_system,
     tabulate,
     tabulated,
+    tensor,
     tensor_hier,
     time_nat,
     trace,
@@ -490,10 +491,17 @@ def test_composite_keys_walk_only_the_leaf_lenses(monkeypatch, n):
         assert len(walked) == expected, (n, len(walked), expected)
 
 
-def tabulated_system(rng, positions, fibres, out_positions, out_fibres, xs):
+def point_mass(gen, space):
+    """A point mass at a random point of a finite space."""
+    pts = list(points(space))
+    return dirac(space, pts[int(gen.integers(len(pts)))])
+
+
+def tabulated_system(rng, positions, fibres, out_positions, out_fibres, xs, draw=dyadic_dist):
     """A stochastic system between tabulated interfaces whose backward laws
-    are categorical and whose lens depends on the state (x, c): on x and on
-    a clock c, which every move advances, of period the number of outputs."""
+    are drawn by ``draw`` (categorical by default) and whose lens depends on
+    the state (x, c): on x and on a clock c, which every move advances, of
+    period the number of outputs."""
     gen = rng.generator()
     source = tabulated(positions, dict(zip(points(positions), fibres)))
     target = tabulated(out_positions, dict(zip(points(out_positions), out_fibres)))
@@ -502,7 +510,7 @@ def tabulated_system(rng, positions, fibres, out_positions, out_fibres, xs):
     states = prod(xs, clock)
     index = {i: k for k, i in enumerate(points(positions))}
     laws = {
-        (x, i, k, d): dyadic_dist(gen, source.dirs_at(i))
+        (x, i, k, d): draw(gen, source.dirs_at(i))
         for x in points(xs) for i in points(positions)
         for k, o in enumerate(outs) for d in points(target.dirs_at(o))
     }
@@ -545,6 +553,39 @@ def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
         table = tabulate(both)
         states = list(points(both.states))
         for s, x in enumerate(states):
+            assert table.keys[table.key_of[s]] == polymap_key(both.emit(x)), x
+
+
+def test_arities_pass_through_pair_tables():
+    """A tensor of a compose composite, and a compose of a tensor, whose
+    per-position fibres have normalized arity 0, 2 and 3: a tensor parent
+    joins normal forms by the arities its factor tables give, and a pair
+    table reads them from its own factors (for g after f, f's source fibre
+    and g's target fibre), so every key equals the walked one."""
+    S, T, U = finite("s0", "s1"), finite("t0", "t1"), finite("u0", "u1")
+    arity = {0: unit(), 2: prod(S, T), 3: prod(S, unit(), prod(T, U))}
+    # f: P -> P' with categorical backward laws and g: P' -> Q with point
+    # masses; P and P' name the same positions with other fibres, so arities
+    # read from the wrong interface are found, and join by the wrong arity
+    ps = finite("p0", "p1", "p2")
+    f = tabulated_system(Rng(86), ps, [arity[0], arity[2], arity[3]],
+                         ps, [arity[3], arity[0], arity[2]], finite(0, 1))
+    g = tabulated_system(Rng(87), ps, [arity[3], arity[0], arity[2]],
+                         finite("c0", "c1"), [arity[3], arity[0]], finite(0, 1), draw=point_mass)
+    h = tabulated_system(Rng(88), finite("h"), [arity[2]], finite("k0", "k1"),
+                         [arity[0], arity[3]], finite(0))
+    left = tabulated_system(Rng(89), finite("l0", "l1"), [arity[3], arity[0]],
+                            finite("m"), [arity[2]], finite(0, 1))
+    right = tabulated_system(Rng(90), finite("r"), [arity[2]],
+                             finite("n0", "n1"), [arity[0], arity[3]], finite(0))
+    mid = tensor(left.target, right.target)
+    back = tabulated_system(Rng(91), mid.positions, [mid.dirs_at(j) for j in points(mid.positions)],
+                            finite("o"), [arity[2]], finite(0, 1), draw=point_mass)
+    fg, lr = compose_hier(f, g), compose_hier(tensor_hier(left, right), back)
+    for both in (tensor_hier(fg, h), tensor_hier(h, fg), lr, tensor_hier(lr, fg)):
+        table = tabulate(both)
+        assert isinstance(table, hier._PairTable)
+        for s, x in enumerate(points(both.states)):
             assert table.keys[table.key_of[s]] == polymap_key(both.emit(x)), x
 
 
