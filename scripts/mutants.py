@@ -56,15 +56,15 @@ MUTANTS = (
         ("tests/test_table_properties.py::test_generated_traces_equal_the_closure_traces",
          "tests/test_table_counts.py::test_a_composites_initial_law_looks_up_no_composite_state"),
     ),
-    # a compose table's source fibre arities are g's (the middle fibres) in
-    # place of f's, so a tensor parent joins f's directions by the wrong
-    # arity
+    # a tensor key's backward atoms joined g's slots first, so each product
+    # atom's slots are out of the product fibre's order
     Mutant(
-        "pair-fibre-arity-swapped",
-        "src/polydyn/hier.py",
-        "            return f_src, g_tgt\n",
-        "            return g_src, g_tgt\n",
-        ("tests/test_tables.py::test_arities_pass_through_pair_tables",),
+        "tensor-key-atoms-swapped",
+        "src/polydyn/poly.py",
+        "(a1 + a2, w)",
+        "(a2 + a1, w)",
+        ("tests/test_tables.py::test_arities_pass_through_pair_tables",
+         "tests/test_tables.py::test_tensor_keys_with_tabulated_fibres_equal_the_walk"),
     ),
     # a leaf's memo of absorbed laws keyed by the law's type, not its
     # identity, so every law of a type reads the row of the first one mapped
@@ -142,6 +142,16 @@ MUTANTS = (
         "for new, at in zip(new_points, points)",
         "for new, at in zip(new_points[:1], points[:1])",
         ("tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled",),
+    ),
+    # two Diracs over a Euclidean space compared as labels, so points one ulp
+    # apart read 1.0 and a flow tolerance admits no gap
+    Mutant(
+        "euclid-diracs-as-labels",
+        "src/polydyn/dist.py",
+        "    if both_finite and not both_points:\n",
+        "    if both_finite:\n",
+        ("tests/test_dist.py::test_distance_by_the_kinds_of_a_pair",
+         "tests/test_vector_field.py::test_euclidean_flow_gaps_are_read_on_the_points"),
     ),
     # the flow check reads the walk from step(t, x)'s point out of x's walk,
     # by a memo of every point a walk reached, so step(s) after step(t) is

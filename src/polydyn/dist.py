@@ -25,7 +25,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .spaces import (
+    EuclidSpace,
+    ProdSpace,
     Space,
+    UnitSpace,
     check_point,
     contains,
     euclid,
@@ -420,11 +423,8 @@ def _as_gaussian(d: Dist):
     """Gaussian view of a Dist when one exists (Dirac over Euclid-shaped)."""
     if isinstance(d, Gaussian):
         return d
-    if isinstance(d, Dirac):
-        try:
-            flat = flatten_floats(d.space, d.point)
-        except Exception:
-            return None
+    if isinstance(d, Dirac) and _euclid_shaped(d.space):
+        flat = flatten_floats(d.space, d.point)
         n = len(flat)
         return Gaussian(
             d.space,
@@ -432,6 +432,13 @@ def _as_gaussian(d: Dist):
             tuple(tuple(0.0 for _ in range(n)) for _ in range(n)),
         )
     return None
+
+
+def _euclid_shaped(space: Space) -> bool:
+    """Whether a space is built from Euclid, Prod and Unit parts alone."""
+    if isinstance(space, ProdSpace):
+        return all(_euclid_shaped(f) for f in space.factors)
+    return isinstance(space, (EuclidSpace, UnitSpace))
 
 
 def sample(d: Dist, rng: Rng) -> Any:
@@ -460,24 +467,33 @@ def sample(d: Dist, rng: Rng) -> Any:
 
 
 def dist_distance(d1: Dist, d2: Dist) -> float:
-    """Sup-distance between two distributions of comparable kind.
+    """Sup-distance between two distributions of comparable kind, by the
+    kinds of the pair:
 
-    Finite supports compare atom-by-atom weights; Gaussians (and Diracs over
-    Euclidean-shaped spaces) compare means and covariances entrywise.  A pair
-    with no common reading is infinitely far apart.
+    - two Diracs over Euclidean-shaped spaces compare as points, their
+      coordinates entrywise (through their Gaussian views);
+    - any other pair of Diracs and categorical laws compares atom-by-atom
+      weights, so a finite mixture against a Dirac compares labels;
+    - a Gaussian against a Gaussian, or against a Dirac over a
+      Euclidean-shaped space, compares means and covariances entrywise;
+    - a pair with no common reading is infinitely far apart.
     """
-    f1 = isinstance(d1, (Dirac, Categorical))
-    f2 = isinstance(d2, (Dirac, Categorical))
-    if f1 and f2:
-        support = {a for a, _ in finite_items(d1)} | {a for a, _ in finite_items(d2)}
-        return max(abs(prob(d1, a) - prob(d2, a)) for a in support)
+    both_points = isinstance(d1, Dirac) and isinstance(d2, Dirac)
+    both_finite = isinstance(d1, (Dirac, Categorical)) and isinstance(d2, (Dirac, Categorical))
+    if both_finite and not both_points:
+        return _label_distance(d1, d2)
     g1 = _as_gaussian(d1)
     g2 = _as_gaussian(d2)
     if g1 is not None and g2 is not None and len(g1.mean) == len(g2.mean):
-        dm = float(np.max(np.abs(g1.mean_array() - g2.mean_array()), initial=0.0))
-        dc = float(np.max(np.abs(g1.cov_array() - g2.cov_array()), initial=0.0))
-        return max(dm, dc)
-    return float("inf")
+        # the mean stacked over the covariance rows, (n + 1) x n, one gap for both
+        m1, m2 = (np.array((g.mean, *g.cov), dtype=float) for g in (g1, g2))
+        return float(np.max(np.abs(m1 - m2), initial=0.0))
+    return _label_distance(d1, d2) if both_points else float("inf")
+
+
+def _label_distance(d1: Dist, d2: Dist) -> float:
+    support = {a for a, _ in finite_items(d1)} | {a for a, _ in finite_items(d2)}
+    return max(abs(prob(d1, a) - prob(d2, a)) for a in support)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import KW_ONLY, dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,8 +69,6 @@ from .spaces import (
     Space,
     expand_point,
     is_finite,
-    join_normal,
-    norm_arity,
     normalize_point,
     points,
     prod,
@@ -298,11 +295,12 @@ class HierTable:
 
     State ids follow ``points(states)``.  ``key_of`` maps each state id to
     the id of the lens the state emits; ``keys[k]`` is that lens's
-    normalized ``polymap_key`` and ``options[k]`` its normalized (position,
-    direction) responses, in the order ``hom_sections`` offers them, and
-    ``_ranges[k]`` the options of each row of the key.  A leaf table walks
-    each lens for its key and keeps one lens per key; a composite table
-    keeps keys, not lenses (see ``_PairTable``), unless it is walked as a leaf.
+    ``polymap_key`` and ``options[k]`` its (position, direction) responses
+    as slot tuples (``normalize_point``), in the order ``hom_sections``
+    offers them, and ``_ranges[k]`` the options of each row of the key.  A
+    leaf table walks each lens for its key and keeps one lens's responses
+    per key; a composite table keeps keys, not lenses (see ``_PairTable``),
+    unless it is walked as a leaf.
     ``step(s, o)`` is the next-state law of state s after response o, as a
     sparse row (state ids, weights).  Rows are built on first use and
     interned, so states that move alike share one row id.  ``law(d)`` is a
@@ -327,15 +325,6 @@ class HierTable:
             ends = itertools.accumulate(len(row[2]) for row in key)
             self._ranges.append([range(end - len(row[2]), end) for row, end in zip(key, ends)])
         return k
-
-    @cached_property
-    def arities(self) -> tuple:
-        """Normalized arities of the source and target positions, and of the
-        fibre at each source and target position the keys name (dicts by
-        normal form), built when a ``tensor_hier`` parent first asks."""
-        hs = self.system
-        return (norm_arity(hs.source.positions), norm_arity(hs.target.positions),
-                *self._fibre_arities())
 
     def step(self, s: int, o: int) -> tuple:
         return self.row(int(self.rows(np.array([s]), np.array([o]))[0]))
@@ -374,24 +363,16 @@ class _LeafTable(HierTable):
         self._ids = {x: s for s, x in enumerate(self._states)}
         self.size = len(self._states)
         self.key_of = np.empty(self.size, dtype=np.intp)
-        self._lenses: dict = {}  # key id -> the first emitted lens with that key
+        lenses: dict = {}  # key id -> the first emitted lens with that key
         for s, x in enumerate(self._states):
             lens = hs.emit(x)
             k = self.key_of[s] = self._key_id(polymap_key(lens))
-            self._lenses.setdefault(k, lens)
-        self._resp = [_responses(lens) for lens in self._lenses.values()]  # key id -> responses
+            lenses.setdefault(k, lens)
+        self._resp = [_responses(lens) for lens in lenses.values()]  # key id -> responses
         self._width = 1 + max(len(o) for o in self.options)
         self._absorbed: dict = {}  # state id * width + option -> row id
         # id(absorbed law) -> (law, row id); the law kept alive keeps its id
         self._law_rows: dict = {}
-
-    def _fibre_arities(self) -> tuple:
-        src, tgt = {}, {}
-        for k, lens in self._lenses.items():
-            for (i_key, fwd_key, _), i in zip(self.keys[k], points(lens.source.positions)):
-                src[i_key] = norm_arity(lens.source.dirs_at(i))
-                tgt[fwd_key] = norm_arity(lens.target.dirs_at(lens.forward(i)))
-        return src, tgt
 
     def state_id(self, x) -> int:
         try:
@@ -427,23 +408,21 @@ class _PairTable(HierTable):
     factor rows, expanded into their outer product only when used.
 
     A composite key and each response's route, one option of each factor,
-    are read from the factors' keys and option ranges (``_compose_key``,
-    ``tensor_key``, joining normal forms by the factors' ``arities``); no
+    are read from the factors' keys and option ranges (``_compose_key``, and
+    ``tensor_key``, which concatenates the factors' slot tuples); no
     composite lens is built.  The key equals ``polymap_key`` of the composed
     lens: both list a law's items in its fibre's order, and an atom off its
     fibre was refused where a factor's leaf was keyed."""
 
     def __init__(self, hs: HierSystem, kind: str, left: HierTable, right: HierTable):
         super().__init__(hs)
-        self._kind, self._left, self._right = kind, left, right
+        self._left, self._right = left, right
         self.size = left.size * right.size
         pair_key, offset = [], []  # pair id -> key id, and index of its first route
         routes: list = []  # (left option, right option) per response
         self._row_pairs: dict = {}  # row id -> left row * 2**31 + right row
         n_right = len(right.keys)
-        if kind == "tensor":
-            f_arities, g_arities = left.arities, right.arities
-            products: dict = {}  # each product of factor laws formed while this table is built
+        products: dict = {}  # each product of factor laws formed while this table is built
 
         def pair(code: int) -> int:
             kf, kg = divmod(code, n_right)
@@ -452,7 +431,7 @@ class _PairTable(HierTable):
             if kind == "compose":
                 key, routed = _compose_key(f_key, g_key, f_ranges, g_ranges)
             else:
-                key = tensor_key(f_key, g_key, f_arities, g_arities, products)
+                key = tensor_key(f_key, g_key, products)
                 routed = [(o_f, o_g) for f_opts in f_ranges for g_opts in g_ranges
                           for o_f in f_opts for o_g in g_opts]
             pair_key.append(self._key_id(key))
@@ -466,18 +445,6 @@ class _PairTable(HierTable):
         self.key_of = np.asarray(pair_key, dtype=np.intp)[self._pair_of]
         self._offset = np.asarray(offset, dtype=np.intp)
         self._route_left, self._route_right = np.array(routes, dtype=np.intp).reshape(-1, 2).T
-
-    def _fibre_arities(self) -> tuple:
-        """From the factors': g after f has f's source fibres and g's target
-        fibres; a tensor's fibre at a pair of positions is the sum of theirs."""
-        (pf, tf, f_src, f_tgt), (pg, tg, g_src, g_tgt) = self._left.arities, self._right.arities
-        if self._kind == "compose":
-            return f_src, g_tgt
-
-        def joined(n_f, f, n_g, g):
-            return {join_normal(n_f, i, n_g, j): a + b for i, a in f.items() for j, b in g.items()}
-
-        return joined(pf, f_src, pg, g_src), joined(tf, f_tgt, tg, g_tgt)
 
     def law(self, d: Dist) -> np.ndarray:
         """The composite's own initial law is ``dst`` of its factors' initial
@@ -755,10 +722,10 @@ def _section_choices(options: list, max_sections: int) -> list:
 
 
 def _strategy(sigma, systems) -> Callable:
-    """A section of the given systems as lens key -> normalized (position,
-    direction) response, None where it has no entry.  A flat ``Section`` of p
-    is a strategy for systems y -> p: it answers the constant lens at a with
-    the lens's one position and the direction it assigns at a."""
+    """A section of the given systems as lens key -> (position, direction)
+    response in slot tuples, None where it has no entry.  A flat ``Section``
+    of p is a strategy for systems y -> p: it answers the constant lens at a
+    with the lens's one position and the direction it assigns at a."""
     if isinstance(sigma, HomSection):
         entries: dict = {}
         for key, value in sigma.table:
@@ -802,8 +769,9 @@ class Trace:
 @dataclass(frozen=True)
 class HomSection:
     """An environment strategy for a hierarchical system: for each emitted
-    lens (by normalized table key) it fixes the source position offered and
-    the direction the target feeds back, both in normalized form."""
+    lens (by its ``polymap_key``) it fixes the source position offered and
+    the direction the target feeds back, both as slot tuples
+    (``normalize_point``)."""
 
     table: tuple  # ((lens key, (position, direction)), ...)
 
@@ -858,11 +826,12 @@ def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
 def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     """Time-indexed distribution of what the system shows the world.
 
-    For a hierarchical system this is the law of the emitted lens (by
-    normalized key) under an environment strategy, computed on the system's
-    tables when its states are finite.  An open system on p is traced as the
-    hierarchical system y -> p (``as_hier``) under a ``Section`` or a
-    ``HomSection``, and each law is read back over the positions of p.
+    For a hierarchical system this is the law of the emitted lens (by its
+    ``polymap_key``, whose entries are slot tuples) under an environment
+    strategy, computed on the system's tables when its states are finite.
+    An open system on p is traced as the hierarchical system y -> p
+    (``as_hier``) under a ``Section`` or a ``HomSection``, and each law is
+    read back over the positions of p.
     Exact by enumeration on finite supports.  On the tables, reading stops
     at the horizon or once the laws repeat the tick before, and the last law
     read stands for every later tick: the trace always has horizon + 1

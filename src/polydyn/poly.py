@@ -41,7 +41,6 @@ from .spaces import (
     SpaceError,
     check_point,
     is_finite,
-    join_normal,
     normalize_point,
     points,
     prod,
@@ -295,14 +294,16 @@ def maps_agree(f: PolyMap, g: PolyMap) -> bool:
 
 def polymap_key(f: PolyMap):
     """Canonical hashable encoding of a finite lens: its full forward and
-    backward tables.  The position and direction values are normalized first,
-    so lenses that differ only by unit factors or by product re-association
-    get the same key.  A row per source position i (in enumeration order)
-    holds i, its forward position, and per direction d of the target there
-    the backward law's items in the order of the source fibre's ``points``,
-    which normalizing keeps, so no key depends on the order in which a law
-    lists its atoms.  Every backward atom must be a point of the source fibre
-    at i: an atom off it is refused here, for every route that keys a lens."""
+    backward tables.  Each position, direction and backward atom is written
+    as its normal form, the tuple of its slots (``normalize_point``), so
+    lenses that differ only by unit factors or by product re-association get
+    the same key, and a tuple label is not a product point.  A row per
+    source position i (in enumeration order) holds i, its forward position,
+    and per direction d of the target there the backward law's items in the
+    order of the source fibre's ``points``, which normalizing keeps, so no
+    key depends on the order in which a law lists its atoms.  Every backward
+    atom must be a point of the source fibre at i: an atom off it is
+    refused here, for every route that keys a lens."""
     if not is_finite(f.source.positions):
         raise PolyError("polymap_key needs a finite position space")
     rows = []
@@ -336,40 +337,29 @@ def polymap_key(f: PolyMap):
     return tuple(rows)
 
 
-def tensor_key(f_key: tuple, g_key: tuple, f_arities: tuple, g_arities: tuple,
-               products: dict) -> tuple:
+def tensor_key(f_key: tuple, g_key: tuple, products: dict) -> tuple:
     """``polymap_key(tensor_map(f, g))`` from the keys of f and g.
 
-    Positions and directions are the factors' normal forms joined by the
-    normalized arities of f's spaces, ``f_arities`` (source and target
-    positions, and dicts from each source and target position's normal form
-    to its fibre's), and of g's.  A backward law's items are the products of
-    the factors' items, as ``dst`` forms them; each distinct product is
-    formed once, and kept in ``products`` for the caller's next keys.
-    Those pairs run through f's atoms slowest, each list in its own fibre's
-    order, so they are in the order of the product fibre's ``points``, as
-    the key of the walked lens lists them."""
-    pos_f, tgt_f, src_f, out_f = f_arities
-    pos_g, tgt_g, src_g, out_g = g_arities
+    A normal form is the tuple of its slots, so each position, direction
+    and backward atom of the tensor is the concatenation of its factors'.
+    A backward law's items are the products of the factors' items, as
+    ``dst`` forms them; each distinct product is formed once, and kept in
+    ``products`` for the caller's next keys.  Those pairs run through f's
+    atoms slowest, each list in its own fibre's order, so they are in the
+    order of the product fibre's ``points``, as the key of the walked lens
+    lists them."""
     rows = []
     for i_key, fwd1, back1 in f_key:
-        in1, out1 = src_f[i_key], out_f[fwd1]
         for j_key, fwd2, back2 in g_key:
-            in2, out2 = src_g[j_key], out_g[fwd2]
             back = []
             for d1, items1 in back1:
                 for d2, items2 in back2:
-                    pairs = products.get((items1, items2))
-                    if pairs is None:
-                        pairs = products[items1, items2] = product_items(items1, items2)
-                    back.append((join_normal(out1, d1, out2, d2), tuple(
-                        (join_normal(in1, a1, in2, a2), w) for (a1, a2), w in pairs
-                    )))
-            rows.append((
-                join_normal(pos_f, i_key, pos_g, j_key),
-                join_normal(tgt_f, fwd1, tgt_g, fwd2),
-                tuple(back),
-            ))
+                    items = products.get((items1, items2))
+                    if items is None:
+                        items = products[items1, items2] = tuple(
+                            (a1 + a2, w) for (a1, a2), w in product_items(items1, items2))
+                    back.append((d1 + d2, items))
+            rows.append((i_key + j_key, fwd1 + fwd2, tuple(back)))
     return tuple(rows)
 
 

@@ -11,8 +11,10 @@ A space is one of:
   only; it has no JSON form and no enumeration.
 
 Products are never flattened silently.  ``normalize_point`` is the explicit
-normalization point: it splices nested products, drops unit factors, and
-collapses empty products to the unit point ``()``; ``expand_point`` inverts it.
+normalization: a point's normal form is the tuple of its slots, with nested
+products spliced and unit factors dropped (a point of the unit space has the
+empty tuple), so a pair's normal form is its components' concatenated;
+``expand_point`` inverts it.
 """
 
 from __future__ import annotations
@@ -192,49 +194,13 @@ def points(space: Space) -> Iterator:
 # ---------------------------------------------------------------------------
 # normalization
 
-def _norm_factors(space: Space) -> list:
-    if isinstance(space, UnitSpace):
-        return []
-    if isinstance(space, ProdSpace):
-        out: list = []
-        for f in space.factors:
-            out.extend(_norm_factors(f))
-        return out
-    return [space]
 
-
-def norm_arity(space: Space) -> int:
-    """How many slots the space contributes to its normalized form."""
-    return len(_norm_factors(space))
-
-
-def normalize_point(space: Space, value: Any) -> Any:
-    """Rewrite a point of ``space`` in normal form: nested products flattened,
-    unit factors dropped, a singleton unwrapped."""
-    return _pack(_norm_parts(space, value))
-
-
-def join_normal(arity1: int, norm1: Any, arity2: int, norm2: Any) -> Any:
-    """The normal form of a pair point of ``prod(X, Y)`` from the normal forms
-    of its two components, given the normalized arities of X and Y."""
-    return _pack(_slots(arity1, norm1) + _slots(arity2, norm2))
-
-
-def _pack(parts) -> Any:
-    if not parts:
-        return ()
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(parts)
-
-
-def _slots(arity: int, norm_value: Any) -> tuple:
-    """The slots of a normalized value of the given arity."""
-    if arity == 0:
-        return ()
-    if arity == 1:
-        return (norm_value,)
-    return tuple(norm_value)
+def normalize_point(space: Space, value: Any) -> tuple:
+    """Rewrite a point of ``space`` in normal form, the tuple of its slots:
+    nested products spliced and unit factors dropped, so the normal form of
+    a pair point is its components' normal forms concatenated.  A singleton
+    stays a 1-tuple, so a tuple label in one slot is never two slots."""
+    return tuple(_norm_parts(space, value))
 
 
 def _norm_parts(space: Space, value: Any) -> list:
@@ -248,13 +214,18 @@ def _norm_parts(space: Space, value: Any) -> list:
     return [value]
 
 
-def expand_point(space: Space, norm_value: Any) -> Any:
-    """Inverse of normalize_point: rebuild the structured point of ``space``."""
-    slots = _slots(norm_arity(space), norm_value)
-    built, used = _expand(space, slots, 0)
-    if used != len(slots):
-        raise SpaceError(f"normalized value has wrong arity for {space!r}")
-    return built
+def expand_point(space: Space, norm_value: tuple) -> Any:
+    """Inverse of normalize_point: rebuild the structured point of ``space``
+    from the tuple of its slots.  A value that is not a tuple, or has too
+    few or too many slots, is refused."""
+    if isinstance(norm_value, tuple):
+        try:
+            built, used = _expand(space, norm_value, 0)
+        except IndexError:  # too few slots
+            used = None
+        if used == len(norm_value):
+            return built
+    raise SpaceError(f"{norm_value!r} is not a normal form of a point of {space!r}")
 
 
 def _expand(space: Space, slots: tuple, k: int):

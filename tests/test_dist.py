@@ -192,6 +192,20 @@ def test_dst_dirac_euclid_coerces_to_zero_cov_block():
     assert c[0, 0] == 0.0 and c[1, 1] == 1.0
 
 
+def test_distance_by_the_kinds_of_a_pair():
+    """Diracs over a Euclidean-shaped space compare as points: one ulp of 1.0
+    apart reads 2^-52, not the 1.0 of two distinct labels.  A finite mixture
+    against a Dirac, and Diracs over a finite space, compare labels; a
+    Gaussian against a Dirac compares means and covariances."""
+    E = prod(euclid(1), euclid(1))
+    a, b = dirac(E, ((1.0,), (0.0,))), dirac(E, ((1.0 + 2**-52,), (0.0,)))
+    assert dist_distance(a, b) == dist_distance(b, a) == 2**-52
+    assert dist_distance(categorical(E, [(a.point, 0.5), (b.point, 0.5)]), a) == 0.5
+    assert dist_distance(dirac(SPACE, 0), dirac(SPACE, 1)) == 1.0
+    g = gaussian(euclid(2), [1.0, 0.0], [[0.25, 0.0], [0.0, 0.0]])
+    assert dist_distance(g, a) == 0.25
+
+
 UNDERFLOWING = categorical(SPACE, [(0, 1e-200), (1, 1.0)])
 
 

@@ -33,6 +33,7 @@ from polydyn import (
     mk_system,
     monomial,
     points,
+    polymap_key,
     prob,
     quasi_bisim,
     swap_system,
@@ -472,7 +473,24 @@ def test_a_clock_carried_in_the_state_traces_its_parity():
     sigma = hom_sections([blinker(2)])[0]
     for leaf, start in ((flag, dirac(clocked, (0, 0))), (count, dirac(line, (0.0,)))):
         values = trace(leaf, sigma, start, 3).values
-        assert [v.point[0][1] for v in values] == ["even", "odd", "even", "odd"]
+        assert [v.point[0][1] for v in values] == [("even",), ("odd",), ("even",), ("odd",)]
+
+
+def test_a_tuple_label_is_not_a_product_point():
+    """A system on y -> linear(prod(B, B)) that shows (0, 1) shows two slots;
+    one on y -> linear(finite((0, 1), (1, 0))) shows one label that is a
+    tuple.  Their lens keys differ, so the two systems are not related."""
+    B = finite(0, 1)
+    states = finite(0)
+
+    def shows(positions):
+        lens = det_polymap(y(), linear(positions), lambda i: (0, 1), lambda i, d: ())
+        return mk_hier(y(), linear(positions), states, lambda x: lens,
+                       lambda x, i, d: dirac(states, 0))
+
+    pair, label = shows(prod(B, B)), shows(finite((0, 1), (1, 0)))
+    assert polymap_key(pair.emit(0)) != polymap_key(label.emit(0))
+    assert quasi_bisim(pair, label, "forall", "forall", horizon=3)["related"] is False
 
 
 def test_hier_system_optional_fields_are_keyword_only():

@@ -59,9 +59,9 @@ def test_cardinality_and_points():
 
 def test_normalize_drops_unit_factors():
     A = finite(0, 1)
-    assert normalize_point(prod(A, unit()), (1, ())) == 1
-    assert normalize_point(prod(unit(), A), ((), 0)) == 0
-    assert normalize_point(prod(unit(), prod(A, unit())), ((), (1, ()))) == 1
+    assert normalize_point(prod(A, unit()), (1, ())) == (1,)
+    assert normalize_point(prod(unit(), A), ((), 0)) == (0,)
+    assert normalize_point(prod(unit(), prod(A, unit())), ((), (1, ()))) == (1,)
 
 
 def test_normalize_flattens_nesting():
@@ -83,6 +83,15 @@ def test_expand_point_inverts_normalize():
         for x in points(sp):
             n = normalize_point(sp, x)
             assert expand_point(sp, n) == x
+
+
+def test_expand_point_refuses_a_malformed_normal_form():
+    """A normal form is the tuple of a point's slots: a value with too few or
+    too many slots, or one that is not a tuple, is refused."""
+    A = finite(0, 1)
+    for value in ((0,), (0, 1, 0), 5):
+        with pytest.raises(SpaceError, match="is not a normal form of a point of"):
+            expand_point(prod(A, A), value)
 
 
 def test_flatten_unflatten_roundtrip():

@@ -558,15 +558,14 @@ def test_tensor_keys_with_tabulated_fibres_equal_the_walk():
 
 def test_arities_pass_through_pair_tables():
     """A tensor of a compose composite, and a compose of a tensor, whose
-    per-position fibres have normalized arity 0, 2 and 3: a tensor parent
-    joins normal forms by the arities its factor tables give, and a pair
-    table reads them from its own factors (for g after f, f's source fibre
-    and g's target fibre), so every key equals the walked one."""
+    per-position fibres have 0, 2 and 3 slots: a tensor parent joins its
+    factor tables' slot tuples by concatenation, f's first, whatever the
+    factors are, so every key equals the walked one."""
     S, T, U = finite("s0", "s1"), finite("t0", "t1"), finite("u0", "u1")
     arity = {0: unit(), 2: prod(S, T), 3: prod(S, unit(), prod(T, U))}
     # f: P -> P' with categorical backward laws and g: P' -> Q with point
-    # masses; P and P' name the same positions with other fibres, so arities
-    # read from the wrong interface are found, and join by the wrong arity
+    # masses; P and P' name the same positions with other fibres, so slots
+    # read from the wrong interface, or joined in the wrong order, are found
     ps = finite("p0", "p1", "p2")
     f = tabulated_system(Rng(86), ps, [arity[0], arity[2], arity[3]],
                          ps, [arity[3], arity[0], arity[2]], finite(0, 1))

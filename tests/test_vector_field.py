@@ -10,9 +10,11 @@ from polydyn import (
     SpaceError,
     check_closed_flow,
     check_flow,
+    closed_from_kernel,
     closure,
     constant_section,
     det_polymap,
+    dirac,
     dirac_point,
     euclid,
     finite,
@@ -20,6 +22,7 @@ from polydyn import (
     monomial,
     reindex,
     rk4_step,
+    time_nat,
     trivial_section,
     unit,
 )
@@ -237,6 +240,32 @@ def test_a_field_that_reads_a_call_counter_fails_the_flow_law():
     report = check_closed_flow(cs, RK4_GRID, [(1.0,)], tol=1e-12)
     assert not report["pass"]
     assert {v["kind"] for v in report["violations"]} == {"compose"}
+
+
+def test_euclidean_flow_gaps_are_read_on_the_points():
+    """Two Diracs over a Euclidean space compare as points, so a broken flow
+    law shows its gap, not 1.0: integrating t ticks as one RK4 step of t*h,
+    and the call-counter field above, each fail at 1e-12 by a finite gap."""
+    h, states = 0.01, euclid(1)
+
+    def one_big_step(t, x):
+        v = rk4_step(lambda u: -0.5 * u, np.asarray(x, dtype=float), t * h)
+        return dirac(states, (float(v[0]),))
+
+    coarse = closed_from_kernel(states, time_nat(), one_big_step)
+    small = [(s, t) for s in range(1, 9) for t in range(1, 9)]
+    calls = [0]
+
+    def field(x, d):
+        calls[0] += 1
+        return (-0.5 * x[0] + 1e-9 * calls[0],)
+
+    counted = from_vector_field(field, lambda x: x, monomial(euclid(1), unit()), h,
+                                states=states)
+    for report in (check_closed_flow(coarse, small, [(1.0,)], tol=1e-12),
+                   _decay_flow(counted, [(1.0,)])):
+        assert not report["pass"]
+        assert 1e-12 < report["max_deviation"] < 1e-5
 
 
 @pytest.mark.parametrize("sample", [[[1.0]], [np.array([1.0])]])
