@@ -186,6 +186,35 @@ MUTANTS = (
         ("tests/test_random_bundle.py::test_a_bundle_check_pushes_each_closure_once_per_time",
          "tests/test_square_route.py::test_generated_bundle_reports_are_the_per_state_reports"),
     ),
+    # a composite's factors copied by ``replace``, so a copy with another
+    # init or absorb is tabulated from the factors' tables and init vectors
+    Mutant(
+        "composite-factors-copied",
+        "src/polydyn/hier.py",
+        "field(default=None, init=False, compare=False, repr=False)",
+        "field(default=None, compare=False, repr=False)",
+        ("tests/test_tables.py::test_a_copy_of_a_composite_is_tabulated_from_its_own_data",),
+    ),
+    # the measure-preserving check compares the pushed measure with itself,
+    # not with the measure, so every flow preserves it
+    Mutant(
+        "measure-compared-with-itself",
+        "src/polydyn/random_bundle.py",
+        "dist_distance(pushed, mp.base.measure)",
+        "dist_distance(pushed, pushed)",
+        ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape"
+         "[check_measure_preserving-fail]",),
+    ),
+    # the random-system check skips the first section of the interface,
+    # which drops every case of an interface with one section
+    Mutant(
+        "random-system-first-section-dropped",
+        "src/polydyn/random_bundle.py",
+        "enumerate(all_sections(rds.interface))",
+        "enumerate(all_sections(rds.interface)[1:])",
+        ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape"
+         "[check_random_system-fail]",),
+    ),
 )
 
 

@@ -126,8 +126,8 @@ def categorical(space: Space, weights) -> Dist:
 
     Zero-weight atoms are pruned, duplicate atoms merged; weights must be
     non-negative and sum to 1 within 1e-12.  A law left on one atom is the
-    ``Dirac`` there.  Euclid-valued atoms compare by exact bit equality --
-    merging nearby continuous atoms is the caller's job.
+    ``Dirac`` there.  Atoms merge by exact equality (``==``, so -0.0 and 0.0
+    are one Euclid coordinate) -- merging nearby ones is the caller's job.
     """
     pairs = weights.items() if isinstance(weights, dict) else weights
     merged: dict = {}
@@ -299,7 +299,7 @@ class GaussianKernel:
 
 def pushforward(f, d: Dist, target: Space) -> Dist:
     """Image distribution over ``target`` of a finite-support ``d`` under the
-    function ``f``.
+    function ``f``; equal images merge as in ``categorical``.
 
     A Gaussian has no exact image under an opaque function: for an affine map
     bind it with a ``GaussianKernel`` (zero covariance for a deterministic
@@ -318,20 +318,16 @@ def pushforward(f, d: Dist, target: Space) -> Dist:
 
 def bind(d: Dist, k) -> Dist:
     """Monad bind: average the kernel ``k`` over ``d`` (exact regimes only).
-    A mixture of checked laws has its atoms merged, pruned and checked, not its total."""
+    A mixture of checked laws has its atoms merged (by ``==``, as in
+    ``categorical``), pruned and checked, not its total."""
     if isinstance(d, Dirac):
-        out = k(d.point)
-        if not isinstance(out, (Dirac, Categorical, Gaussian)):
-            raise DistError(f"kernel returned a non-distribution: {out!r}")
-        return out
+        return _as_dist(k(d.point))
     if isinstance(d, Categorical):
         outs = [k(atom) for atom, _ in d.items]
         if all(out is outs[0] or out == outs[0] for out in outs):
             # constant kernel: the mixture is the common output itself, also
             # when equal laws are built apart, as the tables treat equal rows
-            if not isinstance(outs[0], (Dirac, Categorical, Gaussian)):
-                raise DistError(f"kernel returned a non-distribution: {outs[0]!r}")
-            return outs[0]
+            return _as_dist(outs[0])
         mixed: dict = {}
         space = None
         for (atom, w), out in zip(d.items, outs):
@@ -383,6 +379,7 @@ def kleisli_compose(k2, k1):
 
 
 def _as_dist(v) -> Dist:
+    """v, refused unless it is a law: the one check of a kernel's output."""
     if isinstance(v, (Dirac, Categorical, Gaussian)):
         return v
     raise DistError(f"kernel returned a non-distribution: {v!r}")
@@ -477,6 +474,9 @@ def dist_distance(d1: Dist, d2: Dist) -> float:
     - a Gaussian against a Gaussian, or against a Dirac over a
       Euclidean-shaped space, compares means and covariances entrywise;
     - a pair with no common reading is infinitely far apart.
+
+    Only the law checks read it, with their tolerance; atoms merge, initial
+    laws are told apart and walks are keyed by exact equality.
     """
     both_points = isinstance(d1, Dirac) and isinstance(d2, Dirac)
     both_finite = isinstance(d1, (Dirac, Categorical)) and isinstance(d2, (Dirac, Categorical))

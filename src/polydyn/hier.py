@@ -100,11 +100,11 @@ class HierSystem:
     _: KW_ONLY
     forward_lift: Optional[Callable] = None  # (x, b) -> Dist over target positions
     init: Optional[Dist] = None  # canonical initial state law, when one exists
-    # (kind, left, right) for compose_hier/tensor_hier composites: their
+    # (kind, left, right), set by compose_hier/tensor_hier alone: their
     # tables, and the vector of their own init, are built from the factors'
-    # (see ``tabulate``), so a copy that replaces emit, absorb or init drops
-    # them, as ``hibi_compose`` does
-    factors: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # (see ``tabulate``).  ``replace`` cannot copy or set it, so any copy is
+    # tabulated as a leaf, from its own emit, absorb and init
+    factors: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
 
 def mk_hier(
@@ -209,10 +209,11 @@ def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
             return gamma.forward_lift(xy[1], b)
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
-    return HierSystem(
-        beta.source, gamma.target, states, beta.time, emit, absorb,
-        forward_lift=lift, init=init, factors=("compose", beta, gamma),
+    composite = HierSystem(
+        beta.source, gamma.target, states, beta.time, emit, absorb, forward_lift=lift, init=init,
     )
+    object.__setattr__(composite, "factors", ("compose", beta, gamma))
+    return composite
 
 
 def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
@@ -234,10 +235,9 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         return dst(beta.absorb(x, i, d1), gamma.absorb(z, j, d2))
 
     init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
-    return HierSystem(
-        source, target, states, beta.time, emit, absorb,
-        init=init, factors=("tensor", beta, gamma),
-    )
+    composite = HierSystem(source, target, states, beta.time, emit, absorb, init=init)
+    object.__setattr__(composite, "factors", ("tensor", beta, gamma))
+    return composite
 
 
 def _stateless(source: Polynomial, target: Polynomial, lens: PolyMap) -> HierSystem:
@@ -302,8 +302,8 @@ class HierTable:
     per key; a composite table keeps keys, not lenses (see ``_PairTable``),
     unless it is walked as a leaf.
     ``step(s, o)`` is the next-state law of state s after response o, as a
-    sparse row (state ids, weights).  Rows are built on first use and
-    interned, so states that move alike share one row id.  ``law(d)`` is a
+    sparse row (state ids, weights).  A row is built when ``rows`` first
+    interns it, so states that move alike share one row id.  ``law(d)`` is a
     finite law as a vector over state ids; a composite's own initial law is
     read from its factors' vectors (``_PairTable.law``)."""
 
@@ -313,7 +313,7 @@ class HierTable:
         self.options: list = []
         self._ranges: list = []
         self._key_ids: dict = {}
-        self._rows: list = []  # row id -> (state ids, weights), None until built
+        self._rows: list = []  # row id -> (state ids, weights)
         self._row_ids: dict = {}
 
     def _key_id(self, key) -> int:
@@ -327,13 +327,7 @@ class HierTable:
         return k
 
     def step(self, s: int, o: int) -> tuple:
-        return self.row(int(self.rows(np.array([s]), np.array([o]))[0]))
-
-    def row(self, r: int) -> tuple:
-        got = self._rows[r]
-        if got is None:
-            got = self._rows[r] = self._build(r)
-        return got
+        return self._rows[int(self.rows(np.array([s]), np.array([o]))[0])]
 
     def _new_row(self, built) -> int:
         self._rows.append(built)
@@ -404,8 +398,9 @@ class _LeafTable(HierTable):
 class _PairTable(HierTable):
     """A ``compose_hier``/``tensor_hier`` composite, tabulated from its
     factors' tables.  State (x, z) has id ``id(x) * |Z| + id(z)``; its key is
-    formed once per distinct pair of factor keys, and its rows are pairs of
-    factor rows, expanded into their outer product only when used.
+    formed once per distinct pair of factor keys, and each of its rows is the
+    outer product of a pair of factor rows, built when ``rows`` first meets
+    the pair (``_pair_row``).
 
     A composite key and each response's route, one option of each factor,
     are read from the factors' keys and option ranges (``_compose_key``, and
@@ -420,7 +415,6 @@ class _PairTable(HierTable):
         self.size = left.size * right.size
         pair_key, offset = [], []  # pair id -> key id, and index of its first route
         routes: list = []  # (left option, right option) per response
-        self._row_pairs: dict = {}  # row id -> left row * 2**31 + right row
         n_right = len(right.keys)
         products: dict = {}  # each product of factor laws formed while this table is built
 
@@ -469,18 +463,15 @@ class _PairTable(HierTable):
         return _interned(left.astype(np.int64) * (1 << 31) + right, self._row_ids, self._pair_row)
 
     def _pair_row(self, code: int) -> int:
-        r = self._new_row(None)
-        self._row_pairs[r] = code
-        return r
-
-    def _build(self, r: int) -> tuple:
-        code = self._row_pairs[r]
-        li, lw = self._left.row(code >> 31)
-        ri, rw = self._right.row(code & ((1 << 31) - 1))
+        """The outer product of the two factor rows ``code`` names, as
+        left row * 2**31 + right row."""
+        left, right = divmod(code, 1 << 31)
+        li, lw = self._left._rows[left]
+        ri, rw = self._right._rows[right]
         ids = (li[:, None] * self._right.size + ri[None, :]).ravel()
         ws = np.multiply.outer(lw, rw).ravel()
         keep = ws != 0.0
-        return ids[keep], ws[keep]
+        return self._new_row((ids[keep], ws[keep]))
 
 
 def _responses(lens: PolyMap) -> list:
@@ -530,7 +521,8 @@ def tabulate(hs: HierSystem) -> HierTable:
     ``compose_hier``/``tensor_hier`` are built from their factors' tables, so
     no composite emit or absorb is walked.  A compose composite whose middle
     law mixes directions is the exception: it is tabulated, like every other
-    system, by walking its own emit and absorb."""
+    system, by walking its own emit and absorb.  So is a ``replace`` copy of
+    a composite, which has no ``factors``."""
     return _tabulate(hs, {})
 
 
@@ -613,7 +605,7 @@ def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray
     n_hit = hit.sum(axis=1)
     single = n_hit == 1
     agg[single] = hit[single]
-    rows = [table.row(r) for r in uniq.tolist()]
+    rows = [table._rows[r] for r in uniq.tolist()]
     ids = np.concatenate([r[0] for r in rows])
     ws = np.concatenate([r[1] for r in rows])
     which = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
@@ -866,10 +858,11 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
 def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
     """The provided laws and the system's ``init``, then, over at most
     ``cap`` states, every point mass and the uniform law; a law equal to an
-    earlier one is dropped.  Point masses of distinct states differ, and
-    from the uniform law over two or more states, so only the provided laws
-    and ``init`` are compared.  The states come from ``points``, so their
-    point masses are not checked again."""
+    earlier one (``==``, exact labels and floats) is dropped.  Point masses
+    of distinct states differ, and from the uniform law over two or more
+    states, so only the provided laws and ``init`` are compared.  The
+    states come from ``points``, so their point masses are not checked
+    again."""
     given = []
     for d in [*(provided or []), *([] if sys_.init is None else [sys_.init])]:
         if not any(e is d or e == d for e in given):
@@ -1187,8 +1180,11 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
     (a point mass at f's forward output), or f's ``forward_lift`` when it
     carries one -- which is how predictive hierarchies pass calibrated
     uncertainty instead of false certainty.  The lifted f is then composed
-    with g by ``compose_hier``.  There is no identity for this composition;
-    the API is composition-only."""
+    with g by ``compose_hier``, and a ``replace`` copy of that composite is
+    returned: g's positions are distributions, so g has no table, and the
+    copy, which has no ``factors``, is tabulated by walking its own emit and
+    absorb.  There is no identity for this composition; the API is
+    composition-only."""
     if not isinstance(g.source.positions, DistSpace):
         raise HierError("right factor does not take distribution-valued inputs")
     B = g.source.positions.base
@@ -1213,6 +1209,4 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
         return compose_map(lift_lens(x), f.emit(x))
 
     lifted = HierSystem(f.source, g.source, f.states, f.time, emit, f.absorb, init=f.init)
-    # g's positions are distributions, so g has no table; the composite is
-    # tabulated by walking its own emit and absorb, not from its factors
-    return replace(compose_hier(lifted, g), factors=None)
+    return replace(compose_hier(lifted, g))

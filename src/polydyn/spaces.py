@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
+import numpy as np
+
 
 class SpaceError(ValueError):
     """A value failed membership in a space, or an operation needed structure
@@ -339,4 +341,8 @@ def point_from_json(space: Space, obj: Any) -> Any:
 
 
 def _tuplify(obj: Any) -> Any:
-    return tuple(_tuplify(x) for x in obj) if isinstance(obj, list) else obj
+    """obj with every list, tuple and array in it read as a tuple: a point
+    written with lists, as JSON holds it, or with arrays."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    return tuple(_tuplify(x) for x in obj) if isinstance(obj, (list, tuple)) else obj

@@ -58,6 +58,7 @@ from .poly import (
 )
 from .spaces import (
     Space,
+    _tuplify,
     cardinality,
     check_point,
     contains,
@@ -599,20 +600,13 @@ def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _tuples(x):
-    """x with every list and array in it read as a tuple."""
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    return tuple(_tuples(c) for c in x) if isinstance(x, (list, tuple)) else x
-
-
 def _rk4_walk(field: Callable, states: Space, x, h: float) -> _Walk:
     """The classic RK4 steps of h from x along ``field``, which maps a point
     of ``states`` to its tangent; the law at each tick is the point mass at
     its vector.  x may be written with lists or arrays in place of tuples.
-    The walk is keyed by the raw bytes of the start vector, so -0.0 and 0.0
-    are two starts."""
-    vec = np.asarray(flatten_floats(states, check_point(states, _tuples(x))), dtype=float)
+    The walk is keyed by the raw bytes of the start vector, not by ``==``,
+    so -0.0 and 0.0 are two starts."""
+    vec = np.asarray(flatten_floats(states, check_point(states, _tuplify(x))), dtype=float)
 
     def tangent(v):
         return np.asarray(field(unflatten_floats(states, v.tolist())), dtype=float)

@@ -14,6 +14,7 @@ system, ``flat_reference_trace``, which is checked the same way.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -446,6 +447,26 @@ def test_point_mass_middles_are_assembled_and_mixed_middles_walked():
             ids, ws = table.step(s, o)
             want = {states.index(z): w for z, w in finite_items(mixed.absorb(x, i, d))}
             assert dict(zip(ids.tolist(), ws.tolist())) == want, (x, o)
+
+
+def test_a_copy_of_a_composite_is_tabulated_from_its_own_data():
+    """A ``replace`` copy of a composite has no factors, so its tables read
+    its own init and absorb, not the factors': a copy with another init,
+    and one with another absorb, trace as the closure walk does, and the
+    first's init is its point mass.  ``replace`` cannot set the factors."""
+    A = finite(0, 1)
+    comp = compose_hier(prior_system(categorical(A, {0: 0.5, 1: 0.5})), copy_system(A))
+    copies = [replace(comp, init=dirac(comp.states, (1, ()))),
+              replace(comp, absorb=lambda xy, i, d: dirac(comp.states, (0, ())))]
+    for copy in copies:
+        assert copy.factors is None and type(tabulate(copy)) is hier._LeafTable
+        sigma = hom_sections([copy])[0]
+        got = trace(copy, sigma, copy.init, 3).values
+        want = hier._closure_trace(copy, sigma, copy.init, 3).values
+        assert [dist_distance(g, w) for g, w in zip(got, want, strict=True)] == [0.0] * 4
+    assert tabulate(copies[0]).law(copies[0].init).tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="init=False"):
+        replace(comp, factors=comp.factors)
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def test_a_field_that_reads_a_call_counter_fails_the_flow_law():
 def test_euclidean_flow_gaps_are_read_on_the_points():
     """Two Diracs over a Euclidean space compare as points, so a broken flow
     law shows its gap, not 1.0: integrating t ticks as one RK4 step of t*h,
-    and the call-counter field above, each fail at 1e-12 by a finite gap."""
+    and the call-counter field above, each fail at 1e-12 by a finite gap,
+    and the field passes at a tolerance above its gap."""
     h, states = 0.01, euclid(1)
 
     def one_big_step(t, x):
@@ -266,6 +267,7 @@ def test_euclidean_flow_gaps_are_read_on_the_points():
                    _decay_flow(counted, [(1.0,)])):
         assert not report["pass"]
         assert 1e-12 < report["max_deviation"] < 1e-5
+    assert _decay_flow(counted, [(1.0,)], tol=1e-5)["pass"]
 
 
 @pytest.mark.parametrize("sample", [[[1.0]], [np.array([1.0])]])
