@@ -205,6 +205,42 @@ MUTANTS = (
         ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape"
          "[check_measure_preserving-fail]",),
     ),
+    # the random-system check leaves the last total state out of its sample,
+    # so a square that fails at that state alone is never read
+    Mutant(
+        "random-system-last-state-dropped",
+        "src/polydyn/random_bundle.py",
+        "states = list(points(rds.total_states))",
+        "states = list(points(rds.total_states))[:-1]",
+        ("tests/test_law_reports.py::test_a_random_system_that_fails_at_one_state_is_named_there",),
+    ),
+    # the bundle check reads its squares at the last time alone, where a
+    # projection onto one base state can agree with a base cycle
+    Mutant(
+        "bundle-last-time-only",
+        "src/polydyn/random_bundle.py",
+        "ct, cb, bs.proj, _TIMES, states,",
+        "ct, cb, bs.proj, _TIMES[-1:], states,",
+        ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape[check_bundle-fail]",),
+    ),
+    # a lens key leaves out the last source position, so two lenses that
+    # differ there alone have one key
+    Mutant(
+        "key-last-position-dropped",
+        "src/polydyn/poly.py",
+        "    for i in points(f.source.positions):\n        fwd = f.forward(i)\n",
+        "    for i in list(points(f.source.positions))[:-1]:\n        fwd = f.forward(i)\n",
+        ("tests/test_hier.py::test_copy_then_moving_one_label_is_not_copy",),
+    ),
+    # the Bayes check reads tick 0 alone, where a pair of point-mass starts
+    # agrees however the inversion is warped
+    Mutant(
+        "bayes-tick-zero-only",
+        "src/polydyn/hier.py",
+        'quasi_bisim(lhs, rhs, "exists", "exists", horizon=horizon, tol=tol)',
+        'quasi_bisim(lhs, rhs, "exists", "exists", horizon=0, tol=tol)',
+        ("tests/test_bayes.py::test_bayes_check_rejects_a_perturbed_inverse",),
+    ),
     # the random-system check skips the first section of the interface,
     # which drops every case of an interface with one section
     Mutant(

@@ -46,7 +46,6 @@ from .dist import (
     uniform,
 )
 from .poly import (
-    DETERMINISTIC,
     STOCHASTIC,
     PolyMap,
     Polynomial,
@@ -1176,10 +1175,11 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
     """Compose bidirectional systems (A,S)->(B,T) and (B,T)->(C,U).
 
     The middle wire carries points of B but g expects distributions over B,
-    so f's emitted lens is first followed by a lift: the monad unit by default
-    (a point mass at f's forward output), or f's ``forward_lift`` when it
-    carries one -- which is how predictive hierarchies pass calibrated
-    uncertainty instead of false certainty.  The lifted f is then composed
+    so the lift acts on f's own emitted lens, on positions only: its forward
+    output b becomes the monad unit at b by default (a point mass), or
+    f's ``forward_lift`` at b when it carries one -- which is how predictive
+    hierarchies pass calibrated uncertainty instead of false certainty --
+    and its backward family is kept as it is.  The lifted f is then composed
     with g by ``compose_hier``, and a ``replace`` copy of that composite is
     returned: g's positions are distributions, so g has no table, and the
     copy, which has no ``factors``, is tabulated by walking its own emit and
@@ -1196,17 +1196,14 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
     if f.target.directions != g.source.directions:
         raise HierError("middle backward directions disagree")
 
-    def lift_lens(x):
-        def fwd(b):
+    def emit(x):
+        lens = f.emit(x)
+
+        def forward(i):
+            b = lens.forward(i)
             return dirac(B, b) if f.forward_lift is None else f.forward_lift(x, b)
 
-        def backward(b, t_prime):
-            return dirac(f.target.dirs_at(b), t_prime)
+        return replace(lens, target=g.source, forward=forward)
 
-        return PolyMap(f.target, g.source, fwd, backward, DETERMINISTIC)
-
-    def emit(x):
-        return compose_map(lift_lens(x), f.emit(x))
-
-    lifted = HierSystem(f.source, g.source, f.states, f.time, emit, f.absorb, init=f.init)
+    lifted = replace(f, target=g.source, emit=emit)
     return replace(compose_hier(lifted, g))

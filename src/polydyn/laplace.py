@@ -40,7 +40,7 @@ Every small-matrix LAPACK call of a level-step goes through the gufunc of
 ``numpy.linalg._umath_linalg`` that the ``numpy.linalg`` function wraps, with
 the same arguments, so it gives the wrapper's bits: a solve through ``solve1``
 or ``solve`` (``_Guarded.solve``), the condition number through ``svd``
-(``_condition_number``), the log-determinant through ``slogdet``
+(``_conditioning``), the log-determinant through ``slogdet``
 (``_logdet_psd``), the inverse through ``inv`` (``_Guarded.inverse``) and the
 PSD check of ``dist.gaussian`` through ``eigvalsh_lo``.  On 1 x 1 to 3 x 3
 matrices each wrapper costs several times its LAPACK call, and a nonlinear
@@ -69,12 +69,11 @@ from .dist import (
     Gaussian,
     _as_gaussian,
     _gaussian_from_checked,
-    dirac,
     dst,
     gaussian,
 )
 from .hier import HierSystem, hibi_compose
-from .poly import DETERMINISTIC, PolyMap, monomial, time_nat
+from .poly import det_polymap, monomial, time_nat
 from .spaces import (
     dist_space,
     euclid,
@@ -95,15 +94,10 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _SVD = "svd" if hasattr(_umath_linalg, "svd") else "svd_n"
 
 
-def _condition_number(sigma: np.ndarray) -> float:
-    """``np.linalg.cond(sigma)`` bit for bit for a finite float matrix: the
-    largest singular value over the smallest, and inf when the smallest is 0."""
-    return _conditioning(sigma)[0]
-
-
 def _conditioning(sigma: np.ndarray) -> tuple:
-    """The condition number of a finite float matrix, as ``np.linalg.cond``
-    gives it, and its smallest singular value."""
+    """The condition number of a finite float matrix, ``np.linalg.cond`` bit
+    for bit (the largest singular value over the smallest, and inf when the
+    smallest is 0), and its smallest singular value."""
     s = getattr(_umath_linalg, _SVD)(sigma, signature="d->d").tolist()
     if not s:
         raise np.linalg.LinAlgError("cond is not defined on empty arrays")
@@ -501,12 +495,12 @@ def rho_update(
 def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
     """One predictive level as a bidirectional system.
 
-    State: (latent estimate x, current prediction y).  The emitted lens shows
-    the prediction forward and passes the latent estimate backward; the update
-    runs one gradient/covariance step against the prior arriving on the
-    forward wire and the datum arriving on the backward wire, then redraws the
-    state pair from the new belief and its pushforward prediction (drawn
-    independently)."""
+    State: (latent estimate x, current prediction y).  The emitted lens, a
+    ``det_polymap``, shows the prediction forward and passes the latent
+    estimate backward as a point mass; the update runs one gradient/covariance
+    step against the prior arriving on the forward wire and the datum
+    arriving on the backward wire, then redraws the state pair from the new
+    belief and its pushforward prediction (drawn independently)."""
     X = euclid(gamma.in_dim)
     Y = euclid(gamma.out_dim)
     source = monomial(dist_space(X), X)
@@ -517,11 +511,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
 
     def emit(xy):
         x, ypred = xy
-
-        def backward(pi_in, datum):
-            return dirac(X, x)
-
-        return PolyMap(source, target, lambda pi_in: ypred, backward, DETERMINISTIC)
+        return det_polymap(source, target, lambda pi_in: ypred, lambda pi_in, datum: x)
 
     def absorb(xy, pi_in, datum):
         x, _ = xy

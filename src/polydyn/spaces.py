@@ -98,10 +98,10 @@ def unit() -> UnitSpace:
 
 
 def finite(*labels) -> FiniteSpace:
-    """Finite space from labels; ``finite('a', 'b')`` or ``finite(*range(6))``."""
-    if len(labels) == 1 and isinstance(labels[0], (list, tuple)):
-        labels = tuple(labels[0])
-    return FiniteSpace(tuple(labels))
+    """Finite space from labels; ``finite('a', 'b')`` or ``finite(*range(6))``.
+    Each argument is one label, so ``finite((0, 1))`` has the one label
+    (0, 1)."""
+    return FiniteSpace(labels)
 
 
 def euclid(dim: int) -> EuclidSpace:

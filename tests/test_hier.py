@@ -101,6 +101,18 @@ def test_cocommutativity_on_the_nose():
     assert verdict["related"], verdict["witness"]
 
 
+def test_copy_then_moving_one_label_is_not_copy():
+    """The comonoid laws' must-fail control: copy, then move the right copy
+    of label 2 alone.  Its lens differs from copy's at source position 2
+    only, which is enough to refute it at tick 0."""
+    cp = copy_system(A)
+    moved = function_system(lambda a: 0 if a == 2 else a, A, A)
+    lhs = compose_hier(cp, tensor_hier(id_hier(linear(A)), moved))
+    verdict = quasi_bisim(lhs, cp, "forall", "forall", horizon=16, tol=0.0)
+    assert verdict["related"] is False
+    assert verdict["witness"] == {"alpha": 0, "beta": 0, "section": 0, "t": 0, "deviation": 1.0}
+
+
 # -- compose_hier ------------------------------------------------------------
 
 

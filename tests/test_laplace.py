@@ -34,7 +34,7 @@ from polydyn import (
     stack,
     state_dist,
 )
-from polydyn import dist, laplace
+from polydyn import dist, hier, laplace
 from polydyn.dist import DistError, dst, gaussian
 
 from helpers import gaussian_bits
@@ -806,7 +806,7 @@ def test_each_gufunc_route_is_numpys_wrapper_bit_for_bit():
         a = root @ root.T + 0.1 * np.eye(n) if k % 2 else root + n * np.eye(n)
         if k % 5 == 0:
             a.flags.writeable = False
-        assert laplace._condition_number(a).hex() == float(np.linalg.cond(a)).hex()
+        assert laplace._conditioning(a)[0].hex() == float(np.linalg.cond(a)).hex()
         sign, logdet = np.linalg.slogdet(a)
         if sign > 0:
             assert laplace._logdet_psd("a matrix", a).hex() == float(logdet).hex()
@@ -822,7 +822,7 @@ def test_each_gufunc_route_is_numpys_wrapper_bit_for_bit():
     counts = GaussianChannel(2, 2, lambda x: x, None, lambda x: np.array([[2, 1], [1, 3]]))
     cov = counts.cov(None)
     guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior()).guard()
-    assert laplace._condition_number(guard.matrix).hex() == float(np.linalg.cond(cov)).hex()
+    assert laplace._conditioning(guard.matrix)[0].hex() == float(np.linalg.cond(cov)).hex()
     assert guard.logdet().hex() == float(np.linalg.slogdet(cov)[1]).hex()
     assert guard.inverse().tobytes() == np.linalg.inv(cov).tobytes()
     assert dist._symmetric_eigenvalues(guard.matrix).tobytes() == np.linalg.eigvalsh(cov).tobytes()
@@ -900,6 +900,27 @@ def test_a_linear_mean_path_checks_each_predicted_law_once_per_prior(monkeypatch
         calls.clear()
         mean_path(stack(levels, cfg), pi0, datum, steps)
         assert calls == {"eigvalsh": 2 * len(levels)}, steps
+
+
+def test_a_depth_three_mean_path_step_composes_one_lens(monkeypatch):
+    """``hibi_compose`` lifts the middle wire on f's own lens, so no lift
+    lens is composed after it.  One step of a depth-3 stack then composes
+    one pair of lenses: the outer composite reads the inner composite's
+    forward map from its emitted lens, the two lower levels composed."""
+    levels, pi0, datum = _three_linear_levels()
+    hs = stack(levels, LaplaceConfig(rate=0.05))
+    calls = collections.Counter()
+    compose = hier.compose_map
+
+    def counted(g, f):
+        calls["compose_map"] += 1
+        return compose(g, f)
+
+    monkeypatch.setattr(hier, "compose_map", counted)
+    for steps in (1, 7):
+        calls.clear()
+        mean_path(hs, pi0, datum, steps)
+        assert calls == {"compose_map": steps}
 
 
 def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():

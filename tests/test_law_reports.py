@@ -97,6 +97,23 @@ def drifting_rds():
     )
 
 
+def stray_state_rds():
+    """The skew product with one more total state, (0, 2), listed last: no
+    update reaches it, and its own update jumps to base state 2, where the
+    base shift goes to 1.  Every other state follows the skew product."""
+    rds = skew_random_example(4, 2)
+    total = finite(*points(rds.total_states), (0, 2))
+
+    def update(t, s, d):
+        if s == (0, 2):
+            return dirac(total, (2, 0))
+        return dirac(total, rds.update(t, s, d).point)
+
+    return RandomSystem(
+        rds.base, total, rds.proj, rds.interface, lambda t, s: s[1] % 2, update
+    )
+
+
 def collapsed_bundle():
     """The example bundle with a projection that forgets the base state."""
     bs = bundle_example(3, 2)
@@ -166,6 +183,17 @@ def test_flat_law_reports_share_one_shape(law, passes, run, tol, extra):
     for v in report["violations"]:
         assert v["deviation"] > tol
         assert report["max_deviation"] >= v["deviation"]
+
+
+def test_a_random_system_that_fails_at_one_state_is_named_there():
+    """A must-fail control whose squares fail at one total state only, the
+    stray state (0, 2), at every time: so a check that skips one state of
+    its sample can pass it."""
+    report = check_random_system(stray_state_rds())
+    assert not report["pass"]
+    assert [(v["t"], v["state"]) for v in report["violations"]] == [
+        (1, (0, 2)), (2, (0, 2)), (3, (0, 2))
+    ]
 
 
 def test_failed_output_square_reports_an_infinite_deviation():

@@ -24,6 +24,7 @@ from polydyn import (
     unflatten_floats,
     unit,
 )
+from polydyn.specio import interface_from_json
 
 
 def test_membership_basics():
@@ -126,6 +127,22 @@ def test_finite_labels_must_be_hashable():
     ``TypeError``."""
     with pytest.raises(SpaceError, match=r"finite space label \[1, 0\] is not hashable"):
         finite((0, 1), [1, 0])
+
+
+def test_one_tuple_is_one_label():
+    """Each argument of ``finite`` is a label, a lone tuple too: it is not
+    unwrapped into the labels it holds."""
+    assert finite((0, 1)).labels == ((0, 1),)
+    assert finite((0, 1), (1, 0)).labels == ((0, 1), (1, 0))
+
+
+def test_a_spec_label_that_is_a_list_is_refused():
+    """A spec's list of labels holding one list is refused as it is with
+    two, not read as the labels of that list."""
+    with pytest.raises(SpaceError, match=r"label \[0, 1\] is not hashable"):
+        interface_from_json({"positions": [[0, 1]]})
+    with pytest.raises(SpaceError, match=r"label \[0, 1\] is not hashable"):
+        interface_from_json({"positions": [[0, 1], [1, 0]]})
 
 
 def test_point_json_roundtrip():
