@@ -143,6 +143,17 @@ MUTANTS = (
         "for new, at in zip(new_points[:1], points[:1])",
         ("tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled",),
     ),
+    # a Laplace level reads its kept evaluation at whatever latent it is
+    # asked about, not only at the one with its raw bytes
+    Mutant(
+        "laplace-kept-evaluation-unkeyed",
+        "src/polydyn/laplace.py",
+        "if at is None or at.x.tobytes() != x.tobytes():",
+        "if at is None:",
+        ("tests/test_laplace.py::test_a_level_absorbing_away_from_its_last_new_mean_equals_a_fresh_level",
+         "tests/test_laplace.py::test_a_level_tells_a_zero_latent_from_a_negative_zero_one",
+         "tests/test_laplace.py::test_mean_paths_that_share_a_level_system_each_equal_run_stack"),
+    ),
     # two Diracs over a Euclidean space compared as labels, so points one ulp
     # apart read 1.0 and a flow tolerance admits no gap
     Mutant(
@@ -240,6 +251,15 @@ MUTANTS = (
         'quasi_bisim(lhs, rhs, "exists", "exists", horizon=horizon, tol=tol)',
         'quasi_bisim(lhs, rhs, "exists", "exists", horizon=0, tol=tol)',
         ("tests/test_bayes.py::test_bayes_check_rejects_a_perturbed_inverse",),
+    ),
+    # the Bayes check accepts horizon 0, where it reads tick 0 alone and
+    # relates a warped inversion
+    Mutant(
+        "bayes-horizon-zero-accepted",
+        "src/polydyn/hier.py",
+        "    if horizon < 1:\n",
+        "    if horizon < 0:\n",
+        ("tests/test_bayes.py::test_bayes_check_refuses_a_horizon_below_one",),
     ),
     # the random-system check skips the first section of the interface,
     # which drops every case of an interface with one section

@@ -270,11 +270,17 @@ def cmd_laplace(args) -> int:
     # run first: it refuses a stack with no level, which has no width
     rows = run_stack(levels, cfg, pi0, datum, _horizon(args, spec, "steps", 200))
     width = max(ch.in_dim for ch in levels)
-    rows_out = [("step", "level", *(f"mean_{k}" for k in range(width)), "free_energy")]
+    lines = [_csv([("step", "level", *(f"mean_{k}" for k in range(width)), "free_energy")])]
+    # level -> its last row's mean and free energy, and its text after the step
+    # number; a settled run repeats both objects (``run_stack``)
+    last: dict = {}
     for step, level, mean, fl in rows:
-        cells = [repr(float(m)) for m in mean] + [""] * (width - len(mean))
-        rows_out.append(tuple([step, level] + cells + [repr(fl)]))
-    _emit(_csv(rows_out), args.out)
+        kept = last.get(level)
+        if kept is None or kept[0] is not mean or kept[1] is not fl:
+            cells = [repr(float(m)) for m in mean] + [""] * (width - len(mean))
+            kept = last[level] = (mean, fl, ",".join([str(level), *cells, repr(fl)]))
+        lines.append(f"{step},{kept[2]}\n")
+    _emit("".join(lines), args.out)
     return 0
 
 

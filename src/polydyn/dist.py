@@ -395,7 +395,8 @@ def dst(d1: Dist, d2: Dist) -> Dist:
     of atoms is a point of the product, so no atom is checked again, and the
     result equals ``categorical`` of the weighted pairs.  Only the product
     weights' sum (and sign) is checked, and of a Gaussian product only the
-    means; the covariance is not checked again.
+    means, coordinate by coordinate with ``math.isfinite`` (a law's mean holds
+    Python floats); the covariance is not checked again.
     """
     space = prod(d1.space, d2.space)
     if isinstance(d1, Dirac) and isinstance(d2, Dirac):
@@ -413,7 +414,10 @@ def dst(d1: Dist, d2: Dist) -> Dist:
         )
     pad1, pad2 = (0.0,) * len(g1.mean), (0.0,) * len(g2.mean)
     cov = tuple(row + pad2 for row in g1.cov) + tuple(pad1 + row for row in g2.cov)
-    return _gaussian_from_checked(space, g1.mean + g2.mean, cov)
+    mean = g1.mean + g2.mean
+    if not all(map(math.isfinite, mean)):
+        raise DistError("mean and covariance must be finite")
+    return Gaussian(space, mean, cov)
 
 
 def _as_gaussian(d: Dist):

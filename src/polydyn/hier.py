@@ -60,6 +60,7 @@ from .poly import (
     tensor_key,
     tensor_map,
     time_nat,
+    with_forward,
     y,
 )
 from .spaces import (
@@ -1150,7 +1151,12 @@ def bayes_check(
     it.  Right joint: push the sample through the channel, then reconstruct
     it from the shown outcome with the inversion.  Both are processes
     y -> Xy (x) Yy and are compared by quasi_bisim with existential initial
-    laws (the canonical initial laws are the intended witnesses)."""
+    laws (the canonical initial laws are the intended witnesses).  It reads
+    ticks 0..horizon, and horizon is at least 1: at tick 0 alone the joints
+    are their initial laws, and a pair of point-mass starts agrees there
+    however the inversion is warped."""
+    if horizon < 1:
+        raise HierError(f"bayes_check needs a horizon of at least 1, got {horizon}")
     X = c.source.positions
     Y = c.target.positions
     if pi.target.positions != X or cdag.source.positions != Y or cdag.target.positions != X:
@@ -1203,7 +1209,7 @@ def hibi_compose(f: HierSystem, g: HierSystem) -> HierSystem:
             b = lens.forward(i)
             return dirac(B, b) if f.forward_lift is None else f.forward_lift(x, b)
 
-        return replace(lens, target=g.source, forward=forward)
+        return with_forward(lens, g.source, forward)
 
     lifted = replace(f, target=g.source, emit=emit)
     return replace(compose_hier(lifted, g))

@@ -34,7 +34,12 @@ covariance, its guard and the Jacobian at a latent estimate serve the energy,
 its gradient and curvature, the channel's law and the level's prediction there.
 The evaluation also keeps the precision-weighted errors it has solved, each
 with the datum or the prior it was solved against, so the free energy at a new
-mean and the next gradient step there solve only the side that changed.
+mean and the next gradient step there solve only the side that changed, and
+its law, built once.  A ``build_laplace`` level keeps its last evaluation in
+its ``_Prior``, the one at its new mean, and reads it again only at a latent
+with the same raw bytes (``_Prior.evaluated``): the next step's update and the
+forward lifts of that step read it there.  So ``mean_path`` evaluates each
+channel once per point, as ``run_stack`` does.
 
 Every small-matrix LAPACK call of a level-step goes through the gufunc of
 ``numpy.linalg._umath_linalg`` that the ``numpy.linalg`` function wraps, with
@@ -191,12 +196,14 @@ class _Prior:
     that covariance gives, and the covariance of the observation predicted
     under that belief (``_Evaluation.prediction``).  A covariance is checked
     when it differs from the kept one, by identity and then by value; a failed
-    check keeps nothing."""
+    check keeps nothing.  The level's last evaluation of its channel is kept
+    here too (``evaluation``, read by ``evaluated``)."""
 
-    __slots__ = ("cov", "guard", "belief_cov", "belief_entropy", "predicted_cov")
+    __slots__ = ("cov", "guard", "belief_cov", "belief_entropy", "predicted_cov", "evaluation")
 
     def __init__(self):
         self.cov = self.guard = self.belief_cov = self.belief_entropy = self.predicted_cov = None
+        self.evaluation = None
 
     def checked(self, cov: tuple) -> _Guarded:
         if cov is not self.cov and cov != self.cov:
@@ -210,6 +217,17 @@ class _Prior:
     def entropy(self, rho: Gaussian) -> float:
         """A belief's entropy, kept for a linear level's belief covariance."""
         return self.belief_entropy if rho.cov is self.belief_cov else gaussian_entropy(rho)
+
+    def evaluated(self, gamma: "GaussianChannel", x: np.ndarray) -> "_Evaluation":
+        """The level's channel evaluated at x: the kept evaluation when its
+        point has x's raw bytes (so -0.0 is not 0.0), as ``run_stack``'s stop
+        compares, else a new one, which is kept.  An evaluation is a function
+        of its point alone, and what it keeps of a datum or a prior is keyed
+        by that object's identity."""
+        at = self.evaluation
+        if at is None or at.x.tobytes() != x.tobytes():
+            at = self.evaluation = _Evaluation(gamma, x, self)
+        return at
 
 
 @dataclass(frozen=True)
@@ -226,12 +244,16 @@ class GaussianChannel:
 
     def __call__(self, x) -> Gaussian:
         """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
+        return _Evaluation(self, self._point(x), _Prior()).law()
+
+    def _point(self, x) -> np.ndarray:
+        """x as a vector, refused unless it has the channel's input size."""
         xv = np.asarray(x, dtype=float).reshape(-1)
         if xv.size != self.in_dim:
             raise LaplaceError(
                 f"channel with in_dim {self.in_dim} called at a point of size {xv.size}"
             )
-        return _Evaluation(self, xv, _Prior()).law()
+        return xv
 
 
 def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
@@ -301,7 +323,7 @@ class _Evaluation:
     prior, with that prior."""
 
     __slots__ = (
-        "gamma", "x", "prior", "mean", "cov", "_guard", "_jacobian",
+        "gamma", "x", "prior", "mean", "cov", "_guard", "_jacobian", "_law",
         "_datum", "_datum_errors", "_pi", "_prior_errors",
     )
 
@@ -314,7 +336,7 @@ class _Evaluation:
                 f"and a covariance of shape {cov.shape}"
             )
         self.gamma, self.x, self.prior, self.mean, self.cov = gamma, x, prior, mean, cov
-        self._guard = self._jacobian = self._datum = self._pi = None
+        self._guard = self._jacobian = self._law = self._datum = self._pi = None
 
     def guard(self) -> _Guarded:
         """The covariance, checked here unless it is a constant one, which was
@@ -340,12 +362,16 @@ class _Evaluation:
         return self._jacobian
 
     def law(self) -> Gaussian:
-        """The channel's law at x, N(mean(x), cov(x))."""
-        space = euclid(self.gamma.out_dim)
-        if isinstance(self.gamma.cov, _Guarded):
-            # checked and symmetrised once, when the channel was built
-            return _gaussian_from_checked(space, self.mean, self.gamma.cov.law_cov())
-        return gaussian(space, self.mean, self.cov)
+        """The channel's law at x, N(mean(x), cov(x)), built on first use and
+        kept."""
+        if self._law is None:
+            space = euclid(self.gamma.out_dim)
+            if isinstance(self.gamma.cov, _Guarded):
+                # checked and symmetrised once, when the channel was built
+                self._law = _gaussian_from_checked(space, self.mean, self.gamma.cov.law_cov())
+            else:
+                self._law = gaussian(space, self.mean, self.cov)
+        return self._law
 
     def errors(self, pi: Gaussian, y: np.ndarray) -> tuple:
         """Prediction errors of the observation and of the prior at x, and
@@ -412,8 +438,9 @@ class _Evaluation:
 
 
 def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y, prior: _Prior) -> tuple:
-    """The channel evaluated at x for a level that keeps ``prior``, and y as a
-    vector, once x, y and the prior are checked to fit the channel."""
+    """The channel evaluated at x for a level that keeps ``prior`` (its kept
+    evaluation when that is at x: ``_Prior.evaluated``), and y as a vector,
+    once x, y and the prior are checked to fit the channel."""
     xv = np.asarray(x, dtype=float).reshape(-1)
     yv = np.asarray(y, dtype=float).reshape(-1)
     if xv.size != gamma.in_dim or yv.size != gamma.out_dim:
@@ -423,7 +450,7 @@ def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y, prior: _Prior) -> tupl
         )
     if len(pi.mean) != gamma.in_dim:
         raise LaplaceError("prior dimension does not match the channel input")
-    return _Evaluation(gamma, xv, prior), yv
+    return prior.evaluated(gamma, xv), yv
 
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
@@ -506,7 +533,8 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
     source = monomial(dist_space(X), X)
     target = monomial(Y, Y)
     states = prod(X, Y)
-    # safe to share between composites: every read checks the covariance
+    # safe to share between composites: every read checks the covariance, and
+    # the kept evaluation is read only at a latent with its raw bytes
     prior = _Prior()
 
     def emit(xy):
@@ -524,10 +552,12 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
             )
         at, yv = _evaluate(pi, gamma, x, datum, prior)
         rho, at_new = at.update(pi, yv, cfg)
+        # the next step starts at rho's mean, and the forward lift reads it there
+        prior.evaluation = at_new
         return dst(rho, at_new.prediction(rho))
 
     def forward_lift(xy, b):
-        return gamma(xy[0])
+        return prior.evaluated(gamma, gamma._point(xy[0])).law()
 
     return HierSystem(
         source, target, states, time_nat(), emit, absorb, forward_lift=forward_lift

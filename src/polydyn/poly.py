@@ -156,6 +156,12 @@ def det_polymap(source, target, forward, backward_point) -> PolyMap:
     return PolyMap(source, target, forward, backward, DETERMINISTIC)
 
 
+def with_forward(f: PolyMap, target: Polynomial, forward: Callable) -> PolyMap:
+    """f with another target and forward map, and its own source, backward
+    family and effect."""
+    return PolyMap(f.source, target, forward, f.backward, f.effect)
+
+
 def id_map(p: Polynomial) -> PolyMap:
     return PolyMap(p, p, lambda i: i, lambda i, d: dirac(p.dirs_at(i), d), DETERMINISTIC)
 

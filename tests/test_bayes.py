@@ -11,6 +11,7 @@ from polydyn import (
     points,
     prior_system,
     prob,
+    quasi_bisim,
     stochastic_channel_system,
     uniform,
 )
@@ -62,7 +63,9 @@ def test_bayes_check_accepts_the_exact_inverse():
     assert verdict["law"] == "dynamical-bayes"
 
 
-def test_bayes_check_rejects_a_perturbed_inverse():
+def perturbed_inverse():
+    """A channel, its prior, and its exact inversion with the posterior at y1
+    moved 0.05 toward x1."""
     c_fn = two_state_channel()
     pi = categorical(X2, [("x1", 1 / 3), ("x2", 2 / 3)])
     inv = exact_bayes(c_fn, pi)
@@ -74,13 +77,30 @@ def test_bayes_check_rejects_a_perturbed_inverse():
         p = prob(post, "x1") + 0.05
         return categorical(X2, [("x1", p), ("x2", 1.0 - p)])
 
-    c = stochastic_channel_system(c_fn, X2, Y2)
-    pr = prior_system(pi)
-    cdag = stochastic_channel_system(warped, Y2, X2)
-    verdict = bayes_check(c, pr, cdag)
+    return (stochastic_channel_system(c_fn, X2, Y2), prior_system(pi),
+            stochastic_channel_system(warped, Y2, X2))
+
+
+def test_bayes_check_rejects_a_perturbed_inverse():
+    verdict = bayes_check(*perturbed_inverse())
     assert not verdict["related"]
     w = verdict["witness"]
     assert w is not None and w["deviation"] > 1e-3
+
+
+@pytest.mark.parametrize("horizon", (0, -1))
+def test_bayes_check_refuses_a_horizon_below_one(horizon):
+    """At tick 0 alone the two joints are their initial laws, and a pair of
+    point-mass starts agrees there however the inversion is warped: the
+    check refuses such a horizon by name instead of relating the perturbed
+    inverse, and rejects it from horizon 1.  ``quasi_bisim`` itself still
+    reads horizon 0."""
+    c, pr, cdag = perturbed_inverse()
+    message = rf"^bayes_check needs a horizon of at least 1, got {horizon}$"
+    with pytest.raises(HierError, match=message):
+        bayes_check(c, pr, cdag, horizon=horizon)
+    assert bayes_check(c, pr, cdag, horizon=1)["related"] is False
+    assert quasi_bisim(c, c, horizon=0)["related"] is True
 
 
 def test_bayes_check_on_seeded_corpus():

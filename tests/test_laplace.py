@@ -36,6 +36,7 @@ from polydyn import (
 )
 from polydyn import dist, hier, laplace
 from polydyn.dist import DistError, dst, gaussian
+from polydyn.spaces import euclid_dims, unflatten_floats
 
 from helpers import gaussian_bits
 
@@ -921,6 +922,118 @@ def test_a_depth_three_mean_path_step_composes_one_lens(monkeypatch):
         calls.clear()
         mean_path(hs, pi0, datum, steps)
         assert calls == {"compose_map": steps}
+
+
+def _count_evaluations(monkeypatch, calls):
+    """Count in ``calls`` each ``_Evaluation`` built."""
+
+    def counted(self, *args, _real=laplace._Evaluation.__init__):
+        calls["evaluation"] += 1
+        _real(self, *args)
+
+    monkeypatch.setattr(laplace._Evaluation, "__init__", counted)
+
+
+def test_a_depth_three_mean_path_evaluates_each_channel_once_per_point(monkeypatch):
+    """A level keeps its last evaluation, at its new mean, where the next
+    step's absorb and both forward lifts of the bottom level read it.  So a
+    depth-3 ``mean_path`` of s steps builds as many evaluations as
+    ``run_stack``: one per level at the zero mean and one per level-step at
+    the new mean, 3s + 3, where it built 9s when each absorb and each lift
+    evaluated the channel afresh."""
+    levels, pi0, datum = _three_linear_levels()
+    cfg = LaplaceConfig(rate=0.05)
+    calls = collections.Counter()
+    _count_evaluations(monkeypatch, calls)
+    for steps in (1, 7):
+        counts = []
+        for run in (lambda: mean_path(stack(levels, cfg), pi0, datum, steps),
+                    lambda: run_stack(levels, cfg, pi0, datum, steps)):
+            calls.clear()
+            run()
+            counts.append(calls["evaluation"])
+        assert counts == [3 * steps + 3] * 2, steps
+
+
+def _level_state(x):
+    """A 1-D level's state: latent x and prediction 0.0."""
+    return (x,), (0.0,)
+
+
+def test_a_level_absorbing_away_from_its_last_new_mean_equals_a_fresh_level():
+    """A level reads its kept evaluation only at a latent with its raw bytes:
+    absorbing and lifting at any other state gives, bit for bit, what a fresh
+    level gives there, and so does absorbing at the last new mean, where the
+    kept evaluation is read."""
+    tanh = GaussianChannel(1, 1, np.tanh, None, lambda x: [[0.5 + 0.1 * np.tanh(x[0]) ** 2]])
+    cfg = LaplaceConfig(rate=0.05)
+    for ch in (GAMMA, tanh):
+        level = build_laplace(ch, cfg)
+        last = level.absorb(_level_state(0.3), PI, tuple(Y)).mean[0]
+        for x in (0.3, last, last + 0.1, -last, last):
+            fresh = build_laplace(ch, cfg)
+            got = level.absorb(_level_state(x), PI, tuple(Y))
+            want = fresh.absorb(_level_state(x), PI, tuple(Y))
+            assert gaussian_bits(got) == gaussian_bits(want), (ch, x)
+            for x_lift in (x, got.mean[0]):
+                lifted = level.forward_lift(_level_state(x_lift), None)
+                assert gaussian_bits(lifted) == gaussian_bits(ch([x_lift])), (ch, x, x_lift)
+            last = got.mean[0]
+
+
+def test_a_level_tells_a_zero_latent_from_a_negative_zero_one():
+    """A mean map can read the sign of zero, so the kept evaluation is keyed by
+    raw bytes, not by ``==``: a frozen level (rate 0) absorbed at 0.0 keeps
+    its evaluation at 0.0, and then absorbed and lifted at -0.0 gives what a
+    fresh level gives there, and not what it gives at 0.0."""
+    sign = GaussianChannel(1, 1, lambda x: np.copysign(1.0, x), None, lambda x: [[1.0]])
+    cfg, datum = LaplaceConfig(rate=0.0), (-2.0,)
+    level = build_laplace(sign, cfg)
+    results = []
+    for x in (0.0, -0.0):
+        got = gaussian_bits(level.absorb(_level_state(x), PI, datum))
+        assert got == gaussian_bits(build_laplace(sign, cfg).absorb(_level_state(x), PI, datum)), x
+        results.append(got)
+    assert results[0] != results[1]
+    for x in (0.0, -0.0, 0.0):
+        lifted = level.forward_lift(_level_state(x), None)
+        assert lifted.mean == (math.copysign(1.0, x),), x
+
+
+def test_mean_paths_that_share_a_level_system_each_equal_run_stack():
+    """A ``build_laplace`` system shared between composites keeps one
+    evaluation for all of them.  A stack with one system at both levels
+    reads it at two latents in every step, and two stacks stepped in
+    alternation on one shared bottom system read it at two paths: each path
+    is, bit for bit, its ``run_stack`` rows, and so is each stack's own
+    ``mean_path`` after the alternation."""
+    levels, pi0, datum = _three_linear_levels()
+    cfg, steps = LaplaceConfig(rate=0.05), 40
+
+    def rows_of(chs):
+        return [tuple(map(float.hex, row[2])) for row in run_stack(chs, cfg, pi0, datum, steps)]
+
+    def means_of(path, depth):
+        return [tuple(map(float.hex, path[step][k * 4: k * 4 + 2]))
+                for step in range(1, steps + 1) for k in range(depth)]
+
+    shared = build_laplace(levels[0], cfg)
+    twice = hibi_compose(shared, shared)
+    assert means_of(mean_path(twice, pi0, datum, steps), 2) == rows_of([levels[0]] * 2)
+
+    stacks = [hibi_compose(shared, build_laplace(levels[1], cfg)),
+              hibi_compose(shared, build_laplace(levels[2], cfg))]
+    chains = [[levels[0], levels[1]], [levels[0], levels[2]]]
+    points = [unflatten_floats(hs.states, (0.0,) * euclid_dims(hs.states)) for hs in stacks]
+    paths = [[], []]
+    for _ in range(steps):
+        for k, hs in enumerate(stacks):
+            law = hs.absorb(points[k], pi0, tuple(datum))
+            points[k] = unflatten_floats(hs.states, law.mean)
+            paths[k].append(law.mean)
+    for hs, path, chs in zip(stacks, paths, chains):
+        assert means_of([None] + path, 2) == rows_of(chs)
+        assert means_of(mean_path(hs, pi0, datum, steps), 2) == rows_of(chs)
 
 
 def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():

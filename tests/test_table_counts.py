@@ -53,7 +53,7 @@ def bayes_3x3():
 STATELESS = 4
 
 
-@pytest.mark.parametrize("horizon", (0, 4, 8))
+@pytest.mark.parametrize("horizon", (1, 4, 8))
 def test_a_verdict_keys_each_leaf_state_once(monkeypatch, horizon):
     """A 3x3 Bayes verdict keys one lens per state of its leaves, the prior,
     the channel, the inversion and the four stateless systems, at every
