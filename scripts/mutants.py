@@ -271,6 +271,31 @@ MUTANTS = (
         ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape"
          "[check_random_system-fail]",),
     ),
+    # dist.gaussian's finiteness check reads the diagonal alone, so an
+    # off-diagonal NaN or inf reaches the symmetry check
+    Mutant(
+        "gaussian-offdiagonal-finite-unchecked",
+        "src/polydyn/dist.py",
+        "np.maximum.reduce(np.abs(sig), axis=None, initial=0.0)",
+        "np.maximum.reduce(np.abs(sig.diagonal()), axis=None, initial=0.0)",
+        ("tests/test_dist.py::test_each_gaussian_refusal_keeps_its_type_and_message",),
+    ),
+    # a guard takes any matrix to its singular values, NaN and inf included
+    Mutant(
+        "guarded-finite-unchecked",
+        "src/polydyn/laplace.py",
+        "        if not np.logical_and.reduce(np.isfinite(sigma), axis=None):\n",
+        "        if False:\n",
+        ("tests/test_laplace.py::test_the_refusals_around_the_gufuncs_are_the_same_and_warn_nothing",),
+    ),
+    # a law report accepts a quantifier with no value, and checks what is left
+    Mutant(
+        "report-accepts-no-case",
+        "src/polydyn/systems.py",
+        "        if len(values) == 0:\n",
+        "        if False:\n",
+        ("tests/test_law_reports.py::test_a_law_over_an_empty_quantifier_is_refused_by_name",),
+    ),
 )
 
 

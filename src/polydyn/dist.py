@@ -44,6 +44,8 @@ from .spaces import (
 WEIGHT_TOL = 1e-12
 SYM_TOL = 1e-9
 PSD_TOL = 1e-10
+# the least magnitude x with x + x = inf: no symmetrized covariance holds one
+_SYMMETRIZABLE = 2.0**1023
 
 
 class DistError(ValueError):
@@ -195,19 +197,34 @@ def uniform(space: Space) -> Dist:
 def gaussian(space: Space, mean, cov) -> Gaussian:
     """Normal law over a Euclidean-shaped space.  The mean and covariance must
     be finite, and the covariance symmetric within 1e-9 and positive
-    semi-definite within 1e-10; it is stored symmetrized."""
+    semi-definite within 1e-10; it is stored symmetrized.  A covariance entry
+    of magnitude 2**1023 or more is refused: its symmetrized form would
+    overflow to inf.
+
+    The checks skip numpy's Python wrappers, which cost more than the checks
+    on the small covariances of a Laplace level-step, and decide as
+    ``np.isfinite(...).all()``, ``np.max(np.abs(sig - sig.T))`` and
+    ``np.linalg.eigvalsh(sig).min()`` do: the mean is checked on the Python
+    floats the law stores, the covariance's finiteness and symmetry through
+    one ufunc reduction each, and its least eigenvalue on Python floats."""
     n = euclid_dims(space)
-    mu = np.asarray(mean, dtype=float).reshape(n)
+    mu = tuple(np.asarray(mean, dtype=float).reshape(n).tolist())
     sig = np.asarray(cov, dtype=float).reshape(n, n)
-    if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
+    # NaN and inf both propagate through the largest magnitude
+    big = float(np.maximum.reduce(np.abs(sig), axis=None, initial=0.0))
+    if not (all(map(math.isfinite, mu)) and math.isfinite(big)):
         raise DistError("mean and covariance must be finite")
+    if big >= _SYMMETRIZABLE:
+        raise DistError(f"covariance entry of magnitude {big!r} overflows when symmetrized")
     if n > 0:
-        if not np.max(np.abs(sig - sig.T)) <= SYM_TOL:
+        # sig - sig.T is antisymmetric bit for bit, so its largest entry is
+        # its largest magnitude
+        if not np.maximum.reduce(sig - sig.T, axis=None) <= SYM_TOL:
             raise DistError("covariance is not symmetric")
         sig = 0.5 * (sig + sig.T)
-        if _symmetric_eigenvalues(sig).min() < -PSD_TOL:
+        if min(_symmetric_eigenvalues(sig).tolist()) < -PSD_TOL:
             raise DistError("covariance is not positive semi-definite")
-    return Gaussian(space, tuple(mu.tolist()), tuple(map(tuple, sig.tolist())))
+    return Gaussian(space, mu, tuple(map(tuple, sig.tolist())))
 
 
 def _symmetric_eigenvalues(sig: np.ndarray) -> np.ndarray:
@@ -222,11 +239,11 @@ def _gaussian_from_checked(space: Space, mean, cov: tuple) -> Gaussian:
     """The law ``gaussian(space, mean, cov)`` for a ``cov`` that is already a
     stored covariance: symmetric bit for bit and positive semi-definite, as
     ``gaussian`` leaves it.  Symmetrising it again changes no bit, so only the
-    mean is checked."""
-    mu = np.asarray(mean, dtype=float).reshape(len(cov))
-    if not np.isfinite(mu).all():
+    mean is checked, on the Python floats the law stores."""
+    mu = tuple(np.asarray(mean, dtype=float).reshape(len(cov)).tolist())
+    if not all(map(math.isfinite, mu)):
         raise DistError("mean and covariance must be finite")
-    return Gaussian(space, tuple(mu.tolist()), cov)
+    return Gaussian(space, mu, cov)
 
 
 def finite_items(d: Dist) -> tuple:

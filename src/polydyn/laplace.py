@@ -49,7 +49,16 @@ or ``solve`` (``_Guarded.solve``), the condition number through ``svd``
 (``_logdet_psd``), the inverse through ``inv`` (``_Guarded.inverse``) and the
 PSD check of ``dist.gaussian`` through ``eigvalsh_lo``.  On 1 x 1 to 3 x 3
 matrices each wrapper costs several times its LAPACK call, and a nonlinear
-level's matrices change at every step.
+level's matrices change at every step.  The small checks skip numpy's Python
+wrappers in the same way and decide as they did: ``dist.gaussian`` and
+``_gaussian_from_checked`` check a mean on the Python floats the law stores,
+``dist.gaussian`` checks a covariance through one ufunc reduction per check
+and its least eigenvalue on Python floats, a guard checks finiteness through
+``np.logical_and.reduce``, and ``_matrix`` stands in for ``np.atleast_2d``.
+Central differences take the difference and the quotient of the perturbed
+means as whole-array operations, each perturbed point a fresh vector, into a
+C-ordered Jacobian: every product with it then computes the bits the
+column-by-column loop gave.
 
 ``run_stack`` is the iterate of one map on the levels' latent estimates, so
 a step that leaves every estimate as it was, bit for bit, is a fixed point:
@@ -109,6 +118,13 @@ def _conditioning(sigma: np.ndarray) -> tuple:
     return (s[0] / s[-1] if s[-1] > 0 else math.inf), s[-1]
 
 
+def _matrix(a) -> np.ndarray:
+    """``np.atleast_2d(a)`` without its Python wrapper: an array of two or
+    more dimensions as it is, a vector as one row, a scalar as 1 x 1."""
+    a = np.asanyarray(a)
+    return a if a.ndim >= 2 else a.reshape(1, -1)
+
+
 def _logdet_psd(what: str, sigma: np.ndarray) -> float:
     """The log-determinant of ``sigma``, refused unless its sign is positive:
     ``np.linalg.slogdet`` bit for bit."""
@@ -143,8 +159,8 @@ class _Guarded(_Constant):
     __slots__ = ("what", "_logdet", "_inverse", "_law_cov")
 
     def __init__(self, what: str, sigma):
-        sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-        if not np.isfinite(sigma).all():
+        sigma = _matrix(np.asarray(sigma, dtype=float))
+        if not np.logical_and.reduce(np.isfinite(sigma), axis=None):
             raise LaplaceError(f"{what} is not finite")
         cond, smallest = _conditioning(sigma)
         if not math.isfinite(cond) or cond > _COND_LIMIT:
@@ -288,7 +304,7 @@ def mk_state(mean, cov) -> Gaussian:
     the mean and the covariance, on every call.  A belief update calls it once
     per linear level and prior covariance, and then checks only the mean."""
     m = np.asarray(mean, dtype=float).reshape(-1)
-    c = np.atleast_2d(np.asarray(cov, dtype=float))
+    c = _matrix(np.asarray(cov, dtype=float))
     if c.shape != (m.size, m.size):
         raise LaplaceError(f"covariance shape {c.shape} does not fit mean of size {m.size}")
     return gaussian(euclid(m.size), m, c)
@@ -329,7 +345,7 @@ class _Evaluation:
 
     def __init__(self, gamma: GaussianChannel, x: np.ndarray, prior: _Prior):
         n = gamma.out_dim
-        mean, cov = np.asarray(gamma.mean(x), dtype=float), np.atleast_2d(gamma.cov(x))
+        mean, cov = np.asarray(gamma.mean(x), dtype=float), _matrix(gamma.cov(x))
         if mean.size != n or cov.shape != (n, n):
             raise LaplaceError(
                 f"channel with out_dim {n} gave a mean of size {mean.size} "
@@ -352,13 +368,21 @@ class _Evaluation:
         if self._jacobian is None:
             gamma, x, h = self.gamma, self.x, 1e-6
             if gamma.jacobian is not None:
-                self._jacobian = np.atleast_2d(gamma.jacobian(x))
+                self._jacobian = _matrix(gamma.jacobian(x))
             else:
-                jac = np.zeros((gamma.out_dim, x.size))
-                for k, dx in enumerate(h * np.eye(x.size)):
-                    up, down = gamma.mean(x + dx), gamma.mean(x - dx)
-                    jac[:, k] = (np.asarray(up) - np.asarray(down)) / (2.0 * h)
-                self._jacobian = jac
+                # the mean at x + dx and at x - dx for each coordinate step dx
+                # (the rows of h * np.eye(x.size)), then every column at once
+                steps = np.zeros((x.size, x.size))
+                steps.flat[:: x.size + 1] = h
+                ups, downs = [], []
+                for dx in steps:
+                    ups.append(gamma.mean(x + dx))
+                    downs.append(gamma.mean(x - dx))
+                shape = (x.size, gamma.out_dim)
+                ups, downs = np.asarray(ups).reshape(shape), np.asarray(downs).reshape(shape)
+                columns = (ups - downs) / (2.0 * h)
+                # C order, as every product with it computes its bits
+                self._jacobian = np.ascontiguousarray(columns.T, dtype=float)
         return self._jacobian
 
     def law(self) -> Gaussian:

@@ -91,13 +91,14 @@ class MeasurePreservingSystem:
 
 def check_measure_preserving(mp: MeasurePreservingSystem, generators) -> dict:
     """Exact pushforward-invariance of the measure at each generator time."""
+    generators = list(generators)
 
     def cases():
         for t in generators:
             pushed = bind(mp.base.measure, lambda w: mp.flow.step(t, w))
             yield {"kind": "measure", "t": t}, dist_distance(pushed, mp.base.measure)
 
-    return _report("measure-preserving", cases(), 0.0)
+    return _report("measure-preserving", cases(), 0.0, {"generators": generators})
 
 
 def mk_measure_preserving(base: ProbabilitySpace, flow: ClosedSystem) -> MeasurePreservingSystem:

@@ -328,16 +328,29 @@ def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> Clo
     return ClosedSystem(states, time, step)
 
 
-def _report(law: str, cases, tol: float, **extra) -> dict:
+def _report(law: str, cases, tol: float, domain=None, **extra) -> dict:
     """The verdict of one law over its (case, deviation) pairs: a case past
     ``tol`` is a violation, and ``max_deviation`` is the worst deviation over
-    every case checked."""
+    every case checked.
+
+    A law is universally quantified, so over no case it would pass vacuously.
+    ``domain`` maps the name of each quantifier the caller was handed
+    (sections, times, states, generators) to its values, and an empty one is
+    refused, by the law's name and its own; a law that reaches no case at all
+    is refused too."""
+    for name, values in (domain or {}).items():
+        if len(values) == 0:
+            raise OpenSystemError(f"the {law} law was given no {name} to check")
     violations = []
     max_dev = 0.0
+    checked = 0
     for case, dev in cases:
+        checked += 1
         max_dev = max(max_dev, dev)
         if dev > tol:
             violations.append({**case, "deviation": dev})
+    if not checked:
+        raise OpenSystemError(f"the {law} law has no case to check")
     verdict = {"law": law, "pass": not violations, **extra}
     return {**verdict, "max_deviation": max_dev, "violations": violations}
 
@@ -448,7 +461,9 @@ def check_closed_flow(
     iterated closure keeps one walk per start for the length of the call."""
     if isinstance(cs, _IteratedClosure):
         cs = _walked(cs)
-    return _report("flow", _flow_cases(cs, times, list(states_sample)), tol)
+    times, states = list(times), list(states_sample)
+    domain = {"times": times, "states": states}
+    return _report("flow", _flow_cases(cs, times, states), tol, domain)
 
 
 def _walked(cs: _IteratedClosure) -> ClosedSystem:
@@ -499,7 +514,8 @@ def check_flow(
     if states is None:
         if not is_finite(sys_.states):
             raise OpenSystemError("check_flow needs an explicit state sample here")
-        states = list(points(sys_.states))
+        states = points(sys_.states)
+    times, states = list(times), list(states)
 
     def cases():
         if isinstance(sys_.flavor, DiscreteMap):
@@ -511,7 +527,8 @@ def check_flow(
                 sample = [dirac_point(cs.step(0, x)) for x in states]
             yield from _flow_cases(cs, times, sample, section=k)
 
-    return _report("flow", cases(), tol, sections=len(sections))
+    domain = {"sections": sections, "times": times, "states": states}
+    return _report("flow", cases(), tol, domain, sections=len(sections))
 
 
 def _stationary_cases(sys_: System, times, states):
@@ -707,6 +724,7 @@ def is_system_morphism(
     if a.interface != b.interface or a.time != b.time:
         raise OpenSystemError("systems must share interface and time monoid")
     states = list(points(a.states))
+    sections, times = list(sections), list(times)
 
     def cases():
         for x in states:
@@ -717,4 +735,4 @@ def is_system_morphism(
                 closure(a, sigma), closure(b, sigma), f, times, states, section=k
             )
 
-    return _report("system-morphism", cases(), 0.0)
+    return _report("system-morphism", cases(), 0.0, {"sections": sections, "times": times})

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from polydyn import (
 )
 from polydyn import dist
 from polydyn.dist import _as_gaussian
-from polydyn.spaces import check_point
+from polydyn.spaces import check_point, euclid_dims
 
 from helpers import gaussian_bits
 
@@ -401,6 +402,113 @@ def test_non_finite_gaussians_are_rejected(build, bad, where):
     cov = [[bad]] if where == "cov" else [[1.0]]
     with pytest.raises(DistError, match="finite"):
         build(mean, cov)
+
+
+def _wrapped_gaussian(space, mean, cov) -> Gaussian:
+    """``gaussian`` written with numpy's Python wrappers, as it was before its
+    checks skipped them: the decisions and the stored law those checks must
+    give, bit for bit."""
+    n = euclid_dims(space)
+    mu = np.asarray(mean, dtype=float).reshape(n)
+    sig = np.asarray(cov, dtype=float).reshape(n, n)
+    if not (np.isfinite(mu).all() and np.isfinite(sig).all()):
+        raise DistError("mean and covariance must be finite")
+    if n > 0:
+        if not np.max(np.abs(sig - sig.T)) <= 1e-9:
+            raise DistError("covariance is not symmetric")
+        sig = 0.5 * (sig + sig.T)
+        if np.linalg.eigvalsh(sig).min() < -1e-10:
+            raise DistError("covariance is not positive semi-definite")
+    return Gaussian(space, tuple(mu.tolist()), tuple(map(tuple, sig.tolist())))
+
+
+def _outcome(build, *args):
+    """The law's bits, or the refusal's type and message."""
+    try:
+        return gaussian_bits(build(*args))
+    except DistError as exc:
+        return type(exc), str(exc)
+
+
+def _gaussian_corpus(gen):
+    """Seeded (n, mean, covariance) triples at n = 0, 1, 2, 3, 6 and 18:
+    full-rank and rank-deficient PSD covariances, asymmetric within 1e-9, and
+    -0.0 in the mean and in a covariance row and column; and an asymmetry of
+    exactly 1e-9 and an eigenvalue of exactly -1e-10, both within tolerance."""
+    yield 0, [], np.zeros((0, 0))
+    yield 2, [0.0, 0.0], np.array([[1.0, 0.0], [1e-9, 1.0]])
+    yield 2, [0.0, 0.0], np.array([[1.0, 0.0], [0.0, -1e-10]])
+    for n in (1, 2, 3, 6, 18):
+        for rank in sorted({n, max(n - 1, 1), max(n // 2, 1)}):
+            for _ in range(4):
+                root = gen.standard_normal((n, rank))
+                cov = root @ root.T
+                skew = np.triu(gen.uniform(-1e-9, 1e-9, (n, n)), 1)
+                mean = gen.standard_normal(n)
+                yield n, mean, cov
+                yield n, mean, cov + skew
+                signed = cov.copy()
+                signed[0, :] = signed[:, 0] = -0.0
+                signed[0, 0] = 0.5
+                mean = mean.copy()
+                mean[0] = -0.0
+                yield n, mean, signed
+
+
+def test_gaussian_decides_and_stores_as_the_wrapped_formula_bit_for_bit():
+    """Every law of the corpus, accepted or refused, is the one the wrapped
+    formula gives: the same refusal, or the same bits (by ``float.hex``),
+    -0.0 included.  Some rank-deficient covariances are refused: their
+    asymmetry, symmetrized away, moves a zero eigenvalue past -1e-10."""
+    outcomes = collections.Counter()
+    for n, mean, cov in _gaussian_corpus(np.random.default_rng(37)):
+        want = _outcome(_wrapped_gaussian, euclid(n), mean, cov)
+        assert _outcome(gaussian, euclid(n), mean, cov) == want, (n, mean, cov)
+        outcomes[want[1] if want[0] is DistError else "accepted"] += 1
+    assert set(outcomes) == {"accepted", "covariance is not positive semi-definite"}
+    assert outcomes["accepted"] > 3 * outcomes["covariance is not positive semi-definite"]
+
+
+REFUSALS = [
+    # (what is wrong, mean, covariance, message)
+    *[(f"{bad} in the mean", [0.0, bad], [[1.0, 0.0], [0.0, 1.0]],
+       "mean and covariance must be finite") for bad in (math.nan, math.inf, -math.inf)],
+    *[(f"{bad} in an off-diagonal entry", [0.0, 0.0], [[1.0, bad], [0.0, 1.0]],
+       "mean and covariance must be finite") for bad in (math.nan, math.inf, -math.inf)],
+    *[(f"{bad} in both off-diagonal entries", [0.0, 0.0], [[1.0, bad], [bad, 1.0]],
+       "mean and covariance must be finite") for bad in (math.nan, math.inf, -math.inf)],
+    ("asymmetry just past 1e-9", [0.0, 0.0], [[1.0, 0.0], [np.nextafter(1e-9, 1.0), 1.0]],
+     "covariance is not symmetric"),
+    ("an eigenvalue just below -1e-10", [0.0, 0.0], [[1.0, 0.0], [0.0, -np.nextafter(1e-10, 1.0)]],
+     "covariance is not positive semi-definite"),
+]
+
+
+@pytest.mark.parametrize(
+    "mean, cov, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS]
+)
+def test_each_gaussian_refusal_keeps_its_type_and_message(mean, cov, message):
+    """``gaussian`` refuses as the wrapped formula does, by type and message,
+    and warns nothing; ``_gaussian_from_checked`` refuses a non-finite mean
+    with the same message."""
+    want = (DistError, message)
+    assert _outcome(_wrapped_gaussian, euclid(2), mean, cov) == want
+    assert _outcome(gaussian, euclid(2), mean, cov) == want
+    if not all(map(math.isfinite, mean)):
+        checked = gaussian(euclid(2), [0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]).cov
+        assert _outcome(dist._gaussian_from_checked, euclid(2), mean, checked) == want
+
+
+def test_a_covariance_whose_symmetrized_form_overflows_is_refused():
+    """An entry of 2**1023 or more doubles to inf when the covariance is
+    symmetrized, so it is refused, where a law with cov [[inf]] was stored;
+    the largest entry below it is stored as it is."""
+    for cov in ([[1.7e308]], [[2.0**1023]], [[1.0, -1e308], [-1e308, 1.0]]):
+        n = len(cov)
+        with pytest.raises(DistError, match="^covariance entry of magnitude .* overflows"):
+            gaussian(euclid(n), [0.0] * n, cov)
+    largest = np.nextafter(2.0**1023, 0.0)
+    assert gaussian(euclid(1), [0.0], [[largest]]).cov == ((largest,),)
 
 
 def test_dist_json_roundtrip():

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import math
 import types
 import warnings
@@ -832,9 +833,10 @@ def test_each_gufunc_route_is_numpys_wrapper_bit_for_bit():
 def test_the_refusals_around_the_gufuncs_are_the_same_and_warn_nothing():
     """What the ``numpy.linalg`` wrappers refused is still refused, with the
     same message and no ``RuntimeWarning``: a zero or exactly singular matrix
-    has condition number inf; a NaN or infinite entry is named before any
-    factorisation; a negative determinant and an indefinite covariance are
-    refused; an empty matrix has no condition number."""
+    has condition number inf; a NaN or infinite entry, in either off-diagonal
+    place, in both or on the diagonal, is named before any factorisation; a
+    negative determinant and an indefinite covariance are refused; an empty
+    matrix has no condition number."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for singular in ([[0.0]], np.zeros((2, 2)), [[1.0, 2.0], [0.0, 0.0]], np.diag([1.0, 0.0])):
@@ -843,8 +845,11 @@ def test_the_refusals_around_the_gufuncs_are_the_same_and_warn_nothing():
             ):
                 laplace._Guarded("a matrix", singular)
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(LaplaceError, match="^a matrix is not finite$"):
-                laplace._Guarded("a matrix", [[1.0, bad], [bad, 1.0]])
+            for where in ((0, 1), (1, 0), (1, 1), ((0, 1), (1, 0))):
+                sigma = np.eye(2)
+                sigma[where] = bad
+                with pytest.raises(LaplaceError, match="^a matrix is not finite$"):
+                    laplace._Guarded("a matrix", sigma)
         for negative in ([[-1.0]], [[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -2.0, 3.0])):
             with pytest.raises(LaplaceError, match="^a matrix has non-positive determinant$"):
                 laplace._logdet_psd("a matrix", np.asarray(negative))
@@ -1085,3 +1090,63 @@ def test_run_stack_names_a_channel_covariance_of_subnormal_scale():
     tiny = GaussianChannel(1, 1, lambda x: 2.0 * x, None, lambda x: [[1e-310]])
     with pytest.raises(LaplaceError, match="^channel covariance is numerically singular"):
         run_stack([tiny], cfg, PI, Y, 2)
+
+
+# a nonlinear level whose mean map and covariance call no libm function, so
+# only polydyn's own numpy and LAPACK calls decide a run's bits
+RATIONAL_COUPLING = np.array([0.5, -0.25])
+RATIONAL_OFFSET = np.array([0.125, -0.25])
+
+
+def _rational_mean(x):
+    v = x + RATIONAL_COUPLING * x[::-1]
+    return v / (1.0 + v * v) + RATIONAL_OFFSET
+
+
+def _rational_cov(x):
+    return np.diag(0.5 + 0.25 * x * x / (1.0 + x * x))
+
+
+def test_a_nonlinear_run_is_pinned():
+    """A level with no analytic Jacobian and a state-dependent covariance,
+    run for 300 steps without settling: every mean and free energy of every
+    row, by ``float.hex``.  A change in the last bit of any central
+    difference, check or solve of a nonlinear level-step changes this
+    digest."""
+    channel = GaussianChannel(2, 2, _rational_mean, None, _rational_cov)
+    prior = mk_state([0.25, -0.5], [[1.0, 0.25], [0.25, 0.75]])
+    rows = run_stack([channel], LaplaceConfig(rate=0.1), prior, [0.375, -0.625], 300)
+    assert rows[-1][2] != rows[-2][2]
+    text = "\n".join(
+        ",".join([str(step), str(k), *map(float.hex, mean), float.hex(free)])
+        for step, k, mean, free in rows
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "e131c164807a6f5231a7d1c693bf4602da7796c65acd95675136f4599cac1d7d"
+
+
+def test_central_differences_read_fresh_points_and_give_a_c_ordered_jacobian():
+    """With no analytic Jacobian, the mean map is read at x + dx and then at
+    x - dx for each coordinate step dx, each a fresh vector of x's size; the
+    Jacobian is C-ordered (out_dim x in_dim), bit for bit the quotients taken
+    column by column."""
+    seen = []
+
+    def mean(x):
+        seen.append(x)
+        return np.array([x[0] * x[1] + x[2], x[1] / (1.0 + x[2] * x[2])])
+
+    channel = GaussianChannel(3, 2, mean, None, lambda x: np.eye(2))
+    x, h = np.array([0.3, -1.25, 0.5]), 1e-6
+    at = laplace._Evaluation(channel, x, laplace._Prior())
+    del seen[:]
+    jac = at.jacobian()
+    want = np.zeros((2, 3))
+    for k, dx in enumerate(h * np.eye(3)):
+        want[:, k] = (mean(x + dx) - mean(x - dx)) / (2.0 * h)
+    assert jac.flags.c_contiguous and jac.dtype == float and jac.shape == (2, 3)
+    assert jac.tobytes() == want.tobytes()
+    points, replayed = seen[:6], seen[6:]
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in replayed]
+    assert all(p.shape == (3,) and p.base is None for p in points)
+    assert len({id(p) for p in points} | {id(x)}) == 7

@@ -1,7 +1,9 @@
 """The flat law checks share one report: its keys, its verdict and its worst
 deviation mean the same thing for every law."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ from polydyn import (
     BundleSystem,
     MeasurePreservingSystem,
     MPMorphism,
+    OpenSystemError,
     RandomSystem,
     Rng,
     all_sections,
@@ -246,3 +249,54 @@ def test_stationarity_probe_reaches_every_tick_of_a_split():
         assert not report["pass"]
         assert report["max_deviation"] == 1.0
         assert {v["t"] for v in report["violations"]} == {2}
+
+
+# (check, law, the quantifier left empty, thunk): each would pass over no case
+EMPTY_DOMAINS = [
+    ("check_flow", "flow", "sections",
+     lambda: check_flow(tick_dependent_output(), sections=[], times=SPLITS)),
+    ("check_flow", "flow", "times",
+     lambda: check_flow(tick_dependent_output(), times=[])),
+    ("check_flow", "flow", "states",
+     lambda: check_flow(tick_dependent_output(), times=SPLITS, states=[])),
+    ("check_closed_flow", "flow", "states",
+     lambda: check_closed_flow(squaring_clock(), SPLITS, [])),
+    ("check_closed_flow", "flow", "times",
+     lambda: check_closed_flow(squaring_clock(), [], list(points(Z3)))),
+    ("is_system_morphism", "system-morphism", "sections",
+     lambda: is_system_morphism(lambda x: x, blind_system(1), blind_system(0), [], [1, 2])),
+    ("is_system_morphism", "system-morphism", "times",
+     lambda: is_system_morphism(
+         lambda x: x, blind_system(1), blind_system(0),
+         all_sections(blind_system(1).interface), [])),
+    ("check_measure_preserving", "measure-preserving", "generators",
+     lambda: check_measure_preserving(MeasurePreservingSystem(*biased_swap_example()), ())),
+]
+
+
+@pytest.mark.parametrize(
+    "law, quantifier, run",
+    [case[1:] for case in EMPTY_DOMAINS],
+    ids=[f"{check}-no-{quantifier}" for check, _, quantifier, _ in EMPTY_DOMAINS],
+)
+def test_a_law_over_an_empty_quantifier_is_refused_by_name(law, quantifier, run):
+    """A law quantifies over all its cases, so over none it would pass: each
+    check is refused, naming the law and the empty quantifier, although
+    every one of these systems fails its law over a non-empty domain."""
+    message = f"the {law} law was given no {quantifier} to check"
+    with pytest.raises(OpenSystemError, match=f"^{re.escape(message)}$"):
+        run()
+
+
+def test_a_law_that_reaches_no_case_is_refused():
+    """An interface with no section leaves the random-system square no case,
+    so the check is refused rather than passed."""
+    rds = skew_random_example(4, 2)
+    no_section = dataclasses.replace(
+        rds, interface=monomial(finite("p"), finite()), output=lambda t, s: "p"
+    )
+    assert all_sections(no_section.interface) == []
+    with pytest.raises(
+        OpenSystemError, match="^the random-system law has no case to check$"
+    ):
+        check_random_system(no_section)
