@@ -288,6 +288,42 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_laplace.py::test_the_refusals_around_the_gufuncs_are_the_same_and_warn_nothing",),
     ),
+    # a label distance reads the first law's atoms alone, so {0: 1/2, 1: 1/2}
+    # against {0: 0.4, 1: 0.4, 2: 0.2} reads 0.1
+    Mutant(
+        "label-distance-one-support",
+        "src/polydyn/dist.py",
+        "for a in w1.keys() | w2.keys())",
+        "for a in w1)",
+        ("tests/test_dist.py::test_label_distance_is_the_prob_scan_bit_for_bit",),
+    ),
+    # a tabulated closure's compose gaps read in the table's atom order, not
+    # in the sample's
+    Mutant(
+        "compose-rows-in-table-order",
+        "src/polydyn/systems.py",
+        "            return [gap[i] for i in rows]\n",
+        "            return [gap[i] for i in sorted(rows)]\n",
+        ("tests/test_systems.py::test_compose_gaps_follow_a_shuffled_sample_with_a_repeated_state",),
+    ),
+    # a tabulated closure's compose cases take any split, off the time monoid
+    Mutant(
+        "tabulated-split-unchecked",
+        "src/polydyn/systems.py",
+        "            s, t = cs.time.check(s), cs.time.check(t)\n",
+        "",
+        ("tests/test_systems.py::"
+         "test_a_flow_check_refuses_a_split_off_the_time_monoid_on_every_route",),
+    ),
+    # the stationarity probe stops one tick short of the last one a split
+    # reaches
+    Mutant(
+        "stationary-last-tick-dropped",
+        "src/polydyn/systems.py",
+        "range(1, max(check(s) + check(t) for s, t in times) + 1)",
+        "range(1, max(check(s) + check(t) for s, t in times))",
+        ("tests/test_systems.py::test_an_update_that_moves_at_the_last_tick_alone_fails_there",),
+    ),
     # a law report accepts a quantifier with no value, and checks what is left
     Mutant(
         "report-accepts-no-case",

@@ -496,9 +496,13 @@ def dist_distance(d1: Dist, d2: Dist) -> float:
       Euclidean-shaped space, compares means and covariances entrywise;
     - a pair with no common reading is infinitely far apart.
 
-    Only the law checks read it, with their tolerance; atoms merge, initial
-    laws are told apart and walks are keyed by exact equality.
+    A law is at distance 0 from itself, whatever it holds, and a finite law
+    is read once.  Only the law checks read it, with their tolerance; atoms
+    merge, initial laws are told apart and walks are keyed by exact
+    equality.
     """
+    if d1 is d2:
+        return 0.0
     both_points = isinstance(d1, Dirac) and isinstance(d2, Dirac)
     both_finite = isinstance(d1, (Dirac, Categorical)) and isinstance(d2, (Dirac, Categorical))
     if both_finite and not both_points:
@@ -513,8 +517,10 @@ def dist_distance(d1: Dist, d2: Dist) -> float:
 
 
 def _label_distance(d1: Dist, d2: Dist) -> float:
-    support = {a for a, _ in finite_items(d1)} | {a for a, _ in finite_items(d2)}
-    return max(abs(prob(d1, a) - prob(d2, a)) for a in support)
+    """The largest weight gap over both supports, each law's weights read
+    into a dict once."""
+    w1, w2 = dict(finite_items(d1)), dict(finite_items(d2))
+    return max(abs(w1.get(a, 0.0) - w2.get(a, 0.0)) for a in w1.keys() | w2.keys())
 
 
 # ---------------------------------------------------------------------------

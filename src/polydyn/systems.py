@@ -361,23 +361,39 @@ def _flow_cases(cs: ClosedSystem, times, states, **labels):
     for x in states:
         dev = dist_distance(cs.step(0, x), dirac(cs.states, x))
         yield {"kind": "zero", **labels, "state": x}, dev
+    gaps = _compose_gaps(cs, states)
     for s, t in times:
-        for x, dev in zip(states, _compose_gaps(cs, s, t, states)):
+        for x, dev in zip(states, gaps(s, t)):
             yield {"kind": "compose", **labels, "s": s, "t": t, "state": x}, dev
 
 
-def _compose_gaps(cs: ClosedSystem, s: int, t: int, states) -> list:
-    """The sup-distance of step(s+t) from step(s) after step(t) at each state.
-    A tabulated closure compares row x of P^(s+t) with row x of the whole
-    product P^t P^s; a row-vector product differs from it in its last bits."""
+def _compose_gaps(cs: ClosedSystem, states) -> Callable:
+    """The gaps of a split (s, t): the sup-distance of step(s+t) from step(s)
+    after step(t) at each state of the sample, in the sample's order.  Both
+    routes check s and t through the closure's time monoid.  A tabulated
+    closure resolves each sampled state's row once, and a split compares
+    row x of P^(s+t) with row x of the whole product P^t P^s (a row-vector
+    product differs from it in its last bits): one reduction gives every
+    row's gap, and each state reads its own."""
     if isinstance(cs, _TabulatedClosure):
         power = cs.table.power
-        gaps = np.max(np.abs(power(s + t) - power(t) @ power(s)), axis=1, initial=0.0)
-        return [float(gaps[cs.table.index[check_point(cs.states, x)]]) for x in states]
-    return [
-        dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
-        for x in states
-    ]
+        rows = [cs.table.index[check_point(cs.states, x)] for x in states]
+
+        def tabulated(s: int, t: int) -> list:
+            s, t = cs.time.check(s), cs.time.check(t)
+            gap = np.abs(power(s + t) - power(t) @ power(s))
+            gap = np.maximum.reduce(gap, axis=1, initial=0.0).tolist()
+            return [gap[i] for i in rows]
+
+        return tabulated
+
+    def walked(s: int, t: int) -> list:
+        return [
+            dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
+            for x in states
+        ]
+
+    return walked
 
 
 def _image(left: ClosedSystem, right: ClosedSystem, f):
@@ -497,14 +513,15 @@ def check_flow(
     systems additionally get a tick-stationarity probe of the stored maps,
     since their general-t kernel is derived from the one-tick components --
     a t-dependent stored map is a law violation even though the derived
-    kernels compose by construction.  On up to 512 states the compose cases
-    compare powers of the closure's tick matrix, so they measure only
-    rounding.  The other closures (RK4, and nested binds on more states) are
-    walked: each start of the sample, and each point a compose case steps
-    on from, gets one walk, extended to the largest t asked of it.  The
-    walks live for this call only.  A continuous-time sample may be written
-    as lists or arrays; its states are reported as the points the closure
-    reads.
+    kernels compose by construction.  Every s and t is checked by the time
+    monoid, on every route.  On up to 512 states the compose cases compare
+    powers of the closure's tick matrix, so they measure only rounding; each
+    sampled state's row is resolved once per closure.  The other closures
+    (RK4, and nested binds on more states) are walked: each start of the
+    sample, and each point a compose case steps on from, gets one walk,
+    extended to the largest t asked of it.  The walks live for this call
+    only.  A continuous-time sample may be written as lists or arrays; its
+    states are reported as the points the closure reads.
     """
     if sections is None:
         sections = all_sections(sys_.interface)
@@ -534,8 +551,10 @@ def check_flow(
 def _stationary_cases(sys_: System, times, states):
     """The stored one-tick maps of a discrete-map system at every tick from 1
     to the latest that ``times`` reaches, against those at tick 1: a split
-    s + t runs the maps at every tick up to s + t, not only at s and t."""
-    for t in range(1, max((s + t for s, t in times), default=1) + 1):
+    s + t runs the maps at every tick up to s + t, not only at s and t.  The
+    time monoid checks s and t first."""
+    check = sys_.time.check
+    for t in range(1, max(check(s) + check(t) for s, t in times) + 1):
         for x in states:
             if sys_.output(t, x) != sys_.output(1, x):
                 yield {"kind": "stationary-output", "t": t, "state": x}, float("inf")

@@ -385,6 +385,68 @@ def test_dist_distance_cases():
     assert dist_distance(dirac(SPACE, 1), categorical(SPACE, [(1, 1.0)])) == 0.0
 
 
+def _prob_scan_distance(d1, d2) -> float:
+    """The label distance as a scan of each law with ``prob`` per atom."""
+    support = {a for a, _ in finite_items(d1)} | {a for a, _ in finite_items(d2)}
+    return max(abs(prob(d1, a) - prob(d2, a)) for a in support)
+
+
+def _label_pairs(gen):
+    """Seeded finite laws in pairs: supports that differ both ways, one
+    inside the other, equal supports listed in other orders, and a point
+    mass against a categorical law, on int, string and tuple labels."""
+    spaces = [SPACE, finite(*"abcdefgh"), prod(finite("a", "b"), SPACE)]
+    for space in spaces:
+        atoms = list(points(space))
+        for _ in range(12):
+            n1, n2 = (int(gen.integers(2, len(atoms) + 1)) for _ in range(2))
+            laws = []
+            for n in (n1, n2):
+                chosen = [atoms[i] for i in gen.permutation(len(atoms))[:n]]
+                ws = gen.dirichlet([1.0] * n).tolist()
+                laws.append(categorical(space, list(zip(chosen, ws))))
+            yield tuple(laws)
+            yield laws[0], categorical(space, list(reversed(finite_items(laws[0]))))
+            yield dirac(space, atoms[int(gen.integers(len(atoms)))]), laws[1]
+            yield laws[0], dirac(space, finite_items(laws[0])[0][0])
+
+
+def test_label_distance_is_the_prob_scan_bit_for_bit():
+    """Each law's weights read once into a dict give the prob scan's
+    distance, bit for bit, on either side of a pair."""
+    pairs = list(_label_pairs(np.random.default_rng(38)))
+    kinds = collections.Counter()
+    for d1, d2 in pairs:
+        s1, s2 = ({a for a, _ in finite_items(d)} for d in (d1, d2))
+        kinds[(bool(s1 - s2), bool(s2 - s1), type(d1).__name__)] += 1
+        for a, b in ((d1, d2), (d2, d1)):
+            assert dist_distance(a, b).hex() == _prob_scan_distance(a, b).hex(), (a, b)
+    assert kinds[(True, True, "Categorical")] > 0 and kinds[(True, True, "Dirac")] > 0
+    assert kinds[(False, False, "Categorical")] > 0
+    half = categorical(SPACE, [(0, 0.5), (1, 0.5)])
+    wider = categorical(SPACE, [(0, 0.4), (1, 0.4), (2, 0.2)])
+    assert dist_distance(half, wider) == dist_distance(wider, half) == 0.2
+
+
+def test_a_law_is_at_distance_zero_from_itself():
+    """Every kind of law, itself included as the second argument, reads 0.0;
+    so does a point mass at a NaN coordinate, whose gap to an equal copy is
+    NaN."""
+    E = prod(euclid(1), euclid(2))
+    laws = [
+        dirac(SPACE, 2),
+        categorical(SPACE, [(0, 0.25), (3, 0.75)]),
+        dirac(E, ((1.5,), (-0.0, 2.0))),
+        categorical(E, [(((0.0,), (1.0, 1.0)), 0.5), (((1.0,), (0.0, 0.0)), 0.5)]),
+        gaussian(euclid(2), [1.0, -2.0], [[2.0, 0.5], [0.5, 1.0]]),
+        mk_state([0.5], [[1e-3]]),
+        dirac(euclid(1), (float("nan"),)),
+        dirac(euclid(1), (float("inf"),)),
+    ]
+    for d in laws:
+        assert dist_distance(d, d) == 0.0, d
+
+
 def test_gaussian_psd_validation():
     with pytest.raises(DistError):
         gaussian(euclid(2), [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])

@@ -1,3 +1,4 @@
+import collections
 import json
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from polydyn import (
     STOCHASTIC,
     Categorical,
     OpenSystemError,
+    PolyError,
     PolyMap,
     Rng,
     all_sections,
@@ -341,7 +343,25 @@ def test_time_dependent_update_fails_check_flow():
     )
     report = check_flow(sys_)
     assert not report["pass"]
-    assert {v["kind"] for v in report["violations"]} == {"stationary-update"}
+    # the update moves away from tick 1's at every even tick the default
+    # splits reach (2, 4, 6 and 8), at both states, on the one direction
+    assert _by_quantifier(report) == {
+        "kind": {"stationary-update": 8},
+        "t": {2: 2, 4: 2, 6: 2, 8: 2},
+        "state": {0: 4, 1: 4},
+        "direction": {(): 8},
+    }
+
+
+def _by_quantifier(report) -> dict:
+    """How many of a report's violations fall on each value of each of their
+    quantifiers."""
+    counts: dict = {}
+    for v in report["violations"]:
+        for name, value in v.items():
+            if name != "deviation":
+                counts.setdefault(name, collections.Counter())[value] += 1
+    return {name: dict(c) for name, c in counts.items()}
 
 
 def test_an_update_frozen_after_one_tick_fails_check_flow():
@@ -362,7 +382,49 @@ def test_an_update_frozen_after_one_tick_fails_check_flow():
     sys_ = mk_system(iface, states, lambda t, s: f"p{s % 2}", update, time_nat(), STOCHASTIC)
     report = check_flow(sys_)
     assert not report["pass"]
-    assert {v["kind"] for v in report["violations"]} == {"stationary-update"}
+    # every later tick the default splits reach (2 to 8) at every (state,
+    # direction): two directions at p0's states 0 and 2, three at 1 and 3
+    assert _by_quantifier(report) == {
+        "kind": {"stationary-update": 70},
+        "t": {t: 10 for t in range(2, 9)},
+        "state": {0: 14, 1: 21, 2: 14, 3: 21},
+        "direction": {0: 28, 1: 28, 2: 14},
+    }
+
+
+def test_an_update_that_moves_at_the_last_tick_alone_fails_there():
+    """A must-fail control with one violation: the stored map changes at one
+    (state, direction) and only at tick 8, the last one the default splits
+    reach.  At every other tick it returns an equal law that is not the
+    tick-1 object, so no case is decided by the identity of its laws."""
+    gen = Rng(12).generator()
+    states = finite(0, 1, 2, 3)
+    iface = tabulated(finite("p0", "p1"), {"p0": finite(0, 1), "p1": finite(0, 1, 2)})
+    table = {}
+    for s in points(states):
+        for d in points(iface.dirs_at(f"p{s % 2}")):
+            counts = 1 + gen.multinomial(4, [0.25] * 4)
+            table[(s, d)] = categorical(states, list(zip(points(states), counts / 8.0)))
+    moved = dirac(states, 3)
+
+    def update(t, s, d):
+        if t == 1:
+            return table[(s, d)]
+        if (t, s, d) == (8, 3, 1):
+            return moved
+        return categorical(states, finite_items(table[(s, d)]))
+
+    sys_ = mk_system(iface, states, lambda t, s: f"p{s % 2}", update, time_nat(), STOCHASTIC)
+    copy = update(2, 3, 1)
+    assert copy is not table[(3, 1)] and copy == table[(3, 1)]
+    report = check_flow(sys_)
+    assert not report["pass"]
+    [violation] = report["violations"]
+    assert violation == {
+        "kind": "stationary-update", "t": 8, "state": 3, "direction": 1,
+        "deviation": dist_distance(moved, table[(3, 1)]),
+    }
+    assert violation["deviation"] > 0.0
 
 
 def test_time_dependent_output_fails_check_flow():
@@ -376,7 +438,81 @@ def test_time_dependent_output_fails_check_flow():
     )
     report = check_flow(sys_)
     assert not report["pass"]
-    assert any(v["kind"] == "stationary-output" for v in report["violations"])
+    # the output moves away from tick 1's at every even tick the default
+    # splits reach, at both states; a moved output has no direction to probe
+    assert _by_quantifier(report) == {
+        "kind": {"stationary-output": 8},
+        "t": {2: 2, 4: 2, 6: 2, 8: 2},
+        "state": {0: 4, 1: 4},
+    }
+    assert {v["deviation"] for v in report["violations"]} == {float("inf")}
+
+
+def _shuffled_flow_system():
+    """A closure on 6 states whose one-tick laws have non-dyadic weights, so
+    that P^(s+t) and P^t P^s differ in the last bits of some rows."""
+    gen = np.random.default_rng(5)
+    states = finite(*range(6))
+    laws = {
+        s: categorical(states, list(zip(range(6), gen.dirichlet([1.0] * 6).tolist())))
+        for s in range(6)
+    }
+    sys_ = mk_system(
+        linear(states), states, lambda t, s: s, lambda t, s, d: laws[s], time_nat(), STOCHASTIC
+    )
+    return closure(sys_, all_sections(sys_.interface)[0])
+
+
+def test_compose_gaps_follow_a_shuffled_sample_with_a_repeated_state():
+    """A tabulated closure's compose deviations, for a sample out of table
+    order with one state twice, are the rows of the whole product's gaps,
+    each at its own state, bit for bit."""
+    cs = _shuffled_flow_system()
+    sample = [5, 2, 0, 4, 2, 1, 3]
+    times = [(s, t) for s in range(5) for t in range(5) if 0 < s + t]
+    # a negative tolerance records every case as a violation
+    report = check_closed_flow(cs, times, sample, tol=-1.0)
+    compose = [v for v in report["violations"] if v["kind"] == "compose"]
+    assert [(v["s"], v["t"], v["state"]) for v in compose] == [
+        (s, t, x) for s, t in times for x in sample
+    ]
+    power, index = cs.table.power, cs.table.index
+    out_of_order = 0
+    for s, t in times:
+        rows = np.max(np.abs(power(s + t) - power(t) @ power(s)), axis=1)
+        expected = [rows[index[x]].item().hex() for x in sample]
+        assert [v["deviation"].hex() for v in compose[: len(sample)]] == expected
+        out_of_order += expected != [rows[i].item().hex() for i in sorted(index[x] for x in sample)]
+        compose = compose[len(sample):]
+    assert out_of_order > 0
+
+
+def _table_and_walk_checks(sys_, monkeypatch):
+    """check_flow and check_closed_flow on the tabulated closure, then on the
+    walked one."""
+    sigma = all_sections(sys_.interface)[0]
+    for walked in (False, True):
+        if walked:
+            monkeypatch.setattr(systems, "_TABLE_MAX_STATES", 1)
+        cs = closure(sys_, sigma)
+        assert isinstance(cs, systems._IteratedClosure) == walked
+        yield lambda times: check_flow(sys_, times=times)
+        yield lambda times: check_closed_flow(cs, times, [0, 1])
+
+
+@pytest.mark.parametrize("split", [(-1, 2), (1.5, 1)])
+def test_a_flow_check_refuses_a_split_off_the_time_monoid_on_every_route(split, monkeypatch):
+    """Each split is checked by the time monoid: a negative tick, and one
+    that is not an integer, are refused by both flow checks, on the
+    tabulated route as on the walked one."""
+    states = finite(0, 1)
+    sys_ = mk_system(
+        monomial(states, finite("stay", "flip")), states, lambda t, s: s,
+        lambda t, s, d: dirac(states, (s + (d == "flip")) % 2), time_nat(),
+    )
+    for check in _table_and_walk_checks(sys_, monkeypatch):
+        with pytest.raises(PolyError, match="^time must be a non-negative integer tick, got "):
+            check([(1, 1), split])
 
 
 def test_mk_system_validates_finite_shapes():
