@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-call times of the flow law and of the distance it reads, in microseconds.
+"""Per-call times of the flow and bundle laws and of the distance they read, in microseconds.
 
 Prints one line per case, the least over ``--repeat`` rounds of the mean
 time per call in a round of ``--number`` calls, with one BLAS thread; each
@@ -9,6 +9,10 @@ round times every case once, in turn:
   (n = 4, 5 and 6 states, positions p0/p1 with 2 and 3 directions,
   full-support dyadic updates) over the splits 0 < s + t <= 8, with every
   section of the interface and every state;
+- ``check_bundle`` on ``bundle_example(3, 2)``, the benchmark's bundle shape:
+  four total sections against eight base sections, at times 1-3 and each
+  of the six total states, its squares read from rows of the tick
+  matrices' powers;
 - ``dist_distance`` between two seeded full-support finite laws on n = 2, 8
   and 64 atoms, listed in two different orders.
 
@@ -30,6 +34,8 @@ import numpy as np  # noqa: E402
 
 from polydyn import STOCHASTIC, categorical, finite, mk_system, tabulated, time_nat  # noqa: E402
 from polydyn.dist import dist_distance  # noqa: E402
+from polydyn.random_bundle import check_bundle  # noqa: E402
+from polydyn.specio import bundle_example  # noqa: E402
 from polydyn.spaces import points  # noqa: E402
 from polydyn.systems import check_flow  # noqa: E402
 
@@ -63,6 +69,7 @@ def cases(gen):
     for n in FLOW_STATES:
         sys_ = flow_system(gen, n)
         yield f"check_flow n={n}", lambda s=sys_: check_flow(s, times=SPLITS, tol=0.0)
+    yield "check_bundle 3x2", lambda bs=bundle_example(3, 2): check_bundle(bs)
     for n in LAW_ATOMS:
         atoms = finite(*range(n))
         d1 = categorical(atoms, list(zip(range(n), dyadic(gen, n))))

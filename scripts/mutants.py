@@ -302,16 +302,17 @@ MUTANTS = (
     Mutant(
         "compose-rows-in-table-order",
         "src/polydyn/systems.py",
-        "            return [gap[i] for i in rows]\n",
-        "            return [gap[i] for i in sorted(rows)]\n",
+        "[:, rows].tolist()",
+        "[:, np.sort(rows)].tolist()",
         ("tests/test_systems.py::test_compose_gaps_follow_a_shuffled_sample_with_a_repeated_state",),
     ),
-    # a tabulated closure's compose cases take any split, off the time monoid
+    # a flow check's compose cases take any split, off the time monoid: a
+    # tabulated closure reads a power at it, and a walked one names s + t
     Mutant(
         "tabulated-split-unchecked",
         "src/polydyn/systems.py",
-        "            s, t = cs.time.check(s), cs.time.check(t)\n",
-        "",
+        "    splits = [(check(s), check(t)) for s, t in times]\n",
+        "    splits = list(times)\n",
         ("tests/test_systems.py::"
          "test_a_flow_check_refuses_a_split_off_the_time_monoid_on_every_route",),
     ),
@@ -331,6 +332,23 @@ MUTANTS = (
         "        if len(values) == 0:\n",
         "        if False:\n",
         ("tests/test_law_reports.py::test_a_law_over_an_empty_quantifier_is_refused_by_name",),
+    ),
+    # a law report takes a NaN deviation for one within its tolerance, so a
+    # field that reads NaN passes the flow law
+    Mutant(
+        "report-nan-passes",
+        "src/polydyn/systems.py",
+        "        if not worst <= tol:\n",
+        "        if worst > tol:\n",
+        ("tests/test_law_reports.py::test_a_nan_deviation_fails_its_law",),
+    ),
+    # a block reports only its first failing state
+    Mutant(
+        "report-block-first-violation-only",
+        "src/polydyn/systems.py",
+        "                    if not d <= tol\n                ]\n",
+        "                    if not d <= tol\n                ][:1]\n",
+        ("tests/test_law_reports.py::test_a_block_reports_every_failing_state_in_order",),
     ),
 )
 

@@ -96,7 +96,7 @@ def check_measure_preserving(mp: MeasurePreservingSystem, generators) -> dict:
     def cases():
         for t in generators:
             pushed = bind(mp.base.measure, lambda w: mp.flow.step(t, w))
-            yield {"kind": "measure", "t": t}, dist_distance(pushed, mp.base.measure)
+            yield {"kind": "measure", "t": t}, None, [dist_distance(pushed, mp.base.measure)]
 
     return _report("measure-preserving", cases(), 0.0, {"generators": generators})
 
@@ -122,7 +122,7 @@ def check_mp_morphism(psi: MPMorphism) -> dict:
 
     def cases():
         pushed = pushforward(psi.map, source.base.measure, target=target.base.space)
-        yield {"kind": "measure"}, dist_distance(pushed, target.base.measure)
+        yield {"kind": "measure"}, None, [dist_distance(pushed, target.base.measure)]
         yield from _square_cases(
             source.flow, target.flow, psi.map, _TIMES, list(points(source.base.space)),
             kind="flow",

@@ -328,10 +328,16 @@ def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> Clo
     return ClosedSystem(states, time, step)
 
 
-def _report(law: str, cases, tol: float, domain=None, **extra) -> dict:
-    """The verdict of one law over its (case, deviation) pairs: a case past
-    ``tol`` is a violation, and ``max_deviation`` is the worst deviation over
-    every case checked.
+def _report(law: str, blocks, tol: float, domain=None, **extra) -> dict:
+    """The verdict of one law over its cases, taken in blocks.  A block is
+    ``(labels, states, deviations)``: the labels its cases share, the state
+    of each case (None for a block of one case that names no state, or names
+    it among its labels), and each case's deviation.  Each block's worst
+    deviation is read once, so a block within ``tol`` is passed whole; a
+    case not within it is a violation, the one case built as a dict,
+    ``{**labels, "state": x, "deviation": d}``.  NaN is within no
+    tolerance.  ``max_deviation`` is the worst deviation over every case
+    checked, and NaN once a case reads NaN.
 
     A law is universally quantified, so over no case it would pass vacuously.
     ``domain`` maps the name of each quantifier the caller was handed
@@ -343,12 +349,25 @@ def _report(law: str, cases, tol: float, domain=None, **extra) -> dict:
             raise OpenSystemError(f"the {law} law was given no {name} to check")
     violations = []
     max_dev = 0.0
-    checked = 0
-    for case, dev in cases:
-        checked += 1
-        max_dev = max(max_dev, dev)
-        if dev > tol:
-            violations.append({**case, "deviation": dev})
+    checked = False
+    for labels, states, devs in blocks:
+        if not devs:
+            continue
+        checked = True
+        worst, total = max(devs), sum(devs)
+        if total != total:  # max can step over a NaN, but the sum is NaN then
+            worst = next((d for d in devs if d != d), worst)
+        if worst > max_dev or worst != worst and max_dev == max_dev:  # a NaN is kept
+            max_dev = worst
+        if not worst <= tol:
+            if states is None:
+                violations += [{**labels, "deviation": d} for d in devs if not d <= tol]
+            else:
+                violations += [
+                    {**labels, "state": x, "deviation": d}
+                    for x, d in zip(states, devs)
+                    if not d <= tol
+                ]
     if not checked:
         raise OpenSystemError(f"the {law} law has no case to check")
     verdict = {"law": law, "pass": not violations, **extra}
@@ -356,44 +375,63 @@ def _report(law: str, cases, tol: float, domain=None, **extra) -> dict:
 
 
 def _flow_cases(cs: ClosedSystem, times, states, **labels):
-    """step(0) against the point mass, and step(s+t) against step(s) after
-    step(t), at every state of the sample."""
-    for x in states:
-        dev = dist_distance(cs.step(0, x), dirac(cs.states, x))
-        yield {"kind": "zero", **labels, "state": x}, dev
-    gaps = _compose_gaps(cs, states)
-    for s, t in times:
-        for x, dev in zip(states, gaps(s, t)):
-            yield {"kind": "compose", **labels, "s": s, "t": t, "state": x}, dev
+    """The blocks of the flow law: step(0) against the point mass at every
+    state of the sample, then, split by split, step(s+t) against step(s)
+    after step(t) there."""
+    zero = [dist_distance(cs.step(0, x), dirac(cs.states, x)) for x in states]
+    yield {"kind": "zero", **labels}, states, zero
+    for (s, t), gaps in zip(times, _compose_gaps(cs, times, states)):
+        yield {"kind": "compose", **labels, "s": s, "t": t}, states, gaps
 
 
-def _compose_gaps(cs: ClosedSystem, states) -> Callable:
-    """The gaps of a split (s, t): the sup-distance of step(s+t) from step(s)
-    after step(t) at each state of the sample, in the sample's order.  Both
-    routes check s and t through the closure's time monoid.  A tabulated
-    closure resolves each sampled state's row once, and a split compares
-    row x of P^(s+t) with row x of the whole product P^t P^s (a row-vector
-    product differs from it in its last bits): one reduction gives every
-    row's gap, and each state reads its own."""
+def _compose_gaps(cs: ClosedSystem, times, states):
+    """The gaps of each split (s, t): the sup-distance of step(s+t) from
+    step(s) after step(t) at each state of the sample, in the sample's
+    order, split after split.  Every split is checked through the closure's
+    time monoid before any is stepped, on both routes.
+
+    A tabulated closure compares row x of P^(s+t) with row x of the whole
+    product P^t P^s (a row-vector product differs from it in its last bits).
+    It reads its splits in batches whose product stack holds at most
+    ``_TABLE_MAX_STATES**2`` floats, every split of a small closure at once
+    and one at a time on hundreds of states: a batch stacks the distinct
+    powers its splits need once and makes every product in one stacked
+    ``matmul``, whose slices are the 2-D products bit for bit; one
+    reduction gives every row's gap, and one gather each sampled state's."""
+    check = cs.time.check
+    splits = [(check(s), check(t)) for s, t in times]
     if isinstance(cs, _TabulatedClosure):
-        power = cs.table.power
-        rows = [cs.table.index[check_point(cs.states, x)] for x in states]
-
-        def tabulated(s: int, t: int) -> list:
-            s, t = cs.time.check(s), cs.time.check(t)
-            gap = np.abs(power(s + t) - power(t) @ power(s))
-            gap = np.maximum.reduce(gap, axis=1, initial=0.0).tolist()
-            return [gap[i] for i in rows]
-
-        return tabulated
-
-    def walked(s: int, t: int) -> list:
-        return [
+        table = cs.table
+        rows = np.array([table.index[check_point(cs.states, x)] for x in states], dtype=int)
+        per_batch = max(1, _TABLE_MAX_STATES**2 // len(table.atoms) ** 2)
+        for start in range(0, len(splits), per_batch):
+            yield from _row_gaps(table, splits[start:start + per_batch])[:, rows].tolist()
+        return
+    for s, t in splits:
+        yield [
             dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
             for x in states
         ]
 
-    return walked
+
+def _row_gaps(table: _TickPowers, batch: list) -> np.ndarray:
+    """max_j |P^(s+t) - P^t P^s|[i, j] for each split (s, t) of the batch and
+    each row i.  The operands are gathered from one stack of the distinct
+    powers the batch needs; a batch of one split views its three powers as
+    stacks of one in place, so it holds its product and no copy."""
+    operands = list(zip(*((t, s, s + t) for s, t in batch)))  # P^t, P^s, P^(s+t)
+    if len(batch) == 1:
+        stack = [table.power(ks[0])[np.newaxis] for ks in operands]
+        lhs, rhs, target = 0, 1, 2
+    else:
+        needed = sorted(set().union(*operands))
+        stack = np.array([table.power(k) for k in needed])
+        at = {k: j for j, k in enumerate(needed)}
+        lhs, rhs, target = (np.array([at[k] for k in ks]) for ks in operands)
+    gap = np.matmul(stack[lhs], stack[rhs])
+    np.subtract(stack[target], gap, out=gap)
+    np.abs(gap, out=gap)
+    return np.maximum.reduce(gap, axis=2, initial=0.0)
 
 
 def _image(left: ClosedSystem, right: ClosedSystem, f):
@@ -412,7 +450,7 @@ def _square_cases(
     **labels,
 ):
     """The square ``pushforward(f, left.step(t, x)) = right.step(t, f(x))`` at
-    every time and state.
+    every time and state, one block per time.
 
     When both closures are tabulated, each case is read from rows of the tick
     matrices' powers: row x of P_L^t summed into the right closure's atoms
@@ -430,20 +468,22 @@ def _square_cases(
         image = _image(left, right, f)
     if image is None:
         for t in times:
-            for x in states:
-                lhs = pushforward(f, left.step(t, x), target=right.states)
-                rhs = right.step(t, f(x))
-                yield {"kind": kind, **labels, "t": t, "state": x}, dist_distance(lhs, rhs)
+            gaps = [
+                dist_distance(
+                    pushforward(f, left.step(t, x), target=right.states), right.step(t, f(x))
+                )
+                for x in states
+            ]
+            yield {"kind": kind, **labels, "t": t}, states, gaps
         return
-    rows = [left.table.index[check_point(left.states, x)] for x in states]
+    rows = np.array([left.table.index[check_point(left.states, x)] for x in states], dtype=int)
     for t in times:
         left.time.check(t)
         right.time.check(t)
         pushed = _kept(pushes, t, lambda: _push(left.table, image, len(right.table.atoms), t))
         target = _kept(targets, t, lambda: _target(right.table, image, t))
-        gaps = np.max(np.abs(pushed - target), axis=1, initial=0.0).tolist()
-        for x, i in zip(states, rows):
-            yield {"kind": kind, **labels, "t": t, "state": x}, gaps[i]
+        gaps = np.maximum.reduce(np.abs(pushed - target), axis=1, initial=0.0)
+        yield {"kind": kind, **labels, "t": t}, states, gaps[rows].tolist()
 
 
 def _kept(blocks, t: int, make: Callable):
@@ -514,14 +554,18 @@ def check_flow(
     since their general-t kernel is derived from the one-tick components --
     a t-dependent stored map is a law violation even though the derived
     kernels compose by construction.  Every s and t is checked by the time
-    monoid, on every route.  On up to 512 states the compose cases compare
-    powers of the closure's tick matrix, so they measure only rounding; each
-    sampled state's row is resolved once per closure.  The other closures
-    (RK4, and nested binds on more states) are walked: each start of the
-    sample, and each point a compose case steps on from, gets one walk,
-    extended to the largest t asked of it.  The walks live for this call
-    only.  A continuous-time sample may be written as lists or arrays; its
-    states are reported as the points the closure reads.
+    monoid, on every route, before a split is stepped.  On up to 512 states
+    the compose cases compare powers of the closure's tick matrix, so they
+    measure only rounding; each sampled state's row is resolved once per
+    closure, and the splits are read in batches of one stacked product each
+    (every split at once on a few states, one at a time on hundreds).  Each
+    section's cases reach the report in blocks, its zero cases and then one
+    block per split, and only a violation is built as a case dict.  The
+    other closures (RK4, and nested binds on more states) are walked: each
+    start of the sample, and each point a compose case steps on from, gets
+    one walk, extended to the largest t asked of it.  The walks live for
+    this call only.  A continuous-time sample may be written as lists or
+    arrays; its states are reported as the points the closure reads.
     """
     if sections is None:
         sections = all_sections(sys_.interface)
@@ -557,7 +601,7 @@ def _stationary_cases(sys_: System, times, states):
     for t in range(1, max(check(s) + check(t) for s, t in times) + 1):
         for x in states:
             if sys_.output(t, x) != sys_.output(1, x):
-                yield {"kind": "stationary-output", "t": t, "state": x}, float("inf")
+                yield {"kind": "stationary-output", "t": t, "state": x}, None, [float("inf")]
                 continue
             fibre = sys_.interface.dirs_at(sys_.output(1, x))
             if not is_finite(fibre):
@@ -565,7 +609,7 @@ def _stationary_cases(sys_: System, times, states):
             for d in points(fibre):
                 dev = dist_distance(sys_.update(t, x, d), sys_.update(1, x, d))
                 case = {"kind": "stationary-update", "t": t, "state": x, "direction": d}
-                yield case, dev
+                yield case, None, [dev]
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +792,7 @@ def is_system_morphism(
     def cases():
         for x in states:
             if b.output(1, f(x)) != a.output(1, x):
-                yield {"kind": "output", "state": x}, float("inf")
+                yield {"kind": "output"}, [x], [float("inf")]
         for k, sigma in enumerate(sections):
             yield from _square_cases(
                 closure(a, sigma), closure(b, sigma), f, times, states, section=k

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
 from polydyn import (
@@ -27,7 +28,9 @@ from polydyn import (
     closed_from_kernel,
     closure,
     dirac,
+    euclid,
     finite,
+    from_vector_field,
     is_system_morphism,
     linear,
     mk_measure_preserving,
@@ -35,10 +38,13 @@ from polydyn import (
     mk_system,
     monomial,
     points,
+    tabulated,
     time_nat,
+    trivial_section,
     uniform,
     unit,
 )
+from polydyn import random_bundle, systems
 from polydyn.specio import (
     biased_swap_example,
     bundle_example,
@@ -300,3 +306,222 @@ def test_a_law_that_reaches_no_case_is_refused():
         OpenSystemError, match="^the random-system law has no case to check$"
     ):
         check_random_system(no_section)
+
+
+# ---------------------------------------------------------------------------
+# block reports
+
+
+def _per_case_report(law, cases, tol, domain=None, **extra):
+    """A law report read one (case, deviation) pair at a time, as the report
+    read its cases before it took them in blocks."""
+    for name, values in (domain or {}).items():
+        if len(values) == 0:
+            raise OpenSystemError(f"the {law} law was given no {name} to check")
+    violations = []
+    max_dev = 0.0
+    checked = 0
+    for case, dev in cases:
+        checked += 1
+        max_dev = max(max_dev, dev)
+        if dev > tol:
+            violations.append({**case, "deviation": dev})
+    if not checked:
+        raise OpenSystemError(f"the {law} law has no case to check")
+    verdict = {"law": law, "pass": not violations, **extra}
+    return {**verdict, "max_deviation": max_dev, "violations": violations}
+
+
+def _one_case_at_a_time(blocks):
+    """Each case of each block, as its own case dict and deviation."""
+    for labels, states, devs in blocks:
+        if states is None:
+            yield from ((dict(labels), d) for d in devs)
+        else:
+            yield from (({**labels, "state": x}, d) for x, d in zip(states, devs))
+
+
+def _bits(value):
+    """A report as (key, value) pairs in key order, each float by its hex."""
+    if isinstance(value, dict):
+        return [(k, _bits(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [type(value).__name__, *(_bits(v) for v in value)]
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+@pytest.fixture
+def both_reports(monkeypatch):
+    """Every report a law check makes, paired with the per-case report of the
+    same cases."""
+    pairs = []
+    report = systems._report
+
+    def paired(law, blocks, tol, domain=None, **extra):
+        blocks = list(blocks)
+        cases = list(_one_case_at_a_time(blocks))
+        assert not any(math.isnan(dev) for _, dev in cases)
+        pairs.append((report(law, blocks, tol, domain, **extra),
+                      _per_case_report(law, cases, tol, domain, **extra), blocks))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(systems, "_report", paired)
+    monkeypatch.setattr(random_bundle, "_report", paired)
+    return pairs
+
+
+def rounding_system(seed: int):
+    """Five states behind two positions with 2 and 3 directions, each update
+    a law with non-dyadic weights: its compose cases read the last bits by
+    which P^(s+t) and P^t P^s differ."""
+    gen = np.random.default_rng(seed)
+    states = finite(*range(5))
+    iface = tabulated(finite("p0", "p1"), {"p0": finite(0, 1), "p1": finite(0, 1, 2)})
+    laws = {
+        (s, d): categorical(states, list(zip(range(5), gen.dirichlet([1.0] * 5).tolist())))
+        for s in range(5)
+        for d in range(3)
+    }
+    return mk_system(iface, states, lambda t, s: f"p{s % 2}", lambda t, s, d: laws[(s, d)],
+                     time_nat(), STOCHASTIC)
+
+
+def two_state_slip():
+    """A rotation of four states that, from states 0 and 2 alone, moves one
+    step less over two ticks or more: the split (1, 1) fails at 0 and 2 and
+    holds at 1 and 3, which sit between and after them."""
+    z4 = finite(0, 1, 2, 3)
+    return closed_from_kernel(
+        z4, time_nat(), lambda t, w: dirac(z4, (w + t - (t >= 2 and w % 2 == 0)) % 4)
+    )
+
+
+FLOW_SPLITS = [(s, t) for s in range(5) for t in range(5) if 0 < s + t <= 6]
+
+# (name, thunk): seeded passes, rounding gaps, and must-fail controls of each law
+BLOCK_CHECKS = [
+    *[(f"flow-seed{k}-tol{tol}",
+       lambda k=k, tol=tol: check_flow(rounding_system(k), times=FLOW_SPLITS, tol=tol))
+      for k in range(3) for tol in (0.0, 1e-16, -1.0)],
+    *[(f"flow-dyadic-seed{k}",
+       lambda k=k: check_flow(random_finite_system(Rng(40).child(k)), times=FLOW_SPLITS))
+      for k in range(4)],
+    ("flow-tick-dependent-output", lambda: check_flow(tick_dependent_output(), times=SPLITS)),
+    ("closed-flow-squaring-clock",
+     lambda: check_closed_flow(squaring_clock(), SPLITS, list(points(Z3)))),
+    ("closed-flow-two-state-slip",
+     lambda: check_closed_flow(two_state_slip(), [(1, 1), (2, 1)], [0, 1, 2, 3])),
+    ("bundle", lambda: check_bundle(bundle_example(3, 2))),
+    ("bundle-collapsed", lambda: check_bundle(collapsed_bundle())),
+    ("random-system", lambda: check_random_system(skew_random_example(4, 2))),
+    ("random-system-drifting", lambda: check_random_system(drifting_rds())),
+    ("random-system-stray-state", lambda: check_random_system(stray_state_rds())),
+    ("morphism", lambda: is_system_morphism(
+        lambda x: (x + 1) % 3, blind_system(1), blind_system(1),
+        all_sections(blind_system(1).interface), [1, 2])),
+    ("morphism-fail", lambda: is_system_morphism(
+        lambda x: x, blind_system(1), blind_system(0),
+        all_sections(blind_system(1).interface), [1, 2])),
+    ("morphism-output-fail", lambda: is_system_morphism(
+        lambda x: (x + 1) % 3, identity_system(), identity_system(),
+        all_sections(identity_system().interface), [1])),
+    ("measure", lambda: check_measure_preserving(rotation_example(6), (1, 2, 3))),
+    ("measure-fail", lambda: check_measure_preserving(
+        MeasurePreservingSystem(*biased_swap_example()), (1, 2, 3))),
+    ("mp-morphism", lambda: check_mp_morphism(
+        MPMorphism(rotation_example(4), half_rotation(), lambda w: w % 2))),
+    ("mp-morphism-fail", lambda: check_mp_morphism(
+        MPMorphism(rotation_example(6), rotation_example(3), lambda w: 0))),
+]
+
+
+@pytest.mark.parametrize("run", [run for _, run in BLOCK_CHECKS],
+                         ids=[name for name, _ in BLOCK_CHECKS])
+def test_block_reports_are_the_per_case_reports_bit_for_bit(run, both_reports):
+    """A report that takes its cases in blocks is the report of the same
+    cases read one at a time: the verdict, max_deviation by its hex, and
+    each violation with its keys in the same order and its deviation by
+    its hex."""
+    run()
+    assert both_reports
+    for report, expected, _ in both_reports:
+        assert _bits(report) == _bits(expected)
+
+
+def test_the_block_checks_reach_passes_failures_and_mixed_blocks(both_reports):
+    """The seeded checks above are not all passes: some fail, and some block
+    has two failing states and a passing one, on the tabulated route (a
+    rounding gap) and on the walked one (the slip)."""
+    for _, run in BLOCK_CHECKS:
+        run()
+    verdicts = {report["pass"] for report, _, _ in both_reports}
+    assert verdicts == {True, False}
+    mixed = set()
+    for report, _, blocks in both_reports:
+        for labels, states, devs in blocks:
+            failing = [dev > 0.0 for dev in devs]
+            if states is not None and failing.count(True) >= 2 and not all(failing):
+                mixed.add((labels["kind"], "section" in labels))
+    assert {("compose", True), ("compose", False)} <= mixed
+
+
+def test_a_block_reports_every_failing_state_in_order():
+    """The split (1, 1) of the slip fails at states 0 and 2 and holds at 1
+    and 3: both failures are reported, in the sample's order."""
+    report = check_closed_flow(two_state_slip(), [(1, 1)], [0, 1, 2, 3])
+    assert not report["pass"]
+    assert report["violations"] == [
+        {"kind": "compose", "s": 1, "t": 1, "state": 0, "deviation": 1.0},
+        {"kind": "compose", "s": 1, "t": 1, "state": 2, "deviation": 1.0},
+    ]
+    assert [list(v) for v in report["violations"]] == [["kind", "s", "t", "state", "deviation"]] * 2
+
+
+def vector_field_flow(field, state):
+    iface = monomial(euclid(1), unit())
+    sys_ = from_vector_field(field, lambda x: x, iface, 0.1, states=euclid(1))
+    return check_flow(sys_, sections=[trivial_section(iface)], times=[(1, 1), (2, 1)],
+                      states=[state])
+
+
+def test_a_nan_deviation_fails_its_law():
+    """A field that reads NaN makes every compose gap NaN, which is within no
+    tolerance: the flow law fails, naming each split, and max_deviation
+    reads NaN.  A field that blows up to inf does the same, as inf - inf is
+    NaN."""
+    report = vector_field_flow(lambda x, d: (math.nan,), (0.0,))
+    assert report["pass"] is False
+    assert math.isnan(report["max_deviation"])
+    assert [(v["kind"], v["s"], v["t"], v["state"]) for v in report["violations"]] == [
+        ("compose", 1, 1, (0.0,)), ("compose", 2, 1, (0.0,))
+    ]
+    assert all(math.isnan(v["deviation"]) for v in report["violations"])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = vector_field_flow(lambda x, d: (x[0] * x[0] * 1e300,), (1.0,))
+    assert report["pass"] is False
+    assert math.isnan(report["max_deviation"])
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_report_reads_nan_wherever_a_block_holds_it(where):
+    """A NaN anywhere in a block is a violation and the worst deviation,
+    also behind a smaller one, and a larger finite deviation afterwards does
+    not replace it; a NaN in a block of one case fails too."""
+    devs = [0.25, 0.0, 0.5]
+    devs[where] = math.nan
+    blocks = [
+        ({"kind": "zero"}, ["a", "b", "c"], [0.0, 0.0, 0.0]),
+        ({"kind": "compose", "s": 1, "t": 1}, ["a", "b", "c"], devs),
+        ({"kind": "compose", "s": 2, "t": 1}, ["a", "b", "c"], [3.0, 0.0, 0.0]),
+    ]
+    report = systems._report("flow", blocks, 0.3)
+    assert report["pass"] is False
+    assert math.isnan(report["max_deviation"])
+    failing = [(v["s"], v["state"]) for v in report["violations"]]
+    assert failing == [(1, x) for x, d in zip("abc", devs) if not d <= 0.3] + [(2, "a")]
+    one_case = [({"kind": "measure", "t": 1}, None, [math.nan])]
+    report = systems._report("measure-preserving", one_case, 0.0)
+    assert report["pass"] is False and math.isnan(report["max_deviation"])
+    assert [list(v) for v in report["violations"]] == [["kind", "t", "deviation"]]

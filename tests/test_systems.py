@@ -448,14 +448,14 @@ def test_time_dependent_output_fails_check_flow():
     assert {v["deviation"] for v in report["violations"]} == {float("inf")}
 
 
-def _shuffled_flow_system():
-    """A closure on 6 states whose one-tick laws have non-dyadic weights, so
+def _shuffled_flow_system(n: int = 6, seed: int = 5):
+    """A closure on n states whose one-tick laws have non-dyadic weights, so
     that P^(s+t) and P^t P^s differ in the last bits of some rows."""
-    gen = np.random.default_rng(5)
-    states = finite(*range(6))
+    gen = np.random.default_rng(seed)
+    states = finite(*range(n))
     laws = {
-        s: categorical(states, list(zip(range(6), gen.dirichlet([1.0] * 6).tolist())))
-        for s in range(6)
+        s: categorical(states, list(zip(range(n), gen.dirichlet([1.0] * n).tolist())))
+        for s in range(n)
     }
     sys_ = mk_system(
         linear(states), states, lambda t, s: s, lambda t, s, d: laws[s], time_nat(), STOCHASTIC
@@ -487,6 +487,59 @@ def test_compose_gaps_follow_a_shuffled_sample_with_a_repeated_state():
     assert out_of_order > 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 6, 64, 300])
+def test_batched_compose_gaps_are_the_per_split_products_bit_for_bit(n):
+    """A tabulated closure reads its splits in batches of one stacked
+    product: each split's gaps are still the rows of the 2-D formula
+    max |P^(s+t) - P^t P^s|, at each sampled state, bit for bit.  The splits
+    repeat and come out of order, and the sample is shuffled with a repeated
+    state.  On 300 states a batch holds two splits, so these nine take five
+    batches, the last of one split."""
+    cs = _shuffled_flow_system(n, seed=n)
+    times = [(2, 1), (0, 3), (2, 1), (1, 0), (3, 3), (0, 0), (1, 2), (4, 1), (1, 1)]
+    if n == 300:
+        assert systems._TABLE_MAX_STATES**2 // n**2 == 2
+    gen = np.random.default_rng(n)
+    sample = gen.permutation(n)[:7].tolist()
+    sample.insert(len(sample) // 2, sample[0])
+    power, index = cs.table.power, cs.table.index
+    expected = []
+    for s, t in times:
+        rows = np.max(np.abs(power(s + t) - power(t) @ power(s)), axis=1)
+        expected.append([rows[index[x]].item().hex() for x in sample])
+    gaps = list(systems._compose_gaps(cs, times, sample))
+    assert [[g.hex() for g in row] for row in gaps] == expected
+    # and through the report: a negative tolerance makes every case a violation
+    report = check_closed_flow(cs, times, sample, tol=-1.0)
+    compose = [v for v in report["violations"] if v["kind"] == "compose"]
+    assert [(v["s"], v["t"], v["state"]) for v in compose] == [
+        (s, t, x) for s, t in times for x in sample
+    ]
+    assert [v["deviation"].hex() for v in compose] == [g for row in expected for g in row]
+    if n > 2:
+        assert any(float.fromhex(g) > 0.0 for row in expected for g in row)
+
+
+def test_a_flow_check_on_400_states_copies_no_power():
+    """On 400 states (1.28 MB a matrix) each split is its own batch, which
+    views its three powers in place: check_flow over the default splits
+    holds the nine powers it reads and one product at a time, 12.9 MB at
+    its peak.  Reading a split as a product and then its difference, both
+    held at once, peaked at 14.1 MB."""
+    n = 400
+    states = finite(*range(n))
+    sys_ = mk_system(monomial(finite("p"), finite(1, 2)), states, lambda t, s: "p",
+                     lambda t, s, d: dirac(states, (s + d) % n), time_nat())
+    tracemalloc.start()
+    try:
+        report = check_flow(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    assert peak < 13_500_000
+
+
 def _table_and_walk_checks(sys_, monkeypatch):
     """check_flow and check_closed_flow on the tabulated closure, then on the
     walked one."""
@@ -500,18 +553,22 @@ def _table_and_walk_checks(sys_, monkeypatch):
         yield lambda times: check_closed_flow(cs, times, [0, 1])
 
 
-@pytest.mark.parametrize("split", [(-1, 2), (1.5, 1)])
+@pytest.mark.parametrize("split", [(-1, 2), (1.5, 1), (1, -2), (2, 0.5)])
 def test_a_flow_check_refuses_a_split_off_the_time_monoid_on_every_route(split, monkeypatch):
-    """Each split is checked by the time monoid: a negative tick, and one
-    that is not an integer, are refused by both flow checks, on the
-    tabulated route as on the walked one."""
+    """Each split is checked by the time monoid before it is stepped: a
+    negative tick, and one that is not an integer, in s or in t, are refused
+    by both flow checks, on the tabulated route as on the walked one, each
+    naming the time it was given (the walked compose case once named s + t,
+    "got 2.5" for the split (1.5, 1))."""
     states = finite(0, 1)
     sys_ = mk_system(
         monomial(states, finite("stay", "flip")), states, lambda t, s: s,
         lambda t, s, d: dirac(states, (s + (d == "flip")) % 2), time_nat(),
     )
+    bad = next(v for v in split if not (isinstance(v, int) and v >= 0))
+    message = f"time must be a non-negative integer tick, got {bad!r}"
     for check in _table_and_walk_checks(sys_, monkeypatch):
-        with pytest.raises(PolyError, match="^time must be a non-negative integer tick, got "):
+        with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
             check([(1, 1), split])
 
 
