@@ -350,6 +350,25 @@ MUTANTS = (
         "                    if not d <= tol\n                ][:1]\n",
         ("tests/test_law_reports.py::test_a_block_reports_every_failing_state_in_order",),
     ),
+    # the code sort reads first occurrences from the default sort, which
+    # need not keep equal codes in their order
+    Mutant(
+        "first-occurrence-unstable-sort",
+        "src/polydyn/hier.py",
+        'flat.argsort(kind="stable" if index else None)',
+        "flat.argsort()",
+        ("tests/test_table_properties.py::test_the_code_sort_is_np_unique",),
+    ),
+    # a weight total of NaN is within the tolerance of 1, as it once was
+    Mutant(
+        "check-total-nan-accepted",
+        "src/polydyn/dist.py",
+        "    if not abs(total - 1.0) <= WEIGHT_TOL:\n",
+        "    if abs(total - 1.0) > WEIGHT_TOL:\n",
+        ("tests/test_dist.py::test_a_nan_weight_is_refused",
+         "tests/test_dist.py::test_a_product_with_a_nan_weight_is_refused",
+         "tests/test_cli.py::test_a_nan_weight_in_a_spec_is_a_usage_error"),
+    ),
 )
 
 

@@ -144,8 +144,10 @@ def categorical(space: Space, weights) -> Dist:
 
 
 def _check_total(weights) -> None:
+    """Refuse weights whose sum is not within ``WEIGHT_TOL`` of 1: a NaN sum
+    is within no tolerance."""
     total = math.fsum(weights)
-    if abs(total - 1.0) > WEIGHT_TOL:
+    if not abs(total - 1.0) <= WEIGHT_TOL:
         raise DistError(f"weights sum to {total!r}, expected 1 within {WEIGHT_TOL}")
 
 
@@ -163,7 +165,7 @@ def _point_mass_rows(laws: np.ndarray) -> np.ndarray:
     on the one atom of each row that has one: each row is then the vector of
     the law ``_finite_law`` makes of it.  The rows are changed in place."""
     nonzero = laws != 0.0
-    np.copyto(laws, nonzero, where=nonzero.sum(axis=1, keepdims=True) == 1)
+    np.copyto(laws, nonzero, where=np.add.reduce(nonzero, axis=1, keepdims=True) == 1)
     return laws
 
 
@@ -172,16 +174,21 @@ def product_items(items1, items2) -> tuple:
     the pairs of atoms in order, each weighted by the product of its weights,
     zero products pruned.  Distinct atoms on each side give distinct pairs,
     so nothing is merged; the weights are checked as ``categorical`` checks
-    them."""
-    pairs = []
-    for a1, w1 in items1:
-        for a2, w2 in items2:
-            w = w1 * w2
+    them, each check once over the whole product.  ``min`` gives the least
+    weight, NaNs skipped, or NaN when the first weight is NaN; only when it
+    is not at least ``-WEIGHT_TOL`` are the weights scanned for the first
+    one below, which the refusal names.  Zeros are pruned only when there
+    is one."""
+    pairs = [((a1, a2), w1 * w2) for a1, w1 in items1 for a2, w2 in items2]
+    weights = [w for _, w in pairs]
+    if not min(weights, default=0.0) >= -WEIGHT_TOL:
+        for atom, w in pairs:
             if w < -WEIGHT_TOL:
-                raise DistError(f"negative weight {w} on atom {(a1, a2)!r}")
-            pairs.append(((a1, a2), w))
-    _check_total(w for _, w in pairs)
-    return tuple(p for p in pairs if p[1] != 0.0)
+                raise DistError(f"negative weight {w} on atom {atom!r}")
+    _check_total(weights)
+    if 0.0 in weights:  # -0.0 == 0.0 as well
+        return tuple(p for p in pairs if p[1] != 0.0)
+    return tuple(pairs)
 
 
 def uniform(space: Space) -> Dist:

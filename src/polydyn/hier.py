@@ -548,15 +548,35 @@ def _tabulate(hs: HierSystem, done: dict) -> HierTable:
 _BUDGET = 1 << 20
 
 
+def _unique(codes: np.ndarray, index: bool = False) -> tuple:
+    """``np.unique(codes, return_inverse=True)``, and with ``index`` its
+    ``return_index`` too, with the inverse flat, from one argsort: the sorted
+    codes' first entry and every entry that differs from the one before
+    start a new value, and the running count of those starts, scattered back
+    through the sort, is each code's value id.  A first occurrence is read
+    from the sort only when it is stable; values and inverse are the same
+    from any sort.  Calling the sort and the ufuncs directly skips
+    ``np.unique``'s Python wrapper, which costs more than the sort on the
+    few codes of a table level."""
+    flat = codes.ravel()
+    order = flat.argsort(kind="stable" if index else None)
+    ordered = flat[order]
+    starts = np.empty(len(flat), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    inv = np.empty(len(flat), dtype=np.intp)
+    inv[order] = np.add.accumulate(starts, dtype=np.intp) - 1
+    if index:
+        return ordered[starts], inv, order[starts]
+    return ordered[starts], inv
+
+
 def _unique_inverse(codes: np.ndarray) -> tuple:
-    """``np.unique(codes, return_inverse=True)`` with the inverse flat, as
-    numpy 1.x gives it (some 2.x releases shape it like ``codes``).  One code
-    is its own sorted set, so it skips the sort, which costs more than a
-    table level's other work on one state."""
+    """``_unique(codes)``.  One code is its own sorted set, so it skips the
+    sort, which costs more than a table level's other work on one state."""
     if codes.size == 1:
         return codes.ravel(), np.zeros(1, dtype=np.intp)
-    uniq, inv = np.unique(codes, return_inverse=True)
-    return uniq, inv.ravel()
+    return _unique(codes)
 
 
 def _interned(codes: np.ndarray, ids: dict, make: Callable) -> np.ndarray:
@@ -564,13 +584,13 @@ def _interned(codes: np.ndarray, ids: dict, make: Callable) -> np.ndarray:
     puts it the first time the code is met.  Each distinct code is looked up
     once."""
     uniq, inv = _unique_inverse(codes)
-    out = np.empty(len(uniq), dtype=np.intp)
-    for n, code in enumerate(uniq.tolist()):
+    out = []
+    for code in uniq.tolist():
         got = ids.get(code)
         if got is None:
             got = ids[code] = make(code)
-        out[n] = got
-    return out[inv]
+        out.append(got)
+    return np.array(out, dtype=np.intp)[inv]
 
 
 def _by_group(mass: np.ndarray, groups: np.ndarray, n: int) -> np.ndarray:
@@ -602,19 +622,18 @@ def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray
     uniq, agg = uniq[skip:], agg[:, skip:]
     # as in bind, a law that meets a single row moves to that row unscaled
     hit = agg != 0.0
-    n_hit = hit.sum(axis=1)
+    n_hit = np.add.reduce(hit, axis=1)
     single = n_hit == 1
     agg[single] = hit[single]
     rows = [table._rows[r] for r in uniq.tolist()]
     ids = np.concatenate([r[0] for r in rows])
     ws = np.concatenate([r[1] for r in rows])
-    which = np.repeat(np.arange(len(rows)), [len(r[0]) for r in rows])
+    which = np.arange(len(rows)).repeat([len(r[0]) for r in rows])
     seen = None
-    if n_hit.max() > 1:  # else every bin of a law has one nonzero term
+    if np.maximum.reduce(n_hit) > 1:  # else every bin of a law has one nonzero term
         # codes block * n_cols + column, each with the flat index of its first state
         n_cols = len(uniq) + skip
-        seen, at = np.unique((np.arange(n_blocks)[:, None] * n_cols + inv).ravel(),
-                             return_index=True)
+        seen, _, at = _unique(np.arange(n_blocks)[:, None] * n_cols + inv, index=True)
     per = agg.shape[0] // n_blocks
     # rows per block, so a block's rows x row-entries array stays small
     block = max(1, _BUDGET // max(1, len(ids)))
@@ -655,15 +674,16 @@ def _key_laws(table: HierTable, to_union: np.ndarray, n_keys: int, choices: np.n
     law = np.tile(law, (n_sec, 1))
     stopped = np.zeros(n_sec, dtype=bool)
     for t in range(horizon + 1):
-        active = np.flatnonzero(law.any(axis=0))
+        active = np.logical_or.reduce(law, axis=0).nonzero()[0]
         mass = law[:, active]
         keys = table.key_of[active]
         yield _point_mass_rows(_by_group(mass, to_union[keys], n_keys)), stopped
         if t < horizon:
-            sec, col = np.nonzero(mass.reshape(n_sec, n_cand, len(active)).any(axis=1))
+            sec, col = np.logical_or.reduce(
+                mass.reshape(n_sec, n_cand, len(active)), axis=1).nonzero()
             opt = sigma[sec, keys[col]]
             lacking = opt < 0
-            if lacking.any():
+            if np.logical_or.reduce(lacking):
                 stopped = stopped.copy()
                 stopped[sec[lacking]] = True
                 keep = ~stopped[sec]
@@ -910,7 +930,7 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     choices = np.array(choices, dtype=np.intp).reshape(len(choices), len(keys))
-    laws = [np.stack([tb.law(d) for d in cs]) for tb, cs in zip(tables, (cand_a, cand_b))]
+    laws = [np.array([tb.law(d) for d in cs]) for tb, cs in zip(tables, (cand_a, cand_b))]
     per_section = max(len(law) * (tb.size + len(keys) * (horizon + 1))
                       for tb, law in zip(tables, laws))
     most = max(1, _BUDGET // per_section)
@@ -939,7 +959,7 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
                         )
                     ka, kb = la[k * c_a:(k + 1) * c_a], lb[k * c_b:(k + 1) * c_b]
                     yield s, t, np.concatenate([
-                        np.abs(ka[a:a + block, None, :] - kb[None, :, :]).max(axis=2)
+                        np.maximum.reduce(np.abs(ka[a:a + block, None] - kb[None]), axis=2)
                         for a in range(0, c_a, block)
                     ])
 

@@ -425,6 +425,20 @@ def test_a_singular_level_covariance_is_a_usage_error(tmp_path, capsys):
     assert "channel covariance is numerically singular" in json.loads(captured.err)["error"]
 
 
+def test_a_nan_weight_in_a_spec_is_a_usage_error(tmp_path, capsys):
+    """JSON reads NaN; an initial law with a NaN weight is refused, not run."""
+    spec = json.loads((SPECS / "markov.json").read_text())
+    spec["init"] = {"categorical": {"up": math.nan, "down": 1.0}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert "NaN" in path.read_text()
+    assert main(["run", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "DistError: weights sum to nan, expected 1 within 1e-12")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_datum_is_a_usage_error(tmp_path, capsys, bad):
     """JSON reads NaN and Infinity; ``laplace`` refuses them as the datum, by

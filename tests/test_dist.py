@@ -257,6 +257,70 @@ def test_finite_dst_still_checks_the_product_weights():
         dst(d1, d2)
 
 
+def test_a_nan_weight_is_refused():
+    """A NaN weight passes the sign check, and its sum is within no
+    tolerance of 1."""
+    with pytest.raises(DistError, match=r"^weights sum to nan, expected 1 within 1e-12$"):
+        categorical(finite("a", "b"), [("a", math.nan), ("b", 1.0)])
+
+
+def test_a_product_with_a_nan_weight_is_refused():
+    """Factors built directly skip ``categorical``'s checks; their product's
+    total is checked, and a NaN in it is refused."""
+    d1 = Categorical(SPACE, ((0, math.nan), (1, 1.0)))
+    with pytest.raises(DistError, match=r"^weights sum to nan, expected 1 within 1e-12$"):
+        dst(d1, dirac(finite("a", "b"), "a"))
+    with pytest.raises(DistError, match=r"^weights sum to nan, expected 1 within 1e-12$"):
+        dist.product_items(finite_items(d1), (("a", 0.5), ("b", 0.5)))
+
+
+def _per_pair_items(items1, items2) -> tuple:
+    """``product_items`` as it was written, one pair at a time: each weight
+    checked for its sign as it is formed, then the total."""
+    pairs = []
+    for a1, w1 in items1:
+        for a2, w2 in items2:
+            w = w1 * w2
+            if w < -dist.WEIGHT_TOL:
+                raise DistError(f"negative weight {w} on atom {(a1, a2)!r}")
+            pairs.append(((a1, a2), w))
+    dist._check_total(w for _, w in pairs)
+    return tuple(p for p in pairs if p[1] != 0.0)
+
+
+def _items_outcome(f, items1, items2):
+    try:
+        return [(a, w.hex()) for a, w in f(items1, items2)]
+    except DistError as exc:
+        return str(exc)
+
+
+def test_product_items_decide_as_the_per_pair_loop():
+    """Every pair of weight lists gets the per-pair loop's items, bit for
+    bit, or its refusal with its message, which names the first pair below
+    the tolerance: NaN, infinite, negative and slightly negative weights,
+    in every place, included."""
+    special = [math.nan, -math.inf, math.inf, -1.0, -0.5, -1e-13, -2e-12, -0.0, 0.0, 1e-200]
+    gen = np.random.default_rng(40)
+    lists = [[], [1.0], [0.5, 0.5], [0.25, 0.75, 0.0], [math.nan, -0.5, 1.5],
+             [0.5, math.nan, -1.0, 1.5]]
+    for _ in range(60):
+        n = int(gen.integers(1, 5))
+        ws = gen.dirichlet([1.0] * n).tolist()
+        for _ in range(int(gen.integers(0, 3))):
+            ws[int(gen.integers(n))] = special[int(gen.integers(len(special)))]
+        lists.append(ws)
+    outcomes = collections.Counter()
+    for ws1 in lists:
+        for ws2 in lists[::7]:
+            items1 = tuple(enumerate(ws1))
+            items2 = tuple(zip("abcd", ws2))
+            got = _items_outcome(dist.product_items, items1, items2)
+            assert got == _items_outcome(_per_pair_items, items1, items2), (ws1, ws2)
+            outcomes[got.split(" ")[0] if isinstance(got, str) else "items"] += 1
+    assert set(outcomes) == {"items", "negative", "weights"}, outcomes
+
+
 def test_finite_dst_checks_no_atom(monkeypatch):
     """Each pair of checked atoms is a point of the product, so building it
     checks none of them again."""

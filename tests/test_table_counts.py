@@ -5,9 +5,9 @@ response) once, whatever its horizon; it stops advancing a side once that
 side's laws repeat bit for bit, so its ticks, too, do not grow with the
 horizon past that point; a composite's own initial law is read
 from its factors' law vectors, with no composite state looked up; a leaf
-maps each absorbed law's atoms once; no ``np.unique`` sorts a single code;
-and the candidate initial laws are the point masses and uniform law built
-the checked way, without the checks.
+maps each absorbed law's atoms once; no sort is made of a single code,
+and none by ``np.unique``; and the candidate initial laws are the point
+masses and uniform law built the checked way, without the checks.
 """
 
 import collections
@@ -223,15 +223,20 @@ def test_a_bayes_verdict_builds_no_composite_lens_and_forms_each_product_once(mo
 
 def test_a_comonoid_verdict_sorts_no_single_code(monkeypatch):
     """Comonoid systems have one state, so a table level and a tick often
-    meet one code; such a code is not handed to ``np.unique``."""
+    meet one code; such a code is not handed to ``hier._unique``, and no
+    code at all to ``np.unique``."""
     sizes = []
-    real_unique = np.unique
+    real_unique = hier._unique
 
-    def unique(a, *args, **kwargs):
-        sizes.append(np.size(a))
-        return real_unique(a, *args, **kwargs)
+    def unique(codes, *args, **kwargs):
+        sizes.append(np.size(codes))
+        return real_unique(codes, *args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", unique)
+    def numpy_unique(*args, **kwargs):
+        raise AssertionError("a table verdict called np.unique")
+
+    monkeypatch.setattr(hier, "_unique", unique)
+    monkeypatch.setattr(np, "unique", numpy_unique)
     A = finite(0, 1, 2)
     cp, ida = copy_system(A), id_hier(linear(A))
     verdict = quasi_bisim(compose_hier(cp, tensor_hier(cp, ida)),

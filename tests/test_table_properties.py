@@ -291,3 +291,38 @@ def test_generated_verdicts_do_not_depend_on_the_chunks(pair, modes, tol):
         m.setattr(hier, "trace", hier._closure_trace)
         walked = verdict()
     assert repr(chunked) == repr(alone) == repr(walked)
+
+
+@st.composite
+def code_arrays(draw):
+    """Code arrays as the tables sort them: none, one, all equal, holding -1
+    (a state its block does not reach), a G x A grid of next-state row ids,
+    or a few thousand codes, the pair count of a 3x3 Bayes verdict."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("none", "one", "equal", "unreached", "grid", "thousands")))
+    if kind == "none":
+        return np.empty(0, dtype=np.intp)
+    if kind == "one":
+        return gen.integers(-1, 9, size=1)
+    if kind == "equal":
+        return np.full(draw(st.integers(2, 40)), draw(st.integers(-1, 9)), dtype=np.intp)
+    if kind == "unreached":
+        return gen.integers(-1, draw(st.integers(0, 6)), size=draw(st.integers(2, 40)))
+    if kind == "grid":
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 30)))
+        return gen.integers(-1, draw(st.integers(0, 12)), size=shape)
+    return gen.integers(-1, draw(st.integers(1, 3000)), size=draw(st.integers(2000, 4000)),
+                        dtype=np.int64)
+
+
+@GENERATED
+@given(codes=code_arrays())
+def test_the_code_sort_is_np_unique(codes):
+    """``hier._unique`` gives ``np.unique``'s sorted values and flat inverse,
+    and with ``index`` its first occurrences too, as the same dtypes."""
+    values, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    for got in (hier._unique(codes), hier._unique(codes, index=True)[:2]):
+        assert got[0].dtype == values.dtype and got[1].dtype == np.intp
+        assert np.array_equal(got[0], values) and np.array_equal(got[1], inverse.ravel())
+    got_first = hier._unique(codes, index=True)[2]
+    assert got_first.dtype == np.intp and np.array_equal(got_first, first)

@@ -13,6 +13,7 @@ Flat systems are traced and compared as hierarchical systems y -> p
 system, ``flat_reference_trace``, which is checked the same way.
 """
 
+import hashlib
 import itertools
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from polydyn import (
     Rng,
     all_sections,
     as_hier,
+    bayes_check,
     bind,
     cardinality,
     categorical,
@@ -36,6 +38,7 @@ from polydyn import (
     discard_system,
     dist_distance,
     euclid,
+    exact_bayes,
     finite,
     finite_items,
     hier_from_tables,
@@ -980,3 +983,57 @@ def test_a_settling_trace_has_a_value_per_tick(horizon):
         assert len(got.values) == horizon + 1
         for g, w in zip(got.values, want.values, strict=True):
             assert dist_distance(g, w) == 0.0
+
+
+def dirichlet_bayes(rng, nx: int, ny: int) -> tuple:
+    """A seeded channel with Dirichlet rows, its prior and its exact
+    inversion, drawn as the benchmark draws them: no weight is dyadic, so
+    the deviations a verdict reads depend on the order of every sum."""
+    gen = rng.generator()
+    X = finite(*[f"x{i}" for i in range(nx)])
+    Y = finite(*[f"y{j}" for j in range(ny)])
+    pi = categorical(X, list(zip(points(X), gen.dirichlet([1.5] * nx).tolist())))
+    rows = {x: categorical(Y, list(zip(points(Y), gen.dirichlet([1.5] * ny).tolist())))
+            for x in points(X)}
+    inverse = exact_bayes(rows.__getitem__, pi, target=Y)
+    return (stochastic_channel_system(rows.__getitem__, X, Y), prior_system(pi),
+            stochastic_channel_system(inverse, Y, X))
+
+
+def coassoc_verdict() -> dict:
+    A = finite(0, 1, 2)
+    cp, ida = copy_system(A), id_hier(linear(A))
+    return quasi_bisim(compose_hier(cp, tensor_hier(cp, ida)),
+                       compose_hier(cp, tensor_hier(ida, cp)),
+                       "forall", "forall", horizon=16, tol=0.0)
+
+
+@pytest.mark.parametrize("verdict, digest", [
+    (lambda: bayes_check(*dirichlet_bayes(Rng(11), 2, 2)),
+     "7422f469d160fa06ce8920e7f51db82e9dfda9aa97c1ee2cc4218359d4d1e740"),
+    (lambda: bayes_check(*dirichlet_bayes(Rng(13), 3, 3)),
+     "1fb91892129b6e65eb0625024970948d8d895eb624484dfe6a56b032357380e8"),
+    (coassoc_verdict, "7f67bfe6493fbc4e76c16daa708f46c95869f029742380ddb40b9047185f8354"),
+], ids=["bayes-2x2", "bayes-3x3", "coassoc"])
+def test_the_table_readings_are_pinned(monkeypatch, verdict, digest):
+    """The sha256 of every reading a verdict takes from
+    ``hier._table_deviations``: its section, tick, and the deviation
+    matrix's shape and bytes.  A verdict's output holds no deviation when it
+    relates its systems, so a change in the last bit of a sum shows here."""
+    sha = hashlib.sha256()
+    real = hier._table_deviations
+
+    def recorded(*args):
+        n, readings = real(*args)
+
+        def read():
+            for s, t, dev in readings:
+                sha.update(f"{s} {t} {dev.shape} {dev.dtype}|".encode())
+                sha.update(dev.tobytes())
+                yield s, t, dev
+
+        return n, read()
+
+    monkeypatch.setattr(hier, "_table_deviations", recorded)
+    assert verdict()["related"] is True
+    assert sha.hexdigest() == digest
