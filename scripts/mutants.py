@@ -369,6 +369,43 @@ MUTANTS = (
          "tests/test_dist.py::test_a_product_with_a_nan_weight_is_refused",
          "tests/test_cli.py::test_a_nan_weight_in_a_spec_is_a_usage_error"),
     ),
+    # the unit rows of the candidate point masses put one candidate early,
+    # so each point mass is read as the one enumerated after it
+    Mutant(
+        "candidate-unit-row-shifted",
+        "src/polydyn/hier.py",
+        "out[np.arange(g, g + len(self.ids)), ",
+        "out[np.arange(g - 1, g - 1 + len(self.ids)), ",
+        ("tests/test_table_counts.py::test_candidate_rows_are_the_laws_read_atom_by_atom",
+         "tests/test_tables.py::test_the_table_readings_are_pinned"),
+    ),
+    # the uniform candidate's row left empty, a law of no mass
+    Mutant(
+        "candidate-uniform-row-dropped",
+        "src/polydyn/hier.py",
+        "        if self.spread:\n            out[-1] = 1.0 / table.size\n",
+        "",
+        ("tests/test_table_counts.py::test_candidate_rows_are_the_laws_read_atom_by_atom",
+         "tests/test_tables.py::test_the_table_readings_are_pinned"),
+    ),
+    # a verdict marks a mismatch only where a reading exceeds the tolerance,
+    # which a NaN reading never does
+    Mutant(
+        "bisim-nan-passes",
+        "src/polydyn/hier.py",
+        "new = (at_section < 0) & ~(dev <= tol)",
+        "new = (at_section < 0) & (dev > tol)",
+        ("tests/test_hier.py::test_a_nan_reading_is_a_mismatch",),
+    ),
+    # the lens oracle says yes to any two lenses
+    Mutant(
+        "maps-agree-always-true",
+        "src/polydyn/poly.py",
+        '    """Exact extensional equality of two lenses with the same finite shape."""\n',
+        '    """Exact extensional equality of two lenses with the same finite shape."""\n'
+        "    return True\n",
+        ("tests/test_poly.py::test_maps_agree_refuses_each_difference",),
+    ),
 )
 
 

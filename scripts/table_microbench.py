@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-call times of the table verdicts' sorts, products and whole verdicts, in microseconds.
+"""Per-call times of the table verdicts' sorts, products, set-up and whole verdicts, in microseconds.
 
 Prints one line per case, the least over ``--repeat`` rounds of the mean
 time per call in a round of ``--number`` calls, with one BLAS thread; each
@@ -12,7 +12,13 @@ round times every case once, in turn:
 - ``dist.product_items`` of two seeded full-support finite laws on 81 and
   27 atoms, the shape of a composite initial law;
 - ``bayes_check`` of a seeded exact inversion at 2x2 and at 3x3, the
-  benchmark's bayes-corpus shapes, each verdict built from its systems.
+  benchmark's bayes-corpus shapes, each verdict built from its systems;
+- the candidate initial laws of a 3x3 Bayes verdict's 81-state left joint
+  as the rows its table reads, against the same laws built as ``Dist``
+  objects and read by ``law``, atom by atom but for the joint's own
+  ``init``;
+- the ``_PairTable`` build of the 3x3 right joint's 2,187 states from its
+  factors' tables, which are built once, outside the timing.
 
 Run from the root of a checkout (``--repeat 1 --number 1`` is a smoke test):
 
@@ -33,13 +39,19 @@ import numpy as np  # noqa: E402
 from polydyn import (  # noqa: E402
     bayes_check,
     categorical,
+    compose_hier,
+    copy_system,
     exact_bayes,
     finite,
     finite_items,
+    id_hier,
+    linear,
     points,
     prior_system,
     stochastic_channel_system,
+    tensor_hier,
 )
+from polydyn import hier  # noqa: E402
 from polydyn.dist import product_items  # noqa: E402
 from polydyn.hier import _unique  # noqa: E402
 
@@ -64,6 +76,15 @@ def bayes_systems(gen, nx: int, ny: int) -> tuple:
             stochastic_channel_system(inverse, Y, X))
 
 
+def joints(c, p, inv) -> tuple:
+    """The two joints ``bayes_check`` compares, built as it builds them."""
+    X, Y = c.source.positions, c.target.positions
+    lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
+    rhs = compose_hier(compose_hier(compose_hier(p, c), copy_system(Y)),
+                       tensor_hier(inv, id_hier(linear(Y))))
+    return lhs, rhs
+
+
 def cases(gen):
     for n in CODES:
         codes = gen.integers(-1, n, size=n)
@@ -77,6 +98,16 @@ def cases(gen):
     for nx, ny in BAYES_SHAPES:
         systems = bayes_systems(gen, nx, ny)
         yield f"bayes_check {nx}x{ny}", lambda s=systems: bayes_check(*s)
+    # drawn after the cases above, so their inputs are those of earlier versions
+    lhs, rhs = joints(*bayes_systems(gen, 3, 3))
+    table = hier.tabulate(lhs)
+    yield "candidate rows 81", lambda: hier._initial_laws(lhs, None, "exists").rows(table)
+    yield ("candidate laws by atom 81",
+           lambda: np.array([table.law(d) for d in hier._candidates(lhs, None, "exists")]))
+    kind, left, right = rhs.factors
+    done: dict = {}
+    factors = hier._tabulate(left, done), hier._tabulate(right, done)
+    yield "_PairTable 2187", lambda: hier._PairTable(rhs, kind, *factors)
 
 
 def main() -> None:

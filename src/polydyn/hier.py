@@ -31,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dist import (
+    Categorical,
     Dirac,
     Dist,
     Rng,
@@ -67,6 +68,7 @@ from .spaces import (
     DistSpace,
     FiniteSpace,
     Space,
+    cardinality,
     expand_point,
     is_finite,
     normalize_point,
@@ -295,12 +297,13 @@ class HierTable:
 
     State ids follow ``points(states)``.  ``key_of`` maps each state id to
     the id of the lens the state emits; ``keys[k]`` is that lens's
-    ``polymap_key`` and ``options[k]`` its (position, direction) responses
-    as slot tuples (``normalize_point``), in the order ``hom_sections``
-    offers them, and ``_ranges[k]`` the options of each row of the key.  A
-    leaf table walks each lens for its key and keeps one lens's responses
-    per key; a composite table keeps keys, not lenses (see ``_PairTable``),
-    unless it is walked as a leaf.
+    ``polymap_key`` and ``_ranges[k]`` the option indices of each row of the
+    key.  The options themselves, each key's (position, direction) responses
+    as slot tuples (``normalize_point``) in the order ``hom_sections``
+    offers them, are built from the keys only where they are read
+    (``options``, ``_options``).  A leaf table walks each lens for its key
+    and keeps one lens's responses per key; a composite table keeps keys,
+    not lenses (see ``_PairTable``), unless it is walked as a leaf.
     ``step(s, o)`` is the next-state law of state s after response o, as a
     sparse row (state ids, weights).  A row is built when ``rows`` first
     interns it, so states that move alike share one row id.  ``law(d)`` is a
@@ -310,7 +313,6 @@ class HierTable:
     def __init__(self, hs: HierSystem):
         self.system = hs
         self.keys: list = []
-        self.options: list = []
         self._ranges: list = []
         self._key_ids: dict = {}
         self._rows: list = []  # row id -> (state ids, weights)
@@ -321,10 +323,14 @@ class HierTable:
         if k is None:
             k = self._key_ids[key] = len(self.keys)
             self.keys.append(key)
-            self.options.append(tuple((row[0], d) for row in key for d, _ in row[2]))
             ends = itertools.accumulate(len(row[2]) for row in key)
             self._ranges.append([range(end - len(row[2]), end) for row, end in zip(key, ends)])
         return k
+
+    @property
+    def options(self) -> list:
+        """Each key's options, built from the keys when read."""
+        return [_options(key) for key in self.keys]
 
     def step(self, s: int, o: int) -> tuple:
         return self._rows[int(self.rows(np.array([s]), np.array([o]))[0])]
@@ -363,7 +369,8 @@ class _LeafTable(HierTable):
             k = self.key_of[s] = self._key_id(polymap_key(lens))
             lenses.setdefault(k, lens)
         self._resp = [_responses(lens) for lens in lenses.values()]  # key id -> responses
-        self._width = 1 + max(len(o) for o in self.options)
+        # a key's option count is where its last row's range ends
+        self._width = 1 + max(r[-1].stop if r else 0 for r in self._ranges)
         self._absorbed: dict = {}  # state id * width + option -> row id
         # id(absorbed law) -> (law, row id); the law kept alive keeps its id
         self._law_rows: dict = {}
@@ -417,15 +424,18 @@ class _PairTable(HierTable):
         routes: list = []  # (left option, right option) per response
         n_right = len(right.keys)
         products: dict = {}  # each product of factor laws formed while this table is built
+        if kind == "compose":  # each right key's rows by source position, built once
+            g_rows = [{row[0]: (opts, row) for row, opts in zip(key, ranges)}
+                      for key, ranges in zip(right.keys, right._ranges)]
 
         def pair(code: int) -> int:
             kf, kg = divmod(code, n_right)
-            f_key, g_key, f_ranges, g_ranges = (
-                left.keys[kf], right.keys[kg], left._ranges[kf], right._ranges[kg])
+            f_key, f_ranges = left.keys[kf], left._ranges[kf]
             if kind == "compose":
-                key, routed = _compose_key(f_key, g_key, f_ranges, g_ranges)
+                key, routed = _compose_key(f_key, f_ranges, g_rows[kg])
             else:
-                key = tensor_key(f_key, g_key, products)
+                g_ranges = right._ranges[kg]
+                key = tensor_key(f_key, right.keys[kg], products)
                 routed = [(o_f, o_g) for f_opts in f_ranges for g_opts in g_ranges
                           for o_f in f_opts for o_g in g_opts]
             pair_key.append(self._key_id(key))
@@ -474,6 +484,12 @@ class _PairTable(HierTable):
         return self._new_row((ids[keep], ws[keep]))
 
 
+def _options(key: tuple) -> tuple:
+    """A key's (position, direction) responses as slot tuples, in option
+    order."""
+    return tuple((row[0], d) for row in key for d, _ in row[2])
+
+
 def _responses(lens: PolyMap) -> list:
     """A finite lens's (position, direction) responses, in option order: the
     order of its key's rows and of their directions."""
@@ -487,15 +503,15 @@ def _point_middles(right: HierTable) -> bool:
     return all(len(items) == 1 for key in right.keys for _, _, back in key for _, items in back)
 
 
-def _compose_key(f_key: tuple, g_key: tuple, f_ranges: list, g_ranges: list) -> tuple:
+def _compose_key(f_key: tuple, f_ranges: list, g_rows: dict) -> tuple:
     """The key of g after f, and per response its route, the one option of
-    f and of g it takes: from the factors' keys and option ranges, when
-    every backward law of g is a point mass.  ``bind`` of a point mass at d
+    f and of g it takes: from f's key and option ranges and g's rows (its
+    key's rows and their option ranges by position key), when every
+    backward law of g is a point mass.  ``bind`` of a point mass at d
     returns f's backward law at d itself, so the composite's entry is f's
     key entry for d, under g's forward position and direction keys at f's
     forward position.  Each such d is a direction of f's key there, because
     ``polymap_key`` keyed g only if its atoms lie in the middle fibre."""
-    g_rows = {row[0]: (opts, row) for row, opts in zip(g_key, g_ranges)}
     rows, routes = [], []
     for (i_key, j_key, f_back), f_opts in zip(f_key, f_ranges):
         g_opts, (_, fwd_key, g_back) = g_rows[j_key]
@@ -710,7 +726,7 @@ def _union(tables: list) -> tuple:
             if u is None:
                 u = index[table.keys[k]] = len(keys)
                 keys.append(table.keys[k])
-                options.append(table.options[k])
+                options.append(_options(table.keys[k]))
             to_union[k] = u
         maps.append(to_union)
     return keys, options, maps
@@ -875,7 +891,82 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     return Trace(tuple(range(horizon + 1)), tuple(values))
 
 
-def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
+_CANDIDATE_CAP = 256  # states above which no point mass or uniform law is a candidate
+
+
+class _Candidates:
+    """One side's candidate initial laws (see ``_candidates``): the
+    ``given`` laws, then the point masses at the states that
+    ``points(states)`` enumerates at ``ids``, then, when ``spread``, the
+    uniform law.  A point mass or the uniform law is built as a ``Dist``
+    only when the laws are iterated; a table reads it as a row (``rows``)."""
+
+    def __init__(self, states: Space, given: list, ids, spread: bool):
+        self.states, self.given, self.ids, self.spread = states, given, ids, spread
+
+    def __len__(self) -> int:
+        return len(self.given) + len(self.ids) + self.spread
+
+    def __iter__(self):
+        yield from self.given
+        if len(self.ids) or self.spread:
+            atoms = list(points(self.states))
+            yield from (Dirac(self.states, atoms[i]) for i in self.ids)
+            if self.spread:
+                yield uniform(self.states)
+
+    def rows(self, table: HierTable) -> np.ndarray:
+        """The laws as vectors over the table's state ids, one row each.  A
+        table's state ids follow ``points(states)``, for a composite because
+        its states are a binary ``prod`` and ``points`` is row-major, so the
+        point mass at the i-th state is the unit vector at i and the uniform
+        law the constant 1/n; only the given laws are read atom by atom."""
+        out = np.zeros((len(self), table.size))
+        for c, d in enumerate(self.given):
+            out[c] = table.law(d)
+        g = len(self.given)
+        out[np.arange(g, g + len(self.ids)), np.asarray(self.ids, dtype=np.intp)] = 1.0
+        if self.spread:
+            out[-1] = 1.0 / table.size
+        return out
+
+
+def _initial_laws(sys_, provided, mode: str, cap: int = _CANDIDATE_CAP) -> _Candidates:
+    """The candidates of ``_candidates``, with no point mass or uniform law
+    built.  The states are counted before any is enumerated, and enumerated
+    only to find the point masses that a given law repeats."""
+    given = []
+    for d in [*(provided or []), *([] if sys_.init is None else [sys_.init])]:
+        if not any(e is d or e == d for e in given):
+            given.append(d)
+    states = sys_.states
+    ids, spread = (), False
+    if is_finite(states) and (n := cardinality(states)) <= cap:
+        if n == 0:
+            uniform(states)  # refuses a space with no state
+        ids = range(n)
+        # a given law equals the point mass at a state only as a Dirac there
+        at = [e.point for e in given if type(e) is Dirac and e.space == states]
+        if at:
+            ids = [i for i, a in enumerate(points(states))
+                   if not any(x is a or x == a for x in at)]
+        # over one state the uniform law is that state's point mass; over
+        # more, a given law can equal it only as a Categorical with weight
+        # 1/n on each of the n states, so only such a law is compared
+        spread = n > 1 and not any(
+            type(e) is Categorical and len(e.items) == n
+            and all(w == 1.0 / n for _, w in e.items) and e == uniform(states)
+            for e in given
+        )
+    out = _Candidates(states, given, ids, spread)
+    if not len(out):
+        raise HierError(
+            f"no initial-state candidates available for quantifier {mode!r}"
+        )
+    return out
+
+
+def _candidates(sys_, provided, mode: str, cap: int = _CANDIDATE_CAP) -> list:
     """The provided laws and the system's ``init``, then, over at most
     ``cap`` states, every point mass and the uniform law; a law equal to an
     earlier one (``==``, exact labels and floats) is dropped.  Point masses
@@ -883,31 +974,14 @@ def _candidates(sys_, provided, mode: str, cap: int = 256) -> list:
     states, so only the provided laws and ``init`` are compared.  The
     states come from ``points``, so their point masses are not checked
     again."""
-    given = []
-    for d in [*(provided or []), *([] if sys_.init is None else [sys_.init])]:
-        if not any(e is d or e == d for e in given):
-            given.append(d)
-    out = list(given)
-    states = sys_.states
-    if is_finite(states):
-        atoms = list(points(states))
-        if len(atoms) <= cap:
-            made = [Dirac(states, a) for a in atoms]
-            spread = uniform(states)  # refuses a space with no state
-            if len(atoms) > 1:  # over one state it is that state's point mass
-                made.append(spread)
-            out.extend(d for d in made if not any(e is d or e == d for e in given))
-    if not out:
-        raise HierError(
-            f"no initial-state candidates available for quantifier {mode!r}"
-        )
-    return out
+    return list(_initial_laws(sys_, provided, mode, cap))
 
 
 def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
     """The number of sections, and readings (section, tick, C_a x C_b
     deviation of every candidate pair) section by section, from the two
-    systems' tables.
+    systems' tables, on which each side's candidates (``_Candidates``) are
+    read as rows.
 
     Sections move in chunks: the (section, candidate) pairs of a chunk are
     the rows of one law matrix per side (``_key_laws``), and the emitted-lens
@@ -930,7 +1004,7 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     choices = np.array(choices, dtype=np.intp).reshape(len(choices), len(keys))
-    laws = [np.array([tb.law(d) for d in cs]) for tb, cs in zip(tables, (cand_a, cand_b))]
+    laws = [cs.rows(tb) for tb, cs in zip(tables, (cand_a, cand_b))]
     per_section = max(len(law) * (tb.size + len(keys) * (horizon + 1))
                       for tb, law in zip(tables, laws))
     most = max(1, _BUDGET // per_section)
@@ -1011,7 +1085,9 @@ def quasi_bisim(
     at all is refused, not passed.
 
     A candidate pair matches when its traces agree within ``tol`` at every
-    tick under every section.  A side-a candidate holds when some
+    tick under every section: a reading holds only when it is ``<= tol``,
+    so a NaN reading is a mismatch, as in a law report
+    (``systems._report``).  A side-a candidate holds when some
     (``exists``) or every (``forall``) side-b candidate matches it, and the
     systems are related when some (``exists``) or every (``forall``) side-a
     candidate holds.  The witness names ``alpha``, the first side-a
@@ -1029,8 +1105,8 @@ def quasi_bisim(
     theta, psi = (as_hier(s) if isinstance(s, System) else s for s in (theta, psi))
     if sections is not None:
         sections = list(sections)
-    cand_a = _candidates(theta, alphas, alpha_mode)
-    cand_b = _candidates(psi, betas, beta_mode)
+    cand_a = _initial_laws(theta, alphas, alpha_mode)
+    cand_b = _initial_laws(psi, betas, beta_mode)
     if is_finite(theta.states) and is_finite(psi.states):
         n_sections, readings = _table_deviations(
             theta, psi, sections, cand_a, cand_b, horizon, max_sections
@@ -1048,7 +1124,7 @@ def quasi_bisim(
     at_t = np.zeros(shape, dtype=np.intp)
     deviation = np.zeros(shape)
     for si, t, dev in readings:
-        new = (at_section < 0) & (dev > tol)
+        new = (at_section < 0) & ~(dev <= tol)
         at_section[new], at_t[new], deviation[new] = si, t, dev[new]
         if (at_section >= 0).all():  # later readings cannot change the table
             break

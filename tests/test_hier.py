@@ -1,6 +1,7 @@
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from polydyn import (
@@ -245,6 +246,28 @@ def test_quantifier_modes_differ():
     verdict_f = quasi_bisim(blinker(2), shifted, "forall", "forall",
                             horizon=6, tol=0.0)
     assert not verdict_f["related"]
+
+
+def test_a_nan_reading_is_a_mismatch(monkeypatch):
+    """A reading holds only when it is within the tolerance, so a NaN
+    deviation refutes a pair, as a NaN case fails a law report: here the
+    coassociativity sides, related under every reading the tables give, are
+    refuted once their first reading is NaN."""
+    cp, ida = copy_system(A), id_hier(linear(A))
+    sides = (compose_hier(cp, tensor_hier(cp, ida)), compose_hier(cp, tensor_hier(ida, cp)))
+    assert quasi_bisim(*sides, "forall", "forall", horizon=4)["related"] is True
+    real = hier._table_deviations
+
+    def first_nan(*args):
+        n, readings = real(*args)
+        return n, ((s, t, np.full_like(dev, np.nan) if (s, t) == (0, 0) else dev)
+                   for s, t, dev in readings)
+
+    monkeypatch.setattr(hier, "_table_deviations", first_nan)
+    verdict = quasi_bisim(*sides, "forall", "forall", horizon=4)
+    assert verdict["related"] is False
+    witness = verdict["witness"]
+    assert (witness["section"], witness["t"]) == (0, 0) and np.isnan(witness["deviation"])
 
 
 def test_stochastic_hier_absorb_law():
@@ -595,8 +618,8 @@ def from_the_start(monkeypatch):
     candidate start of its own, which shows at tick 0 the lens that a
     partial section lacks; these verdicts are about the runs from the
     start."""
-    monkeypatch.setattr(hier, "_candidates",
-                        lambda sys_, provided, mode: [dirac(sys_.states, (0, 0))])
+    monkeypatch.setattr(hier, "_initial_laws", lambda sys_, provided, mode: hier._Candidates(
+        sys_.states, [dirac(sys_.states, (0, 0))], (), False))
 
 
 def test_forking_equals_the_closure_walk():

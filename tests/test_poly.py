@@ -71,6 +71,23 @@ def test_identity_laws():
     assert maps_agree(compose_map(PHI, id_map(P)), PHI)
 
 
+def test_maps_agree_refuses_each_difference():
+    """Each way two lenses can differ is refused: their shapes, a forward
+    position, or a backward law at one direction, deterministic or not."""
+    forward = det_polymap(P, Q, {"i": "v", "j": "v"}.__getitem__,
+                          lambda i, d: 0 if i == "i" else d)
+    backward = det_polymap(P, Q, {"i": "u", "j": "v"}.__getitem__,
+                           lambda i, d: 0 if i == "i" else 1 - d)
+    mixed = PolyMap(P, Q, {"i": "u", "j": "v"}.__getitem__,
+                    lambda i, d: dirac(P.dirs_at(i), 0) if i == "i" else uniform(P.dirs_at(i)),
+                    STOCHASTIC)
+    assert maps_agree(PHI, PHI)
+    assert not maps_agree(PHI, PSI)  # shapes
+    assert not maps_agree(PHI, forward)  # forward position at "i"
+    assert not maps_agree(PHI, backward)  # backward law at ("j", 0)
+    assert not maps_agree(PHI, mixed)  # backward law at "j", by its weights
+
+
 def test_composition_associativity():
     lhs = compose_map(compose_map(CHI, PSI), PHI)
     rhs = compose_map(CHI, compose_map(PSI, PHI))

@@ -723,6 +723,9 @@ def test_systems_agree_negative():
         time_nat(),
     )
     assert not systems_agree(a, b)
+    # same shape and update, but another output at every state
+    c = mk_system(linear(states), states, lambda t, s: (s + 1) % 3, a.update, time_nat())
+    assert not systems_agree(a, c)
 
 
 def test_closed_from_kernel_zero_time():

@@ -6,11 +6,14 @@ side's laws repeat bit for bit, so its ticks, too, do not grow with the
 horizon past that point; a composite's own initial law is read
 from its factors' law vectors, with no composite state looked up; a leaf
 maps each absorbed law's atoms once; no sort is made of a single code,
-and none by ``np.unique``; and the candidate initial laws are the point
-masses and uniform law built the checked way, without the checks.
+and none by ``np.unique``; the candidate initial laws are the point
+masses and uniform law built the checked way, without the checks; and a
+table reads them as rows, the laws read atom by atom, with no state
+enumerated past the cap.
 """
 
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,12 +31,14 @@ from polydyn import (
     finite,
     id_hier,
     linear,
+    mk_hier,
     points,
     prior_system,
     quasi_bisim,
     stochastic_channel_system,
     tensor_hier,
     uniform,
+    y,
 )
 from polydyn import hier, poly
 
@@ -289,3 +294,90 @@ def test_the_trusted_candidates_are_the_checked_ones():
             assert [repr(d) for d in got] == [repr(d) for d in want]
             assert [type(d) for d in got] == [type(d) for d in want]
     assert uniform(finite("a")) == dirac(finite("a"), "a")
+
+
+def ring(n: int):
+    """A leaf y -> y on n states that steps x to x + 1 mod n, from state 0."""
+    states = finite(*range(n))
+    lens = hier.id_hier(y()).emit(())
+    return mk_hier(y(), y(), states, lambda x: lens, lambda x, i, d: dirac(states, (x + 1) % n),
+                   init=dirac(states, 0))
+
+
+def joints():
+    """The two joints of a 3x3 Bayes check: 81 and 2,187 states."""
+    c, p, inv = bayes_3x3()
+    X, Y = c.source.positions, c.target.positions
+    lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
+    rhs = compose_hier(compose_hier(compose_hier(p, c), copy_system(Y)),
+                       tensor_hier(inv, id_hier(linear(Y))))
+    return lhs, rhs
+
+
+CANDIDATE_SYSTEMS = {
+    "leaf": (lambda: bayes_3x3()[1], hier._LeafTable),
+    "pair": (lambda: joints()[0], hier._PairTable),
+    "walked": (lambda: replace(joints()[0]), hier._LeafTable),
+    "one-state": (lambda: id_hier(linear(finite(0, 1, 2))), hier._LeafTable),
+    "256": (lambda: ring(256), hier._LeafTable),
+    "257": (lambda: ring(257), hier._LeafTable),
+}
+
+
+@pytest.mark.parametrize("name", CANDIDATE_SYSTEMS)
+def test_candidate_rows_are_the_laws_read_atom_by_atom(name):
+    """A table reads each candidate initial law as a row: the point mass at
+    the i-th state that ``points`` enumerates as the unit row at i, and the
+    uniform law as the constant row 1/n.  Each row equals, bit for bit, the
+    law ``_candidates`` builds, read atom by atom (``HierTable.law``), with
+    and without provided laws that repeat a point mass, the uniform law and
+    ``init``; a composite reads its own ``init`` from its factors."""
+    make, kind = CANDIDATE_SYSTEMS[name]
+    hs = make()
+    table = hier.tabulate(hs)
+    assert type(table) is kind
+    states = hs.states
+    atoms = list(points(states))
+    spread = categorical(states, [(a, 1.0 / len(atoms)) for a in atoms])
+    repeats = [dirac(states, atoms[-1]), spread, dirac(states, atoms[0]), hs.init]
+    for provided in ([], repeats):
+        laws = hier._initial_laws(hs, provided, "forall")
+        want = hier._candidates(hs, provided, "forall")
+        assert list(laws) == want and len(laws) == len(want)
+        rows = laws.rows(table)
+        assert rows.shape == (len(want), table.size)
+        for c, d in enumerate(want):
+            assert rows[c].tobytes() == hier.HierTable.law(table, d).tobytes(), (c, d)
+
+
+@pytest.mark.parametrize("name", ("257", "rhs"))
+def test_candidates_past_the_cap_enumerate_no_state(monkeypatch, name):
+    """Above 256 states, the 3x3 right joint's 2,187 among them, the
+    candidates are the given laws alone, and no state is enumerated to find
+    that out.  At 256 states the point masses and the uniform law are
+    candidates: the point mass at state 0 is ``init``, so 255 of them."""
+    assert len(hier._initial_laws(ring(256), None, "exists")) == 1 + 255 + 1
+    hs = ring(257) if name == "257" else joints()[1]
+    enumerated = []
+    real_points = hier.points
+
+    def points_(space):
+        enumerated.append(space)
+        return real_points(space)
+
+    monkeypatch.setattr(hier, "points", points_)
+    laws = hier._initial_laws(hs, None, "exists")
+    assert enumerated == []
+    assert list(laws) == [hs.init]
+
+
+def test_candidates_over_no_state_are_refused():
+    """A state space with no point is refused, as the uniform law over it
+    is, before any table is built."""
+    states = finite()
+    hs = mk_hier(y(), y(), states, lambda x: None, lambda x, i, d: None)
+    for candidates in (hier._initial_laws, hier._candidates):
+        with pytest.raises(DistError, match=r"^weights sum to 0\.0"):
+            candidates(hs, None, "exists")
+    with pytest.raises(DistError, match=r"^weights sum to 0\.0"):
+        quasi_bisim(hs, hs)

@@ -769,8 +769,8 @@ def test_chunked_verdicts_equal_the_section_by_section_verdicts(monkeypatch):
     pairs.append((theta, theta))
     firsts = set()
     for lhs, rhs in pairs:
-        args = (None, hier._candidates(lhs, None, "forall"), hier._candidates(rhs, None, "forall"),
-                HORIZON, 512)
+        args = (None, hier._initial_laws(lhs, None, "forall"),
+                hier._initial_laws(rhs, None, "forall"), HORIZON, 512)
         for budget in (hier._BUDGET, 1536):  # 1536: chunks of at most 3 sections
             with monkeypatch.context() as m:
                 m.setattr(hier, "_BUDGET", budget)
