@@ -1,0 +1,274 @@
+#!/usr/bin/env python3
+"""Per-call times of polydyn's primitives, in microseconds, by group.
+
+Prints one line per case, the least over ``--repeat`` rounds of the mean
+time per call in a round of ``--number`` calls, with one BLAS thread; each
+round times every case of a group once, in turn.  ``--group`` picks one
+group; with none, every group runs, one after another.  Each group draws
+its inputs from its own ``np.random.default_rng(0)``.
+
+- ``laplace`` (2,000 calls per round unless ``--number`` is given): the
+  pieces of a Laplace level-step.
+  - ``dist.gaussian`` at n = 1, 2, 3, 6 and 18, on a fresh ``euclid(n)``
+    and a seeded symmetric positive-definite covariance;
+  - ``laplace._Guarded`` (the conditioning check a solve and an inverse
+    rely on) on the same covariances;
+  - one level-step of a one-level ``run_stack``, linear and nonlinear: the
+    belief update from the last evaluation and the free energy at the new
+    mean.  The linear level is affine with a constant covariance; the
+    nonlinear one has mean tanh(Wx) + b, a state-dependent covariance and
+    no analytic Jacobian, as the benchmark's nonlinear level.
+- ``flow`` (200 calls): the flow and bundle laws and the distance they read.
+  - ``check_flow`` on seeded stochastic systems of the benchmark's flow
+    shape (n = 4, 5 and 6 states, positions p0/p1 with 2 and 3 directions,
+    full-support dyadic updates) over the splits 0 < s + t <= 8, with every
+    section of the interface and every state;
+  - ``check_bundle`` on ``bundle_example(3, 2)``, the benchmark's bundle
+    shape: four total sections against eight base sections, at times 1-3
+    and each of the six total states, its squares read from rows of the
+    tick matrices' powers;
+  - ``dist_distance`` between two seeded full-support finite laws on n = 2,
+    8 and 64 atoms, listed in two different orders.
+- ``table`` (200 calls): the table verdicts' sorts, products, set-up and
+  whole verdicts.
+  - ``hier._unique`` against ``np.unique`` on n = 1, 3, 27, 81 and 2,187
+    seeded codes in -1..n-1 (2,187 is the pair count of a 3x3 Bayes
+    verdict's right joint), both for values and inverse (the default sort)
+    and with the first occurrences too (a stable sort);
+  - ``dist.product_items`` of two seeded full-support finite laws on 81 and
+    27 atoms, the shape of a composite initial law;
+  - ``bayes_check`` of a seeded exact inversion at 2x2 and at 3x3, the
+    benchmark's bayes-corpus shapes, each verdict built from its systems;
+  - the candidate initial laws of a 3x3 Bayes verdict's 81-state left joint
+    as the rows its table reads, against the same laws built as ``Dist``
+    objects and read by ``law``, atom by atom but for the joint's own
+    ``init``;
+  - the ``_PairTable`` build of the 3x3 right joint's 2,187 states from its
+    factors' tables, which are built once, outside the timing.
+
+Run from the root of a checkout (``--repeat 1 --number 1`` is a smoke test):
+
+    PYTHONPATH=src python scripts/microbench.py --group flow --repeat 7
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads its BLAS
+
+import argparse  # noqa: E402
+import math  # noqa: E402
+import timeit  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from polydyn import (  # noqa: E402
+    STOCHASTIC,
+    bayes_check,
+    categorical,
+    compose_hier,
+    copy_system,
+    exact_bayes,
+    finite,
+    finite_items,
+    id_hier,
+    laplace,
+    linear,
+    mk_system,
+    points,
+    prior_system,
+    stochastic_channel_system,
+    tabulated,
+    tensor_hier,
+    time_nat,
+)
+from polydyn import hier  # noqa: E402
+from polydyn.dist import dist_distance, gaussian, product_items  # noqa: E402
+from polydyn.hier import _unique  # noqa: E402
+from polydyn.random_bundle import check_bundle  # noqa: E402
+from polydyn.spaces import euclid  # noqa: E402
+from polydyn.specio import bundle_example  # noqa: E402
+from polydyn.systems import check_flow  # noqa: E402
+
+# ---------------------------------------------------------------------------
+# laplace
+
+SIZES = (1, 2, 3, 6, 18)
+
+
+def spd(gen, n: int) -> np.ndarray:
+    root = gen.standard_normal((n, n))
+    return root @ root.T + n * np.eye(n)
+
+
+def level_step(channel, prior, datum, rate: float):
+    """One ``run_stack`` level-step per call, each from the mean the last
+    one reached."""
+    cfg = laplace.LaplaceConfig(rate=rate)
+    point = [laplace._Evaluation(channel, np.zeros(channel.in_dim), laplace._Prior())]
+
+    def step():
+        at = point[0]
+        rho, at_new = at.update(prior, datum, cfg)
+        at_new.energy(prior, datum) - at.prior.entropy(rho)
+        point[0] = at_new
+
+    return step
+
+
+def laplace_cases(gen):
+    for n in SIZES:
+        mean, cov = gen.standard_normal(n), spd(gen, n)
+        yield f"dist.gaussian n={n}", lambda n=n, m=mean, c=cov: gaussian(euclid(n), m, c)
+    for n in SIZES:
+        cov = spd(gen, n)
+        yield f"laplace._Guarded n={n}", lambda c=cov: laplace._Guarded("a covariance", c)
+    dim = 2
+    w = np.eye(dim) + 0.3 * gen.standard_normal((dim, dim))
+    b = 0.2 * gen.standard_normal(dim)
+    prior = laplace.mk_state(0.3 * gen.standard_normal(dim), np.eye(dim))
+    datum = 0.5 * gen.standard_normal(dim)
+    linear_level = laplace.linear_channel(w, b, 0.6 * np.eye(dim))
+    yield f"linear level-step n={dim}", level_step(linear_level, prior, datum, 0.05)
+    nonlinear = laplace.GaussianChannel(
+        dim, dim,
+        lambda x: np.tanh(w @ x) + b,
+        None,
+        lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2),
+    )
+    yield f"nonlinear level-step n={dim}", level_step(nonlinear, prior, datum, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# flow
+
+FLOW_STATES = (4, 5, 6)
+LAW_ATOMS = (2, 8, 64)
+SPLITS = [(s, t) for s in range(9) for t in range(9) if 0 < s + t <= 8]
+
+
+def dyadic(gen, n: int) -> list:
+    """Full-support weights k / 2^m on n atoms, 2^m > n (k / 8 up to n = 7,
+    as the benchmark's flow shapes have them)."""
+    total = 1 << max(3, n.bit_length())
+    return ((1 + gen.multinomial(total - n, [1.0 / n] * n)) / total).tolist()
+
+
+def flow_system(gen, n: int):
+    states = finite(*range(n))
+    iface = tabulated(finite("p0", "p1"), {"p0": finite(0, 1), "p1": finite(0, 1, 2)})
+    table = {
+        (s, d): categorical(states, list(zip(range(n), dyadic(gen, n))))
+        for s in range(n)
+        for d in points(iface.dirs_at(f"p{s % 2}"))
+    }
+    return mk_system(
+        iface, states, lambda t, s: f"p{s % 2}", lambda t, s, d: table[(s, d)],
+        time_nat(), STOCHASTIC,
+    )
+
+
+def flow_cases(gen):
+    for n in FLOW_STATES:
+        sys_ = flow_system(gen, n)
+        yield f"check_flow n={n}", lambda s=sys_: check_flow(s, times=SPLITS, tol=0.0)
+    yield "check_bundle 3x2", lambda bs=bundle_example(3, 2): check_bundle(bs)
+    for n in LAW_ATOMS:
+        atoms = finite(*range(n))
+        d1 = categorical(atoms, list(zip(range(n), dyadic(gen, n))))
+        d2 = categorical(atoms, list(zip(range(n - 1, -1, -1), dyadic(gen, n))))
+        yield f"dist_distance n={n}", lambda a=d1, b=d2: dist_distance(a, b)
+
+
+# ---------------------------------------------------------------------------
+# table
+
+CODES = (1, 3, 27, 81, 2187)
+PRODUCT_ATOMS = (81, 27)
+BAYES_SHAPES = ((2, 2), (3, 3))
+
+
+def law(gen, n: int, prefix: str):
+    atoms = finite(*[f"{prefix}{i}" for i in range(n)])
+    return categorical(atoms, list(zip(points(atoms), gen.dirichlet([1.5] * n).tolist())))
+
+
+def bayes_systems(gen, nx: int, ny: int) -> tuple:
+    """A seeded channel, prior and exact inversion, as the benchmark draws them."""
+    pi = law(gen, nx, "x")
+    X = pi.space
+    rows = {x: law(gen, ny, "y") for x in points(X)}
+    Y = rows[next(iter(rows))].space
+    inverse = exact_bayes(rows.__getitem__, pi, target=Y)
+    return (stochastic_channel_system(rows.__getitem__, X, Y), prior_system(pi),
+            stochastic_channel_system(inverse, Y, X))
+
+
+def joints(c, p, inv) -> tuple:
+    """The two joints ``bayes_check`` compares, built as it builds them."""
+    X, Y = c.source.positions, c.target.positions
+    lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
+    rhs = compose_hier(compose_hier(compose_hier(p, c), copy_system(Y)),
+                       tensor_hier(inv, id_hier(linear(Y))))
+    return lhs, rhs
+
+
+def table_cases(gen):
+    for n in CODES:
+        codes = gen.integers(-1, n, size=n)
+        yield f"_unique n={n}", lambda c=codes: _unique(c)
+        yield f"np.unique n={n}", lambda c=codes: np.unique(c, return_inverse=True)
+        yield f"_unique index n={n}", lambda c=codes: _unique(c, index=True)
+        yield (f"np.unique index n={n}",
+               lambda c=codes: np.unique(c, return_index=True, return_inverse=True))
+    items = [finite_items(law(gen, n, "a")) for n in PRODUCT_ATOMS]
+    yield "product_items 81x27", lambda: product_items(*items)
+    for nx, ny in BAYES_SHAPES:
+        systems = bayes_systems(gen, nx, ny)
+        yield f"bayes_check {nx}x{ny}", lambda s=systems: bayes_check(*s)
+    # drawn after the cases above, so their inputs are those of earlier versions
+    lhs, rhs = joints(*bayes_systems(gen, 3, 3))
+    table = hier.tabulate(lhs)
+    yield "candidate rows 81", lambda: hier._initial_laws(lhs, None, "exists").rows(table)
+    yield ("candidate laws by atom 81",
+           lambda: np.array([table.law(d) for d in hier._candidates(lhs, None, "exists")]))
+    kind, left, right = rhs.factors
+    done: dict = {}
+    factors = hier._tabulate(left, done), hier._tabulate(right, done)
+    yield "_PairTable 2187", lambda: hier._PairTable(rhs, kind, *factors)
+
+
+# ---------------------------------------------------------------------------
+
+# group -> (its cases from a seeded generator, its calls per round by default)
+GROUPS = {
+    "laplace": (laplace_cases, 2000),
+    "flow": (flow_cases, 200),
+    "table": (table_cases, 200),
+}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--group", choices=GROUPS, help="the one group to time; all when left out")
+    parser.add_argument("--repeat", type=int, default=7, help="rounds; the least is kept")
+    parser.add_argument("--number", type=int, help="calls per round (the group's own default)")
+    args = parser.parse_args()
+    if args.repeat < 1 or args.number is not None and args.number < 1:
+        parser.error("--repeat and --number must be at least 1")
+    for name in [args.group] if args.group else GROUPS:
+        cases, number = GROUPS[name]
+        number = args.number or number
+        # round-robin over the cases, so that a slow spell of a shared
+        # machine reaches every case, and the least round of each misses it
+        timed = list(cases(np.random.default_rng(0)))
+        best = [math.inf] * len(timed)
+        for _ in range(args.repeat):
+            for k, (_, call) in enumerate(timed):
+                best[k] = min(best[k], timeit.timeit(call, number=number))
+        for (case, _), least in zip(timed, best):
+            print(f"{case:28s} {least / number * 1e6:9.2f} us")
+
+
+if __name__ == "__main__":
+    main()

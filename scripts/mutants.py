@@ -406,6 +406,30 @@ MUTANTS = (
         "    return True\n",
         ("tests/test_poly.py::test_maps_agree_refuses_each_difference",),
     ),
+    # the spec reader takes JSON true for the number 1
+    Mutant(
+        "spec-bool-as-number",
+        "src/polydyn/specio.py",
+        "        if type(value) is int:\n",
+        "        if isinstance(value, int):\n",
+        ("tests/test_cli.py::test_a_boolean_is_never_a_number_or_a_label",),
+    ),
+    # a nested refusal names only the last object key of its path
+    Mutant(
+        "spec-path-dropped",
+        "src/polydyn/specio.py",
+        'return f"{head}.{self.key}" if head else self.key',
+        "return self.key",
+        ("tests/test_cli.py::test_a_nested_refusal_names_its_whole_key_path",),
+    ),
+    # the gap between two overflowed points warns where it should read NaN
+    Mutant(
+        "distance-overflow-warns",
+        "src/polydyn/dist.py",
+        'with np.errstate(invalid="ignore"):',
+        "with np.errstate():",
+        ("tests/test_law_reports.py::test_a_nan_deviation_fails_its_law",),
+    ),
 )
 
 

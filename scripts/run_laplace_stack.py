@@ -72,8 +72,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads(Path(args.spec).read_text())
-    levels, pi0, datum, cfg = laplace_from_json(spec)
-    steps = args.steps if args.steps is not None else int(spec.get("steps", 200))
+    levels, pi0, datum, cfg, steps = laplace_from_json(spec)
+    steps = args.steps if args.steps is not None else steps
     rows = run_stack(levels, cfg, pi0, datum, steps)
 
     if args.out:

@@ -43,18 +43,20 @@ from .random_bundle import (
     check_random_system,
     ou_demo,
 )
-from .spaces import finite, points
+from .spaces import points
 from .specio import (
     SpecError,
+    bayes_from_json,
     biased_swap_example,
     bundle_example,
-    dist_of,
+    comonoid_from_json,
+    demo_from_json,
+    flow_from_json,
     laplace_from_json,
     load_json,
     rotation_example,
-    section_from_json,
+    run_from_json,
     skew_random_example,
-    system_from_json,
 )
 from .systems import check_flow, closure
 
@@ -77,22 +79,13 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _spec_int(spec: dict, key: str, default: int) -> int:
-    """The spec's ``key``, which must be a JSON integer: a float or a boolean
-    would be truncated into another run length."""
-    value = spec.get(key, default)
-    if type(value) is not int:
-        raise SpecError(f"spec key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _horizon(args, spec: dict, key: str, default: int) -> int:
-    """The run length: ``--horizon`` when given, else the spec's ``key``."""
-    value = args.horizon if args.horizon is not None else _spec_int(spec, key, default)
-    if value < 0:
-        source = "--horizon" if args.horizon is not None else f"spec key {key!r}"
-        raise SpecError(f"{source} must be non-negative, got {value}")
-    return value
+def _horizon(args, spec_horizon: int) -> int:
+    """The run length: ``--horizon`` when given, else the spec's."""
+    if args.horizon is None:
+        return spec_horizon
+    if args.horizon < 0:
+        raise SpecError(f"--horizon must be non-negative, got {args.horizon}")
+    return args.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +93,8 @@ def _horizon(args, spec: dict, key: str, default: int) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = load_json(args.spec)
-    sys_ = system_from_json(spec["system"])
-    sigma = section_from_json(sys_.interface, spec.get("section"))
-    init = dist_of(sys_.states, spec.get("init", "uniform"))
-    horizon = _horizon(args, spec, "horizon", 8)
-    mode = spec.get("mode", "exact")
+    sys_, sigma, init, horizon, mode = run_from_json(load_json(args.spec))
+    horizon = _horizon(args, horizon)
     if mode == "exact":
         tr = trace(sys_, sigma, init, horizon)
         if all(isinstance(v, Dirac) for v in tr.values):
@@ -117,7 +106,7 @@ def cmd_run(args) -> int:
             for t, v in zip(tr.times, tr.values):
                 weights = dict(finite_items(v))
                 rows.append(tuple([t] + [repr(weights.get(lab, 0.0)) for lab in labels]))
-    elif mode == "sample":
+    else:
         rng = Rng(args.seed)
         gen_state = sample(init, rng.child(0))
         cs = closure(sys_, sigma)
@@ -126,8 +115,6 @@ def cmd_run(args) -> int:
         for t in range(horizon + 1):
             rows.append((t, sys_.output(1, state)))
             state = sample(cs.step(1, state), rng.child(t + 1))
-    else:
-        raise SpecError(f"unknown run mode {mode!r}")
     _emit(_csv(rows), args.out)
     return 0
 
@@ -137,7 +124,7 @@ def cmd_run(args) -> int:
 
 
 def _suite_flow(spec) -> list:
-    return [check_flow(system_from_json(spec["system"] if spec else {"named": "counter", "n": 6}))]
+    return [check_flow(flow_from_json(spec))]
 
 
 def _suite_measure(spec) -> list:
@@ -157,9 +144,7 @@ def _suite_bundle(spec) -> list:
 
 
 def _suite_comonoid(spec) -> list:
-    labels = (spec or {}).get("space", [0, 1, 2])
-    horizon = _spec_int(spec or {}, "horizon", 8)
-    A = finite(*labels)
+    A, horizon = comonoid_from_json(spec or {})
     Ay = linear(A)
     cp = copy_system(A)
     laws = [
@@ -187,21 +172,7 @@ def _suite_comonoid(spec) -> list:
 
 
 def _suite_bayes(spec) -> list:
-    if spec and "prior" in spec:
-        xs = finite(*spec["labels_x"])
-        ys = finite(*spec["labels_y"])
-        pi = categorical(xs, dict(spec["prior"]))
-        rows = {x: categorical(ys, dict(row)) for x, row in spec["channel"]}
-        perturb = float(spec.get("perturb", 0.0))
-    else:
-        xs = finite("x1", "x2")
-        ys = finite("y1", "y2")
-        pi = categorical(xs, {"x1": 1 / 3, "x2": 2 / 3})
-        rows = {
-            "x1": categorical(ys, {"y1": 0.9, "y2": 0.1}),
-            "x2": categorical(ys, {"y1": 0.3, "y2": 0.7}),
-        }
-        perturb = 0.0
+    xs, ys, pi, rows, perturb = bayes_from_json(spec)
 
     def chan(x):
         return rows[x]
@@ -265,10 +236,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_laplace(args) -> int:
-    spec = load_json(args.spec)
-    levels, pi0, datum, cfg = laplace_from_json(spec)
-    # run first: it refuses a stack with no level, which has no width
-    rows = run_stack(levels, cfg, pi0, datum, _horizon(args, spec, "steps", 200))
+    levels, pi0, datum, cfg, steps = laplace_from_json(load_json(args.spec))
+    rows = run_stack(levels, cfg, pi0, datum, _horizon(args, steps))
     width = max(ch.in_dim for ch in levels)
     lines = [_csv([("step", "level", *(f"mean_{k}" for k in range(width)), "free_energy")])]
     # level -> its last row's mean and free energy, and its text after the step
@@ -289,14 +258,9 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    spec = load_json(args.spec) if args.spec else {}
+    theta, sigma, h, horizon, x0 = demo_from_json(load_json(args.spec) if args.spec else {})
     text = ou_demo(
-        theta_rate=float(spec.get("theta", 1.0)),
-        sigma=float(spec.get("sigma", 0.5)),
-        h=float(spec.get("h", 0.02)),
-        horizon=_horizon(args, spec, "horizon", 1000),
-        seed=args.seed,
-        x0=float(spec.get("x0", 0.0)),
+        theta_rate=theta, sigma=sigma, h=h, horizon=_horizon(args, horizon), seed=args.seed, x0=x0
     )
     _emit(text, args.out)
     return 0

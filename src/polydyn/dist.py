@@ -519,7 +519,11 @@ def dist_distance(d1: Dist, d2: Dist) -> float:
     if g1 is not None and g2 is not None and len(g1.mean) == len(g2.mean):
         # the mean stacked over the covariance rows, (n + 1) x n, one gap for both
         m1, m2 = (np.array((g.mean, *g.cov), dtype=float) for g in (g1, g2))
-        return float(np.max(np.abs(m1 - m2), initial=0.0))
+        # two overflowed points both at inf are NaN apart, which fails every
+        # tolerance, with no warning
+        with np.errstate(invalid="ignore"):
+            gap = m1 - m2
+        return float(np.max(np.abs(gap), initial=0.0))
     return _label_distance(d1, d2) if both_points else float("inf")
 
 
@@ -550,29 +554,65 @@ def dist_to_json(d: Dist) -> dict:
 
 
 def dist_from_json(space: Space, obj: dict) -> Dist:
+    """The law over ``space`` that a JSON object describes.  A value of
+    another JSON type, a weight that is not a number, or a Gaussian's mean
+    or covariance of another shape than the space's, is refused with
+    ``DistError``; an atom that is not a point, with ``SpaceError``."""
+    if not isinstance(obj, dict):
+        raise DistError(f"not a distribution description: {obj!r}")
     if "dirac" in obj:
-        return dirac(space, _atom_from_json(space, obj["dirac"]))
+        return dirac(space, point_from_json(space, obj["dirac"]))
     if "categorical" in obj:
         table = obj["categorical"]
+        if not isinstance(table, dict):
+            raise DistError(f"categorical JSON needs an object of weights, got {table!r}")
         if not is_finite(space):
             raise DistError("categorical JSON needs a finite space")
         return categorical(
-            space, [(_atom_from_key(space, key), w) for key, w in table.items()]
+            space, [(_atom_from_key(space, key), _weight(w)) for key, w in table.items()]
         )
     if "gaussian" in obj:
         g = obj["gaussian"]
-        return gaussian(space, g["mean"], g["cov"])
+        n = euclid_dims(space)
+        mean, cov = (g.get("mean"), g.get("cov")) if isinstance(g, dict) else (None, None)
+        mean = _floats(mean, n)
+        if isinstance(cov, list) and len(cov) == n:
+            cov = [_floats(row, n) for row in cov]
+        else:
+            cov = [None]
+        if mean is None or None in cov:
+            raise DistError(
+                f"gaussian JSON needs {n} mean numbers and {n} x {n} covariance numbers, got {g!r}"
+            )
+        return gaussian(space, mean, cov)
     raise DistError(f"unknown distribution JSON: {obj!r}")
+
+
+def _weight(w) -> float:
+    """A categorical weight as JSON holds it: a number, never a boolean."""
+    floats = _floats([w], 1)
+    if floats is None:
+        raise DistError(f"weight {w!r} is not a number")
+    return floats[0]
+
+
+def _floats(obj, n: int):
+    """``obj`` as a list of ``n`` floats when it is a list of ``n`` JSON
+    numbers, else None."""
+    if not (isinstance(obj, list) and len(obj) == n) or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in obj
+    ):
+        return None
+    try:
+        return [float(x) for x in obj]
+    except OverflowError:  # an integer past the largest float
+        return None
 
 
 def _atom_to_json(atom):
     if isinstance(atom, tuple):
         return [_atom_to_json(a) for a in atom]
     return atom
-
-
-def _atom_from_json(space: Space, obj):
-    return point_from_json(space, obj) if isinstance(obj, list) else obj
 
 
 def _atom_key(atom) -> str:
@@ -586,4 +626,4 @@ def _atom_from_key(space: Space, key: str):
         decoded = json.loads(key)
     except json.JSONDecodeError:
         raise DistError(f"label {key!r} is not a point of {space!r}") from None
-    return _atom_from_json(space, decoded)
+    return point_from_json(space, decoded)

@@ -669,17 +669,25 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
         raise LaplaceError("prior dimension does not match the bottom level")
     points = [_Evaluation(ch, np.zeros(ch.in_dim), _Prior()) for ch in levels]
     rows = []
-    for step in range(1, steps + 1):
-        priors = [pi0] + [at.law() for at in points[:-1]]
-        data_down = [at.x for at in points[1:]] + [datum_v]
-        new_points = []
-        for k, (at, pi, y) in enumerate(zip(points, priors, data_down)):
-            rho, at_new = at.update(pi, y, cfg)
-            rows.append((step, k, rho.mean, at_new.energy(pi, y) - at.prior.entropy(rho)))
-            new_points.append(at_new)
-        if all(new.x.tobytes() == at.x.tobytes() for new, at in zip(new_points, points)):
-            settled = rows[-len(levels):]
-            rows += [(later, *row[1:]) for later in range(step + 1, steps + 1) for row in settled]
-            break
-        points = new_points
+    step = k = 0
+    try:
+        # a descent that overflows is refused below, by step and level, where
+        # dist.gaussian meets its non-finite mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, steps + 1):
+                priors = [pi0] + [at.law() for at in points[:-1]]
+                data_down = [at.x for at in points[1:]] + [datum_v]
+                new_points = []
+                for k, (at, pi, y) in enumerate(zip(points, priors, data_down)):
+                    rho, at_new = at.update(pi, y, cfg)
+                    rows.append((step, k, rho.mean, at_new.energy(pi, y) - at.prior.entropy(rho)))
+                    new_points.append(at_new)
+                if all(new.x.tobytes() == at.x.tobytes() for new, at in zip(new_points, points)):
+                    settled = rows[-len(levels):]
+                    rows += [(later, *row[1:]) for later in range(step + 1, steps + 1)
+                             for row in settled]
+                    break
+                points = new_points
+    except DistError as exc:
+        raise LaplaceError(f"the descent failed at step {step}, level {k}: {exc}") from None
     return rows

@@ -288,13 +288,13 @@ def test_a_section_is_checked_at_every_position(tmp_path, capsys, section, messa
     "argv, spec, error",
     [
         (["check", "--suite", "comonoid"], {"horizon": -1},
-         "HierError: horizon must be non-negative, got -1"),
+         "SpecError: spec key 'horizon' must be non-negative, got -1"),
         (["check", "--suite", "comonoid"], {"space": [[0], [1]]},
-         "SpaceError: finite space label [0] is not hashable"),
+         "SpecError: spec key 'space[0]' must be a label, got [0]"),
         (["run"], dict(FIBRES_SPEC, system=dict(FIBRES_SPEC["system"], states=[[0, 1], [1, 0]])),
-         "SpaceError: finite space label [0, 1] is not hashable"),
+         "SpecError: spec key 'system.states[0]' must be a label, got [0, 1]"),
         (["laplace"], dict(json.loads((SPECS / "laplace1d.json").read_text()), levels=[]),
-         "LaplaceError: a stack needs at least one level"),
+         "SpecError: spec key 'levels' must be a non-empty list, got []"),
     ],
     ids=["comonoid-horizon", "comonoid-space", "run-states", "laplace-levels"],
 )
@@ -364,13 +364,13 @@ def test_a_run_length_that_is_not_an_integer_is_a_usage_error(
     "system, message",
     [
         ({"named": "markov", "K": [[0.5, 0.5, 0.7], [0.2, 0.8]]},
-         "markov 'K' needs one row per label and one weight per label in each row: "
-         "2 labels, row lengths [3, 2]"),
+         "spec key 'system.K[0]' must be a list of length 2, one per row of 'system.K', "
+         "got [0.5, 0.5, 0.7]"),
         ({"named": "markov", "labels": ["a", "b", "c"], "K": [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]},
-         "markov 'K' needs one row per label and one weight per label in each row: "
-         "3 labels, row lengths [3, 3]"),
-        ({"named": "counter", "n": 0}, "counter needs an integer 'n' >= 1, got 0"),
-        ({"named": "counter", "n": 2.5}, "counter needs an integer 'n' >= 1, got 2.5"),
+         "spec key 'system.K' must be a list of length 3, one per label of 'system.labels', "
+         "got [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]"),
+        ({"named": "counter", "n": 0}, "spec key 'system.n' must be at least 1, got 0"),
+        ({"named": "counter", "n": 2.5}, "spec key 'system.n' must be an integer, got 2.5"),
     ],
     ids=["markov-long-row", "markov-missing-row", "counter-empty", "counter-float"],
 )
@@ -436,7 +436,9 @@ def test_a_nan_weight_in_a_spec_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == (
-        "DistError: weights sum to nan, expected 1 within 1e-12")
+        "SpecError: spec key 'init' must be a law over the states of 'system', "
+        "got {'categorical': {'up': nan, 'down': 1.0}}: "
+        "weights sum to nan, expected 1 within 1e-12")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -450,7 +452,9 @@ def test_a_non_finite_datum_is_a_usage_error(tmp_path, capsys, bad):
     assert main(["laplace", "--spec", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == f"LaplaceError: datum [{bad}] is not finite"
+    assert json.loads(captured.err)["error"] == (
+        f"SpecError: spec key 'data[0]' must be a finite number, got {bad!r}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -547,3 +551,142 @@ def test_console_entry_point():
 )
 def test_installed_console_script():
     _check_comonoid([shutil.which("polydyn")])
+
+
+def _mutated_spec(tmp_path, name: str, edit) -> str:
+    spec = json.loads((SPECS / f"{name}.json").read_text())
+    edit(spec)
+    return _write_spec(tmp_path, spec)
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit, error",
+    [
+        (["run"], "counter", lambda s: s.update(init={"dirac": True}),
+         "spec key 'init' must be a law over the states of 'system', got {'dirac': True}: "
+         "True is not a point of finite[0, 1, 2, 3, 4, 5]"),
+        (["laplace"], "laplace1d", lambda s: s["levels"][0]["mean"]["linear"].update(A=True),
+         "spec key 'levels[0].mean.linear.A' must be a list, got True"),
+        (["laplace"], "laplace1d", lambda s: s.update(rate=True),
+         "spec key 'rate' must be a finite number, got True"),
+        (["run"], "markov", lambda s: s["system"]["K"][0].__setitem__(0, True),
+         "spec key 'system.K[0][0]' must be a finite number, got True"),
+        (["demo"], "ou", lambda s: s.update(theta=True),
+         "spec key 'theta' must be a finite number, got True"),
+        (["run"], "markov", lambda s: s["system"]["labels"].__setitem__(0, True),
+         "spec key 'system.labels[0]' must be a label, got True"),
+    ],
+    ids=["counter-dirac", "laplace-A", "laplace-rate", "markov-weight", "demo-theta",
+         "markov-label"],
+)
+def test_a_boolean_is_never_a_number_or_a_label(tmp_path, capsys, argv, name, edit, error):
+    """JSON true read as 1 ran ``{"dirac": true}`` from state 1 and
+    ``"A": true`` as the gain 1; a number, a label or a point never reads a
+    boolean."""
+    assert main(argv + ["--spec", _mutated_spec(tmp_path, name, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"SpecError: {error}"
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit, error",
+    [
+        (["laplace"], "laplace2level",
+         lambda s: s["levels"][1]["mean"]["linear"]["A"][0].__setitem__(0, "x"),
+         "spec key 'levels[1].mean.linear.A[0][0]' must be a finite number, got 'x'"),
+        (["run"], "switch", lambda s: s["system"]["update"][0].__setitem__(2, {"dirac": "lit"}),
+         "spec key 'system.update[0][2]' must be a law over 'system.states', got "
+         "{'dirac': 'lit'}: 'lit' is not a point of finite['off', 'dim', 'bright', 'broken']"),
+        (["run"], "markov", lambda s: s["system"]["K"][1].__setitem__(0, None),
+         "spec key 'system.K[1][0]' must be a finite number, got None"),
+        (["laplace"], "laplace2level",
+         lambda s: s["levels"][0]["mean"]["linear"].update(A=[[1.0], [2.0]]),
+         "spec key 'levels[0].mean.linear.b' must be a list of length 2, one per row of "
+         "'levels[0].mean.linear.A', got [0.0]"),
+        (["laplace"], "laplace1d", lambda s: s.update(data=[1.0, 2.0]),
+         "spec key 'data' must be a list of length 1, one per row of "
+         "'levels[0].mean.linear.A', got [1.0, 2.0]"),
+    ],
+    ids=["laplace-gain", "switch-law", "markov-weight", "laplace-offset", "laplace-datum"],
+)
+def test_a_nested_refusal_names_its_whole_key_path(tmp_path, capsys, argv, name, edit, error):
+    """A refusal names the key from the spec's root, through every object
+    key and list index, and the key whose value it had to fit."""
+    assert main(argv + ["--spec", _mutated_spec(tmp_path, name, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"SpecError: {error}"
+
+
+@pytest.mark.parametrize(
+    "argv, name, edit, error",
+    [
+        (["run"], "switch", lambda s: s["system"].pop("states"),
+         "spec key 'system.states' must be a space, got nothing"),
+        (["run"], "counter", lambda s: s["system"].pop("named"),
+         "spec key 'system.named' must be one of 'counter', 'markov', got nothing"),
+        (["run"], "counter", lambda s: s.update(mode="fast"),
+         "spec key 'mode' must be one of 'exact', 'sample', got 'fast'"),
+        (["run"], "switch", lambda s: s.pop("section"),
+         "spec key 'section' must be a section, got nothing: 'system' has real inputs"),
+        (["run"], "switch", lambda s: s["system"]["output"].pop(),
+         "spec key 'system.output' must be a list with a row for each point of "
+         "'system.states', got [['off', 'dark'], ['dim', 'lit'], ['bright', 'lit']]: "
+         "none for 'broken'"),
+        (["run"], "counter", lambda s: s.update(horizon=3, ticks=3),
+         "spec key 'ticks' must be absent, got 3: the keys read here are 'system', "
+         "'section', 'init', 'horizon', 'mode'"),
+        (["demo"], "ou", lambda s: s.update(h=-1), "spec key 'h' must be non-negative, got -1"),
+        (["demo"], "ou", lambda s: s.update(x0=10**400),
+         f"spec key 'x0' must be a finite number, got {10**400}"),
+    ],
+    ids=["missing-states", "missing-name", "unknown-mode", "missing-section",
+         "missing-output", "unread-key", "negative-step", "past-the-floats"],
+)
+def test_a_missing_unknown_or_out_of_range_key_is_refused(tmp_path, capsys, argv, name,
+                                                         edit, error):
+    assert main(argv + ["--spec", _mutated_spec(tmp_path, name, edit)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"SpecError: {error}"
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ({"labels_x": ["a", "b"], "labels_y": ["u"], "prior": [["a", 0.5], ["b", 0.5]],
+          "channel": [["a", [["u", 1.0]]]]},
+         "spec key 'channel' must be a list with a row for each label of 'labels_x', "
+         "got [['a', [['u', 1.0]]]]: none for 'b'"),
+        ({"labels_x": ["a"], "labels_y": ["u"], "prior": [["a", 1.0]],
+          "channel": [["a", [["u", 1.0]]]], "perturb": -0.5},
+         "spec key 'perturb' must be non-negative, got -0.5"),
+        ({"labels_x": ["a"], "labels_y": ["u"], "prior": [["a", "1.0"]],
+          "channel": [["a", [["u", 1.0]]]]},
+         "spec key 'prior[0][1]' must be a finite number, got '1.0'"),
+        ({"perturb": 0.1}, "spec key 'labels_x' must be a list, got nothing"),
+    ],
+    ids=["missing-row", "negative-perturbation", "string-weight", "perturbation-alone"],
+)
+def test_a_malformed_bayes_spec_is_refused_by_key(tmp_path, capsys, spec, error):
+    """A channel row left out failed with a bare KeyError inside the check,
+    and a weight written as a string was read as its number."""
+    assert main(["check", "--suite", "bayes", "--spec", _write_spec(tmp_path, spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"SpecError: {error}"
+
+
+def test_a_descent_past_the_largest_float_is_refused_by_step(tmp_path, capsys):
+    """A learning rate too large for the level's curvature sends the descent
+    past the largest float; it is refused at the step and level where its
+    mean leaves the finite floats, with no warning on the way."""
+    spec = _mutated_spec(tmp_path, "laplace1d", lambda s: s.update(rate=1.5))
+    assert main(["laplace", "--spec", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "LaplaceError: the descent failed at step 380, level 0: mean and covariance must be finite"
+    )
+

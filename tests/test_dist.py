@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import numpy as np
 import pytest
@@ -684,3 +685,31 @@ def test_a_law_on_one_atom_is_its_point_mass():
     for atom, d in built.items():
         assert isinstance(d, Dirac), d
         assert finite_items(d) == ((atom, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "space, obj, message",
+    [
+        (finite("a", "b"), None, "not a distribution description: None"),
+        (finite("a", "b"), {"categorical": [["a", 1.0]]},
+         "categorical JSON needs an object of weights, got [['a', 1.0]]"),
+        (finite("a", "b"), {"categorical": {"a": "0.5", "b": 0.5}}, "weight '0.5' is not a number"),
+        (finite("a", "b"), {"categorical": {"a": True}}, "weight True is not a number"),
+        (euclid(1), {"gaussian": {"mean": [0.0], "cov": [[1.0, 0.0]]}},
+         "gaussian JSON needs 1 mean numbers and 1 x 1 covariance numbers, got "
+         "{'mean': [0.0], 'cov': [[1.0, 0.0]]}"),
+        (euclid(1), {"gaussian": {"mean": [True], "cov": [[1.0]]}},
+         "gaussian JSON needs 1 mean numbers and 1 x 1 covariance numbers, got "
+         "{'mean': [True], 'cov': [[1.0]]}"),
+    ],
+)
+def test_a_law_json_of_another_shape_is_refused(space, obj, message):
+    """Each was a TypeError, or a string or a boolean read as its number."""
+    with pytest.raises(DistError, match=f"^{re.escape(message)}$"):
+        dist_from_json(space, obj)
+
+
+def test_a_boolean_atom_is_not_a_label():
+    """``{"dirac": true}`` was the point 1 of a finite space."""
+    with pytest.raises(SpaceError, match=r"^True is not a point of finite\[0, 1\]$"):
+        dist_from_json(finite(0, 1), {"dirac": True})

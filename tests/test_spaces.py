@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -24,7 +25,7 @@ from polydyn import (
     unflatten_floats,
     unit,
 )
-from polydyn.specio import interface_from_json
+from polydyn.specio import SpecError, interface_from_json
 
 
 def test_membership_basics():
@@ -139,9 +140,10 @@ def test_one_tuple_is_one_label():
 def test_a_spec_label_that_is_a_list_is_refused():
     """A spec's list of labels holding one list is refused as it is with
     two, not read as the labels of that list."""
-    with pytest.raises(SpaceError, match=r"label \[0, 1\] is not hashable"):
+    message = r"^spec key 'interface\.positions\[0\]' must be a label, got \[0, 1\]$"
+    with pytest.raises(SpecError, match=message):
         interface_from_json({"positions": [[0, 1]]})
-    with pytest.raises(SpaceError, match=r"label \[0, 1\] is not hashable"):
+    with pytest.raises(SpecError, match=message):
         interface_from_json({"positions": [[0, 1], [1, 0]]})
 
 
@@ -155,3 +157,40 @@ def test_euclid_point_shape():
     E = euclid(1)
     assert contains(E, (math.pi,))
     assert unflatten_floats(E, [2.0]) == (2.0,)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (None, "not a space description: None"),
+        ({"kind": "finite", "labels": "ab"}, "a finite space's labels must be a list, got 'ab'"),
+        ({"kind": "finite", "labels": [0, True]},
+         "True is not a label: a label is a JSON string or number"),
+        ({"kind": "euclid", "dim": 1.5}, "a euclid space's dim must be an integer, got 1.5"),
+        ({"kind": "prod", "factors": {}}, "a product space's factors must be a list, got {}"),
+        ({"kind": "torus"}, "unknown space kind: 'torus'"),
+    ],
+)
+def test_a_space_json_of_another_shape_is_refused(obj, message):
+    """Each was a TypeError, an AttributeError or a silent truncation."""
+    with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+        space_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "space, obj",
+    [
+        (finite(0, 1), True),
+        (finite((0, 1)), [0, True]),
+        (euclid(2), [1.0]),
+        (euclid(1), ["1.0"]),
+        (euclid(1), [10**400]),
+        (prod(finite(0, 1), euclid(1)), [0]),
+        (unit(), "x"),
+    ],
+)
+def test_a_point_json_of_another_shape_is_refused(space, obj):
+    """True was the point 1 of a finite space, a short or long product was
+    cut to its factors and a string coordinate was read as its number."""
+    with pytest.raises(SpaceError, match=f"^{re.escape(f'{obj!r} is not a point of {space!r}')}$"):
+        point_from_json(space, obj)
