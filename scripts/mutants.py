@@ -410,8 +410,8 @@ MUTANTS = (
     Mutant(
         "spec-bool-as-number",
         "src/polydyn/specio.py",
-        "        if type(value) is int:\n",
-        "        if isinstance(value, int):\n",
+        "    if type(value) is int:\n",
+        "    if isinstance(value, int):\n",
         ("tests/test_cli.py::test_a_boolean_is_never_a_number_or_a_label",),
     ),
     # a nested refusal names only the last object key of its path
@@ -421,6 +421,27 @@ MUTANTS = (
         'return f"{head}.{self.key}" if head else self.key',
         "return self.key",
         ("tests/test_cli.py::test_a_nested_refusal_names_its_whole_key_path",),
+    ),
+    # the reader's one finiteness rule passes NaN and Infinity, in a label and
+    # a coordinate as in a number
+    Mutant(
+        "spec-nonfinite-label",
+        "src/polydyn/specio.py",
+        "    return value if math.isfinite(value) else None\n",
+        "    return value\n",
+        ("tests/test_cli.py::test_a_non_finite_label_or_coordinate_is_a_usage_error",
+         "tests/test_spaces.py::test_a_point_json_of_another_shape_is_refused"),
+    ),
+    # a categorical law's JSON keeps a key that the reader takes for a label
+    # of the law's space, so two atoms merge or an atom reads as that label
+    Mutant(
+        "json-key-collision-kept",
+        "src/polydyn/specio.py",
+        "            if key is not a and contains(d.space, key):\n"
+        "                raise DistError(\n",
+        "            if False:\n"
+        "                raise DistError(\n",
+        ("tests/test_dist.py::test_dist_to_json_refuses_a_key_the_reader_would_misread",),
     ),
     # the gap between two overflowed points warns where it should read NaN
     Mutant(

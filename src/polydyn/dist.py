@@ -16,7 +16,6 @@ never a hidden global.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Union
@@ -30,12 +29,9 @@ from .spaces import (
     Space,
     UnitSpace,
     check_point,
-    contains,
     euclid,
     euclid_dims,
     flatten_floats,
-    is_finite,
-    point_from_json,
     points,
     prod,
     unflatten_floats,
@@ -532,98 +528,3 @@ def _label_distance(d1: Dist, d2: Dist) -> float:
     into a dict once."""
     w1, w2 = dict(finite_items(d1)), dict(finite_items(d2))
     return max(abs(w1.get(a, 0.0) - w2.get(a, 0.0)) for a in w1.keys() | w2.keys())
-
-
-# ---------------------------------------------------------------------------
-# JSON: {"dirac": point} | {"categorical": {label: weight}} | {"gaussian": ...}
-
-
-def dist_to_json(d: Dist) -> dict:
-    if isinstance(d, Dirac):
-        return {"dirac": _atom_to_json(d.point)}
-    if isinstance(d, Categorical):
-        return {"categorical": {_atom_key(a): w for a, w in d.items}}
-    if isinstance(d, Gaussian):
-        return {
-            "gaussian": {
-                "mean": list(d.mean),
-                "cov": [list(r) for r in d.cov],
-            }
-        }
-    raise DistError(f"not a distribution: {d!r}")
-
-
-def dist_from_json(space: Space, obj: dict) -> Dist:
-    """The law over ``space`` that a JSON object describes.  A value of
-    another JSON type, a weight that is not a number, or a Gaussian's mean
-    or covariance of another shape than the space's, is refused with
-    ``DistError``; an atom that is not a point, with ``SpaceError``."""
-    if not isinstance(obj, dict):
-        raise DistError(f"not a distribution description: {obj!r}")
-    if "dirac" in obj:
-        return dirac(space, point_from_json(space, obj["dirac"]))
-    if "categorical" in obj:
-        table = obj["categorical"]
-        if not isinstance(table, dict):
-            raise DistError(f"categorical JSON needs an object of weights, got {table!r}")
-        if not is_finite(space):
-            raise DistError("categorical JSON needs a finite space")
-        return categorical(
-            space, [(_atom_from_key(space, key), _weight(w)) for key, w in table.items()]
-        )
-    if "gaussian" in obj:
-        g = obj["gaussian"]
-        n = euclid_dims(space)
-        mean, cov = (g.get("mean"), g.get("cov")) if isinstance(g, dict) else (None, None)
-        mean = _floats(mean, n)
-        if isinstance(cov, list) and len(cov) == n:
-            cov = [_floats(row, n) for row in cov]
-        else:
-            cov = [None]
-        if mean is None or None in cov:
-            raise DistError(
-                f"gaussian JSON needs {n} mean numbers and {n} x {n} covariance numbers, got {g!r}"
-            )
-        return gaussian(space, mean, cov)
-    raise DistError(f"unknown distribution JSON: {obj!r}")
-
-
-def _weight(w) -> float:
-    """A categorical weight as JSON holds it: a number, never a boolean."""
-    floats = _floats([w], 1)
-    if floats is None:
-        raise DistError(f"weight {w!r} is not a number")
-    return floats[0]
-
-
-def _floats(obj, n: int):
-    """``obj`` as a list of ``n`` floats when it is a list of ``n`` JSON
-    numbers, else None."""
-    if not (isinstance(obj, list) and len(obj) == n) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in obj
-    ):
-        return None
-    try:
-        return [float(x) for x in obj]
-    except OverflowError:  # an integer past the largest float
-        return None
-
-
-def _atom_to_json(atom):
-    if isinstance(atom, tuple):
-        return [_atom_to_json(a) for a in atom]
-    return atom
-
-
-def _atom_key(atom) -> str:
-    return atom if isinstance(atom, str) else json.dumps(_atom_to_json(atom))
-
-
-def _atom_from_key(space: Space, key: str):
-    if contains(space, key):
-        return key
-    try:
-        decoded = json.loads(key)
-    except json.JSONDecodeError:
-        raise DistError(f"label {key!r} is not a point of {space!r}") from None
-    return point_from_json(space, decoded)

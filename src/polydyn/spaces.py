@@ -288,105 +288,9 @@ def _unflatten(space: Space, flat: list, k: int):
     raise SpaceError(f"{space!r} is not a Euclidean-shaped space")
 
 
-# ---------------------------------------------------------------------------
-# JSON schema: {"kind":"unit"} | {"kind":"finite","labels":[...]}
-#            | {"kind":"euclid","dim":n} | {"kind":"prod","factors":[...]}
-
-def space_to_json(space: Space) -> dict:
-    if isinstance(space, UnitSpace):
-        return {"kind": "unit"}
-    if isinstance(space, FiniteSpace):
-        for lab in space.labels:
-            if not isinstance(lab, (str, int)):
-                raise SpaceError(f"label {lab!r} is not JSON-serializable")
-        return {"kind": "finite", "labels": list(space.labels)}
-    if isinstance(space, EuclidSpace):
-        return {"kind": "euclid", "dim": space.dim}
-    if isinstance(space, ProdSpace):
-        return {"kind": "prod", "factors": [space_to_json(f) for f in space.factors]}
-    raise SpaceError(f"{space!r} has no JSON form")
-
-
-def label_from_json(obj: Any) -> Any:
-    """A finite space's label as JSON holds it: a string or a number.  A
-    boolean is refused, since ``True == 1`` would make it another label's
-    point."""
-    if isinstance(obj, (str, int, float)) and not isinstance(obj, bool):
-        return obj
-    raise SpaceError(f"{obj!r} is not a label: a label is a JSON string or number")
-
-
-def space_from_json(obj: dict) -> Space:
-    """The space a JSON object describes; a value of another JSON type, an
-    unknown kind or a kind's missing or mistyped field is refused with
-    ``SpaceError``."""
-    if not isinstance(obj, dict):
-        raise SpaceError(f"not a space description: {obj!r}")
-    kind = obj.get("kind")
-    if kind == "unit":
-        return _UNIT
-    if kind == "finite":
-        labels = obj.get("labels")
-        if not isinstance(labels, list):
-            raise SpaceError(f"a finite space's labels must be a list, got {labels!r}")
-        return FiniteSpace(tuple(label_from_json(lab) for lab in labels))
-    if kind == "euclid":
-        dim = obj.get("dim")
-        if type(dim) is not int:
-            raise SpaceError(f"a euclid space's dim must be an integer, got {dim!r}")
-        return EuclidSpace(dim)
-    if kind == "prod":
-        factors = obj.get("factors")
-        if not isinstance(factors, list):
-            raise SpaceError(f"a product space's factors must be a list, got {factors!r}")
-        return prod(*[space_from_json(f) for f in factors])
-    raise SpaceError(f"unknown space kind: {kind!r}")
-
-
-def point_to_json(space: Space, value: Any):
-    if isinstance(space, (UnitSpace, ProdSpace)):
-        if isinstance(space, UnitSpace):
-            return []
-        return [point_to_json(f, v) for f, v in zip(space.factors, value)]
-    if isinstance(space, EuclidSpace):
-        return [float(c) for c in value]
-    return value  # finite label
-
-
-def point_from_json(space: Space, obj: Any) -> Any:
-    """The point of ``space`` that JSON ``obj`` holds: a list for a product
-    (one entry per factor), a Euclidean point (one number per coordinate) and
-    the unit space's point ``[]``, a label for a finite space, where a list
-    reads as a tuple label.  Anything else, a boolean among it, is refused
-    with ``SpaceError``."""
-    if isinstance(space, FiniteSpace):
-        if not _holds_bool(obj):
-            return check_point(space, _tuplify(obj))  # JSON holds a tuple label as a list
-    elif isinstance(obj, (list, tuple)):
-        if isinstance(space, UnitSpace) and not obj:
-            return ()
-        if isinstance(space, ProdSpace) and len(obj) == len(space.factors):
-            return tuple(point_from_json(f, v) for f, v in zip(space.factors, obj))
-        if isinstance(space, EuclidSpace) and len(obj) == space.dim and all(
-            isinstance(c, (int, float)) and not isinstance(c, bool) for c in obj
-        ):
-            try:
-                return tuple(float(c) for c in obj)
-            except OverflowError:
-                pass  # an integer past the largest float
-    raise SpaceError(f"{obj!r} is not a point of {space!r}")
-
-
-def _holds_bool(obj: Any) -> bool:
-    """Whether ``obj`` is a boolean or a list or tuple holding one."""
-    if isinstance(obj, (list, tuple)):
-        return any(map(_holds_bool, obj))
-    return isinstance(obj, bool)
-
-
 def _tuplify(obj: Any) -> Any:
     """obj with every list, tuple and array in it read as a tuple: a point
-    written with lists, as JSON holds it, or with arrays."""
+    written with lists or with arrays."""
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     return tuple(_tuplify(x) for x in obj) if isinstance(obj, (list, tuple)) else obj

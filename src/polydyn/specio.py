@@ -1,26 +1,28 @@
-"""The one reader of JSON specs: every spec key that polydyn reads is read
-here, and nowhere else.
+"""The spec format, both ways: every spec key that polydyn reads is read
+here, and the JSON forms of spaces, points and laws are written here.
 
 A spec is a JSON object.  Each subcommand and suite takes its typed inputs
 from one function of this module: ``run_from_json``, ``flow_from_json``,
 ``laplace_from_json``, ``demo_from_json``, ``comonoid_from_json`` and
 ``bayes_from_json``.  A value is read through ``_Spec``, which holds it
 with its key path and hands it out typed: an integer with a lower bound, a
-finite number, a string among choices, a label, a list or an object, each
-with an optional default.  JSON ``true`` and ``false`` are never read as a
-number or a label.  The decoders of spaces, points and laws
-(``spaces.space_from_json``, ``spaces.point_from_json``,
-``dist.dist_from_json``) own their formats; the reader hands them a value
-and adds its key path to what they refuse.
+finite number, a string among choices, a label, a list or an object, a
+space, a point of a space or a law over one, each with an optional default.
+One rule decides every number, label and coordinate: a JSON number that is
+a finite float, never ``true`` or ``false`` and never ``NaN`` or
+``Infinity``, which Python's ``json`` reads.  ``space_from_json``,
+``point_from_json`` and ``dist_from_json`` enter the reader at a space's,
+a point's and a law's JSON form, the forms that ``space_to_json``,
+``point_to_json`` and ``dist_to_json`` write.
 
 Every refusal is one ``SpecError``::
 
     spec key '<path>' must be <kind>, got <value>
 
 where a nested path reads like ``system.K[1][0]`` or
-``levels[0].mean.linear.A``, a key that is left out is ``got nothing``, and
-a decoder's or constructor's reason follows after a colon.  A key that an
-object does not hold is refused as ``must be absent``.
+``init.categorical.up``, a key that is left out is ``got nothing``, and a
+constructor's reason follows after a colon.  A key that an object does not
+hold is refused as ``must be absent``.
 
 Beyond explicit tables a small registry of named example systems keeps spec
 files short; anything larger is expected to be constructed in Python.
@@ -32,7 +34,17 @@ import json
 import math
 from typing import Any
 
-from .dist import DistError, categorical, dirac, dist_from_json, uniform
+from .dist import (
+    Categorical,
+    Dirac,
+    Dist,
+    DistError,
+    Gaussian,
+    categorical,
+    dirac,
+    gaussian,
+    uniform,
+)
 from .laplace import LaplaceConfig, LaplaceError, linear_channel, mk_state
 from .poly import (
     DETERMINISTIC,
@@ -48,15 +60,20 @@ from .poly import (
     trivial_section,
 )
 from .spaces import (
+    EuclidSpace,
+    FiniteSpace,
+    ProdSpace,
     Space,
     SpaceError,
+    UnitSpace,
     cardinality,
+    contains,
+    euclid,
+    euclid_dims,
     finite,
     is_finite,
-    label_from_json,
-    point_from_json,
     points,
-    space_from_json,
+    prod,
     unit,
 )
 from .systems import OpenSystemError, System, closed_from_kernel, mk_system
@@ -102,12 +119,44 @@ class _Absent:
 
 _ABSENT = _Absent()
 
-# what a decoder or a constructor raises for a value it refuses
+# what a constructor raises for a value it refuses
 _REFUSED = (SpaceError, DistError, PolyError, LaplaceError, OpenSystemError)
+
+# a space's object: its kind and the keys that kind reads
+_SPACE_KEYS = {"unit": (), "finite": ("labels",), "euclid": ("dim",), "prod": ("factors",)}
 
 
 def _at_least(lo) -> str:
     return "non-negative" if lo == 0 else f"at least {lo}"
+
+
+def _real(value):
+    """``value`` as a float when it is a finite JSON number, else None: the
+    one rule for every number, label and coordinate.  A boolean is not a
+    number, and an integer past the largest float is not finite."""
+    if type(value) is float:
+        return value if math.isfinite(value) else None
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            return None
+    return None
+
+
+def _is_label(value) -> bool:
+    """A string or a finite number; a boolean is neither, since ``True == 1``
+    would make it another label's point."""
+    return type(value) is str or _real(value) is not None
+
+
+def _atom(value):
+    """A finite space's point as JSON holds it: a label, or a list of atoms
+    read as a tuple label; None for anything else."""
+    if type(value) is list:
+        atom = tuple(map(_atom, value))
+        return None if None in atom else atom
+    return value if _is_label(value) else None
 
 
 class _Spec:
@@ -135,17 +184,18 @@ class _Spec:
         text = f"spec key {self.path!r} must be {kind}, got {self.value!r}"
         return SpecError(f"{text}: {reason}" if reason else text)
 
-    def decode(self, kind: str, make, *args):
-        """``make(*args, value)``, whose refusal is this key's."""
+    def build(self, kind: str, make):
+        """``make()``, whose refusal, a constructor's, is this key's."""
         try:
-            return make(*args, self.value)
+            return make()
         except _REFUSED as exc:
             raise self.refuse(kind, str(exc)) from None
 
-    def object(self, keys: tuple) -> "_Spec":
-        """This value, an object holding only ``keys``."""
+    def object(self, keys: tuple, kind: str = "an object") -> "_Spec":
+        """This value, an object holding only ``keys``; anything else is
+        refused as ``kind``."""
         if type(self.value) is not dict:
-            raise self.refuse("an object")
+            raise self.refuse(kind)
         for key, value in self.value.items():
             if key not in keys:
                 held = ", ".join(map(repr, keys))
@@ -168,13 +218,8 @@ class _Spec:
         return value
 
     def number(self, lo: float = None) -> float:
-        value = self.value
-        if type(value) is int:
-            try:
-                value = float(value)
-            except OverflowError:
-                raise self.refuse("a finite number") from None
-        if type(value) is not float or not math.isfinite(value):
+        value = _real(self.value)
+        if value is None:
             raise self.refuse("a finite number")
         if lo is not None and value < lo:
             raise self.refuse(_at_least(lo))
@@ -186,10 +231,9 @@ class _Spec:
         return self.value
 
     def label(self):
-        try:
-            return label_from_json(self.value)
-        except SpaceError:
-            raise self.refuse("a label") from None
+        if not _is_label(self.value):
+            raise self.refuse("a label")
+        return self.value
 
     def items(self, length: int = None, lo: int = 0, per: str = "") -> list:
         """This value's entries, each with its path: a list of ``length``
@@ -217,27 +261,172 @@ class _Spec:
             cols, per = (len(entries[0].value) if type(entries[0].value) is list else None), ""
         return [row.numbers(cols, 1, per) for row in entries]
 
-    def point(self, space: Space, kind: str):
-        return self.decode(kind, point_from_json, space)
-
     def space(self) -> Space:
-        """A space: a list of labels is shorthand for a finite space."""
+        """A space: a list of labels is shorthand for a finite space, and
+        anything else is read as a space's object."""
         if type(self.value) is list:
             return self.finite()
-        if self.value is _ABSENT:
+        return self.space_object()
+
+    def space_object(self) -> Space:
+        """``{"kind": "unit"}``, ``{"kind": "finite", "labels": labels}``,
+        ``{"kind": "euclid", "dim": n}`` or ``{"kind": "prod", "factors":
+        spaces}``, each factor a space's object."""
+        if type(self.value) is not dict:
             raise self.refuse("a space")
-        return self.decode("a space", space_from_json)
+        kind = self.field("kind").choice(*_SPACE_KEYS)
+        self.object(("kind",) + _SPACE_KEYS[kind])
+        if kind == "finite":
+            return self.field("labels").finite()
+        if kind == "euclid":
+            return euclid(self.field("dim").int(0))
+        if kind == "prod":
+            return prod(*[f.space_object() for f in self.field("factors").items()])
+        return unit()
 
     def finite(self) -> Space:
         """A finite space from a list of labels."""
         labels = [x.label() for x in self.items()]
-        return self.decode("a list of distinct labels", lambda _: finite(*labels))
+        return self.build("a list of distinct labels", lambda: finite(*labels))
 
-    def law(self, space: Space, kind: str):
-        """A law over ``space``: ``"uniform"``, or a law's JSON object."""
+    def point(self, space: Space, kind: str = ""):
+        """The point of ``space`` this value holds, ``kind`` (by default a
+        point of the space): a label of a finite space, where a list reads
+        as a tuple label; one entry per factor of a product; one number per
+        coordinate of a Euclidean space; and ``[]``, the unit's point."""
+        value = self.value
+        if isinstance(space, FiniteSpace):
+            atom = _atom(value)
+            if atom is not None and contains(space, atom):
+                return atom
+        elif type(value) is list:
+            if isinstance(space, ProdSpace) and len(value) == len(space.factors):
+                return tuple(x.point(f) for x, f in zip(self.items(), space.factors))
+            if isinstance(space, EuclidSpace) and len(value) == space.dim:
+                return tuple(self.numbers())
+            if isinstance(space, UnitSpace) and not value:
+                return ()
+        raise self.refuse(kind or f"a point of {space!r}")
+
+    def law(self, space: Space, of: str):
+        """A law over ``space``, which ``of`` names: ``"uniform"``, or a
+        law's object."""
         if self.value == "uniform":
             return uniform(space)
-        return self.decode(kind, dist_from_json, space)
+        return self.law_object(space, of)
+
+    def law_object(self, space: Space, of: str = "") -> Dist:
+        """A law over ``space``, which ``of`` names (by default its repr):
+        ``{"dirac": point}``, ``{"categorical": {atom key: weight}}`` over a
+        finite space, keyed as ``dist_to_json`` keys an atom, or
+        ``{"gaussian": {"mean": numbers, "cov": rows}}``, one number and one
+        row per coordinate of a Euclidean-shaped space."""
+        of = of or repr(space)
+        kind = f"a law over {of}"
+        self.object(("dirac", "categorical", "gaussian"), kind)
+        if self.has("dirac"):
+            return dirac(space, self.field("dirac").point(space, f"a point of {of}"))
+        if self.has("categorical"):
+            table = self.field("categorical")
+            if type(table.value) is not dict:
+                raise table.refuse("an object of weights")
+            if not is_finite(space):
+                raise self.refuse(kind, "a categorical law needs a finite space")
+            pairs = []
+            for key, w in table.value.items():
+                entry = _Spec(w, key, table)
+                pairs.append((entry.keyed_atom(space, of), entry.number()))
+            return table.build(kind, lambda: categorical(space, pairs))
+        if self.has("gaussian"):
+            g = self.field("gaussian").object(("mean", "cov"))
+            n, per = g.build(kind, lambda: euclid_dims(space)), f"coordinate of {of}"
+            mean = g.field("mean").numbers(n, per=per)
+            cov = [row.numbers(n, per=per) for row in g.field("cov").items(n, per=per)]
+            return g.build(kind, lambda: gaussian(space, mean, cov))
+        raise self.refuse("an object with a 'dirac', 'categorical' or 'gaussian' key")
+
+    def keyed_atom(self, space: Space, of: str):
+        """The atom this value's object key names, as ``dist_to_json`` keys
+        it: a label of ``space`` as it is, else the JSON text of a point."""
+        key = self.key
+        if contains(space, key):
+            return key
+        try:
+            value = json.loads(key)
+        except json.JSONDecodeError:
+            value = key
+        return _Spec(value, key, self.parent).point(space, f"a point of {of}")
+
+
+def space_from_json(obj) -> Space:
+    """The space that ``obj``, a space's object, describes."""
+    return _Spec(obj, "space").space_object()
+
+
+def point_from_json(space: Space, obj):
+    """The point of ``space`` that JSON ``obj`` holds."""
+    return _Spec(obj, "point").point(space)
+
+
+def dist_from_json(space: Space, obj) -> Dist:
+    """The law over ``space`` that ``obj``, a law's object, describes."""
+    return _Spec(obj, "law").law_object(space)
+
+
+# ---------------------------------------------------------------------------
+# the writers: the forms that the reader reads back
+
+
+def space_to_json(space: Space) -> dict:
+    if isinstance(space, UnitSpace):
+        return {"kind": "unit"}
+    if isinstance(space, FiniteSpace):
+        for lab in space.labels:
+            if not isinstance(lab, (str, int)):
+                raise SpaceError(f"label {lab!r} is not JSON-serializable")
+        return {"kind": "finite", "labels": list(space.labels)}
+    if isinstance(space, EuclidSpace):
+        return {"kind": "euclid", "dim": space.dim}
+    if isinstance(space, ProdSpace):
+        return {"kind": "prod", "factors": [space_to_json(f) for f in space.factors]}
+    raise SpaceError(f"{space!r} has no JSON form")
+
+
+def point_to_json(space: Space, value: Any):
+    """A point's JSON: a list for a product, a Euclidean point and the unit's
+    point, and a finite space's label as it is, a tuple label as a list."""
+    if isinstance(space, ProdSpace):
+        return [point_to_json(f, v) for f, v in zip(space.factors, value)]
+    if isinstance(space, (UnitSpace, EuclidSpace)):
+        return [float(c) for c in value]
+    return _atom_to_json(value)
+
+
+def dist_to_json(d: Dist) -> dict:
+    """A law's JSON object.  A categorical law keys each atom by its label
+    when it is a string, else by its point's JSON text, which is refused
+    when the reader would take it for a label of the law's space."""
+    if isinstance(d, Dirac):
+        return {"dirac": point_to_json(d.space, d.point)}
+    if isinstance(d, Categorical):
+        table = {}
+        for a, w in d.items:
+            key = a if isinstance(a, str) else json.dumps(a)
+            if key is not a and contains(d.space, key):
+                raise DistError(
+                    f"the atom {a!r} and the label {key!r} share the JSON key {key!r}"
+                )
+            table[key] = w
+        return {"categorical": table}
+    if isinstance(d, Gaussian):
+        return {"gaussian": {"mean": list(d.mean), "cov": [list(r) for r in d.cov]}}
+    raise DistError(f"not a distribution: {d!r}")
+
+
+def _atom_to_json(atom):
+    if isinstance(atom, tuple):
+        return [_atom_to_json(a) for a in atom]
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +442,7 @@ def run_from_json(spec: dict) -> tuple:
     return (
         sys_,
         _section(sys_.interface, r.field("section")),
-        r.field("init", "uniform").law(sys_.states, "a law over the states of 'system'"),
+        r.field("init", "uniform").law(sys_.states, "the states of 'system'"),
         r.field("horizon", 8).int(0),
         r.field("mode", "exact").choice("exact", "sample"),
     )
@@ -283,12 +472,12 @@ def _interface(r: _Spec) -> Polynomial:
         for row in dirs.field("fibres").items():
             pos, fibre = row.items(2)
             table[pos.point(positions, f"a point of {at.path!r}")] = fibre.space()
-        return dirs.decode("a fibre for every position", lambda _: tabulated(positions, table))
+        return dirs.build("a fibre for every position", lambda: tabulated(positions, table))
     raise dirs.refuse("an object with a 'constant' or a 'fibres' key")
 
 
 def _section(p: Polynomial, r: _Spec) -> Section:
-    positions = r.decode("a section", lambda _: list(points(p.positions)))
+    positions = r.build("a section", lambda: list(points(p.positions)))
     if r.value is _ABSENT:
         if all(cardinality(p.dirs_at(i)) == 1 for i in positions):
             return trivial_section(p)
@@ -308,7 +497,7 @@ def _section(p: Polynomial, r: _Spec) -> Section:
         sigma = Section(p, table.__getitem__)
     else:
         raise r.refuse("an object with a 'constant' or a 'table' key")
-    r.decode("a section", lambda _: check_section(p, sigma))
+    r.build("a section", lambda: check_section(p, sigma))
     return sigma
 
 
@@ -343,7 +532,7 @@ def system_from_json(obj: dict) -> System:
         s, d, law = row.items(3)
         sv = s.point(states, state)
         dv = d.point(interface.dirs_at(out_table[sv]), f"an input of {iface.path!r} at {sv!r}")
-        upd_table[(sv, dv)] = law.law(states, f"a law over {at.path!r}")
+        upd_table[(sv, dv)] = law.law(states, repr(at.path))
     effect = r.field("effect", STOCHASTIC).choice(DETERMINISTIC, STOCHASTIC)
 
     def output(t, s):
@@ -355,9 +544,9 @@ def system_from_json(obj: dict) -> System:
         except KeyError:
             raise SpecError(f"update table has no row for state {s!r}, input {d!r}") from None
 
-    return updates.decode(
+    return updates.build(
         f"a list with a row for each point of {at.path!r} and input of {iface.path!r}",
-        lambda _: mk_system(interface, states, output, update, effect=effect),
+        lambda: mk_system(interface, states, output, update, effect=effect),
     )
 
 
@@ -390,7 +579,7 @@ def _named_system(r: _Spec) -> System:
     laws = {}
     for lab, row in zip(labels, matrix.items(len(labels), 1, per)):
         weights = row.numbers(len(labels), per=per)
-        laws[lab] = row.decode("a law", lambda _: categorical(space, list(zip(labels, weights))))
+        laws[lab] = row.build("a law", lambda: categorical(space, list(zip(labels, weights))))
     return mk_system(
         monomial(space, unit()),
         space,
@@ -422,12 +611,12 @@ def laplace_from_json(spec: dict) -> tuple:
         b, cov = mean.field("b", None), lvl.field("cov", None)
         b = None if b.value is None else b.numbers(out_dim, per=per)
         cov = None if cov.value is None else cov.matrix(out_dim, out_dim, per)
-        levels.append(lvl.decode("a level", lambda _: linear_channel(matrix, b, cov)))
+        levels.append(lvl.build("a level", lambda: linear_channel(matrix, b, cov)))
         gains.append(a.path)
     prior = r.field("prior").object(("mean", "cov"))
     n, per = levels[0].in_dim, f"column of {gains[0]!r}"
     mean, cov = prior.field("mean").numbers(n, per=per), prior.field("cov").matrix(n, n, per)
-    pi0 = prior.decode("a belief", lambda _: mk_state(mean, cov))
+    pi0 = prior.build("a belief", lambda: mk_state(mean, cov))
     datum = r.field("data").numbers(levels[-1].out_dim, per=f"row of {gains[-1]!r}")
     cfg = LaplaceConfig(rate=r.field("rate", 0.05).number(0))
     return levels, pi0, datum, cfg, r.field("steps", 200).int(0)
@@ -471,14 +660,14 @@ def bayes_from_json(spec: dict) -> tuple:
     xs, ys = r.field("labels_x").finite(), r.field("labels_y").finite()
     prior = r.field("prior")
     weights = dict(_pairs(prior, xs, "a label of 'labels_x'"))
-    pi = prior.decode("a law over 'labels_x'", lambda _: categorical(xs, weights))
+    pi = prior.build("a law over 'labels_x'", lambda: categorical(xs, weights))
     channel = r.field("channel")
     rows = {}
     for row in channel.items():
         x, law = row.items(2)
         weights = dict(_pairs(law, ys, "a label of 'labels_y'"))
-        rows[x.point(xs, "a label of 'labels_x'")] = law.decode(
-            "a law over 'labels_y'", lambda _: categorical(ys, weights)
+        rows[x.point(xs, "a label of 'labels_x'")] = law.build(
+            "a law over 'labels_y'", lambda: categorical(ys, weights)
         )
     for x in xs.labels:
         if x not in rows:

@@ -436,9 +436,42 @@ def test_a_nan_weight_in_a_spec_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == (
-        "SpecError: spec key 'init' must be a law over the states of 'system', "
-        "got {'categorical': {'up': nan, 'down': 1.0}}: "
-        "weights sum to nan, expected 1 within 1e-12")
+        "SpecError: spec key 'init.categorical.up' must be a finite number, got nan")
+
+
+EUCLID_INPUTS_SPEC = {
+    "system": {
+        "interface": {"positions": ["a"], "directions": {"constant": {"kind": "euclid", "dim": 1}}},
+        "states": [0, 1],
+        "output": [[0, "a"], [1, "a"]],
+        "update": [[0, [0.5], {"dirac": 1}], [1, [0.5], {"dirac": 0}]],
+    },
+    "section": {"constant": [math.nan]},
+}
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ({"system": {"named": "markov", "labels": [math.inf, 1], "K": [[0.5, 0.5]] * 2}},
+         "spec key 'system.labels[0]' must be a label, got inf"),
+        (EUCLID_INPUTS_SPEC, "spec key 'section.constant[0]' must be a finite number, got nan"),
+        ({"system": {"named": "markov", "K": [[0.5, 0.5]] * 2},
+          "init": {"categorical": {"0": 0.5, "-Infinity": 0.5}}},
+         "spec key 'init.categorical.-Infinity' must be a point of the states of 'system', "
+         "got -inf"),
+    ],
+    ids=["label", "section-coordinate", "categorical-key"],
+)
+def test_a_non_finite_label_or_coordinate_is_a_usage_error(tmp_path, capsys, spec, error):
+    """An Infinity label ran and printed a ``p_inf`` column, and a NaN
+    input was taken as a section's direction: a label and a coordinate are
+    refused by the rule that refuses a non-finite number."""
+    path = _write_spec(tmp_path, spec)
+    assert main(["run", "--spec", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"SpecError: {error}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -563,8 +596,7 @@ def _mutated_spec(tmp_path, name: str, edit) -> str:
     "argv, name, edit, error",
     [
         (["run"], "counter", lambda s: s.update(init={"dirac": True}),
-         "spec key 'init' must be a law over the states of 'system', got {'dirac': True}: "
-         "True is not a point of finite[0, 1, 2, 3, 4, 5]"),
+         "spec key 'init.dirac' must be a point of the states of 'system', got True"),
         (["laplace"], "laplace1d", lambda s: s["levels"][0]["mean"]["linear"].update(A=True),
          "spec key 'levels[0].mean.linear.A' must be a list, got True"),
         (["laplace"], "laplace1d", lambda s: s.update(rate=True),
@@ -596,8 +628,7 @@ def test_a_boolean_is_never_a_number_or_a_label(tmp_path, capsys, argv, name, ed
          lambda s: s["levels"][1]["mean"]["linear"]["A"][0].__setitem__(0, "x"),
          "spec key 'levels[1].mean.linear.A[0][0]' must be a finite number, got 'x'"),
         (["run"], "switch", lambda s: s["system"]["update"][0].__setitem__(2, {"dirac": "lit"}),
-         "spec key 'system.update[0][2]' must be a law over 'system.states', got "
-         "{'dirac': 'lit'}: 'lit' is not a point of finite['off', 'dim', 'bright', 'broken']"),
+         "spec key 'system.update[0][2].dirac' must be a point of 'system.states', got 'lit'"),
         (["run"], "markov", lambda s: s["system"]["K"][1].__setitem__(0, None),
          "spec key 'system.K[1][0]' must be a finite number, got None"),
         (["laplace"], "laplace2level",

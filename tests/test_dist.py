@@ -38,6 +38,7 @@ from polydyn import (
 from polydyn import dist
 from polydyn.dist import _as_gaussian
 from polydyn.spaces import check_point, euclid_dims
+from polydyn.specio import SpecError
 
 from helpers import gaussian_bits
 
@@ -654,8 +655,9 @@ def test_tuple_labelled_laws_survive_json():
     pairs = finite(*[(w, x) for w in range(2) for x in range(2)])
     nested = finite("a", (1, (2, 3)))
     both = prod(finite(0, 1), nested)
+    mixed = finite("1", 1, 2)  # the atom 2 keys as "2", which no label holds
     for sp, a, b in ((pairs, (0, 1), (1, 1)), (nested, (1, (2, 3)), "a"),
-                     (both, (1, (1, (2, 3))), (0, "a"))):
+                     (both, (1, (1, (2, 3))), (0, "a")), (mixed, "1", 2)):
         for d in (dirac(sp, a), dirac(sp, b), categorical(sp, [(a, 0.25), (b, 0.75)])):
             assert dist_from_json(sp, dist_to_json(d)) == d, (sp, d)
 
@@ -690,26 +692,73 @@ def test_a_law_on_one_atom_is_its_point_mass():
 @pytest.mark.parametrize(
     "space, obj, message",
     [
-        (finite("a", "b"), None, "not a distribution description: None"),
+        (finite("a", "b"), None, "spec key 'law' must be a law over finite['a', 'b'], got None"),
         (finite("a", "b"), {"categorical": [["a", 1.0]]},
-         "categorical JSON needs an object of weights, got [['a', 1.0]]"),
-        (finite("a", "b"), {"categorical": {"a": "0.5", "b": 0.5}}, "weight '0.5' is not a number"),
-        (finite("a", "b"), {"categorical": {"a": True}}, "weight True is not a number"),
+         "spec key 'law.categorical' must be an object of weights, got [['a', 1.0]]"),
+        (finite("a", "b"), {"categorical": {"a": "0.5", "b": 0.5}},
+         "spec key 'law.categorical.a' must be a finite number, got '0.5'"),
+        (finite("a", "b"), {"categorical": {"a": True}},
+         "spec key 'law.categorical.a' must be a finite number, got True"),
         (euclid(1), {"gaussian": {"mean": [0.0], "cov": [[1.0, 0.0]]}},
-         "gaussian JSON needs 1 mean numbers and 1 x 1 covariance numbers, got "
-         "{'mean': [0.0], 'cov': [[1.0, 0.0]]}"),
+         "spec key 'law.gaussian.cov[0]' must be a list of length 1, one per coordinate of "
+         "euclid(1), got [1.0, 0.0]"),
         (euclid(1), {"gaussian": {"mean": [True], "cov": [[1.0]]}},
-         "gaussian JSON needs 1 mean numbers and 1 x 1 covariance numbers, got "
-         "{'mean': [True], 'cov': [[1.0]]}"),
+         "spec key 'law.gaussian.mean[0]' must be a finite number, got True"),
+        (finite(0, 1), {"categorical": {"0": math.nan, "1": 1.0}},
+         "spec key 'law.categorical.0' must be a finite number, got nan"),
+        (finite(0, 1), {"categorical": {"NaN": 0.5, "1": 0.5}},
+         "spec key 'law.categorical.NaN' must be a point of finite[0, 1], got nan"),
+        (finite(0, 1), {"dirac": math.inf},
+         "spec key 'law.dirac' must be a point of finite[0, 1], got inf"),
+        (finite(0, 1), "uniform", "spec key 'law' must be a law over finite[0, 1], got 'uniform'"),
+    ],
+    ids=[
+        "space0-None-not a distribution description: None",
+        "space1-obj1-categorical JSON needs an object of weights, got [['a', 1.0]]",
+        "space2-obj2-weight '0.5' is not a number",
+        "space3-obj3-weight True is not a number",
+        "space4-obj4-gaussian JSON needs 1 mean numbers and 1 x 1 covariance numbers, got "
+        "{'mean': [0.0], 'cov': [[1.0, 0.0]]}",
+        "space5-obj5-gaussian JSON needs 1 mean numbers and 1 x 1 covariance numbers, got "
+        "{'mean': [True], 'cov': [[1.0]]}",
+        "nan-weight",
+        "nan-key",
+        "infinite-atom",
+        "uniform",
     ],
 )
 def test_a_law_json_of_another_shape_is_refused(space, obj, message):
-    """Each was a TypeError, or a string or a boolean read as its number."""
-    with pytest.raises(DistError, match=f"^{re.escape(message)}$"):
+    """Each was a TypeError, or a string or a boolean read as its number;
+    the spec reader refuses it by its key, a non-finite weight or atom at
+    its own key.  ``dist_from_json`` reads no ``"uniform"`` shorthand,
+    which only a spec's ``init`` and update rows take."""
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         dist_from_json(space, obj)
 
 
 def test_a_boolean_atom_is_not_a_label():
     """``{"dirac": true}`` was the point 1 of a finite space."""
-    with pytest.raises(SpaceError, match=r"^True is not a point of finite\[0, 1\]$"):
+    message = r"^spec key 'law\.dirac' must be a point of finite\[0, 1\], got True$"
+    with pytest.raises(SpecError, match=message):
         dist_from_json(finite(0, 1), {"dirac": True})
+
+
+@pytest.mark.parametrize(
+    "space, atoms, message",
+    [
+        (finite("1", 1), ("1", 1), "the atom 1 and the label '1' share the JSON key '1'"),
+        (finite("[0, 1]", (0, 1)), ("[0, 1]", (0, 1)),
+         "the atom (0, 1) and the label '[0, 1]' share the JSON key '[0, 1]'"),
+        (finite("[0, 1]", (0, 1), 2), ((0, 1), 2),
+         "the atom (0, 1) and the label '[0, 1]' share the JSON key '[0, 1]'"),
+    ],
+    ids=["both-atoms", "tuple-beside-its-text", "label-off-the-support"],
+)
+def test_dist_to_json_refuses_a_key_the_reader_would_misread(space, atoms, message):
+    """A non-string atom is keyed by its JSON text, which the reader takes
+    for a label of the space when the space has that label.  Two atoms on
+    one key were one entry, half the mass dropped; an atom keyed as a label
+    off the support came back as that label."""
+    d = categorical(space, [(a, 0.5) for a in atoms])
+    with pytest.raises(DistError, match=f"^{re.escape(message)}$"):
+        dist_to_json(d)

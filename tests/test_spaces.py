@@ -162,35 +162,65 @@ def test_euclid_point_shape():
 @pytest.mark.parametrize(
     "obj, message",
     [
-        (None, "not a space description: None"),
-        ({"kind": "finite", "labels": "ab"}, "a finite space's labels must be a list, got 'ab'"),
+        (None, "spec key 'space' must be a space, got None"),
+        ({"kind": "finite", "labels": "ab"}, "spec key 'space.labels' must be a list, got 'ab'"),
         ({"kind": "finite", "labels": [0, True]},
-         "True is not a label: a label is a JSON string or number"),
-        ({"kind": "euclid", "dim": 1.5}, "a euclid space's dim must be an integer, got 1.5"),
-        ({"kind": "prod", "factors": {}}, "a product space's factors must be a list, got {}"),
-        ({"kind": "torus"}, "unknown space kind: 'torus'"),
+         "spec key 'space.labels[1]' must be a label, got True"),
+        ({"kind": "euclid", "dim": 1.5}, "spec key 'space.dim' must be an integer, got 1.5"),
+        ({"kind": "prod", "factors": {}}, "spec key 'space.factors' must be a list, got {}"),
+        ({"kind": "torus"},
+         "spec key 'space.kind' must be one of 'unit', 'finite', 'euclid', 'prod', got 'torus'"),
+        ([0, 1], "spec key 'space' must be a space, got [0, 1]"),
+        ({"kind": "unit", "dim": 2},
+         "spec key 'space.dim' must be absent, got 2: the keys read here are 'kind'"),
+    ],
+    ids=[
+        "None-not a space description: None",
+        "obj1-a finite space's labels must be a list, got 'ab'",
+        "obj2-True is not a label: a label is a JSON string or number",
+        "obj3-a euclid space's dim must be an integer, got 1.5",
+        "obj4-a product space's factors must be a list, got {}",
+        "obj5-unknown space kind: 'torus'",
+        "list-shorthand",
+        "unread-key",
     ],
 )
 def test_a_space_json_of_another_shape_is_refused(obj, message):
-    """Each was a TypeError, an AttributeError or a silent truncation."""
-    with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+    """Each was a TypeError, an AttributeError or a silent truncation; the
+    spec reader refuses it by its key.  ``space_from_json`` reads a space's
+    object, not a spec's list shorthand, and no key its kind does not read."""
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         space_from_json(obj)
 
 
 @pytest.mark.parametrize(
-    "space, obj",
+    "space, obj, message",
     [
-        (finite(0, 1), True),
-        (finite((0, 1)), [0, True]),
-        (euclid(2), [1.0]),
-        (euclid(1), ["1.0"]),
-        (euclid(1), [10**400]),
-        (prod(finite(0, 1), euclid(1)), [0]),
-        (unit(), "x"),
+        (finite(0, 1), True, "spec key 'point' must be a point of finite[0, 1], got True"),
+        (finite((0, 1)), [0, True],
+         "spec key 'point' must be a point of finite[(0, 1)], got [0, True]"),
+        (euclid(2), [1.0], "spec key 'point' must be a point of euclid(2), got [1.0]"),
+        (euclid(1), ["1.0"], "spec key 'point[0]' must be a finite number, got '1.0'"),
+        (euclid(1), [10**400], f"spec key 'point[0]' must be a finite number, got {10**400}"),
+        (prod(finite(0, 1), euclid(1)), [0],
+         "spec key 'point' must be a point of prod[finite[0, 1], euclid(1)], got [0]"),
+        (unit(), "x", "spec key 'point' must be a point of unit(), got 'x'"),
+        (finite(0, 1), math.nan, "spec key 'point' must be a point of finite[0, 1], got nan"),
+        (finite((0, 1)), [0, math.inf],
+         "spec key 'point' must be a point of finite[(0, 1)], got [0, inf]"),
+        (euclid(2), [0.0, -math.inf], "spec key 'point[1]' must be a finite number, got -inf"),
+        (prod(finite(0, 1), euclid(1)), [0, [math.nan]],
+         "spec key 'point[1][0]' must be a finite number, got nan"),
     ],
+    ids=["space0-True", "space1-obj1", "space2-obj2", "space3-obj3", "space4-obj4",
+         "space5-obj5", "space6-x", "nan-label", "infinite-tuple-label",
+         "infinite-coordinate", "nan-factor-coordinate"],
 )
-def test_a_point_json_of_another_shape_is_refused(space, obj):
+def test_a_point_json_of_another_shape_is_refused(space, obj, message):
     """True was the point 1 of a finite space, a short or long product was
-    cut to its factors and a string coordinate was read as its number."""
-    with pytest.raises(SpaceError, match=f"^{re.escape(f'{obj!r} is not a point of {space!r}')}$"):
+    cut to its factors, a string coordinate was read as its number and a
+    NaN or Infinity coordinate, which Python's ``json`` reads, was kept.
+    One finiteness rule refuses them in a label and a coordinate as in a
+    number."""
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
         point_from_json(space, obj)

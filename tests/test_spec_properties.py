@@ -1,16 +1,19 @@
 """Single-field mutations of the bundled specs, generated.
 
 Each mutation deletes one key or list entry of a bundled spec, or sets it to
-null, "x", 1.5, -1, [], {}, true, [[1]] or a large integer.  The command that
-reads the spec (``run`` and the flow suite, ``laplace`` or ``demo``) must then
-either run, printing the same bytes on a second call, or exit 2 with one
-``SpecError`` that names the mutated key path: the key itself, the value
-that holds it (a decoder refuses the whole space, point or law it is handed),
-or a key inside it (a required key of the object that replaced it).  A
-value that must fit another key's value, such as an initial law over the
-states of 'system', names that key too, so a mutation of 'system' may be
-named where the initial law no longer fits it.  None
+null, "x", 1.5, -1, [], {}, true, [[1]], a large integer, NaN, Infinity or
+-Infinity (``json.dumps`` writes the last three, and ``json.load`` reads
+them back).  The command that reads the spec (``run`` and the flow suite,
+``laplace`` or ``demo``) must then either run, printing the same bytes on a
+second call, or exit 2 with one ``SpecError`` that names the mutated key
+path: the key itself, the value that holds it (the reader refuses a whole
+point of a finite space), or a key inside it (a required key of the object
+that replaced it).  A value that must fit another key's value, such as an
+initial law over the states of 'system', names that key too, so a mutation
+of 'system' may be named where the initial law no longer fits it.  None
 raises, and none exits 1 unless its unmutated spec's suite already fails.
+No key takes NaN or Infinity, so those mutations never run under a command
+that reads the mutated key.
 
 A Laplace descent is the one run that may fail on well-formed values: a
 large gain or learning rate sends it past the largest float.  That exits 2
@@ -55,7 +58,8 @@ COMMANDS = {
     "ou": (["demo"],),
 }
 DELETE = "<delete>"
-VALUES = (DELETE, None, "x", 1.5, -1, [], {}, True, [[1]], 10**6)
+NON_FINITE = (float("nan"), float("inf"), -float("inf"))
+VALUES = (DELETE, None, "x", 1.5, -1, [], {}, True, [[1]], 10**6) + NON_FINITE
 SIZES = ("horizon", "steps", "n")
 
 
@@ -88,6 +92,13 @@ def _mutated(spec: dict, path: tuple, value):
     else:
         node[path[-1]] = 10**3 if value == 10**6 and path[-1] in SIZES else value
     return spec
+
+
+def _reads(command, path) -> bool:
+    """Whether ``command`` reads the key at ``path``: the flow suite reads a
+    run spec's 'system' and no other key, and every other command reads
+    each key of its spec."""
+    return command[0] != "check" or path[0] == "system"
 
 
 def _call(argv) -> tuple:
@@ -129,7 +140,13 @@ def test_a_mutated_spec_runs_or_is_refused_by_key(site, value):
             spec.write_text(json.dumps(_mutated(BASES[name], path, value)))
             argv = command + ["--spec", str(spec)]
             code, out, err = _call(argv)
-            if code == 0:
+            if value in NON_FINITE and _reads(command, path):
+                # no key takes NaN or Infinity, so a command that reads the
+                # key refuses it there
+                message = json.loads(err)["error"] if code == 2 else err
+                assert message.startswith("SpecError: ") and _names(message, _text(path)), (
+                    name, path, value, code, message)
+            elif code == 0:
                 assert _call(argv) == (0, out, err), (name, path, value)
             elif code == 2:
                 message = json.loads(err)["error"]
