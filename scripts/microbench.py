@@ -46,6 +46,21 @@ its inputs from its own ``np.random.default_rng(0)``.
   - the ``_PairTable`` build of the 3x3 right joint's 2,187 states from its
     factors' tables, which are built once, outside the timing.
 
+- ``core`` (500 calls): the records every primitive builds and compares,
+  and the primitives that the other groups time only inside larger calls.
+  - construction, ``==`` between equal copies built apart, and ``hash`` of
+    a two-label ``FiniteSpace``, a monomial ``Polynomial`` over it and a
+    ``Dirac`` on it;
+  - ``dist.bind`` of a seeded law on 8 atoms through a kernel of seeded
+    laws on 8 atoms, and ``categorical`` from n = 2, 8 and 64 seeded pairs;
+  - ``polymap_key`` of the lens a 3x3 channel emits and of its composite
+    with the lens its exact inversion emits, and that ``compose_map``;
+  - the emit and the absorb of a 3x3 Bayes verdict's left joint at one of
+    its states;
+  - ``trace`` of the flow group's four-state system under one section, 8
+    ticks, and its tabulated closure's ``step`` at t = 1 and t = 8;
+  - one RK4 tick of a 2-d linear vector field.
+
 Run from the root of a checkout (``--repeat 1 --number 1`` is a smoke test):
 
     PYTHONPATH=src python scripts/microbench.py --group flow --repeat 7
@@ -64,10 +79,18 @@ import numpy as np  # noqa: E402
 
 from polydyn import (  # noqa: E402
     STOCHASTIC,
+    Dirac,
+    FiniteSpace,
+    Polynomial,
     bayes_check,
+    bind,
     categorical,
+    closure,
     compose_hier,
+    compose_map,
+    constant_section,
     copy_system,
+    dirac,
     exact_bayes,
     finite,
     finite_items,
@@ -75,12 +98,15 @@ from polydyn import (  # noqa: E402
     laplace,
     linear,
     mk_system,
+    monomial,
     points,
+    polymap_key,
     prior_system,
     stochastic_channel_system,
     tabulated,
     tensor_hier,
     time_nat,
+    trace,
 )
 from polydyn import hier  # noqa: E402
 from polydyn.dist import dist_distance, gaussian, product_items  # noqa: E402
@@ -88,7 +114,7 @@ from polydyn.hier import _unique  # noqa: E402
 from polydyn.random_bundle import check_bundle  # noqa: E402
 from polydyn.spaces import euclid  # noqa: E402
 from polydyn.specio import bundle_example  # noqa: E402
-from polydyn.systems import check_flow  # noqa: E402
+from polydyn.systems import check_flow, rk4_step  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # laplace
@@ -239,12 +265,61 @@ def table_cases(gen):
 
 
 # ---------------------------------------------------------------------------
+# core
+
+
+def core_cases(gen):
+    labels = ("a", "b")
+    space = finite(*labels)
+    p = monomial(space, space)
+    mass = Dirac(space, "a")
+    twins = {"FiniteSpace": (space, finite(*labels)),
+             "Polynomial": (p, monomial(finite(*labels), finite(*labels))),
+             "Dirac": (mass, Dirac(finite(*labels), "a"))}
+    yield "FiniteSpace(...)", lambda: FiniteSpace(labels)
+    yield "Polynomial(...)", lambda: Polynomial(space, p.directions)
+    yield "Dirac(...)", lambda: Dirac(space, "a")
+    for name, (x, z) in twins.items():
+        yield f"{name} ==", lambda x=x, z=z: x == z
+    for name, (x, _) in twins.items():
+        yield f"hash {name}", lambda x=x: hash(x)
+    d = law(gen, 8, "a")
+    rows = {a: law(gen, 8, "b") for a in points(d.space)}
+    yield "bind n=8", lambda: bind(d, rows.__getitem__)
+    for n in LAW_ATOMS:
+        pairs = list(zip(range(n), dyadic(gen, n)))
+        yield f"categorical n={n}", lambda s=finite(*range(n)), w=pairs: categorical(s, w)
+    c, _, inv = bayes_systems(gen, 3, 3)
+    lens = c.emit(next(points(c.states)))
+    back = inv.emit(next(points(inv.states)))
+    yield "polymap_key channel 3x3", lambda: polymap_key(lens)
+    yield "compose_map 3x3", lambda: compose_map(back, lens)
+    yield "polymap_key composite 3x3", lambda g=compose_map(back, lens): polymap_key(g)
+    lhs, _ = joints(*bayes_systems(gen, 3, 3))
+    x = next(points(lhs.states))
+    phi = lhs.emit(x)
+    d_out = next(points(phi.target.dirs_at(phi.forward(()))))
+    yield "emit joint 3x3", lambda: lhs.emit(x)
+    yield "absorb joint 3x3", lambda: lhs.absorb(x, (), d_out)
+    sys_ = flow_system(gen, FLOW_STATES[0])
+    sigma = constant_section(sys_.interface, 0)
+    start = dirac(sys_.states, 0)
+    yield "trace n=4 horizon 8", lambda: trace(sys_, sigma, start, 8)
+    closed = closure(sys_, sigma)
+    for t in (1, 8):
+        yield f"closure step n=4 t={t}", lambda t=t: closed.step(t, 0)
+    w = np.eye(2) + 0.3 * gen.standard_normal((2, 2))
+    yield "rk4_step n=2", lambda x0=gen.standard_normal(2): rk4_step(lambda v: w @ v, x0, 0.1)
+
+
+# ---------------------------------------------------------------------------
 
 # group -> (its cases from a seeded generator, its calls per round by default)
 GROUPS = {
     "laplace": (laplace_cases, 2000),
     "flow": (flow_cases, 200),
     "table": (table_cases, 200),
+    "core": (core_cases, 500),
 }
 
 

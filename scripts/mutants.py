@@ -451,6 +451,31 @@ MUTANTS = (
         "with np.errstate():",
         ("tests/test_law_reports.py::test_a_nan_deviation_fails_its_law",),
     ),
+    # a table system's Euclidean inputs pass the reader again
+    Mutant(
+        "spec-directions-unchecked",
+        "src/polydyn/specio.py",
+        "        if not is_finite(space):\n"
+        "            raise self.refuse(\"a finite space\", \"an update table lists each input\")\n",
+        "",
+        ("tests/test_cli.py::test_inputs_that_are_not_finite_are_a_usage_error",),
+    ),
+    # the shared __setattr__ of every record stores the value it is given
+    Mutant(
+        "record-assignment-allowed",
+        "src/polydyn/spaces.py",
+        '    raise FrozenInstanceError(f"cannot assign to field {name!r}")',
+        "    object.__setattr__(self, name, value)",
+        ("tests/test_records.py::test_a_record_is_frozen",),
+    ),
+    # a record's hash leaves out its first compared field
+    Mutant(
+        "record-hash-skips-field",
+        "src/polydyn/spaces.py",
+        "    return hash(self._record_key())",
+        "    return hash(self._record_key()[1:])",
+        ("tests/test_records.py::test_a_record_is_its_frozen_dataclass_twin",),
+    ),
 )
 
 

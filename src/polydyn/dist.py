@@ -17,7 +17,6 @@ never a hidden global.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Union
 
 import numpy as np
@@ -34,6 +33,7 @@ from .spaces import (
     flatten_floats,
     points,
     prod,
+    record,
     unflatten_floats,
 )
 
@@ -52,7 +52,7 @@ class DistError(ValueError):
 # Rng
 
 
-@dataclass(frozen=True)
+@record
 class Rng:
     """Splittable counter-based random source (Philox under the hood).
 
@@ -76,8 +76,10 @@ class Rng:
 # Dist kinds
 
 
-@dataclass(frozen=True)
+@record
 class Dirac:
+    """The point mass at ``point``, a point of ``space``."""
+
     space: Space
     point: Any
 
@@ -85,8 +87,11 @@ class Dirac:
         return f"dirac({self.point!r})"
 
 
-@dataclass(frozen=True)
+@record
 class Categorical:
+    """A finite law on ``space``: distinct atoms, each with a positive
+    weight, in the order they were given."""
+
     space: Space
     items: tuple  # ((atom, weight), ...) zero weights pruned, atoms distinct
 
@@ -95,8 +100,11 @@ class Categorical:
         return f"categorical({{{inner}}})"
 
 
-@dataclass(frozen=True)
+@record
 class Gaussian:
+    """A normal law on a Euclidean-shaped space, its mean and covariance
+    flat over the space's coordinates (``flatten_floats``)."""
+
     space: Space  # Euclidean-shaped: euclid(n) or a product of such
     mean: tuple  # flat, length = euclid_dims(space)
     cov: tuple  # flat row-major tuple of tuples, same order as mean
@@ -269,7 +277,7 @@ def prob(d: Dist, atom: Any) -> float:
 # Affine-Gaussian kernels
 
 
-@dataclass(frozen=True)
+@record
 class GaussianKernel:
     """Stochastic affine kernel x |-> N(Ax + b, Sigma); closed under Kleisli
     composition, which is what keeps Gaussian chains exact.  With the default

@@ -25,7 +25,7 @@ unit unless the left factor supplies a richer ``forward_lift``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,6 +74,7 @@ from .spaces import (
     normalize_point,
     points,
     prod,
+    record,
     unit,
 )
 from .systems import System
@@ -83,7 +84,7 @@ class HierError(ValueError):
     """Mismatched interfaces or times in a hierarchical construction."""
 
 
-@dataclass(frozen=True)
+@record
 class HierSystem:
     """A hierarchical system source -> target over ``states``, given by its
     one-tick data: ``emit(x)`` is the lens state x shows, ``absorb(x, i, d)``
@@ -788,13 +789,16 @@ def _choice(sigma, systems, keys: list, options: list) -> np.ndarray:
 # traces and quasi-bisimilarity
 
 
-@dataclass(frozen=True)
+@record
 class Trace:
+    """What a system shows over time: ``values[k]`` is the law at tick
+    ``times[k]``."""
+
     times: tuple
     values: tuple  # one Dist per time over emitted positions (or their keys)
 
 
-@dataclass(frozen=True)
+@record
 class HomSection:
     """An environment strategy for a hierarchical system: for each emitted
     lens (by its ``polymap_key``) it fixes the source position offered and
@@ -1149,7 +1153,7 @@ def quasi_bisim(
 # exact Bayesian inversion of finite channels
 
 
-@dataclass(frozen=True)
+@record
 class BayesInverse:
     """Finite Bayes inversion c-dagger of a channel against a prior; callable
     on outcomes.  Outcomes with zero evidence get the uniform convention and

@@ -71,7 +71,6 @@ has no such stop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,6 +93,7 @@ from .spaces import (
     euclid_dims,
     flatten_floats,
     prod,
+    record,
     unflatten_floats,
 )
 
@@ -246,7 +246,7 @@ class _Prior:
         return at
 
 
-@dataclass(frozen=True)
+@record
 class GaussianChannel:
     """A channel x |-> N(mean(x), cov(x)) with an analytic Jacobian of the
     mean map.  With ``jacobian=None`` the gradient and the Gauss-Newton
@@ -316,7 +316,7 @@ def state_dist(state: Gaussian) -> Gaussian:
     return state
 
 
-@dataclass(frozen=True)
+@record
 class LaplaceConfig:
     """The gradient-descent step size (the learning rate lambda) of every
     belief update: finite, and 0 freezes the mean.  A run lasts as many steps

@@ -22,7 +22,6 @@ unless you ask (see ``spaces.normalize_point``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from .dist import (
@@ -44,6 +43,7 @@ from .spaces import (
     normalize_point,
     points,
     prod,
+    record,
     unit,
 )
 
@@ -55,18 +55,26 @@ class PolyError(ValueError):
     """Ill-shaped polynomial data or a lens operation on mismatched interfaces."""
 
 
-@dataclass(frozen=True)
+@record
 class ConstantDirections:
+    """One direction space shared by every position: the directions of a
+    monomial A y^S."""
+
     space: Space
 
 
-@dataclass(frozen=True)
+@record
 class TabulatedDirections:
+    """A direction space per position of a finite position space."""
+
     table: tuple  # ((position, Space), ...), total over a finite position space
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
+    """A polynomial interface: what a system can show (``positions``) and,
+    at each position i, what it can be told (``dirs_at(i)``)."""
+
     positions: Space
     directions: Union[ConstantDirections, TabulatedDirections]
 
@@ -134,8 +142,13 @@ def tensor(p: Polynomial, q: Polynomial) -> Polynomial:
 # lenses
 
 
-@dataclass(frozen=True)
+@record
 class PolyMap:
+    """A lens source -> target: ``forward`` sends a source position to a
+    target position, and ``backward(i, d)`` a direction d at forward(i) to
+    a law over the directions at i, a point mass when ``effect`` is
+    deterministic."""
+
     source: Polynomial
     target: Polynomial
     forward: Callable  # positions(source) -> positions(target)
@@ -208,8 +221,11 @@ def tensor_map(f: PolyMap, g: PolyMap) -> PolyMap:
 # sections
 
 
-@dataclass(frozen=True)
+@record
 class Section:
+    """A section of ``of``: ``assign(i)`` picks one direction at each
+    position i, the environment that closes a system on that interface."""
+
     of: Polynomial
     assign: Callable  # position -> direction at that position
 
@@ -373,7 +389,7 @@ def tensor_key(f_key: tuple, g_key: tuple, products: dict) -> tuple:
 # time
 
 
-@dataclass(frozen=True)
+@record
 class TimeMonoid:
     """Time values are non-negative integers: either bare ticks (``nat``) or
     exact multiples of a fixed real step h (``real``).  Keeping arithmetic on

@@ -28,7 +28,6 @@ state by state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .dist import (
@@ -40,7 +39,7 @@ from .dist import (
     pushforward,
 )
 from .poly import DETERMINISTIC, Polynomial, all_sections, time_real
-from .spaces import Space, euclid, is_finite, points
+from .spaces import Space, euclid, is_finite, points, record
 from .systems import (
     ClosedSystem,
     System,
@@ -69,8 +68,10 @@ def _require(report: dict, failure: str) -> None:
         raise RandomSystemError(f"{failure}: {report}")
 
 
-@dataclass(frozen=True)
+@record
 class ProbabilitySpace:
+    """A finite carrier with a law over it."""
+
     space: Space  # finite
     measure: Dist  # over space
 
@@ -83,8 +84,11 @@ def mk_probability_space(space: Space, measure: Dist) -> ProbabilitySpace:
     return ProbabilitySpace(space, measure)
 
 
-@dataclass(frozen=True)
+@record
 class MeasurePreservingSystem:
+    """A deterministic closed flow on a probability space's carrier whose
+    pushforward keeps its measure."""
+
     base: ProbabilitySpace
     flow: ClosedSystem  # deterministic closed system on base.space
 
@@ -107,7 +111,7 @@ def mk_measure_preserving(base: ProbabilitySpace, flow: ClosedSystem) -> Measure
     return mp
 
 
-@dataclass(frozen=True)
+@record
 class MPMorphism:
     """A map of measure-preserving systems: preserves both flow and measure.
     Verify with ``check_mp_morphism`` before using it to rebase anything."""
@@ -135,7 +139,7 @@ def check_mp_morphism(psi: MPMorphism) -> dict:
 # open random dynamical systems
 
 
-@dataclass(frozen=True)
+@record
 class RandomSystem:
     """Deterministic open system on a total space over a measure-preserving
     base: the projection intertwines every closure with the base flow."""
@@ -224,7 +228,7 @@ def rebase_rds(psi: MPMorphism, rds: RandomSystem) -> RandomSystem:
 # open bundle systems
 
 
-@dataclass(frozen=True)
+@record
 class BundleSystem:
     """An open system on a total space lying over an open system on a base
     space, with the projection commuting for every pair of sections."""

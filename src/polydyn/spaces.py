@@ -20,7 +20,8 @@ empty tuple), so a pair's normal form is its components' concatenated;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import reprlib
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Any, Iterator, Union
 
 import numpy as np
@@ -31,14 +32,99 @@ class SpaceError(ValueError):
     (finiteness, enumerability) the space doesn't have."""
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# records
+
+
+def record(cls):
+    """Make ``cls`` a frozen record: what ``@dataclass(frozen=True)`` makes
+    of it, at one compile per class where dataclass compiles six.
+
+    ``dataclasses.fields``, ``replace``, ``KW_ONLY`` and ``__match_args__``
+    work as on any dataclass.  The one generated ``__init__`` stores each
+    field with ``object.__setattr__`` and then calls ``__post_init__``; the
+    class's compared fields come from a generated getter, ``_record_key``.
+    The other methods are shared by every record: ``==`` and ``hash``
+    compare and hash the tuple of compared fields, ``repr`` is dataclass's
+    unless the class defines its own, and assigning or deleting any
+    attribute raises ``FrozenInstanceError``.  Each record needs a
+    docstring: without one, dataclass writes one from ``object.__init__``'s
+    text signature, which it parses with ``tokenize``'s regexes."""
+    dataclass(cls, init=False, repr=False, eq=False)
+    every = fields(cls)
+    params = [f for f in every if f.init]
+    env = {"__name__": cls.__module__, "_store": object.__setattr__}
+
+    def param(f) -> str:
+        if f.default_factory is not MISSING:
+            raise TypeError(f"record field {f.name!r} takes a plain default, not a factory")
+        if f.default is MISSING:
+            return f.name
+        env[f"_default_{f.name}"] = f.default
+        return f"{f.name}=_default_{f.name}"
+
+    args = [param(f) for f in params if not f.kw_only]
+    keywords = [param(f) for f in params if f.kw_only]
+    if keywords:
+        args += ["*", *keywords]
+    lines = [f"def __init__(self, {', '.join(args)}):"]
+    lines += [f"    _store(self, {f.name!r}, {f.name})" for f in params]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    if len(lines) == 1:
+        lines.append("    pass")
+    key = "".join(f"self.{f.name}, " for f in every if f.compare)
+    lines += ["def _record_key(self):", f"    return ({key})"]
+    exec("\n".join(lines), env)
+    init = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**{f.name: f.type for f in params}, "return": None}
+    cls.__init__, cls._record_key = init, env["_record_key"]
+    cls._record_shown = tuple(f.name for f in every if f.repr)
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _record_repr
+    cls.__eq__, cls.__hash__ = _record_eq, _record_hash
+    cls.__setattr__, cls.__delattr__ = _record_setattr, _record_delattr
+    return cls
+
+
+@reprlib.recursive_repr()
+def _record_repr(self) -> str:
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._record_shown)
+    return f"{self.__class__.__qualname__}({shown})"
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return self._record_key() == other._record_key()
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(self._record_key())
+
+
+def _record_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _record_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@record
 class UnitSpace:
+    """The one-point space; its one point is ``()``."""
+
     def __repr__(self) -> str:
         return "unit()"
 
 
-@dataclass(frozen=True)
+@record
 class FiniteSpace:
+    """A finite enumeration of distinct hashable labels, in the order
+    ``points`` lists them."""
+
     labels: tuple
 
     def __post_init__(self):
@@ -60,8 +146,10 @@ class FiniteSpace:
         return f"finite{list(self.labels)!r}"
 
 
-@dataclass(frozen=True)
+@record
 class EuclidSpace:
+    """R^dim; its points are dim-tuples of floats."""
+
     dim: int
 
     def __post_init__(self):
@@ -72,16 +160,21 @@ class EuclidSpace:
         return f"euclid({self.dim})"
 
 
-@dataclass(frozen=True)
+@record
 class ProdSpace:
+    """An ordered product; a point is a tuple with one slot per factor."""
+
     factors: tuple
 
     def __repr__(self) -> str:
         return f"prod{list(self.factors)!r}"
 
 
-@dataclass(frozen=True)
+@record
 class DistSpace:
+    """The laws over ``base``: the positions of an interface whose inputs
+    are distributions.  It has no enumeration."""
+
     base: "Space"
 
     def __repr__(self) -> str:

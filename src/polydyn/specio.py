@@ -284,6 +284,14 @@ class _Spec:
             return prod(*[f.space_object() for f in self.field("factors").items()])
         return unit()
 
+    def directions(self) -> Space:
+        """A direction space of an interface, read as ``space`` reads it: a
+        finite one, since a system's update table lists each input."""
+        space = self.space()
+        if not is_finite(space):
+            raise self.refuse("a finite space", "an update table lists each input")
+        return space
+
     def finite(self) -> Space:
         """A finite space from a list of labels."""
         labels = [x.label() for x in self.items()]
@@ -466,12 +474,12 @@ def _interface(r: _Spec) -> Polynomial:
     positions = at.space()
     dirs = r.field("directions", {"constant": {"kind": "unit"}}).object(("constant", "fibres"))
     if dirs.has("constant"):
-        return monomial(positions, dirs.field("constant").space())
+        return monomial(positions, dirs.field("constant").directions())
     if dirs.has("fibres"):
         table = {}
         for row in dirs.field("fibres").items():
             pos, fibre = row.items(2)
-            table[pos.point(positions, f"a point of {at.path!r}")] = fibre.space()
+            table[pos.point(positions, f"a point of {at.path!r}")] = fibre.directions()
         return dirs.build("a fibre for every position", lambda: tabulated(positions, table))
     raise dirs.refuse("an object with a 'constant' or a 'fibres' key")
 

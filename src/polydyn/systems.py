@@ -28,7 +28,6 @@ for the length of the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -65,6 +64,7 @@ from .spaces import (
     flatten_floats,
     is_finite,
     points,
+    record,
     unflatten_floats,
 )
 
@@ -73,12 +73,14 @@ class OpenSystemError(ValueError):
     """Ill-shaped system data or incompatible composition."""
 
 
-@dataclass(frozen=True)
+@record
 class DiscreteMap:
+    """Discrete-time flavor: one tick is one application of the update."""
+
     pass
 
 
-@dataclass(frozen=True)
+@record
 class VectorField:
     """Continuous-time flavor: ``field(x, d)`` is the tangent vector at state
     x under input d, a direction of the system's own interface.  One tick
@@ -91,8 +93,13 @@ class VectorField:
 Flavor = Union[DiscreteMap, VectorField]
 
 
-@dataclass(frozen=True)
+@record
 class System:
+    """An open system on ``interface``: at time t a state shows
+    ``output(t, state)``, a position, and moves to the law
+    ``update(t, state, direction)`` over states once told a direction
+    there."""
+
     interface: Polynomial
     states: Space
     time: TimeMonoid
@@ -102,8 +109,11 @@ class System:
     flavor: Flavor = DiscreteMap()
 
 
-@dataclass(frozen=True)
+@record
 class ClosedSystem:
+    """A closed system: ``step(t, state)`` is the law over states t ticks
+    after ``state``."""
+
     states: Space
     time: TimeMonoid
     step: Callable  # (t, state) -> Dist over states
@@ -166,7 +176,7 @@ class _TickPowers:
         return _finite_law(self.states, tuple((a, w) for a, w in zip(self.atoms, row) if w != 0.0))
 
 
-@dataclass(frozen=True)
+@record
 class _TabulatedClosure(ClosedSystem):
     """A discrete closure on finite states, with its tick matrix's powers."""
 
@@ -189,7 +199,7 @@ class _Walk:
         return self._law_of(values[t])
 
 
-@dataclass(frozen=True)
+@record
 class _IteratedClosure(ClosedSystem):
     """A closure that iterates its one tick: ``walk(x)`` is a fresh walk from
     x, and step(t, x) is its t-th law."""
@@ -725,7 +735,7 @@ def from_vector_field(
 # coalgebra round-trip
 
 
-@dataclass(frozen=True)
+@record
 class NCoalg:
     """Tabular presentation of a finite deterministic discrete system: the
     output table S -> positions and the transition table on (state,

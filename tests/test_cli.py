@@ -439,15 +439,6 @@ def test_a_nan_weight_in_a_spec_is_a_usage_error(tmp_path, capsys):
         "SpecError: spec key 'init.categorical.up' must be a finite number, got nan")
 
 
-EUCLID_INPUTS_SPEC = {
-    "system": {
-        "interface": {"positions": ["a"], "directions": {"constant": {"kind": "euclid", "dim": 1}}},
-        "states": [0, 1],
-        "output": [[0, "a"], [1, "a"]],
-        "update": [[0, [0.5], {"dirac": 1}], [1, [0.5], {"dirac": 0}]],
-    },
-    "section": {"constant": [math.nan]},
-}
 
 
 @pytest.mark.parametrize(
@@ -455,7 +446,8 @@ EUCLID_INPUTS_SPEC = {
     [
         ({"system": {"named": "markov", "labels": [math.inf, 1], "K": [[0.5, 0.5]] * 2}},
          "spec key 'system.labels[0]' must be a label, got inf"),
-        (EUCLID_INPUTS_SPEC, "spec key 'section.constant[0]' must be a finite number, got nan"),
+        (dict(FIBRES_SPEC, section={"table": [["a", math.nan], ["b", "z"]]}),
+         "spec key 'section.table[0][1]' must be an input of 'system' at 'a', got nan"),
         ({"system": {"named": "markov", "K": [[0.5, 0.5]] * 2},
           "init": {"categorical": {"0": 0.5, "-Infinity": 0.5}}},
          "spec key 'init.categorical.-Infinity' must be a point of the states of 'system', "
@@ -465,13 +457,49 @@ EUCLID_INPUTS_SPEC = {
 )
 def test_a_non_finite_label_or_coordinate_is_a_usage_error(tmp_path, capsys, spec, error):
     """An Infinity label ran and printed a ``p_inf`` column, and a NaN
-    input was taken as a section's direction: a label and a coordinate are
-    refused by the rule that refuses a non-finite number."""
+    input was taken as a section's direction: labels, a section's inputs
+    among them, are refused by the rule that refuses a non-finite number."""
     path = _write_spec(tmp_path, spec)
     assert main(["run", "--spec", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == f"SpecError: {error}"
+
+
+# a table system whose input at a is a real number: its update rows list
+# the one input 0.5, and the section gives it
+EUCLID_INPUTS_SYSTEM = {
+    "interface": {"positions": ["a"], "directions": {"constant": {"kind": "euclid", "dim": 1}}},
+    "states": [0, 1],
+    "output": [[0, "a"], [1, "a"]],
+    "update": [[0, [0.5], {"dirac": 1}], [1, [0.5], {"dirac": 0}]],
+}
+EUCLID_FIBRE_SYSTEM = dict(
+    EUCLID_INPUTS_SYSTEM,
+    interface={"positions": ["a"], "directions": {"fibres": [["a", {"kind": "euclid", "dim": 1}]]}},
+)
+
+
+@pytest.mark.parametrize("command", [["run"], ["check", "--suite", "flow"]], ids=["run", "flow"])
+@pytest.mark.parametrize(
+    "system, key",
+    [(EUCLID_INPUTS_SYSTEM, "system.interface.directions.constant"),
+     (EUCLID_FIBRE_SYSTEM, "system.interface.directions.fibres[0][1]")],
+    ids=["constant", "fibre"],
+)
+def test_inputs_that_are_not_finite_are_a_usage_error(tmp_path, capsys, command, system, key):
+    """A table system lists its inputs in its update rows, so its direction
+    spaces are finite.  Euclidean ones passed the reader, and then ``run``
+    and the flow suite failed in the library with messages that named no
+    key."""
+    path = _write_spec(tmp_path, {"system": system, "section": {"constant": [0.5]}})
+    assert main([*command, "--spec", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        f"SpecError: spec key {key!r} must be a finite space, got {{'kind': 'euclid', 'dim': 1}}: "
+        "an update table lists each input"
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
