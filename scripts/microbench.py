@@ -8,7 +8,7 @@ group; with none, every group runs, one after another.  Each group draws
 its inputs from its own ``np.random.default_rng(0)``.
 
 - ``laplace`` (2,000 calls per round unless ``--number`` is given): the
-  pieces of a Laplace level-step.
+  pieces of a Laplace level-step and of a stack-step.
   - ``dist.gaussian`` at n = 1, 2, 3, 6 and 18, on a fresh ``euclid(n)``
     and a seeded symmetric positive-definite covariance;
   - ``laplace._Guarded`` (the conditioning check a solve and an inverse
@@ -17,7 +17,13 @@ its inputs from its own ``np.random.default_rng(0)``.
     belief update from the last evaluation and the free energy at the new
     mean.  The linear level is affine with a constant covariance; the
     nonlinear one has mean tanh(Wx) + b, a state-dependent covariance and
-    no analytic Jacobian, as the benchmark's nonlinear level.
+    no analytic Jacobian, as the benchmark's nonlinear level;
+  - ``dist.dst`` of two seeded Gaussians on 3 + 3 and on 12 + 6
+    coordinates, products a depth-3 stack's absorb forms;
+  - one ``mean_path`` stack-step of a seeded linear stack of each of the
+    benchmark's shapes (depth 1, 2 and 3, n = 1 and 3): the stack's absorb
+    from the state the last call reached, and the new state read from the
+    law's flat mean.
 - ``flow`` (200 calls): the flow and bundle laws and the distance they read.
   - ``check_flow`` on seeded stochastic systems of the benchmark's flow
     shape (n = 4, 5 and 6 states, positions p0/p1 with 2 and 3 directions,
@@ -109,10 +115,10 @@ from polydyn import (  # noqa: E402
     trace,
 )
 from polydyn import hier  # noqa: E402
-from polydyn.dist import dist_distance, gaussian, product_items  # noqa: E402
+from polydyn.dist import dist_distance, dst, gaussian, product_items  # noqa: E402
 from polydyn.hier import _unique  # noqa: E402
 from polydyn.random_bundle import check_bundle  # noqa: E402
-from polydyn.spaces import euclid  # noqa: E402
+from polydyn.spaces import euclid, euclid_dims, unflatten_floats  # noqa: E402
 from polydyn.specio import bundle_example  # noqa: E402
 from polydyn.systems import check_flow, rk4_step  # noqa: E402
 
@@ -131,13 +137,34 @@ def level_step(channel, prior, datum, rate: float):
     """One ``run_stack`` level-step per call, each from the mean the last
     one reached."""
     cfg = laplace.LaplaceConfig(rate=rate)
-    point = [laplace._Evaluation(channel, np.zeros(channel.in_dim), laplace._Prior())]
+    point = [laplace._Evaluation(channel, np.zeros(channel.in_dim), laplace._Prior(channel))]
 
     def step():
         at = point[0]
         rho, at_new = at.update(prior, datum, cfg)
         at_new.energy(prior, datum) - at.prior.entropy(rho)
         point[0] = at_new
+
+    return step
+
+
+def stack_step(gen, depth: int, n: int):
+    """One ``mean_path`` step per call of a seeded linear stack drawn as the
+    benchmark draws its own, each from the state the last one reached."""
+    levels = []
+    for _ in range(depth):
+        a = np.eye(n) + 0.3 * gen.standard_normal((n, n))
+        b = 0.2 * gen.standard_normal(n)
+        root = 0.2 * gen.standard_normal((n, n))
+        levels.append(laplace.linear_channel(a, b, 0.6 * np.eye(n) + root @ root.T))
+    prior = laplace.mk_state(0.5 * gen.standard_normal(n), np.eye(n))
+    datum = tuple(gen.standard_normal(n).tolist())
+    hs = laplace.stack(levels, laplace.LaplaceConfig(rate=0.05))
+    point = [unflatten_floats(hs.states, (0.0,) * euclid_dims(hs.states))]
+
+    def step():
+        law = hs.absorb(point[0], prior, datum)
+        point[0] = unflatten_floats(hs.states, law.mean)
 
     return step
 
@@ -163,6 +190,12 @@ def laplace_cases(gen):
         lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2),
     )
     yield f"nonlinear level-step n={dim}", level_step(nonlinear, prior, datum, 0.1)
+    for n1, n2 in ((3, 3), (12, 6)):
+        laws = [gaussian(euclid(n), gen.standard_normal(n), spd(gen, n)) for n in (n1, n2)]
+        yield f"dist.dst {n1}+{n2}", lambda pair=laws: dst(*pair)
+    for depth in (1, 2, 3):
+        for n in (1, 3):
+            yield f"mean_path stack-step d={depth} n={n}", stack_step(gen, depth, n)
 
 
 # ---------------------------------------------------------------------------

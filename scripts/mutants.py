@@ -129,8 +129,8 @@ MUTANTS = (
     Mutant(
         "run-stop-after-one-step",
         "src/polydyn/laplace.py",
-        "new.x.tobytes() == at.x.tobytes()",
-        "new.x.tobytes() == new.x.tobytes()",
+        "at_new.x.tobytes() == at.x.tobytes()",
+        "at_new.x.tobytes() == at_new.x.tobytes()",
         ("tests/test_laplace.py::test_a_run_that_settles_gives_the_rows_of_a_runner_that_steps_every_level",
          "tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled"),
     ),
@@ -139,8 +139,8 @@ MUTANTS = (
     Mutant(
         "run-stop-on-one-level",
         "src/polydyn/laplace.py",
-        "for new, at in zip(new_points, points)",
-        "for new, at in zip(new_points[:1], points[:1])",
+        "settled = settled and at_new.x.tobytes() == at.x.tobytes()",
+        "settled = settled and (k > 0 or at_new.x.tobytes() == at.x.tobytes())",
         ("tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled",),
     ),
     # a Laplace level reads its kept evaluation at whatever latent it is
@@ -153,6 +153,23 @@ MUTANTS = (
         ("tests/test_laplace.py::test_a_level_absorbing_away_from_its_last_new_mean_equals_a_fresh_level",
          "tests/test_laplace.py::test_a_level_tells_a_zero_latent_from_a_negative_zero_one",
          "tests/test_laplace.py::test_mean_paths_that_share_a_level_system_each_equal_run_stack"),
+    ),
+    # a level reads the array it kept for its last belief as the covariance
+    # of any belief, also one it built before
+    Mutant(
+        "belief-entropy-stale-array",
+        "src/polydyn/laplace.py",
+        "return sigma if rho.cov is cov else rho.cov_array()",
+        "return rho.cov_array() if sigma is None else sigma",
+        ("tests/test_laplace.py::test_a_new_belief_reads_its_entropy_from_the_array_it_was_built_from",),
+    ),
+    # a run length of True is taken for one step
+    Mutant(
+        "run-length-bool-accepted",
+        "src/polydyn/laplace.py",
+        "    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):\n",
+        "    if not isinstance(steps, numbers.Integral):\n",
+        ("tests/test_laplace.py::test_the_runners_refuse_a_run_length_that_is_not_an_integer",),
     ),
     # two Diracs over a Euclidean space compared as labels, so points one ulp
     # apart read 1.0 and a flow tolerance admits no gap

@@ -218,7 +218,13 @@ def gaussian(space: Space, mean, cov) -> Gaussian:
     ``np.linalg.eigvalsh(sig).min()`` do: the mean is checked on the Python
     floats the law stores, the covariance's finiteness and symmetry through
     one ufunc reduction each, and its least eigenvalue on Python floats."""
-    n = euclid_dims(space)
+    return _checked_gaussian(space, euclid_dims(space), mean, cov)[0]
+
+
+def _checked_gaussian(space: Space, n: int, mean, cov) -> tuple:
+    """``gaussian(space, mean, cov)`` for a space of n coordinates, and the
+    array its covariance was checked on and stored from: symmetrized, so
+    equal entry for entry to the law's ``cov_array()``."""
     mu = tuple(np.asarray(mean, dtype=float).reshape(n).tolist())
     sig = np.asarray(cov, dtype=float).reshape(n, n)
     # NaN and inf both propagate through the largest magnitude
@@ -235,7 +241,7 @@ def gaussian(space: Space, mean, cov) -> Gaussian:
         sig = 0.5 * (sig + sig.T)
         if min(_symmetric_eigenvalues(sig).tolist()) < -PSD_TOL:
             raise DistError("covariance is not positive semi-definite")
-    return Gaussian(space, mu, tuple(map(tuple, sig.tolist())))
+    return Gaussian(space, mu, tuple(map(tuple, sig.tolist()))), sig
 
 
 def _symmetric_eigenvalues(sig: np.ndarray) -> np.ndarray:
@@ -424,9 +430,12 @@ def dst(d1: Dist, d2: Dist) -> Dist:
     result equals ``categorical`` of the weighted pairs.  Only the product
     weights' sum (and sign) is checked, and of a Gaussian product only the
     means, coordinate by coordinate with ``math.isfinite`` (a law's mean holds
-    Python floats); the covariance is not checked again.
+    Python floats); the covariance is not checked again.  Two Gaussians, the
+    pair a Laplace stack's every absorb makes, are tried first.
     """
     space = prod(d1.space, d2.space)
+    if isinstance(d1, Gaussian) and isinstance(d2, Gaussian):
+        return _gaussian_product(space, d1, d2)
     if isinstance(d1, Dirac) and isinstance(d2, Dirac):
         return Dirac(space, (d1.point, d2.point))
     finite1 = isinstance(d1, (Dirac, Categorical))
@@ -440,11 +449,17 @@ def dst(d1: Dist, d2: Dist) -> Dist:
             "dst of a finite-support and a continuous factor is outside the "
             "exact regimes; use sample() on each factor"
         )
-    pad1, pad2 = (0.0,) * len(g1.mean), (0.0,) * len(g2.mean)
-    cov = tuple(row + pad2 for row in g1.cov) + tuple(pad1 + row for row in g2.cov)
+    return _gaussian_product(space, g1, g2)
+
+
+def _gaussian_product(space: Space, g1: Gaussian, g2: Gaussian) -> Gaussian:
+    """The independent product of two Gaussian laws over ``space``: stacked
+    means, checked finite, and a block-diagonal covariance."""
     mean = g1.mean + g2.mean
     if not all(map(math.isfinite, mean)):
         raise DistError("mean and covariance must be finite")
+    pad1, pad2 = (0.0,) * len(g1.mean), (0.0,) * len(g2.mean)
+    cov = (*[row + pad2 for row in g1.cov], *[pad1 + row for row in g2.cov])
     return Gaussian(space, mean, cov)
 
 

@@ -25,6 +25,7 @@ unit unless the left factor supplies a richer ``forward_lift``.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import KW_ONLY, field, replace
 from typing import Callable, Optional
 
@@ -528,8 +529,16 @@ def _compose_key(f_key: tuple, f_ranges: list, g_rows: dict) -> tuple:
 
 def _check_horizon(horizon: int) -> None:
     """Ticks run 0..horizon, so a negative horizon leaves none."""
+    _check_integer_horizon(horizon)
     if horizon < 0:
         raise HierError(f"horizon must be non-negative, got {horizon}")
+
+
+def _check_integer_horizon(horizon) -> None:
+    """A horizon counts ticks: a bool, which Python counts as an integer,
+    and every non-integer are refused by name."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise HierError(f"horizon must be an integer, got {horizon!r}")
 
 
 def tabulate(hs: HierSystem) -> HierTable:
@@ -1255,6 +1264,7 @@ def bayes_check(
     ticks 0..horizon, and horizon is at least 1: at tick 0 alone the joints
     are their initial laws, and a pair of point-mass starts agrees there
     however the inversion is warped."""
+    _check_integer_horizon(horizon)
     if horizon < 1:
         raise HierError(f"bayes_check needs a horizon of at least 1, got {horizon}")
     X = c.source.positions

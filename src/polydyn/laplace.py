@@ -29,6 +29,14 @@ covariance and kept there too, with the predicted observation's covariance
 J Sigma_rho J^T + Sigma_gamma that belief gives.  Only nonlinear levels and
 state-dependent covariances are checked at every step.
 
+A level-step builds each law once.  A new belief is checked once, by
+``dist.gaussian``'s checks on the inverse-Hessian array, and the level keeps
+the checked, symmetrised array with the belief's covariance
+(``_Prior.built``): the belief's entropy in ``run_stack``'s free energy and
+the covariance its prediction propagates in ``mean_path`` read that array,
+not one converted back from the stored tuple.  A level keeps its spaces and
+the prior's mean as an array, so no step rebuilds them either.
+
 A level evaluates its channel once per point (``_Evaluation``): the mean, the
 covariance, its guard and the Jacobian at a latent estimate serve the energy,
 its gradient and curvature, the channel's law and the level's prediction there.
@@ -71,6 +79,7 @@ has no such stop.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -81,6 +90,7 @@ from .dist import (
     DistError,
     Gaussian,
     _as_gaussian,
+    _checked_gaussian,
     _gaussian_from_checked,
     dst,
     gaussian,
@@ -104,6 +114,9 @@ class LaplaceError(ValueError):
 
 _COND_LIMIT = 1e12
 _TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2PIE = math.log(2.0 * math.pi * math.e)
+_H = 1e-6  # the step of a central difference
 # the singular values alone: "svd" on numpy 2, "svd_n" (rows >= columns) on 1.x
 _SVD = "svd" if hasattr(_umath_linalg, "svd") else "svd_n"
 
@@ -207,32 +220,58 @@ class _Guarded(_Constant):
 
 
 class _Prior:
-    """A level's prior: the last covariance it received (``Gaussian.cov``)
-    with its guard, and on a linear level the belief covariance and entropy
-    that covariance gives, and the covariance of the observation predicted
-    under that belief (``_Evaluation.prediction``).  A covariance is checked
-    when it differs from the kept one, by identity and then by value; a failed
-    check keeps nothing.  The level's last evaluation of its channel is kept
+    """What a level keeps while it runs one channel: its spaces, whether the
+    channel is linear, the last prior it received and its last evaluation.
+
+    The prior's covariance (``Gaussian.cov``) is kept with its guard, and the
+    prior's mean as an array (``mean``).  A covariance is checked when it
+    differs from the kept one, by identity and then by value; a failed check
+    keeps nothing.  On a linear level the belief covariance and entropy that
+    covariance gives are kept too, with the covariance of the observation
+    predicted under that belief (``_Evaluation.prediction``).
+
+    The covariance of the last belief the level built is kept with the
+    checked, symmetrised array it was built from (``built``): that belief's
+    entropy and prediction read the array, and any other belief's read its
+    own tuple (``array``).  The level's last evaluation of its channel is kept
     here too (``evaluation``, read by ``evaluated``)."""
 
-    __slots__ = ("cov", "guard", "belief_cov", "belief_entropy", "predicted_cov", "evaluation")
+    __slots__ = (
+        "linear", "latent", "observed", "pi", "cov", "guard", "mean",
+        "belief_cov", "belief_entropy", "predicted_cov", "built", "evaluation",
+    )
 
-    def __init__(self):
-        self.cov = self.guard = self.belief_cov = self.belief_entropy = self.predicted_cov = None
-        self.evaluation = None
+    def __init__(self, gamma: "GaussianChannel"):
+        self.linear = isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded)
+        self.latent, self.observed = euclid(gamma.in_dim), euclid(gamma.out_dim)
+        self.pi = self.cov = self.guard = self.mean = self.evaluation = None
+        self.belief_cov = self.belief_entropy = self.predicted_cov = None
+        self.built = (None, None)
 
-    def checked(self, cov: tuple) -> _Guarded:
-        if cov is not self.cov and cov != self.cov:
-            sigma = np.asarray(cov, dtype=float)
-            # its kept inverse and log-determinant must not drift from it
-            sigma.flags.writeable = False
-            self.guard = _Guarded("prior covariance", sigma)
-            self.cov, self.belief_cov, self.predicted_cov = cov, None, None
+    def checked(self, pi: Gaussian) -> _Guarded:
+        """The guard of pi's covariance, and pi's mean kept as an array."""
+        if pi is not self.pi:
+            cov = pi.cov
+            if cov is not self.cov and cov != self.cov:
+                sigma = np.asarray(cov, dtype=float)
+                # its kept inverse and log-determinant must not drift from it
+                sigma.flags.writeable = False
+                self.guard = _Guarded("prior covariance", sigma)
+                self.cov, self.belief_cov, self.predicted_cov = cov, None, None
+            self.pi, self.mean = pi, pi.mean_array()
         return self.guard
+
+    def array(self, rho: Gaussian) -> np.ndarray:
+        """rho's covariance as an array: the one it was built from when rho is
+        the last belief the level built, else read from its tuple."""
+        cov, sigma = self.built
+        return sigma if rho.cov is cov else rho.cov_array()
 
     def entropy(self, rho: Gaussian) -> float:
         """A belief's entropy, kept for a linear level's belief covariance."""
-        return self.belief_entropy if rho.cov is self.belief_cov else gaussian_entropy(rho)
+        if rho.cov is self.belief_cov:
+            return self.belief_entropy
+        return _entropy(self.array(rho))
 
     def evaluated(self, gamma: "GaussianChannel", x: np.ndarray) -> "_Evaluation":
         """The level's channel evaluated at x: the kept evaluation when its
@@ -260,7 +299,7 @@ class GaussianChannel:
 
     def __call__(self, x) -> Gaussian:
         """The channel's law at x, as a kernel: N(mean(x), cov(x))."""
-        return _Evaluation(self, self._point(x), _Prior()).law()
+        return _Evaluation(self, self._point(x), _Prior(self)).law()
 
     def _point(self, x) -> np.ndarray:
         """x as a vector, refused unless it has the channel's input size."""
@@ -301,8 +340,8 @@ def linear_channel(matrix, offset=None, cov=None) -> GaussianChannel:
 
 def mk_state(mean, cov) -> Gaussian:
     """A Gaussian belief over ``euclid(len(mean))``; ``dist.gaussian`` checks
-    the mean and the covariance, on every call.  A belief update calls it once
-    per linear level and prior covariance, and then checks only the mean."""
+    the mean and the covariance, on every call.  A belief update builds its
+    belief on the inverse-Hessian array itself (``_Evaluation.update``)."""
     m = np.asarray(mean, dtype=float).reshape(-1)
     c = _matrix(np.asarray(cov, dtype=float))
     if c.shape != (m.size, m.size):
@@ -366,21 +405,20 @@ class _Evaluation:
         """Jacobian of the mean map at x: the channel's own, or central
         differences when it has none."""
         if self._jacobian is None:
-            gamma, x, h = self.gamma, self.x, 1e-6
+            gamma, x = self.gamma, self.x
             if gamma.jacobian is not None:
                 self._jacobian = _matrix(gamma.jacobian(x))
             else:
                 # the mean at x + dx and at x - dx for each coordinate step dx
-                # (the rows of h * np.eye(x.size)), then every column at once
-                steps = np.zeros((x.size, x.size))
-                steps.flat[:: x.size + 1] = h
+                # (the rows of _H * np.eye(n)), then every column at once
+                n = x.size
+                steps = np.zeros((n, n))
+                steps.ravel()[:: n + 1] = _H
                 ups, downs = [], []
                 for dx in steps:
                     ups.append(gamma.mean(x + dx))
                     downs.append(gamma.mean(x - dx))
-                shape = (x.size, gamma.out_dim)
-                ups, downs = np.asarray(ups).reshape(shape), np.asarray(downs).reshape(shape)
-                columns = (ups - downs) / (2.0 * h)
+                columns = np.subtract(ups, downs).reshape(n, gamma.out_dim) / (2.0 * _H)
                 # C order, as every product with it computes its bits
                 self._jacobian = np.ascontiguousarray(columns.T, dtype=float)
         return self._jacobian
@@ -389,7 +427,7 @@ class _Evaluation:
         """The channel's law at x, N(mean(x), cov(x)), built on first use and
         kept."""
         if self._law is None:
-            space = euclid(self.gamma.out_dim)
+            space = self.prior.observed
             if isinstance(self.gamma.cov, _Guarded):
                 # checked and symmetrised once, when the channel was built
                 self._law = _gaussian_from_checked(space, self.mean, self.gamma.cov.law_cov())
@@ -406,19 +444,20 @@ class _Evaluation:
             eps_g = y - self.mean
             self._datum_errors, self._datum = (eps_g, self.guard().solve(eps_g)), y
         if pi is not self._pi:
-            eps_p = self.x - pi.mean_array()
-            self._prior_errors, self._pi = (eps_p, self.prior.checked(pi.cov).solve(eps_p)), pi
+            guard = self.prior.checked(pi)
+            eps_p = self.x - self.prior.mean
+            self._prior_errors, self._pi = (eps_p, guard.solve(eps_p)), pi
         (eps_g, eta_g), (eps_p, eta_p) = self._datum_errors, self._prior_errors
         return eps_g, eps_p, eta_g, eta_p
 
     def energy(self, pi: Gaussian, y: np.ndarray) -> float:
         eps_g, eps_p, eta_g, eta_p = self.errors(pi, y)
-        quad = 0.5 * float(np.dot(eps_g, eta_g)) + 0.5 * float(np.dot(eps_p, eta_p))
+        quad = 0.5 * float(eps_g.dot(eta_g)) + 0.5 * float(eps_p.dot(eta_p))
         norm = 0.5 * (
-            self.gamma.out_dim * math.log(2.0 * math.pi)
+            self.gamma.out_dim * _LOG_2PI
             + self.guard().logdet()
-            + self.gamma.in_dim * math.log(2.0 * math.pi)
-            + self.prior.checked(pi.cov).logdet()
+            + self.gamma.in_dim * _LOG_2PI
+            + self.prior.checked(pi).logdet()
         )
         return quad + norm
 
@@ -428,34 +467,37 @@ class _Evaluation:
 
     def curvature(self, pi: Gaussian) -> np.ndarray:
         jac = self.jacobian()
-        return jac.T @ self.guard().solve(jac) + self.prior.checked(pi.cov).inverse()
+        return jac.T @ self.guard().solve(jac) + self.prior.checked(pi).inverse()
 
     def update(self, pi: Gaussian, y: np.ndarray, cfg: LaplaceConfig) -> tuple:
-        """``rho_update`` from mean x, and the channel evaluated at the new mean."""
-        gamma, prior = self.gamma, self.prior
+        """``rho_update`` from mean x, and the channel evaluated at the new
+        mean.  A new belief is checked once, on the inverse-Hessian array,
+        and the level keeps that array with it (``_Prior.built``)."""
+        prior = self.prior
         new_mean = self.x - cfg.rate * self.gradient(pi, y)
-        at_new = _Evaluation(gamma, new_mean, prior)
-        linear = isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded)
+        at_new = _Evaluation(self.gamma, new_mean, prior)
         # the kept belief covariance is the one pi's covariance gives
-        prior.checked(pi.cov)
-        if linear and prior.belief_cov is not None:
-            return _gaussian_from_checked(euclid(gamma.in_dim), new_mean, prior.belief_cov), at_new
-        rho = mk_state(new_mean, _Guarded("energy Hessian", at_new.curvature(pi)).inverse())
-        if linear:
+        prior.checked(pi)
+        if prior.belief_cov is not None:
+            return _gaussian_from_checked(prior.latent, new_mean, prior.belief_cov), at_new
+        hessian = _Guarded("energy Hessian", at_new.curvature(pi))
+        rho, sigma = _checked_gaussian(prior.latent, self.gamma.in_dim, new_mean, hessian.inverse())
+        prior.built = rho.cov, sigma
+        if prior.linear:
             # the same curvature at every mean: kept for this prior covariance
-            prior.belief_cov, prior.belief_entropy = rho.cov, gaussian_entropy(rho)
+            prior.belief_cov, prior.belief_entropy = rho.cov, _entropy(sigma)
         return rho, at_new
 
     def prediction(self, rho: Gaussian) -> Gaussian:
         """The law of the observation under belief rho about x, linearised at
         x: N(mean(x), J Sigma_rho J^T + cov(x)).  On a linear level its
         covariance is checked once per belief covariance, and kept."""
-        prior, space = self.prior, euclid(self.gamma.out_dim)
+        prior = self.prior
         kept = rho.cov is prior.belief_cov
         if kept and prior.predicted_cov is not None:
-            return _gaussian_from_checked(space, self.mean, prior.predicted_cov)
+            return _gaussian_from_checked(prior.observed, self.mean, prior.predicted_cov)
         jac = self.jacobian()
-        law = gaussian(space, self.mean, jac @ rho.cov_array() @ jac.T + self.cov)
+        law = gaussian(prior.observed, self.mean, jac @ prior.array(rho) @ jac.T + self.cov)
         if kept:
             prior.predicted_cov = law.cov
         return law
@@ -479,21 +521,21 @@ def _evaluate(pi: Gaussian, gamma: GaussianChannel, x, y, prior: _Prior) -> tupl
 
 def energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> float:
     """Joint surprisal -log p(y|x) - log p(x) for Gaussian channel and prior."""
-    at, yv = _evaluate(pi, gamma, x, y, _Prior())
+    at, yv = _evaluate(pi, gamma, x, y, _Prior(gamma))
     return at.energy(pi, yv)
 
 
 def grad_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Energy gradient in the latent, with the channel covariance treated as
     locally constant: -J(x)^T eta_gamma + eta_pi."""
-    at, yv = _evaluate(pi, gamma, x, y, _Prior())
+    at, yv = _evaluate(pi, gamma, x, y, _Prior(gamma))
     return at.gradient(pi, yv)
 
 
 def hessian_energy(pi: Gaussian, gamma: GaussianChannel, x, y) -> np.ndarray:
     """Gauss-Newton curvature J^T Sigma_gamma^{-1} J + Sigma_pi^{-1}, with the
     channel's Jacobian or its central-difference estimate."""
-    return _evaluate(pi, gamma, x, y, _Prior())[0].curvature(pi)
+    return _evaluate(pi, gamma, x, y, _Prior(gamma))[0].curvature(pi)
 
 
 def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
@@ -502,11 +544,12 @@ def sigma_star(pi: Gaussian, gamma: GaussianChannel, mu_rho, y) -> np.ndarray:
 
 
 def gaussian_entropy(state: Gaussian) -> float:
-    n = len(state.mean)
-    return 0.5 * (
-        n * math.log(2.0 * math.pi * math.e)
-        + _logdet_psd("belief covariance", state.cov_array())
-    )
+    return _entropy(state.cov_array())
+
+
+def _entropy(sigma: np.ndarray) -> float:
+    """The entropy of a Gaussian law with covariance array sigma."""
+    return 0.5 * (len(sigma) * _LOG_2PIE + _logdet_psd("belief covariance", sigma))
 
 
 def free_energy_laplace(
@@ -514,7 +557,7 @@ def free_energy_laplace(
 ) -> float:
     """Free energy of a Gaussian belief, Laplace form: energy at the belief
     mean minus the belief entropy."""
-    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y, _Prior())
+    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y, _Prior(gamma))
     return at.energy(pi, yv) - gaussian_entropy(rho_state)
 
 
@@ -524,7 +567,7 @@ def free_energy_second_order(
     """Free energy with the second-order expected-energy correction
     (1/2) tr(H Sigma_rho); exact for linear channels, where the energy is
     quadratic in the latent."""
-    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y, _Prior())
+    at, yv = _evaluate(pi, gamma, rho_state.mean_array(), y, _Prior(gamma))
     return at.energy(pi, yv) - gaussian_entropy(rho_state) + 0.5 * float(
         np.trace(at.curvature(pi) @ rho_state.cov_array())
     )
@@ -535,7 +578,7 @@ def rho_update(
 ) -> Gaussian:
     """One belief update: step the mean down the energy gradient, then set the
     covariance to the optimal one at the new mean."""
-    at, yv = _evaluate(pi, gamma, x, y, _Prior())
+    at, yv = _evaluate(pi, gamma, x, y, _Prior(gamma))
     return at.update(pi, yv, cfg)[0]
 
 
@@ -559,7 +602,7 @@ def build_laplace(gamma: GaussianChannel, cfg: LaplaceConfig) -> HierSystem:
     states = prod(X, Y)
     # safe to share between composites: every read checks the covariance, and
     # the kept evaluation is read only at a latent with its raw bytes
-    prior = _Prior()
+    prior = _Prior(gamma)
 
     def emit(xy):
         x, ypred = xy
@@ -608,7 +651,10 @@ def _finite_datum(datum) -> np.ndarray:
 
 
 def _check_steps(steps: int) -> None:
-    """A run lasts 0 or more steps."""
+    """A run lasts 0 or more steps, a whole number of them: a bool, which
+    Python counts as an integer, and every non-integer are refused by name."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise LaplaceError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise LaplaceError(f"steps must be non-negative, got {steps}")
 
@@ -667,7 +713,8 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
         raise LaplaceError("datum dimension does not match the top level")
     if len(pi0.mean) != levels[0].in_dim:
         raise LaplaceError("prior dimension does not match the bottom level")
-    points = [_Evaluation(ch, np.zeros(ch.in_dim), _Prior()) for ch in levels]
+    points = [_Evaluation(ch, np.zeros(ch.in_dim), _Prior(ch)) for ch in levels]
+    top = len(levels) - 1
     rows = []
     step = k = 0
     try:
@@ -675,17 +722,19 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
         # dist.gaussian meets its non-finite mean
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, steps + 1):
-                priors = [pi0] + [at.law() for at in points[:-1]]
-                data_down = [at.x for at in points[1:]] + [datum_v]
-                new_points = []
-                for k, (at, pi, y) in enumerate(zip(points, priors, data_down)):
+                # every prior is pushed up before any level moves
+                priors = [pi0, *[at.law() for at in points[:top]]]
+                new_points, settled = [], True
+                for k, at in enumerate(points):
+                    pi, y = priors[k], datum_v if k == top else points[k + 1].x
                     rho, at_new = at.update(pi, y, cfg)
                     rows.append((step, k, rho.mean, at_new.energy(pi, y) - at.prior.entropy(rho)))
                     new_points.append(at_new)
-                if all(new.x.tobytes() == at.x.tobytes() for new, at in zip(new_points, points)):
-                    settled = rows[-len(levels):]
+                    settled = settled and at_new.x.tobytes() == at.x.tobytes()
+                if settled:
+                    repeated = rows[-len(levels):]
                     rows += [(later, *row[1:]) for later in range(step + 1, steps + 1)
-                             for row in settled]
+                             for row in repeated]
                     break
                 points = new_points
     except DistError as exc:

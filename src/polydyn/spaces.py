@@ -369,7 +369,7 @@ def unflatten_floats(space: Space, flat) -> Any:
 
 def _unflatten(space: Space, flat: list, k: int):
     if isinstance(space, EuclidSpace):
-        return tuple(float(c) for c in flat[k : k + space.dim]), k + space.dim
+        return tuple(map(float, flat[k : k + space.dim])), k + space.dim
     if isinstance(space, UnitSpace):
         return (), k
     if isinstance(space, ProdSpace):

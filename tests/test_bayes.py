@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from polydyn import (
@@ -101,6 +103,16 @@ def test_bayes_check_refuses_a_horizon_below_one(horizon):
         bayes_check(c, pr, cdag, horizon=horizon)
     assert bayes_check(c, pr, cdag, horizon=1)["related"] is False
     assert quasi_bisim(c, c, horizon=0)["related"] is True
+
+
+@pytest.mark.parametrize("horizon", (2.5, "3", True))
+def test_bayes_check_refuses_a_horizon_that_is_not_an_integer(horizon):
+    """2.5 passed the check's own "at least 1" test and then failed in
+    ``range``, "3" failed in ``<``, and True read one tick: each is refused
+    by name before either joint is built."""
+    message = rf"^horizon must be an integer, got {re.escape(repr(horizon))}$"
+    with pytest.raises(HierError, match=message):
+        bayes_check(*perturbed_inverse(), horizon=horizon)
 
 
 def test_bayes_check_on_seeded_corpus():

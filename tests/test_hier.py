@@ -712,6 +712,24 @@ def test_a_negative_horizon_is_refused():
             refused()
 
 
+@pytest.mark.parametrize("horizon", (2.5, 2.0, "3", True, False, None))
+def test_a_horizon_that_is_not_an_integer_is_refused(horizon):
+    """A horizon counts ticks: a float (a whole one too), a string and a bool,
+    which Python counts as an integer, are refused by name on both tracing
+    entry points, where 2.5 failed in ``range``, "3" in ``<`` and True traced
+    one tick.  A numpy integer is a horizon like any other."""
+    hs = blinker(2)
+    sigma = hom_sections([hs])[0]
+    message = rf"^horizon must be an integer, got {re.escape(repr(horizon))}$"
+    with pytest.raises(HierError, match=message):
+        trace(hs, sigma, dirac(hs.states, 0), horizon)
+    with pytest.raises(HierError, match=message):
+        quasi_bisim(hs, blinker(4), horizon=horizon)
+    assert trace(hs, sigma, dirac(hs.states, 0), np.int64(3)) == trace(
+        hs, sigma, dirac(hs.states, 0), 3
+    )
+
+
 def test_quasi_bisim_on_flat_systems():
     """Flat systems compare by their output traces under every section."""
     out = finite(0, 1, 2)

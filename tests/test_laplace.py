@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import math
+import re
 import types
 import warnings
 
@@ -771,6 +772,26 @@ def test_the_runners_refuse_a_negative_step_count():
     assert mean_path(stack(TWO_LEVELS, cfg), PI, [1.0], 0) == [(0.0,) * 4]
 
 
+@pytest.mark.parametrize("steps", (2.5, 2.0, "3", True, False, None))
+def test_the_runners_refuse_a_run_length_that_is_not_an_integer(steps):
+    """A run lasts a whole number of steps: a float (a whole one too), a
+    string and a bool, which Python counts as an integer, are refused by name,
+    where 2.5 failed in ``range``, "3" in ``<`` and True ran one step.  A
+    numpy integer is a run length like any other."""
+    cfg = LaplaceConfig()
+    message = rf"^steps must be an integer, got {re.escape(repr(steps))}$"
+    with pytest.raises(LaplaceError, match=message):
+        run_stack(TWO_LEVELS, cfg, PI, [1.0], steps)
+    with pytest.raises(LaplaceError, match=message):
+        mean_path(stack(TWO_LEVELS, cfg), PI, [1.0], steps)
+    assert run_stack(TWO_LEVELS, cfg, PI, [1.0], np.int64(3)) == run_stack(
+        TWO_LEVELS, cfg, PI, [1.0], 3
+    )
+    assert mean_path(stack(TWO_LEVELS, cfg), PI, [1.0], np.int64(3)) == mean_path(
+        stack(TWO_LEVELS, cfg), PI, [1.0], 3
+    )
+
+
 def test_a_guarded_solve_is_numpys_solve_bit_for_bit():
     """``_Guarded.solve`` calls the gufunc that ``np.linalg.solve`` wraps, so
     it gives the same bits: on 2,400 seeded systems of sizes 1-4, half of
@@ -789,7 +810,7 @@ def test_a_guarded_solve_is_numpys_solve_bit_for_bit():
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     counts = GaussianChannel(2, 2, lambda x: x, None, lambda x: np.array([[2, 1], [1, 3]]))
-    guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior()).guard()
+    guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior(counts)).guard()
     for r in (np.array([1.0, -2.0]), np.array([[1.0, 0.5], [0.0, -3.0]]), np.array([3, 1])):
         assert guard.solve(r).tobytes() == np.linalg.solve(counts.cov(None), r).tobytes()
 
@@ -823,7 +844,7 @@ def test_each_gufunc_route_is_numpys_wrapper_bit_for_bit():
         assert got.tobytes() == want.tobytes()
     counts = GaussianChannel(2, 2, lambda x: x, None, lambda x: np.array([[2, 1], [1, 3]]))
     cov = counts.cov(None)
-    guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior()).guard()
+    guard = laplace._Evaluation(counts, np.zeros(2), laplace._Prior(counts)).guard()
     assert laplace._conditioning(guard.matrix)[0].hex() == float(np.linalg.cond(cov)).hex()
     assert guard.logdet().hex() == float(np.linalg.slogdet(cov)[1]).hex()
     assert guard.inverse().tobytes() == np.linalg.inv(cov).tobytes()
@@ -929,6 +950,76 @@ def test_a_depth_three_mean_path_step_composes_one_lens(monkeypatch):
         assert calls == {"compose_map": steps}
 
 
+def test_a_depth_three_mean_path_step_makes_five_products_and_one_unflatten(monkeypatch):
+    """One step of a depth-3 stack forms five independent products: one in
+    each level's absorb (its belief beside its prediction) and one in each
+    of the two composites' absorbs.  ``mean_path`` reads the new state from
+    the flat mean once per step, and once more for the zero state it starts
+    from."""
+    levels, pi0, datum = _three_linear_levels()
+    hs = stack(levels, LaplaceConfig(rate=0.05))
+    calls = collections.Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((hier, "dst"), (laplace, "dst"), (laplace, "unflatten_floats")):
+        counted(module, name)
+    for steps in (1, 7):
+        calls.clear()
+        mean_path(hs, pi0, datum, steps)
+        assert calls == {"dst": 5 * steps, "unflatten_floats": steps + 1}, steps
+
+
+def _seeded_nonlinear_channels():
+    """Channels with no analytic Jacobian and a state-dependent covariance,
+    mean tanh(Wx) + b, for n = 1, 2 and 3, and the rational channel."""
+    gen = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        w = np.eye(n) + 0.3 * gen.standard_normal((n, n))
+        b = 0.2 * gen.standard_normal(n)
+        yield GaussianChannel(
+            n, n,
+            lambda x, w=w, b=b: np.tanh(w @ x) + b,
+            None,
+            lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2),
+        ), mk_state(0.3 * gen.standard_normal(n), _seeded_cov(gen, n)), gen.standard_normal(n)
+    yield (GaussianChannel(2, 2, _rational_mean, None, _rational_cov),
+           mk_state([0.25, -0.5], [[1.0, 0.25], [0.25, 0.75]]), np.array([0.375, -0.625]))
+
+
+def test_a_new_belief_reads_its_entropy_from_the_array_it_was_built_from():
+    """A nonlinear level checks each new belief once, on the inverse-Hessian
+    array, and keeps that symmetrised array with the belief's covariance:
+    the belief's entropy and prediction read it, and its entropy equals
+    ``gaussian_entropy``, which reads the stored tuple, bit for bit.  A
+    belief the level built before reads its own tuple, never the array of
+    the last one."""
+    cfg = LaplaceConfig(rate=0.1)
+    for ch, pi, y in _seeded_nonlinear_channels():
+        at = laplace._Evaluation(ch, np.zeros(ch.in_dim), laplace._Prior(ch))
+        prior, beliefs = at.prior, []
+        for _ in range(12):
+            rho, at = at.update(pi, y, cfg)
+            kept = prior.built[1]
+            assert prior.built[0] is rho.cov and prior.array(rho) is kept
+            assert kept.tobytes() == rho.cov_array().tobytes()
+            assert prior.entropy(rho).hex() == gaussian_entropy(rho).hex()
+            beliefs.append(rho)
+        entropies = [gaussian_entropy(rho).hex() for rho in beliefs]
+        assert len(set(entropies)) > 1, ch
+        for rho, want in zip(beliefs[:-1], entropies):
+            assert prior.array(rho) is not prior.built[1]
+            assert prior.array(rho).tobytes() == rho.cov_array().tobytes()
+            assert prior.entropy(rho).hex() == want
+
+
 def _count_evaluations(monkeypatch, calls):
     """Count in ``calls`` each ``_Evaluation`` built."""
 
@@ -1005,15 +1096,12 @@ def test_a_level_tells_a_zero_latent_from_a_negative_zero_one():
         assert lifted.mean == (math.copysign(1.0, x),), x
 
 
-def test_mean_paths_that_share_a_level_system_each_equal_run_stack():
-    """A ``build_laplace`` system shared between composites keeps one
-    evaluation for all of them.  A stack with one system at both levels
-    reads it at two latents in every step, and two stacks stepped in
-    alternation on one shared bottom system read it at two paths: each path
-    is, bit for bit, its ``run_stack`` rows, and so is each stack's own
-    ``mean_path`` after the alternation."""
-    levels, pi0, datum = _three_linear_levels()
-    cfg, steps = LaplaceConfig(rate=0.05), 40
+def _assert_shared_level_paths_equal_run_stack(levels, pi0, datum, cfg, steps=40):
+    """A stack with one ``build_laplace`` system of levels[0] at both levels,
+    and two stacks stepped in alternation on that one system at the bottom,
+    with levels[1] and levels[2] above it: each path is, bit for bit, its
+    ``run_stack`` rows, and so is each stack's own ``mean_path`` after the
+    alternation."""
 
     def rows_of(chs):
         return [tuple(map(float.hex, row[2])) for row in run_stack(chs, cfg, pi0, datum, steps)]
@@ -1039,6 +1127,32 @@ def test_mean_paths_that_share_a_level_system_each_equal_run_stack():
     for hs, path, chs in zip(stacks, paths, chains):
         assert means_of([None] + path, 2) == rows_of(chs)
         assert means_of(mean_path(hs, pi0, datum, steps), 2) == rows_of(chs)
+
+
+def test_mean_paths_that_share_a_level_system_each_equal_run_stack():
+    """A ``build_laplace`` system shared between composites keeps one
+    evaluation for all of them.  A stack with one system at both levels
+    reads it at two latents in every step, and two stacks stepped in
+    alternation on one shared bottom system read it at two paths: each path
+    is, bit for bit, its ``run_stack`` rows, and so is each stack's own
+    ``mean_path`` after the alternation."""
+    levels, pi0, datum = _three_linear_levels()
+    _assert_shared_level_paths_equal_run_stack(levels, pi0, datum, LaplaceConfig(rate=0.05))
+
+
+def test_nonlinear_mean_paths_that_share_a_level_system_each_equal_run_stack():
+    """A nonlinear level keeps the array of the last belief it built, and one
+    ``build_laplace`` system shared between composites is one level for all
+    of them: shared as above, each reads every belief's own array, and each
+    path is its ``run_stack`` rows bit for bit."""
+    levels = [ch for ch, _, _ in _seeded_nonlinear_channels() if ch.in_dim == 2]
+    gen = np.random.default_rng(32)
+    w = np.eye(2) + 0.3 * gen.standard_normal((2, 2))
+    levels.append(GaussianChannel(
+        2, 2, lambda x: np.tanh(w @ x), None, lambda x: np.diag(0.6 + 0.1 * np.tanh(x) ** 2)
+    ))
+    pi0, datum = mk_state(gen.standard_normal(2), _seeded_cov(gen, 2)), gen.standard_normal(2)
+    _assert_shared_level_paths_equal_run_stack(levels, pi0, datum, LaplaceConfig(rate=0.1))
 
 
 def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():
@@ -1138,7 +1252,7 @@ def test_central_differences_read_fresh_points_and_give_a_c_ordered_jacobian():
 
     channel = GaussianChannel(3, 2, mean, None, lambda x: np.eye(2))
     x, h = np.array([0.3, -1.25, 0.5]), 1e-6
-    at = laplace._Evaluation(channel, x, laplace._Prior())
+    at = laplace._Evaluation(channel, x, laplace._Prior(channel))
     del seen[:]
     jac = at.jacobian()
     want = np.zeros((2, 3))
