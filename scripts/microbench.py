@@ -39,8 +39,7 @@ its inputs from its own ``np.random.default_rng(0)``.
   whole verdicts.
   - ``hier._unique`` against ``np.unique`` on n = 1, 3, 27, 81 and 2,187
     seeded codes in -1..n-1 (2,187 is the pair count of a 3x3 Bayes
-    verdict's right joint), both for values and inverse (the default sort)
-    and with the first occurrences too (a stable sort);
+    verdict's right joint), for values and inverse;
   - ``dist.product_items`` of two seeded full-support finite laws on 81 and
     27 atoms, the shape of a composite initial law;
   - ``bayes_check`` of a seeded exact inversion at 2x2 and at 3x3, the
@@ -277,9 +276,6 @@ def table_cases(gen):
         codes = gen.integers(-1, n, size=n)
         yield f"_unique n={n}", lambda c=codes: _unique(c)
         yield f"np.unique n={n}", lambda c=codes: np.unique(c, return_inverse=True)
-        yield f"_unique index n={n}", lambda c=codes: _unique(c, index=True)
-        yield (f"np.unique index n={n}",
-               lambda c=codes: np.unique(c, return_index=True, return_inverse=True))
     items = [finite_items(law(gen, n, "a")) for n in PRODUCT_ATOMS]
     yield "product_items 81x27", lambda: product_items(*items)
     for nx, ny in BAYES_SHAPES:

@@ -367,15 +367,6 @@ MUTANTS = (
         "                    if not d <= tol\n                ][:1]\n",
         ("tests/test_law_reports.py::test_a_block_reports_every_failing_state_in_order",),
     ),
-    # the code sort reads first occurrences from the default sort, which
-    # need not keep equal codes in their order
-    Mutant(
-        "first-occurrence-unstable-sort",
-        "src/polydyn/hier.py",
-        'flat.argsort(kind="stable" if index else None)',
-        "flat.argsort()",
-        ("tests/test_table_properties.py::test_the_code_sort_is_np_unique",),
-    ),
     # a weight total of NaN is within the tolerance of 1, as it once was
     Mutant(
         "check-total-nan-accepted",
@@ -484,6 +475,32 @@ MUTANTS = (
         '    raise FrozenInstanceError(f"cannot assign to field {name!r}")',
         "    object.__setattr__(self, name, value)",
         ("tests/test_records.py::test_a_record_is_frozen",),
+    ),
+    # a given-first pass that accepts any side-a given law with a match, not
+    # only the first, so its witness is not the read of every candidate's
+    Mutant(
+        "given-first-any-row",
+        "src/polydyn/hier.py",
+        "    if not (mismatches[0][0] < 0).any():\n",
+        "    if not (mismatches[0] < 0).any():\n",
+        ("tests/test_tables.py::"
+         "test_a_given_first_pass_that_fails_at_its_first_law_reads_every_candidate",
+         "tests/test_table_properties.py::"
+         "test_a_given_first_verdict_is_the_verdict_of_every_candidate"),
+    ),
+    # a law summing its rows in order of the first state of its section's
+    # block that leads to each, so its last bit depends on the rows beside it
+    Mutant(
+        "advance-in-block-order",
+        "src/polydyn/hier.py",
+        "        codes = law * n_cols + inv[law // (len(mass) // n_blocks), state]\n"
+        "        first = np.full((len(mass), n_cols), width)\n"
+        "        np.minimum.at(first.reshape(-1), codes, state)\n",
+        "        codes = np.arange(n_blocks)[:, None] * n_cols + inv\n"
+        "        first = np.full((n_blocks, n_cols), width)\n"
+        "        np.minimum.at(first.reshape(-1), codes, np.arange(width))\n"
+        "        first = first.repeat(len(mass) // n_blocks, axis=0)\n",
+        ("tests/test_table_properties.py::test_a_row_reads_the_same_bits_alone_or_beside_any_rows",),
     ),
     # a record's hash leaves out its first compared field
     Mutant(

@@ -574,26 +574,22 @@ def _tabulate(hs: HierSystem, done: dict) -> HierTable:
 _BUDGET = 1 << 20
 
 
-def _unique(codes: np.ndarray, index: bool = False) -> tuple:
-    """``np.unique(codes, return_inverse=True)``, and with ``index`` its
-    ``return_index`` too, with the inverse flat, from one argsort: the sorted
-    codes' first entry and every entry that differs from the one before
-    start a new value, and the running count of those starts, scattered back
-    through the sort, is each code's value id.  A first occurrence is read
-    from the sort only when it is stable; values and inverse are the same
-    from any sort.  Calling the sort and the ufuncs directly skips
-    ``np.unique``'s Python wrapper, which costs more than the sort on the
-    few codes of a table level."""
+def _unique(codes: np.ndarray) -> tuple:
+    """``np.unique(codes, return_inverse=True)`` with the inverse flat, from
+    one argsort: the sorted codes' first entry and every entry that differs
+    from the one before start a new value, and the running count of those
+    starts, scattered back through the sort, is each code's value id.
+    Calling the sort and the ufuncs directly skips ``np.unique``'s Python
+    wrapper, which costs more than the sort on the few codes of a table
+    level."""
     flat = codes.ravel()
-    order = flat.argsort(kind="stable" if index else None)
+    order = flat.argsort()
     ordered = flat[order]
     starts = np.empty(len(flat), dtype=bool)
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     inv = np.empty(len(flat), dtype=np.intp)
     inv[order] = np.add.accumulate(starts, dtype=np.intp) - 1
-    if index:
-        return ordered[starts], inv, order[starts]
     return ordered[starts], inv
 
 
@@ -638,8 +634,9 @@ def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray
     equal blocks of consecutive rows, -1 where the block has no mass.
 
     A law that meets several rows sums them in order of the first state of
-    its block that leads to each, so its sums, bit for bit, depend neither
-    on the other blocks nor on the order in which row ids were handed out."""
+    its own mass that leads to each, so its sums, bit for bit, depend
+    neither on the other rows, of its block or of any other, nor on the
+    order in which row ids were handed out."""
     n_blocks, width = rids.shape
     uniq, inv = _unique_inverse(rids)
     inv = inv.reshape(rids.shape)
@@ -655,25 +652,23 @@ def _advance(table: HierTable, mass: np.ndarray, rids: np.ndarray) -> np.ndarray
     ids = np.concatenate([r[0] for r in rows])
     ws = np.concatenate([r[1] for r in rows])
     which = np.arange(len(rows)).repeat([len(r[0]) for r in rows])
-    seen = None
+    first = None
     if np.maximum.reduce(n_hit) > 1:  # else every bin of a law has one nonzero term
-        # codes block * n_cols + column, each with the flat index of its first state
+        # per law and row id, the first state of the law's own mass that
+        # leads there (width where none does)
+        law, state = mass.nonzero()
         n_cols = len(uniq) + skip
-        seen, _, at = _unique(np.arange(n_blocks)[:, None] * n_cols + inv, index=True)
-    per = agg.shape[0] // n_blocks
+        codes = law * n_cols + inv[law // (len(mass) // n_blocks), state]
+        first = np.full((len(mass), n_cols), width)
+        np.minimum.at(first.reshape(-1), codes, state)
+        first = first[:, skip:]
     # rows per block, so a block's rows x row-entries array stays small
     block = max(1, _BUDGET // max(1, len(ids)))
     parts = []
     for lo in range(0, agg.shape[0], block):
         w, cols = agg[lo:lo + block, which] * ws, ids
-        if seen is not None:
-            g = np.arange(lo, lo + len(w)) // per
-            # per block of these rows and per entry, the block's first state
-            # that leads to the entry's row (width where none does)
-            first = np.full((g[-1] - g[0] + 1, n_cols), width)
-            span = slice(*np.searchsorted(seen, [g[0] * n_cols, (g[-1] + 1) * n_cols]))
-            first.flat[seen[span] - g[0] * n_cols] = at[span] % width
-            order = np.argsort(first[:, skip:][:, which], axis=1, kind="stable")[g - g[0]]
+        if first is not None:
+            order = np.argsort(first[lo:lo + block, which], axis=1, kind="stable")
             w, cols = np.take_along_axis(w, order, axis=1), ids[order]
         parts.append(_by_group(w, cols, table.size))
     return np.concatenate(parts)
@@ -990,11 +985,14 @@ def _candidates(sys_, provided, mode: str, cap: int = _CANDIDATE_CAP) -> list:
     return list(_initial_laws(sys_, provided, mode, cap))
 
 
-def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
-    """The number of sections, and readings (section, tick, C_a x C_b
-    deviation of every candidate pair) section by section, from the two
-    systems' tables, on which each side's candidates (``_Candidates``) are
-    read as rows.
+def _table_deviations(theta, psi, sections, horizon, max_sections) -> tuple:
+    """The sections, as an S x K array of option indices over the union of
+    the two systems' keys (-1 where a section has no entry), and a function
+    ``read(cand_a, cand_b)`` of two sides' candidates (``_Candidates``),
+    which yields readings (section, tick, C_a x C_b deviation of every
+    candidate pair) section by section, from the two systems' tables, on
+    which the candidates are read as rows.  The tables, the union and the
+    sections are built once, for every ``read``.
 
     Sections move in chunks: the (section, candidate) pairs of a chunk are
     the rows of one law matrix per side (``_key_laws``), and the emitted-lens
@@ -1017,15 +1015,15 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
     else:
         choices = [_choice(sigma, (theta, psi), keys, options) for sigma in sections]
     choices = np.array(choices, dtype=np.intp).reshape(len(choices), len(keys))
-    laws = [cs.rows(tb) for tb, cs in zip(tables, (cand_a, cand_b))]
-    per_section = max(len(law) * (tb.size + len(keys) * (horizon + 1))
-                      for tb, law in zip(tables, laws))
-    most = max(1, _BUDGET // per_section)
-    c_a, c_b = len(cand_a), len(cand_b)
-    # rows of side a per block, so a block's C_a x C_b x keys array stays small
-    block = max(1, _BUDGET // max(1, c_b * len(keys)))
 
-    def readings():
+    def read(cand_a, cand_b):
+        laws = [cs.rows(tb) for tb, cs in zip(tables, (cand_a, cand_b))]
+        per_section = max(len(law) * (tb.size + len(keys) * (horizon + 1))
+                          for tb, law in zip(tables, laws))
+        most = max(1, _BUDGET // per_section)
+        c_a, c_b = len(cand_a), len(cand_b)
+        # rows of side a per block, so a block's C_a x C_b x keys array stays small
+        block = max(1, _BUDGET // max(1, c_b * len(keys)))
         for lo in range(0, len(choices), most):
             sides = [_key_laws(tb, m, len(keys), choices[lo:lo + most], law, horizon)
                      for tb, m, law in zip(tables, maps, laws)]
@@ -1050,22 +1048,74 @@ def _table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_section
                         for a in range(0, c_a, block)
                     ])
 
-    return len(choices), readings()
+    return choices, read
 
 
 def _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon):
-    """The number of sections, and readings (section, tick, C_a x C_b
-    deviation of every candidate pair) section by section, from one trace
-    per (candidate, section): for systems whose states are not finite."""
+    """Readings (section, tick, C_a x C_b deviation of every candidate pair)
+    section by section, from one trace per (candidate, section): for
+    systems whose states are not finite."""
+    for si, sigma in enumerate(sections):
+        va = [trace(theta, sigma, c, horizon).values for c in cand_a]
+        vb = [trace(psi, sigma, c, horizon).values for c in cand_b]
+        for t in range(horizon + 1):
+            yield si, t, np.array([[dist_distance(a[t], b[t]) for b in vb] for a in va])
 
-    def readings():
-        for si, sigma in enumerate(sections):
-            va = [trace(theta, sigma, c, horizon).values for c in cand_a]
-            vb = [trace(psi, sigma, c, horizon).values for c in cand_b]
-            for t in range(horizon + 1):
-                yield si, t, np.array([[dist_distance(a[t], b[t]) for b in vb] for a in va])
 
-    return len(sections), readings()
+def _first_mismatches(readings, shape: tuple, tol: float, rows=None) -> tuple:
+    """The first mismatch of every candidate pair, as three C_a x C_b
+    arrays: section (-1 where none), tick and deviation.  A reading holds
+    only when it is ``<= tol``.  Reading stops once every pair of the first
+    ``rows`` side-a candidates (of all, when None) has a mismatch, as later
+    readings cannot change theirs."""
+    at_section = np.full(shape, -1, dtype=np.intp)
+    at_t = np.zeros(shape, dtype=np.intp)
+    deviation = np.zeros(shape)
+    for si, t, dev in readings:
+        new = (at_section < 0) & ~(dev <= tol)
+        at_section[new], at_t[new], deviation[new] = si, t, dev[new]
+        if (at_section[:rows] >= 0).all():  # later readings cannot change the table
+            break
+    return at_section, at_t, deviation
+
+
+def _verdict(alpha_mode: str, beta_mode: str, n_sections: int, mismatches: tuple) -> dict:
+    """The verdict that ``quasi_bisim`` reads from a first-mismatch table."""
+    at_section, at_t, deviation = mismatches
+    ok = at_section < 0
+    holds = ok.any(axis=1) if beta_mode == "exists" else ok.all(axis=1)
+    decides = holds if alpha_mode == "exists" else ~holds
+    a = int(decides.argmax())
+    named = ok[a] if beta_mode == "exists" else ~ok[a]
+    b = int(named.argmax())
+    witness = None
+    if beta_mode == "exists" or named[b]:
+        witness = {"alpha": a, "beta": b}
+        if not ok[a, b]:
+            witness.update(section=int(at_section[a, b]), t=int(at_t[a, b]),
+                           deviation=float(deviation[a, b]))
+    return {"mode": (alpha_mode, beta_mode), "sections": n_sections,
+            "related": bool(decides.any()) == (alpha_mode == "exists"), "witness": witness}
+
+
+def _given_first(read, cand_a, cand_b, n_sections: int, tol: float):
+    """An ``exists``/``exists`` verdict from each side's given laws alone,
+    or None when they do not decide it.  The given laws lead each side's
+    candidates, the witness is the first side-a candidate with a match and
+    the first match in its row, and a row reads, bit for bit, what it reads
+    beside any other rows (``_advance``).  So when side a's first given law
+    matches a given law of side b, that pair is the witness of the read of
+    every candidate, and none other is read.  The caller reads this way
+    only where every section answers every key, so that no candidate left
+    unread could meet a lens its section lacks."""
+    if not (cand_a.given and cand_b.given):
+        return None
+    given = [_Candidates(c.states, c.given, (), False) for c in (cand_a, cand_b)]
+    shape = (len(cand_a.given), len(cand_b.given))
+    mismatches = _first_mismatches(read(*given), shape, tol, rows=1)
+    if not (mismatches[0][0] < 0).any():
+        return None
+    return _verdict("exists", "exists", n_sections, mismatches)
 
 
 def quasi_bisim(
@@ -1111,7 +1161,17 @@ def quasi_bisim(
     ``forall`` side b that holds has no such beta: the witness is None.
     ``sections`` in the verdict counts the sections offered; reading stops
     at the first tick after which every pair has a mismatch, or once both
-    sides' laws repeat the tick before, as every later tick would too."""
+    sides' laws repeat the tick before, as every later tick would too.
+
+    On the tables, an ``exists``/``exists`` verdict whose sections answer
+    every key of both tables reads the given laws of each side first: the
+    provided laws, then ``init``.  When side a's first given law matches a
+    given law of side b, the first such pair is the witness, and no point
+    mass or uniform law is read (``_given_first``); that first pass stops
+    once side a's first given law has mismatched every given law of side
+    b.  Otherwise every candidate is read, on the same tables and sections.
+    Either way the verdict is the same, bit for bit, because each row of a
+    law matrix sums its mass in an order of its own (``_advance``)."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
     _check_horizon(horizon)
@@ -1121,41 +1181,26 @@ def quasi_bisim(
     cand_a = _initial_laws(theta, alphas, alpha_mode)
     cand_b = _initial_laws(psi, betas, beta_mode)
     if is_finite(theta.states) and is_finite(psi.states):
-        n_sections, readings = _table_deviations(
-            theta, psi, sections, cand_a, cand_b, horizon, max_sections
-        )
+        choices, read = _table_deviations(theta, psi, sections, horizon, max_sections)
+        n_sections = len(choices)
+        # every section answers every key of both tables, so no candidate
+        # can meet a lens its section lacks
+        complete = not np.logical_or.reduce(choices < 0, axis=None)
     elif sections is None:
         raise HierError("systems whose states are not finite need explicit sections")
     else:
-        n_sections, readings = _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
+        n_sections, complete = len(sections), False
+
+        def read(cand_a, cand_b):
+            return _traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
     if not n_sections:
         raise HierError("no section to compare the systems under")
-
-    # first mismatch of every candidate pair: section (-1 where none), tick, deviation
-    shape = (len(cand_a), len(cand_b))
-    at_section = np.full(shape, -1, dtype=np.intp)
-    at_t = np.zeros(shape, dtype=np.intp)
-    deviation = np.zeros(shape)
-    for si, t, dev in readings:
-        new = (at_section < 0) & ~(dev <= tol)
-        at_section[new], at_t[new], deviation[new] = si, t, dev[new]
-        if (at_section >= 0).all():  # later readings cannot change the table
-            break
-
-    ok = at_section < 0
-    holds = ok.any(axis=1) if beta_mode == "exists" else ok.all(axis=1)
-    decides = holds if alpha_mode == "exists" else ~holds
-    a = int(decides.argmax())
-    named = ok[a] if beta_mode == "exists" else ~ok[a]
-    b = int(named.argmax())
-    witness = None
-    if beta_mode == "exists" or named[b]:
-        witness = {"alpha": a, "beta": b}
-        if not ok[a, b]:
-            witness.update(section=int(at_section[a, b]), t=int(at_t[a, b]),
-                           deviation=float(deviation[a, b]))
-    return {"mode": (alpha_mode, beta_mode), "sections": n_sections,
-            "related": bool(decides.any()) == (alpha_mode == "exists"), "witness": witness}
+    if complete and alpha_mode == beta_mode == "exists":
+        verdict = _given_first(read, cand_a, cand_b, n_sections, tol)
+        if verdict is not None:
+            return verdict
+    mismatches = _first_mismatches(read(cand_a, cand_b), (len(cand_a), len(cand_b)), tol)
+    return _verdict(alpha_mode, beta_mode, n_sections, mismatches)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,12 @@ def test_exact_bayes_flags_unreachable_outcomes():
     assert prob(inv("y1"), "x1") == 0.5
 
 
+def test_an_inversion_refuses_an_outcome_off_its_target():
+    inv = exact_bayes(two_state_channel(), uniform(X2))
+    with pytest.raises(HierError, match=r"^outcome 'y3' is outside the channel's target space$"):
+        inv("y3")
+
+
 def test_bayes_check_accepts_the_exact_inverse():
     c_fn = two_state_channel()
     pi = categorical(X2, [("x1", 1 / 3), ("x2", 2 / 3)])

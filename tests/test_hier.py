@@ -259,9 +259,10 @@ def test_a_nan_reading_is_a_mismatch(monkeypatch):
     real = hier._table_deviations
 
     def first_nan(*args):
-        n, readings = real(*args)
-        return n, ((s, t, np.full_like(dev, np.nan) if (s, t) == (0, 0) else dev)
-                   for s, t, dev in readings)
+        choices, read = real(*args)
+        return choices, lambda *cands: (
+            (s, t, np.full_like(dev, np.nan) if (s, t) == (0, 0) else dev)
+            for s, t, dev in read(*cands))
 
     monkeypatch.setattr(hier, "_table_deviations", first_nan)
     verdict = quasi_bisim(*sides, "forall", "forall", horizon=4)
@@ -762,3 +763,56 @@ def test_a_flat_system_is_related_to_the_hierarchical_system_from_y():
         trace(flat, other, dirac(states, 0), 2)
     with pytest.raises(HierError, match="section does not match the system interface"):
         quasi_bisim(flat, blinker(2), sections=[other], horizon=2)
+
+
+# -- refusals, each fired with its message -----------------------------------
+
+
+def test_a_law_off_the_states_is_refused_by_name():
+    """A leaf's table and a composite's table refuse an initial law whose
+    atom is not one of their states, and name the atom."""
+    hs = blinker(2)
+    with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
+        trace(hs, hom_sections([hs])[0], dirac(finite(9), 9), 2)
+    pair = tensor_hier(blinker(2), blinker(2))
+    with pytest.raises(HierError, match=r"^9 is not a state of the composite$"):
+        trace(pair, hom_sections([pair])[0], dirac(finite(9), 9), 2)
+
+
+def test_a_section_offering_a_response_the_lens_lacks_is_refused():
+    """A section's response must be one of its lens's (position, direction)
+    responses."""
+    hs = blinker(2)
+    (key, (position, _)), *rest = hom_sections([hs])[0].table
+    bad = HomSection(((key, (position, ("nowhere",))), *rest))
+    with pytest.raises(HierError, match=r"^section offers a response the emitted lens lacks$"):
+        trace(hs, bad, dirac(hs.states, 0), 2)
+
+
+def test_a_walked_trace_under_a_section_without_its_lens_is_refused():
+    """A system with no table meets a lens its section has no entry for."""
+    states = euclid(1)
+    B = finite("even", "odd")
+    drift = mk_hier(y(), linear(B), states,
+                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
+    with pytest.raises(HierError, match=r"^section has no entry for an emitted lens$"):
+        trace(drift, HomSection(()), dirac(states, (0.0,)), 2)
+
+
+def test_a_side_with_no_candidate_law_is_refused():
+    """Over states that are not finite, a side with neither provided laws
+    nor an ``init`` has no candidate, whichever its quantifier."""
+    states = euclid(1)
+    B = finite("even", "odd")
+    drift = mk_hier(y(), linear(B), states,
+                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
+    sections = hom_sections([blinker(2)])
+    start = [dirac(states, (0.0,))]
+    with pytest.raises(HierError,
+                       match=r"^no initial-state candidates available for quantifier 'exists'$"):
+        quasi_bisim(drift, drift, sections=sections, horizon=2)
+    with pytest.raises(HierError,
+                       match=r"^no initial-state candidates available for quantifier 'forall'$"):
+        quasi_bisim(drift, drift, "exists", "forall", sections=sections, horizon=2, alphas=start)

@@ -118,12 +118,19 @@ def test_a_comonoid_verdict_advances_each_side_once(monkeypatch, horizon):
 @pytest.mark.parametrize("horizon", (4, 8))
 def test_a_bayes_verdict_reads_its_rows_until_its_laws_repeat(monkeypatch, horizon):
     """The channel and prior leaves redraw from a fixed law, so a 3x3 Bayes
-    verdict's right joint repeats its laws after one tick and its left joint
-    after two: 3 advances and 10 ``_PairTable.rows`` calls at horizons 4 and
-    8, where every tick read took 2 * horizon advances and 7 * horizon
+    verdict's right joint repeats its laws after one tick, and so does its
+    left joint from its initial law: the verdict reads those two laws alone
+    (``_given_first``), in 2 advances and 7 ``_PairTable.rows`` calls at
+    horizons 4 and 8.  Read from every candidate, the left joint repeats
+    after two ticks, from its point masses: 3 advances and 10 ``rows``
+    calls, where every tick read took 2 * horizon advances and 7 * horizon
     ``rows`` calls."""
     advances = calls_of(monkeypatch, hier, "_advance")
     rows = calls_of(monkeypatch, hier._PairTable, "rows")
+    assert bayes_check(*bayes_3x3(), horizon=horizon)["related"] is True
+    assert (len(advances), len(rows)) == (2, 7)
+    del advances[:], rows[:]
+    monkeypatch.setattr(hier, "_given_first", lambda *args: None)
     assert bayes_check(*bayes_3x3(), horizon=horizon)["related"] is True
     assert (len(advances), len(rows)) == (3, 10)
 

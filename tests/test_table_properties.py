@@ -14,6 +14,11 @@ Pairs of systems whose laws repeat bit for bit from different ticks, or
 never, check that a verdict does not depend on how its sections are
 chunked, and that it is the verdict of the closure walks.
 
+Leaves on three to six states with Dirichlet weights, whose sums depend on
+the order of their terms, check that a law-matrix row reads the same bits
+alone or beside any rows, and that an exists/exists verdict that reads the
+given laws first is the verdict of the read of every candidate.
+
 The examples are derandomized, so every run checks the same systems.
 """
 
@@ -21,7 +26,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polydyn import (
@@ -29,7 +34,9 @@ from polydyn import (
     STOCHASTIC,
     PolyMap,
     Rng,
+    categorical,
     compose_hier,
+    det_polymap,
     dirac,
     dist_distance,
     finite,
@@ -47,6 +54,7 @@ from polydyn import (
     tensor_hier,
     trace,
     unit,
+    y,
 )
 from polydyn import hier
 
@@ -194,6 +202,7 @@ def test_generated_traces_equal_the_closure_traces(hs):
 # ticks
 
 MODES = list(itertools.product(("exists", "forall"), repeat=2))
+TABLE_DEVIATIONS = hier._table_deviations
 SETTLE_HORIZON = 5
 SETTLE_SECTIONS = 8  # the verdict's max_sections
 
@@ -261,13 +270,15 @@ def settling_pairs(draw, depth: int = 2, source=None):
     return tuple(map(compose_hier, first, draw(settling_pairs(depth - 1, first[0].target))))
 
 
-def walked_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
+def walked_deviations(theta, psi, sections, horizon, max_sections):
     """``hier._table_deviations`` read from traces that walk the closures
     (with ``hier.trace`` set to ``hier._closure_trace``), every tick of every
     section."""
+    choices, _ = TABLE_DEVIATIONS(theta, psi, sections, horizon, max_sections)
     if sections is None:
         sections = hom_sections([theta, psi], max_sections)
-    return hier._traced_deviations(theta, psi, sections, cand_a, cand_b, horizon)
+    return choices, lambda cand_a, cand_b: hier._traced_deviations(
+        theta, psi, sections, cand_a, cand_b, horizon)
 
 
 @GENERATED
@@ -291,6 +302,98 @@ def test_generated_verdicts_do_not_depend_on_the_chunks(pair, modes, tol):
         m.setattr(hier, "trace", hier._closure_trace)
         walked = verdict()
     assert repr(chunked) == repr(alone) == repr(walked)
+
+
+# ---------------------------------------------------------------------------
+# rows moved alone or beside others, on weights whose sums depend on their
+# order
+
+DIRICHLET_HORIZON = 5
+
+
+def dirichlet_leaf(rng, n_states: int):
+    """A leaf y -> By^T on ``n_states`` states that shows one of two labels
+    by state and moves, per state and direction, to a Dirichlet law on a
+    drawn support of one to all states; its initial law is drawn alike.  No
+    weight is dyadic, so a bin's sum depends on the order of its terms."""
+    gen = rng.generator()
+    xs = finite(*range(n_states))
+    target = monomial(finite("p", "q"), finite("u", "v"))
+
+    def partial():
+        k = int(gen.integers(1, n_states + 1))
+        support = sorted(gen.choice(n_states, size=k, replace=False).tolist())
+        return categorical(xs, list(zip(support, gen.dirichlet([1.0] * k).tolist())))
+
+    labels = {x: "pq"[int(gen.integers(2))] for x in points(xs)}
+    moves = {(x, d): partial() for x in points(xs) for d in ("u", "v")}
+    init = partial()
+    return mk_hier(y(), target, xs,
+                   lambda x: det_polymap(y(), target, lambda i: labels[x], lambda i, d: ()),
+                   lambda x, i, d: moves[(x, d)], init=init)
+
+
+def key_law_ticks(table, to_union, n_keys: int, choices, laws) -> list:
+    """``hier._key_laws`` at every tick 0..DIRICHLET_HORIZON, the last one
+    read repeated, as every later tick repeats it."""
+    got = [kl.copy() for kl, _ in hier._key_laws(table, to_union, n_keys, choices, laws,
+                                                  DIRICHLET_HORIZON)]
+    return got + got[-1:] * (DIRICHLET_HORIZON + 1 - len(got))
+
+
+@GENERATED
+@given(seed=st.integers(0, 2**16), n_states=st.integers(3, 6),
+       picks=st.lists(st.integers(0, 2**8), min_size=1, max_size=6))
+# the initial law (row 0) of this leaf read one ulp apart at ticks 2 and 4,
+# under section 0, beside the other candidates and alone, when a law summed
+# its rows in order of the first state of its section's block
+@example(seed=267, n_states=4, picks=[0])
+def test_a_row_reads_the_same_bits_alone_or_beside_any_rows(seed, n_states, picks):
+    """Every candidate's key laws, at every tick under every section, are
+    the same bits moved alone, beside every other candidate, and beside
+    drawn candidates in a drawn order, repeats included."""
+    hs = dirichlet_leaf(Rng(seed), n_states)
+    table = tabulate(hs)
+    keys, options, (to_union,) = hier._union([table])
+    choices = np.array(hier._section_choices(options, 512), dtype=np.intp)
+    laws = hier._initial_laws(hs, None, "exists").rows(table)
+    c, n_sec = len(laws), len(choices)
+    drawn = [p % c for p in picks]
+
+    def read(rows: list) -> list:  # per row of ``rows``: its key laws per (tick, section)
+        ticks = key_law_ticks(table, to_union, len(keys), choices, laws[rows])
+        return [[[kl[s * len(rows) + j].tobytes() for s in range(n_sec)] for kl in ticks]
+                for j in range(len(rows))]
+
+    alone = [read([r])[0] for r in range(c)]
+    assert read(list(range(c))) == alone
+    assert read(drawn) == [alone[r] for r in drawn]
+
+
+@GENERATED
+@given(seeds=st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+       n_states=st.integers(3, 5), same=st.booleans(),
+       provided=st.lists(st.integers(0, 2**8), max_size=2),
+       tol=st.sampled_from((0.0, 1e-9, 0.25)))
+def test_a_given_first_verdict_is_the_verdict_of_every_candidate(
+        seeds, n_states, same, provided, tol):
+    """An exists/exists verdict read given laws first is the verdict of
+    the read of every candidate at once, witness and deviation bits
+    included: between a leaf and itself, or another leaf, with provided
+    side-a laws drawn from the point masses and side b's initial law."""
+    theta = dirichlet_leaf(Rng(seeds[0]), n_states)
+    psi = dirichlet_leaf(Rng(seeds[0] if same else seeds[1]), n_states)
+    pool = [*(dirac(theta.states, x) for x in points(theta.states)), psi.init]
+    alphas = [pool[p % len(pool)] for p in provided] or None
+
+    def verdict():
+        return quasi_bisim(theta, psi, horizon=4, tol=tol, alphas=alphas)
+
+    staged = verdict()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hier, "_given_first", lambda *args: None)
+        full = verdict()
+    assert repr(staged) == repr(full)
 
 
 @st.composite
@@ -319,10 +422,8 @@ def code_arrays(draw):
 @given(codes=code_arrays())
 def test_the_code_sort_is_np_unique(codes):
     """``hier._unique`` gives ``np.unique``'s sorted values and flat inverse,
-    and with ``index`` its first occurrences too, as the same dtypes."""
-    values, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    for got in (hier._unique(codes), hier._unique(codes, index=True)[:2]):
-        assert got[0].dtype == values.dtype and got[1].dtype == np.intp
-        assert np.array_equal(got[0], values) and np.array_equal(got[1], inverse.ravel())
-    got_first = hier._unique(codes, index=True)[2]
-    assert got_first.dtype == np.intp and np.array_equal(got_first, first)
+    as the same dtypes."""
+    values, inverse = np.unique(codes, return_inverse=True)
+    got = hier._unique(codes)
+    assert got[0].dtype == values.dtype and got[1].dtype == np.intp
+    assert np.array_equal(got[0], values) and np.array_equal(got[1], inverse.ravel())

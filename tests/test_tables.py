@@ -23,6 +23,8 @@ import pytest
 from polydyn import (
     DETERMINISTIC,
     STOCHASTIC,
+    HierError,
+    HomSection,
     PolyMap,
     Rng,
     all_sections,
@@ -731,27 +733,34 @@ def one_section_at_a_time(read: dict):
     moved in chunks.  ``read`` keeps each pair of systems' deviations for the
     next call."""
 
-    def table_deviations(theta, psi, sections, cand_a, cand_b, horizon, max_sections):
-        key = (id(theta), id(psi), len(cand_a), len(cand_b), horizon)
-        if key not in read:
+    def table_deviations(theta, psi, sections, horizon, max_sections):
+        setup = ("setup", id(theta), id(psi), max_sections)
+        if setup not in read:
             done: dict = {}
             tables = [hier._tabulate(theta, done), hier._tabulate(psi, done)]
             keys, options, maps = hier._union(tables)
             assert sections is None  # the sampled family
-            choices = hier._section_choices(options, max_sections)
-            laws = [np.stack([tb.law(d) for d in cands])
-                    for tb, cands in zip(tables, (cand_a, cand_b))]
-            read[key] = []
-            for choice in choices:
-                ka, kb = (
-                    padded(hier._key_laws(tb, m, len(keys), np.asarray(choice)[None, :], law,
-                                          horizon), horizon)
-                    for tb, m, law in zip(tables, maps, laws)
-                )
-                read[key].append([np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
-                                  for (a, _), (b, _) in zip(ka, kb, strict=True)])
-        return len(read[key]), ((s, t, dev) for s, ticks in enumerate(read[key])
-                                for t, dev in enumerate(ticks))
+            read[setup] = tables, keys, maps, hier._section_choices(options, max_sections)
+        tables, keys, maps, choices = read[setup]
+
+        def read_alone(cand_a, cand_b):
+            key = (id(theta), id(psi), len(cand_a), len(cand_b), horizon)
+            if key not in read:
+                laws = [np.stack([tb.law(d) for d in cands])
+                        for tb, cands in zip(tables, (cand_a, cand_b))]
+                read[key] = []
+                for choice in choices:
+                    ka, kb = (
+                        padded(hier._key_laws(tb, m, len(keys), np.asarray(choice)[None, :],
+                                              law, horizon), horizon)
+                        for tb, m, law in zip(tables, maps, laws)
+                    )
+                    read[key].append([np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+                                      for (a, _), (b, _) in zip(ka, kb, strict=True)])
+            return ((s, t, dev) for s, ticks in enumerate(read[key])
+                    for t, dev in enumerate(ticks))
+
+        return np.array(choices, dtype=np.intp).reshape(len(choices), len(keys)), read_alone
 
     return table_deviations
 
@@ -769,13 +778,13 @@ def test_chunked_verdicts_equal_the_section_by_section_verdicts(monkeypatch):
     pairs.append((theta, theta))
     firsts = set()
     for lhs, rhs in pairs:
-        args = (None, hier._initial_laws(lhs, None, "forall"),
-                hier._initial_laws(rhs, None, "forall"), HORIZON, 512)
+        cands = (hier._initial_laws(lhs, None, "forall"), hier._initial_laws(rhs, None, "forall"))
         for budget in (hier._BUDGET, 1536):  # 1536: chunks of at most 3 sections
             with monkeypatch.context() as m:
                 m.setattr(hier, "_BUDGET", budget)
                 (n_chunked, chunked), (n_alone, alone) = (
-                    f(lhs, rhs, *args) for f in (hier._table_deviations, reference)
+                    (len(choices), reader(*cands)) for choices, reader in
+                    (f(lhs, rhs, None, HORIZON, 512) for f in (hier._table_deviations, reference))
                 )
                 assert n_chunked == n_alone == 512
                 for got, want in zip(chunked, alone, strict=True):
@@ -985,6 +994,62 @@ def test_a_settling_trace_has_a_value_per_tick(horizon):
             assert dist_distance(g, w) == 0.0
 
 
+def three_labels(init=True):
+    """States 0, 1 and 2 showing "a", "b" and "c" and stepping round the
+    cycle; its initial law, when it has one, is the point mass at 0."""
+    states = finite(0, 1, 2)
+    B = finite("a", "b", "c")
+    return mk_hier(y(), linear(B), states,
+                   lambda x: det_polymap(y(), linear(B), lambda i: "abc"[x], lambda i, d: ()),
+                   lambda x, i, d: dirac(states, (x + 1) % 3),
+                   init=dirac(states, 0) if init else None)
+
+
+def test_a_given_first_pass_that_fails_at_its_first_law_reads_every_candidate():
+    """Provided side-a law 0, the point mass at 1, mismatches side b's only
+    given law, its init; side-a law 1, the init, matches it.  The witness is
+    the pair that the read of every candidate names: law 0 with side b's
+    point mass at 1, not the given pair (1, 0)."""
+    hs = three_labels()
+    alphas = [dirac(hs.states, 1)]
+    got = quasi_bisim(hs, hs, horizon=3, tol=0.0, alphas=alphas)
+    assert (got["related"], got["witness"]) == (True, {"alpha": 0, "beta": 1})
+    assert (got["related"], got["witness"]) == closure_verdict(
+        hs, hs, "exists", "exists", 3, 0.0, alphas, {})
+
+
+@pytest.mark.parametrize("side", ("a", "b"))
+def test_a_side_with_no_given_law_reads_every_candidate(monkeypatch, side):
+    """With no provided law and no ``init`` on one side, the verdict reads
+    every candidate at once, and it is the closure walk's."""
+    reads = []
+    real = hier._table_deviations
+
+    def counted(*args):
+        choices, read = real(*args)
+        return choices, lambda *cands: reads.append([len(c) for c in cands]) or read(*cands)
+
+    monkeypatch.setattr(hier, "_table_deviations", counted)
+    theta, psi = three_labels(side != "a"), three_labels(side != "b")
+    got = quasi_bisim(theta, psi, horizon=3, tol=0.0)
+    assert reads == [[4, 4]]  # three point masses, or init and two, and the uniform law
+    assert (got["related"], got["witness"]) == closure_verdict(
+        theta, psi, "exists", "exists", 3, 0.0, None, {})
+    assert got["witness"] == {"alpha": 0, "beta": 0}
+
+
+def test_a_section_without_a_lens_only_point_masses_reach_is_refused():
+    """A section with no entry for "c", which only the point mass at 2
+    shows in its first ticks, is refused as the read of every candidate
+    refuses it, though the two initial laws never meet "c" before tick 2."""
+    hs = three_labels()
+    full = hom_sections([hs])[0]
+    lacking = HomSection(tuple(e for e in full.table if e[0] != polymap_key(hs.emit(2))))
+    assert len(lacking.table) == 2
+    with pytest.raises(HierError, match=r"^section 0 has no entry for an emitted lens at tick 0$"):
+        quasi_bisim(hs, hs, sections=[lacking], horizon=1)
+
+
 def dirichlet_bayes(rng, nx: int, ny: int) -> tuple:
     """A seeded channel with Dirichlet rows, its prior and its exact
     inversion, drawn as the benchmark draws them: no weight is dyadic, so
@@ -1010,30 +1075,45 @@ def coassoc_verdict() -> dict:
 
 @pytest.mark.parametrize("verdict, digest", [
     (lambda: bayes_check(*dirichlet_bayes(Rng(11), 2, 2)),
-     "7422f469d160fa06ce8920e7f51db82e9dfda9aa97c1ee2cc4218359d4d1e740"),
+     "b08da666ae1c0fac018ce4ca756f9a74dc0933370ef413621d0e17cfefe6fe36"),
     (lambda: bayes_check(*dirichlet_bayes(Rng(13), 3, 3)),
-     "1fb91892129b6e65eb0625024970948d8d895eb624484dfe6a56b032357380e8"),
+     "fac94840ce903f1263e6e644ccb80d820af31d63fdfb2e8a718ce45e72091856"),
     (coassoc_verdict, "7f67bfe6493fbc4e76c16daa708f46c95869f029742380ddb40b9047185f8354"),
 ], ids=["bayes-2x2", "bayes-3x3", "coassoc"])
 def test_the_table_readings_are_pinned(monkeypatch, verdict, digest):
     """The sha256 of every reading a verdict takes from
     ``hier._table_deviations``: its section, tick, and the deviation
     matrix's shape and bytes.  A verdict's output holds no deviation when it
-    relates its systems, so a change in the last bit of a sum shows here."""
+    relates its systems, so a change in the last bit of a sum shows here.
+    A passing Bayes verdict reads its systems' initial laws alone, a 1 x 1
+    matrix per tick; each such reading is, bit for bit, the given x given
+    block of the reading of every candidate at its section and tick."""
     sha = hashlib.sha256()
     real = hier._table_deviations
+    staged = []  # (read of every candidate, given x given shape, readings taken)
 
-    def recorded(*args):
-        n, readings = real(*args)
+    def recorded(theta, psi, *args):
+        choices, read = real(theta, psi, *args)
 
-        def read():
-            for s, t, dev in readings:
+        def recorded_read(cand_a, cand_b):
+            taken = []
+            full = [hier._initial_laws(hs, None, "exists") for hs in (theta, psi)]
+            if len(full[0]) * len(full[1]) > len(cand_a) * len(cand_b):
+                staged.append((read(*full), (len(cand_a), len(cand_b)), taken))
+            for s, t, dev in read(cand_a, cand_b):
                 sha.update(f"{s} {t} {dev.shape} {dev.dtype}|".encode())
                 sha.update(dev.tobytes())
+                taken.append((s, t, dev))
                 yield s, t, dev
 
-        return n, read()
+        return choices, recorded_read
 
     monkeypatch.setattr(hier, "_table_deviations", recorded)
     assert verdict()["related"] is True
     assert sha.hexdigest() == digest
+    assert len(staged) == (verdict is not coassoc_verdict)
+    for full, (g_a, g_b), taken in staged:
+        blocks = {(s, t): dev[:g_a, :g_b] for s, t, dev in full}
+        assert taken
+        for s, t, dev in taken:
+            assert blocks[(s, t)].tobytes() == dev.tobytes(), (s, t)
