@@ -49,7 +49,9 @@ its inputs from its own ``np.random.default_rng(0)``.
     objects and read by ``law``, atom by atom but for the joint's own
     ``init``;
   - the ``_PairTable`` build of the 3x3 right joint's 2,187 states from its
-    factors' tables, which are built once, outside the timing.
+    factors' tables, which are built once, outside the timing;
+  - both joints of a seeded 2x2 and 3x3 Bayes verdict, built from their
+    systems as ``bayes_check`` builds them (``joints``).
 
 - ``core`` (500 calls): the records every primitive builds and compares,
   and the primitives that the other groups time only inside larger calls.
@@ -291,6 +293,10 @@ def table_cases(gen):
     done: dict = {}
     factors = hier._tabulate(left, done), hier._tabulate(right, done)
     yield "_PairTable 2187", lambda: hier._PairTable(rhs, kind, *factors)
+    # drawn after the cases above, so their inputs are those of earlier versions
+    for nx, ny in BAYES_SHAPES:
+        systems = bayes_systems(gen, nx, ny)
+        yield f"bayes joints {nx}x{ny}", lambda s=systems: joints(*s)
 
 
 # ---------------------------------------------------------------------------

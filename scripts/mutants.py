@@ -51,10 +51,29 @@ MUTANTS = (
     Mutant(
         "pair-init-transposed",
         "src/polydyn/hier.py",
-        "np.multiply.outer(left.law(left.system.init), right.law(right.system.init)).ravel()",
-        "np.multiply.outer(left.law(left.system.init), right.law(right.system.init)).T.ravel()",
+        "np.multiply.outer(left.law(left.system), right.law(right.system)).ravel()",
+        "np.multiply.outer(left.law(left.system), right.law(right.system)).T.ravel()",
         ("tests/test_table_properties.py::test_generated_traces_equal_the_closure_traces",
          "tests/test_table_counts.py::test_a_composites_initial_law_looks_up_no_composite_state"),
+    ),
+    # a composite's own initial law, formed when first read, as the product
+    # of its factors' laws taken right factor first
+    Mutant(
+        "deferred-init-swapped",
+        "src/polydyn/hier.py",
+        'object.__setattr__(hs, "init", dst(hs.factors[1].init, hs.factors[2].init))',
+        'object.__setattr__(hs, "init", dst(hs.factors[2].init, hs.factors[1].init))',
+        ("tests/test_table_properties.py::test_a_composites_init_is_dst_of_its_factors_formed_once",),
+    ),
+    # a composite's unformed initial law never compared with the uniform
+    # law, so a product of uniform laws leaves the uniform candidate too
+    Mutant(
+        "uniform-kept-unweighed",
+        "src/polydyn/hier.py",
+        "isinstance(e, (Categorical, HierSystem)) and len(ws := _weights(e)) == n",
+        "type(e) is Categorical and len(ws := _weights(e)) == n",
+        ("tests/test_table_counts.py::test_the_trusted_candidates_are_the_checked_ones",
+         "tests/test_table_properties.py::test_a_composites_candidates_are_those_of_its_formed_init"),
     ),
     # a tensor key's backward atoms joined g's slots first, so each product
     # atom's slots are out of the product fibre's order

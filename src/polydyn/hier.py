@@ -85,6 +85,17 @@ class HierError(ValueError):
     """Mismatched interfaces or times in a hierarchical construction."""
 
 
+class _ProductInit:
+    """``HierSystem.init``: None on the class, the field's default; on a
+    composite left without it (``_with_factors``), formed when first read."""
+
+    def __get__(self, hs, cls=None):
+        if hs is None:
+            return None
+        object.__setattr__(hs, "init", dst(hs.factors[1].init, hs.factors[2].init))
+        return hs.init
+
+
 @record
 class HierSystem:
     """A hierarchical system source -> target over ``states``, given by its
@@ -93,7 +104,8 @@ class HierSystem:
     returns direction d, and ``forward_lift(x, b)``, when given, the law
     ``hibi_compose`` puts on the middle wire for target position b.  None
     takes a tick, so every tick repeats them.  ``time`` is the monoid the
-    ticks come from; composites refuse a mix."""
+    ticks come from; composites refuse a mix.  A composite's ``init`` is
+    ``dst`` of its factors', formed when first read (``_with_factors``)."""
 
     source: Polynomial
     target: Polynomial
@@ -103,11 +115,11 @@ class HierSystem:
     absorb: Callable  # (x, i, d') -> Dist over states
     _: KW_ONLY
     forward_lift: Optional[Callable] = None  # (x, b) -> Dist over target positions
-    init: Optional[Dist] = None  # canonical initial state law, when one exists
+    init: Optional[Dist] = _ProductInit()  # canonical initial state law, when one exists
     # (kind, left, right), set by compose_hier/tensor_hier alone: their
     # tables, and the vector of their own init, are built from the factors'
     # (see ``tabulate``).  ``replace`` cannot copy or set it, so any copy is
-    # tabulated as a leaf, from its own emit, absorb and init
+    # tabulated as a leaf, from its own emit, absorb and (formed) init
     factors: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
 
@@ -212,12 +224,8 @@ def compose_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         def lift(xy, b):  # noqa: E731 - closure over gamma
             return gamma.forward_lift(xy[1], b)
 
-    init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
-    composite = HierSystem(
-        beta.source, gamma.target, states, beta.time, emit, absorb, forward_lift=lift, init=init,
-    )
-    object.__setattr__(composite, "factors", ("compose", beta, gamma))
-    return composite
+    return _with_factors("compose", beta, gamma, HierSystem(
+        beta.source, gamma.target, states, beta.time, emit, absorb, forward_lift=lift))
 
 
 def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
@@ -238,10 +246,34 @@ def tensor_hier(beta: HierSystem, gamma: HierSystem) -> HierSystem:
         d1, d2 = dd
         return dst(beta.absorb(x, i, d1), gamma.absorb(z, j, d2))
 
-    init = dst(beta.init, gamma.init) if beta.init and gamma.init else None
-    composite = HierSystem(source, target, states, beta.time, emit, absorb, init=init)
-    object.__setattr__(composite, "factors", ("tensor", beta, gamma))
+    return _with_factors("tensor", beta, gamma,
+                         HierSystem(source, target, states, beta.time, emit, absorb))
+
+
+def _with_factors(kind: str, beta: HierSystem, gamma: HierSystem, composite: HierSystem):
+    """``composite`` with its factors set.  When both have an initial law, its
+    own is ``dst`` of theirs: formed here for two point masses, else when read."""
+    object.__setattr__(composite, "factors", (kind, beta, gamma))
+    left, right = _own(beta), _own(gamma)
+    if type(left) is Dirac and type(right) is Dirac:
+        object.__setattr__(composite, "init", dst(left, right))
+    elif left is not None and right is not None:
+        del vars(composite)["init"]
     return composite
+
+
+def _own(hs: HierSystem):
+    """``hs.init``, or ``hs``, standing for it, while it is an unformed product."""
+    return vars(hs).get("init", hs)
+
+
+def _weights(d) -> list:
+    """The weights of a law's items; of a system standing for its law, the
+    products ``dst`` multiplies, in its order and grouping, with no atom formed."""
+    if not isinstance(d, HierSystem):
+        return [w for _, w in finite_items(d)]
+    _, beta, gamma = d.factors
+    return [w1 * w2 for w1 in _weights(_own(beta)) for w2 in _weights(_own(gamma))]
 
 
 def _stateless(source: Polynomial, target: Polynomial, lens: PolyMap) -> HierSystem:
@@ -309,8 +341,8 @@ class HierTable:
     ``step(s, o)`` is the next-state law of state s after response o, as a
     sparse row (state ids, weights).  A row is built when ``rows`` first
     interns it, so states that move alike share one row id.  ``law(d)`` is a
-    finite law as a vector over state ids; a composite's own initial law is
-    read from its factors' vectors (``_PairTable.law``)."""
+    finite law as a vector over state ids, the system standing for its own
+    (``_own``); a composite's is read from its factors' (``_PairTable.law``)."""
 
     def __init__(self, hs: HierSystem):
         self.system = hs
@@ -344,7 +376,7 @@ class HierTable:
     def law(self, d: Dist) -> np.ndarray:
         """A finite law over the states as a vector over state ids."""
         vec = np.zeros(self.size)
-        for x, w in finite_items(d):
+        for x, w in finite_items(self.system.init if d is self.system else d):
             vec[self.state_id(x)] = w
         return vec
 
@@ -453,14 +485,14 @@ class _PairTable(HierTable):
         self._route_left, self._route_right = np.array(routes, dtype=np.intp).reshape(-1, 2).T
 
     def law(self, d: Dist) -> np.ndarray:
-        """The composite's own initial law is ``dst`` of its factors' initial
-        laws, so its vector is the outer product of theirs, raveled in
-        state-id order, and no atom of it is looked up.  Any other law is
-        read atom by atom."""
-        if d is not self.system.init:
+        """The composite's own initial law (the system standing for it, or the
+        law once formed) is ``dst`` of its factors', so its vector is the
+        outer product of theirs, raveled in state-id order: it is neither
+        formed nor looked up.  Any other law is read atom by atom."""
+        if d is not self.system and d is not _own(self.system):
             return super().law(d)
         left, right = self._left, self._right
-        return np.multiply.outer(left.law(left.system.init), right.law(right.system.init)).ravel()
+        return np.multiply.outer(left.law(left.system), right.law(right.system)).ravel()
 
     def state_id(self, x) -> int:
         if not (isinstance(x, tuple) and len(x) == 2):
@@ -916,7 +948,7 @@ class _Candidates:
         return len(self.given) + len(self.ids) + self.spread
 
     def __iter__(self):
-        yield from self.given
+        yield from (d.init if isinstance(d, HierSystem) else d for d in self.given)
         if len(self.ids) or self.spread:
             atoms = list(points(self.states))
             yield from (Dirac(self.states, atoms[i]) for i in self.ids)
@@ -942,9 +974,11 @@ class _Candidates:
 def _initial_laws(sys_, provided, mode: str, cap: int = _CANDIDATE_CAP) -> _Candidates:
     """The candidates of ``_candidates``, with no point mass or uniform law
     built.  The states are counted before any is enumerated, and enumerated
-    only to find the point masses that a given law repeats."""
+    only to find the point masses that a given law repeats.  With no law
+    provided, an unformed ``init`` is given as its system (``_own``)."""
     given = []
-    for d in [*(provided or []), *([] if sys_.init is None else [sys_.init])]:
+    own = sys_.init if provided else _own(sys_)  # compared with a provided law, it is formed
+    for d in [*(provided or []), *([] if own is None else [own])]:
         if not any(e is d or e == d for e in given):
             given.append(d)
     states = sys_.states
@@ -960,10 +994,10 @@ def _initial_laws(sys_, provided, mode: str, cap: int = _CANDIDATE_CAP) -> _Cand
                    if not any(x is a or x == a for x in at)]
         # over one state the uniform law is that state's point mass; over
         # more, a given law can equal it only as a Categorical with weight
-        # 1/n on each of the n states, so only such a law is compared
+        # 1/n on each of the n states, so only such a law is formed and compared
         spread = n > 1 and not any(
-            type(e) is Categorical and len(e.items) == n
-            and all(w == 1.0 / n for _, w in e.items) and e == uniform(states)
+            isinstance(e, (Categorical, HierSystem)) and len(ws := _weights(e)) == n
+            and all(w == 1.0 / n for w in ws) and (e.init if e is sys_ else e) == uniform(states)
             for e in given
         )
     out = _Candidates(states, given, ids, spread)

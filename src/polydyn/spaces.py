@@ -47,10 +47,16 @@ def record(cls):
     The other methods are shared by every record: ``==`` and ``hash``
     compare and hash the tuple of compared fields, ``repr`` is dataclass's
     unless the class defines its own, and assigning or deleting any
-    attribute raises ``FrozenInstanceError``.  Each record needs a
-    docstring: without one, dataclass writes one from ``object.__init__``'s
-    text signature, which it parses with ``tokenize``'s regexes."""
+    attribute raises ``FrozenInstanceError``; its dataclass flags ``frozen``
+    and ``eq`` read True.  Each record needs a docstring: without one,
+    dataclass writes one from ``object.__init__``'s text signature, which it
+    parses with ``tokenize``'s regexes."""
+    bases = [b.__dataclass_params__ for b in cls.__mro__[1:] if b.__eq__ is _record_eq]
+    for flags in bases:  # dataclass refuses a subclass not frozen of a frozen class
+        flags.frozen = False
     dataclass(cls, init=False, repr=False, eq=False)
+    for flags in (*bases, cls.__dataclass_params__):
+        flags.frozen = flags.eq = True
     every = fields(cls)
     params = [f for f in every if f.init]
     env = {"__name__": cls.__module__, "_store": object.__setattr__}

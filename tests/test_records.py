@@ -194,6 +194,21 @@ def test_a_record_is_its_frozen_dataclass_twin(cls):
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_a_records_dataclass_flags_are_its_twins(cls):
+    """A record says it is frozen and compared by field, as its twin does."""
+    ours, theirs = cls.__dataclass_params__, twin(cls).__dataclass_params__
+    assert (ours.frozen, ours.eq) == (theirs.frozen, theirs.eq) == (True, True)
+
+
+def test_no_record_is_subclassed_by_a_dataclass_that_is_not_frozen():
+    """dataclass refuses such a subclass of a frozen class; every record
+    subclass declared in polydyn is itself a frozen record."""
+    subclasses = {sub for cls in RECORDS for sub in cls.__subclasses__()}
+    assert subclasses and subclasses <= set(RECORDS)
+    assert all(sub.__dataclass_params__.frozen for sub in subclasses)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_replace_copies_a_record(cls):
     for x in of_type(cls):
         copy = dataclasses.replace(x)

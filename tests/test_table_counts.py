@@ -4,7 +4,8 @@ A verdict keys each leaf state's lens once and absorbs each (state,
 response) once, whatever its horizon; it stops advancing a side once that
 side's laws repeat bit for bit, so its ticks, too, do not grow with the
 horizon past that point; a composite's own initial law is read
-from its factors' law vectors, with no composite state looked up; a leaf
+from its factors' law vectors, with no composite state looked up and no
+product of laws formed; a leaf
 maps each absorbed law's atoms once; no sort is made of a single code,
 and none by ``np.unique``; the candidate initial laws are the point
 masses and uniform law built the checked way, without the checks; and a
@@ -40,9 +41,17 @@ from polydyn import (
     uniform,
     y,
 )
-from polydyn import hier, poly
+from polydyn import dist, hier, poly
 
 from helpers import calls_of, dyadic_channel_prior, random_finite_system
+
+
+def bayes_2x2():
+    """A seeded 2x2 channel, prior and exact inversion."""
+    X, Y, pi, rows, _ = dyadic_channel_prior(Rng(95), 2, 2)
+    inverse = exact_bayes(rows.__getitem__, pi, target=Y)
+    return (stochastic_channel_system(rows.__getitem__, X, Y), prior_system(pi),
+            stochastic_channel_system(inverse, Y, X))
 
 
 def bayes_3x3():
@@ -138,7 +147,9 @@ def test_a_bayes_verdict_reads_its_rows_until_its_laws_repeat(monkeypatch, horiz
 def test_a_composites_initial_law_looks_up_no_composite_state(monkeypatch):
     """In a 3x3 ``bayes_check`` each joint's initial vector is built with no
     ``_PairTable.state_id`` call, although the right joint's initial law has
-    2,187 atoms, and it is the atom-by-atom vector bit for bit."""
+    2,187 atoms, and it is the atom-by-atom vector bit for bit.  The table
+    is handed the system, which stands for its law, and the law is not
+    formed: ``init`` is formed here only for the atom-by-atom check."""
     looked_up = []
     real_state_id = hier._PairTable.state_id
     built = []  # (table, law, state_id calls while building its vector)
@@ -157,12 +168,37 @@ def test_a_composites_initial_law_looks_up_no_composite_state(monkeypatch):
     monkeypatch.setattr(hier._PairTable, "state_id", state_id)
     monkeypatch.setattr(hier._PairTable, "law", law)
     assert bayes_check(*bayes_3x3())["related"] is True
-    own = [(table, d, n) for table, d, n in built if d is table.system.init]
+    own = [(table, d, n) for table, d, n in built if d is table.system]
     assert {table.size for table, _, _ in own} >= {81, 2187}
     assert [n for _, _, n in own] == [0] * len(own)
+    assert [table for table, _, _ in own if "init" in vars(table.system)] == []
     for table, d, _ in own:
-        walked = hier.HierTable.law(table, d)
+        walked = hier.HierTable.law(table, d.init)
         assert real_law(table, d).tobytes() == walked.tobytes()
+        assert real_law(table, d.init).tobytes() == walked.tobytes()
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (3, 3)))
+def test_a_passing_bayes_verdict_forms_no_product(monkeypatch, shape):
+    """A passing ``bayes_check`` reads each joint's initial law from its
+    factors' vectors: no product of laws is formed (``dist.product_items``),
+    where forming the two joints' laws makes 7 products, of 66 atoms at 2x2
+    and 1,173 at 3x3."""
+    atoms = []
+    real_items = dist.product_items
+
+    def product_items(items1, items2):
+        out = real_items(items1, items2)
+        atoms.append(len(out))
+        return out
+
+    monkeypatch.setattr(dist, "product_items", product_items)
+    systems = bayes_3x3() if shape == (3, 3) else bayes_2x2()
+    assert bayes_check(*systems)["related"] is True
+    assert atoms == []
+    for joint in joints(*systems):
+        joint.init
+    assert (len(atoms), sum(atoms)) == (7, {(2, 2): 66, (3, 3): 1173}[shape])
 
 
 def test_a_leaf_maps_each_absorbed_law_once(monkeypatch):
@@ -281,21 +317,27 @@ def checked_candidates(sys_, provided):
 def test_the_trusted_candidates_are_the_checked_ones():
     """Equal and with equal ``repr`` to the checked laws, in the same order,
     with provided laws that repeat a point mass, the uniform law and
-    ``init``; over one state the uniform law is that state's point mass."""
+    ``init``; over one state the uniform law is that state's point mass.
+    The product of two uniform laws on three states is the uniform law on
+    nine, (1/3) * (1/3) being 1/9; on five states it is not, by an ulp."""
     c, p, _ = bayes_3x3()
     X = c.source.positions
     lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
     flats = [as_hier(random_finite_system(Rng(97), n_states=n)) for n in (1, 4)]
-    systems = [lhs, p, *flats, id_hier(linear(finite(0, 1, 2)))]
+    spreads = [prior_system(uniform(finite(*range(n)))) for n in (3, 5)]
+    systems = [lhs, p, *flats, id_hier(linear(finite(0, 1, 2))),
+               *(tensor_hier(u, u) for u in spreads)]
     for hs in systems:
+        # first, while a composite's own law is unformed: reading ``init`` forms it
+        computed = [hier._candidates(hs, [], "forall")]
         states = hs.states
         atoms = list(points(states))
         spread = categorical(states, [(a, 1.0 / len(atoms)) for a in atoms])
         repeats = [dirac(states, atoms[-1]), spread, dirac(states, atoms[0])]
         if hs.init is not None:
             repeats.append(hs.init)
-        for provided in ([], repeats):
-            got = hier._candidates(hs, provided, "forall")
+        computed.append(hier._candidates(hs, repeats, "forall"))
+        for provided, got in zip(([], repeats), computed):
             want = checked_candidates(hs, provided)
             assert got == want
             assert [repr(d) for d in got] == [repr(d) for d in want]
@@ -311,9 +353,11 @@ def ring(n: int):
                    init=dirac(states, 0))
 
 
-def joints():
-    """The two joints of a 3x3 Bayes check: 81 and 2,187 states."""
-    c, p, inv = bayes_3x3()
+def joints(c=None, p=None, inv=None):
+    """The two joints of a Bayes check, built as it builds them: at 3x3,
+    where the systems default to, 81 and 2,187 states."""
+    if c is None:
+        c, p, inv = bayes_3x3()
     X, Y = c.source.positions, c.target.positions
     lhs = compose_hier(compose_hier(p, copy_system(X)), tensor_hier(id_hier(linear(X)), c))
     rhs = compose_hier(compose_hier(compose_hier(p, c), copy_system(Y)),

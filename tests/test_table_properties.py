@@ -19,10 +19,17 @@ the order of their terms, check that a law-matrix row reads the same bits
 alone or beside any rows, and that an exists/exists verdict that reads the
 given laws first is the verdict of the read of every candidate.
 
+Composites of the same shapes over leaves on one to three states, whose
+initial laws are Dirichlet, uniform, uniform but one ulp, point masses or
+on a partial support, check that a composite's own law, formed only where
+it is read, reads as the law formed as soon as the composite is built: as
+a law, as candidates and rows, and in every verdict.
+
 The examples are derandomized, so every run checks the same systems.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +39,8 @@ from hypothesis import strategies as st
 from polydyn import (
     DETERMINISTIC,
     STOCHASTIC,
+    Categorical,
+    Dirac,
     PolyMap,
     Rng,
     categorical,
@@ -39,6 +48,7 @@ from polydyn import (
     det_polymap,
     dirac,
     dist_distance,
+    dst,
     finite,
     finite_items,
     hom_sections,
@@ -53,6 +63,7 @@ from polydyn import (
     tabulated,
     tensor_hier,
     trace,
+    uniform,
     unit,
     y,
 )
@@ -394,6 +405,159 @@ def test_a_given_first_verdict_is_the_verdict_of_every_candidate(
         m.setattr(hier, "_given_first", lambda *args: None)
         full = verdict()
     assert repr(staged) == repr(full)
+
+
+# ---------------------------------------------------------------------------
+# a composite's own initial law, formed only where it is read
+
+INIT_KINDS = ("dirichlet", "uniform", "uniform-ulp", "point", "partial")
+# every leaf's law uniform, in one run of each test, so that products of
+# uniform laws are drawn
+KIND_SETS = pytest.mark.parametrize("kinds", (INIT_KINDS, ("uniform",)), ids=("any", "uniform"))
+
+
+def drawn_init(gen, states, kind: str):
+    """A law on ``states`` of the named kind: Dirichlet weights on every
+    state, the uniform law, the uniform weights with one of them one ulp
+    up, a point mass, or Dirichlet weights on a drawn support."""
+    atoms = list(points(states))
+    n = len(atoms)
+    if kind == "uniform":
+        return uniform(states)
+    if kind == "point":
+        return dirac(states, atoms[int(gen.integers(n))])
+    if kind == "uniform-ulp":
+        weights = [1.0 / n] * n
+        weights[int(gen.integers(n))] = float(np.nextafter(1.0 / n, 2.0))
+        return categorical(states, list(zip(atoms, weights)))
+    assert kind in ("dirichlet", "partial"), kind
+    support = atoms
+    if kind == "partial":
+        picked = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+        support = [atoms[i] for i in sorted(picked.tolist())]
+    return categorical(states, list(zip(support, gen.dirichlet([1.0] * len(support)).tolist())))
+
+
+@st.composite
+def init_leaves(draw, source=None, init_kinds=INIT_KINDS):
+    """A leaf as ``leaves`` draws it, on one to three states, in two
+    copies, one per side, each with its own initial law of a drawn kind."""
+    if source is None:
+        source = draw(st.sampled_from(INTERFACES))
+    target = draw(st.sampled_from(INTERFACES))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    shape = draw(st.sampled_from(((1, 1), (2, 1), (1, 2), (3, 1))))
+    base = leaf(rng, source, target, *shape, draw(st.booleans()))
+    gen = rng.child(1).generator()
+    return [replace(base, init=drawn_init(gen, base.states, draw(st.sampled_from(init_kinds))))
+            for _ in range(2)]
+
+
+@st.composite
+def composites(draw, depth: int = 3, source=None, init_kinds=INIT_KINDS):
+    """The shapes ``systems`` draws, over ``init_leaves``, as a function
+    ``make(side, eager)`` that builds a fresh system from the same leaves,
+    with side 0's or side 1's initial laws.  When ``eager``, each
+    composite's own law is formed as soon as the composite is built: the
+    reference."""
+    kinds = ["leaf"]
+    if depth > 1:
+        kinds += ["compose", "compose-leaf-first"] + (["tensor"] if source is None else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        sides = draw(init_leaves(source, init_kinds))
+        return lambda side, eager: sides[side]
+    combine = compose_hier
+    if kind == "tensor":
+        combine, parts = tensor_hier, [draw(composites(depth - 1, None, init_kinds)),
+                                       draw(composites(1, None, init_kinds))]
+        if draw(st.booleans()):
+            parts.reverse()
+    elif kind == "compose":
+        first = draw(composites(depth - 1, source, init_kinds))
+        parts = [first, draw(composites(1, first(0, False).target, init_kinds))]
+    else:
+        first = draw(composites(1, source, init_kinds))
+        parts = [first, draw(composites(depth - 1, first(0, False).target, init_kinds))]
+
+    def make(side: int, eager: bool):
+        hs = combine(*(part(side, eager) for part in parts))
+        if eager:
+            assert hs.init is hs.init
+        return hs
+
+    return make
+
+
+def nodes(hs) -> list:
+    """``hs`` and every system it is built from, depth first."""
+    return [hs, *(x for factor in (hs.factors or ())[1:] for x in nodes(factor))]
+
+
+@KIND_SETS
+@GENERATED
+@given(data=st.data())
+def test_a_composites_init_is_dst_of_its_factors_formed_once(kinds, data):
+    """A composite's own law is formed as it is built only when it is a
+    product of point masses, and building on a composite does not form
+    its law.  Read, the law equals ``dst`` of its factors' laws and the law
+    formed as soon as it was built, ``repr`` included, and every read
+    returns the same object."""
+    make = data.draw(composites(init_kinds=kinds))
+    hs, ref = make(0, False), make(0, True)
+    pairs = list(zip(nodes(hs), nodes(ref)))
+    for x, r in pairs:
+        if x.factors is not None:
+            assert ("init" in vars(x)) == (type(r.init) is Dirac)
+    law = hs.init
+    assert law is hs.init
+    assert law == ref.init and repr(law) == repr(ref.init)
+    for x, r in pairs:
+        if x.factors is not None:
+            product = dst(x.factors[1].init, x.factors[2].init)
+            assert x.init == product and repr(x.init) == repr(product)
+            assert x.init is x.init
+
+
+@KIND_SETS
+@GENERATED
+@given(data=st.data(), provided=st.booleans())
+def test_a_composites_candidates_are_those_of_its_formed_init(kinds, data, provided):
+    """``_initial_laws`` gives the same given laws, point-mass ids, uniform
+    flag and rows as for the system whose own law was formed as it was
+    built.  It forms an unformed law only to compare it: with a provided
+    law, or with the uniform law when the product's weights are its."""
+    make = data.draw(composites(init_kinds=kinds))
+    hs, ref = make(0, False), make(0, True)
+    alphas = [dirac(ref.states, next(iter(points(ref.states))))] if provided else None
+    unformed = "init" not in vars(hs)
+    laws = hier._initial_laws(hs, alphas, "exists")
+    want = hier._initial_laws(ref, alphas, "exists")
+    n = len(list(points(ref.states)))
+    uniform_weights = (type(ref.init) is Categorical and len(ref.init.items) == n
+                       and all(w == 1.0 / n for _, w in ref.init.items))
+    if unformed:
+        assert ("init" in vars(hs)) == (provided or uniform_weights)
+    assert (list(laws.ids), laws.spread) == (list(want.ids), want.spread)
+    assert laws.rows(tabulate(hs)).tobytes() == want.rows(tabulate(ref)).tobytes()
+    assert list(laws) == list(want)
+    assert [repr(d) for d in laws] == [repr(d) for d in want]
+
+
+@KIND_SETS
+@GENERATED
+@given(data=st.data(), modes=st.sampled_from(MODES))
+def test_a_composites_verdicts_are_those_of_its_formed_init(kinds, data, modes):
+    """Between the system with side 0's and with side 1's initial laws, the
+    verdict ``repr`` is that of the systems whose own laws were formed as
+    they were built."""
+    make = data.draw(composites(init_kinds=kinds))
+
+    def verdict(eager: bool):
+        return repr(quasi_bisim(make(0, eager), make(1, eager), *modes, horizon=HORIZON,
+                                max_sections=SECTIONS))
+
+    assert verdict(False) == verdict(True)
 
 
 @st.composite
