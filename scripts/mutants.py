@@ -182,13 +182,47 @@ MUTANTS = (
         "return rho.cov_array() if sigma is None else sigma",
         ("tests/test_laplace.py::test_a_new_belief_reads_its_entropy_from_the_array_it_was_built_from",),
     ),
-    # a run length of True is taken for one step
+    # the count rule takes a bool for an integer: True is one tick, one step
+    # or one dimension
     Mutant(
-        "run-length-bool-accepted",
-        "src/polydyn/laplace.py",
-        "    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):\n",
-        "    if not isinstance(steps, numbers.Integral):\n",
-        ("tests/test_laplace.py::test_the_runners_refuse_a_run_length_that_is_not_an_integer",),
+        "count-bool-accepted",
+        "src/polydyn/spaces.py",
+        "    if isinstance(value, numbers.Integral) and not isinstance(value, bool):\n",
+        "    if isinstance(value, numbers.Integral):\n",
+        ("tests/test_spaces.py::test_a_count_is_a_non_negative_integer_and_not_a_bool",
+         "tests/test_laplace.py::test_the_runners_refuse_a_run_length_that_is_not_an_integer",
+         "tests/test_systems.py::test_a_numpy_integer_is_a_tick_and_a_bool_is_not"),
+    ),
+    # the count rule's int fast path returns an int before the sign test, so
+    # a negative horizon or step count is taken
+    Mutant(
+        "count-int-unsigned",
+        "src/polydyn/spaces.py",
+        "    n = integer(value)\n    if n is None:\n",
+        "    if type(value) is int:\n        return value\n    n = integer(value)\n    if n is None:\n",
+        ("tests/test_spaces.py::test_a_count_is_a_non_negative_integer_and_not_a_bool",
+         "tests/test_hier.py::test_a_negative_horizon_is_refused",
+         "tests/test_laplace.py::test_the_runners_refuse_a_negative_step_count"),
+    ),
+    # a composite's own law, read from its factors' vectors, is not checked,
+    # so a product whose weights sum past the tolerance is compared
+    Mutant(
+        "own-law-unchecked",
+        "src/polydyn/hier.py",
+        "            _check_product(vec.tolist(), ",
+        "            (lambda *_: None)(vec.tolist(), ",
+        ("tests/test_table_counts.py::"
+         "test_a_composites_own_law_is_checked_where_its_vector_is_read",),
+    ),
+    # quasi_bisim takes its section cap as given: 2.5 reads every section of
+    # three, True one
+    Mutant(
+        "max-sections-unchecked",
+        "src/polydyn/hier.py",
+        '    max_sections = check_count(max_sections, "max_sections", HierError)\n'
+        "    theta, psi",
+        "    theta, psi",
+        ("tests/test_hier.py::test_a_section_cap_is_a_count",),
     ),
     # two Diracs over a Euclidean space compared as labels, so points one ulp
     # apart read 1.0 and a flow tolerance admits no gap
@@ -293,8 +327,8 @@ MUTANTS = (
     Mutant(
         "bayes-horizon-zero-accepted",
         "src/polydyn/hier.py",
-        "    if horizon < 1:\n",
-        "    if horizon < 0:\n",
+        "is not None and horizon < 1:\n",
+        "is not None and horizon < 0:\n",
         ("tests/test_bayes.py::test_bayes_check_refuses_a_horizon_below_one",),
     ),
     # the random-system check skips the first section of the interface,

@@ -43,7 +43,7 @@ from .random_bundle import (
     check_random_system,
     ou_demo,
 )
-from .spaces import points
+from .spaces import check_count, points
 from .specio import (
     SpecError,
     bayes_from_json,
@@ -83,9 +83,7 @@ def _horizon(args, spec_horizon: int) -> int:
     """The run length: ``--horizon`` when given, else the spec's."""
     if args.horizon is None:
         return spec_horizon
-    if args.horizon < 0:
-        raise SpecError(f"--horizon must be non-negative, got {args.horizon}")
-    return args.horizon
+    return check_count(args.horizon, "--horizon", SpecError)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ never a hidden global.
 from __future__ import annotations
 
 import math
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -178,21 +178,28 @@ def product_items(items1, items2) -> tuple:
     the pairs of atoms in order, each weighted by the product of its weights,
     zero products pruned.  Distinct atoms on each side give distinct pairs,
     so nothing is merged; the weights are checked as ``categorical`` checks
-    them, each check once over the whole product.  ``min`` gives the least
-    weight, NaNs skipped, or NaN when the first weight is NaN; only when it
-    is not at least ``-WEIGHT_TOL`` are the weights scanned for the first
-    one below, which the refusal names.  Zeros are pruned only when there
-    is one."""
+    them (``_check_product``).  Zeros are pruned only when there is one."""
     pairs = [((a1, a2), w1 * w2) for a1, w1 in items1 for a2, w2 in items2]
     weights = [w for _, w in pairs]
-    if not min(weights, default=0.0) >= -WEIGHT_TOL:
-        for atom, w in pairs:
-            if w < -WEIGHT_TOL:
-                raise DistError(f"negative weight {w} on atom {atom!r}")
-    _check_total(weights)
+    _check_product(weights, lambda k: pairs[k][0])
     if 0.0 in weights:  # -0.0 == 0.0 as well
         return tuple(p for p in pairs if p[1] != 0.0)
     return tuple(pairs)
+
+
+def _check_product(weights: list, atom_at: Callable) -> None:
+    """Check the weights of a product law as ``categorical`` checks them,
+    each check once over the whole product: no weight below ``-WEIGHT_TOL``,
+    and their sum within ``WEIGHT_TOL`` of 1.  ``min`` gives the least
+    weight, NaNs skipped, or NaN when the first weight is NaN; only when it
+    is not at least ``-WEIGHT_TOL`` are the weights scanned for the first
+    one below, which the refusal names by its atom, ``atom_at(k)`` for the
+    k-th weight."""
+    if not min(weights, default=0.0) >= -WEIGHT_TOL:
+        for k, w in enumerate(weights):
+            if w < -WEIGHT_TOL:
+                raise DistError(f"negative weight {w} on atom {atom_at(k)!r}")
+    _check_total(weights)
 
 
 def uniform(space: Space) -> Dist:

@@ -25,7 +25,6 @@ unit unless the left factor supplies a richer ``forward_lift``.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import KW_ONLY, field, replace
 from typing import Callable, Optional
 
@@ -36,6 +35,7 @@ from .dist import (
     Dirac,
     Dist,
     Rng,
+    _check_product,
     _point_mass_rows,
     bind,
     categorical,
@@ -70,7 +70,9 @@ from .spaces import (
     FiniteSpace,
     Space,
     cardinality,
+    check_count,
     expand_point,
+    integer,
     is_finite,
     normalize_point,
     points,
@@ -454,6 +456,7 @@ class _PairTable(HierTable):
         super().__init__(hs)
         self._left, self._right = left, right
         self.size = left.size * right.size
+        self._own_law = None  # the vector of the composite's own initial law, once formed
         pair_key, offset = [], []  # pair id -> key id, and index of its first route
         routes: list = []  # (left option, right option) per response
         n_right = len(right.keys)
@@ -488,11 +491,19 @@ class _PairTable(HierTable):
         """The composite's own initial law (the system standing for it, or the
         law once formed) is ``dst`` of its factors', so its vector is the
         outer product of theirs, raveled in state-id order: it is neither
-        formed nor looked up.  Any other law is read atom by atom."""
+        formed nor looked up.  It is checked as ``dst`` checks the law
+        (``dist._check_product``), once, and kept read-only.  Any other law
+        is read atom by atom."""
         if d is not self.system and d is not _own(self.system):
             return super().law(d)
-        left, right = self._left, self._right
-        return np.multiply.outer(left.law(left.system), right.law(right.system)).ravel()
+        if self._own_law is None:
+            left, right = self._left, self._right
+            vec = np.multiply.outer(left.law(left.system), right.law(right.system)).ravel()
+            states = self.system.states
+            _check_product(vec.tolist(), lambda k: next(itertools.islice(points(states), k, None)))
+            vec.flags.writeable = False
+            self._own_law = vec
+        return self._own_law
 
     def state_id(self, x) -> int:
         if not (isinstance(x, tuple) and len(x) == 2):
@@ -557,20 +568,6 @@ def _compose_key(f_key: tuple, f_ranges: list, g_rows: dict) -> tuple:
             routes.append((o_f, o_g))
         rows.append((i_key, fwd_key, tuple(back)))
     return tuple(rows), routes
-
-
-def _check_horizon(horizon: int) -> None:
-    """Ticks run 0..horizon, so a negative horizon leaves none."""
-    _check_integer_horizon(horizon)
-    if horizon < 0:
-        raise HierError(f"horizon must be non-negative, got {horizon}")
-
-
-def _check_integer_horizon(horizon) -> None:
-    """A horizon counts ticks: a bool, which Python counts as an integer,
-    and every non-integer are refused by name."""
-    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
-        raise HierError(f"horizon must be an integer, got {horizon!r}")
 
 
 def tabulate(hs: HierSystem) -> HierTable:
@@ -846,7 +843,9 @@ class HomSection:
 
 def hom_sections(systems, max_sections: int = 512) -> list:
     """All environment strategies over the lenses the given systems emit,
-    capped by seeded sampling when the exhaustive product is too large."""
+    capped by seeded sampling when the exhaustive product is too large:
+    ``max_sections``, a count (``spaces.check_count``)."""
+    max_sections = check_count(max_sections, "max_sections", HierError)
     done: dict = {}
     keys, options, _ = _union([_tabulate(hs, done) for hs in systems])
     return [
@@ -903,8 +902,8 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     Exact by enumeration on finite supports.  On the tables, reading stops
     at the horizon or once the laws repeat the tick before, and the last law
     read stands for every later tick: the trace always has horizon + 1
-    values."""
-    _check_horizon(horizon)
+    values.  The horizon is a count (``spaces.check_count``)."""
+    horizon = check_count(horizon, "horizon", HierError)
     if isinstance(sys_, System):
         p = sys_.interface.positions
         tr = trace(as_hier(sys_), sigma, init, horizon)
@@ -1205,10 +1204,12 @@ def quasi_bisim(
     once side a's first given law has mismatched every given law of side
     b.  Otherwise every candidate is read, on the same tables and sections.
     Either way the verdict is the same, bit for bit, because each row of a
-    law matrix sums its mass in an order of its own (``_advance``)."""
+    law matrix sums its mass in an order of its own (``_advance``).
+    ``horizon`` and ``max_sections`` are counts (``spaces.check_count``)."""
     if alpha_mode not in ("exists", "forall") or beta_mode not in ("exists", "forall"):
         raise HierError("quantifier modes are 'exists' or 'forall'")
-    _check_horizon(horizon)
+    horizon = check_count(horizon, "horizon", HierError)
+    max_sections = check_count(max_sections, "max_sections", HierError)
     theta, psi = (as_hier(s) if isinstance(s, System) else s for s in (theta, psi))
     if sections is not None:
         sections = list(sections)
@@ -1343,9 +1344,9 @@ def bayes_check(
     ticks 0..horizon, and horizon is at least 1: at tick 0 alone the joints
     are their initial laws, and a pair of point-mass starts agrees there
     however the inversion is warped."""
-    _check_integer_horizon(horizon)
-    if horizon < 1:
+    if integer(horizon) is not None and horizon < 1:
         raise HierError(f"bayes_check needs a horizon of at least 1, got {horizon}")
+    horizon = check_count(horizon, "horizon", HierError)
     X = c.source.positions
     Y = c.target.positions
     if pi.target.positions != X or cdag.source.positions != Y or cdag.target.positions != X:

@@ -79,7 +79,6 @@ has no such stop.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -98,6 +97,7 @@ from .dist import (
 from .hier import HierSystem, hibi_compose
 from .poly import det_polymap, monomial, time_nat
 from .spaces import (
+    check_count,
     dist_space,
     euclid,
     euclid_dims,
@@ -650,15 +650,6 @@ def _finite_datum(datum) -> np.ndarray:
     return datum_v
 
 
-def _check_steps(steps: int) -> None:
-    """A run lasts 0 or more steps, a whole number of them: a bool, which
-    Python counts as an integer, and every non-integer are refused by name."""
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise LaplaceError(f"steps must be an integer, got {steps!r}")
-    if steps < 0:
-        raise LaplaceError(f"steps must be non-negative, got {steps}")
-
-
 def stack(levels, cfg: LaplaceConfig) -> HierSystem:
     """Chain predictive levels bottom-to-top; each level's channel pushes a
     calibrated prior up to the next."""
@@ -674,8 +665,9 @@ def mean_path(hs: HierSystem, pi0: Dist, datum, steps: int):
     """Deterministic skeleton of a (stacked) level system: iterate the state
     update from the zero state, replacing each stochastic state draw by its
     mean.  Exact for the mean dynamics of linear channels.  Returns the list
-    of flattened state vectors, one per step, starting with the initial."""
-    _check_steps(steps)
+    of flattened state vectors, one per step, starting with the initial.
+    ``steps`` is a count (``spaces.check_count``)."""
+    steps = check_count(steps, "steps", LaplaceError)
     datum = tuple(_finite_datum(datum))
     point = unflatten_floats(hs.states, (0.0,) * euclid_dims(hs.states))
     path = [tuple(flatten_floats(hs.states, point))]
@@ -705,9 +697,10 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     holds only values computed from them.  So
     once a step leaves every latent estimate as it was, bit for bit (raw
     bytes, so -0.0 is not 0.0), every later step repeats it: the run appends
-    that step's rows for each remaining step, renumbered, and stops."""
+    that step's rows for each remaining step, renumbered, and stops.
+    ``steps`` is a count (``spaces.check_count``)."""
     _check_levels(levels)
-    _check_steps(steps)
+    steps = check_count(steps, "steps", LaplaceError)
     datum_v = _finite_datum(datum)
     if datum_v.size != levels[-1].out_dim:
         raise LaplaceError("datum dimension does not match the top level")

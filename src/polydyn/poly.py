@@ -39,6 +39,7 @@ from .spaces import (
     Space,
     SpaceError,
     check_point,
+    integer,
     is_finite,
     normalize_point,
     points,
@@ -405,9 +406,13 @@ class TimeMonoid:
             raise PolyError("real time needs a positive step")
 
     def check(self, t) -> int:
-        if not isinstance(t, int) or t < 0:
+        """``t`` as a Python int: a non-negative ``spaces.integer``, so a
+        numpy integer is a tick and a bool is not.  Every step reads its
+        time here, so an int skips the call."""
+        n = t if type(t) is int else integer(t)
+        if n is None or n < 0:
             raise PolyError(f"time must be a non-negative integer tick, got {t!r}")
-        return t
+        return n
 
 
 def time_nat() -> TimeMonoid:

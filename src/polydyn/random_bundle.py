@@ -39,7 +39,7 @@ from .dist import (
     pushforward,
 )
 from .poly import DETERMINISTIC, Polynomial, all_sections, time_real
-from .spaces import Space, euclid, is_finite, points, record
+from .spaces import Space, check_count, euclid, is_finite, points, record
 from .systems import (
     ClosedSystem,
     System,
@@ -301,7 +301,9 @@ def ou_demo(
 
     Demo only: a discretized path over an implicit Wiener base; no flow law is
     claimed for it (the exact closed kernel below is the checkable object).
+    ``horizon`` is a count (``spaces.check_count``).
     """
+    horizon = check_count(horizon, "horizon", RandomSystemError)
     gen = Rng(seed).generator()
     noise = gen.standard_normal(horizon)
     rows = ["t,x"]

@@ -20,6 +20,7 @@ empty tuple), so a pair's normal form is its components' concatenated;
 from __future__ import annotations
 
 import itertools
+import numbers
 import reprlib
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Any, Iterator, Union
@@ -30,6 +31,35 @@ import numpy as np
 class SpaceError(ValueError):
     """A value failed membership in a space, or an operation needed structure
     (finiteness, enumerability) the space doesn't have."""
+
+
+# ---------------------------------------------------------------------------
+# counts
+
+
+def integer(value):
+    """``value`` as a Python int when it is an integer, a numpy integer as
+    well; None for a bool, which Python counts as an integer, and for any
+    other value.  An int is passed first: the ``numbers.Integral`` test
+    costs ten times more."""
+    if type(value) is int:
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
+def check_count(value, what: str, error: type) -> int:
+    """A count of ticks, steps, sections or dimensions, as a Python int: a
+    non-negative ``integer``.  Any other value is refused by ``what`` as
+    ``error``: ``<what> must be an integer, got ...`` or ``<what> must be
+    non-negative, got ...``."""
+    n = integer(value)
+    if n is None:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if n < 0:
+        raise error(f"{what} must be non-negative, got {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +184,13 @@ class FiniteSpace:
 
 @record
 class EuclidSpace:
-    """R^dim; its points are dim-tuples of floats."""
+    """R^dim; its points are dim-tuples of floats.  ``dim`` is a count
+    (``check_count``)."""
 
     dim: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise SpaceError("euclid dimension must be non-negative")
+        object.__setattr__(self, "dim", check_count(self.dim, "euclid dimension", SpaceError))
 
     def __repr__(self) -> str:
         return f"euclid({self.dim})"
@@ -204,6 +234,7 @@ def finite(*labels) -> FiniteSpace:
 
 
 def euclid(dim: int) -> EuclidSpace:
+    """R^dim; ``dim`` is a count (``check_count``)."""
     return EuclidSpace(dim)
 
 

@@ -387,18 +387,20 @@ def _report(law: str, blocks, tol: float, domain=None, **extra) -> dict:
 def _flow_cases(cs: ClosedSystem, times, states, **labels):
     """The blocks of the flow law: step(0) against the point mass at every
     state of the sample, then, split by split, step(s+t) against step(s)
-    after step(t) there."""
+    after step(t) there.  The time monoid checks every split before any is
+    stepped, and the labels hold the ints it reads."""
     zero = [dist_distance(cs.step(0, x), dirac(cs.states, x)) for x in states]
     yield {"kind": "zero", **labels}, states, zero
-    for (s, t), gaps in zip(times, _compose_gaps(cs, times, states)):
+    check = cs.time.check
+    splits = [(check(s), check(t)) for s, t in times]
+    for (s, t), gaps in zip(splits, _compose_gaps(cs, splits, states)):
         yield {"kind": "compose", **labels, "s": s, "t": t}, states, gaps
 
 
-def _compose_gaps(cs: ClosedSystem, times, states):
-    """The gaps of each split (s, t): the sup-distance of step(s+t) from
-    step(s) after step(t) at each state of the sample, in the sample's
-    order, split after split.  Every split is checked through the closure's
-    time monoid before any is stepped, on both routes.
+def _compose_gaps(cs: ClosedSystem, splits, states):
+    """The gaps of each split (s, t), as ints the time monoid has checked:
+    the sup-distance of step(s+t) from step(s) after step(t) at each state
+    of the sample, in the sample's order, split after split.
 
     A tabulated closure compares row x of P^(s+t) with row x of the whole
     product P^t P^s (a row-vector product differs from it in its last bits).
@@ -408,8 +410,6 @@ def _compose_gaps(cs: ClosedSystem, times, states):
     powers its splits need once and makes every product in one stacked
     ``matmul``, whose slices are the 2-D products bit for bit; one
     reduction gives every row's gap, and one gather each sampled state's."""
-    check = cs.time.check
-    splits = [(check(s), check(t)) for s, t in times]
     if isinstance(cs, _TabulatedClosure):
         table = cs.table
         rows = np.array([table.index[check_point(cs.states, x)] for x in states], dtype=int)
@@ -473,7 +473,9 @@ def _square_cases(
     ``image`` and, as dicts by t, the left closure's ``pushes`` and the right
     closure's ``targets``; each block is made on its first read and kept for
     as long as the caller keeps the dict.  Without them each block is freed
-    once its time is read.  Every other closure is stepped state by state."""
+    once its time is read.  Every other closure is stepped state by state.
+    Both time monoids check every time first; the labels hold their ints."""
+    times = [right.time.check(left.time.check(t)) for t in times]
     if image is None:
         image = _image(left, right, f)
     if image is None:
@@ -488,8 +490,6 @@ def _square_cases(
         return
     rows = np.array([left.table.index[check_point(left.states, x)] for x in states], dtype=int)
     for t in times:
-        left.time.check(t)
-        right.time.check(t)
         pushed = _kept(pushes, t, lambda: _push(left.table, image, len(right.table.atoms), t))
         target = _kept(targets, t, lambda: _target(right.table, image, t))
         gaps = np.maximum.reduce(np.abs(pushed - target), axis=1, initial=0.0)

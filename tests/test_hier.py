@@ -731,6 +731,30 @@ def test_a_horizon_that_is_not_an_integer_is_refused(horizon):
     )
 
 
+@pytest.mark.parametrize("cap, message", [
+    (2.5, "max_sections must be an integer, got 2.5"),
+    (True, "max_sections must be an integer, got True"),
+    (-1, "max_sections must be non-negative, got -1"),
+])
+def test_a_section_cap_is_a_count(cap, message):
+    """The identity on Ay with three positions has three sections.  A cap
+    of 2.5 read all three, and True quietly sampled one of them: each is
+    refused by name by ``quasi_bisim``, also under explicit sections, and by
+    ``hom_sections``.  A numpy integer is a cap like any other."""
+    idA = id_hier(linear(A))
+    sections = hom_sections([idA])
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(HierError, match=pattern):
+        quasi_bisim(idA, idA, max_sections=cap)
+    with pytest.raises(HierError, match=pattern):
+        quasi_bisim(idA, idA, sections=sections, max_sections=cap)
+    with pytest.raises(HierError, match=pattern):
+        hom_sections([idA], cap)
+    assert hom_sections([idA], np.int64(2)) == hom_sections([idA], 2)
+    assert len(hom_sections([idA], 2)) == 2
+    assert quasi_bisim(idA, idA, max_sections=np.int64(2)) == quasi_bisim(idA, idA, max_sections=2)
+
+
 def test_quasi_bisim_on_flat_systems():
     """Flat systems compare by their output traces under every section."""
     out = finite(0, 1, 2)

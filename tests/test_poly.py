@@ -1,6 +1,8 @@
 import collections
 import itertools
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from polydyn import (
     STOCHASTIC,
     PolyError,
     PolyMap,
+    TimeMonoid,
     all_sections,
     categorical,
     check_section,
@@ -18,6 +21,7 @@ from polydyn import (
     det_polymap,
     dirac,
     dirac_point,
+    euclid,
     finite,
     id_map,
     linear,
@@ -256,3 +260,39 @@ def test_time_monoids():
         real.check(0.5)
     with pytest.raises(PolyError):
         time_real(0.0)
+    assert type(nat.check(np.int64(3))) is int and nat.check(np.int64(3)) == 3
+    with pytest.raises(PolyError, match="^time must be a non-negative integer tick, got True$"):
+        nat.check(True)
+
+
+LINE = monomial(euclid(1), unit())  # infinite positions
+WIDE = monomial(finite("a"), euclid(1))  # an infinite fibre
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: P.dirs_at("k"), "position 'k' has no entry in the direction table"),
+    (lambda: tabulated(euclid(1), {}), "a direction table needs a finite position space"),
+    (lambda: tabulated(finite("i", "j"), {"i": unit()}),
+     "direction table is missing positions ['j']"),
+    (lambda: tensor(P, LINE),
+     "tensor with tabulated directions needs finite positions on both sides"),
+    (lambda: PolyMap(Q, Q, lambda i: i, lambda i, d: dirac(finite(0, 1), d), "lazy"),
+     "unknown effect 'lazy'"),
+    (lambda: all_sections(LINE), "cannot enumerate sections over infinite positions"),
+    (lambda: all_sections(WIDE), "direction space at 'a' is not finite"),
+    (lambda: check_section(Q, constant_section(R, 0)), "section belongs to a different interface"),
+    (lambda: pull_section(PHI, constant_section(R, 0)),
+     "section is not a section of the lens target"),
+    (lambda: polymap_key(id_map(LINE)), "polymap_key needs a finite position space"),
+    (lambda: polymap_key(id_map(WIDE)), "polymap_key needs finite direction spaces"),
+    (lambda: TimeMonoid("lunar"), "unknown time kind 'lunar'"),
+], ids=["dirs-at-off-table", "table-over-infinite-positions", "table-missing-a-position",
+        "tensor-table-with-infinite-positions", "unknown-effect", "sections-over-infinite-positions",
+        "sections-of-an-infinite-fibre", "section-of-another-interface",
+        "pull-off-the-lens-target", "key-over-infinite-positions", "key-of-an-infinite-fibre",
+        "unknown-time-kind"])
+def test_each_interface_refusal_names_its_fault(refused, message):
+    """Every refusal in the interface layer fires on an input that reaches
+    it, with its message."""
+    with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
+        refused()

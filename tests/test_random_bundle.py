@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -192,6 +193,20 @@ def test_ou_demo_is_deterministic_per_seed():
     header = a.splitlines()[0]
     assert header.split(",")[0] == "t"
     assert len(a.splitlines()) == 42  # header + x0 row + 40 steps
+
+
+@pytest.mark.parametrize("horizon, message", [
+    (True, "horizon must be an integer, got True"),
+    (2.5, "horizon must be an integer, got 2.5"),
+    (-1, "horizon must be non-negative, got -1"),
+])
+def test_ou_demo_refuses_a_horizon_that_is_not_a_count(horizon, message):
+    """True and 2.5 failed inside numpy ("expected a sequence of integers"),
+    and -1 there too ("negative dimensions are not allowed"): each is
+    refused by name.  A numpy integer runs the path of its int."""
+    with pytest.raises(RandomSystemError, match=f"^{re.escape(message)}$"):
+        ou_demo(1.0, 0.5, 0.05, horizon, seed=9)
+    assert ou_demo(1.0, 0.5, 0.05, np.int64(5), seed=9) == ou_demo(1.0, 0.5, 0.05, 5, seed=9)
 
 
 def test_ou_demo_zero_noise_decays_geometrically():

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from polydyn import (
@@ -25,6 +26,7 @@ from polydyn import (
     unflatten_floats,
     unit,
 )
+from polydyn.spaces import check_count, integer
 from polydyn.specio import SpecError, interface_from_json
 
 
@@ -151,6 +153,40 @@ def test_point_json_roundtrip():
     sp = prod(finite("a", "b"), euclid(2))
     x = ("b", (0.5, -0.25))
     assert point_from_json(sp, point_to_json(sp, x)) == x
+
+
+def test_a_count_is_a_non_negative_integer_and_not_a_bool():
+    """The one rule for counts of ticks, steps and dimensions: an int and a
+    numpy integer are integers, read as a Python int; a bool, which Python
+    counts as an integer, a whole float and a string are not.  A count is a
+    non-negative integer, and every refusal names the value it was given."""
+    for value in (0, 3, -2, np.int64(3), np.uint8(3), np.intp(-2)):
+        assert integer(value) == value and type(integer(value)) is int
+    for value in (True, False, np.bool_(True), 2.0, 2.5, np.float64(2.0), "3", None):
+        assert integer(value) is None
+    assert check_count(np.int64(4), "steps", SpaceError) == 4
+    assert type(check_count(np.int64(4), "steps", SpaceError)) is int
+    for value, message in ((True, "steps must be an integer, got True"),
+                           (2.0, "steps must be an integer, got 2.0"),
+                           (-1, "steps must be non-negative, got -1"),
+                           (np.int64(-1), "steps must be non-negative, got -1")):
+        with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+            check_count(value, "steps", SpaceError)
+
+
+@pytest.mark.parametrize("dim, message", [
+    (2.5, "euclid dimension must be an integer, got 2.5"),
+    (True, "euclid dimension must be an integer, got True"),
+    (-1, "euclid dimension must be non-negative, got -1"),
+])
+def test_a_euclid_dimension_is_a_count(dim, message):
+    """euclid(2.5) built a space whose ``euclid_dims`` was 2.5, and
+    euclid(True) one of dimension True: each is refused by name.  A numpy
+    integer is a dimension like any other, kept as its int."""
+    with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+        euclid(dim)
+    assert euclid(np.int64(2)) == euclid(2)
+    assert type(euclid(np.int64(2)).dim) is int
 
 
 def test_euclid_point_shape():

@@ -553,23 +553,58 @@ def _table_and_walk_checks(sys_, monkeypatch):
         yield lambda times: check_closed_flow(cs, times, [0, 1])
 
 
-@pytest.mark.parametrize("split", [(-1, 2), (1.5, 1), (1, -2), (2, 0.5)])
+def flip_system(stays: bool = False):
+    """Two states, shown as they are; the direction "flip" swaps them,
+    unless the system ``stays``."""
+    states = finite(0, 1)
+    return mk_system(
+        monomial(states, finite("stay", "flip")), states, lambda t, s: s,
+        lambda t, s, d: dirac(states, (s + (d == "flip" and not stays)) % 2), time_nat(),
+    )
+
+
+@pytest.mark.parametrize("split", [(-1, 2), (1.5, 1), (1, -2), (2, 0.5), (True, 1)])
 def test_a_flow_check_refuses_a_split_off_the_time_monoid_on_every_route(split, monkeypatch):
     """Each split is checked by the time monoid before it is stepped: a
     negative tick, and one that is not an integer, in s or in t, are refused
     by both flow checks, on the tabulated route as on the walked one, each
     naming the time it was given (the walked compose case once named s + t,
-    "got 2.5" for the split (1.5, 1))."""
-    states = finite(0, 1)
-    sys_ = mk_system(
-        monomial(states, finite("stay", "flip")), states, lambda t, s: s,
-        lambda t, s, d: dirac(states, (s + (d == "flip")) % 2), time_nat(),
-    )
-    bad = next(v for v in split if not (isinstance(v, int) and v >= 0))
+    "got 2.5" for the split (1.5, 1)).  A bool, which Python counts as an
+    integer, is not a tick: (True, 1) passed as the split (1, 1)."""
+    sys_ = flip_system()
+    bad = next(v for v in split if not (type(v) is int and v >= 0))
     message = f"time must be a non-negative integer tick, got {bad!r}"
     for check in _table_and_walk_checks(sys_, monkeypatch):
         with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
             check([(1, 1), split])
+
+
+def test_a_numpy_integer_is_a_tick_and_a_bool_is_not(monkeypatch):
+    """On the tabulated closure and on the walked one, step(np.int64(2), x)
+    is step(2, x) and step(True, x) is refused, where True stepped once and
+    np.int64(2) was refused.  A flow check and a square over numpy integer
+    times report what their ints report, labels included, as JSON text (a
+    negative tolerance makes every case a violation, so every case is
+    labelled)."""
+    sys_, still = flip_system(), flip_system(stays=True)
+    sections = all_sections(sys_.interface)
+    message = "time must be a non-negative integer tick, got True"
+    ints, numpy = [(1, 2), (0, 3)], [(np.int64(1), np.int64(2)), (np.int64(0), 3)]
+    for walked in (False, True):
+        if walked:
+            monkeypatch.setattr(systems, "_TABLE_MAX_STATES", 1)
+        cs = closure(sys_, sections[1])
+        assert isinstance(cs, systems._IteratedClosure) == walked
+        assert cs.step(np.int64(2), 1) == cs.step(2, 1)
+        with pytest.raises(PolyError, match=f"^{message}$"):
+            cs.step(True, 1)
+        for flow in (lambda times: check_flow(sys_, times=times, tol=-1.0),
+                     lambda times: check_closed_flow(cs, times, [0, 1], tol=-1.0)):
+            assert json.dumps(flow(numpy)) == json.dumps(flow(ints))
+        squares = [is_system_morphism(lambda x: x, sys_, still, sections, times)
+                   for times in ([1, 2], [np.int64(1), np.int64(2)])]
+        assert not squares[0]["pass"]
+        assert json.dumps(squares[1]) == json.dumps(squares[0])
 
 
 def test_mk_system_validates_finite_shapes():

@@ -5,7 +5,8 @@ response) once, whatever its horizon; it stops advancing a side once that
 side's laws repeat bit for bit, so its ticks, too, do not grow with the
 horizon past that point; a composite's own initial law is read
 from its factors' law vectors, with no composite state looked up and no
-product of laws formed; a leaf
+product of laws formed, and its weights are checked once, as the product
+would check them; a leaf
 maps each absorbed law's atoms once; no sort is made of a single code,
 and none by ``np.unique``; the candidate initial laws are the point
 masses and uniform law built the checked way, without the checks; and a
@@ -14,6 +15,7 @@ enumerated past the cap.
 """
 
 import collections
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +201,62 @@ def test_a_passing_bayes_verdict_forms_no_product(monkeypatch, shape):
     for joint in joints(*systems):
         joint.init
     assert (len(atoms), sum(atoms)) == (7, {(2, 2): 66, (3, 3): 1173}[shape])
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({"a": 0.5 + 0.45e-12, "b": 0.5 + 0.45e-12},
+     "weights sum to 1.0000000000018, expected 1 within 1e-12"),
+    ({"a": 1 + 1e-12, "b": -1e-12}, "negative weight -1.000000000001e-12 on atom ('a', 'b')"),
+])
+def test_a_composites_own_law_is_checked_where_its_vector_is_read(weights, message):
+    """Each factor's law is within the weight tolerance, but their product
+    is not: ``dst`` refuses it, and so does a verdict that reads the
+    composite's own law from its factors' vectors, with the same text,
+    where ``quasi_bisim`` related the composite to itself."""
+    p = prior_system(categorical(finite("a", "b"), weights))
+    t = tensor_hier(p, p)
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(DistError, match=pattern):
+        quasi_bisim(t, t)
+    with pytest.raises(DistError, match=pattern):
+        t.init
+
+
+def test_a_composites_own_vector_is_formed_and_checked_once(monkeypatch):
+    """A 3x3 ``bayes_check`` of an inversion made against the wrong prior
+    reads each joint's own law twice, in the given-first pass and in the
+    read of every candidate, but each pair table checks the weights of its
+    own vector once, the right joint's 2,187 and the left's 81 among them;
+    the vector it keeps is read-only."""
+    checked = []
+    real_check = hier._check_product
+
+    def check(weights, atom_at):
+        checked.append(len(weights))
+        return real_check(weights, atom_at)
+
+    read = collections.Counter()
+    kept = []
+    real_law = hier._PairTable.law
+
+    def law(self, d):
+        vec = real_law(self, d)
+        if d is self.system:
+            read[id(self)] += 1
+            kept.append(vec)
+        return vec
+
+    monkeypatch.setattr(hier, "_check_product", check)
+    monkeypatch.setattr(hier._PairTable, "law", law)
+    X, Y, pi, rows, _ = dyadic_channel_prior(Rng(96), 3, 3)
+    warped = exact_bayes(rows.__getitem__, uniform(X), target=Y)
+    c = stochastic_channel_system(rows.__getitem__, X, Y)
+    assert bayes_check(c, prior_system(pi), stochastic_channel_system(warped, Y, X))[
+        "related"] is False
+    assert max(read.values()) > 1
+    assert len(checked) == len(read)
+    assert {81, 2187} <= set(checked)
+    assert not any(vec.flags.writeable for vec in kept)
 
 
 def test_a_leaf_maps_each_absorbed_law_once(monkeypatch):
