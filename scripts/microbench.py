@@ -29,10 +29,15 @@ its inputs from its own ``np.random.default_rng(0)``.
     shape (n = 4, 5 and 6 states, positions p0/p1 with 2 and 3 directions,
     full-support dyadic updates) over the splits 0 < s + t <= 8, with every
     section of the interface and every state;
+  - the must-fail flow control of the benchmark's shape at n = 4
+    (``frozen``): every tick after the first stays put, so the
+    stationarity probe reports 70 violations;
   - ``check_bundle`` on ``bundle_example(3, 2)``, the benchmark's bundle
     shape: four total sections against eight base sections, at times 1-3
     and each of the six total states, its squares read from rows of the
-    tick matrices' powers;
+    tick matrices' powers; and the benchmark's two must-fail bundle
+    controls on it, a base that waits unless told "go" (``steered``, 312
+    violations) and a projection onto one base state (``collapsed``, 384);
   - ``dist_distance`` between two seeded full-support finite laws on n = 2,
     8 and 64 atoms, listed in two different orders.
 - ``table`` (200 calls): the table verdicts' sorts, products, set-up and
@@ -85,7 +90,9 @@ import timeit  # noqa: E402
 import numpy as np  # noqa: E402
 
 from polydyn import (  # noqa: E402
+    DETERMINISTIC,
     STOCHASTIC,
+    BundleSystem,
     Dirac,
     FiniteSpace,
     Polynomial,
@@ -214,7 +221,9 @@ def dyadic(gen, n: int) -> list:
     return ((1 + gen.multinomial(total - n, [1.0 / n] * n)) / total).tolist()
 
 
-def flow_system(gen, n: int):
+def flow_system(gen, n: int, stationary: bool = True):
+    """The benchmark's flow shape; unless ``stationary``, every tick after
+    the first stays put, as its must-fail flow control does."""
     states = finite(*range(n))
     iface = tabulated(finite("p0", "p1"), {"p0": finite(0, 1), "p1": finite(0, 1, 2)})
     table = {
@@ -222,17 +231,37 @@ def flow_system(gen, n: int):
         for s in range(n)
         for d in points(iface.dirs_at(f"p{s % 2}"))
     }
-    return mk_system(
-        iface, states, lambda t, s: f"p{s % 2}", lambda t, s, d: table[(s, d)],
-        time_nat(), STOCHASTIC,
+
+    def update(t, s, d):
+        return table[(s, d)] if stationary or t == 1 else dirac(states, s)
+
+    return mk_system(iface, states, lambda t, s: f"p{s % 2}", update, time_nat(), STOCHASTIC)
+
+
+def failing_bundles():
+    """The benchmark's two must-fail bundle controls on ``bundle_example(3,
+    2)``: a base that waits unless told "go" (312 violations), and a
+    projection onto one base state (384)."""
+    bs = bundle_example(3, 2)
+    base = bs.base_sys
+    steered = mk_system(
+        base.interface, base.states, lambda t, w: w,
+        lambda t, w, d: dirac(base.states, (w + 1) % 3 if d == "go" else w),
+        effect=DETERMINISTIC,
     )
+    yield "steered", BundleSystem(steered, bs.total_sys, bs.proj)
+    yield "collapsed", BundleSystem(base, bs.total_sys, lambda s: 0)
 
 
 def flow_cases(gen):
     for n in FLOW_STATES:
         sys_ = flow_system(gen, n)
         yield f"check_flow n={n}", lambda s=sys_: check_flow(s, times=SPLITS, tol=0.0)
+    frozen = flow_system(gen, FLOW_STATES[0], stationary=False)
+    yield "check_flow n=4 frozen", lambda: check_flow(frozen, times=SPLITS, tol=0.0)
     yield "check_bundle 3x2", lambda bs=bundle_example(3, 2): check_bundle(bs)
+    for name, bs in failing_bundles():
+        yield f"check_bundle 3x2 {name}", lambda bs=bs: check_bundle(bs)
     for n in LAW_ATOMS:
         atoms = finite(*range(n))
         d1 = categorical(atoms, list(zip(range(n), dyadic(gen, n))))

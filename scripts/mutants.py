@@ -252,18 +252,14 @@ MUTANTS = (
         "        return law\n",
         ("tests/test_vector_field.py::test_a_field_that_reads_a_call_counter_fails_the_flow_law",),
     ),
-    # the bundle check keeps its pushes by t alone, for the whole call, not
-    # by (total closure, t), so every total section reads the first one's push
+    # a square's pushes kept by t alone, beside the base rows the bundle
+    # check keeps for the whole call, so every total section reads the
+    # first one's push
     Mutant(
         "square-push-by-time",
-        "src/polydyn/random_bundle.py",
-        "        image = None\n"
-        "        for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):\n"
-        "            ct = closure(bs.total_sys, sigma)\n"
-        "            pushes: dict = {}\n",
-        "        image, pushes = None, {}\n"
-        "        for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):\n"
-        "            ct = closure(bs.total_sys, sigma)\n",
+        "src/polydyn/systems.py",
+        "        pushed = _push(left.table, image, m, t)\n",
+        "        pushed = _kept(targets, -t, lambda: _push(left.table, image, m, t))\n",
         ("tests/test_random_bundle.py::test_a_bundle_check_pushes_each_closure_once_per_time",
          "tests/test_square_route.py::test_generated_bundle_reports_are_the_per_state_reports"),
     ),
@@ -281,8 +277,8 @@ MUTANTS = (
     Mutant(
         "measure-compared-with-itself",
         "src/polydyn/random_bundle.py",
-        "dist_distance(pushed, mp.base.measure)",
-        "dist_distance(pushed, pushed)",
+        "mp.flow.step(t, w)), mp.base.measure)",
+        "mp.flow.step(t, w)), bind(mp.base.measure, lambda w: mp.flow.step(t, w)))",
         ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape"
          "[check_measure_preserving-fail]",),
     ),
@@ -300,8 +296,8 @@ MUTANTS = (
     Mutant(
         "bundle-last-time-only",
         "src/polydyn/random_bundle.py",
-        "ct, cb, bs.proj, _TIMES, states,",
-        "ct, cb, bs.proj, _TIMES[-1:], states,",
+        "ct, bases, bs.proj, _TIMES, states,",
+        "ct, bases, bs.proj, _TIMES[-1:], states,",
         ("tests/test_law_reports.py::test_flat_law_reports_share_one_shape[check_bundle-fail]",),
     ),
     # a lens key leaves out the last source position, so two lenses that
@@ -372,8 +368,8 @@ MUTANTS = (
     Mutant(
         "compose-rows-in-table-order",
         "src/polydyn/systems.py",
-        "[:, rows].tolist()",
-        "[:, np.sort(rows)].tolist()",
+        "splits[start:start + per_batch])[:, rows]",
+        "splits[start:start + per_batch])[:, np.sort(rows)]",
         ("tests/test_systems.py::test_compose_gaps_follow_a_shuffled_sample_with_a_repeated_state",),
     ),
     # a flow check's compose cases take any split, off the time monoid: a
@@ -391,8 +387,8 @@ MUTANTS = (
     Mutant(
         "stationary-last-tick-dropped",
         "src/polydyn/systems.py",
-        "range(1, max(check(s) + check(t) for s, t in times) + 1)",
-        "range(1, max(check(s) + check(t) for s, t in times))",
+        "    for t in range(1, last + 1):\n",
+        "    for t in range(1, last):\n",
         ("tests/test_systems.py::test_an_update_that_moves_at_the_last_tick_alone_fails_there",),
     ),
     # a law report accepts a quantifier with no value, and checks what is left
@@ -416,9 +412,31 @@ MUTANTS = (
     Mutant(
         "report-block-first-violation-only",
         "src/polydyn/systems.py",
-        "                    if not d <= tol\n                ]\n",
-        "                    if not d <= tol\n                ][:1]\n",
+        "            rows, cols = np.nonzero(~(devs <= tol))\n",
+        "            rows, cols = (a[:1] for a in np.nonzero(~(devs <= tol)))\n",
         ("tests/test_law_reports.py::test_a_block_reports_every_failing_state_in_order",),
+    ),
+    # a batch's worst deviation read by a reduction that skips NaN, so a
+    # NaN among deviations within the tolerance passes the batch
+    Mutant(
+        "report-batch-nan-skipped",
+        "src/polydyn/systems.py",
+        "        worst = np.maximum.reduce(devs, axis=None)\n",
+        "        worst = np.fmax.reduce(devs, axis=None)\n",
+        ("tests/test_law_reports.py::"
+         "test_a_batch_reads_nan_and_lists_its_violations_row_by_row",),
+    ),
+    # a failing batch lists its violations column by column, state after
+    # state, not row by row
+    Mutant(
+        "report-batch-column-order",
+        "src/polydyn/systems.py",
+        "            rows, cols = np.nonzero(~(devs <= tol))\n",
+        "            cols, rows = np.nonzero(~(devs <= tol).T)\n",
+        ("tests/test_law_reports.py::"
+         "test_a_batch_reads_nan_and_lists_its_violations_row_by_row",
+         "tests/test_law_reports.py::"
+         "test_must_fail_control_reports_are_pinned[bundle-steered-base]"),
     ),
     # a weight total of NaN is within the tolerance of 1, as it once was
     Mutant(

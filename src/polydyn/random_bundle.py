@@ -98,9 +98,11 @@ def check_measure_preserving(mp: MeasurePreservingSystem, generators) -> dict:
     generators = list(generators)
 
     def cases():
-        for t in generators:
-            pushed = bind(mp.base.measure, lambda w: mp.flow.step(t, w))
-            yield {"kind": "measure", "t": t}, None, [dist_distance(pushed, mp.base.measure)]
+        devs = [
+            dist_distance(bind(mp.base.measure, lambda w: mp.flow.step(t, w)), mp.base.measure)
+            for t in generators
+        ]
+        yield (lambda i: {"kind": "measure", "t": generators[i]}), None, devs
 
     return _report("measure-preserving", cases(), 0.0, {"generators": generators})
 
@@ -128,7 +130,7 @@ def check_mp_morphism(psi: MPMorphism) -> dict:
         pushed = pushforward(psi.map, source.base.measure, target=target.base.space)
         yield {"kind": "measure"}, None, [dist_distance(pushed, target.base.measure)]
         yield from _square_cases(
-            source.flow, target.flow, psi.map, _TIMES, list(points(source.base.space)),
+            source.flow, [target.flow], psi.map, _TIMES, list(points(source.base.space)),
             kind="flow",
         )
 
@@ -171,7 +173,7 @@ def check_random_system(rds: RandomSystem) -> dict:
     def cases():
         for k, sigma in enumerate(all_sections(rds.interface)):
             yield from _square_cases(
-                closure(sys_, sigma), rds.base.flow, rds.proj, _TIMES, states, section=k
+                closure(sys_, sigma), [rds.base.flow], rds.proj, _TIMES, states, section=k
             )
 
     return _report("random-system", cases(), 0.0)
@@ -239,23 +241,20 @@ class BundleSystem:
 
 
 def check_bundle(bs: BundleSystem) -> dict:
-    sections_b = all_sections(bs.base_sys.interface)
-    bases = [closure(bs.base_sys, varsigma) for varsigma in sections_b]
+    bases = [closure(bs.base_sys, varsigma) for varsigma in all_sections(bs.base_sys.interface)]
     states = list(points(bs.total_sys.states))
-    targets = [{} for _ in bases]
+    targets: dict = {}
 
     def cases():
         image = None
         for kp, sigma in enumerate(all_sections(bs.total_sys.interface)):
             ct = closure(bs.total_sys, sigma)
-            pushes: dict = {}
-            for kb, cb in enumerate(bases):
-                if image is None:
-                    image = _image(ct, cb, bs.proj)
-                yield from _square_cases(
-                    ct, cb, bs.proj, _TIMES, states, image=image, pushes=pushes,
-                    targets=targets[kb], section_p=kp, section_b=kb,
-                )
+            if image is None and bases:
+                image = _image(ct, bases[0], bs.proj)
+            yield from _square_cases(
+                ct, bases, bs.proj, _TIMES, states, by="section_b", image=image,
+                targets=targets, section_p=kp,
+            )
 
     return _report("bundle", cases(), 0.0)
 

@@ -339,15 +339,17 @@ def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> Clo
 
 
 def _report(law: str, blocks, tol: float, domain=None, **extra) -> dict:
-    """The verdict of one law over its cases, taken in blocks.  A block is
-    ``(labels, states, deviations)``: the labels its cases share, the state
-    of each case (None for a block of one case that names no state, or names
-    it among its labels), and each case's deviation.  Each block's worst
-    deviation is read once, so a block within ``tol`` is passed whole; a
-    case not within it is a violation, the one case built as a dict,
-    ``{**labels, "state": x, "deviation": d}``.  NaN is within no
-    tolerance.  ``max_deviation`` is the worst deviation over every case
-    checked, and NaN once a case reads NaN.
+    """The verdict of one law over its cases, taken in blocks
+    ``(labels, states, deviations)``.  ``deviations`` is one row of cases,
+    or a 2-D batch of rows, with a column per state of ``states`` (one
+    column naming no state when ``states`` is None); ``labels`` is the dict
+    every row shares, or a function from a row's index to its dict.  One
+    reduction, which a NaN propagates through, reads a block's worst
+    deviation, so a block within ``tol`` passes whole.  A case beyond it
+    (NaN is within no tolerance) is a violation, ``{**labels, "state": x,
+    "deviation": d}``, listed row by row and state by state; a row's labels
+    are made only when it fails.  ``max_deviation`` is the worst deviation
+    over every case, NaN once a case reads NaN.
 
     A law is universally quantified, so over no case it would pass vacuously.
     ``domain`` maps the name of each quantifier the caller was handed
@@ -361,23 +363,24 @@ def _report(law: str, blocks, tol: float, domain=None, **extra) -> dict:
     max_dev = 0.0
     checked = False
     for labels, states, devs in blocks:
-        if not devs:
+        devs = np.asarray(devs, dtype=float)
+        if devs.size == 0:
             continue
         checked = True
-        worst, total = max(devs), sum(devs)
-        if total != total:  # max can step over a NaN, but the sum is NaN then
-            worst = next((d for d in devs if d != d), worst)
+        worst = np.maximum.reduce(devs, axis=None)
         if worst > max_dev or worst != worst and max_dev == max_dev:  # a NaN is kept
-            max_dev = worst
+            max_dev = float(worst)
         if not worst <= tol:
-            if states is None:
-                violations += [{**labels, "deviation": d} for d in devs if not d <= tol]
-            else:
-                violations += [
-                    {**labels, "state": x, "deviation": d}
-                    for x, d in zip(states, devs)
-                    if not d <= tol
-                ]
+            devs = devs.reshape(-1, 1 if states is None else len(states))
+            rows, cols = np.nonzero(~(devs <= tol))
+            at = None
+            for i, j, d in zip(rows.tolist(), cols.tolist(), devs[rows, cols].tolist()):
+                if i != at:
+                    at, case = i, labels if isinstance(labels, dict) else labels(i)
+                if states is None:
+                    violations.append({**case, "deviation": d})
+                else:
+                    violations.append({**case, "state": states[j], "deviation": d})
     if not checked:
         raise OpenSystemError(f"the {law} law has no case to check")
     verdict = {"law": law, "pass": not violations, **extra}
@@ -386,21 +389,26 @@ def _report(law: str, blocks, tol: float, domain=None, **extra) -> dict:
 
 def _flow_cases(cs: ClosedSystem, times, states, **labels):
     """The blocks of the flow law: step(0) against the point mass at every
-    state of the sample, then, split by split, step(s+t) against step(s)
-    after step(t) there.  The time monoid checks every split before any is
-    stepped, and the labels hold the ints it reads."""
+    state of the sample, then every split's step(s+t) against step(s) after
+    step(t) there, as one batch with a row per split.  The time monoid
+    checks every split before any is stepped, and the labels hold the ints
+    it reads."""
     zero = [dist_distance(cs.step(0, x), dirac(cs.states, x)) for x in states]
     yield {"kind": "zero", **labels}, states, zero
     check = cs.time.check
     splits = [(check(s), check(t)) for s, t in times]
-    for (s, t), gaps in zip(splits, _compose_gaps(cs, splits, states)):
-        yield {"kind": "compose", **labels, "s": s, "t": t}, states, gaps
+
+    def split_labels(i: int) -> dict:
+        s, t = splits[i]
+        return {"kind": "compose", **labels, "s": s, "t": t}
+
+    yield split_labels, states, _compose_gaps(cs, splits, states)
 
 
-def _compose_gaps(cs: ClosedSystem, splits, states):
-    """The gaps of each split (s, t), as ints the time monoid has checked:
-    the sup-distance of step(s+t) from step(s) after step(t) at each state
-    of the sample, in the sample's order, split after split.
+def _compose_gaps(cs: ClosedSystem, splits, states) -> np.ndarray:
+    """Row k: the sup-distance of step(s+t) from step(s) after step(t) at
+    each state of the sample, in its order, for the k-th split (s, t), as
+    ints the time monoid has checked.
 
     A tabulated closure compares row x of P^(s+t) with row x of the whole
     product P^t P^s (a row-vector product differs from it in its last bits).
@@ -414,14 +422,17 @@ def _compose_gaps(cs: ClosedSystem, splits, states):
         table = cs.table
         rows = np.array([table.index[check_point(cs.states, x)] for x in states], dtype=int)
         per_batch = max(1, _TABLE_MAX_STATES**2 // len(table.atoms) ** 2)
-        for start in range(0, len(splits), per_batch):
-            yield from _row_gaps(table, splits[start:start + per_batch])[:, rows].tolist()
-        return
-    for s, t in splits:
-        yield [
+        return np.concatenate([
+            _row_gaps(table, splits[start:start + per_batch])[:, rows]
+            for start in range(0, len(splits), per_batch)
+        ])
+    return np.array([
+        [
             dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
             for x in states
         ]
+        for s, t in splits
+    ], dtype=float)
 
 
 def _row_gaps(table: _TickPowers, batch: list) -> np.ndarray:
@@ -456,44 +467,61 @@ def _image(left: ClosedSystem, right: ClosedSystem, f):
 
 
 def _square_cases(
-    left, right, f, times, states, kind="square", image=None, pushes=None, targets=None,
+    left, rights, f, times, states, kind="square", by=None, image=None, targets=None,
     **labels,
 ):
-    """The square ``pushforward(f, left.step(t, x)) = right.step(t, f(x))`` at
-    every time and state, one block per time.
+    """The squares ``pushforward(f, left.step(t, x)) = right.step(t, f(x))``
+    of the left closure against each of ``rights`` (one time monoid) at
+    every time and state, as one batch: a row per (right, t), right after
+    right, and a column per state.  A row's labels hold t, and the right
+    closure's index under ``by`` when it is named.
 
-    When both closures are tabulated, each case is read from rows of the tick
-    matrices' powers: row x of P_L^t summed into the right closure's atoms
-    through f (``_push``), against row f(x) of P_R^t (``_target``).  The rows
-    are read as the laws that step would return, so every deviation is the
-    per-state one bit for bit: a left row sums its atoms in the order step(t)
-    lists them (``entries``), and a row with one atom, on either side, is a
-    point mass (weight 1.0), as ``dist`` makes every law on one atom.  A
-    caller that reads the same closures in several squares passes f's
-    ``image`` and, as dicts by t, the left closure's ``pushes`` and the right
-    closure's ``targets``; each block is made on its first read and kept for
-    as long as the caller keeps the dict.  Without them each block is freed
-    once its time is read.  Every other closure is stepped state by state.
-    Both time monoids check every time first; the labels hold their ints."""
-    times = [right.time.check(left.time.check(t)) for t in times]
+    When every closure is tabulated, the cases are read from rows of the
+    tick matrices' powers: row x of P_L^t summed into the right atoms
+    through f (``_push``), against row f(x) of each P_R^t (``_target``),
+    every right closure in one stacked difference of at most
+    ``_TABLE_MAX_STATES**2`` floats.  The rows are the laws step would
+    return, so each deviation is the per-state one bit for bit: a left row
+    sums its atoms in step(t)'s order (``entries``), and a one-atom row on
+    either side is a point mass (weight 1.0), as ``dist`` makes it.  A
+    caller squaring several left closures against the same right ones
+    passes f's ``image`` and a dict ``targets`` that keeps each time's
+    stack of right rows.  Other closures are stepped state by state.  Both
+    time monoids check every time first; the labels hold their ints."""
+    if not rights:
+        return
+    times = [rights[0].time.check(left.time.check(t)) for t in times]
+
+    def row_labels(i: int) -> dict:
+        k, j = divmod(i, len(times))
+        return {"kind": kind, **labels, **({by: k} if by else {}), "t": times[j]}
+
+    shape = (len(rights) * len(times), len(states))
     if image is None:
-        image = _image(left, right, f)
+        image = _image(left, rights[0], f)
     if image is None:
-        for t in times:
-            gaps = [
-                dist_distance(
-                    pushforward(f, left.step(t, x), target=right.states), right.step(t, f(x))
-                )
-                for x in states
-            ]
-            yield {"kind": kind, **labels, "t": t}, states, gaps
+        gaps = [
+            dist_distance(
+                pushforward(f, left.step(t, x), target=right.states), right.step(t, f(x))
+            )
+            for right in rights
+            for t in times
+            for x in states
+        ]
+        yield row_labels, states, np.array(gaps, dtype=float).reshape(shape)
         return
     rows = np.array([left.table.index[check_point(left.states, x)] for x in states], dtype=int)
-    for t in times:
-        pushed = _kept(pushes, t, lambda: _push(left.table, image, len(right.table.atoms), t))
-        target = _kept(targets, t, lambda: _target(right.table, image, t))
-        gaps = np.maximum.reduce(np.abs(pushed - target), axis=1, initial=0.0)
-        yield {"kind": kind, **labels, "t": t}, states, gaps[rows].tolist()
+    n, m = len(left.table.atoms), len(rights[0].table.atoms)
+    gaps = np.empty((len(rights), len(times), n))
+    per_batch = max(1, _TABLE_MAX_STATES**2 // max(1, n * m))
+    for j, t in enumerate(times):
+        pushed = _push(left.table, image, m, t)
+        target = _kept(targets, t, lambda: np.array([_target(r.table, image, t) for r in rights]))
+        for start in range(0, len(rights), per_batch):
+            gap = np.subtract(pushed, target[start:start + per_batch])
+            np.abs(gap, out=gap)
+            np.maximum.reduce(gap, axis=2, initial=0.0, out=gaps[start:start + per_batch, j])
+    yield row_labels, states, gaps.reshape(len(rights) * len(times), n)[:, rows]
 
 
 def _kept(blocks, t: int, make: Callable):
@@ -569,9 +597,8 @@ def check_flow(
     measure only rounding; each sampled state's row is resolved once per
     closure, and the splits are read in batches of one stacked product each
     (every split at once on a few states, one at a time on hundreds).  Each
-    section's cases reach the report in blocks, its zero cases and then one
-    block per split, and only a violation is built as a case dict.  The
-    other closures (RK4, and nested binds on more states) are walked: each
+    section's zero cases, and its splits, reach the report as one block
+    each.  The other closures (RK4, and nested binds on more states) are walked: each
     start of the sample, and each point a compose case steps on from, gets
     one walk, extended to the largest t asked of it.  The walks live for
     this call only.  A continuous-time sample may be written as lists or
@@ -604,22 +631,36 @@ def check_flow(
 
 def _stationary_cases(sys_: System, times, states):
     """The stored one-tick maps of a discrete-map system at every tick from 1
-    to the latest that ``times`` reaches, against those at tick 1: a split
-    s + t runs the maps at every tick up to s + t, not only at s and t.  The
-    time monoid checks s and t first."""
+    to the latest that ``times`` reaches, against those at tick 1 (read
+    once), one block per tick: a split s + t runs the maps at every tick up
+    to s + t, not only at s and t.  The time monoid checks s and t first."""
     check = sys_.time.check
-    for t in range(1, max(check(s) + check(t) for s, t in times) + 1):
-        for x in states:
-            if sys_.output(t, x) != sys_.output(1, x):
-                yield {"kind": "stationary-output", "t": t, "state": x}, None, [float("inf")]
+    last = max(check(s) + check(t) for s, t in times)
+    first = []  # (state, tick-1 output, [(direction, tick-1 law)])
+    for x in states:
+        pos = sys_.output(1, x)
+        fibre = sys_.interface.dirs_at(pos)
+        laws = [(d, sys_.update(1, x, d)) for d in points(fibre)] if is_finite(fibre) else []
+        first.append((x, pos, laws))
+    for t in range(1, last + 1):
+        cases, devs = [], []  # (kind, state, direction), deviation
+        for x, pos, laws in first:
+            if sys_.output(t, x) != pos:
+                cases.append(("stationary-output", x, None))
+                devs.append(float("inf"))
                 continue
-            fibre = sys_.interface.dirs_at(sys_.output(1, x))
-            if not is_finite(fibre):
-                continue
-            for d in points(fibre):
-                dev = dist_distance(sys_.update(t, x, d), sys_.update(1, x, d))
-                case = {"kind": "stationary-update", "t": t, "state": x, "direction": d}
-                yield case, None, [dev]
+            for d, law in laws:
+                cases.append(("stationary-update", x, d))
+                devs.append(dist_distance(sys_.update(t, x, d), law))
+
+        def case_labels(i: int, t=t, cases=cases) -> dict:
+            kind, x, d = cases[i]
+            case = {"kind": kind, "t": t, "state": x}
+            if kind == "stationary-update":
+                case["direction"] = d
+            return case
+
+        yield case_labels, None, devs
 
 
 # ---------------------------------------------------------------------------
@@ -800,12 +841,12 @@ def is_system_morphism(
     sections, times = list(sections), list(times)
 
     def cases():
-        for x in states:
-            if b.output(1, f(x)) != a.output(1, x):
-                yield {"kind": "output"}, [x], [float("inf")]
+        moved = [x for x in states if b.output(1, f(x)) != a.output(1, x)]
+        if moved:
+            yield {"kind": "output"}, moved, [float("inf")] * len(moved)
         for k, sigma in enumerate(sections):
             yield from _square_cases(
-                closure(a, sigma), closure(b, sigma), f, times, states, section=k
+                closure(a, sigma), [closure(b, sigma)], f, times, states, section=k
             )
 
     return _report("system-morphism", cases(), 0.0, {"sections": sections, "times": times})

@@ -2,6 +2,8 @@
 deviation mean the same thing for every law."""
 
 import dataclasses
+import hashlib
+import json
 import math
 import re
 
@@ -332,9 +334,22 @@ def _per_case_report(law, cases, tol, domain=None, **extra):
     return {**verdict, "max_deviation": max_dev, "violations": violations}
 
 
+def _rows(blocks):
+    """Each row of each block as (labels, states, deviations): a batch's row
+    labels from its function, and the row's deviations as a list, one per
+    state (one that names no state when ``states`` is None)."""
+    for labels, states, devs in blocks:
+        devs = np.asarray(devs, dtype=float)
+        if devs.size == 0:
+            continue
+        width = 1 if states is None else len(states)
+        for i, row in enumerate(devs.reshape(-1, width).tolist()):
+            yield (labels if isinstance(labels, dict) else labels(i)), states, row
+
+
 def _one_case_at_a_time(blocks):
     """Each case of each block, as its own case dict and deviation."""
-    for labels, states, devs in blocks:
+    for labels, states, devs in _rows(blocks):
         if states is None:
             yield from ((dict(labels), d) for d in devs)
         else:
@@ -460,7 +475,7 @@ def test_the_block_checks_reach_passes_failures_and_mixed_blocks(both_reports):
     assert verdicts == {True, False}
     mixed = set()
     for report, _, blocks in both_reports:
-        for labels, states, devs in blocks:
+        for labels, states, devs in _rows(blocks):
             failing = [dev > 0.0 for dev in devs]
             if states is not None and failing.count(True) >= 2 and not all(failing):
                 mixed.add((labels["kind"], "section" in labels))
@@ -477,6 +492,81 @@ def test_a_block_reports_every_failing_state_in_order():
         {"kind": "compose", "s": 1, "t": 1, "state": 2, "deviation": 1.0},
     ]
     assert [list(v) for v in report["violations"]] == [["kind", "s", "t", "state", "deviation"]] * 2
+
+
+def frozen_after_one_tick():
+    """The shape of the benchmark's must-fail flow control: four states
+    behind positions p0/p1 with 2 and 3 directions, full-support dyadic
+    updates at tick 1 that stay put at every later tick."""
+    gen = Rng(11).generator()
+    states = finite(0, 1, 2, 3)
+    iface = tabulated(finite("p0", "p1"), {"p0": finite(0, 1), "p1": finite(0, 1, 2)})
+    table = {}
+    for s in points(states):
+        for d in points(iface.dirs_at(f"p{s % 2}")):
+            counts = 1 + gen.multinomial(4, [0.25] * 4)
+            table[(s, d)] = categorical(states, list(zip(points(states), counts / 8.0)))
+
+    def update(t, s, d):
+        return table[(s, d)] if t == 1 else dirac(states, s)
+
+    return mk_system(iface, states, lambda t, s: f"p{s % 2}", update, time_nat(), STOCHASTIC)
+
+
+def steered_bundle():
+    """The example bundle over a base that stays put unless told "go", so
+    its squares fail wherever the total system moves and the base waits."""
+    bs = bundle_example(3, 2)
+    base = bs.base_sys
+    steered = mk_system(
+        base.interface, base.states, lambda t, w: w,
+        lambda t, w, d: dirac(base.states, (w + 1) % 3 if d == "go" else w),
+        effect=DETERMINISTIC,
+    )
+    return BundleSystem(steered, bs.total_sys, bs.proj)
+
+
+def doubling_morphism():
+    """w |-> 2w on the example bundle's base rotation: its outputs differ at
+    1 and 2, and its squares fail at times 1 and 2 and hold at 3."""
+    base = bundle_example(3, 2).base_sys
+    return is_system_morphism(
+        lambda w: 2 * w % 3, base, base, all_sections(base.interface), (1, 2, 3)
+    )
+
+
+ALL_SPLITS = [(s, t) for s in range(9) for t in range(9) if 0 < s + t <= 8]
+
+# (name, thunk, violation count, sha256 of the report's json.dumps): each
+# report pinned whole, every violation in its order with its keys and its bits
+PINNED_CONTROLS = [
+    ("flow-frozen-after-one-tick",
+     lambda: check_flow(frozen_after_one_tick(), times=ALL_SPLITS, tol=0.0), 70,
+     "e5579adc6131a0535f00afb928f461ea7c8e18a515a44edf1b334b00bf91fa16"),
+    ("flow-rounding-gaps",
+     lambda: check_flow(rounding_system(0), times=FLOW_SPLITS, tol=0.0), 255,
+     "4ed9bd8536f33bac62b1cf02797afc03198814702894b28cf4e663388c8be50a"),
+    ("bundle-steered-base", lambda: check_bundle(steered_bundle()), 312,
+     "4cad6633c45c0f3132c6e2b5667b33df77fd0a412cfa16771853f146d4be5213"),
+    ("bundle-collapsed-projection", lambda: check_bundle(collapsed_bundle()), 384,
+     "5d44640f88b89aa8721c148137dca84003e88cb0e29d788e34155651fa630657"),
+    ("morphism-doubling", doubling_morphism, 50,
+     "af24f4fda7c0539e088fd72489bde3b158ea62edb6235ba4398a814599f0d2c7"),
+    ("random-system-drifting", lambda: check_random_system(drifting_rds()), 24,
+     "465f3b9b9781f98cc6155a29f8614d521aef089f9b6039235baeed530a86308a"),
+]
+
+
+@pytest.mark.parametrize("run, violations, digest", [case[1:] for case in PINNED_CONTROLS],
+                         ids=[case[0] for case in PINNED_CONTROLS])
+def test_must_fail_control_reports_are_pinned(run, violations, digest):
+    """Each must-fail control's report is the text it was before law reports
+    read whole batches: no violation is reordered, dropped, relabelled or
+    re-rounded, and max_deviation is the same float."""
+    report = run()
+    assert report["pass"] is False
+    assert len(report["violations"]) == violations
+    assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest
 
 
 def vector_field_flow(field, state):
@@ -524,3 +614,29 @@ def test_a_report_reads_nan_wherever_a_block_holds_it(where):
     report = systems._report("measure-preserving", one_case, 0.0)
     assert report["pass"] is False and math.isnan(report["max_deviation"])
     assert [list(v) for v in report["violations"]] == [["kind", "t", "deviation"]]
+
+
+def test_a_batch_reads_nan_and_lists_its_violations_row_by_row():
+    """A batch of rows is read by one reduction that a NaN propagates
+    through: a NaN among zeros fails the batch and is its worst deviation.
+    A failing batch lists its violations row by row and, within a row,
+    state by state, and builds the labels of the rows that fail alone."""
+    built = []
+
+    def labels(i):
+        built.append(i)
+        return {"kind": "compose", "s": i, "t": 1}
+
+    nan_among_zeros = np.zeros((3, 2))
+    nan_among_zeros[1, 0] = math.nan
+    report = systems._report("flow", [(labels, ["a", "b"], nan_among_zeros)], 0.0)
+    assert report["pass"] is False and math.isnan(report["max_deviation"])
+    assert [(v["s"], v["state"]) for v in report["violations"]] == [(1, "a")]
+    assert built == [1]
+    built.clear()
+    devs = np.array([[0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+    report = systems._report("flow", [(labels, ["a", "b"], devs)], 0.0)
+    assert [(v["s"], v["state"]) for v in report["violations"]] == [
+        (0, "b"), (1, "a"), (2, "a"), (2, "b")
+    ]
+    assert built == [0, 1, 2] and report["max_deviation"] == 0.5

@@ -7,6 +7,7 @@ import pytest
 
 from polydyn import (
     MPMorphism,
+    OpenSystemError,
     RandomSystemError,
     check_bundle,
     check_measure_preserving,
@@ -29,6 +30,7 @@ from polydyn import (
     rebase_rds,
     reindex_bundle,
     reindex_rds,
+    tabulated,
     time_nat,
     uniform,
     unit,
@@ -115,6 +117,19 @@ def test_bundle_double_section_square(monkeypatch):
     assert report["violations"] == []
     assert sum(s is bs.base_sys for s in closed) == len(all_sections(bs.base_sys.interface))
     assert sum(s is bs.total_sys for s in closed) == len(all_sections(bs.total_sys.interface))
+
+
+def test_a_bundle_over_a_base_with_no_section_has_no_case_to_check():
+    """A base position with no direction leaves the base interface without a
+    section, so no square is read and the bundle law is refused, not
+    passed vacuously."""
+    bs = bundle_example(3, 2)
+    states = bs.base_sys.states
+    iface = tabulated(finite("a", "b"), {"a": finite(0, 1), "b": finite()})
+    assert all_sections(iface) == []
+    base = mk_system(iface, states, lambda t, w: "a", lambda t, w, d: dirac(states, w))
+    with pytest.raises(OpenSystemError, match="^the bundle law has no case to check$"):
+        check_bundle(random_bundle.BundleSystem(base, bs.total_sys, bs.proj))
 
 
 def test_a_bundle_check_pushes_each_closure_once_per_time(monkeypatch):

@@ -15,6 +15,7 @@ from polydyn import (
     PolyError,
     PolyMap,
     Rng,
+    Section,
     all_sections,
     bind,
     categorical,
@@ -26,8 +27,10 @@ from polydyn import (
     det_polymap,
     dirac,
     dist_distance,
+    euclid,
     finite,
     finite_items,
+    from_vector_field,
     id_map,
     is_system_morphism,
     linear,
@@ -642,6 +645,61 @@ def test_mk_system_refuses_an_unknown_effect_and_a_failing_update():
     assert isinstance(caught.value.__cause__, KeyError)
 
 
+@pytest.mark.parametrize("update, got", [
+    (lambda t, s, d: s, "got 0"),
+    (lambda t, s, d: dirac(finite(0, 1, 2), s), "got dirac(0)"),
+])
+def test_mk_system_refuses_an_update_that_is_no_law_on_its_states(update, got):
+    states = finite(0, 1)
+    with pytest.raises(OpenSystemError, match=re.escape(
+        f"update(0, ()) must return a Dist over the state space, {got}"
+    )):
+        mk_system(linear(states), states, lambda t, s: s, update)
+
+
+def _open_fibre_system():
+    """Two finite states behind one position whose directions are the reals:
+    the update never reads its direction, so every section closes it to
+    staying put."""
+    states = finite(0, 1)
+    iface = monomial(finite("p"), euclid(1))
+    return mk_system(iface, states, lambda t, s: "p", lambda t, s, d: dirac(states, s))
+
+
+def test_a_direction_fibre_that_is_not_finite_is_not_probed():
+    """mk_system checks no update over a fibre it cannot list, the
+    stationarity probe reads none there, so its blocks are empty, and the
+    flow law is read from the compose cases alone; the tabular form needs
+    every fibre finite."""
+    sys_ = _open_fibre_system()
+    section = Section(sys_.interface, lambda i: (0.0,))
+    probe = list(systems._stationary_cases(sys_, [(1, 1)], [0, 1]))
+    assert [devs for _, _, devs in probe] == [[], []]
+    report = check_flow(sys_, sections=[section], times=[(1, 1)])
+    assert report["pass"] and report["max_deviation"] == 0.0
+    with pytest.raises(OpenSystemError, match="^tabular form needs finite direction fibres$"):
+        to_ncoalg(sys_)
+
+
+def test_the_tabular_form_needs_finite_states_and_positions():
+    line = euclid(1)
+    sys_ = mk_system(y(), line, lambda t, x: (), lambda t, x, d: dirac(line, x))
+    with pytest.raises(OpenSystemError, match="^tabular form needs finite states and positions$"):
+        to_ncoalg(sys_)
+
+
+def test_closure_refuses_a_section_of_another_interface():
+    with pytest.raises(OpenSystemError, match="^section does not match the system interface$"):
+        closure(counter_system(2), trivial_section(y()))
+
+
+def test_a_continuous_flow_check_needs_a_state_sample():
+    iface = monomial(euclid(1), unit())
+    sys_ = from_vector_field(lambda x, d: (-x[0],), lambda x: x, iface, 0.1, states=euclid(1))
+    with pytest.raises(OpenSystemError, match="^check_flow needs an explicit state sample here$"):
+        check_flow(sys_, sections=[trivial_section(iface)], times=[(1, 1)])
+
+
 # -- reindexing ------------------------------------------------------------
 
 P = tabulated(finite("i", "j"), {"i": finite(0), "j": finite(0, 1)})
@@ -744,6 +802,17 @@ def test_broken_quotient_is_not_a_morphism():
     sections = all_sections(a.interface)
     verdict = is_system_morphism(lambda s: (s + 1) % 2, a, b, sections, [1, 2])
     assert not verdict["pass"]
+
+
+def test_a_morphism_check_refuses_systems_on_other_interfaces_or_times():
+    a = _mod_counter(2)
+    other = mk_system(y(), finite(0, 1), lambda t, s: (), lambda t, s, d: dirac(finite(0, 1), s))
+    continuous = from_vector_field(lambda x, d: (0.0,), lambda x: (), y(), 0.1, states=euclid(1))
+    message = "^systems must share interface and time monoid$"
+    with pytest.raises(OpenSystemError, match=message):
+        is_system_morphism(lambda s: s, a, other, all_sections(a.interface), [1])
+    with pytest.raises(OpenSystemError, match=message):
+        is_system_morphism(lambda s: (0.0,), other, continuous, all_sections(y()), [1])
 
 
 def test_systems_agree_negative():
