@@ -23,7 +23,14 @@ its inputs from its own ``np.random.default_rng(0)``.
   - one ``mean_path`` stack-step of a seeded linear stack of each of the
     benchmark's shapes (depth 1, 2 and 3, n = 1 and 3): the stack's absorb
     from the state the last call reached, and the new state read from the
-    law's flat mean.
+    law's flat mean;
+  - the parts of the nonlinear level-step: its central-difference Jacobian
+    at n = 2 and, on a seeded level of the same form, at n = 6, each
+    computed afresh per call; ``dist._checked_gaussian``, the checks of a
+    new belief, on the ``dist.gaussian`` inputs at n = 2, 6 and 18 and a
+    space built once; and ``_Evaluation.energy`` at a fresh point, with its
+    errors solved and the covariance's log-determinant taken on each call
+    and the covariance's guard, which the curvature builds first, kept.
 - ``flow`` (200 calls): the flow and bundle laws and the distance they read.
   - ``check_flow`` on seeded stochastic systems of the benchmark's flow
     shape (n = 4, 5 and 6 states, positions p0/p1 with 2 and 3 directions,
@@ -123,7 +130,7 @@ from polydyn import (  # noqa: E402
     trace,
 )
 from polydyn import hier  # noqa: E402
-from polydyn.dist import dist_distance, dst, gaussian, product_items  # noqa: E402
+from polydyn.dist import _checked_gaussian, dist_distance, dst, gaussian, product_items  # noqa: E402
 from polydyn.hier import _unique  # noqa: E402
 from polydyn.random_bundle import check_bundle  # noqa: E402
 from polydyn.spaces import euclid, euclid_dims, unflatten_floats  # noqa: E402
@@ -177,9 +184,46 @@ def stack_step(gen, depth: int, n: int):
     return step
 
 
+def tanh_level(w, b):
+    """The benchmark's nonlinear level: mean tanh(Wx) + b, a diagonal
+    covariance that depends on x, no analytic Jacobian."""
+    return laplace.GaussianChannel(
+        len(b), len(b),
+        lambda x: np.tanh(w @ x) + b,
+        None,
+        lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2),
+    )
+
+
+def central_differences(channel, x):
+    """The Jacobian at x, its evaluation's kept one dropped before each call."""
+    at = laplace._Evaluation(channel, x, laplace._Prior(channel))
+
+    def jacobian():
+        at._jacobian = None
+        at.jacobian()
+
+    return jacobian
+
+
+def fresh_energy(channel, prior, datum, x):
+    """The energy at x, its evaluation's solved errors and its covariance's
+    log-determinant dropped before each call."""
+    at = laplace._Evaluation(channel, x, laplace._Prior(channel))
+    guard = at.guard()
+
+    def energy():
+        at._datum = at._pi = guard._logdet = None
+        at.energy(prior, datum)
+
+    return energy
+
+
 def laplace_cases(gen):
+    checked = {}
     for n in SIZES:
         mean, cov = gen.standard_normal(n), spd(gen, n)
+        checked[n] = euclid(n), n, mean, cov
         yield f"dist.gaussian n={n}", lambda n=n, m=mean, c=cov: gaussian(euclid(n), m, c)
     for n in SIZES:
         cov = spd(gen, n)
@@ -191,12 +235,7 @@ def laplace_cases(gen):
     datum = 0.5 * gen.standard_normal(dim)
     linear_level = laplace.linear_channel(w, b, 0.6 * np.eye(dim))
     yield f"linear level-step n={dim}", level_step(linear_level, prior, datum, 0.05)
-    nonlinear = laplace.GaussianChannel(
-        dim, dim,
-        lambda x: np.tanh(w @ x) + b,
-        None,
-        lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2),
-    )
+    nonlinear = tanh_level(w, b)
     yield f"nonlinear level-step n={dim}", level_step(nonlinear, prior, datum, 0.1)
     for n1, n2 in ((3, 3), (12, 6)):
         laws = [gaussian(euclid(n), gen.standard_normal(n), spd(gen, n)) for n in (n1, n2)]
@@ -204,6 +243,14 @@ def laplace_cases(gen):
     for depth in (1, 2, 3):
         for n in (1, 3):
             yield f"mean_path stack-step d={depth} n={n}", stack_step(gen, depth, n)
+    # drawn last, so that every case above reads the inputs it read before
+    x6 = 0.3 * gen.standard_normal(6)
+    level6 = tanh_level(np.eye(6) + 0.3 * gen.standard_normal((6, 6)), 0.2 * gen.standard_normal(6))
+    yield f"jacobian n={dim}", central_differences(nonlinear, prior.mean_array())
+    yield "jacobian n=6", central_differences(level6, x6)
+    for n in (2, 6, 18):
+        yield f"dist._checked_gaussian n={n}", lambda args=checked[n]: _checked_gaussian(*args)
+    yield f"_Evaluation.energy n={dim}", fresh_energy(nonlinear, prior, datum, prior.mean_array())
 
 
 # ---------------------------------------------------------------------------

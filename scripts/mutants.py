@@ -182,6 +182,25 @@ MUTANTS = (
         "return rho.cov_array() if sigma is None else sigma",
         ("tests/test_laplace.py::test_a_new_belief_reads_its_entropy_from_the_array_it_was_built_from",),
     ),
+    # central differences write the k-th difference into row k, not column
+    # k: the Jacobian of a square level is transposed, and a 3 -> 2 level's
+    # has no row 2
+    Mutant(
+        "jacobian-column-as-row",
+        "src/polydyn/laplace.py",
+        "out=jac[:, k]",
+        "out=jac[k]",
+        ("tests/test_laplace.py::"
+         "test_central_differences_read_fresh_points_and_give_a_c_ordered_jacobian",),
+    ),
+    # a learning rate of True runs as rate 1
+    Mutant(
+        "rate-bool-accepted",
+        "src/polydyn/laplace.py",
+        "        if not isinstance(rate, numbers.Real) or isinstance(rate, bool):\n",
+        "        if not isinstance(rate, numbers.Real):\n",
+        ("tests/test_laplace.py::test_a_rate_that_is_not_a_real_number_is_refused",),
+    ),
     # the count rule takes a bool for an integer: True is one tick, one step
     # or one dimension
     Mutant(
@@ -342,15 +361,26 @@ MUTANTS = (
     Mutant(
         "gaussian-offdiagonal-finite-unchecked",
         "src/polydyn/dist.py",
-        "np.maximum.reduce(np.abs(sig), axis=None, initial=0.0)",
-        "np.maximum.reduce(np.abs(sig.diagonal()), axis=None, initial=0.0)",
+        "_all_true(np.abs(sig) < _SYMMETRIZABLE_0D)",
+        "_all_true(np.abs(sig.diagonal()) < _SYMMETRIZABLE_0D)",
         ("tests/test_dist.py::test_each_gaussian_refusal_keeps_its_type_and_message",),
+    ),
+    # dist.gaussian reads finiteness from Python's max of the magnitudes,
+    # which skips a NaN that is not first, so an off-diagonal NaN reaches the
+    # symmetry check
+    Mutant(
+        "gaussian-finite-by-max",
+        "src/polydyn/dist.py",
+        "_all_true(np.abs(sig) < _SYMMETRIZABLE_0D)",
+        "max(np.abs(sig).ravel().tolist(), default=0.0) < _SYMMETRIZABLE",
+        ("tests/test_dist.py::test_each_gaussian_refusal_keeps_its_type_and_message"
+         "[nan in an off-diagonal entry]",),
     ),
     # a guard takes any matrix to its singular values, NaN and inf included
     Mutant(
         "guarded-finite-unchecked",
         "src/polydyn/laplace.py",
-        "        if not np.logical_and.reduce(np.isfinite(sigma), axis=None):\n",
+        "        if not _all_true(np.isfinite(sigma)):\n",
         "        if False:\n",
         ("tests/test_laplace.py::test_the_refusals_around_the_gufuncs_are_the_same_and_warn_nothing",),
     ),

@@ -57,16 +57,15 @@ or ``solve`` (``_Guarded.solve``), the condition number through ``svd``
 (``_logdet_psd``), the inverse through ``inv`` (``_Guarded.inverse``) and the
 PSD check of ``dist.gaussian`` through ``eigvalsh_lo``.  On 1 x 1 to 3 x 3
 matrices each wrapper costs several times its LAPACK call, and a nonlinear
-level's matrices change at every step.  The small checks skip numpy's Python
-wrappers in the same way and decide as they did: ``dist.gaussian`` and
-``_gaussian_from_checked`` check a mean on the Python floats the law stores,
-``dist.gaussian`` checks a covariance through one ufunc reduction per check
-and its least eigenvalue on Python floats, a guard checks finiteness through
-``np.logical_and.reduce``, and ``_matrix`` stands in for ``np.atleast_2d``.
-Central differences take the difference and the quotient of the perturbed
-means as whole-array operations, each perturbed point a fresh vector, into a
-C-ordered Jacobian: every product with it then computes the bits the
-column-by-column loop gave.
+level's matrices change at every step.  The small checks skip numpy's
+wrappers and reductions and decide as they did: a mean on its Python floats,
+a covariance by one comparison per entry and check (``dist.gaussian``; NaN
+fails every comparison) and its least eigenvalue on Python floats, a guard
+through ``np.isfinite``; ``_matrix`` stands in for ``np.atleast_2d``.
+Central differences write mean(x + dx) - mean(x - dx), each point a fresh
+vector, into column k of one C-ordered Jacobian for the k-th step dx (kept
+in ``_Prior.steps``), and divide once: every product with it computes the
+bits the column-by-column loop gave.
 
 ``run_stack`` is the iterate of one map on the levels' latent estimates, so
 a step that leaves every estimate as it was, bit for bit, is a fixed point:
@@ -79,6 +78,7 @@ has no such stop.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,6 +89,7 @@ from .dist import (
     DistError,
     Gaussian,
     _as_gaussian,
+    _all_true,
     _checked_gaussian,
     _gaussian_from_checked,
     dst,
@@ -132,9 +133,9 @@ def _conditioning(sigma: np.ndarray) -> tuple:
 
 
 def _matrix(a) -> np.ndarray:
-    """``np.atleast_2d(a)`` without its Python wrapper: an array of two or
-    more dimensions as it is, a vector as one row, a scalar as 1 x 1."""
-    a = np.asanyarray(a)
+    """``np.atleast_2d(a)`` of floats without its Python wrapper: an array of
+    two or more dimensions as it is, a vector as one row, a scalar as 1 x 1."""
+    a = np.asarray(a, dtype=float)
     return a if a.ndim >= 2 else a.reshape(1, -1)
 
 
@@ -172,8 +173,8 @@ class _Guarded(_Constant):
     __slots__ = ("what", "_logdet", "_inverse", "_law_cov")
 
     def __init__(self, what: str, sigma):
-        sigma = _matrix(np.asarray(sigma, dtype=float))
-        if not np.logical_and.reduce(np.isfinite(sigma), axis=None):
+        sigma = _matrix(sigma)
+        if not _all_true(np.isfinite(sigma)):
             raise LaplaceError(f"{what} is not finite")
         cond, smallest = _conditioning(sigma)
         if not math.isfinite(cond) or cond > _COND_LIMIT:
@@ -221,7 +222,9 @@ class _Guarded(_Constant):
 
 class _Prior:
     """What a level keeps while it runs one channel: its spaces, whether the
-    channel is linear, the last prior it received and its last evaluation.
+    channel is linear, its central differences' coordinate steps (the rows of
+    _H * I, built on first use), the last prior it received and its last
+    evaluation.
 
     The prior's covariance (``Gaussian.cov``) is kept with its guard, and the
     prior's mean as an array (``mean``).  A covariance is checked when it
@@ -237,14 +240,14 @@ class _Prior:
     here too (``evaluation``, read by ``evaluated``)."""
 
     __slots__ = (
-        "linear", "latent", "observed", "pi", "cov", "guard", "mean",
+        "linear", "latent", "observed", "steps", "pi", "cov", "guard", "mean",
         "belief_cov", "belief_entropy", "predicted_cov", "built", "evaluation",
     )
 
     def __init__(self, gamma: "GaussianChannel"):
         self.linear = isinstance(gamma.jacobian, _Constant) and isinstance(gamma.cov, _Guarded)
         self.latent, self.observed = euclid(gamma.in_dim), euclid(gamma.out_dim)
-        self.pi = self.cov = self.guard = self.mean = self.evaluation = None
+        self.pi = self.cov = self.guard = self.mean = self.evaluation = self.steps = None
         self.belief_cov = self.belief_entropy = self.predicted_cov = None
         self.built = (None, None)
 
@@ -343,7 +346,7 @@ def mk_state(mean, cov) -> Gaussian:
     the mean and the covariance, on every call.  A belief update builds its
     belief on the inverse-Hessian array itself (``_Evaluation.update``)."""
     m = np.asarray(mean, dtype=float).reshape(-1)
-    c = _matrix(np.asarray(cov, dtype=float))
+    c = _matrix(cov)
     if c.shape != (m.size, m.size):
         raise LaplaceError(f"covariance shape {c.shape} does not fit mean of size {m.size}")
     return gaussian(euclid(m.size), m, c)
@@ -358,14 +361,24 @@ def state_dist(state: Gaussian) -> Gaussian:
 @record
 class LaplaceConfig:
     """The gradient-descent step size (the learning rate lambda) of every
-    belief update: finite, and 0 freezes the mean.  A run lasts as many steps
-    as its caller asks for (``run_stack``, ``mean_path``)."""
+    belief update: a finite, non-negative real number, kept as a Python
+    float, and never a bool, as for a count (``spaces.check_count``); 0
+    freezes the mean.  A run lasts as many steps as its caller asks for
+    (``run_stack``, ``mean_path``)."""
 
     rate: float = 0.05
 
     def __post_init__(self):
-        if not (self.rate >= 0 and math.isfinite(self.rate)):
-            raise LaplaceError(f"learning rate must be finite and non-negative, got {self.rate}")
+        rate = self.rate
+        if not isinstance(rate, numbers.Real) or isinstance(rate, bool):
+            raise LaplaceError(f"learning rate must be a real number, got {rate!r}")
+        try:
+            value = float(rate)
+        except OverflowError:  # an integer past the largest float
+            value = math.inf
+        if not (value >= 0 and math.isfinite(value)):
+            raise LaplaceError(f"learning rate must be finite and non-negative, got {rate}")
+        object.__setattr__(self, "rate", value)
 
 
 class _Evaluation:
@@ -409,18 +422,16 @@ class _Evaluation:
             if gamma.jacobian is not None:
                 self._jacobian = _matrix(gamma.jacobian(x))
             else:
-                # the mean at x + dx and at x - dx for each coordinate step dx
-                # (the rows of _H * np.eye(n)), then every column at once
-                n = x.size
-                steps = np.zeros((n, n))
-                steps.ravel()[:: n + 1] = _H
-                ups, downs = [], []
-                for dx in steps:
-                    ups.append(gamma.mean(x + dx))
-                    downs.append(gamma.mean(x - dx))
-                columns = np.subtract(ups, downs).reshape(n, gamma.out_dim) / (2.0 * _H)
-                # C order, as every product with it computes its bits
-                self._jacobian = np.ascontiguousarray(columns.T, dtype=float)
+                # column k from the k-th step dx; C order, as every product
+                # with it computes its bits
+                prior = self.prior
+                if prior.steps is None:
+                    prior.steps = tuple(_H * np.eye(x.size))
+                mean, jac = gamma.mean, np.empty((gamma.out_dim, x.size))
+                for k, dx in enumerate(prior.steps):
+                    np.subtract(mean(x + dx), mean(x - dx), out=jac[:, k])
+                jac /= 2.0 * _H
+                self._jacobian = jac
         return self._jacobian
 
     def law(self) -> Gaussian:
@@ -436,33 +447,36 @@ class _Evaluation:
         return self._law
 
     def errors(self, pi: Gaussian, y: np.ndarray) -> tuple:
-        """Prediction errors of the observation and of the prior at x, and
-        their precision-weighted forms.  A side is solved again only for a
-        datum or a prior other than (by identity) the one it was last solved
-        against: both are read, never written, while a level runs."""
+        """Prediction errors of the observation and of the prior at x, each
+        with its precision-weighted form: (eps_g, eta_g, eps_p, eta_p).  A
+        side is solved again only for a datum or a prior other than (by
+        identity) the one it was last solved against: both are read, never
+        written, while a level runs."""
         if y is not self._datum:
             eps_g = y - self.mean
             self._datum_errors, self._datum = (eps_g, self.guard().solve(eps_g)), y
         if pi is not self._pi:
-            guard = self.prior.checked(pi)
-            eps_p = self.x - self.prior.mean
+            prior = self.prior
+            guard = prior.checked(pi)
+            eps_p = self.x - prior.mean
             self._prior_errors, self._pi = (eps_p, guard.solve(eps_p)), pi
-        (eps_g, eta_g), (eps_p, eta_p) = self._datum_errors, self._prior_errors
-        return eps_g, eps_p, eta_g, eta_p
+        return self._datum_errors + self._prior_errors
 
     def energy(self, pi: Gaussian, y: np.ndarray) -> float:
-        eps_g, eps_p, eta_g, eta_p = self.errors(pi, y)
+        eps_g, eta_g, eps_p, eta_p = self.errors(pi, y)
+        gamma = self.gamma
         quad = 0.5 * float(eps_g.dot(eta_g)) + 0.5 * float(eps_p.dot(eta_p))
+        # built: the datum's side was solved through it
         norm = 0.5 * (
-            self.gamma.out_dim * _LOG_2PI
-            + self.guard().logdet()
-            + self.gamma.in_dim * _LOG_2PI
+            gamma.out_dim * _LOG_2PI
+            + self._guard.logdet()
+            + gamma.in_dim * _LOG_2PI
             + self.prior.checked(pi).logdet()
         )
         return quad + norm
 
     def gradient(self, pi: Gaussian, y: np.ndarray) -> np.ndarray:
-        _, _, eta_g, eta_p = self.errors(pi, y)
+        _, eta_g, _, eta_p = self.errors(pi, y)
         return -self.jacobian().T @ eta_g + eta_p
 
     def curvature(self, pi: Gaussian) -> np.ndarray:

@@ -1,5 +1,7 @@
 import collections
 import dataclasses
+import decimal
+import fractions
 import hashlib
 import math
 import re
@@ -143,11 +145,31 @@ def test_negative_rate_is_rejected():
         LaplaceConfig(rate=-1.0)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_a_non_finite_rate_is_rejected(bad):
-    """An infinite step would send every mean to inf or NaN."""
+    """An infinite step would send every mean to inf or NaN; an integer past
+    the largest float is no finite step either."""
     with pytest.raises(LaplaceError, match=f"must be finite and non-negative, got {bad}"):
         LaplaceConfig(rate=bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.1", None, 0.5j,
+                                 pytest.param(decimal.Decimal("0.1"), id="Decimal")])
+def test_a_rate_that_is_not_a_real_number_is_refused(bad):
+    """A bool is not a rate, as it is not a count; a string, None, a complex
+    number or a Decimal is refused by name before any run."""
+    message = re.escape(f"learning rate must be a real number, got {bad!r}")
+    with pytest.raises(LaplaceError, match=f"^{message}$"):
+        LaplaceConfig(rate=bad)
+
+
+def test_a_rate_is_kept_as_a_python_float():
+    """An integer, a numpy scalar or a fraction is kept as the Python float
+    it reads as; a float keeps its bits."""
+    for rate, want in ((1, 1.0), (np.int64(2), 2.0), (np.float64(0.1), 0.1),
+                       (fractions.Fraction(1, 4), 0.25), (0.05, 0.05), (0.0, 0.0)):
+        got = LaplaceConfig(rate=rate).rate
+        assert type(got) is float and got.hex() == want.hex(), rate
 
 
 def test_dimension_mismatch_is_rejected():
@@ -1237,6 +1259,64 @@ def test_a_nonlinear_run_is_pinned():
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "e131c164807a6f5231a7d1c693bf4602da7796c65acd95675136f4599cac1d7d"
+
+
+# a 3 -> 2 level built like the benchmark's nonlinear one: mean tanh(Wx) + b,
+# a diagonal covariance that depends on x, no analytic Jacobian.  Wx is taken
+# elementwise and tanh from libm (``math.tanh``), as numpy's own tanh picks
+# its SIMD code by the CPU and may round otherwise
+TANH_COUPLING = np.array([0.5, -0.25])
+TANH_OFFSET = np.array([0.125, -0.25])
+
+
+def _tanh(v):
+    return np.array([math.tanh(c) for c in v])
+
+
+def _tanh_mean(x):
+    return _tanh(x[:2] + TANH_COUPLING * x[1:]) + TANH_OFFSET
+
+
+def _tanh_cov(x):
+    t = _tanh(x[:2])
+    return np.diag(0.5 + 0.2 * t * t)
+
+
+def test_a_non_square_nonlinear_run_is_pinned():
+    """A 3 -> 2 level with no analytic Jacobian and a state-dependent
+    covariance, run for 300 steps without settling: every mean and free
+    energy of every row, by ``float.hex``.  Its central differences fill a
+    2 x 3 Jacobian column by column."""
+    channel = GaussianChannel(3, 2, _tanh_mean, None, _tanh_cov)
+    prior = mk_state([0.25, -0.5, 0.125],
+                     [[1.0, 0.25, 0.0], [0.25, 0.75, 0.125], [0.0, 0.125, 0.5]])
+    rows = run_stack([channel], LaplaceConfig(rate=0.1), prior, [0.375, -0.625], 300)
+    assert rows[-1][2] != rows[-2][2]
+    text = "\n".join(
+        ",".join([str(step), str(k), *map(float.hex, mean), float.hex(free)])
+        for step, k, mean, free in rows
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "dfeffe47f8f012c8bd7613ae37578c5a831e6d43fe92ce2b938edbcbb059a0bc"
+
+
+def test_a_mean_map_returning_a_list_gives_the_jacobian_of_one_returning_an_array():
+    """Central differences read a mean map's Python list as the array of
+    its floats: the same C-ordered Jacobian, bit for bit, at a 3 -> 2 and a
+    2 -> 2 level, and the same run."""
+    x = np.array([0.3, -1.25, 0.5])
+    for mean, point in ((_tanh_mean, x), (_rational_mean, x[:2])):
+        n = point.size
+        as_list = GaussianChannel(n, 2, lambda v, f=mean: f(v).tolist(), None, _tanh_cov)
+        as_array = GaussianChannel(n, 2, mean, None, _tanh_cov)
+        got, want = (laplace._Evaluation(ch, point, laplace._Prior(ch)).jacobian()
+                     for ch in (as_list, as_array))
+        assert got.flags.c_contiguous and got.shape == (2, n)
+        assert got.tobytes() == want.tobytes()
+        prior = mk_state(np.zeros(n), np.eye(n))
+        runs = [run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.375, -0.625], 20)
+                for ch in (as_list, as_array)]
+        assert runs[0] == runs[1]
 
 
 def test_central_differences_read_fresh_points_and_give_a_c_ordered_jacobian():
