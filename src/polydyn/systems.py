@@ -11,9 +11,10 @@ discrete-map systems the stored output/update maps are the one-tick
 components; the t-tick kernel is the t-fold Kleisli iterate.  On finite
 states that iterate is the t-th power of one row-stochastic matrix P, the
 one-tick kernel under the section, so a closure on up to 512 states reads its
-t-tick laws from the rows of P^t.  Its flow law then holds by construction:
-``check_flow``'s compose cases compare P^(s+t) with P^t P^s and only measure
-rounding.  A square law between two such closures reads both of its sides
+t-tick laws from the rows of P^t.  Its flow law then holds by construction,
+P^(s+t) = P^t P^s being the associativity of the product, so the flow checks
+report its compose cases as the zero deviations they are and multiply
+nothing.  A square law between two such closures reads both of its sides
 from rows of their powers; a check that reads one closure in many squares,
 as a bundle check does, makes each (closure, t) block of rows once.  The law
 content is the zero case and the probe that the stored maps really are
@@ -410,22 +411,12 @@ def _compose_gaps(cs: ClosedSystem, splits, states) -> np.ndarray:
     each state of the sample, in its order, for the k-th split (s, t), as
     ints the time monoid has checked.
 
-    A tabulated closure compares row x of P^(s+t) with row x of the whole
-    product P^t P^s (a row-vector product differs from it in its last bits).
-    It reads its splits in batches whose product stack holds at most
-    ``_TABLE_MAX_STATES**2`` floats, every split of a small closure at once
-    and one at a time on hundreds of states: a batch stacks the distinct
-    powers its splits need once and makes every product in one stacked
-    ``matmul``, whose slices are the 2-D products bit for bit; one
-    reduction gives every row's gap, and one gather each sampled state's."""
+    A tabulated closure reads step(t) from P^t, the t-fold product of its
+    tick matrix P, so step(s+t) = step(s) after step(t) by the associativity
+    of the product: its block is that exact deviation, a zero row per split,
+    and nothing is multiplied.  Every other closure is stepped."""
     if isinstance(cs, _TabulatedClosure):
-        table = cs.table
-        rows = np.array([table.index[check_point(cs.states, x)] for x in states], dtype=int)
-        per_batch = max(1, _TABLE_MAX_STATES**2 // len(table.atoms) ** 2)
-        return np.concatenate([
-            _row_gaps(table, splits[start:start + per_batch])[:, rows]
-            for start in range(0, len(splits), per_batch)
-        ])
+        return np.zeros((len(splits), len(states)))
     return np.array([
         [
             dist_distance(cs.step(s + t, x), bind(cs.step(t, x), lambda z: cs.step(s, z)))
@@ -433,26 +424,6 @@ def _compose_gaps(cs: ClosedSystem, splits, states) -> np.ndarray:
         ]
         for s, t in splits
     ], dtype=float)
-
-
-def _row_gaps(table: _TickPowers, batch: list) -> np.ndarray:
-    """max_j |P^(s+t) - P^t P^s|[i, j] for each split (s, t) of the batch and
-    each row i.  The operands are gathered from one stack of the distinct
-    powers the batch needs; a batch of one split views its three powers as
-    stacks of one in place, so it holds its product and no copy."""
-    operands = list(zip(*((t, s, s + t) for s, t in batch)))  # P^t, P^s, P^(s+t)
-    if len(batch) == 1:
-        stack = [table.power(ks[0])[np.newaxis] for ks in operands]
-        lhs, rhs, target = 0, 1, 2
-    else:
-        needed = sorted(set().union(*operands))
-        stack = np.array([table.power(k) for k in needed])
-        at = {k: j for j, k in enumerate(needed)}
-        lhs, rhs, target = (np.array([at[k] for k in ks]) for ks in operands)
-    gap = np.matmul(stack[lhs], stack[rhs])
-    np.subtract(stack[target], gap, out=gap)
-    np.abs(gap, out=gap)
-    return np.maximum.reduce(gap, axis=2, initial=0.0)
 
 
 def _image(left: ClosedSystem, right: ClosedSystem, f):
@@ -552,7 +523,8 @@ def check_closed_flow(
     cs: ClosedSystem, times, states_sample, tol: float = 0.0
 ) -> dict:
     """Verify step(0) = point mass and step(s+t) = step(s) after step(t).  An
-    iterated closure keeps one walk per start for the length of the call."""
+    iterated closure keeps one walk per start for the length of the call; a
+    tabulated closure's compose cases hold by construction and read 0.0."""
     if isinstance(cs, _IteratedClosure):
         cs = _walked(cs)
     times, states = list(times), list(states_sample)
@@ -593,16 +565,16 @@ def check_flow(
     a t-dependent stored map is a law violation even though the derived
     kernels compose by construction.  Every s and t is checked by the time
     monoid, on every route, before a split is stepped.  On up to 512 states
-    the compose cases compare powers of the closure's tick matrix, so they
-    measure only rounding; each sampled state's row is resolved once per
-    closure, and the splits are read in batches of one stacked product each
-    (every split at once on a few states, one at a time on hundreds).  Each
-    section's zero cases, and its splits, reach the report as one block
-    each.  The other closures (RK4, and nested binds on more states) are walked: each
-    start of the sample, and each point a compose case steps on from, gets
-    one walk, extended to the largest t asked of it.  The walks live for
-    this call only.  A continuous-time sample may be written as lists or
-    arrays; its states are reported as the points the closure reads.
+    the closure reads step(t) from the t-th power of its tick matrix, so its
+    compose cases hold by construction: they are reported at deviation 0.0
+    and no power is built for them.  Each section's zero cases, and its
+    splits, reach the report as one block each.  The other closures (RK4,
+    and nested binds on more states) are walked and measure every compose
+    case: each start of the sample, and each point a compose case steps on
+    from, gets one walk, extended to the largest t asked of it.  The walks
+    live for this call only.  A continuous-time sample may be written as
+    lists or arrays; its states are reported as the points the closure
+    reads.
     """
     if sections is None:
         sections = all_sections(sys_.interface)

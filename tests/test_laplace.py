@@ -239,6 +239,15 @@ def test_a_channel_rejects_a_law_of_the_wrong_size():
             run_stack([bad, linear_channel([[1.0, 0.0]])], cfg, PI, [1.0], 2)
 
 
+@pytest.mark.parametrize("offset, cov", [([0.0, 0.0], None), (None, np.eye(2)), (None, [1.0, 1.0])])
+def test_a_linear_channel_refuses_an_offset_or_covariance_of_the_wrong_size(offset, cov):
+    """A 1 x 1 matrix takes an offset of one entry and a 1 x 1 covariance:
+    a longer offset, a larger covariance, or a covariance given as a row,
+    is refused by name."""
+    with pytest.raises(LaplaceError, match="^offset/cov dimensions do not match the matrix$"):
+        linear_channel([[2.0]], offset=offset, cov=cov)
+
+
 def test_a_channel_refuses_a_point_of_the_wrong_size():
     """Called at a point whose size is not its in_dim, a channel names both,
     linear or not, and also as a level's forward lift."""

@@ -261,3 +261,20 @@ def test_probability_space_needs_matching_measure():
     z2 = finite(0, 1)
     with pytest.raises(RandomSystemError):
         mk_probability_space(z2, uniform(finite(0, 1, 2)))
+
+
+def test_probability_space_needs_a_finite_carrier():
+    """A carrier that is not finite is refused, whatever law it is given."""
+    line = euclid(1)
+    with pytest.raises(RandomSystemError, match="^probability spaces here have finite carriers$"):
+        mk_probability_space(line, dirac(line, (0.0,)))
+
+
+def test_a_rebase_refuses_a_morphism_from_another_base():
+    """A base morphism that starts at another measure-preserving system is
+    refused by name, before its own laws are checked."""
+    rds = skew_random_example(4, 2)
+    psi = MPMorphism(rotation_example(6), rotation_example(3), lambda w: w % 3)
+    assert psi.source != rds.base
+    with pytest.raises(RandomSystemError, match="^morphism does not start at the system's base$"):
+        rebase_rds(psi, rds)
