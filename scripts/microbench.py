@@ -77,7 +77,8 @@ its inputs from its own ``np.random.default_rng(0)``.
   - the emit and the absorb of a 3x3 Bayes verdict's left joint at one of
     its states;
   - ``trace`` of the flow group's four-state system under one section, 8
-    ticks, and its tabulated closure's ``step`` at t = 1 and t = 8;
+    ticks, a walk of the states its point mass reaches, and its tabulated
+    closure's ``step`` at t = 1 and t = 8;
   - one RK4 tick of a 2-d linear vector field.
 
 Run from the root of a checkout (``--repeat 1 --number 1`` is a smoke test):

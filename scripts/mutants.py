@@ -143,6 +143,36 @@ MUTANTS = (
         "",
         ("tests/test_tables.py::test_a_settling_trace_has_a_value_per_tick",),
     ),
+    # the walk keys an atom of a law that is not a state of the system
+    Mutant(
+        "walk-state-unchecked",
+        "src/polydyn/hier.py",
+        "            if not contains(sys_.states, x):\n"
+        '                raise HierError(f"{x!r} is not a state of the system")\n',
+        "",
+        ("tests/test_hier.py::test_each_trace_refusal_fires_by_name",
+         "tests/test_hier.py::test_a_law_off_the_states_is_refused_by_name"),
+    ),
+    # the walk takes a section's response without asking whether the lens
+    # offers it
+    Mutant(
+        "walk-response-unchecked",
+        "src/polydyn/hier.py",
+        "            if response not in _options(key):\n"
+        '                raise HierError("section offers a response the emitted lens lacks")\n',
+        "",
+        ("tests/test_hier.py::test_each_trace_refusal_fires_by_name",
+         "tests/test_hier.py::test_a_section_offering_a_response_the_lens_lacks_is_refused"),
+    ),
+    # the walk stops once a tick's law equals the initial law, not the law of
+    # the tick before, so a law that returns to its start stands still there
+    Mutant(
+        "walk-stop-compares-init",
+        "src/polydyn/hier.py",
+        "            if new == law:\n",
+        "            if new == init:\n",
+        ("tests/test_tables.py::test_a_swap_that_never_settles_advances_every_tick",),
+    ),
     # a Laplace run stops after its first step whatever the means, as if every
     # level's new mean were its old one
     Mutant(

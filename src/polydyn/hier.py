@@ -16,6 +16,9 @@ environment choice (``HomSection``), via ``quasi_bisim``.  Emitted lenses are
 encoded by normalized forward/backward tables, so systems whose interfaces
 differ only by unit factors or product re-association compare equal.  An
 open system on p is traced and compared as the hierarchical system y -> p.
+A trace walks the emit and absorb closures and reads only the states its
+initial law reaches; the tables (``tabulate``), which hold every state of a
+finite system, serve the verdicts.
 
 The bidirectional refinement (``hibi_compose``) composes systems whose source
 positions are distribution-valued: the middle wire is lifted with the monad
@@ -71,6 +74,7 @@ from .spaces import (
     Space,
     cardinality,
     check_count,
+    contains,
     expand_point,
     integer,
     is_finite,
@@ -337,9 +341,9 @@ class HierTable:
     key.  The options themselves, each key's (position, direction) responses
     as slot tuples (``normalize_point``) in the order ``hom_sections``
     offers them, are built from the keys only where they are read
-    (``options``, ``_options``).  A leaf table walks each lens for its key
-    and keeps one lens's responses per key; a composite table keeps keys,
-    not lenses (see ``_PairTable``), unless it is walked as a leaf.
+    (``_options``).  A leaf table walks each lens for its key and keeps one
+    lens's responses per key; a composite table keeps keys, not lenses (see
+    ``_PairTable``), unless it is walked as a leaf.
     ``step(s, o)`` is the next-state law of state s after response o, as a
     sparse row (state ids, weights).  A row is built when ``rows`` first
     interns it, so states that move alike share one row id.  ``law(d)`` is a
@@ -362,11 +366,6 @@ class HierTable:
             ends = itertools.accumulate(len(row[2]) for row in key)
             self._ranges.append([range(end - len(row[2]), end) for row, end in zip(key, ends)])
         return k
-
-    @property
-    def options(self) -> list:
-        """Each key's options, built from the keys when read."""
-        return [_options(key) for key in self.keys]
 
     def step(self, s: int, o: int) -> tuple:
         return self._rows[int(self.rows(np.array([s]), np.array([o]))[0])]
@@ -859,50 +858,23 @@ def _key_dist(pairs) -> Dist:
     return categorical(FiniteSpace(tuple(dict.fromkeys(k for k, _ in pairs))), pairs)
 
 
-def _closure_trace(hs: HierSystem, sigma, init: Dist, horizon: int) -> Trace:
-    """The trace of a hierarchical system by walking its emit and absorb
-    closures: the specification the tables are checked against, and the
-    route for systems whose states are not finite.  Each state reached
-    emits and is keyed once."""
-    respond = _strategy(sigma, (hs,))
-    emitted: dict = {}  # state -> (lens, key)
-
-    def lens_key(x) -> tuple:
-        hit = emitted.get(x)
-        if hit is None:
-            lens = hs.emit(x)
-            hit = emitted[x] = (lens, polymap_key(lens))
-        return hit
-
-    def moved(x) -> Dist:
-        lens, key = lens_key(x)
-        if (response := respond(key)) is None:
-            raise HierError("section has no entry for an emitted lens")
-        i = expand_point(hs.source.positions, response[0])
-        return hs.absorb(x, i, expand_point(hs.target.dirs_at(lens.forward(i)), response[1]))
-
-    values = []
-    law = init
-    for t in range(horizon + 1):
-        values.append(_key_dist([(lens_key(x)[1], w) for x, w in finite_items(law)]))
-        if t < horizon:
-            law = bind(law, moved)
-    return Trace(tuple(range(horizon + 1)), tuple(values))
-
-
 def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
     """Time-indexed distribution of what the system shows the world.
 
     For a hierarchical system this is the law of the emitted lens (by its
     ``polymap_key``, whose entries are slot tuples) under an environment
-    strategy, computed on the system's tables when its states are finite.
+    strategy.  It walks the emit and absorb closures from ``init`` and reads
+    only the states that law reaches: each reached state is checked to be a
+    state of the system and emits and is keyed once, and the section answers
+    each lens key once, with a response the lens must offer.  Reading stops
+    at the horizon, or once a tick leaves the state law equal (``==``) to
+    the law of the tick before, and the last law read stands for every later
+    tick: the trace always has horizon + 1 values.
     An open system on p is traced as the hierarchical system y -> p
     (``as_hier``) under a ``Section`` or a ``HomSection``, and each law is
     read back over the positions of p.
-    Exact by enumeration on finite supports.  On the tables, reading stops
-    at the horizon or once the laws repeat the tick before, and the last law
-    read stands for every later tick: the trace always has horizon + 1
-    values.  The horizon is a count (``spaces.check_count``)."""
+    Exact by enumeration on finite supports.  The horizon is a count
+    (``spaces.check_count``)."""
     horizon = check_count(horizon, "horizon", HierError)
     if isinstance(sys_, System):
         p = sys_.interface.positions
@@ -911,21 +883,41 @@ def trace(sys_, sigma, init: Dist, horizon: int) -> Trace:
             pushforward(lambda key: expand_point(p, key[0][1]), v, target=p)
             for v in tr.values
         ))
-    if not is_finite(sys_.states):
-        return _closure_trace(sys_, sigma, init, horizon)
-    table = tabulate(sys_)
-    n = len(table.keys)
-    laws = _key_laws(
-        table, np.arange(n), n, _choice(sigma, (sys_,), table.keys, table.options)[None, :],
-        table.law(init)[None, :], horizon,
-    )
+    respond = _strategy(sigma, (sys_,))
+    emitted: dict = {}  # state -> (lens, key)
+    answers: dict = {}  # lens key -> the section's (position, direction) there
+
+    def lens_key(x) -> tuple:
+        hit = emitted.get(x)
+        if hit is None:
+            if not contains(sys_.states, x):
+                raise HierError(f"{x!r} is not a state of the system")
+            lens = sys_.emit(x)
+            hit = emitted[x] = (lens, polymap_key(lens))
+        return hit
+
+    def moved(x) -> Dist:
+        lens, key = lens_key(x)
+        answer = answers.get(key)
+        if answer is None:
+            if (response := respond(key)) is None:
+                raise HierError(f"section has no entry for an emitted lens at tick {t}")
+            if response not in _options(key):
+                raise HierError("section offers a response the emitted lens lacks")
+            i = expand_point(sys_.source.positions, response[0])
+            answer = answers[key] = (
+                i, expand_point(sys_.target.dirs_at(lens.forward(i)), response[1]))
+        return sys_.absorb(x, *answer)
+
     values = []
-    for t, (kl, stopped) in enumerate(laws):
-        if stopped[0]:
-            raise HierError(f"section has no entry for an emitted lens at tick {t - 1}")
-        values.append(
-            _key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
-        )
+    law = init
+    for t in range(horizon + 1):
+        values.append(_key_dist([(lens_key(x)[1], w) for x, w in finite_items(law)]))
+        if t < horizon:
+            new = bind(law, moved)
+            if new == law:
+                break
+            law = new
     values += values[-1:] * (horizon + 1 - len(values))  # the laws repeat from here on
     return Trace(tuple(range(horizon + 1)), tuple(values))
 

@@ -464,10 +464,6 @@ def flow_from_json(spec) -> System:
     return system_from_json(_Spec(spec, "").object(_RUN_KEYS).field("system").value)
 
 
-def interface_from_json(obj: dict) -> Polynomial:
-    return _interface(_Spec(obj, "interface"))
-
-
 def _interface(r: _Spec) -> Polynomial:
     r.object(("positions", "directions"))
     at = r.field("positions")

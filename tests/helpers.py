@@ -8,10 +8,14 @@ of hiding behind a tolerance.
 
 import itertools
 
+import numpy as np
+
 from polydyn import (
     DETERMINISTIC,
     STOCHASTIC,
+    HierError,
     Rng,
+    Trace,
     categorical,
     dirac,
     finite,
@@ -20,6 +24,7 @@ from polydyn import (
     tabulated,
     time_nat,
 )
+from polydyn import hier
 
 
 def dyadic_dist(gen, space):
@@ -138,3 +143,27 @@ def calls_of(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def table_trace(hs, sigma, init, horizon: int):
+    """The trace of a finite hierarchical system read from its tables: the
+    table engine's reading, to compare ``trace``'s walk with.  The section
+    is an option per key (``hier._choice``), the initial law a vector over
+    state ids, and ``hier._key_laws`` moves it tick by tick.  Reading stops
+    at the horizon or once the law vector repeats the tick before, and the
+    last law read stands for every later tick.  A section with no entry for
+    a lens that tick t reaches is refused as at tick t."""
+    table = hier.tabulate(hs)
+    n = len(table.keys)
+    choice = hier._choice(sigma, (hs,), table.keys, [hier._options(key) for key in table.keys])
+    laws = hier._key_laws(table, np.arange(n), n, choice[None, :], table.law(init)[None, :],
+                          horizon)
+    values = []
+    for t, (kl, stopped) in enumerate(laws):
+        if stopped[0]:
+            raise HierError(f"section has no entry for an emitted lens at tick {t - 1}")
+        values.append(
+            hier._key_dist([(table.keys[k], w) for k, w in enumerate(kl[0].tolist()) if w != 0.0])
+        )
+    values += values[-1:] * (horizon + 1 - len(values))  # the laws repeat from here on
+    return Trace(tuple(range(horizon + 1)), tuple(values))

@@ -5,12 +5,17 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polydyn import as_hier, finite_items, trace
 from polydyn.cli import _SUITES, main
+from polydyn.specio import run_from_json
+
+from helpers import table_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "scripts" / "specs"
@@ -77,6 +82,51 @@ def test_explicit_table_run_is_pinned(tmp_path):
     ]
     for name in ("a.csv", "b.csv"):
         assert run_to_file(tmp_path, name, argv + ["--seed", "7"]) == (0, data)
+
+
+def test_a_run_reads_only_the_states_its_initial_law_reaches(tmp_path):
+    """A counter on 10**5 states, run from 0 for 6 ticks: ``trace`` reads
+    the output of the 7 states the run reaches, each once, and the run's
+    rows are those of the 7-state counter, the smallest that does not wrap
+    round within 6 ticks."""
+    spec = json.loads((SPECS / "counter.json").read_text())
+    big = {**spec, "system": {"named": "counter", "n": 10**5}}
+    sys_, sigma, init, horizon, _ = run_from_json(big)
+    read = []
+    output = sys_.output
+    counted = replace(sys_, output=lambda t, s: read.append(s) or output(t, s))
+    values = trace(counted, sigma, init, horizon).values
+    assert read == list(range(7))
+    assert [v.point for v in values] == list(range(7))
+    rows = []
+    for n in (10**5, 7):
+        path = tmp_path / f"counter{n}.json"
+        path.write_text(json.dumps({**spec, "system": {"named": "counter", "n": n}}))
+        rows.append(run_to_file(tmp_path, f"counter{n}.csv", ["run", "--spec", str(path)]))
+    assert rows[0] == rows[1]
+    assert rows[0][1].decode().split("\n")[1:-1] == [f"{t},{t}" for t in range(7)]
+
+
+def test_a_run_whose_law_settles_stops_moving_it():
+    """markov.json's state law repeats itself, bit for bit, from tick 99 on:
+    a trace over 10**4 ticks still has a value per tick, every value from
+    tick 100 on is tick 100's, ``update`` is called for at most 101 ticks
+    of the two states, and as the system y -> p every value is the table
+    reading's, bit for bit."""
+    sys_, sigma, init, _, _ = run_from_json(json.loads((SPECS / "markov.json").read_text()))
+    horizon = 10**4
+    moved = []
+    update = sys_.update
+    counted = replace(sys_, update=lambda t, s, d: moved.append(s) or update(t, s, d))
+    values = trace(counted, sigma, init, horizon).values
+    assert len(values) == horizon + 1
+    assert all(v == values[100] for v in values[100:])
+    assert len(moved) <= 2 * 101
+    hs = as_hier(sys_)
+    walked = trace(hs, sigma, init, horizon).values
+    tabled = table_trace(hs, sigma, init, horizon).values
+    assert [[w.hex() for _, w in sorted(finite_items(v))] for v in walked] == [
+        [w.hex() for _, w in sorted(finite_items(v))] for v in tabled]
 
 
 def _finite(*labels) -> dict:

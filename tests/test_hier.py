@@ -50,7 +50,8 @@ from polydyn import (
     y,
 )
 from polydyn import hier
-from polydyn.hier import _closure_trace
+
+from helpers import table_trace
 
 A = finite(0, 1, 2)
 
@@ -69,6 +70,16 @@ def blinker(n: int) -> HierSystem:
         return dirac(states, (x + 1) % n)
 
     return mk_hier(y(), linear(B), states, emit, absorb)
+
+
+def drift_leaf() -> HierSystem:
+    """A leaf on the states R^1, which have no table: it shows "even", as
+    blinker's even states do, and moves x to x + 1."""
+    states = euclid(1)
+    B = finite("even", "odd")
+    return mk_hier(y(), linear(B), states,
+                   lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
+                   lambda x, i, d: dirac(states, (x[0] + 1.0,)))
 
 
 # -- comonoid structure ------------------------------------------------------
@@ -472,7 +483,7 @@ def test_a_standalone_leaf_answering_off_its_fibre_is_refused():
                r"which is not a point of finite\['s0', 's1'\]")
     for run in (lambda: tabulate(leaf),
                 lambda: quasi_bisim(leaf, leaf, "forall", "forall", horizon=2),
-                lambda: _closure_trace(leaf, HomSection(()), dirac(unit(), ()), 2)):
+                lambda: trace(leaf, HomSection(()), dirac(unit(), ()), 2)):
         with pytest.raises(PolyError, match=message):
             run()
 
@@ -624,13 +635,14 @@ def from_the_start(monkeypatch):
 
 
 def test_forking_equals_the_closure_walk():
-    """With its started flag in the state, ``forking`` traces as the closure
-    walk does, at tolerance 0, from every state and under every section."""
+    """With its started flag in the state, ``forking``'s tables read the
+    trace the closure walk gives, at tolerance 0, from every state and under
+    every section."""
     for hs in (forking(), forking(swap=True)):
         for sigma in hom_sections([hs]):
             for x in points(hs.states):
                 start = dirac(hs.states, x)
-                got, want = trace(hs, sigma, start, 3), _closure_trace(hs, sigma, start, 3)
+                got, want = trace(hs, sigma, start, 3), table_trace(hs, sigma, start, 3)
                 assert got == want, (x, sigma)
 
 
@@ -682,12 +694,8 @@ def test_a_refutation_stands_without_reading_a_later_partial_section(from_the_st
 
 
 def test_quasi_bisim_on_infinite_states_needs_explicit_sections():
-    states = euclid(1)
-    B = finite("even", "odd")
-    drift = mk_hier(y(), linear(B), states,
-                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
-    start = [dirac(states, (0.0,))]
+    drift = drift_leaf()
+    start = [dirac(drift.states, (0.0,))]
     with pytest.raises(HierError, match="explicit sections"):
         quasi_bisim(drift, drift, horizon=2, alphas=start, betas=start)
 
@@ -697,12 +705,8 @@ def test_a_negative_horizon_is_refused():
     point refuses it by name, for finite and infinite states."""
     hs = blinker(2)
     sigma = hom_sections([hs])[0]
-    states = euclid(1)
-    B = finite("even", "odd")
-    drift = mk_hier(y(), linear(B), states,
-                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
-    start = [dirac(states, (0.0,))]
+    drift = drift_leaf()
+    start = [dirac(drift.states, (0.0,))]
     for refused in (
         lambda: trace(hs, sigma, dirac(hs.states, 0), -1),
         lambda: quasi_bisim(hs, blinker(4), horizon=-1),
@@ -793,14 +797,20 @@ def test_a_flat_system_is_related_to_the_hierarchical_system_from_y():
 
 
 def test_a_law_off_the_states_is_refused_by_name():
-    """A leaf's table and a composite's table refuse an initial law whose
-    atom is not one of their states, and name the atom."""
+    """A trace of a leaf or a composite, and a leaf's table and a
+    composite's table in a verdict, refuse an initial law whose atom is not
+    one of their states, and name the atom."""
     hs = blinker(2)
+    off = dirac(finite(9), 9)
     with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
-        trace(hs, hom_sections([hs])[0], dirac(finite(9), 9), 2)
+        trace(hs, hom_sections([hs])[0], off, 2)
+    with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
+        quasi_bisim(hs, hs, horizon=2, alphas=[off])
     pair = tensor_hier(blinker(2), blinker(2))
+    with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
+        trace(pair, hom_sections([pair])[0], off, 2)
     with pytest.raises(HierError, match=r"^9 is not a state of the composite$"):
-        trace(pair, hom_sections([pair])[0], dirac(finite(9), 9), 2)
+        quasi_bisim(pair, pair, horizon=2, alphas=[off])
 
 
 def test_a_section_offering_a_response_the_lens_lacks_is_refused():
@@ -815,25 +825,40 @@ def test_a_section_offering_a_response_the_lens_lacks_is_refused():
 
 def test_a_walked_trace_under_a_section_without_its_lens_is_refused():
     """A system with no table meets a lens its section has no entry for."""
-    states = euclid(1)
-    B = finite("even", "odd")
-    drift = mk_hier(y(), linear(B), states,
-                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
-    with pytest.raises(HierError, match=r"^section has no entry for an emitted lens$"):
-        trace(drift, HomSection(()), dirac(states, (0.0,)), 2)
+    drift = drift_leaf()
+    with pytest.raises(HierError, match=r"^section has no entry for an emitted lens at tick 0$"):
+        trace(drift, HomSection(()), dirac(drift.states, (0.0,)), 2)
+
+
+@pytest.mark.parametrize("kind", ("leaf", "composite", "infinite"))
+def test_each_trace_refusal_fires_by_name(kind):
+    """``trace`` refuses by name on a finite leaf, on a composite and on a
+    leaf whose states have no table alike: an initial atom that is not a
+    state, a section with no entry for the lens a tick reaches (a lens
+    reached at the last tick needs none), and a response that lens lacks."""
+    hs, x = {"leaf": (blinker(2), 0),
+             "composite": (tensor_hier(blinker(2), blinker(2)), (0, 0)),
+             "infinite": (drift_leaf(), (0.0,))}[kind]
+    start = dirac(hs.states, x)
+    key = polymap_key(hs.emit(x))
+    (position, _), *_ = hier._options(key)
+    assert len(trace(hs, HomSection(()), start, 0).values) == 1
+    for sigma, law, message in (
+        (HomSection(()), dirac(finite(9), 9), r"^9 is not a state of the system$"),
+        (HomSection(()), start, r"^section has no entry for an emitted lens at tick 0$"),
+        (HomSection(((key, (position, ("nowhere",))),)), start,
+         r"^section offers a response the emitted lens lacks$"),
+    ):
+        with pytest.raises(HierError, match=message):
+            trace(hs, sigma, law, 2)
 
 
 def test_a_side_with_no_candidate_law_is_refused():
     """Over states that are not finite, a side with neither provided laws
     nor an ``init`` has no candidate, whichever its quantifier."""
-    states = euclid(1)
-    B = finite("even", "odd")
-    drift = mk_hier(y(), linear(B), states,
-                    lambda x: det_polymap(y(), linear(B), lambda i: "even", lambda i, d: ()),
-                    lambda x, i, d: dirac(states, (x[0] + 1.0,)))
+    drift = drift_leaf()
     sections = hom_sections([blinker(2)])
-    start = [dirac(states, (0.0,))]
+    start = [dirac(drift.states, (0.0,))]
     with pytest.raises(HierError,
                        match=r"^no initial-state candidates available for quantifier 'exists'$"):
         quasi_bisim(drift, drift, sections=sections, horizon=2)

@@ -27,7 +27,7 @@ from polydyn import (
     unit,
 )
 from polydyn.spaces import check_count, integer
-from polydyn.specio import SpecError, interface_from_json
+from polydyn.specio import SpecError, system_from_json
 
 
 def test_membership_basics():
@@ -142,11 +142,11 @@ def test_one_tuple_is_one_label():
 def test_a_spec_label_that_is_a_list_is_refused():
     """A spec's list of labels holding one list is refused as it is with
     two, not read as the labels of that list."""
-    message = r"^spec key 'interface\.positions\[0\]' must be a label, got \[0, 1\]$"
+    message = r"^spec key 'system\.interface\.positions\[0\]' must be a label, got \[0, 1\]$"
     with pytest.raises(SpecError, match=message):
-        interface_from_json({"positions": [[0, 1]]})
+        system_from_json({"interface": {"positions": [[0, 1]]}})
     with pytest.raises(SpecError, match=message):
-        interface_from_json({"positions": [[0, 1], [1, 0]]})
+        system_from_json({"interface": {"positions": [[0, 1], [1, 0]]}})
 
 
 def test_point_json_roundtrip():

@@ -106,7 +106,8 @@ def test_a_verdict_absorbs_each_state_and_response_once(monkeypatch, horizon):
 
     monkeypatch.setattr(hier._LeafTable, "_absorb", absorb)
     assert bayes_check(*bayes_3x3(), horizon=horizon)["related"] is True
-    pairs = sum(len(tb.options[k]) for tb in tables.values() for k in tb.key_of.tolist())
+    pairs = sum(len(hier._options(tb.keys[k])) for tb in tables.values()
+                for k in tb.key_of.tolist())
     assert set(absorbed.values()) == {1}
     assert sum(absorbed.values()) <= pairs
 

@@ -6,9 +6,10 @@ and labelled fibres, every leaf with an initial law -- and combines them with ``
 ``tensor_hier`` up to depth 3, with compose middles whose backward laws are
 point masses or mixtures.  The closure walk is the specification: at
 tolerance zero, every key and reached row of a table is the closure's, and
-every trace, from the system's own initial law and from each candidate
-initial law, is ``hier._closure_trace``.  State spaces have power-of-two
-sizes and weights are dyadic, so every sum either side performs is exact.
+every trace that ``helpers.table_trace`` reads from the tables, from the
+system's own initial law and from each candidate initial law, is
+``trace``'s walk.  State spaces have power-of-two sizes and weights are
+dyadic, so every sum either side performs is exact.
 
 Pairs of systems whose laws repeat bit for bit from different ticks, or
 never, check that a verdict does not depend on how its sections are
@@ -69,7 +70,7 @@ from polydyn import (
 )
 from polydyn import hier
 
-from helpers import dyadic_dist
+from helpers import dyadic_dist, table_trace
 
 HORIZON = 2
 SECTIONS = 2  # sections drawn per system, from the seeded family
@@ -183,7 +184,7 @@ def test_generated_table_keys_and_rows_equal_the_closures(hs):
         assert table.keys[k] == polymap_key(lens), x
         resp = [(i, d) for i in points(lens.source.positions)
                 for d in points(lens.target.dirs_at(lens.forward(i)))]
-        assert len(resp) == len(table.options[k])
+        assert len(resp) == len(hier._options(table.keys[k]))
         for o, (i, d) in enumerate(resp):
             ids, ws = table.step(s, o)
             want = np.zeros(table.size)
@@ -202,8 +203,8 @@ def test_generated_traces_equal_the_closure_traces(hs):
     inits = [hs.init, *hier._candidates(hs, None, "forall")]
     for sigma in sections_of(hs):
         for init in inits:
-            got = trace(hs, sigma, init, HORIZON).values
-            want = hier._closure_trace(hs, sigma, init, HORIZON).values
+            got = table_trace(hs, sigma, init, HORIZON).values
+            want = trace(hs, sigma, init, HORIZON).values
             for t, (g, w) in enumerate(zip(got, want)):
                 assert dist_distance(g, w) == 0.0, (init, t, g, w)
 
@@ -283,8 +284,7 @@ def settling_pairs(draw, depth: int = 2, source=None):
 
 def walked_deviations(theta, psi, sections, horizon, max_sections):
     """``hier._table_deviations`` read from traces that walk the closures
-    (with ``hier.trace`` set to ``hier._closure_trace``), every tick of every
-    section."""
+    (``hier.trace``), every tick of every section."""
     choices, _ = TABLE_DEVIATIONS(theta, psi, sections, horizon, max_sections)
     if sections is None:
         sections = hom_sections([theta, psi], max_sections)
@@ -310,7 +310,6 @@ def test_generated_verdicts_do_not_depend_on_the_chunks(pair, modes, tol):
         alone = verdict()
     with pytest.MonkeyPatch.context() as m:
         m.setattr(hier, "_table_deviations", walked_deviations)
-        m.setattr(hier, "trace", hier._closure_trace)
         walked = verdict()
     assert repr(chunked) == repr(alone) == repr(walked)
 

@@ -1,12 +1,13 @@
 """The tables of finite hierarchical systems against the closures they
 replace.
 
-``trace`` and ``quasi_bisim`` run on ``tabulate``'s index arrays and sparse
-rows; ``hier._closure_trace`` walks the emit and absorb closures, which are
-the specification.  On seeded corpora with weights k/8 -- and state spaces
-whose sizes are powers of two, so the uniform law is dyadic too -- every sum
-either side performs is exact, so the two must agree at tolerance zero for
-every candidate initial law and every section.
+``quasi_bisim`` runs on ``tabulate``'s index arrays and sparse rows, and
+``helpers.table_trace`` reads a trace from them; ``trace`` walks the emit
+and absorb closures, which are the specification.  On seeded corpora with
+weights k/8 -- and state spaces whose sizes are powers of two, so the
+uniform law is dyadic too -- every sum either side performs is exact, so the
+two must agree at tolerance zero for every candidate initial law and every
+section.
 
 Flat systems are traced and compared as hierarchical systems y -> p
 (``as_hier``).  Their reference is the bind walk of the section-closed
@@ -71,7 +72,13 @@ from polydyn import (
 )
 from polydyn import hier
 
-from helpers import calls_of, dyadic_channel_prior, dyadic_dist, random_finite_system
+from helpers import (
+    calls_of,
+    dyadic_channel_prior,
+    dyadic_dist,
+    random_finite_system,
+    table_trace,
+)
 
 HORIZON = 3
 MODES = list(itertools.product(("exists", "forall"), repeat=2))
@@ -208,8 +215,8 @@ def test_table_traces_equal_closure_traces(name, theta, psi, provided):
     for sys_, given in sides:
         for init in hier._candidates(sys_, given, "forall"):
             for k, sigma in enumerate(sections):
-                got = trace(sys_, sigma, init, HORIZON).values
-                want = hier._closure_trace(sys_, sigma, init, HORIZON).values
+                got = table_trace(sys_, sigma, init, HORIZON).values
+                want = trace(sys_, sigma, init, HORIZON).values
                 for t, (g, w) in enumerate(zip(got, want)):
                     assert dist_distance(g, w) == 0.0, (name, init, k, t, g, w)
 
@@ -237,7 +244,7 @@ def test_table_keys_and_rows_equal_the_closures(name, theta, psi, provided):
                 got = np.zeros(table.size)
                 got[ids] = ws
                 assert np.array_equal(got, want), (name, x, o)
-            assert len(resp) == len(table.options[k])
+            assert len(resp) == len(hier._options(table.keys[k]))
 
 
 def test_hom_sections_offer_the_closure_keys_in_first_seen_order():
@@ -263,7 +270,7 @@ def closure_verdict(theta, psi, alpha_mode, beta_mode, horizon, tol, alphas, tra
     def values(side, sys_, cands, c, si):
         key = (side, c, si)
         if key not in traces:
-            traces[key] = hier._closure_trace(sys_, sections[si], cands[c], horizon).values
+            traces[key] = trace(sys_, sections[si], cands[c], horizon).values
         return traces[key]
 
     def match(a, b):
@@ -379,14 +386,21 @@ def flat_reference_trace(sys_, sigma, init, horizon: int) -> list:
 @pytest.mark.parametrize("n_states", (2, 4, 8))
 @pytest.mark.parametrize("stochastic", (True, False))
 def test_flat_traces_equal_the_bind_walk(n_states, stochastic):
+    """A flat trace is the bind walk, and as the system y -> p its lens laws
+    are the table reading's."""
     for k in (0, 2, 5):
         sys_ = random_finite_system(Rng(82).child(k), stochastic, n_states=n_states)
-        for init in hier._candidates(as_hier(sys_), None, "forall"):
+        hs = as_hier(sys_)
+        for init in hier._candidates(hs, None, "forall"):
             for sigma in all_sections(sys_.interface):
                 got = trace(sys_, sigma, init, HORIZON).values
                 want = flat_reference_trace(sys_, sigma, init, HORIZON)
                 for t, (g, w) in enumerate(zip(got, want)):
                     assert g.space == w.space, (n_states, k, t)
+                    assert dist_distance(g, w) == 0.0, (n_states, k, init, t, g, w)
+                walked = trace(hs, sigma, init, HORIZON).values
+                tabled = table_trace(hs, sigma, init, HORIZON).values
+                for t, (g, w) in enumerate(zip(walked, tabled, strict=True)):
                     assert dist_distance(g, w) == 0.0, (n_states, k, init, t, g, w)
 
 
@@ -416,8 +430,8 @@ def test_equal_laws_built_apart_mix_as_one_law():
     composite = compose_hier(beta, gamma)
     for hs, start in ((as_hier(markov), init), (composite, composite.init)):
         sigma = hom_sections([hs])[0]
-        want = hier._closure_trace(hs, sigma, start, 2).values
-        assert trace(hs, sigma, start, 2).values == want
+        want = trace(hs, sigma, start, 2).values
+        assert table_trace(hs, sigma, start, 2).values == want
         assert sorted(w for _, w in finite_items(want[1])) == [0.3, 0.7]
 
 
@@ -466,8 +480,8 @@ def test_a_copy_of_a_composite_is_tabulated_from_its_own_data():
     for copy in copies:
         assert copy.factors is None and type(tabulate(copy)) is hier._LeafTable
         sigma = hom_sections([copy])[0]
-        got = trace(copy, sigma, copy.init, 3).values
-        want = hier._closure_trace(copy, sigma, copy.init, 3).values
+        got = table_trace(copy, sigma, copy.init, 3).values
+        want = trace(copy, sigma, copy.init, 3).values
         assert [dist_distance(g, w) for g, w in zip(got, want, strict=True)] == [0.0] * 4
     assert tabulate(copies[0]).law(copies[0].init).tolist() == [0.0, 1.0]
     with pytest.raises(ValueError, match="init=False"):
@@ -872,18 +886,18 @@ def test_clocked_fixtures_equal_the_closure_walk(k):
     hs, sections, tol = clocked_fixtures()[k]
     for init in hier._candidates(hs, None, "forall"):
         for sigma in sections:
-            got = trace(hs, sigma, init, HORIZON).values
-            want = hier._closure_trace(hs, sigma, init, HORIZON).values
+            got = table_trace(hs, sigma, init, HORIZON).values
+            want = trace(hs, sigma, init, HORIZON).values
             for t, (g, w) in enumerate(zip(got, want)):
                 assert dist_distance(g, w) <= tol, (k, init, t, g, w)
 
 
 def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
-    """The closure route reads the one-tick emit of every state it reaches
-    and keys it once, for the trace value and the section's response alike:
-    3 keys for a prior of 3 states copied, over 4 ticks, one per reached
-    state, where keying each (tick, state) and again for the response took
-    21."""
+    """``trace`` reads the one-tick emit of every state it reaches and keys
+    it once, for the trace value and the section's response alike: 3 keys
+    for a prior of 3 states copied, over 4 ticks, one per reached state,
+    where keying each (tick, state) and again for the response took 21.
+    Its values are the table reading's."""
     A = finite(0, 1, 2)
     hs = compose_hier(prior_system(uniform(A)), copy_system(A))
     sigma = hom_sections([hs])[0]
@@ -895,10 +909,10 @@ def test_the_closure_walk_keys_each_reached_state_once(monkeypatch):
         return real_key(lens)
 
     monkeypatch.setattr(hier, "polymap_key", counted)
-    values = hier._closure_trace(hs, sigma, hs.init, 3).values
+    values = trace(hs, sigma, hs.init, 3).values
     assert len(values) == 4 and len(keyed) == 3
     monkeypatch.undo()
-    for got, want in zip(trace(hs, sigma, hs.init, 3).values, values):
+    for got, want in zip(table_trace(hs, sigma, hs.init, 3).values, values, strict=True):
         assert dist_distance(got, want) == 0.0
 
 
@@ -930,8 +944,8 @@ def test_a_leaf_that_settles_late_equals_the_closure_walk():
     late = chain((1, 2, 2), "abc")
     sigma = hom_sections([late])[0]
     for init in hier._candidates(late, None, "forall"):
-        got = trace(late, sigma, init, 5).values
-        want = hier._closure_trace(late, sigma, init, 5).values
+        got = table_trace(late, sigma, init, 5).values
+        want = trace(late, sigma, init, 5).values
         assert len(got) == 6
         for t, (g, w) in enumerate(zip(got, want)):
             assert dist_distance(g, w) == 0.0, (init, t, g, w)
@@ -961,14 +975,15 @@ def test_a_mismatch_after_one_side_settles_keeps_its_tick(monkeypatch):
 
 def test_a_swap_that_never_settles_advances_every_tick(monkeypatch):
     """Two states that swap at every tick, from a point mass: the law never
-    repeats, so a trace advances horizon times and a verdict of the swap
-    against itself horizon times per side, and both are the closure's."""
+    repeats, so the table reading of its trace advances horizon times and a
+    verdict of the swap against itself horizon times per side, and both are
+    the closure walk's."""
     swap = chain((1, 0), "ab")
     sigma = hom_sections([swap])[0]
     advanced = calls_of(monkeypatch, hier, "_advance")
-    got = trace(swap, sigma, swap.init, 6).values
+    got = table_trace(swap, sigma, swap.init, 6).values
     assert len(advanced) == 6
-    want = hier._closure_trace(swap, sigma, swap.init, 6).values
+    want = trace(swap, sigma, swap.init, 6).values
     assert [dist_distance(g, w) for g, w in zip(got, want, strict=True)] == [0.0] * 7
     del advanced[:]
     verdict = quasi_bisim(swap, swap, "forall", "forall", horizon=6, tol=0.0)
@@ -981,13 +996,13 @@ def test_a_swap_that_never_settles_advances_every_tick(monkeypatch):
 def test_a_settling_trace_has_a_value_per_tick(horizon):
     """A one-state leaf, and the swap from its uniform law, repeat their
     laws after one tick; their traces still hold horizon + 1 values, the
-    closure's."""
+    table reading's."""
     swap = chain((1, 0), "ab")
     for hs, init in ((chain((0,), "a"), None), (swap, uniform(swap.states))):
         init = hs.init if init is None else init
         sigma = hom_sections([hs])[0]
         got = trace(hs, sigma, init, horizon)
-        want = hier._closure_trace(hs, sigma, init, horizon)
+        want = table_trace(hs, sigma, init, horizon)
         assert got.times == want.times == tuple(range(horizon + 1))
         assert len(got.values) == horizon + 1
         for g, w in zip(got.values, want.values, strict=True):
