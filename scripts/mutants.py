@@ -423,17 +423,28 @@ MUTANTS = (
         "for a in w1)",
         ("tests/test_dist.py::test_label_distance_is_the_prob_scan_bit_for_bit",),
     ),
-    # every closure's compose cases taken to hold by construction, the walked
+    # every closure's compose cases taken to hold by construction, the RK4
     # and user-kernel ones too, where the law can break
     Mutant(
         "by-construction-on-every-closure",
         "src/polydyn/systems.py",
-        "    if isinstance(cs, _TabulatedClosure):\n"
+        "    if isinstance(cs, _DiscreteClosure):\n"
         "        return np.zeros((len(splits), len(states)))\n",
         "    if isinstance(cs, ClosedSystem):\n"
         "        return np.zeros((len(splits), len(states)))\n",
         ("tests/test_law_reports.py::test_a_block_reports_every_failing_state_in_order",
          "tests/test_vector_field.py::test_a_field_that_reads_a_call_counter_fails_the_flow_law"),
+    ),
+    # a discrete closure past the table has its compose cases stepped, so
+    # the rounding of its nested binds decides its verdict
+    Mutant(
+        "untabled-closure-stepped",
+        "src/polydyn/systems.py",
+        "    if isinstance(cs, _DiscreteClosure):\n"
+        "        return np.zeros((len(splits), len(states)))\n",
+        "    if isinstance(cs, _DiscreteClosure) and cs.table is not None:\n"
+        "        return np.zeros((len(splits), len(states)))\n",
+        ("tests/test_law_reports.py::test_a_closure_past_the_table_composes_by_construction",),
     ),
     # a missing power of the tick matrix built one tick short, so step(t)
     # is no longer the t-fold product the compose rule relies on
@@ -444,8 +455,8 @@ MUTANTS = (
         "            for _ in range(t - k - 1):\n",
         ("tests/test_systems.py::test_a_tabulated_closure_composes_up_to_rounding",),
     ),
-    # a flow check's compose cases take any split, off the time monoid: a
-    # tabulated closure reads a power at it, and a walked one names s + t
+    # a flow check's compose cases take any split, off the time monoid, and
+    # the zero rows of a discrete closure hold it without a word
     Mutant(
         "tabulated-split-unchecked",
         "src/polydyn/systems.py",

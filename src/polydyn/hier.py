@@ -506,7 +506,7 @@ class _PairTable(HierTable):
 
     def state_id(self, x) -> int:
         if not (isinstance(x, tuple) and len(x) == 2):
-            raise HierError(f"{x!r} is not a state of the composite")
+            raise HierError(f"{x!r} is not a state of the system")
         return self._left.state_id(x[0]) * self._right.size + self._right.state_id(x[1])
 
     def rows(self, sid: np.ndarray, opt: np.ndarray) -> np.ndarray:

@@ -8,28 +8,28 @@ family of Markov kernels on the states.
 
 Time is a monoid of integer ticks (optionally scaled by a real step h).  For
 discrete-map systems the stored output/update maps are the one-tick
-components; the t-tick kernel is the t-fold Kleisli iterate.  On finite
-states that iterate is the t-th power of one row-stochastic matrix P, the
-one-tick kernel under the section, so a closure on up to 512 states reads its
-t-tick laws from the rows of P^t.  Its flow law then holds by construction,
-P^(s+t) = P^t P^s being the associativity of the product, so the flow checks
-report its compose cases as the zero deviations they are and multiply
-nothing.  A square law between two such closures reads both of its sides
-from rows of their powers; a check that reads one closure in many squares,
-as a bundle check does, makes each (closure, t) block of rows once.  The law
+components; the t-tick kernel is the t-fold Kleisli iterate.  A closure on
+up to 512 finite states reads it from the rows of P^t, P being the one-tick
+kernel under the section as a row-stochastic matrix; one on more states binds
+t one-tick laws.  Either way its flow law holds by construction, by the
+associativity of the product or of Kleisli composition, so the flow checks
+report its compose cases as the zero deviations they are and step nothing.
+A square law between two closures that keep P reads both of its sides from
+rows of their powers; a check that reads one closure in many squares, as a
+bundle check does, makes each (closure, t) block of rows once.  The law
 content is the zero case and the probe that the stored maps really are
 tick-stationary.  Continuous-time systems integrate a vector field with a
 fixed-step classic Runge-Kutta scheme: an open system holds its input for the
 whole call (zero-order hold), while its closure feeds the section's direction
-back at every stage of every step.  The RK4 closure and a discrete closure on
-more states step by walking one tick at a time from each start: step(t, x) is
-the t-th law of the walk from x, and both flow checks keep one walk per start
-for the length of the call.
+back at every stage of every step.  The RK4 closure steps by walking one tick
+at a time from each start, and both flow checks keep one walk per start for
+the length of the call.  They measure its compose cases, which a field that
+is not a function of the state alone breaks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -120,9 +120,11 @@ class ClosedSystem:
     step: Callable  # (t, state) -> Dist over states
 
 
-# A discrete closure on at most this many states is tabulated: each power of
-# its tick matrix that is kept holds N*N floats, 2 MiB at this size.  A larger
-# one steps by nested binds, whose memory does not grow with N*N.
+# A discrete closure on at most this many states keeps its tick matrix: each
+# power of it that is kept holds N*N floats, 2 MiB at this size.  A larger one
+# binds one-tick laws instead, whose memory does not grow with N*N.  Either
+# way its steps are the one-tick kernel's iterates, so the bound decides no
+# verdict.
 _TABLE_MAX_STATES = 512
 
 
@@ -178,31 +180,40 @@ class _TickPowers:
 
 
 @record
-class _TabulatedClosure(ClosedSystem):
-    """A discrete closure on finite states, with its tick matrix's powers."""
+class _DiscreteClosure(ClosedSystem):
+    """The closure of a discrete map: step(t) is the t-fold iterate of its
+    one-tick kernel.  ``table`` holds its tick matrix's powers on at most
+    ``_TABLE_MAX_STATES`` finite states, and is None otherwise."""
 
-    table: _TickPowers
+    table: Optional[_TickPowers]
 
 
 class _Walk:
-    """The ticks of a closure from one start: ``law(t)`` extends the walk one
-    tick at a time up to t, keeps the value of every tick, and returns the
-    law of the t-th.  ``key`` is what the closure reads of the start."""
+    """The classic RK4 steps of h from x along ``field``, which maps a point
+    of ``states`` to its tangent: ``law(t)`` extends the walk one step at a
+    time up to t, keeps the vector of every step, and returns the point mass
+    at the t-th.  x may be written with lists or arrays in place of tuples.
+    The walk is keyed by the raw bytes of the start vector, not by ``==``,
+    so -0.0 and 0.0 are two starts."""
 
-    def __init__(self, key, first, advance: Callable, law_of: Callable):
-        self.key = key
-        self._values, self._advance, self._law_of = [first], advance, law_of
+    def __init__(self, field: Callable, states: Space, x, h: float):
+        vec = np.asarray(flatten_floats(states, check_point(states, _tuplify(x))), dtype=float)
+        self.key = vec.tobytes()
+        self._field, self._states, self._h, self._values = field, states, h, [vec]
+
+    def _tangent(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(self._field(unflatten_floats(self._states, v.tolist())), dtype=float)
 
     def law(self, t: int) -> Dist:
         values = self._values
         while len(values) <= t:
-            values.append(self._advance(values[-1]))
-        return self._law_of(values[t])
+            values.append(rk4_step(self._tangent, values[-1], self._h))
+        return dirac(self._states, unflatten_floats(self._states, values[t].tolist()))
 
 
 @record
 class _IteratedClosure(ClosedSystem):
-    """A closure that iterates its one tick: ``walk(x)`` is a fresh walk from
+    """The RK4 closure of a vector field: ``walk(x)`` is a fresh walk from
     x, and step(t, x) is its t-th law."""
 
     walk: Callable  # state -> _Walk
@@ -271,11 +282,10 @@ def _validate_finite(sys_: System) -> None:
 def closure(sys_: System, sigma: Section) -> ClosedSystem:
     """Close an open system with a section: at each state, feed the direction
     the section assigns to the current output position.  A continuous-time
-    system is closed by integrating the autonomous field x |-> f(x, sigma(g(x))).
-    A discrete one reads step(t) off the t-th power of its tick matrix when it
-    has at most ``_TABLE_MAX_STATES`` states, and binds t one-tick laws
-    otherwise.  The RK4 and bind closures step(t, x) by a walk of t ticks
-    from x."""
+    system is closed by integrating the autonomous field x |-> f(x, sigma(g(x))),
+    and steps step(t, x) by a walk of t RK4 steps from x.  A discrete one
+    reads step(t) off the t-th power of its tick matrix when it has at most
+    ``_TABLE_MAX_STATES`` states, and binds t one-tick laws otherwise."""
     if sigma.of != sys_.interface:
         raise OpenSystemError("section does not match the system interface")
 
@@ -286,38 +296,32 @@ def closure(sys_: System, sigma: Section) -> ClosedSystem:
             return f(x, sigma.assign(sys_.output(1, x)))
 
         def walk(x) -> _Walk:
-            return _rk4_walk(closed, sys_.states, x, sys_.time.h)
+            return _Walk(closed, sys_.states, x, sys_.time.h)
 
-        return _iterated(sys_, walk)
+        def rk4(t: int, s):
+            t = sys_.time.check(t)
+            return walk(s).law(t)
+
+        return _IteratedClosure(sys_.states, sys_.time, rk4, walk)
 
     def one_tick(s):
         return sys_.update(1, s, sigma.assign(sys_.output(1, s)))
 
+    table = None
     if is_finite(sys_.states) and cardinality(sys_.states) <= _TABLE_MAX_STATES:
         table = _TickPowers(sys_.states, one_tick)
 
-        def step(t: int, s):
-            t = sys_.time.check(t)
-            if t == 0:
-                return dirac(sys_.states, s)
-            s = check_point(sys_.states, s)
-            return one_tick(s) if t == 1 else table.law(t, s)
-
-        return _TabulatedClosure(sys_.states, sys_.time, step, table)
-
-    def walk(x) -> _Walk:
-        first = dirac(sys_.states, x)
-        return _Walk(first.point, first, lambda law: bind(law, one_tick), lambda law: law)
-
-    return _iterated(sys_, walk)
-
-
-def _iterated(sys_: System, walk: Callable) -> _IteratedClosure:
     def step(t: int, s):
         t = sys_.time.check(t)
-        return walk(s).law(t)
+        if table is None or t == 0:
+            law = dirac(sys_.states, s)
+            for _ in range(t):
+                law = bind(law, one_tick)
+            return law
+        s = check_point(sys_.states, s)
+        return one_tick(s) if t == 1 else table.law(t, s)
 
-    return _IteratedClosure(sys_.states, sys_.time, step, walk)
+    return _DiscreteClosure(sys_.states, sys_.time, step, table)
 
 
 def closed_from_kernel(states: Space, time: TimeMonoid, kernel: Callable) -> ClosedSystem:
@@ -411,11 +415,14 @@ def _compose_gaps(cs: ClosedSystem, splits, states) -> np.ndarray:
     each state of the sample, in its order, for the k-th split (s, t), as
     ints the time monoid has checked.
 
-    A tabulated closure reads step(t) from P^t, the t-fold product of its
-    tick matrix P, so step(s+t) = step(s) after step(t) by the associativity
-    of the product: its block is that exact deviation, a zero row per split,
-    and nothing is multiplied.  Every other closure is stepped."""
-    if isinstance(cs, _TabulatedClosure):
+    A discrete closure's step(t) is the t-fold iterate of its one-tick
+    kernel: t binds of it, or on at most ``_TABLE_MAX_STATES`` states the
+    rows of P^t, the t-fold product of its tick matrix P.  So step(s+t) =
+    step(s) after step(t) by the associativity of Kleisli composition, or of
+    the product: its block is that exact deviation, a zero row per split,
+    and nothing is stepped.  Every other closure is stepped: an RK4 closure
+    and a user kernel can break the law."""
+    if isinstance(cs, _DiscreteClosure):
         return np.zeros((len(splits), len(states)))
     return np.array([
         [
@@ -428,8 +435,8 @@ def _compose_gaps(cs: ClosedSystem, splits, states) -> np.ndarray:
 
 def _image(left: ClosedSystem, right: ClosedSystem, f):
     """The right closure's atom index of f at each left atom, when both
-    closures are tabulated; None otherwise."""
-    if not (isinstance(left, _TabulatedClosure) and isinstance(right, _TabulatedClosure)):
+    closures keep a tick matrix; None otherwise."""
+    if not all(isinstance(cs, _DiscreteClosure) and cs.table is not None for cs in (left, right)):
         return None
     return np.array(
         [right.table.index[check_point(right.states, f(a))] for a in left.table.atoms],
@@ -447,8 +454,8 @@ def _square_cases(
     right, and a column per state.  A row's labels hold t, and the right
     closure's index under ``by`` when it is named.
 
-    When every closure is tabulated, the cases are read from rows of the
-    tick matrices' powers: row x of P_L^t summed into the right atoms
+    When every closure keeps a tick matrix, the cases are read from rows of
+    the matrices' powers: row x of P_L^t summed into the right atoms
     through f (``_push``), against row f(x) of each P_R^t (``_target``),
     every right closure in one stacked difference of at most
     ``_TABLE_MAX_STATES**2`` floats.  The rows are the laws step would
@@ -523,8 +530,9 @@ def check_closed_flow(
     cs: ClosedSystem, times, states_sample, tol: float = 0.0
 ) -> dict:
     """Verify step(0) = point mass and step(s+t) = step(s) after step(t).  An
-    iterated closure keeps one walk per start for the length of the call; a
-    tabulated closure's compose cases hold by construction and read 0.0."""
+    RK4 closure keeps one walk per start for the length of the call, and its
+    compose cases, like a user kernel's, are measured; a discrete closure's
+    hold by construction, at every size, and read 0.0."""
     if isinstance(cs, _IteratedClosure):
         cs = _walked(cs)
     times, states = list(times), list(states_sample)
@@ -533,8 +541,8 @@ def check_closed_flow(
 
 
 def _walked(cs: _IteratedClosure) -> ClosedSystem:
-    """The closure keeping each walk it is asked about.  step(t, x) extends
-    x's walk to t.  A walk is found by the key of its start alone, never by a
+    """The RK4 closure keeping each walk it is asked about.  step(t, x)
+    extends x's walk to t.  A walk is found by the key of its start alone, never by a
     state it passed through, so step(s) after step(t) walks afresh from
     step(t, x)'s point."""
     walks: dict = {}
@@ -564,17 +572,18 @@ def check_flow(
     since their general-t kernel is derived from the one-tick components --
     a t-dependent stored map is a law violation even though the derived
     kernels compose by construction.  Every s and t is checked by the time
-    monoid, on every route, before a split is stepped.  On up to 512 states
-    the closure reads step(t) from the t-th power of its tick matrix, so its
-    compose cases hold by construction: they are reported at deviation 0.0
-    and no power is built for them.  Each section's zero cases, and its
-    splits, reach the report as one block each.  The other closures (RK4,
-    and nested binds on more states) are walked and measure every compose
-    case: each start of the sample, and each point a compose case steps on
-    from, gets one walk, extended to the largest t asked of it.  The walks
-    live for this call only.  A continuous-time sample may be written as
-    lists or arrays; its states are reported as the points the closure
-    reads.
+    monoid, on every route, before a split is stepped.  A discrete closure
+    is the t-fold iterate of its one-tick kernel, read from the powers of
+    its tick matrix on up to 512 states and by nested binds on more, so its
+    compose cases hold by construction at every size: they are reported at
+    deviation 0.0, and nothing is stepped or multiplied for them.  Each
+    section's zero cases, and its splits, reach the report as one block
+    each.  An RK4 closure is walked and measures every compose case, since
+    a field that is not a function of the state alone breaks them: each
+    start of the sample, and each point a compose case steps on from, gets
+    one walk, extended to the largest t asked of it.  The walks live for
+    this call only.  A continuous-time sample may be written as lists or
+    arrays; its states are reported as the points the closure reads.
     """
     if sections is None:
         sections = all_sections(sys_.interface)
@@ -703,23 +712,6 @@ def rk4_step(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_walk(field: Callable, states: Space, x, h: float) -> _Walk:
-    """The classic RK4 steps of h from x along ``field``, which maps a point
-    of ``states`` to its tangent; the law at each tick is the point mass at
-    its vector.  x may be written with lists or arrays in place of tuples.
-    The walk is keyed by the raw bytes of the start vector, not by ``==``,
-    so -0.0 and 0.0 are two starts."""
-    vec = np.asarray(flatten_floats(states, check_point(states, _tuplify(x))), dtype=float)
-
-    def tangent(v):
-        return np.asarray(field(unflatten_floats(states, v.tolist())), dtype=float)
-
-    def law_of(v):
-        return dirac(states, unflatten_floats(states, v.tolist()))
-
-    return _Walk(vec.tobytes(), vec, lambda v: rk4_step(tangent, v, h), law_of)
-
-
 def from_vector_field(
     f: Callable,
     g: Callable,
@@ -739,7 +731,7 @@ def from_vector_field(
         return g(x)
 
     def update(t, x, d):
-        return _rk4_walk(lambda pt: f(pt, d), states, x, clock.h).law(clock.check(t))
+        return _Walk(lambda pt: f(pt, d), states, x, clock.h).law(clock.check(t))
 
     return System(p, states, clock, output, update, DETERMINISTIC, VectorField(f))
 

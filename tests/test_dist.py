@@ -762,3 +762,39 @@ def test_dist_to_json_refuses_a_key_the_reader_would_misread(space, atoms, messa
     d = categorical(space, [(a, 0.5) for a in atoms])
     with pytest.raises(DistError, match=f"^{re.escape(message)}$"):
         dist_to_json(d)
+
+
+_G = gaussian(euclid(1), [0.0], [[1.0]])
+_COIN = categorical(finite(0, 1), {0: 0.5, 1: 0.5})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: finite_items(_G),
+         "gaussian(mean=[0.0], cov=[[1.0]]) does not have finite support"),
+        (lambda: pushforward(lambda a: a, 3, finite(0)), "not a distribution: 3"),
+        (lambda: bind(3, lambda a: _G), "not a distribution: 3"),
+        (lambda: bind(_COIN, lambda a: gaussian(euclid(1), [float(a)], [[1.0]])),
+         "mixture of Gaussians is not representable exactly; use sample() for this composite"),
+        (lambda: bind(dirac(finite(0, 1), 0), lambda a: 3),
+         "kernel returned a non-distribution: 3"),
+        (lambda: dst(_COIN, _G), "dst of a finite-support and a continuous factor is outside the "
+                                 "exact regimes; use sample() on each factor"),
+        (lambda: sample(3, Rng(0)), "not a distribution: 3"),
+    ],
+    ids=["finite-items-of-a-gaussian", "pushforward-of-a-non-law", "bind-of-a-non-law",
+         "mixture-of-gaussians", "kernel-returns-a-non-law", "dst-of-finite-and-gaussian",
+         "sample-of-a-non-law"],
+)
+def test_each_exact_regime_refusal_fires_by_name(call, message):
+    """Each law operation refuses, by its own message, an input outside the
+    exact regimes: a Gaussian where a finite support is read, a non-law
+    where a law is, a Categorical mixture of Gaussians, a finite factor
+    beside a Gaussian one."""
+    with pytest.raises(DistError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_draw_from_a_gaussian_on_no_coordinates_is_the_empty_point():
+    assert sample(gaussian(euclid(0), [], []), Rng(0)) == ()

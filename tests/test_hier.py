@@ -799,7 +799,7 @@ def test_a_flat_system_is_related_to_the_hierarchical_system_from_y():
 def test_a_law_off_the_states_is_refused_by_name():
     """A trace of a leaf or a composite, and a leaf's table and a
     composite's table in a verdict, refuse an initial law whose atom is not
-    one of their states, and name the atom."""
+    one of their states in one text, which names the atom."""
     hs = blinker(2)
     off = dirac(finite(9), 9)
     with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
@@ -809,7 +809,7 @@ def test_a_law_off_the_states_is_refused_by_name():
     pair = tensor_hier(blinker(2), blinker(2))
     with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
         trace(pair, hom_sections([pair])[0], off, 2)
-    with pytest.raises(HierError, match=r"^9 is not a state of the composite$"):
+    with pytest.raises(HierError, match=r"^9 is not a state of the system$"):
         quasi_bisim(pair, pair, horizon=2, alphas=[off])
 
 
@@ -821,6 +821,16 @@ def test_a_section_offering_a_response_the_lens_lacks_is_refused():
     bad = HomSection(((key, (position, ("nowhere",))), *rest))
     with pytest.raises(HierError, match=r"^section offers a response the emitted lens lacks$"):
         trace(hs, bad, dirac(hs.states, 0), 2)
+
+
+def test_a_verdict_under_a_section_offering_a_response_the_lens_lacks_is_refused():
+    """A verdict's tables read a section's response as an option of the
+    emitted lens, and refuse one the lens lacks, as a trace does."""
+    cp = copy_system(finite(0, 1))
+    (key, (pos, _)), *_ = hom_sections([cp])[0].table
+    bad = HomSection(((key, (pos, ("nope",))),))
+    with pytest.raises(HierError, match=r"^section offers a response the emitted lens lacks$"):
+        quasi_bisim(cp, cp, sections=[bad], horizon=1)
 
 
 def test_a_walked_trace_under_a_section_without_its_lens_is_refused():

@@ -417,8 +417,9 @@ def walked_rounding_system():
     """513 states, one past the table, so its closure binds one tick at a
     time: states 0 and 1 move to themselves and their next two with
     non-dyadic weights, and every other state stays put.  step(s + t) and
-    step(s) after step(t) sum the same products in other orders, so some
-    splits differ in their last bits at 0 and at 1, and none at 2."""
+    step(s) after step(t) sum the same products in other orders, so they
+    differ in their last bits at 0 and at 1 for some splits; its compose
+    cases hold by construction, as on 512 states, and read 0.0."""
     states = finite(*range(513))
     laws = {s: categorical(states, [(s, 0.1), (s + 1, 0.2), (s + 2, 0.7)]) for s in (0, 1)}
     return mk_system(linear(states), states, lambda t, s: s,
@@ -426,10 +427,27 @@ def walked_rounding_system():
                      STOCHASTIC)
 
 
+def counting_decay_system():
+    """x' = -x/2 on the line, whose tangent at negative x grows with a count
+    of the field's calls there: step(s) after step(t) walks afresh and reads
+    other counts than step(s + t), so the two differ from a negative start,
+    and agree from a positive one, which never reads the count."""
+    calls = [0]
+
+    def field(x, d):
+        if x[0] >= 0.0:
+            return (-0.5 * x[0],)
+        calls[0] += 1
+        return (-0.5 * x[0] + 1e-9 * calls[0],)
+
+    return from_vector_field(field, lambda x: x, monomial(euclid(1), unit()), 0.01,
+                             states=euclid(1))
+
+
 FLOW_SPLITS = [(s, t) for s in range(5) for t in range(5) if 0 < s + t <= 6]
 
-# (name, thunk): seeded passes, rounding gaps on a walked closure, and
-# must-fail controls of each law
+# (name, thunk): seeded passes, a closure past the table that binds, a walk
+# that fails at some starts of one block, and must-fail controls of each law
 BLOCK_CHECKS = [
     *[(f"flow-seed{k}-tol{tol}",
        lambda k=k, tol=tol: check_flow(rounding_system(k), times=FLOW_SPLITS, tol=tol))
@@ -439,6 +457,9 @@ BLOCK_CHECKS = [
       for k in range(4)],
     ("flow-walked-rounding",
      lambda: check_flow(walked_rounding_system(), times=FLOW_SPLITS, states=[0, 1, 2])),
+    ("flow-counting-field", lambda: check_flow(
+        counting_decay_system(), sections=[trivial_section(monomial(euclid(1), unit()))],
+        times=[(1, 1), (2, 1)], states=[(-1.0,), (1.0,), (-2.0,)])),
     ("flow-tick-dependent-output", lambda: check_flow(tick_dependent_output(), times=SPLITS)),
     ("closed-flow-squaring-clock",
      lambda: check_closed_flow(squaring_clock(), SPLITS, list(points(Z3)))),
@@ -483,8 +504,8 @@ def test_block_reports_are_the_per_case_reports_bit_for_bit(run, both_reports):
 
 def test_the_block_checks_reach_passes_failures_and_mixed_blocks(both_reports):
     """The seeded checks above are not all passes: some fail, and some block
-    has two failing states and a passing one, on walked routes: within a
-    section (a rounding gap of the nested-bind closure) and outside one (the
+    has two failing states and a passing one: within a section (the RK4
+    field that reads its call count at negative starts) and outside one (the
     slip)."""
     for _, run in BLOCK_CHECKS:
         run()
@@ -497,6 +518,21 @@ def test_the_block_checks_reach_passes_failures_and_mixed_blocks(both_reports):
             if states is not None and failing.count(True) >= 2 and not all(failing):
                 mixed.add((labels["kind"], "section" in labels))
     assert {("compose", True), ("compose", False)} <= mixed
+
+
+def test_a_closure_past_the_table_composes_by_construction():
+    """On 513 states the closure binds one-tick laws, whose nested sums round
+    apart between step(s + t) and step(s) after step(t), by up to 2.78e-17
+    at states 0 and 1.  Both are binds of one kernel, so both flow checks
+    pass at tolerance 0 with every compose case at 0.0, as the same system
+    does on 512 states."""
+    sys_ = walked_rounding_system()
+    cs = closure(sys_, trivial_section(sys_.interface))
+    assert cs.table is None
+    for report in (check_flow(sys_, times=FLOW_SPLITS, states=[0, 1, 2]),
+                   check_closed_flow(cs, FLOW_SPLITS, [0, 1, 2])):
+        assert report["pass"], report["violations"]
+        assert report["max_deviation"] == 0.0
 
 
 def test_a_block_reports_every_failing_state_in_order():

@@ -252,8 +252,8 @@ def _law_bits(law) -> dict:
 
 @pytest.mark.parametrize("stochastic", [True, False])
 def test_a_bind_closure_composes_by_construction(monkeypatch, stochastic):
-    """A closure that steps by nested binds (forced here on small seeded
-    systems) walks one tick at a time: step(t, x) is t binds from x bit for
+    """A closure that keeps no tick matrix (forced here on small seeded
+    systems) binds one tick at a time: step(t, x) is t binds from x bit for
     bit, and step(s + t, x) is step(s) after step(t), whose dyadic weights
     sum exactly."""
     monkeypatch.setattr(systems, "_TABLE_MAX_STATES", 0)
@@ -261,7 +261,7 @@ def test_a_bind_closure_composes_by_construction(monkeypatch, stochastic):
         sys_ = random_finite_system(Rng(610).child(seed), stochastic=stochastic)
         for sigma in all_sections(sys_.interface):
             cs = closure(sys_, sigma)
-            assert isinstance(cs, systems._IteratedClosure)
+            assert cs.table is None
             for x in points(sys_.states):
                 for t in range(7):
                     assert _law_bits(cs.step(t, x)) == _law_bits(_bind_walk(sys_, sigma, t, x))
@@ -470,15 +470,15 @@ def test_a_flow_check_on_400_states_copies_no_power():
     assert peak < n * n * 8
 
 
-def _table_and_walk_checks(sys_, monkeypatch):
-    """check_flow and check_closed_flow on the tabulated closure, then on the
-    walked one."""
+def _table_and_bind_checks(sys_, monkeypatch):
+    """check_flow and check_closed_flow on the closure with a tick matrix,
+    then on the one that binds."""
     sigma = all_sections(sys_.interface)[0]
-    for walked in (False, True):
-        if walked:
+    for binds in (False, True):
+        if binds:
             monkeypatch.setattr(systems, "_TABLE_MAX_STATES", 1)
         cs = closure(sys_, sigma)
-        assert isinstance(cs, systems._IteratedClosure) == walked
+        assert (cs.table is None) == binds
         yield lambda times: check_flow(sys_, times=times)
         yield lambda times: check_closed_flow(cs, times, [0, 1])
 
@@ -497,34 +497,34 @@ def flip_system(stays: bool = False):
 def test_a_flow_check_refuses_a_split_off_the_time_monoid_on_every_route(split, monkeypatch):
     """Each split is checked by the time monoid before it is stepped: a
     negative tick, and one that is not an integer, in s or in t, are refused
-    by both flow checks, on the tabulated route as on the walked one, each
-    naming the time it was given (the walked compose case once named s + t,
-    "got 2.5" for the split (1.5, 1)).  A bool, which Python counts as an
+    by both flow checks, on the table route as on the bind one, each naming
+    the time it was given (a walked compose case once named s + t, "got 2.5"
+    for the split (1.5, 1)).  A bool, which Python counts as an
     integer, is not a tick: (True, 1) passed as the split (1, 1)."""
     sys_ = flip_system()
     bad = next(v for v in split if not (type(v) is int and v >= 0))
     message = f"time must be a non-negative integer tick, got {bad!r}"
-    for check in _table_and_walk_checks(sys_, monkeypatch):
+    for check in _table_and_bind_checks(sys_, monkeypatch):
         with pytest.raises(PolyError, match=f"^{re.escape(message)}$"):
             check([(1, 1), split])
 
 
 def test_a_numpy_integer_is_a_tick_and_a_bool_is_not(monkeypatch):
-    """On the tabulated closure and on the walked one, step(np.int64(2), x)
-    is step(2, x) and step(True, x) is refused, where True stepped once and
-    np.int64(2) was refused.  A flow check and a square over numpy integer
-    times report what their ints report, labels included, as JSON text (a
-    negative tolerance makes every case a violation, so every case is
-    labelled)."""
+    """On the closure with a tick matrix and on the one that binds,
+    step(np.int64(2), x) is step(2, x) and step(True, x) is refused, where
+    True stepped once and np.int64(2) was refused.  A flow check and a
+    square over numpy integer times report what their ints report, labels
+    included, as JSON text (a negative tolerance makes every case a
+    violation, so every case is labelled)."""
     sys_, still = flip_system(), flip_system(stays=True)
     sections = all_sections(sys_.interface)
     message = "time must be a non-negative integer tick, got True"
     ints, numpy = [(1, 2), (0, 3)], [(np.int64(1), np.int64(2)), (np.int64(0), 3)]
-    for walked in (False, True):
-        if walked:
+    for binds in (False, True):
+        if binds:
             monkeypatch.setattr(systems, "_TABLE_MAX_STATES", 1)
         cs = closure(sys_, sections[1])
-        assert isinstance(cs, systems._IteratedClosure) == walked
+        assert (cs.table is None) == binds
         assert cs.step(np.int64(2), 1) == cs.step(2, 1)
         with pytest.raises(PolyError, match=f"^{message}$"):
             cs.step(True, 1)
