@@ -3,9 +3,10 @@
 
 Prints one line per case, the least over ``--repeat`` rounds of the mean
 time per call in a round of ``--number`` calls, with one BLAS thread; each
-round times every case of a group once, in turn.  ``--group`` picks one
-group; with none, every group runs, one after another.  Each group draws
-its inputs from its own ``np.random.default_rng(0)``.
+round times every case of a group once, in turn.  A case may set its own
+calls per round, which ``--number`` overrides as it does the group's.
+``--group`` picks one group; with none, every group runs, one after another.
+Each group draws its inputs from its own ``np.random.default_rng(0)``.
 
 - ``laplace`` (2,000 calls per round unless ``--number`` is given): the
   pieces of a Laplace level-step and of a stack-step.
@@ -17,7 +18,13 @@ its inputs from its own ``np.random.default_rng(0)``.
     belief update from the last evaluation and the free energy at the new
     mean.  The linear level is affine with a constant covariance; the
     nonlinear one has mean tanh(Wx) + b, a state-dependent covariance and
-    no analytic Jacobian, as the benchmark's nonlinear level;
+    no analytic Jacobian, as the benchmark's nonlinear level.  Both levels
+    reach their fixed point within the first round, so most calls step
+    from it, where the nonlinear level reads the central differences it
+    kept for the point's grid cell;
+  - a whole 800-step ``run_stack`` of that nonlinear level, as the
+    benchmark's ``nonlinear-d1n2`` op runs it, to the step where it
+    repeats a state (5 calls per round);
   - ``dist.dst`` of two seeded Gaussians on 3 + 3 and on 12 + 6
     coordinates, products a depth-3 stack's absorb forms;
   - one ``mean_path`` stack-step of a seeded linear stack of each of the
@@ -26,7 +33,8 @@ its inputs from its own ``np.random.default_rng(0)``.
     law's flat mean;
   - the parts of the nonlinear level-step: its central-difference Jacobian
     at n = 2 and, on a seeded level of the same form, at n = 6, each
-    computed afresh per call; ``dist._checked_gaussian``, the checks of a
+    computed afresh per call, the one the level kept dropped;
+    ``dist._checked_gaussian``, the checks of a
     new belief, on the ``dist.gaussian`` inputs at n = 2, 6 and 18 and a
     space built once; and ``_Evaluation.energy`` at a fresh point, with its
     errors solved and the covariance's log-determinant taken on each call
@@ -197,11 +205,12 @@ def tanh_level(w, b):
 
 
 def central_differences(channel, x):
-    """The Jacobian at x, its evaluation's kept one dropped before each call."""
+    """The Jacobian at x, the one its evaluation and its level kept dropped
+    before each call."""
     at = laplace._Evaluation(channel, x, laplace._Prior(channel))
 
     def jacobian():
-        at._jacobian = None
+        at._jacobian, at.prior.jacobian = None, (None, None)
         at.jacobian()
 
     return jacobian
@@ -238,6 +247,9 @@ def laplace_cases(gen):
     yield f"linear level-step n={dim}", level_step(linear_level, prior, datum, 0.05)
     nonlinear = tanh_level(w, b)
     yield f"nonlinear level-step n={dim}", level_step(nonlinear, prior, datum, 0.1)
+    cfg = laplace.LaplaceConfig(rate=0.1)
+    yield (f"nonlinear run_stack 800 n={dim}",
+           lambda: laplace.run_stack([nonlinear], cfg, prior, datum, 800), 5)
     for n1, n2 in ((3, 3), (12, 6)):
         laws = [gaussian(euclid(n), gen.standard_normal(n), spd(gen, n)) for n in (n1, n2)]
         yield f"dist.dst {n1}+{n2}", lambda pair=laws: dst(*pair)
@@ -445,16 +457,16 @@ def main() -> None:
         parser.error("--repeat and --number must be at least 1")
     for name in [args.group] if args.group else GROUPS:
         cases, number = GROUPS[name]
-        number = args.number or number
         # round-robin over the cases, so that a slow spell of a shared
         # machine reaches every case, and the least round of each misses it
-        timed = list(cases(np.random.default_rng(0)))
+        timed = [(case, call, args.number or (own[0] if own else number))
+                 for case, call, *own in cases(np.random.default_rng(0))]
         best = [math.inf] * len(timed)
         for _ in range(args.repeat):
-            for k, (_, call) in enumerate(timed):
-                best[k] = min(best[k], timeit.timeit(call, number=number))
-        for (case, _), least in zip(timed, best):
-            print(f"{case:28s} {least / number * 1e6:9.2f} us")
+            for k, (_, call, calls) in enumerate(timed):
+                best[k] = min(best[k], timeit.timeit(call, number=calls))
+        for (case, _, calls), least in zip(timed, best):
+            print(f"{case:28s} {least / calls * 1e6:9.2f} us")
 
 
 if __name__ == "__main__":

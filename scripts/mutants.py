@@ -178,19 +178,51 @@ MUTANTS = (
     Mutant(
         "run-stop-after-one-step",
         "src/polydyn/laplace.py",
-        "at_new.x.tobytes() == at.x.tobytes()",
-        "at_new.x.tobytes() == at_new.x.tobytes()",
+        "first = seen.setdefault(b\"\".join(at.x.tobytes() for at in new_points), step)",
+        "first = step - 1",
         ("tests/test_laplace.py::test_a_run_that_settles_gives_the_rows_of_a_runner_that_steps_every_level",
          "tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled"),
     ),
-    # a Laplace run stops once its bottom level settles, whatever the levels
-    # above it do
+    # a Laplace run stops once its bottom level repeats a mean, whatever the
+    # levels above it do
     Mutant(
         "run-stop-on-one-level",
         "src/polydyn/laplace.py",
-        "settled = settled and at_new.x.tobytes() == at.x.tobytes()",
-        "settled = settled and (k > 0 or at_new.x.tobytes() == at.x.tobytes())",
+        "first = seen.setdefault(b\"\".join(at.x.tobytes() for at in new_points), step)",
+        "first = seen.setdefault(new_points[0].x.tobytes(), step)",
         ("tests/test_laplace.py::test_a_run_steps_until_every_level_has_settled",),
+    ),
+    # a Laplace run that repeats a state fills the steps left from the
+    # cycle's rows one step on, so a cycle longer than one step is misplaced
+    Mutant(
+        "repeat-fill-off-by-one",
+        "src/polydyn/laplace.py",
+        "i = (later - step - 1) % period * depth",
+        "i = (later - step) % period * depth",
+        ("tests/test_laplace.py::test_a_run_that_enters_a_cycle_fills_its_steps_from_the_cycle",),
+    ),
+    # a level takes its central differences at every new mean, never
+    # reading the one it kept for the mean's grid cell
+    Mutant(
+        "jacobian-cell-ignored",
+        "src/polydyn/laplace.py",
+        "                if kept != cell:\n",
+        "                if True:\n",
+        ("tests/test_laplace.py::test_run_stack_evaluates_a_channel_once_per_point",),
+    ),
+    # a level keeps its central differences by grid cell but takes them at
+    # the mean that first entered the cell, so a Jacobian depends on the
+    # path that reached the cell
+    Mutant(
+        "jacobian-at-raw-x",
+        "src/polydyn/laplace.py",
+        "                    x = np.array([round(v / _R) * _R for v in xs])\n"
+        "                prior, cell = self.prior, x.tobytes()\n",
+        "                    pass\n"
+        "                prior = self.prior\n"
+        "                cell = np.array([round(v / _R) * _R for v in xs]).tobytes()\n",
+        ("tests/test_laplace.py::"
+         "test_shared_nonlinear_paths_that_revisit_grid_cells_each_equal_run_stack",),
     ),
     # a Laplace level reads its kept evaluation at whatever latent it is
     # asked about, not only at the one with its raw bytes

@@ -67,12 +67,24 @@ vector, into column k of one C-ordered Jacobian for the k-th step dx (kept
 in ``_Prior.steps``), and divide once: every product with it computes the
 bits the column-by-column loop gave.
 
+A central difference is taken at x snapped to a grid of cell ``_R`` = 1e-10,
+and a level keeps the last one with its grid point, for every x in that
+cell (``_Evaluation.jacobian``), so a level's Jacobian is a function of its
+latent estimate.  Taken at x itself, its rounding error (about eps / _H =
+2e-10 per entry) differs at every x, so near the optimum every step moves
+the mean by that noise and the descent never repeats a state.  The cell is
+1e-10 because that is below this error: snapping moves the point by at most
+5e-11, which changes the Jacobian by less than its own rounding does.
+
 ``run_stack`` is the iterate of one map on the levels' latent estimates, so
-a step that leaves every estimate as it was, bit for bit, is a fixed point:
-the run repeats that step's rows for the steps left and stops there.  The
-descent reaches one on the bundled linear specs (``laplace1d.json`` at step
-126 of 400, ``laplace2level.json`` at step 1,114 of 4,000).  ``mean_path``
-has no such stop.
+once a step leaves them, bit for bit, as an earlier step left them, the run
+is in a cycle: it repeats the cycle's rows for the steps left and stops
+there.  A fixed point is the cycle of period 1.  The descent reaches one on
+the bundled linear specs (``laplace1d.json`` at step 126 of 400,
+``laplace2level.json`` at step 1,114 of 4,000).  A nonlinear level stops
+too: of the benchmark's nine seeded levels, five reach a fixed point by
+step 168 of 800 and four a cycle of period 3 to 29 by step 155.
+``mean_path`` has no such stop.
 """
 
 from __future__ import annotations
@@ -118,6 +130,7 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _LOG_2PI = math.log(2.0 * math.pi)
 _LOG_2PIE = math.log(2.0 * math.pi * math.e)
 _H = 1e-6  # the step of a central difference
+_R = 1e-10  # the cell of the grid a central difference is taken on
 # the singular values alone: "svd" on numpy 2, "svd_n" (rows >= columns) on 1.x
 _SVD = "svd" if hasattr(_umath_linalg, "svd") else "svd_n"
 
@@ -223,8 +236,10 @@ class _Guarded(_Constant):
 class _Prior:
     """What a level keeps while it runs one channel: its spaces, whether the
     channel is linear, its central differences' coordinate steps (the rows of
-    _H * I, built on first use), the last prior it received and its last
-    evaluation.
+    _H * I, built on first use) and the last central-difference Jacobian it
+    took, with the bytes of the grid point it was taken at (``jacobian``,
+    read by ``_Evaluation.jacobian``), the last prior it received and its
+    last evaluation.
 
     The prior's covariance (``Gaussian.cov``) is kept with its guard, and the
     prior's mean as an array (``mean``).  A covariance is checked when it
@@ -242,6 +257,7 @@ class _Prior:
     __slots__ = (
         "linear", "latent", "observed", "steps", "pi", "cov", "guard", "mean",
         "belief_cov", "belief_entropy", "predicted_cov", "built", "evaluation",
+        "jacobian",
     )
 
     def __init__(self, gamma: "GaussianChannel"):
@@ -249,7 +265,7 @@ class _Prior:
         self.latent, self.observed = euclid(gamma.in_dim), euclid(gamma.out_dim)
         self.pi = self.cov = self.guard = self.mean = self.evaluation = self.steps = None
         self.belief_cov = self.belief_entropy = self.predicted_cov = None
-        self.built = (None, None)
+        self.built = self.jacobian = (None, None)
 
     def checked(self, pi: Gaussian) -> _Guarded:
         """The guard of pi's covariance, and pi's mean kept as an array."""
@@ -281,7 +297,10 @@ class _Prior:
         point has x's raw bytes (so -0.0 is not 0.0), as ``run_stack``'s stop
         compares, else a new one, which is kept.  An evaluation is a function
         of its point alone, and what it keeps of a datum or a prior is keyed
-        by that object's identity."""
+        by that object's identity.  So is its Jacobian: a central difference
+        is taken at x's point of the grid of cell ``_R`` and kept here for
+        every x of that cell, whatever path reached it
+        (``_Evaluation.jacobian``)."""
         at = self.evaluation
         if at is None or at.x.tobytes() != x.tobytes():
             at = self.evaluation = _Evaluation(gamma, x, self)
@@ -416,21 +435,44 @@ class _Evaluation:
 
     def jacobian(self) -> np.ndarray:
         """Jacobian of the mean map at x: the channel's own, or central
-        differences when it has none."""
+        differences when it has none.
+
+        A central difference is taken at x snapped to the grid of cell
+        ``_R``, the nearest multiple of ``_R`` in each coordinate, so it is a
+        function of x's cell alone, in ``run_stack``, ``mean_path`` and the
+        one-shot functions alike; the level keeps the last one with the
+        snapped point's bytes and reads it again at any x of that cell
+        (``_Prior.jacobian``).  Snapping moves the point by at most
+        _R / 2 = 5e-11, which changes the Jacobian by about 5e-11 times the
+        mean map's second derivative: less than the difference's own
+        rounding error, about eps / _H = 2e-10 per entry.  Where any
+        coordinate's ulp may exceed ``_R`` (|x| above 2**52 * _R, about
+        4.5e5), and so also where x / _R would overflow or x is not finite,
+        the difference is taken at x itself."""
         if self._jacobian is None:
             gamma, x = self.gamma, self.x
             if gamma.jacobian is not None:
                 self._jacobian = _matrix(gamma.jacobian(x))
             else:
-                # column k from the k-th step dx; C order, as every product
-                # with it computes its bits
-                prior = self.prior
-                if prior.steps is None:
-                    prior.steps = tuple(_H * np.eye(x.size))
-                mean, jac = gamma.mean, np.empty((gamma.out_dim, x.size))
-                for k, dx in enumerate(prior.steps):
-                    np.subtract(mean(x + dx), mean(x - dx), out=jac[:, k])
-                jac /= 2.0 * _H
+                # snapped on its Python floats where x's ulp, at most
+                # 2**-52 |x|, is at most _R
+                xs = x.tolist()
+                if all(abs(v) <= _R * 2.0**52 for v in xs):
+                    x = np.array([round(v / _R) * _R for v in xs])
+                prior, cell = self.prior, x.tobytes()
+                kept, jac = prior.jacobian
+                if kept != cell:
+                    if prior.steps is None:
+                        prior.steps = tuple(_H * np.eye(x.size))
+                    # column k from the k-th step dx; C order, as every
+                    # product with it computes its bits
+                    mean, jac = gamma.mean, np.empty((gamma.out_dim, x.size))
+                    for k, dx in enumerate(prior.steps):
+                        np.subtract(mean(x + dx), mean(x - dx), out=jac[:, k])
+                    jac /= 2.0 * _H
+                    # shared by every evaluation in the cell: nothing writes it
+                    jac.flags.writeable = False
+                    prior.jacobian = cell, jac
                 self._jacobian = jac
         return self._jacobian
 
@@ -706,13 +748,17 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     new mean, gives its free energy, the prior it pushes up and its next step.
 
     A step's rows and new means depend only on the levels' latent estimates:
-    each channel is a function of its point, ``pi0``, the datum and ``cfg``
-    are fixed, and what a level keeps (its ``_Prior``, its solved errors)
-    holds only values computed from them.  So
-    once a step leaves every latent estimate as it was, bit for bit (raw
-    bytes, so -0.0 is not 0.0), every later step repeats it: the run appends
-    that step's rows for each remaining step, renumbered, and stops.
-    ``steps`` is a count (``spaces.check_count``)."""
+    each channel is a function of its point (its central-difference Jacobian
+    one of the point's cell: ``_Evaluation.jacobian``), ``pi0``, the datum
+    and ``cfg`` are fixed, and what a level keeps (its ``_Prior``, its solved
+    errors) holds only values computed from them.  So once step s leaves
+    every latent estimate as an earlier step j left them, bit for bit (raw
+    bytes, so -0.0 is not 0.0; step 0 leaves the zero means), the run has
+    entered a cycle of period s - j: every later step repeats the one s - j
+    steps before it.  The run appends the rows of steps j + 1 to s, in
+    turn and renumbered, for each remaining step, and stops.  A fixed point
+    is the cycle of period 1, where step s's rows repeat.  ``steps`` is a
+    count (``spaces.check_count``)."""
     _check_levels(levels)
     steps = check_count(steps, "steps", LaplaceError)
     datum_v = _finite_datum(datum)
@@ -721,8 +767,10 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
     if len(pi0.mean) != levels[0].in_dim:
         raise LaplaceError("prior dimension does not match the bottom level")
     points = [_Evaluation(ch, np.zeros(ch.in_dim), _Prior(ch)) for ch in levels]
-    top = len(levels) - 1
+    depth, top = len(levels), len(levels) - 1
     rows = []
+    # the step after which each state of the latent estimates was first seen
+    seen = {b"".join(at.x.tobytes() for at in points): 0}
     step = k = 0
     try:
         # a descent that overflows is refused below, by step and level, where
@@ -731,17 +779,19 @@ def run_stack(levels, cfg: LaplaceConfig, pi0: Gaussian, datum, steps: int):
             for step in range(1, steps + 1):
                 # every prior is pushed up before any level moves
                 priors = [pi0, *[at.law() for at in points[:top]]]
-                new_points, settled = [], True
+                new_points = []
                 for k, at in enumerate(points):
                     pi, y = priors[k], datum_v if k == top else points[k + 1].x
                     rho, at_new = at.update(pi, y, cfg)
                     rows.append((step, k, rho.mean, at_new.energy(pi, y) - at.prior.entropy(rho)))
                     new_points.append(at_new)
-                    settled = settled and at_new.x.tobytes() == at.x.tobytes()
-                if settled:
-                    repeated = rows[-len(levels):]
-                    rows += [(later, *row[1:]) for later in range(step + 1, steps + 1)
-                             for row in repeated]
+                first = seen.setdefault(b"".join(at.x.tobytes() for at in new_points), step)
+                if first < step:
+                    # step `later` repeats step first + 1 + (later - step - 1) % period
+                    cycle, period = rows[first * depth:], step - first
+                    for later in range(step + 1, steps + 1):
+                        i = (later - step - 1) % period * depth
+                        rows += [(later, *row[1:]) for row in cycle[i:i + depth]]
                     break
                 points = new_points
     except DistError as exc:

@@ -506,6 +506,20 @@ def _settled_at(rows, k):
     return moved + 1 if moved + 1 < len(means) else None
 
 
+def _first_repeat(rows, depth):
+    """The first step after which every level's mean, bit for bit, is what
+    it was after an earlier step (the zero means before step 1), with the
+    number of steps between the two: (step, period), or None."""
+    seen, means = {}, [np.zeros(sum(len(row[2]) for row in rows[:depth]))]
+    for step in range(len(rows) // depth):
+        means.append(np.concatenate([row[2] for row in rows[step * depth:(step + 1) * depth]]))
+    for step, mean in enumerate(means):
+        first = seen.setdefault(mean.tobytes(), step)
+        if first < step:
+            return step, step - first
+    return None
+
+
 def _count_solves(monkeypatch, calls):
     """Count in ``calls`` each solve against a guarded matrix."""
 
@@ -588,14 +602,25 @@ def test_a_run_steps_until_every_level_has_settled(
         levels, cfg, pi0, np.array([1.0]), steps)[0]
 
 
+def _cell_changes(means):
+    """How many times a run of means enters a grid cell of side ``_R`` other
+    than the one the mean before it lies in, the first mean counted: each
+    time, a level with no analytic Jacobian takes its central differences."""
+    cells = [[round(v / laplace._R) for v in m] for m in means]
+    return 1 + sum(a != b for a, b in zip(cells, cells[1:]))
+
+
 def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
     """N steps of a level with no analytic Jacobian and a state-dependent
     covariance reach N + 1 means, counting the first, and evaluate the channel
-    once at each: one mean call there and two per input for central
-    differences, one covariance call and one condition check, plus one
-    condition check per step for the energy Hessian and one for the prior,
-    whose covariance never changes.  The channel's law at a point reads the
-    mean and the covariance alone: no Jacobian, no condition check."""
+    once at each: one mean call there, one covariance call and one condition
+    check, plus one condition check per step for the energy Hessian and one
+    for the prior, whose covariance never changes.  Central differences, two
+    mean calls per input, are taken once per run of consecutive means in one
+    grid cell, as the level keeps the last Jacobian for its cell: 80 times
+    over these 101 means, where they were taken at every mean (505 mean
+    calls in all).  The channel's law at a point reads the mean and the
+    covariance alone: no Jacobian, no condition check."""
     n, steps = 2, 100
     w = np.array([[1.0, 0.3], [-0.2, 0.9]])
     calls = collections.Counter()
@@ -611,8 +636,12 @@ def test_run_stack_evaluates_a_channel_once_per_point(monkeypatch):
     ch = GaussianChannel(n, n, mean, None, cov)
     prior = mk_state([0.1, -0.2], np.eye(n))
     _count_gufuncs(monkeypatch, calls, names=("cond",))
-    run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.3, -0.4], steps)
-    assert calls == {"mean": (1 + 2 * n) * (steps + 1), "cov": steps + 1, "cond": 2 * steps + 2}
+    rows = run_stack([ch], LaplaceConfig(rate=0.1), prior, [0.3, -0.4], steps)
+    differences = _cell_changes([np.zeros(n)] + [row[2] for row in rows])
+    assert differences < steps + 1
+    assert calls == {
+        "mean": steps + 1 + 2 * n * differences, "cov": steps + 1, "cond": 2 * steps + 2,
+    }
     calls.clear()
     ch([0.2, 0.1])
     assert calls == {"mean": 1, "cov": 1}
@@ -1171,19 +1200,43 @@ def test_mean_paths_that_share_a_level_system_each_equal_run_stack():
     _assert_shared_level_paths_equal_run_stack(levels, pi0, datum, LaplaceConfig(rate=0.05))
 
 
-def test_nonlinear_mean_paths_that_share_a_level_system_each_equal_run_stack():
-    """A nonlinear level keeps the array of the last belief it built, and one
-    ``build_laplace`` system shared between composites is one level for all
-    of them: shared as above, each reads every belief's own array, and each
-    path is its ``run_stack`` rows bit for bit."""
+def _shared_nonlinear_levels():
+    """Three 2-d levels with no analytic Jacobian, a prior and a datum."""
     levels = [ch for ch, _, _ in _seeded_nonlinear_channels() if ch.in_dim == 2]
     gen = np.random.default_rng(32)
     w = np.eye(2) + 0.3 * gen.standard_normal((2, 2))
     levels.append(GaussianChannel(
         2, 2, lambda x: np.tanh(w @ x), None, lambda x: np.diag(0.6 + 0.1 * np.tanh(x) ** 2)
     ))
-    pi0, datum = mk_state(gen.standard_normal(2), _seeded_cov(gen, 2)), gen.standard_normal(2)
+    return levels, mk_state(gen.standard_normal(2), _seeded_cov(gen, 2)), gen.standard_normal(2)
+
+
+def test_nonlinear_mean_paths_that_share_a_level_system_each_equal_run_stack():
+    """A nonlinear level keeps the array of the last belief it built, and one
+    ``build_laplace`` system shared between composites is one level for all
+    of them: shared as above, each reads every belief's own array, and each
+    path is its ``run_stack`` rows bit for bit."""
+    levels, pi0, datum = _shared_nonlinear_levels()
     _assert_shared_level_paths_equal_run_stack(levels, pi0, datum, LaplaceConfig(rate=0.1))
+
+
+def test_shared_nonlinear_paths_that_revisit_grid_cells_each_equal_run_stack():
+    """A level keeps one central-difference Jacobian, for the grid cell it
+    was last taken in, and a shared ``build_laplace`` system keeps it for
+    every path that runs through it.  The 40 steps above end before any
+    path reaches a cell a second time in a row; over 800 steps every level
+    of each chain does (its means stay in one cell from one step to the
+    next), and reads the Jacobian taken at the cell's point, whichever path
+    entered the cell first: each path is still its ``run_stack`` rows bit
+    for bit."""
+    levels, pi0, datum = _shared_nonlinear_levels()
+    cfg, steps = LaplaceConfig(rate=0.1), 800
+    for chain in ([levels[0]] * 2, levels[:2], [levels[0], levels[2]]):
+        rows = run_stack(chain, cfg, pi0, datum, steps)
+        for k in (0, 1):
+            means = [np.zeros(2)] + [row[2] for row in rows[k::2]]
+            assert _cell_changes(means[:41]) == 41 and _cell_changes(means) < steps + 1
+    _assert_shared_level_paths_equal_run_stack(levels, pi0, datum, cfg, steps)
 
 
 def test_a_linear_level_predicts_the_law_gaussian_checks_bit_for_bit():
@@ -1254,20 +1307,20 @@ def _rational_cov(x):
 
 def test_a_nonlinear_run_is_pinned():
     """A level with no analytic Jacobian and a state-dependent covariance,
-    run for 300 steps without settling: every mean and free energy of every
-    row, by ``float.hex``.  A change in the last bit of any central
-    difference, check or solve of a nonlinear level-step changes this
-    digest."""
+    run for 300 steps, which reaches its fixed point at step 155: every mean
+    and free energy of every row, by ``float.hex``.  A change in the last bit
+    of any central difference, check or solve of a nonlinear level-step
+    changes this digest."""
     channel = GaussianChannel(2, 2, _rational_mean, None, _rational_cov)
     prior = mk_state([0.25, -0.5], [[1.0, 0.25], [0.25, 0.75]])
     rows = run_stack([channel], LaplaceConfig(rate=0.1), prior, [0.375, -0.625], 300)
-    assert rows[-1][2] != rows[-2][2]
+    assert _first_repeat(rows, 1) == (155, 1)
     text = "\n".join(
         ",".join([str(step), str(k), *map(float.hex, mean), float.hex(free)])
         for step, k, mean, free in rows
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "e131c164807a6f5231a7d1c693bf4602da7796c65acd95675136f4599cac1d7d"
+    assert digest == "04e0649b70aa5f78707348fc9929f708416c1b35ddc42313131a8740c9c96a39"
 
 
 # a 3 -> 2 level built like the benchmark's nonlinear one: mean tanh(Wx) + b,
@@ -1293,20 +1346,20 @@ def _tanh_cov(x):
 
 def test_a_non_square_nonlinear_run_is_pinned():
     """A 3 -> 2 level with no analytic Jacobian and a state-dependent
-    covariance, run for 300 steps without settling: every mean and free
-    energy of every row, by ``float.hex``.  Its central differences fill a
-    2 x 3 Jacobian column by column."""
+    covariance, run for 300 steps, which reaches its fixed point at step
+    184: every mean and free energy of every row, by ``float.hex``.  Its
+    central differences fill a 2 x 3 Jacobian column by column."""
     channel = GaussianChannel(3, 2, _tanh_mean, None, _tanh_cov)
     prior = mk_state([0.25, -0.5, 0.125],
                      [[1.0, 0.25, 0.0], [0.25, 0.75, 0.125], [0.0, 0.125, 0.5]])
     rows = run_stack([channel], LaplaceConfig(rate=0.1), prior, [0.375, -0.625], 300)
-    assert rows[-1][2] != rows[-2][2]
+    assert _first_repeat(rows, 1) == (184, 1)
     text = "\n".join(
         ",".join([str(step), str(k), *map(float.hex, mean), float.hex(free)])
         for step, k, mean, free in rows
     )
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "dfeffe47f8f012c8bd7613ae37578c5a831e6d43fe92ce2b938edbcbb059a0bc"
+    assert digest == "cfc4a135cdc8813b1ddad8311a42c358c2dc3387bb3721c6e3814d74168b3b9d"
 
 
 def test_a_mean_map_returning_a_list_gives_the_jacobian_of_one_returning_an_array():
@@ -1353,3 +1406,102 @@ def test_central_differences_read_fresh_points_and_give_a_c_ordered_jacobian():
     assert [p.tobytes() for p in points] == [p.tobytes() for p in replayed]
     assert all(p.shape == (3,) and p.base is None for p in points)
     assert len({id(p) for p in points} | {id(x)}) == 7
+
+
+def _benchmark_shaped_levels():
+    """Six levels drawn as the benchmark's nonlinear op draws its own: mean
+    tanh(Wx) + b, a diagonal covariance that depends on x and no analytic
+    Jacobian; each with W, a prior and a datum."""
+    for seed in range(6):
+        gen = np.random.default_rng(seed)
+        w = np.eye(2) + 0.3 * gen.standard_normal((2, 2))
+        b = 0.2 * gen.standard_normal(2)
+        channel = GaussianChannel(
+            2, 2, lambda x, w=w, b=b: np.tanh(w @ x) + b, None,
+            lambda x: np.diag(0.5 + 0.2 * np.tanh(x) ** 2),
+        )
+        pi0 = mk_state(0.3 * gen.standard_normal(2), np.eye(2))
+        yield channel, w, pi0, 0.5 * gen.standard_normal(2)
+
+
+def test_a_nonlinear_descent_stops_where_its_analytic_gradient_vanishes(monkeypatch):
+    """A central difference taken at x itself carries a rounding error that
+    differs at every x, so a descent on it moved by that noise at every step
+    and ran all 800 steps.  Taken at x's grid cell, it lets the descent
+    repeat a state, and ``run_stack`` stops there: each level evaluates its
+    channel at the zero mean and once per step up to its stop, well inside
+    the run.  At the final mean, the gradient taken with the analytic
+    Jacobian diag(1 - tanh^2(Wx)) W is below the benchmark's bound of 1e-8:
+    the descent stopped where the energy is stationary, by a measure that
+    does not read the central differences."""
+    calls = collections.Counter()
+    _count_evaluations(monkeypatch, calls)
+    cfg, steps = LaplaceConfig(rate=0.1), 800
+    for channel, w, pi0, datum in _benchmark_shaped_levels():
+        calls.clear()
+        rows = run_stack([channel], cfg, pi0, datum, steps)
+        stop, _ = _first_repeat(rows, 1)
+        assert calls["evaluation"] == stop + 1 <= steps // 2
+        analytic = dataclasses.replace(
+            channel, jacobian=lambda x, w=w: (1.0 - np.tanh(w @ x) ** 2)[:, None] * w
+        )
+        assert np.abs(grad_energy(pi0, analytic, rows[-1][2], datum)).max() < 1e-8
+
+
+def test_a_run_that_enters_a_cycle_fills_its_steps_from_the_cycle():
+    """The rational level under this prior and datum leaves at step 154 the
+    state it left at step 129: its descent has entered a cycle of period 25,
+    and ``run_stack`` fills the 646 steps left from the cycle's rows, in
+    turn.  Its rows are, bit for bit, those of a runner that steps the level
+    at every step, and its means those of ``mean_path``, which has no stop,
+    over all 800 steps."""
+    channel = GaussianChannel(2, 2, _rational_mean, None, _rational_cov)
+    pi0 = mk_state([-0.5, 0.375], [[1.0, 0.25], [0.25, 0.75]])
+    cfg, datum, steps = LaplaceConfig(rate=0.1), np.array([0.25, 0.625]), 800
+    rows = run_stack([channel], cfg, pi0, datum, steps)
+    assert _first_repeat(rows, 1) == (154, 25)
+    assert [_hex_row(*row) for row in rows] == _stepped_rows([channel], cfg, pi0, datum, steps)[0]
+    path = mean_path(stack([channel], cfg), pi0, datum, steps)
+    assert [tuple(map(float.hex, row[2])) for row in rows] == [
+        tuple(map(float.hex, point[:2])) for point in path[1:]
+    ]
+
+
+def test_central_differences_far_from_the_origin_are_taken_at_the_point():
+    """Where a coordinate's ulp may exceed the grid's cell ``_R`` (above
+    2**52 * _R, about 4.5e5), and where x / _R would overflow (above about
+    1.8e298), a central difference is taken at x itself, with no warning
+    and, where the mean map is finite, no inf or NaN."""
+    channel = GaussianChannel(
+        2, 2, lambda x: np.array([x[0] * x[1], x[1] - 0.5 * x[0]]), None, lambda x: np.eye(2)
+    )
+    h = 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([765432.1 + 1 / 3, 0.25], [1e300, -0.75], [-1.7e308, 0.5]):
+            x = np.array(x)
+            jac = laplace._Evaluation(channel, x, laplace._Prior(channel)).jacobian()
+            want = np.zeros((2, 2))
+            for k, dx in enumerate(h * np.eye(2)):
+                want[:, k] = (channel.mean(x + dx) - channel.mean(x - dx)) / (2.0 * h)
+            assert np.isfinite(jac).all() and jac.tobytes() == want.tobytes(), x
+
+
+def test_a_descent_through_the_largest_floats_is_refused_where_it_overflows():
+    """A rate too large for the prior's curvature sends a tanh level's mean
+    past 1.8e298, where x / _R overflows, for 21 steps, and then past the
+    largest float: every Jacobian on the way is taken at the mean itself,
+    with no warning, and the run is refused only at the step where the mean
+    leaves the finite floats, as it was before its central differences were
+    taken on a grid."""
+    channel = GaussianChannel(1, 1, _tanh, None, lambda x: [[1.0]])
+    pi0, cfg = mk_state([0.5], [[0.25]]), LaplaceConfig(rate=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_stack([channel], cfg, pi0, [0.25], 646)
+        assert sum(abs(row[2][0]) > 1.8e298 for row in rows) == 21
+        assert all(math.isfinite(row[2][0]) for row in rows)
+        with pytest.raises(LaplaceError, match=(
+            r"^the descent failed at step 647, level 0: mean and covariance must be finite$"
+        )):
+            run_stack([channel], cfg, pi0, [0.25], 800)
